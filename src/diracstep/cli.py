@@ -28,12 +28,10 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 _NUMERICAL_ERRORS = (
-    analytic.ParameterRangeError,
-    analytic.ChartDomainError,
     specfun.DomainError,
     specfun.GammaPoleError,
     oracle.OracleError,
-    ArithmeticError,  # covers series convergence and singular matching
+    ArithmeticError,  # covers series convergence and the probability guard
 )
 
 
@@ -93,10 +91,14 @@ def _record_dict(params: model.StepParameters, res: analytic.ScatteringResult,
 
 
 def _guard_probabilities(res: analytic.ScatteringResult) -> None:
-    if abs(res.F + res.B - 1.0) > 1e-12:
-        raise ArithmeticError(
-            f"probability identity violated: F + B - 1 = {res.F + res.B - 1.0:.3e}"
-        )
+    """F + B = 1 by construction; F_u + B_u = 1 only by norm conservation."""
+    defect = res.F + res.B - 1.0
+    defect_u = res.F_u + res.B_u - 1.0
+    # written as `not <=` so that NaN fails too
+    if not abs(defect) <= 1e-12:
+        raise ArithmeticError(f"probability identity violated: F + B - 1 = {defect:.3e}")
+    if not abs(defect_u) <= 1e-9:
+        raise ArithmeticError(f"unitarity defect too large: F_u + B_u - 1 = {defect_u:.3e}")
 
 
 # ----------------------------------------------------------------- scatter

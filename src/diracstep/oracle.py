@@ -259,14 +259,6 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     )
 
 
-def numeric_result(params: StepParameters, cfg: IntegrationConfig | None = None) -> ScatteringResult:
-    """ScatteringResult assembled from the integrated amplitudes."""
-    out = integrate(params, cfg)
-    return result_from_mode_amplitudes(
-        1.0 + 0.0j, out.g_f_weyl, out.g_b_weyl, params.m, asymptotic_modes(params)
-    )
-
-
 def compare(params: StepParameters, cfg: IntegrationConfig | None = None,
             tolerance: float = 1e-6) -> ComparisonReport:
     """Run the closed form and the integrator on identical inputs and diff them.

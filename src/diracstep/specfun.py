@@ -90,6 +90,9 @@ def log_gamma(z: complex) -> complex:
         raise GammaPoleError(f"log_gamma pole at z = {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
+    if abs(z) < 0.5:
+        # near the pole at 0 the reflection below cancels in 1 - e^{2 i pi z}
+        return log_gamma(1.0 + z) - cmath.log(z)
     if z.real < 0.5:
         # reflection onto Re >= 0.5 with a continuous branch of log sin(pi z)
         # on the closed upper half plane:

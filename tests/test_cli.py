@@ -62,7 +62,7 @@ class TestScatter:
         assert rec["oracle_dev_b"] < 1e-6
 
     def test_numerical_failure_exit_code(self, capsys):
-        code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1000")
+        code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1e8")
         assert code == 3
         assert "error" in err
 

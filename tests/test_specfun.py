@@ -96,6 +96,14 @@ class TestLogGamma:
         z = 2.25 + 7.5j
         assert log_gamma(z.conjugate()) == log_gamma(z).conjugate()
 
+    @pytest.mark.parametrize("z", [1e-6j, 1e-8j, 1e-12j, -1e-10j, 1e-6, -3e-7,
+                                   1e-7 * (1 - 1j), -8e-7 + 6e-7j])
+    def test_near_pole_at_zero(self, z):
+        # Maclaurin series of ln Gamma(z) + ln z; the z^3 term is below 1e-18
+        euler_gamma = 0.57721566490153286
+        want = -cmath.log(z) - euler_gamma * z + math.pi ** 2 * z * z / 12
+        assert abs(log_gamma(z) - want) <= 1e-14
+
 
 class TestHyp2F1:
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3),
