@@ -1,14 +1,36 @@
 """Brute-force cross-check: direct time integration of the two-component system.
 
-Integrates i phi' = pi(t) phi + m theta, i theta' = -pi(t) theta + m phi with
-an embedded Dormand-Prince 5(4) pair under PI step-size control, launched from
-the exact incident plane wave well before the transition, and projects the
-final state onto the exact late-time eigenmodes.  Shares nothing with the
+The governing system i phi' = pi(t) phi + m theta, i theta' = -pi(t) theta + m phi
+is integrated in the basis of its instantaneous eigenmodes (the quantum-kinetic
+picture).  With the mixing angle theta(u) = atan2(m, pi(u)), u = t - t0,
+
+    (phi, theta) = a e^{-i Theta} (cos theta/2, sin theta/2)
+                 + b e^{+i Theta} (-sin theta/2, cos theta/2),
+
+the amplitudes and the dynamical phase obey
+
+    a' = g e^{2i Theta} b,   b' = -g e^{-2i Theta} a,   Theta' = E(u),
+
+with g = theta'/2 = m q (A2 - A1) sech^2(u/tau) / (4 tau E(u)^2).  The free
+e^{-/+iEt} oscillation is carried by Theta, which the integrator follows
+exactly on the plateaus, so the step count follows the sech^2 transition and
+not the width of the window.  An embedded Dormand-Prince 5(4) pair under PI
+step-size control runs from the exact incident plane wave (a = 1/cos(theta1/2),
+b = 0) well before the transition; at the end (phi, theta) is rebuilt and
+projected onto the exact late-time eigenmodes.  Shares nothing with the
 hypergeometric path except the governing equations.
 
-|phi|^2 + |theta|^2 is conserved exactly by the flow (the generator
-pi*sigma3 + m*sigma1 is Hermitian), so the accumulated drift of the norm is a
-direct measure of integration error and is enforced, never silently ignored.
+The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
+the true flow conserves exactly (its generator is anti-Hermitian).  The
+Runge-Kutta steps do not, so the accumulated drift of the norm is a direct
+measure of the error in (a, b) and is enforced, never silently ignored.  An
+error in Theta alone keeps the norm; it is bounded by the step-size control,
+which weighs Theta with a and b.
+
+On both plateaus g is negligible and the step size grows to the window's cap,
+so a step could jump the whole transition, see zero coupling at every stage,
+and return b = 0 with zero drift.  Every trajectory therefore lands a step on
+u = 0, the sech^2 peak, which the error estimate cannot miss.
 """
 
 from __future__ import annotations
@@ -25,7 +47,6 @@ from .model import (
     TwoSpinor,
     asymptotic_modes,
     dirac_upper,
-    potential_at,
 )
 
 __all__ = [
@@ -78,16 +99,16 @@ class IntegrationConfig:
 
     @property
     def drift_limit(self) -> float:
-        # ~1e-10 measured worst drift at the default tolerances; scale up
-        # proportionally when the user loosens rel_tol
+        # ~4e-13 measured worst drift at the default tolerances (acceptance
+        # grid for tau 1e-12..30, and random points with signed q, m != 1,
+        # a1 != 0, t0 != 0); scale up proportionally when the user loosens
+        # rel_tol
         return max(1e-9, 100.0 * self.rel_tol)
 
 
 @dataclass(frozen=True)
 class OracleOutcome:
     final_spinor: TwoSpinor
-    g_f_num: complex
-    g_b_num: complex
     f_num: float
     b_num: float
     norm_drift: float
@@ -137,38 +158,48 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     """Propagate the incident wave through the step and project the final state.
 
     Starts from phi = e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) * phi at
-    t0 - T and reports the chiral and standard-basis amplitudes of the
-    forward/backward late modes at t0 + T, with the e^{-/+ i E2 (t - t0)}
-    phases stripped.
+    t0 - T (a = 1/cos(theta1/2), b = 0 in the eigenmode picture) and reports
+    the chiral and standard-basis amplitudes of the forward/backward late
+    modes at t0 + T, with the e^{-/+ i E2 (t - t0)} phases stripped.
     """
     cfg = cfg or IntegrationConfig()
     m = params.m
-    q = params.q
-    p = params.p
     modes = asymptotic_modes(params)
     T = _span(params, cfg)
     # integrate in u = t - t0; the profile depends on t only through u
     u_end = T
     u = -T
-    phase0 = cmath.exp(-1j * modes.e1 * u)
-    phi = phase0
-    theta = (modes.e1 - modes.pi1) / m * phase0
-    norm0 = (phi * phi.conjugate() + theta * theta.conjugate()).real
+    # incident wave: a = 1/cos(theta1/2), b = 0, dynamical phase -E1*T
+    a = 1.0 / math.cos(0.5 * math.atan2(m, modes.pi1)) + 0.0j
+    b = 0.0j
+    ph = -modes.e1 * T
+    norm0 = (a * a.conjugate()).real
     drift_max = 0.0
 
-    a1 = params.a1
-    half_rise = 0.5 * (params.a2 - params.a1)
+    # pi(u) = pi_mid - half_dpi * tanh(u/tau);
+    # g = m q (a2 - a1) sech^2(u/tau) / (4 tau E^2), sech^2 = 4w / (1 + w)^2
+    pi_mid = 0.5 * (modes.pi1 + modes.pi2)
+    half_dpi = 0.5 * (modes.pi1 - modes.pi2)
+    g0 = m * params.q * (params.a2 - params.a1) / params.tau
     inv_tau = 1.0 / params.tau
+    m_sq = m * m
 
-    def rhs(uu: float, ph: complex, th: complex) -> tuple[complex, complex]:
-        piv = p - q * (a1 + half_rise * (1.0 + math.tanh(uu * inv_tau)))
-        return (-1j * (piv * ph + m * th), -1j * (m * ph - piv * th))
+    def rhs(uu: float, aa: complex, bb: complex, pp: float) -> tuple[complex, complex, float]:
+        s = uu * inv_tau
+        # w = e^{-2|s|}: the sech^2 tails underflow instead of cancelling
+        w = math.exp(-2.0 * abs(s))
+        piv = pi_mid - half_dpi * math.tanh(s)
+        e_sq = piv * piv + m_sq
+        gr = g0 * w / ((1.0 + w) ** 2 * e_sq) * cmath.exp(2j * pp)
+        return (gr * bb, -gr.conjugate() * aa, math.sqrt(e_sq))
 
     rtol = cfg.rel_tol
     atol = cfg.abs_tol
     h_max = 2.0 * T / 16.0
     h = min(h_max, params.tau / 4.0, 0.1 / max(modes.e1, modes.e2))
-    k1 = rhs(u, phi, theta)
+    # the transition needs steps of order tau, far below T when tau << 1/E1
+    h_min = 1e-14 * min(T, params.tau)
+    k1 = rhs(u, a, b, ph)
     err_prev = 1.0
     steps = 0
     nk = len(_C)
@@ -178,44 +209,59 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     while u_end - u > span_eps:
         if steps >= cfg.max_steps:
             raise StepLimitError(f"step cap {cfg.max_steps} exceeded at t - t0 = {u:.6g}")
-        if u + h > u_end:
-            h = u_end - u
+        # land on the sech^2 peak at u = 0 so no step can jump the transition
+        target = 0.0 if u < 0.0 else u_end
+        if u + h > target:
+            h = target - u
         # stages
-        kp = [k1[0]] * nk
-        kt = [k1[1]] * nk
+        ka = [k1[0]] * nk
+        kb = [k1[1]] * nk
+        kp = [k1[2]] * nk
         for i in range(1, nk):
             ai = _A[i]
-            sp = 0.0 + 0.0j
-            st = 0.0 + 0.0j
+            sa = 0.0j
+            sb = 0.0j
+            sp = 0.0
             for j in range(i):
                 aij = ai[j]
                 if aij != 0.0:
+                    sa += aij * ka[j]
+                    sb += aij * kb[j]
                     sp += aij * kp[j]
-                    st += aij * kt[j]
-            kp[i], kt[i] = rhs(u + _C[i] * h, phi + h * sp, theta + h * st)
-        phi_new = phi + h * (
+            ka[i], kb[i], kp[i] = rhs(u + _C[i] * h, a + h * sa, b + h * sb, ph + h * sp)
+        a_new = a + h * (
+            _B5[0] * ka[0] + _B5[2] * ka[2] + _B5[3] * ka[3] + _B5[4] * ka[4] + _B5[5] * ka[5]
+        )
+        b_new = b + h * (
+            _B5[0] * kb[0] + _B5[2] * kb[2] + _B5[3] * kb[3] + _B5[4] * kb[4] + _B5[5] * kb[5]
+        )
+        ph_new = ph + h * (
             _B5[0] * kp[0] + _B5[2] * kp[2] + _B5[3] * kp[3] + _B5[4] * kp[4] + _B5[5] * kp[5]
         )
-        theta_new = theta + h * (
-            _B5[0] * kt[0] + _B5[2] * kt[2] + _B5[3] * kt[3] + _B5[4] * kt[4] + _B5[5] * kt[5]
+        err_a = h * (
+            _E[0] * ka[0] + _E[2] * ka[2] + _E[3] * ka[3] + _E[4] * ka[4]
+            + _E[5] * ka[5] + _E[6] * ka[6]
+        )
+        err_b = h * (
+            _E[0] * kb[0] + _E[2] * kb[2] + _E[3] * kb[3] + _E[4] * kb[4]
+            + _E[5] * kb[5] + _E[6] * kb[6]
         )
         err_p = h * (
             _E[0] * kp[0] + _E[2] * kp[2] + _E[3] * kp[3] + _E[4] * kp[4]
             + _E[5] * kp[5] + _E[6] * kp[6]
         )
-        err_t = h * (
-            _E[0] * kt[0] + _E[2] * kt[2] + _E[3] * kt[3] + _E[4] * kt[4]
-            + _E[5] * kt[5] + _E[6] * kt[6]
+        sc_a = atol + rtol * max(abs(a), abs(a_new))
+        sc_b = atol + rtol * max(abs(b), abs(b_new))
+        sc_p = atol + rtol * max(abs(ph), abs(ph_new))
+        err = math.sqrt(
+            ((abs(err_a) / sc_a) ** 2 + (abs(err_b) / sc_b) ** 2 + (err_p / sc_p) ** 2) / 3.0
         )
-        sc_p = atol + rtol * max(abs(phi), abs(phi_new))
-        sc_t = atol + rtol * max(abs(theta), abs(theta_new))
-        err = math.sqrt(0.5 * ((abs(err_p) / sc_p) ** 2 + (abs(err_t) / sc_t) ** 2))
         steps += 1
         if err <= 1.0:
             u += h
-            phi, theta = phi_new, theta_new
-            k1 = (kp[6], kt[6])  # FSAL
-            norm = (phi * phi.conjugate() + theta * theta.conjugate()).real
+            a, b, ph = a_new, b_new, ph_new
+            k1 = (ka[6], kb[6], kp[6])  # FSAL
+            norm = (a * a.conjugate() + b * b.conjugate()).real
             drift = abs(norm - norm0) / norm0
             if drift > drift_max:
                 drift_max = drift
@@ -225,13 +271,22 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
             factor = max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         h = min(h, h_max)
-        if h <= 1e-14 * T:
+        if h <= h_min:
             raise StepLimitError(f"step size underflow at t - t0 = {u:.6g}")
 
     if drift_max > cfg.drift_limit:
         raise NormDriftError(
             f"norm drift {drift_max:.3e} exceeds limit {cfg.drift_limit:.3e}"
         )
+
+    # back to the chiral spinor: psi = a e^{-i Theta} v+ + b e^{+i Theta} v-
+    half2 = 0.5 * math.atan2(m, modes.pi2)
+    c2 = math.cos(half2)
+    s2 = math.sin(half2)
+    pos = a * cmath.exp(-1j * ph)
+    neg = b * cmath.exp(1j * ph)
+    phi = pos * c2 - neg * s2
+    theta = pos * s2 + neg * c2
 
     # exact late-time eigenmode decomposition (chiral basis):
     # u+ = (1, (E2 - pi2)/m), u- = (1, -(E2 + pi2)/m)
@@ -248,8 +303,6 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     g_i = gi_w * dirac_upper(modes.pi1, m, True)
     return OracleOutcome(
         final_spinor=TwoSpinor(upper=phi, lower=theta, basis=Basis.WEYL),
-        g_f_num=g_f,
-        g_b_num=g_b,
         f_num=abs(g_f / g_i),
         b_num=abs(g_b / g_i),
         norm_drift=drift_max,

@@ -5,6 +5,8 @@ import pytest
 from diracstep import IntegrationConfig, StepParameters, compare, integrate
 from diracstep.oracle import NormDriftError, StepLimitError
 
+from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
+
 RT3 = math.sqrt(3.0)
 
 
@@ -35,8 +37,11 @@ class TestIntegrate:
         assert out.f_num == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_limit_equal_amplitudes(self):
-        out = integrate(mk(tau=1e-4))
-        assert out.f_num / out.b_num == pytest.approx(1.0, abs=1e-3)
+        # below tau ~ 3e-3 the transition is a sliver of the window: a step
+        # grown across the empty plateau can jump it and report b = 0
+        for tau in (1e-12, 1e-4, 1e-3, 3e-3):
+            out = integrate(mk(tau=tau))
+            assert out.f_num / out.b_num == pytest.approx(1.0, abs=1e-3)
 
     def test_norm_conserved_along_trajectory(self):
         out = integrate(mk())
@@ -55,6 +60,11 @@ class TestIntegrate:
         b = integrate(mk(t0=37.5))
         assert abs(a.f_num - b.f_num) < 1e-10
         assert abs(a.b_num - b.b_num) < 1e-10
+
+    def test_steps_follow_the_transition(self):
+        # the free e^{-/+iEt} oscillation is stripped; the 20*tau window alone
+        # costs ~16k steps when it is resolved
+        assert integrate(mk(tau=3.0)).steps <= 2500
 
     def test_step_cap_enforced(self):
         with pytest.raises(StepLimitError):
@@ -85,3 +95,13 @@ class TestCompare:
         report = compare(mk(tau=10.0))
         assert report.analytic.B_u < 1e-6
         assert report.numeric.B_u < 1e-6
+
+    @pytest.mark.parametrize("kw", [c for c in SAUTER_CASES if c["tau"] <= 3.0],
+                             ids=sauter_case_id)
+    def test_whole_input_space(self, kw):
+        # signed q, m != 1, a1 != 0, t0 != 0, tau 1e-12..3
+        report = compare(StepParameters(**kw))
+        assert report.passed
+        want = sauter_backward_probability(kw["m"], kw["q"], kw["p"], kw["a1"],
+                                           kw["a2"], kw["tau"])
+        assert abs(report.numeric.B_u - want) <= 1e-6
