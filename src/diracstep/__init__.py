@@ -30,7 +30,7 @@ from .model import (
     weyl_to_dirac,
 )
 from .oracle import ComparisonReport, IntegrationConfig, OracleOutcome, compare, integrate
-from .specfun import hyp2f1, hyp2f1_derivative, log_gamma
+from .specfun import hyp2f1, hyp2f1_derivative, hyp2f1_with_derivative, log_gamma
 
 __all__ = [
     "__version__",
@@ -50,6 +50,7 @@ __all__ = [
     "governing_frequency",
     "hyp2f1",
     "hyp2f1_derivative",
+    "hyp2f1_with_derivative",
     "integrate",
     "log_gamma",
     "match_at_t0",

@@ -94,7 +94,9 @@ from .model import (
     potential_at,
     potential_rate,
 )
-from .specfun import hyp2f1, hyp2f1_derivative, log_gamma
+# hyp2f1 is not called here but stays bound: benchmarks/test_bench.py checks
+# that tracing restores analytic.hyp2f1
+from .specfun import hyp2f1, hyp2f1_with_derivative, log_gamma  # noqa: F401
 
 __all__ = [
     "ParameterRangeError",
@@ -237,8 +239,7 @@ def _branch_phi_and_dt(chart: ChartExpansion, tau: float, second: bool,
     zeta = -math.exp(log_abs_zeta)
     one_minus = 1.0 - zeta
     head = cmath.exp(mu * ln_zeta + chart.nu * cmath.log(one_minus))
-    f_val = hyp2f1(a, b, c, zeta)
-    f_der = hyp2f1_derivative(a, b, c, zeta)
+    f_val, f_der = hyp2f1_with_derivative(a, b, c, zeta)
     phi = head * f_val
     # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
     zeta_dphi = phi * (mu - chart.nu * zeta / one_minus) + head * zeta * f_der

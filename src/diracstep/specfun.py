@@ -16,12 +16,25 @@ Accuracy strategy: among the equivalent Maclaurin representations
 
 the one with the smallest term-growth indicator |A*B*w|/|C| is summed, which
 keeps intermediate terms small and avoids the catastrophic cancellation a
-naive series suffers for oscillatory parameter sets.
+naive series suffers for oscillatory parameter sets.  The inverse-argument
+formula (DLMF 15.8.2) takes over beyond |z| = 8, and beyond |z| = 2 when
+|a - b| >= 8: there the Pfaff series cancels (up to 4e3 relative error on
+chart parameters with tau E / 2 up to 20), while the formula stays near
+1e-10.  Its gamma prefactors depend on (a, b, c) only and are cached for the
+last few parameter sets, which covers every time of one chart evaluation;
+cached and fresh values are the same bits.
+
+`hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
+series loop sums S and dS/dw together, and each transformation carries the
+derivative by the chain rule, so no second representation is chosen for
+F' = (a b / c) F(a+1, b+1; c+1; z).  `hyp2f1` and `hyp2f1_derivative` are
+its two halves.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 __all__ = [
@@ -31,6 +44,7 @@ __all__ = [
     "log_gamma",
     "hyp2f1",
     "hyp2f1_derivative",
+    "hyp2f1_with_derivative",
 ]
 
 
@@ -67,8 +81,13 @@ _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 SERIES_TOL = 1e-15
 MAX_TERMS = 100_000
 
-# switch to the inverse-argument connection formula beyond this |z|
+# switch to the inverse-argument connection formula beyond this |z| ...
 _CONNECTION_CUTOFF = 8.0
+# ... and beyond |z| = 2 when |a - b| >= 8: there the Pfaff series at
+# w = z/(z-1) in (2/3, 8/9] cancels, while the series in 1/z does not.
+# Applying the formula at |z| > 2 for every parameter set gives O(1) errors.
+_WIDE_GAP_CUTOFF = 2.0
+_WIDE_GAP = 8.0
 # keep the Pfaff series instead when a - b (or c - a - b) is this close to an
 # integer, where the connection formula's gamma prefactors degenerate
 _DEGENERACY_MARGIN = 0.05
@@ -111,18 +130,25 @@ def log_gamma(z: complex) -> complex:
     return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def _series(a: complex, b: complex, c: complex, z: complex, tol: float, nmax: int) -> complex:
-    # stop only on two consecutive small terms: a single term may vanish
-    # accidentally for oscillatory parameters
+def _series(a: complex, b: complex, c: complex, z: complex, tol: float,
+            nmax: int) -> tuple[complex, complex]:
+    # S = sum t_n and dS/dz = sum n t_n / z in one loop over u_n = t_n z^(n-1):
+    # S gains u_n z and dS/dz gains n u_n.  Stop only on two consecutive
+    # small terms of both sums: a single term may vanish accidentally for
+    # oscillatory parameters
     term = 1.0 + 0.0j
     total = term
+    deriv = 0.0 + 0.0j
     prev_small = False
     for n in range(nmax):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        dterm = term * ((a + n) * (b + n) / (c + n))  # (n+1) u_(n+1)
+        term = dterm * z / (n + 1)                     # u_(n+1) z
         total += term
-        small = abs(term) <= tol * max(abs(total), 1e-300)
+        deriv += dterm
+        small = (abs(term) <= tol * max(abs(total), 1e-300)
+                 and abs(dterm) <= tol * max(abs(deriv), 1e-300))
         if small and prev_small:
-            return total
+            return total, deriv
         prev_small = small
     raise ConvergenceError(
         f"2F1 series did not converge within {nmax} terms "
@@ -135,43 +161,90 @@ def _gauss_limit(a: complex, b: complex, c: complex) -> complex:
     return cmath.exp(log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
 
 
-def _connection_at_minus_inf(a, b, c, z, tol, nmax):
+def _connection_degenerate(a: complex, b: complex, c: complex) -> bool:
+    # the connection formula's gamma prefactors degenerate when a - b is
+    # close to an integer or a, b, c - a, c - b close to a pole
+    ab_gap = a - b
+    near_int = abs(ab_gap.imag) < _DEGENERACY_MARGIN and (
+        abs(ab_gap.real - round(ab_gap.real)) < _DEGENERACY_MARGIN
+    )
+    return (
+        near_int
+        or _is_nonpositive_int(a, _DEGENERACY_MARGIN)
+        or _is_nonpositive_int(b, _DEGENERACY_MARGIN)
+        or _is_nonpositive_int(c - a, _DEGENERACY_MARGIN)
+        or _is_nonpositive_int(c - b, _DEGENERACY_MARGIN)
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    # Gamma prefactors of the inverse-argument formula; they depend on the
+    # parameters only, so every time of one chart shares them.  One
+    # wavefunction evaluation visits at most three parameter sets.
+    lg_c = log_gamma(c)
+    g1 = cmath.exp(lg_c + log_gamma(b - a) - log_gamma(b) - log_gamma(c - a))
+    g2 = cmath.exp(lg_c + log_gamma(a - b) - log_gamma(a) - log_gamma(c - b))
+    return g1, g2
+
+
+def _connection_at_minus_inf(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
     # inverse-argument expansion for z -> -inf (a - b not an integer):
-    # F = G1 (-z)^(-a) F(a, a-c+1; a-b+1; 1/z) + (a <-> b)
-    g1 = cmath.exp(log_gamma(c) + log_gamma(b - a) - log_gamma(b) - log_gamma(c - a))
-    g2 = cmath.exp(log_gamma(c) + log_gamma(a - b) - log_gamma(a) - log_gamma(c - b))
+    #   F  = sum_k g_k (-z)^(-a_k) S_k(1/z),  (a_1, a_2) = (a, b)
+    #   F' = -z^-1 sum_k g_k (-z)^(-a_k) [a_k S_k + S_k'/z]
+    # with S_1 = F(a, a-c+1; a-b+1; .) and S_2 the same with a <-> b
+    g1, g2 = _connection_gammas(a, b, c)
     inv = 1.0 / z
-    s1 = _series(a, a - c + 1.0, a - b + 1.0, inv, tol, nmax)
-    s2 = _series(b, b - c + 1.0, b - a + 1.0, inv, tol, nmax)
-    return g1 * (-z) ** (-a) * s1 + g2 * (-z) ** (-b) * s2
+    s1, ds1 = _series(a, a - c + 1.0, a - b + 1.0, inv, tol, nmax)
+    s2, ds2 = _series(b, b - c + 1.0, b - a + 1.0, inv, tol, nmax)
+    p1 = g1 * (-z) ** (-a)
+    p2 = g2 * (-z) ** (-b)
+    value = p1 * s1 + p2 * s2
+    deriv = -inv * (p1 * (a * s1 + ds1 * inv) + p2 * (b * s2 + ds2 * inv))
+    return value, deriv
 
 
-def _best_representation(a, b, c, z, tol, nmax) -> complex:
+def _best_representation(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
+    # (transform, series parameters, series argument); only the chosen
+    # transform's prefactor is computed
     w = z / (z - 1.0)
-    one_minus = 1.0 - z
     candidates = []
     if abs(z) <= 0.5:
-        candidates.append((a, b, c, z, 1.0 + 0.0j))
-        candidates.append((c - a, c - b, c, z, one_minus ** (c - a - b)))
-    candidates.append((a, c - b, c, w, one_minus ** (-a)))
-    candidates.append((c - a, b, c, w, one_minus ** (-b)))
+        candidates.append(("direct", a, b, c, z))
+        candidates.append(("euler", c - a, c - b, c, z))
+    candidates.append(("pfaff-a", a, c - b, c, w))
+    candidates.append(("pfaff-b", c - a, b, c, w))
 
     def growth(cand):
-        aa, bb, cc, zz, _ = cand
+        _, aa, bb, cc, zz = cand
         return abs(aa * bb * zz) / max(abs(cc), 1e-30)
 
-    best = min(enumerate(candidates), key=lambda t: (growth(t[1]), t[0]))[1]
-    aa, bb, cc, zz, prefactor = best
-    return prefactor * _series(aa, bb, cc, zz, tol, nmax)
+    kind, aa, bb, cc, zz = min(candidates, key=growth)
+    s, ds = _series(aa, bb, cc, zz, tol, nmax)
+    if kind == "direct":
+        return s, ds
+    one_minus = 1.0 - z
+    if kind == "euler":
+        # (1-z)^e S(z), e = c-a-b:  F' = (1-z)^e [S' - e S/(1-z)]
+        e = c - a - b
+        prefactor = one_minus ** e
+        return prefactor * s, prefactor * (ds - e * s / one_minus)
+    # (1-z)^(-e) S(z/(z-1)), e = a or b:  F' = (1-z)^(-e-1) [e S - S'/(1-z)]
+    e = a if kind == "pfaff-a" else b
+    prefactor = one_minus ** (-e)
+    return prefactor * s, prefactor * (e * s - ds / one_minus) / one_minus
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex, *, tol: float | None = None,
-           max_terms: int | None = None) -> complex:
-    """Gauss hypergeometric function on the domain the step problem visits.
+def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
+                           tol: float | None = None,
+                           max_terms: int | None = None) -> tuple[complex, complex]:
+    """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
     Supported z: real with Re z <= 1/2 (any magnitude on the negative axis),
-    plus z = 1 when Re(c - a - b) > 0.  c must not be zero or a negative
-    integer.  Deterministic: identical inputs give identical output bits.
+    plus z = 1 when Re(c - a - b) > 0.  At z = 1 the derivative is finite
+    only when Re(c - a - b) > 1 and is nan otherwise.  c must not be zero or
+    a negative integer.  Deterministic: identical inputs give identical
+    output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     tol = SERIES_TOL if tol is None else tol
@@ -180,43 +253,48 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex, *, tol: float | None 
     if _is_nonpositive_int(c):
         raise GammaPoleError(f"2F1 parameter c = {c} is a non-positive integer")
     if a == 0 or b == 0:
-        return 1.0 + 0.0j
+        return 1.0 + 0.0j, 0.0 + 0.0j
     if z == 0:
-        return 1.0 + 0.0j
+        return 1.0 + 0.0j, a * b / c
     if z == 1:
         if (c - a - b).real <= 0:
             raise DomainError(
                 "2F1 at z = 1 requires Re(c - a - b) > 0 for Gauss summability"
             )
-        return _gauss_limit(a, b, c)
+        value = _gauss_limit(a, b, c)
+        if (c - a - b).real <= 1:
+            return value, complex(math.nan, math.nan)
+        return value, a * b / c * _gauss_limit(a + 1, b + 1, c + 1)
     if z.imag != 0.0:
         raise DomainError(f"2F1 argument must be real (or exactly 1), got z = {z}")
     x = z.real
     if x > 0.5:
         raise DomainError(f"2F1 argument must satisfy z <= 1/2 (or z = 1), got z = {x}")
 
-    if x < -_CONNECTION_CUTOFF:
-        ab_gap = a - b
-        near_int = abs(ab_gap.imag) < _DEGENERACY_MARGIN and (
-            abs(ab_gap.real - round(ab_gap.real)) < _DEGENERACY_MARGIN
-        )
-        degenerate_params = (
-            _is_nonpositive_int(a, _DEGENERACY_MARGIN)
-            or _is_nonpositive_int(b, _DEGENERACY_MARGIN)
-            or _is_nonpositive_int(c - a, _DEGENERACY_MARGIN)
-            or _is_nonpositive_int(c - b, _DEGENERACY_MARGIN)
-        )
-        if not near_int and not degenerate_params:
-            return _connection_at_minus_inf(a, b, c, z, tol, nmax)
-        # fall through: the Pfaff argument z/(z-1) < 1 still converges
-
+    wide_gap = x < -_WIDE_GAP_CUTOFF and abs(a - b) >= _WIDE_GAP
+    if (x < -_CONNECTION_CUTOFF or wide_gap) and not _connection_degenerate(a, b, c):
+        return _connection_at_minus_inf(a, b, c, z, tol, nmax)
+    # otherwise the Pfaff argument z/(z-1) < 1 still converges
     return _best_representation(a, b, c, z, tol, nmax)
+
+
+def hyp2f1(a: complex, b: complex, c: complex, z: complex, *, tol: float | None = None,
+           max_terms: int | None = None) -> complex:
+    """Gauss hypergeometric function on the domain the step problem visits.
+
+    The value half of `hyp2f1_with_derivative`, with its domain and errors.
+    """
+    return hyp2f1_with_derivative(a, b, c, z, tol=tol, max_terms=max_terms)[0]
 
 
 def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex, *,
                       tol: float | None = None, max_terms: int | None = None) -> complex:
-    """d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a+1, b+1; c+1; z) (exact contiguous form)."""
-    a, b, c = complex(a), complex(b), complex(c)
-    if a == 0 or b == 0:
-        return 0.0 + 0.0j
-    return a * b / c * hyp2f1(a + 1, b + 1, c + 1, z, tol=tol, max_terms=max_terms)
+    """d/dz 2F1(a, b; c; z), equal to (a b / c) 2F1(a+1, b+1; c+1; z).
+
+    The derivative half of `hyp2f1_with_derivative`; at z = 1 it raises
+    DomainError unless Re(c - a - b) > 1.
+    """
+    deriv = hyp2f1_with_derivative(a, b, c, z, tol=tol, max_terms=max_terms)[1]
+    if cmath.isnan(deriv):
+        raise DomainError("d/dz 2F1 at z = 1 requires Re(c - a - b) > 1")
+    return deriv

@@ -172,6 +172,35 @@ class TestChartEvaluation:
         assert got.upper == pytest.approx(ref[0], rel=1e-6)
         assert got.lower == pytest.approx(ref[1], rel=1e-6)
 
+    def test_norm_where_the_pfaff_series_cancels(self):
+        # tau E2 / 2 ~ 14: between |zeta| = 2 and 8 the Pfaff series of the
+        # earlier chart cancels; the spinor keeps the incident norm
+        params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6)
+        modes = asymptotic_modes(params)
+        sol = match_at_t0(build_solution(params), params)
+        incident = (math.exp(math.pi * params.tau * modes.e1)
+                    * (1.0 + ((modes.e1 - modes.pi1) / params.m) ** 2))
+        # |zeta| = exp(2 (t - t0) / tau) runs over (2, 8)
+        lo, hi = (0.5 * params.tau * math.log(x) for x in (2.0, 8.0))
+        for j in range(1, 201):
+            t = params.t0 + lo + (hi - lo) * j / 201
+            assert solve_earlier(sol, t, params).norm_sq == pytest.approx(incident, rel=1e-9)
+
+    def test_cold_and_warm_connection_cache_agree(self):
+        params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
+        sol = match_at_t0(build_solution(params), params)
+        # |zeta| from e^-8 to e^8, through every representation
+        times = [params.t0 + params.tau * (0.25 * j - 4.0) for j in range(33)]
+
+        def spinors():
+            return [(s.upper, s.lower) for t in times
+                    for s in (solve_earlier(sol, t, params), solve_later(sol, t, params))]
+
+        specfun._connection_gammas.cache_clear()
+        cold = spinors()
+        assert specfun._connection_gammas.cache_info().hits > 0
+        assert spinors() == cold
+
     def test_unset_coefficients_rejected(self):
         sol = build_solution(mk())
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from diracstep.specfun import (
     GammaPoleError,
     hyp2f1,
     hyp2f1_derivative,
+    hyp2f1_with_derivative,
     log_gamma,
 )
 
@@ -35,6 +36,22 @@ HYP2F1_REFERENCE = [
     (0.5j, -4j, 1 - 1j, -27.5, -0.49258410869911297 - 0.6018291294773888j),
     ((1.25 + 0.5j), 0.75, 3.0, 0.5, 1.2046995785273498 + 0.10052079954750623j),
     (1.5j, 2.5j, 1 + 1j, -250.0, -11.794719966977374 + 7.1689689713443181j),
+]
+
+# (a, b, c, z, 2F1, d/dz 2F1), computed with mpmath (dps=30); one z in each
+# band of the representation choice: |z| <= 0.5, 0.5..2, 2..8 with
+# |a - b| < 8 (Pfaff series) and >= 8 (connection formula), and beyond 8
+HYP2F1_DERIVATIVE_REFERENCE = [
+    (5.5j, 0.5j, 1 + 6j, -0.35,
+     1.0111006713122916 - 0.13865697354865804j, 0.0014232984915141629 + 0.35204039792277783j),
+    (2.5j, -1.5j, 1 + 3j, -1.0,
+     0.50427720534945975 + 0.62245288045336917j, 0.49704376688008558 - 0.28002155818593108j),
+    (1.5j, -2.5j, 1 + 1j, -4.0,
+     -0.10660128831430026 - 0.30799984481735358j, -0.20317158694982284 + 0.03542041854895797j),
+    (3j, -24j, 1 + 9j, -6.0,
+     0.20482495681385492 - 0.01872526908456526j, -0.056450493085857949 - 0.6778712308689927j),
+    (0.5j, -4j, 1 - 1j, -27.5,
+     -0.49258410869911297 - 0.6018291294773888j, 0.010568236785628796 - 0.0075708568546151369j),
 ]
 
 
@@ -190,3 +207,23 @@ class TestHyp2F1Derivative:
     @given(st.floats(min_value=-0.99, max_value=0.45))
     def test_vanishes_for_zero_a(self, z):
         assert hyp2f1_derivative(0.0, 1.5j, 1 + 1j, z) == 0.0
+
+    @pytest.mark.parametrize("a,b,c,z,value,deriv", HYP2F1_DERIVATIVE_REFERENCE)
+    def test_reference_values(self, a, b, c, z, value, deriv):
+        assert hyp2f1_with_derivative(a, b, c, z) == (hyp2f1(a, b, c, z),
+                                                      hyp2f1_derivative(a, b, c, z))
+        assert hyp2f1(a, b, c, z) == pytest.approx(value, rel=1e-11)
+        assert hyp2f1_derivative(a, b, c, z) == pytest.approx(deriv, rel=1e-11)
+
+    @pytest.mark.parametrize("a,b,c,z,value,deriv", HYP2F1_DERIVATIVE_REFERENCE)
+    def test_contiguous_form(self, a, b, c, z, value, deriv):
+        contiguous = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z)
+        assert hyp2f1_derivative(a, b, c, z) == pytest.approx(contiguous, rel=1e-10)
+
+    def test_at_unit_argument(self):
+        # F'(1) = (a b / c) F(a+1, b+1; c+1; 1) needs Re(c - a - b) > 1
+        a, b, c = 0.5, 0.25, 3.0
+        contiguous = a * b / c * hyp2f1(a + 1, b + 1, c + 1, 1.0)
+        assert hyp2f1_derivative(a, b, c, 1.0) == pytest.approx(contiguous, rel=1e-14)
+        with pytest.raises(DomainError):
+            hyp2f1_derivative(0.5, 0.5, 2.0, 1.0)  # Re(c-a-b) = 1
