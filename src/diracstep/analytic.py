@@ -112,7 +112,6 @@ __all__ = [
     "asymptotic_amplitudes",
     "scatter",
     "sharp_step",
-    "backward_prefactor_check",
     "result_from_mode_amplitudes",
 ]
 
@@ -408,22 +407,3 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     modes = AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2)
     return result_from_mode_amplitudes(1.0 + 0.0j, complex(alpha), complex(beta), m, modes)
 
-
-def backward_prefactor_check(params: StepParameters) -> dict:
-    """Diagnostic: backward amplitude under both candidate exponent constants.
-
-    The chart limit fixes the backward branch constant to e^(+pi tau E2 / 2),
-    built from the late-time frequency.  Swapping in the early frequency E1
-    (the only other dimensionally consistent choice) changes the amplitude by
-    exactly ratio = e^(pi tau (E1 - E2)/2) and breaks agreement with the time
-    integrator.  Both values are reported, not reconciled: `b` is the
-    production value, `b_early_variant` the rejected form.
-    """
-    modes = asymptotic_modes(params)
-    res = scatter(params)
-    ratio = math.exp(0.5 * math.pi * params.tau * (modes.e1 - modes.e2))
-    return {
-        "b": res.b,
-        "b_early_variant": res.b * ratio,
-        "ratio_early_over_late": ratio,
-    }

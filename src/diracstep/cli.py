@@ -296,6 +296,8 @@ def cmd_figure2(args) -> int:
         return _fail(EXIT_FLAGS, "--count must be >= 2")
     if args.energy_ratio < 1.0:
         return _fail(EXIT_FLAGS, "--energy-ratio must be >= 1")
+    if args.q == 0:
+        return _fail(EXIT_FLAGS, "--q must be nonzero: the sweep runs over q*A2")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +317,7 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_all(break_tolerance=args.break_tolerance)
+    results = selftest.run_all()
     if args.json:
         print(json.dumps([
             {"name": r.name, "passed": r.passed, "detail": r.detail,
@@ -380,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("selftest", help="run the verification battery")
     p_st.add_argument("--json", action="store_true", help="machine-readable report")
-    p_st.add_argument("--break-tolerance", action="store_true",
-                      help="debug: corrupt the first check's tolerance to force a failure")
     p_st.set_defaults(func=cmd_selftest)
 
     return parser

@@ -16,9 +16,10 @@ e^{-/+iEt} oscillation is carried by Theta, which the integrator follows
 exactly on the plateaus, so the step count follows the sech^2 transition and
 not the width of the window.  An embedded Dormand-Prince 5(4) pair under PI
 step-size control runs from the exact incident plane wave (a = 1/cos(theta1/2),
-b = 0) well before the transition; at the end (phi, theta) is rebuilt and
-projected onto the exact late-time eigenmodes.  Shares nothing with the
-hypergeometric path except the governing equations.
+b = 0) well before the transition; at the end the instantaneous eigenmodes
+are the exact late-time ones, so the forward and backward amplitudes are read
+off (a, b, Theta) directly.  Shares nothing with the hypergeometric path
+except the governing equations.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -41,13 +42,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import (
-    Basis,
-    StepParameters,
-    TwoSpinor,
-    asymptotic_modes,
-    dirac_upper,
-)
+from .model import Basis, StepParameters, TwoSpinor, asymptotic_modes
 
 __all__ = [
     "OracleError",
@@ -109,8 +104,6 @@ class IntegrationConfig:
 @dataclass(frozen=True)
 class OracleOutcome:
     final_spinor: TwoSpinor
-    f_num: float
-    b_num: float
     norm_drift: float
     g_f_weyl: complex
     g_b_weyl: complex
@@ -159,8 +152,9 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
 
     Starts from phi = e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) * phi at
     t0 - T (a = 1/cos(theta1/2), b = 0 in the eigenmode picture) and reports
-    the chiral and standard-basis amplitudes of the forward/backward late
-    modes at t0 + T, with the e^{-/+ i E2 (t - t0)} phases stripped.
+    the chiral amplitudes of the forward/backward late modes at t0 + T, with
+    the e^{-/+ i E2 (t - t0)} phases stripped; `compare` turns them into f, b
+    and the probabilities.
     """
     cfg = cfg or IntegrationConfig()
     m = params.m
@@ -279,35 +273,21 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
             f"norm drift {drift_max:.3e} exceeds limit {cfg.drift_limit:.3e}"
         )
 
-    # back to the chiral spinor: psi = a e^{-i Theta} v+ + b e^{+i Theta} v-
+    # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the late eigenmodes are
+    # v+ = cos(theta2/2) u+ and v- = -sin(theta2/2) u- in terms of the
+    # chiral u+ = (1, (E2 - pi2)/m), u- = (1, -(E2 + pi2)/m)
     half2 = 0.5 * math.atan2(m, modes.pi2)
     c2 = math.cos(half2)
     s2 = math.sin(half2)
     pos = a * cmath.exp(-1j * ph)
     neg = b * cmath.exp(1j * ph)
-    phi = pos * c2 - neg * s2
-    theta = pos * s2 + neg * c2
-
-    # exact late-time eigenmode decomposition (chiral basis):
-    # u+ = (1, (E2 - pi2)/m), u- = (1, -(E2 + pi2)/m)
-    r_p = (modes.e2 - modes.pi2) / m
-    r_m = -(modes.e2 + modes.pi2) / m
-    det = r_m - r_p
-    cf = (phi * r_m - theta) / det
-    cb = (theta - phi * r_p) / det
-    gf_w = cf * cmath.exp(1j * modes.e2 * u)
-    gb_w = cb * cmath.exp(-1j * modes.e2 * u)
-    gi_w = 1.0 + 0.0j  # incident chiral amplitude fixed by the initial state
-    g_f = gf_w * dirac_upper(modes.pi2, m, True)
-    g_b = gb_w * dirac_upper(modes.pi2, m, False)
-    g_i = gi_w * dirac_upper(modes.pi1, m, True)
+    cf = pos * c2
+    cb = -neg * s2
     return OracleOutcome(
-        final_spinor=TwoSpinor(upper=phi, lower=theta, basis=Basis.WEYL),
-        f_num=abs(g_f / g_i),
-        b_num=abs(g_b / g_i),
+        final_spinor=TwoSpinor(upper=cf + cb, lower=pos * s2 + neg * c2, basis=Basis.WEYL),
         norm_drift=drift_max,
-        g_f_weyl=gf_w,
-        g_b_weyl=gb_w,
+        g_f_weyl=cf * cmath.exp(1j * modes.e2 * u),
+        g_b_weyl=cb * cmath.exp(-1j * modes.e2 * u),
         steps=steps,
     )
 

@@ -77,7 +77,6 @@ _LANCZOS_C = (
 )
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 
-# configurable series controls
 SERIES_TOL = 1e-15
 MAX_TERMS = 100_000
 
@@ -130,12 +129,13 @@ def log_gamma(z: complex) -> complex:
     return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def _series(a: complex, b: complex, c: complex, z: complex, tol: float,
+def _series(a: complex, b: complex, c: complex, z: complex,
             nmax: int) -> tuple[complex, complex]:
     # S = sum t_n and dS/dz = sum n t_n / z in one loop over u_n = t_n z^(n-1):
     # S gains u_n z and dS/dz gains n u_n.  Stop only on two consecutive
     # small terms of both sums: a single term may vanish accidentally for
     # oscillatory parameters
+    tol = SERIES_TOL  # a local, read once per call rather than once per term
     term = 1.0 + 0.0j
     total = term
     deriv = 0.0 + 0.0j
@@ -188,15 +188,15 @@ def _connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, com
     return g1, g2
 
 
-def _connection_at_minus_inf(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
+def _connection_at_minus_inf(a, b, c, z, nmax) -> tuple[complex, complex]:
     # inverse-argument expansion for z -> -inf (a - b not an integer):
     #   F  = sum_k g_k (-z)^(-a_k) S_k(1/z),  (a_1, a_2) = (a, b)
     #   F' = -z^-1 sum_k g_k (-z)^(-a_k) [a_k S_k + S_k'/z]
     # with S_1 = F(a, a-c+1; a-b+1; .) and S_2 the same with a <-> b
     g1, g2 = _connection_gammas(a, b, c)
     inv = 1.0 / z
-    s1, ds1 = _series(a, a - c + 1.0, a - b + 1.0, inv, tol, nmax)
-    s2, ds2 = _series(b, b - c + 1.0, b - a + 1.0, inv, tol, nmax)
+    s1, ds1 = _series(a, a - c + 1.0, a - b + 1.0, inv, nmax)
+    s2, ds2 = _series(b, b - c + 1.0, b - a + 1.0, inv, nmax)
     p1 = g1 * (-z) ** (-a)
     p2 = g2 * (-z) ** (-b)
     value = p1 * s1 + p2 * s2
@@ -204,7 +204,7 @@ def _connection_at_minus_inf(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
     return value, deriv
 
 
-def _best_representation(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
+def _best_representation(a, b, c, z, nmax) -> tuple[complex, complex]:
     # (transform, series parameters, series argument); only the chosen
     # transform's prefactor is computed
     w = z / (z - 1.0)
@@ -220,7 +220,7 @@ def _best_representation(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
         return abs(aa * bb * zz) / max(abs(cc), 1e-30)
 
     kind, aa, bb, cc, zz = min(candidates, key=growth)
-    s, ds = _series(aa, bb, cc, zz, tol, nmax)
+    s, ds = _series(aa, bb, cc, zz, nmax)
     if kind == "direct":
         return s, ds
     one_minus = 1.0 - z
@@ -236,7 +236,6 @@ def _best_representation(a, b, c, z, tol, nmax) -> tuple[complex, complex]:
 
 
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
-                           tol: float | None = None,
                            max_terms: int | None = None) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
@@ -247,7 +246,6 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
     output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    tol = SERIES_TOL if tol is None else tol
     nmax = MAX_TERMS if max_terms is None else max_terms
 
     if _is_nonpositive_int(c):
@@ -273,28 +271,28 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
 
     wide_gap = x < -_WIDE_GAP_CUTOFF and abs(a - b) >= _WIDE_GAP
     if (x < -_CONNECTION_CUTOFF or wide_gap) and not _connection_degenerate(a, b, c):
-        return _connection_at_minus_inf(a, b, c, z, tol, nmax)
+        return _connection_at_minus_inf(a, b, c, z, nmax)
     # otherwise the Pfaff argument z/(z-1) < 1 still converges
-    return _best_representation(a, b, c, z, tol, nmax)
+    return _best_representation(a, b, c, z, nmax)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex, *, tol: float | None = None,
+def hyp2f1(a: complex, b: complex, c: complex, z: complex, *,
            max_terms: int | None = None) -> complex:
     """Gauss hypergeometric function on the domain the step problem visits.
 
     The value half of `hyp2f1_with_derivative`, with its domain and errors.
     """
-    return hyp2f1_with_derivative(a, b, c, z, tol=tol, max_terms=max_terms)[0]
+    return hyp2f1_with_derivative(a, b, c, z, max_terms=max_terms)[0]
 
 
 def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex, *,
-                      tol: float | None = None, max_terms: int | None = None) -> complex:
+                      max_terms: int | None = None) -> complex:
     """d/dz 2F1(a, b; c; z), equal to (a b / c) 2F1(a+1, b+1; c+1; z).
 
     The derivative half of `hyp2f1_with_derivative`; at z = 1 it raises
     DomainError unless Re(c - a - b) > 1.
     """
-    deriv = hyp2f1_with_derivative(a, b, c, z, tol=tol, max_terms=max_terms)[1]
+    deriv = hyp2f1_with_derivative(a, b, c, z, max_terms=max_terms)[1]
     if cmath.isnan(deriv):
         raise DomainError("d/dz 2F1 at z = 1 requires Re(c - a - b) > 1")
     return deriv

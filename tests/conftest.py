@@ -14,14 +14,13 @@ settings.register_profile(
 settings.load_profile("ci")
 
 from diracstep import StepParameters
-
-RT3 = math.sqrt(3.0)
+from diracstep.selftest import ANCHOR
 
 
 @pytest.fixture
 def anchor_kw():
     """Hand-checkable kinematics: E1 = E2 = 2, pi1 = -pi2 = sqrt(3)."""
-    return dict(m=1.0, q=1.0, p=RT3, a1=0.0, a2=2.0 * RT3)
+    return dict(ANCHOR)
 
 
 @pytest.fixture

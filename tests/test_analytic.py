@@ -11,7 +11,6 @@ from diracstep.analytic import (
     ChartDomainError,
     ParameterRangeError,
     asymptotic_amplitudes,
-    backward_prefactor_check,
     build_solution,
     governing_frequency,
     match_at_t0,
@@ -294,6 +293,31 @@ class TestAmplitudes:
         for attr in ("f", "b", "F", "B"):
             assert getattr(r1, attr) == pytest.approx(getattr(r0, attr), rel=1e-10, abs=1e-10)
 
+    @given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=-1.5, max_value=1.5),
+           st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=-5.0, max_value=5.0), st.floats(min_value=-4.0, max_value=3.0),
+           st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0))
+    def test_mass_scaling_sign_and_t0_invariance(self, m, q, p, a1, a2, log_tau, lam, shift):
+        # (m, p, a1, a2, tau) -> (lam m, lam p, lam a1, lam a2, tau/lam) keeps
+        # tau*E and tau*pi; (q, a1, a2) -> -(q, a1, a2) keeps pi1 and pi2
+        # exactly; t0 only shifts phases.  The relative check on B_u is left
+        # out for mass scaling: for a weak step, |q (a2 - a1)| << |p|, the
+        # rounding of pi1 - pi2 and E2 - E1 sets B_u's relative error (~1e-4
+        # at q (a2 - a1) = 3e-12)
+        base = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=10.0 ** log_tau, t0=0.3)
+        scaled = StepParameters(m=lam * m, q=q, p=lam * p, a1=lam * a1, a2=lam * a2,
+                                tau=base.tau / lam, t0=base.t0)
+        flipped = StepParameters(m=m, q=-q, p=p, a1=-a1, a2=-a2, tau=base.tau, t0=base.t0)
+        shifted = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=base.tau,
+                                 t0=base.t0 + shift)
+        r0 = scatter(base)
+        for params in (scaled, flipped, shifted):
+            r1 = scatter(params)
+            for attr in ("F", "B", "F_u", "B_u"):
+                assert abs(getattr(r1, attr) - getattr(r0, attr)) <= 1e-10
+            if params is not scaled:
+                assert abs(r1.B_u - r0.B_u) <= 1e-10 * r0.B_u
+
 
 class TestSauterForm:
     @pytest.mark.parametrize("kw", SAUTER_CASES,
@@ -331,11 +355,11 @@ class TestSharpStep:
         assert values[-1] < 1e-3
 
     def test_trend_agrees_with_integrator(self):
-        from diracstep import integrate
+        from diracstep import compare
 
         hard = sharp_step(m=1, q=1, p=4.0, a1=0.0, a2=2.0)
-        out = integrate(mk(p=4.0, a2=2.0, tau=1e-4))
-        assert out.b_num == pytest.approx(hard.b, abs=1e-3)
+        num = compare(mk(p=4.0, a2=2.0, tau=1e-4)).numeric
+        assert num.b == pytest.approx(hard.b, abs=1e-3)
 
     def test_degenerate_late_momentum_is_exact_limit(self):
         # pi2 = 0: the backward mode's standard-basis upper component vanishes
@@ -345,13 +369,3 @@ class TestSharpStep:
         assert res.b == 0.0
         assert res.F == 1.0
         assert res.B_u > 0.0  # the unitary channel still sees the backward mode
-
-
-class TestPrefactorDiagnostic:
-    def test_conventions_ratio(self):
-        params = mk(a2=1.0, tau=0.4)
-        modes = asymptotic_modes(params)
-        diag = backward_prefactor_check(params)
-        want = math.exp(0.5 * math.pi * params.tau * (modes.e1 - modes.e2))
-        assert diag["ratio_early_over_late"] == pytest.approx(want, rel=1e-12)
-        assert diag["b_early_variant"] == pytest.approx(diag["b"] * want, rel=1e-12)

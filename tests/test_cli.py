@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from diracstep import cli, sharp_step
+from diracstep import analytic, cli, selftest, sharp_step
 
 RT3_STR = "1.7320508"
 A2_STR = "3.4641016"
@@ -199,6 +200,10 @@ class TestFigure2:
         code, _, _ = run(capsys, "figure2", "--out-dir", str(tmp_path),
                          "--energy-ratio", "0.5")
         assert code == 2
+        # the sweep runs over q*A2, so A2 = qa2/q needs q != 0
+        code, _, err = run(capsys, "figure2", "--out-dir", str(tmp_path), "--q", "0")
+        assert code == 2
+        assert "--q" in err
 
 
 class TestSelftest:
@@ -209,8 +214,19 @@ class TestSelftest:
         assert len(records) >= 8
         assert all(r["passed"] for r in records)
 
-    def test_break_tolerance_fails_with_named_check(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--break-tolerance")
+    def test_break_tolerance_fails_with_named_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "SPECFUN_TOL", 0.0)
+        code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "FAIL" in out
         assert "special-function reference values" in out
+
+    def test_nan_result_fails_its_checks(self, capsys, monkeypatch):
+        # a NaN deviation must fail, not drop out of the worst case
+        real = analytic.scatter
+        monkeypatch.setattr(analytic, "scatter",
+                            lambda params: dataclasses.replace(real(params), F=math.nan))
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "[FAIL] normalization identities" in out
+        assert "[FAIL] sharp-step limit" in out

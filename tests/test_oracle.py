@@ -32,34 +32,34 @@ class TestConfig:
 
 class TestIntegrate:
     def test_free_evolution(self):
-        out = integrate(mk(a1=1.0, a2=1.0, p=0.9))
-        assert out.b_num < 1e-10
-        assert out.f_num == pytest.approx(1.0, abs=1e-10)
+        num = compare(mk(a1=1.0, a2=1.0, p=0.9)).numeric
+        assert num.b < 1e-10
+        assert num.f == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_limit_equal_amplitudes(self):
         # below tau ~ 3e-3 the transition is a sliver of the window: a step
         # grown across the empty plateau can jump it and report b = 0
         for tau in (1e-12, 1e-4, 1e-3, 3e-3):
-            out = integrate(mk(tau=tau))
-            assert out.f_num / out.b_num == pytest.approx(1.0, abs=1e-3)
+            num = compare(mk(tau=tau)).numeric
+            assert num.f / num.b == pytest.approx(1.0, abs=1e-3)
 
     def test_norm_conserved_along_trajectory(self):
         out = integrate(mk())
         assert out.norm_drift < 1e-9
 
     def test_stability_in_span_and_tolerance(self):
-        base = integrate(mk(), IntegrationConfig())
-        wider = integrate(mk(), IntegrationConfig(span_factor=24.0))
-        tighter = integrate(mk(), IntegrationConfig(rel_tol=3e-13, abs_tol=3e-15))
+        base = compare(mk(), IntegrationConfig()).numeric
+        wider = compare(mk(), IntegrationConfig(span_factor=24.0)).numeric
+        tighter = compare(mk(), IntegrationConfig(rel_tol=3e-13, abs_tol=3e-15)).numeric
         for other in (wider, tighter):
-            assert abs(other.f_num - base.f_num) < 1e-7
-            assert abs(other.b_num - base.b_num) < 1e-7
+            assert abs(other.f - base.f) < 1e-7
+            assert abs(other.b - base.b) < 1e-7
 
     def test_transition_time_only_shifts_phases(self):
-        a = integrate(mk(t0=0.0))
-        b = integrate(mk(t0=37.5))
-        assert abs(a.f_num - b.f_num) < 1e-10
-        assert abs(a.b_num - b.b_num) < 1e-10
+        a = compare(mk(t0=0.0)).numeric
+        b = compare(mk(t0=37.5)).numeric
+        assert abs(a.f - b.f) < 1e-10
+        assert abs(a.b - b.b) < 1e-10
 
     def test_steps_follow_the_transition(self):
         # the free e^{-/+iEt} oscillation is stripped; the 20*tau window alone
