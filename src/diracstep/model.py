@@ -21,7 +21,6 @@ units of 1/m for m = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -90,20 +89,6 @@ def potential_at(t: float, params: StepParameters) -> float:
     return params.a1 + 0.5 * (params.a2 - params.a1) * (1.0 + math.tanh(s))
 
 
-def potential_at_exp_form(t: float, params: StepParameters) -> float:
-    """Equivalent rational-exponential form of the step, overflow safe.
-
-    (A1 + A2*e^{2s}) / (1 + e^{2s}); for s > 0 evaluated with e^{-2s} so no
-    intermediate exponential overflows for |s| up to ~1e4 and beyond.
-    """
-    s = (t - params.t0) / params.tau
-    if s >= 0:
-        w = math.exp(-2.0 * s)
-        return (params.a1 * w + params.a2) / (w + 1.0)
-    w = math.exp(2.0 * s)
-    return (params.a1 + params.a2 * w) / (1.0 + w)
-
-
 def _sech_sq(s: float) -> float:
     # branch on sign so the large-|s| tail underflows cleanly instead of
     # overflowing cosh
@@ -145,18 +130,6 @@ def weyl_to_dirac(s: TwoSpinor) -> TwoSpinor:
     )
 
 
-def mode_spinor(pi: float, m: float, positive: bool) -> TwoSpinor:
-    """Unnormalized chiral-basis eigenvector of pi*sigma3 + m*sigma1.
-
-    positive=True: eigenvalue +E, components (1, (E - pi)/m);
-    positive=False: eigenvalue -E, components (1, -(E + pi)/m).
-    Safe for all pi (m > 0 keeps the ratio finite).
-    """
-    e = math.hypot(pi, m)
-    lower = (e - pi) / m if positive else -(e + pi) / m
-    return TwoSpinor(upper=1.0 + 0.0j, lower=complex(lower), basis=Basis.WEYL)
-
-
 def dirac_upper(pi: float, m: float, positive: bool) -> float:
     """Standard-basis upper component of the (unnormalized) mode spinor.
 
@@ -165,11 +138,3 @@ def dirac_upper(pi: float, m: float, positive: bool) -> float:
     """
     e = math.hypot(pi, m)
     return (m + e - pi) / (SQRT2 * m) if positive else (m - e - pi) / (SQRT2 * m)
-
-
-def incident_spinor(t: float, params: StepParameters) -> TwoSpinor:
-    """Exact early-time plane wave of unit chiral amplitude at time t."""
-    modes = asymptotic_modes(params)
-    phase = cmath.exp(-1j * modes.e1 * (t - params.t0))
-    vec = mode_spinor(modes.pi1, params.m, positive=True)
-    return TwoSpinor(upper=vec.upper * phase, lower=vec.lower * phase, basis=Basis.WEYL)

@@ -31,13 +31,17 @@ def anchor_params(anchor_kw):
 def sauter_backward_probability(m, q, p, a1, a2, tau):
     """Elementary form of B_u (the fermion Sauter-pulse coefficient).
 
-    Each sinh is taken as ln sinh u = u + ln(-expm1(-2u)) - ln 2, u > 0, so
-    the ratio neither overflows nor loses its tail at large tau.
+    pi1 - pi2 = q (a2 - a1) is taken from the inputs and E2 - E1 as
+    -(pi1 - pi2)(pi1 + pi2)/(E1 + E2), so a weak step keeps its relative
+    accuracy.  Each sinh is taken as ln sinh u = u + ln(-expm1(-2u)) - ln 2,
+    u > 0, so the ratio neither overflows nor loses its tail at large tau.
     """
     pi1, pi2 = p - q * a1, p - q * a2
     e1, e2 = math.hypot(pi1, m), math.hypot(pi2, m)
-    x = abs(0.5 * math.pi * tau * (pi1 - pi2 + e2 - e1))
-    y = abs(0.5 * math.pi * tau * (pi1 - pi2 - e2 + e1))
+    delta = q * (a2 - a1)
+    de = -delta * (pi1 + pi2) / (e1 + e2)
+    x = abs(0.5 * math.pi * tau * (delta + de))
+    y = abs(0.5 * math.pi * tau * (delta - de))
     if x == 0.0 or y == 0.0:
         return 0.0
 

@@ -300,10 +300,7 @@ class TestAmplitudes:
     def test_mass_scaling_sign_and_t0_invariance(self, m, q, p, a1, a2, log_tau, lam, shift):
         # (m, p, a1, a2, tau) -> (lam m, lam p, lam a1, lam a2, tau/lam) keeps
         # tau*E and tau*pi; (q, a1, a2) -> -(q, a1, a2) keeps pi1 and pi2
-        # exactly; t0 only shifts phases.  The relative check on B_u is left
-        # out for mass scaling: for a weak step, |q (a2 - a1)| << |p|, the
-        # rounding of pi1 - pi2 and E2 - E1 sets B_u's relative error (~1e-4
-        # at q (a2 - a1) = 3e-12)
+        # exactly; t0 only shifts phases
         base = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=10.0 ** log_tau, t0=0.3)
         scaled = StepParameters(m=lam * m, q=q, p=lam * p, a1=lam * a1, a2=lam * a2,
                                 tau=base.tau / lam, t0=base.t0)
@@ -315,11 +312,61 @@ class TestAmplitudes:
             r1 = scatter(params)
             for attr in ("F", "B", "F_u", "B_u"):
                 assert abs(getattr(r1, attr) - getattr(r0, attr)) <= 1e-10
-            if params is not scaled:
-                assert abs(r1.B_u - r0.B_u) <= 1e-10 * r0.B_u
+            assert abs(r1.B_u - r0.B_u) <= 1e-10 * r0.B_u
+
+    def test_scatter_matches_gamma_ratio_route(self):
+        # the sinh moduli against the connection-formula amplitudes of the
+        # matched chart solution; every step drawn has tau (E1 + E2) <= 400,
+        # as build_solution requires
+        rng = random.Random(1570)
+        for _ in range(200):
+            params = StepParameters(
+                m=math.exp(rng.uniform(math.log(0.5), math.log(2.0))),
+                q=rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5),
+                p=rng.uniform(-3.0, 3.0),
+                a1=rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0),
+                a2=rng.uniform(-5.0, 5.0),
+                tau=math.exp(rng.uniform(math.log(1e-4), math.log(30.0))),
+                t0=rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0),
+            )
+            direct = scatter(params)
+            via_gamma = asymptotic_amplitudes(match_at_t0(build_solution(params), params),
+                                              params)
+            for attr in ("f", "b", "F_u", "B_u"):
+                want = getattr(via_gamma, attr)
+                if want > 1e-250:
+                    assert abs(getattr(direct, attr) - want) <= 1e-10 * want, attr
+
+
+# 50-digit values of (F_u, B_u) from the sinh form and of (f, b) from the
+# Gamma ratios of the connection formula, computed once with mpmath from these
+# exact binary inputs; 0.0 stands for a value below the double range
+PINNED = [
+    # weak step, q (a2 - a1) = 3e-12
+    (dict(m=1.0, q=3e-12, p=1.0, a1=0.0, a2=1.0, tau=1.0),
+     1.0, 6.1460111547129388816e-27, 1.0000000000003106602, 3.2472893390522942022e-14),
+    (dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=4.0, tau=30.0),
+     1.0, 2.5320380808481115319e-24, 0.87808221378218502116, 1.0070719586217548853e-12),
+    (dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=4.0, tau=1e6),
+     1.0, 0.0, 0.87808221378218502116, 0.0),
+    (dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=4.0, tau=1e8),
+     1.0, 0.0, 0.87808221378218502116, 0.0),
+    # pi1 pi2 < 0
+    (dict(m=0.8, q=-1.1, p=0.6, a1=0.4, a2=-2.5, tau=0.7),
+     0.60141346800989178988, 0.39858653199010821012,
+     0.70986498986599393738, 0.40157501604536439908),
+]
 
 
 class TestSauterForm:
+    @pytest.mark.parametrize("kw, f_u, b_u, f, b", PINNED,
+                             ids=[sauter_case_id(c[0]) for c in PINNED])
+    def test_pinned_high_precision_values(self, kw, f_u, b_u, f, b):
+        res = scatter(StepParameters(**kw))
+        for got, want in ((res.F_u, f_u), (res.B_u, b_u), (res.f, f), (res.b, b),
+                          (sauter_backward_probability(**kw), b_u)):
+            assert abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("kw", SAUTER_CASES,
                              ids=[sauter_case_id(c) for c in SAUTER_CASES])
     def test_scatter_matches_elementary_form(self, kw):

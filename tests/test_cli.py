@@ -63,9 +63,18 @@ class TestScatter:
         assert rec["oracle_dev_b"] < 1e-6
 
     def test_numerical_failure_exit_code(self, capsys):
-        code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1e8")
+        # pi tau E is a subnormal double: the sinh moduli cannot be resolved
+        code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "5e-324")
         assert code == 3
         assert "error" in err
+
+    def test_very_slow_step_passes_the_unitarity_guard(self, capsys):
+        code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1e8",
+                           "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["F_u"] == 1.0
+        assert rec["B_u"] == 0.0
 
     def test_human_format(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
