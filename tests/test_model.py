@@ -149,7 +149,32 @@ class TestBasisChange:
         assert twice.lower == pytest.approx(s.lower, abs=1e-12)
 
 
+def chiral_mode(pi, m, positive):
+    # weyl_to_dirac is its own inverse, so the chiral mode (1, lower) has
+    # standard-basis upper component (1 + lower)/sqrt(2)
+    return TwoSpinor(1.0, math.sqrt(2.0) * model.dirac_upper(pi, m, positive) - 1.0, Basis.WEYL)
+
+
 class TestModeSpinors:
+    @given(st.floats(min_value=-8, max_value=8), st.floats(min_value=0.1, max_value=4))
+    def test_eigenvector_identity(self, pi, m):
+        # [[pi, m], [m, -pi]] applied to (1, (E - pi)/m) equals E * the vector
+        e = math.hypot(pi, m)
+        v = chiral_mode(pi, m, positive=True)
+        top = pi * v.upper + m * v.lower
+        bot = m * v.upper - pi * v.lower
+        assert top == pytest.approx(e * v.upper, rel=1e-12, abs=1e-12)
+        assert bot == pytest.approx(e * v.lower, rel=1e-12, abs=1e-12)
+
+    @given(st.floats(min_value=-8, max_value=8), st.floats(min_value=0.1, max_value=4))
+    def test_negative_branch(self, pi, m):
+        e = math.hypot(pi, m)
+        v = chiral_mode(pi, m, positive=False)
+        top = pi * v.upper + m * v.lower
+        bot = m * v.upper - pi * v.lower
+        assert top == pytest.approx(-e * v.upper, rel=1e-12, abs=1e-12)
+        assert bot == pytest.approx(-e * v.lower, rel=1e-12, abs=1e-12)
+
     def test_dirac_upper_consistency(self):
         # the chiral eigenvectors (1, (E - pi)/m) of +E and (1, -(E + pi)/m)
         # of -E of [[pi, m], [m, -pi]], rotated to the standard basis
