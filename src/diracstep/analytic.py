@@ -60,8 +60,10 @@ hypergeometric series, no complex arithmetic.  delta is taken from the
 inputs, and E2 - E1 = -delta (pi1 + pi2)/(E1 + E2) and
 E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|) are formed
 without subtraction, so a weak step keeps the relative accuracy of B_u.
-Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing
-overflows and the adiabatic tail is kept; f and b follow from the
+The products in them are formed on kinematics divided by a power of two
+near max(|pi1|, |pi2|, m), so momenta up to the double range do not
+overflow.  Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so
+nothing overflows and the adiabatic tail is kept; f and b follow from the
 half-logarithms, so b stays representable where B_u underflows.  Over 20,000
 random points with tau from 1e-12 to 1e10 (signed q down to 6e-6, m != 1,
 a1 != 0, t0 != 0) the unitarity defect |F_u + B_u - 1| stays below 1.3e-14,
@@ -73,8 +75,12 @@ integrator (`oracle.compare`).  pi tau E below the smallest normal double is
 reported as a numerical failure (ArithmeticError).
 
 The charts, and with them log_gamma, serve only the time-dependent
-wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`,
-`solve_later`).  `match_at_t0` takes the
+wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`, and
+`solve_later`, which is the same function).  The matched wavefunction is
+evaluated in the chart native to each side of the step: the earlier chart
+for t <= t0, the later chart for t > t0.  Every 2F1 argument is then
+zeta in [-1, 0), and deep in either half-line zeta underflows to -0, where
+the spinor is its exact plane-wave limit.  `match_at_t0` takes the
 later-chart coefficients from the Gamma ratios through the chart branch
 constants, C1l = (g_f/g_i) e^(pi (eps1 + eps2)) and
 C2l = (g_b/g_i) e^(pi (eps1 - eps2)).  e^(pi (eps1 + eps2)) overflows for
@@ -115,7 +121,6 @@ from .specfun import hyp2f1, hyp2f1_with_derivative, log_gamma  # noqa: F401
 
 __all__ = [
     "ParameterRangeError",
-    "ChartDomainError",
     "ChartExpansion",
     "HypergeometricSolution",
     "ScatteringResult",
@@ -132,16 +137,10 @@ __all__ = [
 
 # exp(pi*(eps1+eps2)) must stay below the double-precision overflow threshold
 _EPS_SUM_LIMIT = 200.0
-# |ln zeta| guard: beyond this the chart variable itself overflows
-_LOG_ZETA_LIMIT = 690.0
 
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation."""
-
-
-class ChartDomainError(ValueError):
-    """Time so deep in the opposite half-line that the chart variable overflows."""
 
 
 @dataclass(frozen=True)
@@ -269,13 +268,6 @@ def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
                   c_first: complex, c_second: complex, t: float) -> TwoSpinor:
     s = (t - params.t0) / params.tau
     log_abs_zeta = chart.sign * 2.0 * s
-    if abs(log_abs_zeta) > _LOG_ZETA_LIMIT:
-        raise ChartDomainError(
-            f"t - t0 = {t - params.t0:.6g} is too deep in the "
-            f"{'later' if chart.sign > 0 else 'earlier'} half-line for the "
-            f"{'earlier' if chart.sign > 0 else 'later'} chart (|ln zeta| > "
-            f"{_LOG_ZETA_LIMIT})"
-        )
     zeta = -math.exp(log_abs_zeta)
     piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
     phi = 0.0 + 0.0j
@@ -292,27 +284,24 @@ def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
     return TwoSpinor(upper=phi, lower=theta, basis=Basis.WEYL)
 
 
-def solve_earlier(sol: HypergeometricSolution, t: float, params: StepParameters,
-                  coefficients: tuple[complex, complex] | None = None) -> TwoSpinor:
-    """Chiral spinor of the earlier-chart solution at time t.
+def solve_earlier(sol: HypergeometricSolution, t: float,
+                  params: StepParameters) -> TwoSpinor:
+    """Chiral spinor of the matched solution at time t.
 
-    Uses the matched (c1e, c2e) unless trial coefficients are supplied.
+    Each side of t0 is evaluated in its own chart, where the chart variable
+    lies in [-1, 0): t <= t0 in the earlier chart with (c1e, c2e), t > t0 in
+    the later chart with (c1l, c2l).  Deep in either half-line zeta
+    underflows to -0 and the spinor is the exact plane-wave limit.
+    `solve_later` is the same function.
     """
-    if coefficients is None:
-        if sol.c1e is None:
-            raise ValueError("coefficients unset; run match_at_t0 or pass trial values")
-        coefficients = (sol.c1e, sol.c2e)
-    return _chart_spinor(sol.earlier, sol.delta, params, coefficients[0], coefficients[1], t)
+    if not sol.matched:
+        raise ValueError("coefficients unset; run match_at_t0 first")
+    if t <= params.t0:
+        return _chart_spinor(sol.earlier, sol.delta, params, sol.c1e, sol.c2e, t)
+    return _chart_spinor(sol.later, sol.delta, params, sol.c1l, sol.c2l, t)
 
 
-def solve_later(sol: HypergeometricSolution, t: float, params: StepParameters,
-                coefficients: tuple[complex, complex] | None = None) -> TwoSpinor:
-    """Chiral spinor of the later-chart solution at time t."""
-    if coefficients is None:
-        if sol.c1l is None:
-            raise ValueError("coefficients unset; run match_at_t0 or pass trial values")
-        coefficients = (sol.c1l, sol.c2l)
-    return _chart_spinor(sol.later, sol.delta, params, coefficients[0], coefficients[1], t)
+solve_later = solve_earlier
 
 
 def _connection(eps1: float, eps2: float, d: float) -> tuple[complex, complex]:
@@ -399,17 +388,25 @@ def _log_sinh_excess(x: float) -> float:
     return math.log(-math.expm1(-2.0 * x))
 
 
-def _energy_product(modes: AsymptoticModes, m: float, sign: int) -> float:
-    """E1 E2 + sign * pi1 pi2 >= 0, without cancellation.
+def _gap(modes: AsymptoticModes, m: float, inv_s: float, sign: int, width: float) -> float:
+    """E1 + E2 - |pi1 - sign pi2| >= 0, without cancellation or overflow.
 
-    When the two terms have opposite signs, (E1 E2)^2 - (pi1 pi2)^2 =
-    m^2 (pi1^2 + pi2^2 + m^2) gives the difference as a quotient.
+    width = E1 + E2 + |pi1 - sign pi2|, and the gap is the quotient
+    2 (m^2 + E1 E2 + sign pi1 pi2) / width.  When the two products have
+    opposite signs, (E1 E2)^2 - (pi1 pi2)^2 = m^2 (pi1^2 + pi2^2 + m^2)
+    gives their sum as a quotient too.  Numerator and width are formed
+    divided by the kinematic scale s = 1/inv_s, so no product overflows.
     """
-    e1e2 = modes.e1 * modes.e2
-    pp = sign * modes.pi1 * modes.pi2
+    ms, e2s, pi2s = m * inv_s, modes.e2 * inv_s, modes.pi2 * inv_s
+    # each product over s
+    e1e2 = modes.e1 * e2s
+    pp = sign * modes.pi1 * pi2s
     if pp >= 0.0:
-        return e1e2 + pp
-    return m * m * (modes.pi1 ** 2 + modes.pi2 ** 2 + m * m) / (e1e2 - pp)
+        prod = e1e2 + pp
+    else:
+        prod = (m * ms * (modes.pi1 * (modes.pi1 * inv_s) + modes.pi2 * pi2s + m * ms)
+                / (e1e2 - pp))
+    return 2.0 * (m * ms + prod) / (width * inv_s)
 
 
 def scatter(params: StepParameters) -> ScatteringResult:
@@ -425,10 +422,12 @@ def scatter(params: StepParameters) -> ScatteringResult:
     delta = abs(params.q * (params.a2 - params.a1))
     e_sum = e1 + e2
     pi_sum = abs(modes.pi1 + modes.pi2)
-    # E1 + E2 - |pi1 -+ pi2|, through (E1 + E2)^2 - (pi1 -+ pi2)^2
-    # = 2 (m^2 + E1 E2 +- pi1 pi2)
-    gap_f = 2.0 * (m * m + _energy_product(modes, m, +1)) / (e_sum + delta)
-    gap_b = 2.0 * (m * m + _energy_product(modes, m, -1)) / (e_sum + pi_sum)
+    # products of the kinematics are formed divided by s, the largest power
+    # of two not above max(|pi1|, |pi2|, m): none overflows, and scaling by
+    # a power of two is exact
+    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
+    gap_f = _gap(modes, m, inv_s, +1, e_sum + delta)
+    gap_b = _gap(modes, m, inv_s, -1, e_sum + pi_sum)
     k = 0.5 * math.pi * params.tau
     if 2.0 * k * min(e1, e2) < sys.float_info.min:
         raise ArithmeticError(
@@ -440,7 +439,7 @@ def scatter(params: StepParameters) -> ScatteringResult:
     log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(k * gap_f)
                - log_denom)
     # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m))
-    log_scale = 0.5 * math.log(e1 / (e2 * (e1 + m)))
+    log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
     # pi tau (|delta| +- |E2 - E1|)/2, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2)
     x_hi = k * delta * (e_sum + pi_sum) / e_sum

@@ -1,11 +1,12 @@
 """Complex-parameter special functions for the analytic step solution.
 
 Only the arguments the scattering problem actually visits are first class:
-the Gauss hypergeometric function 2F1(a, b; c; z) for real z <= 1/2 (reached
-directly, through the Pfaff map z -> z/(z-1), or through the inverse-argument
-connection formula for deep negative z), plus z = 1 under Gauss summability.
-Parameters are generally complex; in production they are purely imaginary
-(a, b) with c on the line 1 + i*R.
+the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 1/2,
+plus z = 1 under Gauss summability.  Each chart of the time-dependent
+solution is evaluated only on its own side of the step, where its argument
+zeta = -exp(-2|t - t0|/tau) lies in [-1, 0), so no representation for
+z < -1 is needed.  Parameters are generally complex; in production they are
+purely imaginary (a, b) with c on the line 1 + i*R.
 
 Accuracy strategy: among the equivalent Maclaurin representations
 
@@ -16,13 +17,8 @@ Accuracy strategy: among the equivalent Maclaurin representations
 
 the one with the smallest term-growth indicator |A*B*w|/|C| is summed, which
 keeps intermediate terms small and avoids the catastrophic cancellation a
-naive series suffers for oscillatory parameter sets.  The inverse-argument
-formula (DLMF 15.8.2) takes over beyond |z| = 8, and beyond |z| = 2 when
-|a - b| >= 8: there the Pfaff series cancels (up to 4e3 relative error on
-chart parameters with tau E / 2 up to 20), while the formula stays near
-1e-10.  Its gamma prefactors depend on (a, b, c) only and are cached for the
-last few parameter sets, which covers every time of one chart evaluation;
-cached and fresh values are the same bits.
+naive series suffers for oscillatory parameter sets.  On the chart
+arguments -1 <= z < 0 every series runs at |w| <= 1/2.
 
 `hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
 series loop sums S and dS/dw together, and each transformation carries the
@@ -34,7 +30,6 @@ its two halves.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 __all__ = [
@@ -80,20 +75,9 @@ _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 SERIES_TOL = 1e-15
 MAX_TERMS = 100_000
 
-# switch to the inverse-argument connection formula beyond this |z| ...
-_CONNECTION_CUTOFF = 8.0
-# ... and beyond |z| = 2 when |a - b| >= 8: there the Pfaff series at
-# w = z/(z-1) in (2/3, 8/9] cancels, while the series in 1/z does not.
-# Applying the formula at |z| > 2 for every parameter set gives O(1) errors.
-_WIDE_GAP_CUTOFF = 2.0
-_WIDE_GAP = 8.0
-# keep the Pfaff series instead when a - b (or c - a - b) is this close to an
-# integer, where the connection formula's gamma prefactors degenerate
-_DEGENERACY_MARGIN = 0.05
 
-
-def _is_nonpositive_int(z: complex, tol: float = 0.0) -> bool:
-    return z.imag == 0.0 and z.real <= 0.5 and abs(z.real - round(z.real)) <= tol
+def _is_nonpositive_int(z: complex) -> bool:
+    return z.imag == 0.0 and z.real <= 0.5 and z.real == round(z.real)
 
 
 def log_gamma(z: complex) -> complex:
@@ -129,8 +113,7 @@ def log_gamma(z: complex) -> complex:
     return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def _series(a: complex, b: complex, c: complex, z: complex,
-            nmax: int) -> tuple[complex, complex]:
+def _series(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, complex]:
     # S = sum t_n and dS/dz = sum n t_n / z in one loop over u_n = t_n z^(n-1):
     # S gains u_n z and dS/dz gains n u_n.  Stop only on two consecutive
     # small terms of both sums: a single term may vanish accidentally for
@@ -140,7 +123,7 @@ def _series(a: complex, b: complex, c: complex, z: complex,
     total = term
     deriv = 0.0 + 0.0j
     prev_small = False
-    for n in range(nmax):
+    for n in range(MAX_TERMS):
         dterm = term * ((a + n) * (b + n) / (c + n))  # (n+1) u_(n+1)
         term = dterm * z / (n + 1)                     # u_(n+1) z
         total += term
@@ -151,7 +134,7 @@ def _series(a: complex, b: complex, c: complex, z: complex,
             return total, deriv
         prev_small = small
     raise ConvergenceError(
-        f"2F1 series did not converge within {nmax} terms "
+        f"2F1 series did not converge within {MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, z={z})"
     )
 
@@ -161,50 +144,7 @@ def _gauss_limit(a: complex, b: complex, c: complex) -> complex:
     return cmath.exp(log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
 
 
-def _connection_degenerate(a: complex, b: complex, c: complex) -> bool:
-    # the connection formula's gamma prefactors degenerate when a - b is
-    # close to an integer or a, b, c - a, c - b close to a pole
-    ab_gap = a - b
-    near_int = abs(ab_gap.imag) < _DEGENERACY_MARGIN and (
-        abs(ab_gap.real - round(ab_gap.real)) < _DEGENERACY_MARGIN
-    )
-    return (
-        near_int
-        or _is_nonpositive_int(a, _DEGENERACY_MARGIN)
-        or _is_nonpositive_int(b, _DEGENERACY_MARGIN)
-        or _is_nonpositive_int(c - a, _DEGENERACY_MARGIN)
-        or _is_nonpositive_int(c - b, _DEGENERACY_MARGIN)
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    # Gamma prefactors of the inverse-argument formula; they depend on the
-    # parameters only, so every time of one chart shares them.  One
-    # wavefunction evaluation visits at most three parameter sets.
-    lg_c = log_gamma(c)
-    g1 = cmath.exp(lg_c + log_gamma(b - a) - log_gamma(b) - log_gamma(c - a))
-    g2 = cmath.exp(lg_c + log_gamma(a - b) - log_gamma(a) - log_gamma(c - b))
-    return g1, g2
-
-
-def _connection_at_minus_inf(a, b, c, z, nmax) -> tuple[complex, complex]:
-    # inverse-argument expansion for z -> -inf (a - b not an integer):
-    #   F  = sum_k g_k (-z)^(-a_k) S_k(1/z),  (a_1, a_2) = (a, b)
-    #   F' = -z^-1 sum_k g_k (-z)^(-a_k) [a_k S_k + S_k'/z]
-    # with S_1 = F(a, a-c+1; a-b+1; .) and S_2 the same with a <-> b
-    g1, g2 = _connection_gammas(a, b, c)
-    inv = 1.0 / z
-    s1, ds1 = _series(a, a - c + 1.0, a - b + 1.0, inv, nmax)
-    s2, ds2 = _series(b, b - c + 1.0, b - a + 1.0, inv, nmax)
-    p1 = g1 * (-z) ** (-a)
-    p2 = g2 * (-z) ** (-b)
-    value = p1 * s1 + p2 * s2
-    deriv = -inv * (p1 * (a * s1 + ds1 * inv) + p2 * (b * s2 + ds2 * inv))
-    return value, deriv
-
-
-def _best_representation(a, b, c, z, nmax) -> tuple[complex, complex]:
+def _best_representation(a, b, c, z) -> tuple[complex, complex]:
     # (transform, series parameters, series argument); only the chosen
     # transform's prefactor is computed
     w = z / (z - 1.0)
@@ -220,7 +160,7 @@ def _best_representation(a, b, c, z, nmax) -> tuple[complex, complex]:
         return abs(aa * bb * zz) / max(abs(cc), 1e-30)
 
     kind, aa, bb, cc, zz = min(candidates, key=growth)
-    s, ds = _series(aa, bb, cc, zz, nmax)
+    s, ds = _series(aa, bb, cc, zz)
     if kind == "direct":
         return s, ds
     one_minus = 1.0 - z
@@ -235,18 +175,16 @@ def _best_representation(a, b, c, z, nmax) -> tuple[complex, complex]:
     return prefactor * s, prefactor * (e * s - ds / one_minus) / one_minus
 
 
-def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
-                           max_terms: int | None = None) -> tuple[complex, complex]:
+def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
+                           z: complex) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
-    Supported z: real with Re z <= 1/2 (any magnitude on the negative axis),
-    plus z = 1 when Re(c - a - b) > 0.  At z = 1 the derivative is finite
-    only when Re(c - a - b) > 1 and is nan otherwise.  c must not be zero or
-    a negative integer.  Deterministic: identical inputs give identical
-    output bits.
+    Supported z: real with -1 <= z <= 1/2, plus z = 1 when Re(c - a - b) > 0.
+    At z = 1 the derivative is finite only when Re(c - a - b) > 1 and is nan
+    otherwise.  c must not be zero or a negative integer.  Deterministic:
+    identical inputs give identical output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    nmax = MAX_TERMS if max_terms is None else max_terms
 
     if _is_nonpositive_int(c):
         raise GammaPoleError(f"2F1 parameter c = {c} is a non-positive integer")
@@ -266,33 +204,26 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex, z: complex, *,
     if z.imag != 0.0:
         raise DomainError(f"2F1 argument must be real (or exactly 1), got z = {z}")
     x = z.real
-    if x > 0.5:
-        raise DomainError(f"2F1 argument must satisfy z <= 1/2 (or z = 1), got z = {x}")
-
-    wide_gap = x < -_WIDE_GAP_CUTOFF and abs(a - b) >= _WIDE_GAP
-    if (x < -_CONNECTION_CUTOFF or wide_gap) and not _connection_degenerate(a, b, c):
-        return _connection_at_minus_inf(a, b, c, z, nmax)
-    # otherwise the Pfaff argument z/(z-1) < 1 still converges
-    return _best_representation(a, b, c, z, nmax)
+    if not -1.0 <= x <= 0.5:
+        raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2 (or z = 1), got z = {x}")
+    return _best_representation(a, b, c, z)
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex, *,
-           max_terms: int | None = None) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function on the domain the step problem visits.
 
     The value half of `hyp2f1_with_derivative`, with its domain and errors.
     """
-    return hyp2f1_with_derivative(a, b, c, z, max_terms=max_terms)[0]
+    return hyp2f1_with_derivative(a, b, c, z)[0]
 
 
-def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex, *,
-                      max_terms: int | None = None) -> complex:
+def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex) -> complex:
     """d/dz 2F1(a, b; c; z), equal to (a b / c) 2F1(a+1, b+1; c+1; z).
 
     The derivative half of `hyp2f1_with_derivative`; at z = 1 it raises
     DomainError unless Re(c - a - b) > 1.
     """
-    deriv = hyp2f1_with_derivative(a, b, c, z, max_terms=max_terms)[1]
+    deriv = hyp2f1_with_derivative(a, b, c, z)[1]
     if cmath.isnan(deriv):
         raise DomainError("d/dz 2F1 at z = 1 requires Re(c - a - b) > 1")
     return deriv

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import analytic, model, specfun
+from diracstep import analytic, model
 from diracstep.analytic import (
-    ChartDomainError,
     ParameterRangeError,
     asymptotic_amplitudes,
     build_solution,
@@ -96,15 +95,16 @@ class TestBuildSolution:
         assert sol.later.mu == pytest.approx(0.5j * params.tau * modes.e2)
 
     def test_exp_map_consistency(self):
-        # the zeta^-mu branch of the earlier chart is the incident plane wave
-        # e^{-i E1 (t - t0)} times a constant, checked at two times
+        # before t0 the matched solution is the zeta^-mu branch of the earlier
+        # chart, the incident plane wave e^{-i E1 (t - t0)} times a constant,
+        # checked at two times
         params = mk(tau=0.45)
-        sol = build_solution(params)
+        sol = match_at_t0(build_solution(params), params)
         modes = asymptotic_modes(params)
         t_a = params.t0 - 20 * params.tau
         t_b = params.t0 - 18 * params.tau
-        s_a = solve_earlier(sol, t_a, params, coefficients=(0.0, 1.0))
-        s_b = solve_earlier(sol, t_b, params, coefficients=(0.0, 1.0))
+        s_a = solve_earlier(sol, t_a, params)
+        s_b = solve_earlier(sol, t_b, params)
         expected = cmath.exp(-1j * modes.e1 * (t_b - t_a))
         assert s_b.upper / s_a.upper == pytest.approx(expected, rel=1e-8)
 
@@ -125,9 +125,7 @@ class TestBuildSolution:
             om2 = governing_frequency(t, params)
             w_eff = math.sqrt(abs(om2)) + 2.0 / params.tau
             h = 1e-2 / w_eff
-            ev = (lambda tt: solve_earlier(sol, tt, params).upper) if t <= 0 \
-                else (lambda tt: solve_later(sol, tt, params).upper)
-            phi = [ev(t + k * h) for k in (-2, -1, 0, 1, 2)]
+            phi = [solve_earlier(sol, t + k * h, params).upper for k in (-2, -1, 0, 1, 2)]
             second = (-phi[0] + 16 * phi[1] - 30 * phi[2] + 16 * phi[3] - phi[4]) / (12 * h * h)
             assert abs(second + om2 * phi[2]) / abs(om2 * phi[2]) < 1e-7
 
@@ -139,10 +137,10 @@ class TestBuildSolution:
 class TestChartEvaluation:
     def test_incident_asymptote(self):
         params = mk(tau=0.5)
-        sol = build_solution(params)
+        sol = match_at_t0(build_solution(params), params)
         modes = asymptotic_modes(params)
         t = params.t0 - 20 * params.tau
-        got = solve_earlier(sol, t, params, coefficients=(0.0, 1.0))
+        got = solve_earlier(sol, t, params)
         amp = math.exp(0.5 * math.pi * params.tau * modes.e1)
         phase = cmath.exp(-1j * modes.e1 * (t - params.t0))
         assert got.upper == pytest.approx(amp * phase, rel=1e-8)
@@ -165,40 +163,37 @@ class TestChartEvaluation:
 
     def test_matches_independent_integration_at_t0(self):
         params = mk(tau=0.3)
-        sol = build_solution(params)
-        got = solve_earlier(sol, params.t0, params, coefficients=(0.0, 1.0))
+        sol = match_at_t0(build_solution(params), params)
+        got = solve_earlier(sol, params.t0, params)
         ref = rk4_to_t0(params)
         assert got.upper == pytest.approx(ref[0], rel=1e-6)
         assert got.lower == pytest.approx(ref[1], rel=1e-6)
 
     def test_norm_where_the_pfaff_series_cancels(self):
-        # tau E2 / 2 ~ 14: between |zeta| = 2 and 8 the Pfaff series of the
-        # earlier chart cancels; the spinor keeps the incident norm
+        # tau E2 / 2 ~ 14: on these times the earlier chart's argument would
+        # run over |zeta| in (2, 8), where its Pfaff series cancels; the later
+        # chart, native there, keeps the incident norm
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6)
         modes = asymptotic_modes(params)
         sol = match_at_t0(build_solution(params), params)
         incident = (math.exp(math.pi * params.tau * modes.e1)
                     * (1.0 + ((modes.e1 - modes.pi1) / params.m) ** 2))
-        # |zeta| = exp(2 (t - t0) / tau) runs over (2, 8)
+        # the earlier chart's |zeta| = exp(2 (t - t0) / tau) runs over (2, 8)
         lo, hi = (0.5 * params.tau * math.log(x) for x in (2.0, 8.0))
         for j in range(1, 201):
             t = params.t0 + lo + (hi - lo) * j / 201
             assert solve_earlier(sol, t, params).norm_sq == pytest.approx(incident, rel=1e-9)
 
-    def test_cold_and_warm_connection_cache_agree(self):
+    def test_evaluation_is_deterministic(self):
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)
-        # |zeta| from e^-8 to e^8, through every representation
+        # |zeta| from e^-8 to 1 in each chart, through every representation
         times = [params.t0 + params.tau * (0.25 * j - 4.0) for j in range(33)]
 
         def spinors():
-            return [(s.upper, s.lower) for t in times
-                    for s in (solve_earlier(sol, t, params), solve_later(sol, t, params))]
+            return [(s.upper, s.lower) for s in (solve_earlier(sol, t, params) for t in times)]
 
-        specfun._connection_gammas.cache_clear()
-        cold = spinors()
-        assert specfun._connection_gammas.cache_info().hits > 0
-        assert spinors() == cold
+        assert spinors() == spinors()
 
     def test_unset_coefficients_rejected(self):
         sol = build_solution(mk())
@@ -206,10 +201,21 @@ class TestChartEvaluation:
             solve_earlier(sol, 0.0, mk())
 
     def test_chart_overflow_guard(self):
+        # 1e3 tau from t0, |ln zeta| = 2000: each side's chart variable
+        # underflows to -0 instead of overflowing, and the spinor is the
+        # exact plane waves of that side
         params = mk(tau=1e-3)
         sol = match_at_t0(build_solution(params), params)
-        with pytest.raises(ChartDomainError):
-            solve_earlier(sol, params.t0 + 1.0, params)  # |ln zeta| = 2000
+        modes = asymptotic_modes(params)
+        eps1, eps2 = sol.earlier.eps, sol.later.eps
+        dt = 1e3 * params.tau
+        early = solve_earlier(sol, params.t0 - dt, params)
+        want = math.exp(math.pi * eps1) * cmath.exp(1j * modes.e1 * dt)
+        assert early.upper == pytest.approx(want, rel=1e-8)
+        late = solve_later(sol, params.t0 + dt, params)
+        want = (sol.c1l * math.exp(-math.pi * eps2) * cmath.exp(-1j * modes.e2 * dt)
+                + sol.c2l * math.exp(math.pi * eps2) * cmath.exp(1j * modes.e2 * dt))
+        assert late.upper == pytest.approx(want, rel=1e-8)
 
 
 class TestMatching:
@@ -223,19 +229,24 @@ class TestMatching:
     def test_continuity_defining_property(self):
         params = mk(tau=0.6)
         sol = match_at_t0(build_solution(params), params)
-        early = solve_earlier(sol, params.t0, params)
-        late = solve_later(sol, params.t0, params)
+        # both charts at t0, where the matched solution switches between them
+        early = analytic._chart_spinor(sol.earlier, sol.delta, params, sol.c1e, sol.c2e, params.t0)
+        late = analytic._chart_spinor(sol.later, sol.delta, params, sol.c1l, sol.c2l, params.t0)
         mismatch = abs(early.upper - late.upper) + abs(early.lower - late.lower)
         assert mismatch / math.sqrt(early.norm_sq) < 1e-10
 
     def test_wronskian_value(self):
-        # the matching determinant equals the constant -2 E2 / m
+        # the determinant of each chart's two branches at t0 is the constant
+        # +2 E1 / m (earlier chart) or -2 E2 / m (later chart)
         params = mk(tau=0.8)
         modes = asymptotic_modes(params)
-        f1 = solve_later(build_solution(params), params.t0, params, coefficients=(1.0, 0.0))
-        f2 = solve_later(build_solution(params), params.t0, params, coefficients=(0.0, 1.0))
-        det = f1.upper * f2.lower - f2.upper * f1.lower
-        assert det == pytest.approx(-2 * modes.e2 / params.m, rel=1e-10)
+        sol = build_solution(params)
+        for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
+                            (sol.later, -2 * modes.e2 / params.m)):
+            f1 = analytic._chart_spinor(chart, sol.delta, params, 1.0, 0.0, params.t0)
+            f2 = analytic._chart_spinor(chart, sol.delta, params, 0.0, 1.0, params.t0)
+            det = f1.upper * f2.lower - f2.upper * f1.lower
+            assert det == pytest.approx(want, rel=1e-10)
 
     def test_sharp_limit_of_amplitudes(self, anchor_kw):
         soft = scatter(StepParameters(tau=1e-4, **anchor_kw))

@@ -76,6 +76,20 @@ class TestScatter:
         assert rec["F_u"] == 1.0
         assert rec["B_u"] == 0.0
 
+    def test_huge_kinematics_do_not_overflow(self, capsys):
+        # E1 E2 and pi^2 exceed the double range; the gaps are formed on
+        # kinematics scaled by max(|pi1|, |pi2|, m)
+        code, out, _ = run(capsys, "scatter", "--p", "1e200", "--a2", "2", "--tau", "1",
+                           "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["F_u"] == 1.0
+        assert rec["B_u"] == 0.0
+        code, out, _ = run(capsys, "scatter", "--p=0", "--a1=-1e200", "--a2=1e200",
+                           "--tau", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["B_u"] == pytest.approx(1.0, rel=1e-15)
+
     def test_human_format(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
         assert code == 0

@@ -33,25 +33,23 @@ HYP2F1_REFERENCE = [
     ((0.3 + 0.7j), 1.1, (2.4 - 0.2j), -1.0, 0.87908416993188455 - 0.22553554634443061j),
     (2.5j, -1.5j, 1 + 3j, -1.0, 0.50427720534945975 + 0.62245288045336917j),
     (5.5j, 0.5j, 1 + 6j, -0.35, 1.0111006713122916 - 0.13865697354865804j),
-    (0.5j, -4j, 1 - 1j, -27.5, -0.49258410869911297 - 0.6018291294773888j),
     ((1.25 + 0.5j), 0.75, 3.0, 0.5, 1.2046995785273498 + 0.10052079954750623j),
-    (1.5j, 2.5j, 1 + 1j, -250.0, -11.794719966977374 + 7.1689689713443181j),
 ]
 
-# (a, b, c, z, 2F1, d/dz 2F1), computed with mpmath (dps=30); one z in each
-# band of the representation choice: |z| <= 0.5, 0.5..2, 2..8 with
-# |a - b| < 8 (Pfaff series) and >= 8 (connection formula), and beyond 8
+# (a, b, c, z, 2F1, d/dz 2F1), computed with mpmath (dps=30); z in both
+# bands of the representation choice, |z| <= 0.5 and 0.5 < |z| <= 1 (Pfaff
+# series only), with |a - b| from 4 to 27
 HYP2F1_DERIVATIVE_REFERENCE = [
     (5.5j, 0.5j, 1 + 6j, -0.35,
      1.0111006713122916 - 0.13865697354865804j, 0.0014232984915141629 + 0.35204039792277783j),
     (2.5j, -1.5j, 1 + 3j, -1.0,
      0.50427720534945975 + 0.62245288045336917j, 0.49704376688008558 - 0.28002155818593108j),
-    (1.5j, -2.5j, 1 + 1j, -4.0,
-     -0.10660128831430026 - 0.30799984481735358j, -0.20317158694982284 + 0.03542041854895797j),
-    (3j, -24j, 1 + 9j, -6.0,
-     0.20482495681385492 - 0.01872526908456526j, -0.056450493085857949 - 0.6778712308689927j),
-    (0.5j, -4j, 1 - 1j, -27.5,
-     -0.49258410869911297 - 0.6018291294773888j, 0.010568236785628796 - 0.0075708568546151369j),
+    (1.5j, -2.5j, 1 + 1j, -0.8,
+     -0.08514365026417686 + 0.4293002280303794j, 0.804874042992901 + 0.1757143142492283j),
+    (3j, -24j, 1 + 9j, -1.0,
+     -0.26822350822648605 - 0.24545805541474985j, -2.524930741230523 + 2.4881753830786004j),
+    (0.5j, -4j, 1 - 1j, -0.95,
+     0.6029819066686473 - 0.5227877757688575j, 0.19499392366163595 + 0.24389054313590203j),
 ]
 
 
@@ -157,6 +155,8 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, 2.0, 0.75)
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 0.2 + 0.3j)
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, 2.0, -1.5)
 
     def test_c_pole_raises(self):
         with pytest.raises(GammaPoleError):
@@ -164,9 +164,10 @@ class TestHyp2F1:
         with pytest.raises(GammaPoleError):
             hyp2f1(0.5, 0.5, -3.0, -0.5)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "MAX_TERMS", 4)
         with pytest.raises(ConvergenceError):
-            hyp2f1(0.5j, 0.25j, 1 + 1j, -0.49, max_terms=4)
+            hyp2f1(0.5j, 0.25j, 1 + 1j, -0.49)
 
     def test_deterministic(self):
         args = (1.5j, -2.5j, 1 + 3j, -0.8)
@@ -199,10 +200,11 @@ class TestHyp2F1Derivative:
 
     def test_matches_finite_difference(self):
         h = 1e-6
-        fd = (hyp2f1(1, 1, 2, -1.0 + h) - hyp2f1(1, 1, 2, -1.0 - h)) / (2 * h)
-        got = hyp2f1_derivative(1, 1, 2, -1.0)
+        fd = (hyp2f1(1, 1, 2, -0.9 + h) - hyp2f1(1, 1, 2, -0.9 - h)) / (2 * h)
+        got = hyp2f1_derivative(1, 1, 2, -0.9)
         assert got == pytest.approx(fd, abs=1e-7)
-        assert got == pytest.approx(0.19314718055994531, abs=1e-13)
+        # d/dz [-ln(1-z)/z] = [z/(1-z) + ln(1-z)] / z^2
+        assert got == pytest.approx(0.20761688351367766, abs=1e-13)
 
     @given(st.floats(min_value=-0.99, max_value=0.45))
     def test_vanishes_for_zero_a(self, z):
