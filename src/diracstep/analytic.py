@@ -436,8 +436,11 @@ def scatter(params: StepParameters) -> ScatteringResult:
     log_denom = _log_sinh_excess(2.0 * k * e1) + _log_sinh_excess(2.0 * k * e2)
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
     # -pi tau (E1 + E2 - |delta|) in B_u
-    log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(k * gap_f)
-               - log_denom)
+    if gap_f == 0.0:  # m^2 below the double range: the massless limit F_u = 0
+        log_f_u = -math.inf
+    else:
+        log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(k * gap_f)
+                   - log_denom)
     # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m))
     log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))

@@ -14,12 +14,20 @@ the amplitudes and the dynamical phase obey
 with g = theta'/2 = m q (A2 - A1) sech^2(u/tau) / (4 tau E(u)^2).  The free
 e^{-/+iEt} oscillation is carried by Theta, which the integrator follows
 exactly on the plateaus, so the step count follows the sech^2 transition and
-not the width of the window.  An embedded Dormand-Prince 5(4) pair under PI
-step-size control runs from the exact incident plane wave (a = 1/cos(theta1/2),
-b = 0) well before the transition; at the end the instantaneous eigenmodes
-are the exact late-time ones, so the forward and backward amplitudes are read
-off (a, b, Theta) directly.  Shares nothing with the hypergeometric path
-except the governing equations.
+not the width of the window.  The integration runs from the exact incident
+plane wave (a = 1/cos(theta1/2), b = 0) well before the transition; at the
+end the instantaneous eigenmodes are the exact late-time ones, so the
+forward and backward amplitudes are read off (a, b, Theta) directly.  Shares
+nothing with the hypergeometric path except the governing equations.
+
+The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
+of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): twelve
+stages per step plus one evaluation at the accepted end point, which is the
+next step's first stage (FSAL).  Its error estimate blends embedded 5th- and
+3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), weighed per
+component by atol + rtol max(|y|, |y_new|), and a PI controller with
+exponents 0.7/8 and 0.4/8 sets the next step.  The coefficients are those
+of Hairer's dop853.f.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -42,7 +50,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import Basis, StepParameters, TwoSpinor, asymptotic_modes
+from .model import AsymptoticModes, Basis, StepParameters, TwoSpinor, asymptotic_modes
 
 __all__ = [
     "OracleError",
@@ -94,10 +102,10 @@ class IntegrationConfig:
 
     @property
     def drift_limit(self) -> float:
-        # ~4e-13 measured worst drift at the default tolerances (acceptance
-        # grid for tau 1e-12..30, and random points with signed q, m != 1,
-        # a1 != 0, t0 != 0); scale up proportionally when the user loosens
-        # rel_tol
+        # measured worst drift at the default tolerances: 7e-14 on the
+        # acceptance grid for tau 1e-12..30, 3.5e-13 with random points
+        # (signed q, m != 1, a1 != 0, t0 != 0, tau up to ~1e3); scale up
+        # proportionally when the user loosens rel_tol
         return max(1e-9, 100.0 * self.rel_tol)
 
 
@@ -120,30 +128,87 @@ class ComparisonReport:
     passed: bool
 
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# DOP853 tableau, from Hairer's dop853.f (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 2nd ed., Sec. II.10): stage i is taken
+# at u + _C[i] h from the sparse row _A[i] of (j, a_ij); stage 0 is the FSAL
+# evaluation at the end of the step before
+_C = (
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b5 - b4: local truncation error weights of the embedded 4th-order solution
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# 8th-order weights of the step, and the 5th- and 3rd-order error weights
+# (E3 = B minus the 3rd-order weights)
+_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+)
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+_B3 = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+)
+_E3 = tuple(b - b3 for b, b3 in zip(_B, _B3))
+# the stages the three sums read, with their weights
+_OUT = tuple((j, _B[j], _E5[j], _E3[j]) for j in range(len(_C)) if _B[j] or _E5[j] or _E3[j])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+_PI_ALPHA = 0.7 / 8.0
+_PI_BETA = 0.4 / 8.0
 
 
-def _span(params: StepParameters, cfg: IntegrationConfig) -> float:
-    modes = asymptotic_modes(params)
+def _span(params: StepParameters, cfg: IntegrationConfig, modes: AsymptoticModes) -> float:
     return max(cfg.span_factor * params.tau, 10.0 / modes.e1)
 
 
@@ -159,7 +224,7 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     cfg = cfg or IntegrationConfig()
     m = params.m
     modes = asymptotic_modes(params)
-    T = _span(params, cfg)
+    T = _span(params, cfg, modes)
     # integrate in u = t - t0; the profile depends on t only through u
     u_end = T
     u = -T
@@ -196,7 +261,6 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     k1 = rhs(u, a, b, ph)
     err_prev = 1.0
     steps = 0
-    nk = len(_C)
     # a remaining sliver below rounding scale contributes nothing but could
     # drive the step size into the underflow guard
     span_eps = 16.0 * sys.float_info.epsilon * T
@@ -207,54 +271,51 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
         target = 0.0 if u < 0.0 else u_end
         if u + h > target:
             h = target - u
-        # stages
-        ka = [k1[0]] * nk
-        kb = [k1[1]] * nk
-        kp = [k1[2]] * nk
-        for i in range(1, nk):
-            ai = _A[i]
+        ka = [k1[0]]
+        kb = [k1[1]]
+        kp = [k1[2]]
+        for i in range(1, len(_C)):
             sa = 0.0j
             sb = 0.0j
             sp = 0.0
-            for j in range(i):
-                aij = ai[j]
-                if aij != 0.0:
-                    sa += aij * ka[j]
-                    sb += aij * kb[j]
-                    sp += aij * kp[j]
-            ka[i], kb[i], kp[i] = rhs(u + _C[i] * h, a + h * sa, b + h * sb, ph + h * sp)
-        a_new = a + h * (
-            _B5[0] * ka[0] + _B5[2] * ka[2] + _B5[3] * ka[3] + _B5[4] * ka[4] + _B5[5] * ka[5]
-        )
-        b_new = b + h * (
-            _B5[0] * kb[0] + _B5[2] * kb[2] + _B5[3] * kb[3] + _B5[4] * kb[4] + _B5[5] * kb[5]
-        )
-        ph_new = ph + h * (
-            _B5[0] * kp[0] + _B5[2] * kp[2] + _B5[3] * kp[3] + _B5[4] * kp[4] + _B5[5] * kp[5]
-        )
-        err_a = h * (
-            _E[0] * ka[0] + _E[2] * ka[2] + _E[3] * ka[3] + _E[4] * ka[4]
-            + _E[5] * ka[5] + _E[6] * ka[6]
-        )
-        err_b = h * (
-            _E[0] * kb[0] + _E[2] * kb[2] + _E[3] * kb[3] + _E[4] * kb[4]
-            + _E[5] * kb[5] + _E[6] * kb[6]
-        )
-        err_p = h * (
-            _E[0] * kp[0] + _E[2] * kp[2] + _E[3] * kp[3] + _E[4] * kp[4]
-            + _E[5] * kp[5] + _E[6] * kp[6]
-        )
+            for j, aij in _A[i]:
+                sa += aij * ka[j]
+                sb += aij * kb[j]
+                sp += aij * kp[j]
+            da, db, dp = rhs(u + _C[i] * h, a + h * sa, b + h * sb, ph + h * sp)
+            ka.append(da)
+            kb.append(db)
+            kp.append(dp)
+        sa = sb = ea5 = eb5 = ea3 = eb3 = 0.0j
+        sp = ep5 = ep3 = 0.0
+        for j, bj, e5j, e3j in _OUT:
+            da, db, dp = ka[j], kb[j], kp[j]
+            sa += bj * da
+            sb += bj * db
+            sp += bj * dp
+            ea5 += e5j * da
+            eb5 += e5j * db
+            ep5 += e5j * dp
+            ea3 += e3j * da
+            eb3 += e3j * db
+            ep3 += e3j * dp
+        a_new = a + h * sa
+        b_new = b + h * sb
+        ph_new = ph + h * sp
         sc_a = atol + rtol * max(abs(a), abs(a_new))
         sc_b = atol + rtol * max(abs(b), abs(b_new))
         sc_p = atol + rtol * max(abs(ph), abs(ph_new))
-        err = math.sqrt(
-            ((abs(err_a) / sc_a) ** 2 + (abs(err_b) / sc_b) ** 2 + (err_p / sc_p) ** 2) / 3.0
-        )
+        # DOP853's estimate h |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), as an rms
+        # over the three components
+        err5 = (abs(ea5) / sc_a) ** 2 + (abs(eb5) / sc_b) ** 2 + (ep5 / sc_p) ** 2
+        err3 = (abs(ea3) / sc_a) ** 2 + (abs(eb3) / sc_b) ** 2 + (ep3 / sc_p) ** 2
+        denom = err5 + 0.01 * err3
+        err = h * err5 / math.sqrt(3.0 * denom) if denom > 0.0 else 0.0
         steps += 1
         if err <= 1.0:
             u += h
             a, b, ph = a_new, b_new, ph_new
-            k1 = (ka[6], kb[6], kp[6])  # FSAL
+            k1 = rhs(u, a, b, ph)  # FSAL
             norm = (a * a.conjugate() + b * b.conjugate()).real
             drift = abs(norm - norm0) / norm0
             if drift > drift_max:
@@ -300,8 +361,8 @@ def compare(params: StepParameters, cfg: IntegrationConfig | None = None,
     probability pairs are reported alongside for inspection.  `passed` is
     therefore an absolute check on f and b: it does not vouch for the
     relative accuracy of a tiny B_u.  The integrator resolves B_u only to
-    about 1e-24 absolute; at tau = 10, p = 4, a2 = 1 (m = q = 1) it gives
-    1.6e-24 where the exact value is 1.2e-86, and the report still passes.
+    about 1e-25 absolute; at tau = 10, p = 4, a2 = 1 (m = q = 1) it gives
+    4.0e-26 where the exact value is 1.2e-86, and the report still passes.
     """
     cfg = cfg or IntegrationConfig()
     ana = scatter(params)

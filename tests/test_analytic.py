@@ -274,6 +274,15 @@ class TestAmplitudes:
         res = scatter(StepParameters(tau=10.0, **anchor_kw))
         assert res.B_u < 1e-6
 
+    def test_massless_limit_when_mass_underflows(self):
+        # m^2 underflows, so the forward gap E1 + E2 - |pi1 - pi2| is 0: the
+        # massless limit F_u = f = 0, and the whole wave is reflected
+        res = scatter(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
+        assert res.F_u == 0.0
+        assert res.f == 0.0
+        assert res.B_u == pytest.approx(1.0, rel=1e-15)
+        assert res.B == 1.0
+
     def test_unmatched_solution_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_amplitudes(build_solution(mk()), mk())

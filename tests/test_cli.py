@@ -90,6 +90,15 @@ class TestScatter:
         assert code == 0
         assert json.loads(out)["B_u"] == pytest.approx(1.0, rel=1e-15)
 
+    def test_mass_below_the_double_range(self, capsys):
+        # m^2 underflows: the massless limit, not a flag error
+        code, out, _ = run(capsys, "scatter", "--m", "1e-200", "--p", "1", "--a2", "2",
+                           "--tau", "1", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["F_u"] == 0.0
+        assert rec["B_u"] == pytest.approx(1.0, rel=1e-15)
+
     def test_human_format(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
         assert code == 0

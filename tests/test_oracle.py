@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from diracstep import IntegrationConfig, StepParameters, compare, integrate
+from diracstep import IntegrationConfig, StepParameters, compare, integrate, oracle
 from diracstep.oracle import NormDriftError, StepLimitError
 
 from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
@@ -28,6 +28,23 @@ class TestConfig:
     def test_step_cap_floor(self):
         with pytest.raises(ValueError):
             IntegrationConfig(max_steps=10)
+
+
+class TestTableau:
+    """The DOP853 constants satisfy the order conditions they were built on."""
+
+    def test_rows_sum_to_nodes(self):
+        for ci, row in zip(oracle._C, oracle._A):
+            assert sum(aij for _, aij in row) == pytest.approx(ci, abs=1e-14)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_weights_integrate_powers(self, k):
+        quad = sum(bi * ci ** k for bi, ci in zip(oracle._B, oracle._C))
+        assert quad == pytest.approx(1.0 / (k + 1), abs=1e-14)
+
+    def test_error_weights_sum_to_zero(self):
+        assert abs(sum(oracle._E5)) <= 1e-14
+        assert abs(sum(oracle._E3)) <= 1e-14
 
 
 class TestIntegrate:
@@ -62,13 +79,20 @@ class TestIntegrate:
         assert abs(a.b - b.b) < 1e-10
 
     def test_steps_follow_the_transition(self):
-        # the free e^{-/+iEt} oscillation is stripped; the 20*tau window alone
-        # costs ~16k steps when it is resolved
-        assert integrate(mk(tau=3.0)).steps <= 2500
+        # the free e^{-/+iEt} oscillation is stripped, so the steps follow the
+        # sech^2 transition: ~420 at tau = 3
+        assert integrate(mk(tau=3.0)).steps <= 600
 
     def test_step_cap_enforced(self):
+        # tau = 30 takes ~3.5k steps
         with pytest.raises(StepLimitError):
-            integrate(mk(tau=3.0), IntegrationConfig(max_steps=1000))
+            integrate(mk(tau=30.0), IntegrationConfig(max_steps=1000))
+
+    @pytest.mark.parametrize("tau", [10.0, 30.0])
+    def test_adiabatic_amplitudes_match_closed_form(self, tau):
+        report = compare(mk(tau=tau))
+        assert report.deviations["f"] <= 1e-12
+        assert report.deviations["b"] <= 1e-12
 
     def test_final_state_normalized(self):
         # incident state has |phi|^2 + |theta|^2 = 1 + ((E1 - pi1)/m)^2,
