@@ -388,25 +388,27 @@ def _log_sinh_excess(x: float) -> float:
     return math.log(-math.expm1(-2.0 * x))
 
 
-def _gap(modes: AsymptoticModes, m: float, inv_s: float, sign: int, width: float) -> float:
-    """E1 + E2 - |pi1 - sign pi2| >= 0, without cancellation or overflow.
+def _scaled_gap(modes: AsymptoticModes, m: float, inv_s: float, sign: int, width: float,
+                k: float) -> float:
+    """k (E1 + E2 - |pi1 - sign pi2|) >= 0, free of cancellation, overflow and early underflow.
 
     width = E1 + E2 + |pi1 - sign pi2|, and the gap is the quotient
     2 (m^2 + E1 E2 + sign pi1 pi2) / width.  When the two products have
     opposite signs, (E1 E2)^2 - (pi1 pi2)^2 = m^2 (pi1^2 + pi2^2 + m^2)
-    gives their sum as a quotient too.  Numerator and width are formed
-    divided by the kinematic scale s = 1/inv_s, so no product overflows.
+    makes the numerator m^2 (D + X) / D, with D = E1 E2 + |pi1 pi2| and
+    X = pi1^2 + pi2^2 + m^2.  Kinematics are formed divided by the scale
+    s = 1/inv_s, so no product overflows, and k is folded in before the
+    second factor of m: k m^2 stays representable where m^2 alone underflows.
     """
     ms, e2s, pi2s = m * inv_s, modes.e2 * inv_s, modes.pi2 * inv_s
     # each product over s
     e1e2 = modes.e1 * e2s
     pp = sign * modes.pi1 * pi2s
     if pp >= 0.0:
-        prod = e1e2 + pp
-    else:
-        prod = (m * ms * (modes.pi1 * (modes.pi1 * inv_s) + modes.pi2 * pi2s + m * ms)
-                / (e1e2 - pp))
-    return 2.0 * (m * ms + prod) / (width * inv_s)
+        return k * (2.0 * (m * ms + e1e2 + pp) / (width * inv_s))
+    d = e1e2 - pp
+    x = modes.pi1 * (modes.pi1 * inv_s) + modes.pi2 * pi2s + m * ms
+    return 2.0 * (k * (m * ((d + x) / d))) * ms / (width * inv_s)
 
 
 def scatter(params: StepParameters) -> ScatteringResult:
@@ -426,9 +428,10 @@ def scatter(params: StepParameters) -> ScatteringResult:
     # of two not above max(|pi1|, |pi2|, m): none overflows, and scaling by
     # a power of two is exact
     inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
-    gap_f = _gap(modes, m, inv_s, +1, e_sum + delta)
-    gap_b = _gap(modes, m, inv_s, -1, e_sum + pi_sum)
     k = 0.5 * math.pi * params.tau
+    # the gaps E1 + E2 - |pi1 -+ pi2|, times k
+    kgap_f = _scaled_gap(modes, m, inv_s, +1, e_sum + delta, k)
+    kgap_b = _scaled_gap(modes, m, inv_s, -1, e_sum + pi_sum, k)
     if 2.0 * k * min(e1, e2) < sys.float_info.min:
         raise ArithmeticError(
             f"pi tau min(E1, E2) = {2.0 * k * min(e1, e2):.3g} is below the "
@@ -436,21 +439,21 @@ def scatter(params: StepParameters) -> ScatteringResult:
     log_denom = _log_sinh_excess(2.0 * k * e1) + _log_sinh_excess(2.0 * k * e2)
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
     # -pi tau (E1 + E2 - |delta|) in B_u
-    if gap_f == 0.0:  # m^2 below the double range: the massless limit F_u = 0
+    if kgap_f == 0.0:  # k m^2 below the double range: the massless limit F_u = 0
         log_f_u = -math.inf
     else:
-        log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(k * gap_f)
+        log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(kgap_f)
                    - log_denom)
     # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m))
     log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
     # pi tau (|delta| +- |E2 - E1|)/2, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2)
     x_hi = k * delta * (e_sum + pi_sum) / e_sum
-    x_lo = k * delta * gap_b / e_sum
+    x_lo = delta * kgap_b / e_sum
     if x_lo == 0.0:  # a trivial step, or B_u below the double range
         b_u = b = 0.0
     else:
-        log_b_u = (-2.0 * k * gap_f + _log_sinh_excess(x_hi) + _log_sinh_excess(x_lo)
+        log_b_u = (-2.0 * kgap_f + _log_sinh_excess(x_hi) + _log_sinh_excess(x_lo)
                    - log_denom)
         b_u = math.exp(log_b_u)
         # E2 - m = pi2^2 / (E2 + m)

@@ -283,6 +283,13 @@ class TestAmplitudes:
         assert res.B_u == pytest.approx(1.0, rel=1e-15)
         assert res.B == 1.0
 
+    def test_forward_probability_when_only_m_squared_underflows(self):
+        # m^2 = 1e-340 underflows, but pi tau (E1 + E2 - |pi1 - pi2|) / 2
+        # = 1.6e-290 does not; F_u from 600-digit mpmath
+        res = scatter(mk(m=1e-170, p=1.0, a2=2.0, tau=1e50))
+        assert res.F_u == pytest.approx(3.1415926535897932e-290, rel=1e-12, abs=0.0)
+        assert res.B_u == 1.0
+
     def test_unmatched_solution_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_amplitudes(build_solution(mk()), mk())

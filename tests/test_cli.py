@@ -99,6 +99,16 @@ class TestScatter:
         assert rec["F_u"] == 0.0
         assert rec["B_u"] == pytest.approx(1.0, rel=1e-15)
 
+    def test_forward_probability_when_only_m_squared_underflows(self, capsys):
+        # m^2 underflows, pi tau m^2 does not: F_u is resolved, not the
+        # massless limit (600-digit mpmath gives 3.1415926535897932e-290)
+        code, out, _ = run(capsys, "scatter", "--m", "1e-170", "--p", "1", "--a2", "2",
+                           "--tau", "1e50", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["F_u"] == pytest.approx(3.1415926535897932e-290, rel=1e-12, abs=0.0)
+        assert rec["B_u"] == 1.0
+
     def test_human_format(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
         assert code == 0

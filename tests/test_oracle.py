@@ -30,21 +30,102 @@ class TestConfig:
             IntegrationConfig(max_steps=10)
 
 
+# DOP853's stages as the step reads them: stage i (from 1; stage 1 is the
+# FSAL evaluation) is taken at u + Ci h from the stages in _COLS[i], with
+# weights Aij; the 0-based tables below are built from those names
+_COLS = {
+    2: (1,), 3: (1, 2), 4: (1, 3), 5: (1, 3, 4), 6: (1, 4, 5), 7: (1, 4, 5, 6),
+    8: (1, 4, 5, 6, 7), 9: (1, 4, 5, 6, 7, 8), 10: (1, 4, 5, 6, 7, 8, 9),
+    11: (1, 4, 5, 6, 7, 8, 9, 10), 12: (1, 4, 5, 6, 7, 8, 9, 10, 11),
+}
+_STAGES = range(1, 13)
+
+
+def _weights(prefix, stages):
+    return tuple(getattr(oracle, f"{prefix}{i}") if i in stages else 0.0 for i in _STAGES)
+
+
+_C = (0.0,) + tuple(getattr(oracle, f"C{i}") for i in range(2, 12)) + (1.0,)
+_A = ((),) + tuple(tuple((j - 1, getattr(oracle, f"A{i}{j}")) for j in _COLS[i])
+                   for i in range(2, 13))
+_B = _weights("B", (1, 6, 7, 8, 9, 10, 11, 12))
+_E5 = _weights("E5_", (1, 6, 7, 8, 9, 10, 11, 12))
+_B3 = _weights("B3_", (1, 9, 12))
+# E3 = B - B3, as the step sums it: B itself where B3 is zero
+_E3 = tuple(getattr(oracle, f"E3_{i}") if i in (1, 9, 12) else bi
+            for i, bi in zip(_STAGES, _B))
+_OUT = tuple((j, _B[j], _E5[j], _E3[j]) for j in range(12) if _B[j] or _E5[j] or _E3[j])
+
+
+def reference_step(rhs, u, h, a, b, ph, k1):
+    """DOP853 as a loop over the sparse tableau rows: the stepper's earlier form."""
+    ka = [k1[0]]
+    kb = [k1[1]]
+    kp = [k1[2]]
+    for i in range(1, len(_C)):
+        sa = 0.0j
+        sb = 0.0j
+        sp = 0.0
+        for j, aij in _A[i]:
+            sa += aij * ka[j]
+            sb += aij * kb[j]
+            sp += aij * kp[j]
+        da, db, dp = rhs(u + _C[i] * h, a + h * sa, b + h * sb, ph + h * sp)
+        ka.append(da)
+        kb.append(db)
+        kp.append(dp)
+    sa = sb = ea5 = eb5 = ea3 = eb3 = 0.0j
+    sp = ep5 = ep3 = 0.0
+    for j, bj, e5j, e3j in _OUT:
+        da, db, dp = ka[j], kb[j], kp[j]
+        sa += bj * da
+        sb += bj * db
+        sp += bj * dp
+        ea5 += e5j * da
+        eb5 += e5j * db
+        ep5 += e5j * dp
+        ea3 += e3j * da
+        eb3 += e3j * db
+        ep3 += e3j * dp
+    return (a + h * sa, b + h * sb, ph + h * sp, ea5, eb5, ep5, ea3, eb3, ep3)
+
+
+def toy_rhs(u, a, b, ph):
+    # linear, driven by u, and coupling all three components
+    return ((0.3 - 1.1j) * a + 0.7j * b + u,
+            -0.4 * a + (0.2 + 0.5j) * b + 0.1j * ph,
+            0.9 * ph - 0.25 * u + 0.6 * a.real)
+
+
 class TestTableau:
     """The DOP853 constants satisfy the order conditions they were built on."""
 
     def test_rows_sum_to_nodes(self):
-        for ci, row in zip(oracle._C, oracle._A):
+        for ci, row in zip(_C, _A):
             assert sum(aij for _, aij in row) == pytest.approx(ci, abs=1e-14)
 
     @pytest.mark.parametrize("k", range(8))
     def test_weights_integrate_powers(self, k):
-        quad = sum(bi * ci ** k for bi, ci in zip(oracle._B, oracle._C))
+        quad = sum(bi * ci ** k for bi, ci in zip(_B, _C))
         assert quad == pytest.approx(1.0 / (k + 1), abs=1e-14)
 
     def test_error_weights_sum_to_zero(self):
-        assert abs(sum(oracle._E5)) <= 1e-14
-        assert abs(sum(oracle._E3)) <= 1e-14
+        assert abs(sum(_E5)) <= 1e-14
+        assert abs(sum(_E3)) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_third_order_weights_integrate_powers(self, k):
+        quad = sum(bi * ci ** k for bi, ci in zip(_B3, _C))
+        assert quad == pytest.approx(1.0 / (k + 1), abs=1e-14)
+
+
+class TestStep:
+    @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4, 1.7])
+    def test_matches_the_tableau_loop_bit_for_bit(self, h):
+        for u, a, b, ph in ((0.0, 1.0 + 0.0j, 0.0j, 0.0), (-2.5, 0.3 - 0.8j, 1.2 + 0.1j, -4.0)):
+            k1 = toy_rhs(u, a, b, ph)
+            assert oracle._dop853_step(toy_rhs, u, h, a, b, ph, k1) == \
+                reference_step(toy_rhs, u, h, a, b, ph, k1)
 
 
 class TestIntegrate:
@@ -80,8 +161,11 @@ class TestIntegrate:
 
     def test_steps_follow_the_transition(self):
         # the free e^{-/+iEt} oscillation is stripped, so the steps follow the
-        # sech^2 transition: ~420 at tau = 3
-        assert integrate(mk(tau=3.0)).steps <= 600
+        # sech^2 transition, about linearly in tau; a mis-wired stage that
+        # loses order takes many more
+        for tau, want in ((0.3, 121), (3.0, 422), (10.0, 1341), (30.0, 3509)):
+            steps = integrate(mk(tau=tau)).steps
+            assert steps == pytest.approx(want, rel=0.02), f"tau = {tau}: {steps} steps"
 
     def test_step_cap_enforced(self):
         # tau = 30 takes ~3.5k steps
