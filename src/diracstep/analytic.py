@@ -72,7 +72,9 @@ B_u > 1e-300.  F_u + B_u = 1 is an identity of the two products in exact
 arithmetic, so the command line's 1e-9 guard on it checks only their
 floating-point evaluation; the independent check of the closed form is the
 integrator (`oracle.compare`).  pi tau E below the smallest normal double is
-reported as a numerical failure (ArithmeticError).
+reported as a numerical failure (ArithmeticError).  Every result carries the
+plateau kinematics it was computed from (`ScatteringResult.modes`), so its
+consumers do not derive them again.
 
 The charts, and with them log_gamma, serve only the time-dependent
 wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`, and
@@ -105,7 +107,6 @@ import sys
 from dataclasses import dataclass, replace
 
 from .model import (
-    SQRT2,
     AsymptoticModes,
     Basis,
     StepParameters,
@@ -178,21 +179,17 @@ class HypergeometricSolution:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Asymptotic amplitudes and scattering probabilities.
+    """Scattering amplitude ratios and probabilities of one step.
 
-    g_i/g_f/g_b are the standard-basis upper components of the incident and
-    later forward/backward plane waves; f, b their moduli relative to g_i.
-    `scatter` computes no phases and fills g_i/g_f/g_b with real moduli
-    (g_f = f g_i, g_b = b g_i); `sharp_step`, `asymptotic_amplitudes` and
-    the integrator carry complex amplitudes.  (F, B) normalize f^2, b^2 to
-    unity; (F_u, B_u) are the unitary-projection probabilities, whose sum is
-    1 by norm conservation: an identity of `scatter`'s closed form, a
-    diagnostic of the integrator's.
+    modes holds the plateau kinematics (pi1, pi2, E1, E2) the result was
+    computed from.  f and b are the moduli of the standard-basis upper
+    components of the later forward/backward plane waves relative to the
+    incident one.  (F, B) normalize f^2, b^2 to unity; (F_u, B_u) are the
+    unitary-projection probabilities, whose sum is 1 by norm conservation:
+    an identity of `scatter`'s closed form, a diagnostic of the integrator's.
     """
 
-    g_i: complex
-    g_f: complex
-    g_b: complex
+    modes: AsymptoticModes
     f: float
     b: float
     F: float
@@ -231,7 +228,8 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
     eps1 = 0.5 * params.tau * modes.e1
     eps2 = 0.5 * params.tau * modes.e2
     d = 0.5 * params.tau * (modes.pi1 - modes.pi2)
-    if eps1 + eps2 > _EPS_SUM_LIMIT or abs(d) > _EPS_SUM_LIMIT:
+    # |d| <= tau (|pi1| + |pi2|)/2 <= eps1 + eps2, so this bounds d too
+    if eps1 + eps2 > _EPS_SUM_LIMIT:
         raise ParameterRangeError(
             f"tau*(E1+E2)/2 = {eps1 + eps2:.3g} exceeds the supported range "
             f"{_EPS_SUM_LIMIT} for double-precision evaluation"
@@ -356,9 +354,7 @@ def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
     r_f = abs(gf_w / gi_w) ** 2
     r_b = abs(gb_w / gi_w) ** 2
     return ScatteringResult(
-        g_i=g_i,
-        g_f=g_f,
-        g_b=g_b,
+        modes=modes,
         f=f,
         b=b,
         F=f * f / denom,
@@ -415,8 +411,7 @@ def scatter(params: StepParameters) -> ScatteringResult:
     """Scattering amplitudes and probabilities from the elementary moduli.
 
     F_u and B_u are the sinh products of the module docstring, each taken in
-    logarithms, and f, b follow from their half-logarithms; g_i, g_f, g_b
-    are real moduli.
+    logarithms, and f, b follow from their half-logarithms.
     """
     modes = asymptotic_modes(params)
     m, e1, e2 = params.m, modes.e1, modes.e2
@@ -461,11 +456,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
              math.exp(0.5 * log_b_u + log_scale + math.log(abs(modes.pi2))
                       - 0.5 * math.log(e2 + m)))
     norm = f * f + b * b
-    g_i = dirac_upper(modes.pi1, m, True)
     return ScatteringResult(
-        g_i=g_i,
-        g_f=f * g_i,
-        g_b=b * g_i,
+        modes=modes,
         f=f,
         b=b,
         F=f * f / norm,

@@ -51,10 +51,9 @@ def _add_physics_flags(p: argparse.ArgumentParser, with_tau: bool = True):
         p.add_argument("--tau", type=float, default=None, help="transition time parameter")
 
 
-def _params_from(args, tau=None) -> model.StepParameters:
+def _params_from(args) -> model.StepParameters:
     return model.StepParameters(
-        m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2,
-        tau=args.tau if tau is None else tau, t0=args.t0,
+        m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2, tau=args.tau, t0=args.t0,
     )
 
 
@@ -68,26 +67,13 @@ def _header_lines(fixed: dict) -> list[str]:
     return lines
 
 
-def _record_dict(params: model.StepParameters, res: analytic.ScatteringResult,
-                 tau_override: float | None = None) -> dict:
-    modes = model.asymptotic_modes(params)
-    return {
-        "m": params.m,
-        "q": params.q,
-        "p": params.p,
-        "a1": params.a1,
-        "a2": params.a2,
-        "t0": params.t0,
-        "tau": params.tau if tau_override is None else tau_override,
-        "e1": modes.e1,
-        "e2": modes.e2,
-        "f": res.f,
-        "b": res.b,
-        "F": res.F,
-        "B": res.B,
-        "F_u": res.F_u,
-        "B_u": res.B_u,
-    }
+# the columns of a result that every record and row carries
+_RESULT_COLUMNS = ("e1", "e2", "f", "b", "F", "B", "F_u", "B_u")
+
+
+def _result_values(res: analytic.ScatteringResult) -> list[float]:
+    """The values of _RESULT_COLUMNS, in that order."""
+    return [res.modes.e1, res.modes.e2, res.f, res.b, res.F, res.B, res.F_u, res.B_u]
 
 
 def _guard_probabilities(res: analytic.ScatteringResult) -> None:
@@ -111,10 +97,10 @@ def cmd_scatter(args) -> int:
         if args.tau is not None and args.tau <= 0:
             return _fail(EXIT_FLAGS, "tau must be positive; --sharp already selects the Heaviside limit")
         res = analytic.sharp_step(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2)
-        # tau = 0 in the emitted record marks the Heaviside limit
-        params = model.StepParameters(m=args.m, q=args.q, p=args.p, a1=args.a1,
-                                      a2=args.a2, tau=1.0, t0=args.t0)
-        tau_out = 0.0
+        # sharp_step reads no t0 and takes any m; the flags get a smooth step's checks
+        model.StepParameters(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2,
+                             tau=1.0, t0=args.t0)
+        tau = 0.0  # marks the Heaviside limit in the emitted record
     else:
         if args.tau is None:
             return _fail(EXIT_FLAGS, "--tau is required (or pass --sharp)")
@@ -122,9 +108,11 @@ def cmd_scatter(args) -> int:
             return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
         params = _params_from(args)
         res = analytic.scatter(params)
-        tau_out = None
+        tau = args.tau
     _guard_probabilities(res)
-    record = _record_dict(params, res, tau_override=tau_out)
+    record = {k: getattr(args, k) for k in ("m", "q", "p", "a1", "a2", "t0")}
+    record["tau"] = tau
+    record.update(zip(_RESULT_COLUMNS, _result_values(res)))
     if args.oracle and not args.sharp:
         report = oracle.compare(params)
         record["oracle_dev_f"] = report.deviations["f"]
@@ -149,14 +137,13 @@ def cmd_scatter(args) -> int:
 # ------------------------------------------------------------------- sweep
 
 
-def _sweep_values(args) -> list[float]:
-    if args.log:
-        if args.start <= 0 or args.stop <= 0:
+def _sweep_values(start: float, stop: float, count: int, log: bool) -> list[float]:
+    if log:
+        if start <= 0 or stop <= 0:
             raise ValueError("--log requires positive start/stop")
-        la, lb = math.log(args.start), math.log(args.stop)
-        return [math.exp(la + (lb - la) * i / (args.count - 1)) for i in range(args.count)]
-    return [args.start + (args.stop - args.start) * i / (args.count - 1)
-            for i in range(args.count)]
+        la, lb = math.log(start), math.log(stop)
+        return [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
+    return [start + (stop - start) * i / (count - 1) for i in range(count)]
 
 
 def _params_for_sweep_point(args, value: float) -> model.StepParameters:
@@ -193,14 +180,14 @@ def cmd_sweep(args) -> int:
     if args.sweep_var != "tau" and (args.tau is not None and args.tau <= 0):
         return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
     try:
-        values = _sweep_values(args)
+        values = _sweep_values(args.start, args.stop, args.count, args.log)
     except ValueError as exc:
         return _fail(EXIT_FLAGS, str(exc))
 
     fixed = {k: getattr(args, k) for k in ("m", "q", "p", "a1", "a2", "t0", "tau")
              if getattr(args, k) is not None}
     fixed.pop(args.sweep_var, None)
-    header_cols = [args.sweep_var, "e1", "e2", "f", "b", "F", "B", "F_u", "B_u"]
+    header_cols = [args.sweep_var, *_RESULT_COLUMNS]
     if args.oracle_every:
         header_cols += ["oracle_dev_f", "oracle_dev_b"]
     header_cols.append("status")
@@ -213,9 +200,7 @@ def cmd_sweep(args) -> int:
             params = _params_for_sweep_point(args, value)
             res = analytic.scatter(params)
             _guard_probabilities(res)
-            modes = model.asymptotic_modes(params)
-            cells = [_NUM(value), _NUM(modes.e1), _NUM(modes.e2), _NUM(res.f),
-                     _NUM(res.b), _NUM(res.F), _NUM(res.B), _NUM(res.F_u), _NUM(res.B_u)]
+            cells = [_NUM(v) for v in (value, *_result_values(res))]
             if args.oracle_every:
                 if i % args.oracle_every == 0:
                     report = oracle.compare(params)
@@ -242,28 +227,22 @@ def _figure2_panel(path: Path, tau: float, args) -> None:
     Heaviside reference columns."""
     pi1 = args.m * math.sqrt(args.energy_ratio ** 2 - 1.0)
     p = args.q * args.a1 + pi1
-    values = [args.start + (args.stop - args.start) * i / (args.count - 1)
-              for i in range(args.count)]
     fixed = {"m": args.m, "q": args.q, "p": p, "a1": args.a1, "t0": args.t0, "tau": tau}
-    cols = ["qa2", "e1", "e2", "f", "b", "F", "B", "F_u", "B_u",
-            "F_sharp", "B_sharp", "F_u_sharp", "B_u_sharp"]
+    # the Heaviside reference columns are F, B, F_u, B_u of the sharp step
+    cols = ["qa2", *_RESULT_COLUMNS, *(c + "_sharp" for c in _RESULT_COLUMNS[4:])]
     lines = _header_lines(fixed)
     lines.append("# sweep of step strength q*A2 at fixed incident energy ratio "
                  f"E1/m={_NUM(args.energy_ratio)}")
     lines.append(",".join(cols))
-    for qa2 in values:
+    for qa2 in _sweep_values(args.start, args.stop, args.count, log=False):
         a2 = qa2 / args.q
         params = model.StepParameters(m=args.m, q=args.q, p=p, a1=args.a1,
                                       a2=a2, tau=tau, t0=args.t0)
         res = analytic.scatter(params)
         _guard_probabilities(res)
         hard = analytic.sharp_step(m=args.m, q=args.q, p=p, a1=args.a1, a2=a2)
-        modes = model.asymptotic_modes(params)
-        lines.append(",".join([
-            _NUM(qa2), _NUM(modes.e1), _NUM(modes.e2), _NUM(res.f), _NUM(res.b),
-            _NUM(res.F), _NUM(res.B), _NUM(res.F_u), _NUM(res.B_u),
-            _NUM(hard.F), _NUM(hard.B), _NUM(hard.F_u), _NUM(hard.B_u),
-        ]))
+        values = (qa2, *_result_values(res), *_result_values(hard)[4:])
+        lines.append(",".join(_NUM(v) for v in values))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -280,7 +280,7 @@ class TestAmplitudes:
         res = scatter(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
         assert res.F_u == 0.0
         assert res.f == 0.0
-        assert res.B_u == pytest.approx(1.0, rel=1e-15)
+        assert res.B_u == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert res.B == 1.0
 
     def test_forward_probability_when_only_m_squared_underflows(self):
@@ -301,8 +301,6 @@ class TestAmplitudes:
         res = scatter(mk(p=p, a2=a2, tau=10.0 ** log_tau))
         assert abs(res.F + res.B - 1.0) <= 1e-12
         assert abs(res.F_u + res.B_u - 1.0) <= 1e-9
-        assert res.f == pytest.approx(abs(res.g_f / res.g_i), rel=1e-14)
-        assert res.b == pytest.approx(abs(res.g_b / res.g_i), rel=1e-14)
 
     @given(st.floats(min_value=-2, max_value=2))
     @settings(max_examples=20)
@@ -409,8 +407,8 @@ class TestSauterForm:
 class TestSharpStep:
     def test_anchor_closed_form(self, anchor_kw):
         res = sharp_step(**anchor_kw)
-        assert abs(res.g_f / res.g_i) == pytest.approx(0.5, rel=1e-12)
-        assert abs(res.g_b / res.g_i) == pytest.approx(0.5, rel=1e-12)
+        assert res.f == pytest.approx(0.5, rel=1e-12)
+        assert res.b == pytest.approx(0.5, rel=1e-12)
         assert res.F == pytest.approx(0.5, rel=1e-12)
         assert res.B == pytest.approx(0.5, rel=1e-12)
         assert res.F_u == pytest.approx(0.25, rel=1e-12)
@@ -439,7 +437,6 @@ class TestSharpStep:
         # pi2 = 0: the backward mode's standard-basis upper component vanishes
         # identically, so b = 0 exactly and F = 1
         res = sharp_step(m=1, q=1, p=1.0, a1=0.0, a2=1.0)
-        assert res.g_b == 0.0
         assert res.b == 0.0
         assert res.F == 1.0
         assert res.B_u > 0.0  # the unitary channel still sees the backward mode

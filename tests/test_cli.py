@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diracstep import analytic, cli, selftest, sharp_step
+from diracstep import StepParameters, analytic, asymptotic_modes, cli, selftest, sharp_step
 
 RT3_STR = "1.7320508"
 A2_STR = "3.4641016"
@@ -88,7 +88,7 @@ class TestScatter:
         code, out, _ = run(capsys, "scatter", "--p=0", "--a1=-1e200", "--a2=1e200",
                            "--tau", "1", "--format", "json")
         assert code == 0
-        assert json.loads(out)["B_u"] == pytest.approx(1.0, rel=1e-15)
+        assert json.loads(out)["B_u"] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_mass_below_the_double_range(self, capsys):
         # m^2 underflows: the massless limit, not a flag error
@@ -97,7 +97,7 @@ class TestScatter:
         assert code == 0
         rec = json.loads(out)
         assert rec["F_u"] == 0.0
-        assert rec["B_u"] == pytest.approx(1.0, rel=1e-15)
+        assert rec["B_u"] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_forward_probability_when_only_m_squared_underflows(self, capsys):
         # m^2 underflows, pi tau m^2 does not: F_u is resolved, not the
@@ -246,6 +246,70 @@ class TestFigure2:
         code, _, err = run(capsys, "figure2", "--out-dir", str(tmp_path), "--q", "0")
         assert code == 2
         assert "--q" in err
+
+
+class TestKinematicsCells:
+    """e1 and e2 are the plateau energies of each row's own inputs, to the bit."""
+
+    FIXED = dict(m=0.8, q=-1.2, p=0.7, a1=0.3, a2=-2.1, tau=0.4, t0=1.5)
+
+    def _assert_cells(self, cells, **kw):
+        modes = asymptotic_modes(StepParameters(**dict(self.FIXED, **kw)))
+        assert cells["e1"] == cli._NUM(modes.e1)
+        assert cells["e2"] == cli._NUM(modes.e2)
+
+    @pytest.mark.parametrize("var,start,stop,branch", [
+        ("p", "-2", "3", "plus"), ("a2", "-4", "1.5", "plus"), ("tau", "1e-3", "50", "plus"),
+        ("energy_ratio", "1", "4", "plus"), ("energy_ratio", "1", "4", "minus")])
+    def test_sweep_rows(self, capsys, var, start, stop, branch):
+        fixed = {k: v for k, v in self.FIXED.items() if k != var}
+        if var == "energy_ratio":
+            del fixed["p"]
+        argv = ["sweep", "--sweep-var", var, "--start", start, "--stop", stop,
+                "--count", "5", "--branch", branch] + [f"--{k}={v!r}" for k, v in fixed.items()]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        header = rows[0].split(",")
+        assert len(rows) == 6
+        for row in rows[1:]:
+            cells = dict(zip(header, row.split(",")))
+            assert cells["status"] == "ok"
+            value = float(cells[var])
+            if var == "energy_ratio":
+                pi1 = fixed["m"] * math.sqrt(value * value - 1.0)
+                kw = {"p": fixed["q"] * fixed["a1"] + (-pi1 if branch == "minus" else pi1)}
+            else:
+                kw = {var: value}
+            self._assert_cells(cells, **kw)
+
+    def test_figure2_rows(self, tmp_path, capsys):
+        m, q, a1, t0 = (self.FIXED[k] for k in ("m", "q", "a1", "t0"))
+        code, _, _ = run(capsys, "figure2", "--out-dir", str(tmp_path), "--count", "5",
+                         "--m", repr(m), "--q", repr(q), "--a1", repr(a1), "--t0", repr(t0))
+        assert code == 0
+        p = q * a1 + m * math.sqrt(2.0 ** 2 - 1.0)  # the default E1/m = 2
+        for name, tau in (("panel_a.csv", 1e-4), ("panel_b.csv", 0.5)):
+            lines = [ln for ln in (tmp_path / name).read_text().splitlines()
+                     if not ln.startswith("#")]
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                cells = dict(zip(header, line.split(",")))
+                self._assert_cells(cells, p=p, a2=float(cells["qa2"]) / q, tau=tau)
+
+    def test_scatter_records(self, capsys):
+        argv = ["scatter", "--format", "json"] + [f"--{k}={v!r}" for k, v in self.FIXED.items()]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        smooth = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--sharp")
+        assert code == 0
+        sharp = json.loads(out)
+        assert list(sharp) == list(smooth)
+        assert sharp["tau"] == 0.0
+        modes = asymptotic_modes(StepParameters(**self.FIXED))
+        for rec in (smooth, sharp):
+            assert (rec["e1"], rec["e2"]) == (modes.e1, modes.e2)
 
 
 class TestSelftest:

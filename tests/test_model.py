@@ -75,7 +75,7 @@ class TestPotential:
 class TestPotentialRate:
     def test_peak_value_at_t0(self):
         params = mk(a1=-1.0, a2=2.0, tau=0.5, t0=1.0)
-        assert potential_rate(1.0, params) == pytest.approx(3.0 / (2 * 0.5), rel=1e-15)
+        assert potential_rate(1.0, params) == pytest.approx(3.0 / (2 * 0.5), rel=1e-15, abs=0.0)
 
     def test_tail_negligible(self):
         params = mk(a1=0.0, a2=4.0, tau=0.2)
@@ -99,12 +99,12 @@ class TestAsymptoticModes:
     def test_early_mode(self):
         modes = asymptotic_modes(mk(p=math.sqrt(3.0), a1=0.0, a2=1.0))
         assert modes.pi1 == pytest.approx(math.sqrt(3.0))
-        assert modes.e1 == pytest.approx(2.0, rel=1e-15)
+        assert modes.e1 == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     def test_late_mode(self):
         modes = asymptotic_modes(mk(p=math.sqrt(3.0), a2=2 * math.sqrt(3.0)))
         assert modes.pi2 == pytest.approx(-math.sqrt(3.0))
-        assert modes.e2 == pytest.approx(2.0, rel=1e-15)
+        assert modes.e2 == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     def test_equal_plateaus_give_equal_energies(self):
         modes = asymptotic_modes(mk(p=0.37, a1=1.3, a2=1.3))
