@@ -82,7 +82,13 @@ wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`, and
 evaluated in the chart native to each side of the step: the earlier chart
 for t <= t0, the later chart for t > t0.  Every 2F1 argument is then
 zeta in [-1, 0), and deep in either half-line zeta underflows to -0, where
-the spinor is its exact plane-wave limit.  `match_at_t0` takes the
+the spinor is its exact plane-wave limit.  `build_solution` builds the
+`specfun.Hyp2F1Plan` of both branches of both charts once, and every
+evaluation shares them, so the choice of series and its term ratios are not
+redone per time.  A plan gives 2F1 = (1 - zeta)^kappa s(zeta), and a branch
+is evaluated as zeta^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one
+complex exp, of mu ln zeta + (nu + kappa) ln(1 - zeta) with the real
+ln(1 - zeta) = log1p(-zeta).  `match_at_t0` takes the
 later-chart coefficients from the Gamma ratios through the chart branch
 constants, C1l = (g_f/g_i) e^(pi (eps1 + eps2)) and
 C2l = (g_b/g_i) e^(pi (eps1 - eps2)).  e^(pi (eps1 + eps2)) overflows for
@@ -104,7 +110,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .model import (
     AsymptoticModes,
@@ -118,7 +124,7 @@ from .model import (
 )
 # hyp2f1 is not called here but stays bound: benchmarks/test_bench.py checks
 # that tracing restores analytic.hyp2f1
-from .specfun import hyp2f1, hyp2f1_with_derivative, log_gamma  # noqa: F401
+from .specfun import Hyp2F1Plan, hyp2f1, log_gamma  # noqa: F401
 
 __all__ = [
     "ParameterRangeError",
@@ -151,6 +157,9 @@ class ChartExpansion:
     sign: +1 for the earlier chart, -1 for the later one; enters both
     d(zeta)/dt = sign * 2 zeta / tau and pi(zeta) = pi_asym + sign * delta *
     zeta / (1 - zeta).  eps = tau * E_asym / 2 is the chart's frequency scale.
+    plan and plan_prime are the series plans of abc and abc_prime, built
+    once with the chart and shared by every evaluation of it; they take no
+    part in comparison.
     """
 
     mu: complex
@@ -160,6 +169,8 @@ class ChartExpansion:
     sign: int
     pi_asym: float
     eps: float
+    plan: Hyp2F1Plan = field(compare=False, repr=False)
+    plan_prime: Hyp2F1Plan = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -211,14 +222,18 @@ def _chart(eps: float, eps_other: float, d: float, sign: int, pi_asym: float) ->
     a = 1j * (eps + d + eps_other)
     b = 1j * (eps + d - eps_other)
     c = 1.0 + 2j * eps
+    abc = (a, b, c)
+    abc_prime = (a - 2 * mu, b - 2 * mu, 1.0 - 2j * eps)
     return ChartExpansion(
         mu=mu,
         nu=nu,
-        abc=(a, b, c),
-        abc_prime=(a - 2 * mu, b - 2 * mu, 1.0 - 2j * eps),
+        abc=abc,
+        abc_prime=abc_prime,
         sign=sign,
         pi_asym=pi_asym,
         eps=eps,
+        plan=Hyp2F1Plan(*abc),
+        plan_prime=Hyp2F1Plan(*abc_prime),
     )
 
 
@@ -247,17 +262,19 @@ def _branch_phi_and_dt(chart: ChartExpansion, tau: float, second: bool,
 
     second=False uses exponent +mu and (a, b, c); second=True the zeta^-mu
     branch with (a', b', c').  Principal branch: ln zeta = ln|zeta| + i pi.
+    The plan gives 2F1 = (1-zeta)^kappa s, so the branch is
+    zeta^mu (1-zeta)^(nu+kappa) s, its head taken in one exp.
     """
     mu = -chart.mu if second else chart.mu
-    a, b, c = chart.abc_prime if second else chart.abc
-    ln_zeta = complex(log_abs_zeta, math.pi)
+    plan = chart.plan_prime if second else chart.plan
     zeta = -math.exp(log_abs_zeta)
-    one_minus = 1.0 - zeta
-    head = cmath.exp(mu * ln_zeta + chart.nu * cmath.log(one_minus))
-    f_val, f_der = hyp2f1_with_derivative(a, b, c, zeta)
-    phi = head * f_val
+    kappa, s, ds = plan.series(zeta)
+    nu = chart.nu + kappa
+    # zeta < 0, so ln(1 - zeta) is real
+    head = cmath.exp(mu * complex(log_abs_zeta, math.pi) + nu * math.log1p(-zeta))
+    phi = head * s
     # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
-    zeta_dphi = phi * (mu - chart.nu * zeta / one_minus) + head * zeta * f_der
+    zeta_dphi = phi * (mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
     dphi_dt = chart.sign * (2.0 / tau) * zeta_dphi
     return phi, dphi_dt
 
@@ -479,8 +496,14 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     The solve is performed on the always-finite chiral components, so the
     pi2 = 0 kinematics (where the standard-basis component ratios of the
     asymptotic modes degenerate) yields the exact limit: the backward
-    upper component vanishes identically and b = 0.
+    upper component vanishes identically and b = 0.  Raises ValueError for
+    m <= 0 or a non-finite input, as StepParameters does.
     """
+    for name, value in (("m", m), ("q", q), ("p", p), ("a1", a1), ("a2", a2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if m <= 0:
+        raise ValueError(f"m must be positive, got {m!r}")
     pi1 = p - q * a1
     pi2 = p - q * a2
     e1 = math.hypot(pi1, m)

@@ -96,10 +96,10 @@ def cmd_scatter(args) -> int:
     if args.sharp:
         if args.tau is not None and args.tau <= 0:
             return _fail(EXIT_FLAGS, "tau must be positive; --sharp already selects the Heaviside limit")
+        # sharp_step checks its own inputs but reads no t0, which the record echoes
+        if not math.isfinite(args.t0):
+            return _fail(EXIT_FLAGS, f"t0 must be finite, got {args.t0!r}")
         res = analytic.sharp_step(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2)
-        # sharp_step reads no t0 and takes any m; the flags get a smooth step's checks
-        model.StepParameters(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2,
-                             tau=1.0, t0=args.t0)
         tau = 0.0  # marks the Heaviside limit in the emitted record
     else:
         if args.tau is None:

@@ -33,7 +33,16 @@ constants by name, with no loop over the tableau.
 
 The right-hand side takes tanh(u/tau) and sech^2(u/tau) from the one
 exponential w = e^{-2|u|/tau}, as sign(u) (1 - w)/(1 + w) and
-4w/(1 + w)^2, and the coupling g e^{2i Theta} from cmath.rect.
+4w/(1 + w)^2, and the coupling g e^{2i Theta} from cmath.rect.  The
+integration variable is s = u/S, S the power of two with tau/S in [1/2, 1):
+the slopes per unit s carry no 1/tau, so neither they nor the squares of the
+error norm overflow at any tau, and since scaling by a power of two is exact
+each step is the step in u, bit for bit, wherever no intermediate is
+subnormal.  Where the window T is ~1e300 tau,
+the step that lands on the transition from the plateau is as wide as the
+plateau steps, and its error components, scaled by the state it blew up,
+square to below the double range; they are then divided by their largest
+before squaring, so such a step is rejected rather than read as exact.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -344,6 +353,22 @@ def _dop853_step(rhs, u, h, a, b, ph, k1):
     return (a + h * sa, b + h * sb, ph + h * sp, e5a, e5b, e5p, e3a, e3b, e3p)
 
 
+def _unsquared_error(r5: tuple[float, ...], r3: tuple[float, ...]) -> float:
+    """|e5|^2 / sqrt(3 (|e5|^2 + |e3|^2 / 100)) from the scaled error components,
+    squared only after division by the largest, so none underflows.
+
+    A step across the transition far larger than tau makes the state, and
+    with it the error scale, so large that the squares of the scaled errors
+    underflow; read as zero, they would accept the step.
+    """
+    big = max(r5 + r3)
+    if big == 0.0:
+        return 0.0
+    n5 = sum((r / big) ** 2 for r in r5)
+    n3 = sum((r / big) ** 2 for r in r3)
+    return big * n5 / math.sqrt(3.0 * (n5 + 0.01 * n3))
+
+
 def _span(params: StepParameters, cfg: IntegrationConfig, modes: AsymptoticModes) -> float:
     return max(cfg.span_factor * params.tau, 10.0 / modes.e1)
 
@@ -361,9 +386,14 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     m = params.m
     modes = asymptotic_modes(params)
     T = _span(params, cfg, modes)
-    # integrate in u = t - t0; the profile depends on t only through u
-    u_end = T
-    u = -T
+    # integrate in s = u/S, u = t - t0, S = 2^k with tau = tau_s S and
+    # tau_s in [1/2, 1); the profile depends on t only through s
+    tau_s, k = math.frexp(params.tau)
+    scale = math.ldexp(1.0, k)
+    s_end = T / scale
+    if math.isinf(s_end):
+        raise OracleError(f"the window T/tau overflows at tau = {params.tau:.3g}")
+    s = -s_end
     # incident wave: a = 1/cos(theta1/2), b = 0, dynamical phase -E1*T
     a = 1.0 / math.cos(0.5 * math.atan2(m, modes.pi1)) + 0.0j
     b = 0.0j
@@ -371,49 +401,50 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     norm0 = (a * a.conjugate()).real
     drift_max = 0.0
 
-    # pi(u) = pi_mid - half_dpi * tanh(u/tau);
-    # g = m q (a2 - a1) sech^2(u/tau) / (4 tau E^2), sech^2 = 4w / (1 + w)^2
+    # pi(s) = pi_mid - half_dpi * tanh(s/tau_s); per unit s, Theta' = S E and
+    # g = m q (a2 - a1) sech^2(s/tau_s) / (4 tau_s E^2), sech^2 = 4w / (1 + w)^2
     pi_mid = 0.5 * (modes.pi1 + modes.pi2)
     half_dpi = 0.5 * (modes.pi1 - modes.pi2)
-    g0 = m * params.q * (params.a2 - params.a1) / params.tau
-    inv_tau = 1.0 / params.tau
+    g0 = m * params.q * (params.a2 - params.a1) / tau_s
+    inv_tau = 1.0 / tau_s
     m_sq = m * m
 
-    def rhs(uu: float, aa: complex, bb: complex, pp: float) -> tuple[complex, complex, float]:
-        s = uu * inv_tau
-        # w = e^{-2|s|}: the sech^2 tails underflow instead of cancelling, and
-        # tanh|s| = (1 - w)/(1 + w), where 1 - w is exact for w >= 1/2
-        w = math.exp(-2.0 * abs(s))
+    def rhs(ss: float, aa: complex, bb: complex, pp: float) -> tuple[complex, complex, float]:
+        x = ss * inv_tau
+        # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling, and
+        # tanh|x| = (1 - w)/(1 + w), where 1 - w is exact for w >= 1/2
+        w = math.exp(-2.0 * abs(x))
         opw = 1.0 + w
         th = (1.0 - w) / opw
-        piv = pi_mid - half_dpi * th if s >= 0.0 else pi_mid + half_dpi * th
+        piv = pi_mid - half_dpi * th if x >= 0.0 else pi_mid + half_dpi * th
         e_sq = piv * piv + m_sq
         gr = cmath.rect(g0 * w / (opw * opw * e_sq), 2.0 * pp)
-        return (gr * bb, -gr.conjugate() * aa, math.sqrt(e_sq))
+        return (gr * bb, -gr.conjugate() * aa, scale * math.sqrt(e_sq))
 
     rtol = cfg.rel_tol
     atol = cfg.abs_tol
-    h_max = 2.0 * T / 16.0
-    h = min(h_max, params.tau / 4.0, 0.1 / max(modes.e1, modes.e2))
+    h_max = 2.0 * s_end / 16.0
+    h = min(h_max, tau_s / 4.0, 0.1 / max(modes.e1, modes.e2) / scale)
     # the transition needs steps of order tau, far below T when tau << 1/E1
-    h_min = 1e-14 * min(T, params.tau)
+    h_min = 1e-14 * min(s_end, tau_s)
     max_steps = STEP_BUDGET * (1.0 + params.tau * max(modes.e1, modes.e2)
                                + math.log10(T / params.tau))
-    k1 = rhs(u, a, b, ph)
+    k1 = rhs(s, a, b, ph)
     err_prev = 1.0
     steps = 0
     # a remaining sliver below rounding scale contributes nothing but could
     # drive the step size into the underflow guard
-    span_eps = 16.0 * sys.float_info.epsilon * T
-    while u_end - u > span_eps:
+    span_eps = 16.0 * sys.float_info.epsilon * s_end
+    while s_end - s > span_eps:
         if steps >= max_steps:
-            raise StepLimitError(f"step budget {max_steps:.0f} exceeded at t - t0 = {u:.6g}")
-        # land on the sech^2 peak at u = 0 so no step can jump the transition
-        target = 0.0 if u < 0.0 else u_end
-        if u + h > target:
-            h = target - u
+            raise StepLimitError(
+                f"step budget {max_steps:.0f} exceeded at t - t0 = {s * scale:.6g}")
+        # land on the sech^2 peak at s = 0 so no step can jump the transition
+        target = 0.0 if s < 0.0 else s_end
+        if s + h > target:
+            h = target - s
         a_new, b_new, ph_new, ea5, eb5, ep5, ea3, eb3, ep3 = _dop853_step(
-            rhs, u, h, a, b, ph, k1)
+            rhs, s, h, a, b, ph, k1)
         sc_a = atol + rtol * max(abs(a), abs(a_new))
         sc_b = atol + rtol * max(abs(b), abs(b_new))
         sc_p = atol + rtol * max(abs(ph), abs(ph_new))
@@ -422,12 +453,18 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
         err5 = (abs(ea5) / sc_a) ** 2 + (abs(eb5) / sc_b) ** 2 + (ep5 / sc_p) ** 2
         err3 = (abs(ea3) / sc_a) ** 2 + (abs(eb3) / sc_b) ** 2 + (ep3 / sc_p) ** 2
         denom = err5 + 0.01 * err3
-        err = h * err5 / math.sqrt(3.0 * denom) if denom > 0.0 else 0.0
+        if denom > 0.0:
+            err = h * err5 / math.sqrt(3.0 * denom)
+        else:
+            # every square underflowed, or every error is zero
+            err = h * _unsquared_error(
+                (abs(ea5) / sc_a, abs(eb5) / sc_b, abs(ep5) / sc_p),
+                (abs(ea3) / sc_a, abs(eb3) / sc_b, abs(ep3) / sc_p))
         steps += 1
         if err <= 1.0:
-            u += h
+            s += h
             a, b, ph = a_new, b_new, ph_new
-            k1 = rhs(u, a, b, ph)  # FSAL
+            k1 = rhs(s, a, b, ph)  # FSAL
             norm = (a * a.conjugate() + b * b.conjugate()).real
             drift = abs(norm - norm0) / norm0
             if drift > drift_max:
@@ -439,7 +476,7 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         h = min(h, h_max)
         if h <= h_min:
-            raise StepLimitError(f"step size underflow at t - t0 = {u:.6g}")
+            raise StepLimitError(f"step size underflow at t - t0 = {s * scale:.6g}")
 
     if drift_max > cfg.drift_limit:
         raise NormDriftError(
@@ -459,8 +496,8 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     return OracleOutcome(
         final_spinor=TwoSpinor(upper=cf + cb, lower=pos * s2 + neg * c2, basis=Basis.WEYL),
         norm_drift=drift_max,
-        g_f_weyl=cf * cmath.exp(1j * modes.e2 * u),
-        g_b_weyl=cb * cmath.exp(-1j * modes.e2 * u),
+        g_f_weyl=cf * cmath.exp(1j * modes.e2 * (s * scale)),
+        g_b_weyl=cb * cmath.exp(-1j * modes.e2 * (s * scale)),
         steps=steps,
     )
 

@@ -15,13 +15,26 @@ Accuracy strategy: among the equivalent Maclaurin representations
     Pfaff-a  (1-z)^(-a)    F(a, c-b; c; z/(z-1))
     Pfaff-b  (1-z)^(-b)    F(c-a, b; c; z/(z-1))
 
-the one with the smallest term-growth indicator |A*B*w|/|C| is summed, which
-keeps intermediate terms small and avoids the catastrophic cancellation a
-naive series suffers for oscillatory parameter sets.  On the chart
-arguments -1 <= z < 0 every series runs at |w| <= 1/2.
+the one with the smallest term-growth indicator |A*B*x|/|C| is summed
+(x = z or w = z/(z-1)), which keeps intermediate terms small and avoids the
+catastrophic cancellation a naive series suffers for oscillatory parameter
+sets.  On the chart arguments -1 <= z < 0 every series runs at |x| <= 1/2.
+
+Every evaluation goes through a `Hyp2F1Plan`, built once per (a, b, c).
+Direct and Euler share the argument z, Pfaff-a and Pfaff-b share w, so the
+plan keeps the better of each pair by its constant g = |A*B|/|C| and the
+choice at z is one comparison, g_D |z| <= g_P |w| with |z| <= 1/2; ties go
+to the z pair, as the four-way minimum gives them to the first of the four.
+Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
+grown on demand up to MAX_TERMS, so a term of the sum costs a complex
+product, a scaling by x/(n+1) and the stopping test.  The plan returns the
+exponent kappa of the representation's prefactor (1-z)^kappa with the sums,
+so that a caller with other powers of (1-z), such as the charts of
+`analytic`, takes them all in one exp.  The charts evaluate one (a, b, c) at
+many z and build their plans once.
 
 `hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
-series loop sums S and dS/dw together, and each transformation carries the
+series loop sums S and dS/dx together, and each transformation carries the
 derivative by the chain rule, so no second representation is chosen for
 F' = (a b / c) F(a+1, b+1; c+1; z).  `hyp2f1` and `hyp2f1_derivative` are
 its two halves.
@@ -31,11 +44,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice
 
 __all__ = [
     "GammaPoleError",
     "DomainError",
     "ConvergenceError",
+    "Hyp2F1Plan",
     "log_gamma",
     "hyp2f1",
     "hyp2f1_derivative",
@@ -74,6 +89,8 @@ _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 
 SERIES_TOL = 1e-15
 MAX_TERMS = 100_000
+# first length of a term-ratio table; it doubles when a sum runs past its end
+_TABLE_START = 32
 
 
 def _is_nonpositive_int(z: complex) -> bool:
@@ -113,66 +130,115 @@ def log_gamma(z: complex) -> complex:
     return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def _series(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, complex]:
-    # S = sum t_n and dS/dz = sum n t_n / z in one loop over u_n = t_n z^(n-1):
-    # S gains u_n z and dS/dz gains n u_n.  Stop only on two consecutive
-    # small terms of both sums: a single term may vanish accidentally for
-    # oscillatory parameters
-    tol = SERIES_TOL  # a local, read once per call rather than once per term
-    term = 1.0 + 0.0j
-    total = term
-    deriv = 0.0 + 0.0j
-    prev_small = False
-    for n in range(MAX_TERMS):
-        dterm = term * ((a + n) * (b + n) / (c + n))  # (n+1) u_(n+1)
-        term = dterm * z / (n + 1)                     # u_(n+1) z
-        total += term
-        deriv += dterm
-        small = (abs(term) <= tol * max(abs(total), 1e-300)
-                 and abs(dterm) <= tol * max(abs(deriv), 1e-300))
-        if small and prev_small:
-            return total, deriv
-        prev_small = small
-    raise ConvergenceError(
-        f"2F1 series did not converge within {MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+class _Representation:
+    """One Maclaurin series (1-z)^kappa F(a, b; c; x) and its term-ratio table.
+
+    The table holds rho_n = (a+n)(b+n)/(c+n), which depends only on
+    (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS.
+    """
+
+    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "table")
+
+    def __init__(self, name: str, a: complex, b: complex, c: complex, kappa: complex) -> None:
+        self.name = name
+        self.a, self.b, self.c = a, b, c
+        self.kappa = kappa
+        # term-growth indicator per unit |argument|
+        self.growth = abs(a * b) / max(abs(c), 1e-30)
+        self.table: list[complex] = []
+
+    def sums(self, x: float) -> tuple[complex, complex]:
+        """(S, dS/dx) of F(a, b; c; x) from one pass over the table.
+
+        S = sum t_n and dS/dx = sum u_n with u_n = t_n rho_n and
+        t_(n+1) = u_n x / (n+1), so each term is rounded as it would be
+        with rho_n formed in the loop.  Stops only on two consecutive small
+        terms of both sums: a single term may vanish accidentally for
+        oscillatory parameters.
+        """
+        tol = SERIES_TOL  # module settings read once per call, not per term
+        max_terms = MAX_TERMS
+        # |term| <= tol max(|sum|, 1e-300) is |term| <= tol |sum| or |term| <= tiny
+        tiny = tol * 1e-300
+        table = self.table
+        term = 1.0 + 0.0j
+        total = term
+        deriv = 0.0 + 0.0j
+        prev_small = False
+        done = 0
+        while True:
+            for n1, rho in enumerate(islice(table, done, max_terms), done + 1):
+                dterm = term * rho  # u_n
+                term = dterm * x / n1  # t_(n+1)
+                total += term
+                deriv += dterm
+                at = abs(term)
+                if at <= tol * abs(total) or at <= tiny:
+                    ad = abs(dterm)
+                    if ad <= tol * abs(deriv) or ad <= tiny:
+                        if prev_small:
+                            return total, deriv
+                        prev_small = True
+                        continue
+                prev_small = False
+            done = min(len(table), max_terms)
+            if done == max_terms:
+                raise ConvergenceError(
+                    f"2F1 series did not converge within {max_terms} terms "
+                    f"(a={self.a}, b={self.b}, c={self.c}, x={x})"
+                )
+            # a new list, not appends: an evaluation running alongside keeps
+            # iterating a whole table
+            a, b, c = self.a, self.b, self.c
+            table = self.table = table + [
+                (a + n) * (b + n) / (c + n)
+                for n in range(done, min(max_terms, max(_TABLE_START, 2 * done)))]
+
+
+class Hyp2F1Plan:
+    """The series plan of 2F1(a, b; c; z) for one parameter triple.
+
+    on_z is the better of direct and Euler, on_w the better of Pfaff-a and
+    Pfaff-b, by growth constant (ties to direct and to Pfaff-a).  The two
+    tables are shared by every evaluation, the results are not: the sums at
+    z do not depend on which z were evaluated before.
+    """
+
+    __slots__ = ("on_z", "on_w")
+
+    def __init__(self, a: complex, b: complex, c: complex) -> None:
+        direct = _Representation("direct", a, b, c, 0j)
+        euler = _Representation("euler", c - a, c - b, c, c - a - b)
+        pfaff_a = _Representation("pfaff-a", a, c - b, c, -a)
+        pfaff_b = _Representation("pfaff-b", c - a, b, c, -b)
+        self.on_z = direct if direct.growth <= euler.growth else euler
+        self.on_w = pfaff_a if pfaff_a.growth <= pfaff_b.growth else pfaff_b
+
+    def select(self, z: float) -> _Representation:
+        """The representation summed at real z, -1 <= z <= 1/2."""
+        if abs(z) <= 0.5 and self.on_z.growth * abs(z) <= self.on_w.growth * abs(z / (z - 1.0)):
+            return self.on_z
+        return self.on_w
+
+    def series(self, z: float) -> tuple[complex, complex, complex]:
+        """(kappa, s, ds) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and ds = s'(z).
+
+        The prefactor's exponent is returned rather than applied, so a
+        caller with other powers of (1-z) takes them all in one exp.
+        """
+        rep = self.select(z)
+        if rep is self.on_z:
+            s, ds = rep.sums(z)
+            return rep.kappa, s, ds
+        # x = z/(z-1), dx/dz = -1/(1-z)^2
+        one_minus = 1.0 - z
+        s, ds = rep.sums(z / (z - 1.0))
+        return rep.kappa, s, -ds / (one_minus * one_minus)
 
 
 def _gauss_limit(a: complex, b: complex, c: complex) -> complex:
     # F(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), Re(c-a-b) > 0
     return cmath.exp(log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
-
-
-def _best_representation(a, b, c, z) -> tuple[complex, complex]:
-    # (transform, series parameters, series argument); only the chosen
-    # transform's prefactor is computed
-    w = z / (z - 1.0)
-    candidates = []
-    if abs(z) <= 0.5:
-        candidates.append(("direct", a, b, c, z))
-        candidates.append(("euler", c - a, c - b, c, z))
-    candidates.append(("pfaff-a", a, c - b, c, w))
-    candidates.append(("pfaff-b", c - a, b, c, w))
-
-    def growth(cand):
-        _, aa, bb, cc, zz = cand
-        return abs(aa * bb * zz) / max(abs(cc), 1e-30)
-
-    kind, aa, bb, cc, zz = min(candidates, key=growth)
-    s, ds = _series(aa, bb, cc, zz)
-    if kind == "direct":
-        return s, ds
-    one_minus = 1.0 - z
-    if kind == "euler":
-        # (1-z)^e S(z), e = c-a-b:  F' = (1-z)^e [S' - e S/(1-z)]
-        e = c - a - b
-        prefactor = one_minus ** e
-        return prefactor * s, prefactor * (ds - e * s / one_minus)
-    # (1-z)^(-e) S(z/(z-1)), e = a or b:  F' = (1-z)^(-e-1) [e S - S'/(1-z)]
-    e = a if kind == "pfaff-a" else b
-    prefactor = one_minus ** (-e)
-    return prefactor * s, prefactor * (e * s - ds / one_minus) / one_minus
 
 
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
@@ -206,7 +272,10 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
     x = z.real
     if not -1.0 <= x <= 0.5:
         raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2 (or z = 1), got z = {x}")
-    return _best_representation(a, b, c, z)
+    kappa, s, ds = Hyp2F1Plan(a, b, c).series(x)
+    # 1 - x >= 1/2: the logarithm is real
+    prefactor = cmath.exp(kappa * math.log1p(-x))
+    return prefactor * s, prefactor * (ds - kappa * s / (1.0 - x))
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracstep import analytic, model
+from diracstep import analytic, model, specfun
 from diracstep.analytic import (
     ParameterRangeError,
     asymptotic_amplitudes,
@@ -194,6 +194,30 @@ class TestChartEvaluation:
             return [(s.upper, s.lower) for s in (solve_earlier(sol, t, params) for t in times)]
 
         assert spinors() == spinors()
+
+    def test_table_growth_order_leaves_no_trace(self):
+        # the series tables grow in another order when the times run
+        # backwards; each spinor depends on its own time only
+        params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
+        times = [params.t0 + params.tau * (0.25 * j - 4.0) for j in range(33)]
+
+        def spinors(ts):
+            sol = match_at_t0(build_solution(params), params)
+            return {t: (s.upper, s.lower)
+                    for t, s in ((t, solve_earlier(sol, t, params)) for t in ts)}
+
+        assert spinors(times) == spinors(times[::-1])
+
+    def test_iteration_cap_bounds_the_tables(self, monkeypatch):
+        params = mk(tau=2.0)
+        sol = match_at_t0(build_solution(params), params)
+        monkeypatch.setattr(specfun, "MAX_TERMS", 4)
+        with pytest.raises(specfun.ConvergenceError):
+            solve_later(sol, params.t0 + 0.1, params)
+        for chart in (sol.earlier, sol.later):
+            for plan in (chart.plan, chart.plan_prime):
+                assert len(plan.on_z.table) <= 4
+                assert len(plan.on_w.table) <= 4
 
     def test_unset_coefficients_rejected(self):
         sol = build_solution(mk())

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from diracstep import StepParameters, analytic, asymptotic_modes, cli, selftest, sharp_step
+from diracstep import StepParameters, analytic, asymptotic_modes, cli, oracle, selftest, sharp_step
 
 RT3_STR = "1.7320508"
 A2_STR = "3.4641016"
@@ -53,6 +53,24 @@ class TestScatter:
         assert rec["tau"] == 0.0
         hard = sharp_step(m=1, q=1, p=float(RT3_STR), a1=0.0, a2=float(A2_STR))
         assert rec["F"] == pytest.approx(hard.F, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [("--m", "0"), ("--m", "-1"), ("--p", "nan"),
+                                       ("--t0", "inf")])
+    def test_sharp_rejects_bad_inputs(self, capsys, flags):
+        code, _, err = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2", *flags)
+        assert code == 2
+        assert flags[0][2:] in err
+
+    @pytest.mark.parametrize("tau", ["1e-100", "1e-200", "1e-300"])
+    def test_oracle_at_a_vanishing_tau(self, capsys, tau):
+        # the window is ~1e300 tau wide, and the first step into the
+        # transition is as wide as the plateau before it
+        code, out, _ = run(capsys, "scatter", "--p", RT3_STR, "--a2", A2_STR, "--tau", tau,
+                           "--format", "json", "--oracle")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["oracle_dev_f"] < oracle.COMPARE_TOL
+        assert rec["oracle_dev_b"] < oracle.COMPARE_TOL
 
     def test_oracle_deviation_fields(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1.2", "--a2", "0.8", "--tau", "0.2",

@@ -175,6 +175,11 @@ class TestIntegrate:
         # each plateau, past 1000 steps; the log10(T/tau) term pays for them
         assert integrate(mk(tau=1e-50)).steps > 1000
 
+    def test_window_beyond_the_double_range(self):
+        # T/tau overflows: a numerical failure, not an endless loop
+        with pytest.raises(oracle.OracleError, match="overflows"):
+            integrate(mk(tau=5e-324))
+
     @pytest.mark.parametrize("tau", [10.0, 30.0])
     def test_adiabatic_amplitudes_match_closed_form(self, tau):
         report = compare(mk(tau=tau))

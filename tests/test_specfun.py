@@ -10,6 +10,7 @@ from diracstep.specfun import (
     ConvergenceError,
     DomainError,
     GammaPoleError,
+    Hyp2F1Plan,
     hyp2f1,
     hyp2f1_derivative,
     hyp2f1_with_derivative,
@@ -70,6 +71,19 @@ def reference_series(a, b, c, z, n_terms=400_000):
         if abs(term) < 1e-17 * max(abs(partial), 1.0):
             return partial
     return 0.5 * (partial + previous)
+
+
+def four_way_choice(a, b, c, z):
+    """The representation rule the series plan replaces: of the four series,
+    the smallest growth indicator |A B x|/|C| at this z, the first on ties."""
+    w = z / (z - 1.0)
+    candidates = []
+    if abs(z) <= 0.5:
+        candidates.append(("direct", a, b, c, z))
+        candidates.append(("euler", c - a, c - b, c, z))
+    candidates.append(("pfaff-a", a, c - b, c, w))
+    candidates.append(("pfaff-b", c - a, b, c, w))
+    return min(candidates, key=lambda k: abs(k[1] * k[2] * k[4]) / max(abs(k[3]), 1e-30))[0]
 
 
 class TestLogGamma:
@@ -190,6 +204,18 @@ class TestHyp2F1:
         lhs = hyp2f1(a, b, c, z)
         rhs = (1 - z) ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
         assert rhs == pytest.approx(lhs, rel=1e-9, abs=1e-9)
+
+
+class TestSeriesPlan:
+    # chart parameters: a, b purely imaginary, c = 1 +- 2i eps, with
+    # tau (E1 + E2)/2 <= 200; at z = 0 every indicator is 0 and every series
+    # is 1, so z = 0 is left out
+    @given(st.floats(min_value=-400, max_value=400), st.floats(min_value=-400, max_value=400),
+           st.floats(min_value=0, max_value=200), st.sampled_from((1.0, -1.0)),
+           st.floats(min_value=-1.0, max_value=0.5).filter(lambda z: z != 0.0))
+    def test_selects_as_the_four_way_rule(self, ai, bi, eps, sign, z):
+        a, b, c = complex(0.0, ai), complex(0.0, bi), complex(1.0, sign * 2.0 * eps)
+        assert Hyp2F1Plan(a, b, c).select(z).name == four_way_choice(a, b, c, z)
 
 
 class TestHyp2F1Derivative:
