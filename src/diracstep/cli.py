@@ -11,6 +11,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,6 +66,12 @@ def _header_lines(fixed: dict) -> list[str]:
     if fixed:
         lines.append("# " + " ".join(f"{k}={_NUM(v)}" for k, v in fixed.items()))
     return lines
+
+
+def _row_template(n: int) -> str:
+    """A %-template for a CSV row of n numbers; "%.16e" % v is _NUM(v), to the
+    byte, for every float."""
+    return ",".join(["%.16e"] * n)
 
 
 # the columns of a result that every record and row carries
@@ -124,7 +131,7 @@ def cmd_scatter(args) -> int:
         for line in _header_lines({}):
             print(line)
         print(",".join(keys))
-        print(",".join(_NUM(record[k]) for k in keys))
+        print(_row_template(len(keys)) % tuple(record.values()))
     else:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         print(f"diracstep {__version__} ({stamp}), natural units hbar=c=1")
@@ -171,6 +178,9 @@ def cmd_sweep(args) -> int:
     for name in needed:
         if getattr(args, name) is None:
             return _fail(EXIT_FLAGS, f"--{name} is required for a {args.sweep_var} sweep")
+    if args.sweep_var == "energy_ratio" and args.p is not None:
+        return _fail(EXIT_FLAGS, "--p cannot be given with --sweep-var energy_ratio: "
+                                 "each row takes p from its energy ratio")
     if args.count < 2:
         return _fail(EXIT_FLAGS, "--count must be >= 2")
     if args.oracle_every < 0:
@@ -194,25 +204,26 @@ def cmd_sweep(args) -> int:
 
     lines = _header_lines(fixed)
     lines.append(",".join(header_cols))
+    # one template per kind of row: checked by the oracle, not checked, failed
+    row = _row_template(1 + len(_RESULT_COLUMNS))
+    checked = row + "," + _row_template(2) + ",ok"
+    unchecked = row + (",,,ok" if args.oracle_every else ",ok")
+    failed = "%.16e" + "," * (len(header_cols) - 1) + "%s"
     failures = 0
     for i, value in enumerate(values):
         try:
             params = _params_for_sweep_point(args, value)
             res = analytic.scatter(params)
             _guard_probabilities(res)
-            cells = [_NUM(v) for v in (value, *_result_values(res))]
-            if args.oracle_every:
-                if i % args.oracle_every == 0:
-                    report = oracle.compare(params)
-                    cells += [_NUM(report.deviations["f"]), _NUM(report.deviations["b"])]
-                else:
-                    cells += ["", ""]
-            cells.append("ok")
+            if args.oracle_every and i % args.oracle_every == 0:
+                dev = oracle.compare(params).deviations
+                line = checked % (value, *_result_values(res), dev["f"], dev["b"])
+            else:
+                line = unchecked % (value, *_result_values(res))
         except Exception as exc:
             failures += 1
-            n_out = len(header_cols) - 2
-            cells = [_NUM(value)] + [""] * n_out + [f"{type(exc).__name__}: {exc}".replace(",", ";")]
-        lines.append(",".join(cells))
+            line = failed % (value, f"{type(exc).__name__}: {exc}".replace(",", ";"))
+        lines.append(line)
     print("\n".join(lines))
     if failures == len(values):
         return _fail(EXIT_NUMERICAL, "all sweep points failed")
@@ -234,6 +245,7 @@ def _figure2_panel(path: Path, tau: float, args) -> None:
     lines.append("# sweep of step strength q*A2 at fixed incident energy ratio "
                  f"E1/m={_NUM(args.energy_ratio)}")
     lines.append(",".join(cols))
+    row = _row_template(len(cols))
     for qa2 in _sweep_values(args.start, args.stop, args.count, log=False):
         a2 = qa2 / args.q
         params = model.StepParameters(m=args.m, q=args.q, p=p, a1=args.a1,
@@ -241,8 +253,7 @@ def _figure2_panel(path: Path, tau: float, args) -> None:
         res = analytic.scatter(params)
         _guard_probabilities(res)
         hard = analytic.sharp_step(m=args.m, q=args.q, p=p, a1=args.a1, a2=a2)
-        values = (qa2, *_result_values(res), *_result_values(hard)[4:])
-        lines.append(",".join(_NUM(v) for v in values))
+        lines.append(row % (qa2, *_result_values(res), *_result_values(hard)[4:]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -366,9 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing keeps no state in the parser, so repeated in-process calls of main
+# share the one built by the first
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -65,7 +65,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import AsymptoticModes, Basis, StepParameters, TwoSpinor, asymptotic_modes
+from .model import AsymptoticModes, StepParameters, asymptotic_modes
 
 __all__ = [
     "OracleError",
@@ -123,7 +123,6 @@ class IntegrationConfig:
 
 @dataclass(frozen=True)
 class OracleOutcome:
-    final_spinor: TwoSpinor
     norm_drift: float
     g_f_weyl: complex
     g_b_weyl: complex
@@ -494,7 +493,6 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     cf = pos * c2
     cb = -neg * s2
     return OracleOutcome(
-        final_spinor=TwoSpinor(upper=cf + cb, lower=pos * s2 + neg * c2, basis=Basis.WEYL),
         norm_drift=drift_max,
         g_f_weyl=cf * cmath.exp(1j * modes.e2 * (s * scale)),
         g_b_weyl=cb * cmath.exp(-1j * modes.e2 * (s * scale)),

@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diracstep import StepParameters, analytic, asymptotic_modes, cli, oracle, selftest, sharp_step
 
@@ -195,6 +198,28 @@ class TestSweep:
         assert recs[1]["oracle_dev_f"] == ""
         assert float(recs[2]["oracle_dev_f"]) < 1e-6
 
+    def test_oracle_every_with_a_failed_row(self, capsys):
+        # tau = -0.1 fails on a row the oracle would check; 0.1 and 0.5 are
+        # not checked, 0.3 is
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-0.1",
+                           "--stop", "0.5", "--count", "4", "--p", "1", "--a2", "1",
+                           "--oracle-every", "2")
+        assert code == 0
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        header = rows[0].split(",")
+        assert header[-3:] == ["oracle_dev_f", "oracle_dev_b", "status"]
+        recs = [r.split(",") for r in rows[1:]]
+        assert [len(cells) for cells in recs] == [len(header)] * 4
+        failed, unchecked, checked, last = recs
+        assert failed[-1].startswith("ValueError")
+        assert failed[1:-1] == [""] * (len(header) - 2)
+        for cells in (unchecked, last):
+            assert cells[-1] == "ok"
+            assert "" not in cells[:-3]
+            assert cells[-3:-1] == ["", ""]
+        assert checked[-1] == "ok"
+        assert all(float(c) < 1e-6 for c in checked[-3:-1])
+
     def test_bad_spec_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--sweep-var", "p", "--start", "1",
                            "--stop", "1", "--count", "5", "--a2", "1", "--tau", "0.3")
@@ -202,6 +227,14 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--sweep-var", "p", "--start", "1",
                            "--stop", "2", "--count", "1", "--a2", "1", "--tau", "0.3")
         assert code == 2
+        # every row takes p from its ratio, so a given --p would be echoed
+        # falsely in the header
+        code, out, err = run(capsys, "sweep", "--sweep-var", "energy_ratio", "--start", "1.5",
+                             "--stop", "3", "--count", "4", "--a2", "1.0", "--tau", "0.3",
+                             "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "--sweep-var energy_ratio" in err
 
     def test_all_points_failing_exits_numerical(self, capsys):
         code, out, err = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-2.0",
@@ -226,6 +259,63 @@ class TestSweep:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# one float cell, with the extremes of the double range drawn often
+_CELL = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+                                   -sys.float_info.max, sys.float_info.min]))
+
+
+class TestRowTemplate:
+    """Every CSV row is written with one %-template; its cells are _NUM's."""
+
+    # a figure2 row is the widest: qa2, the result columns, four sharp ones
+    WIDTH = 1 + 8 + 4
+
+    @given(st.lists(_CELL, min_size=WIDTH, max_size=WIDTH))
+    @example([-0.0, 5e-324, sys.float_info.max, math.nan, math.inf, -math.inf, 0.0,
+              -5e-324, -sys.float_info.max, 1.0, -1.0, 0.1, 2.0 ** -1074 * 3])
+    def test_template_matches_num_cell_by_cell(self, row):
+        line = cli._row_template(len(row)) % tuple(row)
+        assert line == ",".join(cli._NUM(v) for v in row)
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call leaves state in it."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys):
+        sweep = ("sweep", "--sweep-var", "a2", "--start", "0.5", "--stop", "4",
+                 "--count", "5", "--p", "0.9", "--tau", "0.7", "--oracle-every", "3")
+        code, first, _ = run(capsys, *sweep)
+        assert code == 0
+        # a flag error inside argparse, part-way through the arguments
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--sweep-var", "p", "--start", "1", "--count", "many"])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--sweep-var" in capsys.readouterr().out
+        code, out, _ = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2",
+                           "--oracle", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tau"] == 0.0
+        # neither --sharp nor --oracle leaked from the call before
+        code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5",
+                           "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["tau"] == 0.5
+        assert "oracle_dev_f" not in rec
+        code, again, _ = run(capsys, *sweep)
+        assert code == 0
+        assert again == first
 
 
 class TestFigure2:

@@ -187,13 +187,11 @@ class TestIntegrate:
         assert report.deviations["b"] <= 1e-12
 
     def test_final_state_normalized(self):
-        # incident state has |phi|^2 + |theta|^2 = 1 + ((E1 - pi1)/m)^2,
-        # which the flow conserves exactly
-        params = mk()
-        out = integrate(params)
-        e1 = math.hypot(params.p, params.m)
-        want = 1.0 + ((e1 - params.p) / params.m) ** 2
-        assert out.final_spinor.norm_sq == pytest.approx(want, rel=1e-9)
+        # incident state has |phi|^2 + |theta|^2 = 1 + ((E1 - pi1)/m)^2 =
+        # 1/cos^2(theta1/2) = |a|^2 + |b|^2, which the flow conserves exactly;
+        # norm_drift is its relative change, the largest over accepted steps
+        out = integrate(mk())
+        assert out.norm_drift <= 1e-9
 
 
 class TestCompare:
