@@ -21,24 +21,20 @@ from .analytic import (
 )
 from .model import (
     AsymptoticModes,
-    Basis,
     StepParameters,
     TwoSpinor,
     asymptotic_modes,
     potential_at,
     potential_rate,
-    weyl_to_dirac,
 )
-from .oracle import ComparisonReport, IntegrationConfig, OracleOutcome, compare, integrate
+from .oracle import ComparisonReport, OracleOutcome, compare, integrate
 from .specfun import hyp2f1, hyp2f1_derivative, hyp2f1_with_derivative, log_gamma
 
 __all__ = [
     "__version__",
     "AsymptoticModes",
-    "Basis",
     "ComparisonReport",
     "HypergeometricSolution",
-    "IntegrationConfig",
     "OracleOutcome",
     "ScatteringResult",
     "StepParameters",
@@ -60,5 +56,4 @@ __all__ = [
     "sharp_step",
     "solve_earlier",
     "solve_later",
-    "weyl_to_dirac",
 ]

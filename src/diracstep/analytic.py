@@ -114,7 +114,6 @@ from dataclasses import dataclass, field, replace
 
 from .model import (
     AsymptoticModes,
-    Basis,
     StepParameters,
     TwoSpinor,
     asymptotic_modes,
@@ -296,7 +295,7 @@ def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
         phi += c_second * p2
         dphi += c_second * d2
     theta = (1j * dphi - piv * phi) / params.m
-    return TwoSpinor(upper=phi, lower=theta, basis=Basis.WEYL)
+    return TwoSpinor(upper=phi, lower=theta)
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,

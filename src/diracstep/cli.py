@@ -178,16 +178,19 @@ def cmd_sweep(args) -> int:
     for name in needed:
         if getattr(args, name) is None:
             return _fail(EXIT_FLAGS, f"--{name} is required for a {args.sweep_var} sweep")
-    if args.sweep_var == "energy_ratio" and args.p is not None:
-        return _fail(EXIT_FLAGS, "--p cannot be given with --sweep-var energy_ratio: "
-                                 "each row takes p from its energy ratio")
+    # each row sets one input, p for an energy_ratio sweep and otherwise the
+    # swept one; a flag for it would be dropped
+    swept = "p" if args.sweep_var == "energy_ratio" else args.sweep_var
+    if getattr(args, swept) is not None:
+        return _fail(EXIT_FLAGS, f"--{swept} cannot be given with --sweep-var {args.sweep_var}: "
+                                 f"each row sets {swept}")
     if args.count < 2:
         return _fail(EXIT_FLAGS, "--count must be >= 2")
     if args.oracle_every < 0:
         return _fail(EXIT_FLAGS, "--oracle-every must be >= 0")
     if args.start == args.stop:
         return _fail(EXIT_FLAGS, "--start and --stop must differ")
-    if args.sweep_var != "tau" and (args.tau is not None and args.tau <= 0):
+    if args.tau is not None and args.tau <= 0:
         return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
     try:
         values = _sweep_values(args.start, args.stop, args.count, args.log)
@@ -196,7 +199,6 @@ def cmd_sweep(args) -> int:
 
     fixed = {k: getattr(args, k) for k in ("m", "q", "p", "a1", "a2", "t0", "tau")
              if getattr(args, k) is not None}
-    fixed.pop(args.sweep_var, None)
     header_cols = [args.sweep_var, *_RESULT_COLUMNS]
     if args.oracle_every:
         header_cols += ["oracle_dev_f", "oracle_dev_b"]

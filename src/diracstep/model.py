@@ -23,14 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 SQRT2 = math.sqrt(2.0)
-
-
-class Basis(Enum):
-    WEYL = "weyl"
-    DIRAC = "dirac"
 
 
 @dataclass(frozen=True)
@@ -74,9 +68,10 @@ class AsymptoticModes:
 
 @dataclass(frozen=True)
 class TwoSpinor:
+    """A spinor (phi, theta) in the chiral basis, the only basis the package uses."""
+
     upper: complex
     lower: complex
-    basis: Basis
 
     @property
     def norm_sq(self) -> float:
@@ -114,27 +109,12 @@ def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
     )
 
 
-def weyl_to_dirac(s: TwoSpinor) -> TwoSpinor:
-    """Rotate a chiral-basis spinor to the standard basis.
-
-    Uses the involutive unitary (1/sqrt(2))[[1, 1], [1, -1]], which conjugates
-    pi*sigma3 + m*sigma1 into m*sigma3 + pi*sigma1.  Norm preserving; applying
-    it to a standard-basis spinor is rejected.
-    """
-    if s.basis is not Basis.WEYL:
-        raise ValueError("weyl_to_dirac expects a Weyl-basis spinor")
-    return TwoSpinor(
-        upper=(s.upper + s.lower) / SQRT2,
-        lower=(s.upper - s.lower) / SQRT2,
-        basis=Basis.DIRAC,
-    )
-
-
 def dirac_upper(pi: float, m: float, positive: bool) -> float:
     """Standard-basis upper component of the (unnormalized) mode spinor.
 
-    Equals (m + E - pi)/(sqrt(2) m) for the +E branch and
-    (m - E - pi)/(sqrt(2) m) for the -E branch.
+    U takes the chiral mode (1, lower) to the standard basis, where its upper
+    component is (1 + lower)/sqrt(2): (m + E - pi)/(sqrt(2) m) for the +E
+    branch and (m - E - pi)/(sqrt(2) m) for the -E branch.
     """
     e = math.hypot(pi, m)
     return (m + e - pi) / (SQRT2 * m) if positive else (m - e - pi) / (SQRT2 * m)

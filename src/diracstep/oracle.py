@@ -25,7 +25,7 @@ of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): twelve
 stages per step plus one evaluation at the accepted end point, which is the
 next step's first stage (FSAL).  Its error estimate blends embedded 5th- and
 3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), weighed per
-component by atol + rtol max(|y|, |y_new|), and a PI controller with
+component by ABS_TOL + REL_TOL max(|y|, |y_new|), and a PI controller with
 exponents 0.7/8 and 0.4/8 sets the next step.  The coefficients are those
 of Hairer's dop853.f, as named module constants, and `_dop853_step` is
 written like that code: straight-line stages and output sums that read the
@@ -65,13 +65,12 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import AsymptoticModes, StepParameters, asymptotic_modes
+from .model import StepParameters, asymptotic_modes
 
 __all__ = [
     "OracleError",
     "StepLimitError",
     "NormDriftError",
-    "IntegrationConfig",
     "OracleOutcome",
     "ComparisonReport",
     "integrate",
@@ -88,37 +87,7 @@ class StepLimitError(OracleError):
 
 
 class NormDriftError(OracleError):
-    """Norm conservation violated beyond the configured drift limit."""
-
-
-@dataclass(frozen=True)
-class IntegrationConfig:
-    """Controls for the time integration.
-
-    span_factor N sets the window t0 +- N*tau (stretched to 10/E1 for very
-    small tau so the incident wave is well developed); N >= 12 keeps the tanh
-    tail residual below ~4e-11.
-    """
-
-    span_factor: float = 20.0
-    rel_tol: float = 3e-12
-    abs_tol: float = 3e-14
-
-    def __post_init__(self):
-        if self.span_factor < 12:
-            raise ValueError("span_factor must be >= 12")
-        for name in ("rel_tol", "abs_tol"):
-            v = getattr(self, name)
-            if not 0 < v <= 1e-3:
-                raise ValueError(f"{name} must lie in (0, 1e-3], got {v!r}")
-
-    @property
-    def drift_limit(self) -> float:
-        # measured worst drift at the default tolerances: 6.9e-14 on the
-        # acceptance grid for tau 1e-12..30, 3.5e-13 with random points
-        # (signed q, m != 1, a1 != 0, t0 != 0, tau up to ~1e3); scale up
-        # proportionally when the user loosens rel_tol
-        return max(1e-9, 100.0 * self.rel_tol)
+    """Norm conservation violated beyond DRIFT_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -247,10 +216,21 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
+# the window is t0 +- SPAN_FACTOR tau, stretched to 10/E1 for very small tau
+# so the incident wave is well developed; a factor >= 12 keeps the tanh tail
+# residual below ~4e-11
+SPAN_FACTOR = 20.0
+# per-component error weight ABS_TOL + REL_TOL max(|y|, |y_new|)
+REL_TOL = 3e-12
+ABS_TOL = 3e-14
+# measured worst norm drift at these tolerances: 6.9e-14 on the acceptance
+# grid for tau 1e-12..30, 3.5e-13 with random points (signed q, m != 1,
+# a1 != 0, t0 != 0, tau up to ~1e3)
+DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2) + log10(T/tau))
 # steps, for the transition and for the decades the step size climbs from
 # ~tau to the window T.  Measured over tau 1e-100..100, signed q, m != 1,
-# a1 != 0: at most 60 steps per unit at the default tolerances, 80 at 10x
+# a1 != 0: at most 60 steps per unit at REL_TOL and ABS_TOL, 80 at 10x
 # tighter, so a stepper that has lost its order fails in seconds
 STEP_BUDGET = 1000
 # compare's bar on the deviations of f and b, relative to max(1, f, b)
@@ -368,23 +348,19 @@ def _unsquared_error(r5: tuple[float, ...], r3: tuple[float, ...]) -> float:
     return big * n5 / math.sqrt(3.0 * (n5 + 0.01 * n3))
 
 
-def _span(params: StepParameters, cfg: IntegrationConfig, modes: AsymptoticModes) -> float:
-    return max(cfg.span_factor * params.tau, 10.0 / modes.e1)
-
-
-def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> OracleOutcome:
+def integrate(params: StepParameters) -> OracleOutcome:
     """Propagate the incident wave through the step and project the final state.
 
     Starts from phi = e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) * phi at
     t0 - T (a = 1/cos(theta1/2), b = 0 in the eigenmode picture) and reports
     the chiral amplitudes of the forward/backward late modes at t0 + T, with
     the e^{-/+ i E2 (t - t0)} phases stripped; `compare` turns them into f, b
-    and the probabilities.
+    and the probabilities.  The window and tolerances are the module
+    constants, read at each call.
     """
-    cfg = cfg or IntegrationConfig()
     m = params.m
     modes = asymptotic_modes(params)
-    T = _span(params, cfg, modes)
+    T = max(SPAN_FACTOR * params.tau, 10.0 / modes.e1)
     # integrate in s = u/S, u = t - t0, S = 2^k with tau = tau_s S and
     # tau_s in [1/2, 1); the profile depends on t only through s
     tau_s, k = math.frexp(params.tau)
@@ -420,8 +396,8 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
         gr = cmath.rect(g0 * w / (opw * opw * e_sq), 2.0 * pp)
         return (gr * bb, -gr.conjugate() * aa, scale * math.sqrt(e_sq))
 
-    rtol = cfg.rel_tol
-    atol = cfg.abs_tol
+    rtol = REL_TOL  # module settings read once per call, not per step
+    atol = ABS_TOL
     h_max = 2.0 * s_end / 16.0
     h = min(h_max, tau_s / 4.0, 0.1 / max(modes.e1, modes.e2) / scale)
     # the transition needs steps of order tau, far below T when tau << 1/E1
@@ -477,10 +453,8 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
         if h <= h_min:
             raise StepLimitError(f"step size underflow at t - t0 = {s * scale:.6g}")
 
-    if drift_max > cfg.drift_limit:
-        raise NormDriftError(
-            f"norm drift {drift_max:.3e} exceeds limit {cfg.drift_limit:.3e}"
-        )
+    if drift_max > DRIFT_LIMIT:
+        raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the late eigenmodes are
     # v+ = cos(theta2/2) u+ and v- = -sin(theta2/2) u- in terms of the
@@ -500,7 +474,7 @@ def integrate(params: StepParameters, cfg: IntegrationConfig | None = None) -> O
     )
 
 
-def compare(params: StepParameters, cfg: IntegrationConfig | None = None) -> ComparisonReport:
+def compare(params: StepParameters) -> ComparisonReport:
     """Run the closed form and the integrator on identical inputs and diff them.
 
     Deviations of f and b are measured against COMPARE_TOL * max(1, f, b); the
@@ -510,9 +484,8 @@ def compare(params: StepParameters, cfg: IntegrationConfig | None = None) -> Com
     about 1e-25 absolute; at tau = 10, p = 4, a2 = 1 (m = q = 1) it gives
     4.0e-26 where the exact value is 1.2e-86, and the report still passes.
     """
-    cfg = cfg or IntegrationConfig()
     ana = scatter(params)
-    out = integrate(params, cfg)
+    out = integrate(params)
     num = result_from_mode_amplitudes(1.0 + 0.0j, out.g_f_weyl, out.g_b_weyl, params.m, ana.modes)
     deviations = {
         "f": abs(ana.f - num.f),

@@ -63,7 +63,7 @@ def check_specfun_values(points: Sequence[tuple[complex, complex, complex, float
         abs(cmath.exp(specfun.log_gamma(0.5)) - math.sqrt(math.pi)),
         abs(cmath.exp(specfun.log_gamma(4.0)) - 6.0),
         abs(specfun.hyp2f1(1, 1, 2, -1.0) - math.log(2.0)),
-        abs(specfun.hyp2f1(0.5, 0.5, 2, 1.0) - 4.0 / math.pi),
+        abs(specfun.hyp2f1(0.5, 1, 1.5, -1.0) - math.pi / 4.0),  # arctan(1)/1
     ]
     for a, b, c, z in points:
         base = specfun.hyp2f1(a, b, c, z)

@@ -1,12 +1,13 @@
 """Complex-parameter special functions for the analytic step solution.
 
 Only the arguments the scattering problem actually visits are first class:
-the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 1/2,
-plus z = 1 under Gauss summability.  Each chart of the time-dependent
-solution is evaluated only on its own side of the step, where its argument
-zeta = -exp(-2|t - t0|/tau) lies in [-1, 0), so no representation for
-z < -1 is needed.  Parameters are generally complex; in production they are
-purely imaginary (a, b) with c on the line 1 + i*R.
+the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 1/2.
+Each chart of the time-dependent solution is evaluated only on its own side
+of the step, where its argument zeta = -exp(-2|t - t0|/tau) lies in [-1, 0),
+so no representation for z < -1 or for z near 1 is needed; z = 1 itself
+raises DomainError like any other point outside the domain.  Parameters are
+generally complex; in production they are purely imaginary (a, b) with c on
+the line 1 + i*R.
 
 Accuracy strategy: among the equivalent Maclaurin representations
 
@@ -236,19 +237,14 @@ class Hyp2F1Plan:
         return rep.kappa, s, -ds / (one_minus * one_minus)
 
 
-def _gauss_limit(a: complex, b: complex, c: complex) -> complex:
-    # F(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b)), Re(c-a-b) > 0
-    return cmath.exp(log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b))
-
-
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
                            z: complex) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
-    Supported z: real with -1 <= z <= 1/2, plus z = 1 when Re(c - a - b) > 0.
-    At z = 1 the derivative is finite only when Re(c - a - b) > 1 and is nan
-    otherwise.  c must not be zero or a negative integer.  Deterministic:
-    identical inputs give identical output bits.
+    Supported z: real with -1 <= z <= 1/2; any other z, z = 1 included,
+    raises DomainError, unless a or b is 0 and the function is 1 everywhere.
+    c must not be zero or a negative integer.
+    Deterministic: identical inputs give identical output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
 
@@ -258,20 +254,11 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
         return 1.0 + 0.0j, 0.0 + 0.0j
     if z == 0:
         return 1.0 + 0.0j, a * b / c
-    if z == 1:
-        if (c - a - b).real <= 0:
-            raise DomainError(
-                "2F1 at z = 1 requires Re(c - a - b) > 0 for Gauss summability"
-            )
-        value = _gauss_limit(a, b, c)
-        if (c - a - b).real <= 1:
-            return value, complex(math.nan, math.nan)
-        return value, a * b / c * _gauss_limit(a + 1, b + 1, c + 1)
     if z.imag != 0.0:
-        raise DomainError(f"2F1 argument must be real (or exactly 1), got z = {z}")
+        raise DomainError(f"2F1 argument must be real, got z = {z}")
     x = z.real
     if not -1.0 <= x <= 0.5:
-        raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2 (or z = 1), got z = {x}")
+        raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2, got z = {x}")
     kappa, s, ds = Hyp2F1Plan(a, b, c).series(x)
     # 1 - x >= 1/2: the logarithm is real
     prefactor = cmath.exp(kappa * math.log1p(-x))
@@ -289,10 +276,6 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex) -> complex:
     """d/dz 2F1(a, b; c; z), equal to (a b / c) 2F1(a+1, b+1; c+1; z).
 
-    The derivative half of `hyp2f1_with_derivative`; at z = 1 it raises
-    DomainError unless Re(c - a - b) > 1.
+    The derivative half of `hyp2f1_with_derivative`, with its domain and errors.
     """
-    deriv = hyp2f1_with_derivative(a, b, c, z)[1]
-    if cmath.isnan(deriv):
-        raise DomainError("d/dz 2F1 at z = 1 requires Re(c - a - b) > 1")
-    return deriv
+    return hyp2f1_with_derivative(a, b, c, z)[1]

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from diracstep import IntegrationConfig, StepParameters, compare
-from diracstep import cli
+from diracstep import StepParameters, compare
+from diracstep import cli, oracle
 from diracstep.selftest import (
     check_adiabatic,
     check_normalization,
@@ -108,7 +108,7 @@ def test_criterion_6_special_functions():
                   f"{values}; {refl}; {elapsed:.1f}s (<5s)")
 
 
-def test_criterion_7_oracle_integrity(oracle_grid):
+def test_criterion_7_oracle_integrity(oracle_grid, monkeypatch):
     reports, _ = oracle_grid
     worst_drift = max(rep.outcome.norm_drift for rep in reports)
     # stability of a grid subset under a wider window and 10x tighter tolerance
@@ -117,8 +117,13 @@ def test_criterion_7_oracle_integrity(oracle_grid):
                        (4.0, 1.0, 0.05), (1.0, 5.0, 3.0)):
         params = StepParameters(m=1.0, q=1.0, p=p, a1=0.0, a2=a2, tau=tau)
         base = compare(params).numeric
-        wider = compare(params, IntegrationConfig(span_factor=24.0)).numeric
-        tighter = compare(params, IntegrationConfig(rel_tol=3e-13, abs_tol=3e-15)).numeric
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "SPAN_FACTOR", 24.0)
+            wider = compare(params).numeric
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "REL_TOL", 3e-13)
+            patch.setattr(oracle, "ABS_TOL", 3e-15)
+            tighter = compare(params).numeric
         for other in (wider, tighter):
             worst_change = max(worst_change, abs(other.f - base.f), abs(other.b - base.b))
     ok = worst_drift < 1e-9 and worst_change < 1e-7

@@ -234,7 +234,17 @@ class TestSweep:
                              "--p", "0.5")
         assert code == 2
         assert out == ""
-        assert "--sweep-var energy_ratio" in err
+        assert "--p" in err and "--sweep-var energy_ratio" in err
+        # every other sweep sets its swept input, so a flag for it would be
+        # dropped
+        base = ["--start", "1", "--stop", "2", "--count", "3"]
+        for var, flags in (("p", ["--p", "9", "--a2", "1", "--tau", "0.3"]),
+                           ("a2", ["--p", "1", "--a2", "9", "--tau", "0.3"]),
+                           ("tau", ["--p", "1", "--a2", "2", "--tau", "-1"])):
+            code, out, err = run(capsys, "sweep", "--sweep-var", var, *base, *flags)
+            assert code == 2
+            assert out == ""
+            assert f"--{var}" in err and f"--sweep-var {var}" in err
 
     def test_all_points_failing_exits_numerical(self, capsys):
         code, out, err = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-2.0",

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from diracstep import model
 from diracstep.model import (
-    Basis,
     StepParameters,
     TwoSpinor,
     asymptotic_modes,
     potential_at,
     potential_rate,
-    weyl_to_dirac,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -118,41 +116,10 @@ class TestAsymptoticModes:
             assert modes.e1 == m
 
 
-class TestBasisChange:
-    def test_symmetric_input(self):
-        out = weyl_to_dirac(TwoSpinor(1.0, 1.0, Basis.WEYL))
-        assert out.basis is Basis.DIRAC
-        assert out.upper == pytest.approx(math.sqrt(2.0))
-        assert abs(out.lower) < 1e-15
-
-    def test_basis_column(self):
-        out = weyl_to_dirac(TwoSpinor(1.0, 0.0, Basis.WEYL))
-        assert out.upper == pytest.approx(1 / math.sqrt(2.0))
-        assert out.lower == pytest.approx(1 / math.sqrt(2.0))
-
-    def test_rejects_dirac_input(self):
-        with pytest.raises(ValueError):
-            weyl_to_dirac(TwoSpinor(1.0, 0.0, Basis.DIRAC))
-
-    @given(finite, finite, finite, finite)
-    def test_norm_preserved(self, xr, xi, yr, yi):
-        s = TwoSpinor(complex(xr, xi), complex(yr, yi), Basis.WEYL)
-        out = weyl_to_dirac(s)
-        assert out.norm_sq == pytest.approx(s.norm_sq, rel=1e-12, abs=1e-12)
-
-    @given(finite, finite)
-    def test_involutive(self, x, y):
-        s = TwoSpinor(complex(x), complex(y), Basis.WEYL)
-        once = weyl_to_dirac(s)
-        twice = weyl_to_dirac(TwoSpinor(once.upper, once.lower, Basis.WEYL))
-        assert twice.upper == pytest.approx(s.upper, abs=1e-12)
-        assert twice.lower == pytest.approx(s.lower, abs=1e-12)
-
-
 def chiral_mode(pi, m, positive):
-    # weyl_to_dirac is its own inverse, so the chiral mode (1, lower) has
-    # standard-basis upper component (1 + lower)/sqrt(2)
-    return TwoSpinor(1.0, math.sqrt(2.0) * model.dirac_upper(pi, m, positive) - 1.0, Basis.WEYL)
+    # the rotation [[1, 1], [1, -1]]/sqrt(2) to the standard basis gives the
+    # chiral mode (1, lower) the upper component (1 + lower)/sqrt(2)
+    return TwoSpinor(1.0, math.sqrt(2.0) * model.dirac_upper(pi, m, positive) - 1.0)
 
 
 class TestModeSpinors:
@@ -185,5 +152,5 @@ class TestModeSpinors:
                 lower = (e - pi) / m if positive else -(e + pi) / m
                 assert pi + m * lower == pytest.approx(energy, abs=1e-14)
                 assert m - pi * lower == pytest.approx(energy * lower, abs=1e-13)
-                via = weyl_to_dirac(TwoSpinor(1.0, lower, Basis.WEYL)).upper
+                via = (1.0 + lower) / math.sqrt(2.0)
                 assert model.dirac_upper(pi, m, positive) == pytest.approx(via, abs=1e-14)

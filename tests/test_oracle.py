@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from diracstep import IntegrationConfig, StepParameters, compare, integrate, oracle
+from diracstep import StepParameters, compare, integrate, oracle
 from diracstep.oracle import NormDriftError, StepLimitError
 
 from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
@@ -12,18 +12,6 @@ RT3 = math.sqrt(3.0)
 
 def mk(m=1.0, q=1.0, p=RT3, a1=0.0, a2=2 * RT3, tau=0.3, t0=0.0):
     return StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau, t0=t0)
-
-
-class TestConfig:
-    def test_span_factor_floor(self):
-        with pytest.raises(ValueError):
-            IntegrationConfig(span_factor=8)
-
-    def test_tolerance_window(self):
-        with pytest.raises(ValueError):
-            IntegrationConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegrationConfig(abs_tol=1e-2)
 
 
 # DOP853's stages as the step reads them: stage i (from 1; stage 1 is the
@@ -141,10 +129,20 @@ class TestIntegrate:
         out = integrate(mk())
         assert out.norm_drift < 1e-9
 
-    def test_stability_in_span_and_tolerance(self):
-        base = compare(mk(), IntegrationConfig()).numeric
-        wider = compare(mk(), IntegrationConfig(span_factor=24.0)).numeric
-        tighter = compare(mk(), IntegrationConfig(rel_tol=3e-13, abs_tol=3e-15)).numeric
+    def test_drift_beyond_the_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DRIFT_LIMIT", 0.0)
+        with pytest.raises(NormDriftError):
+            integrate(mk())
+
+    def test_stability_in_span_and_tolerance(self, monkeypatch):
+        base = compare(mk()).numeric
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "SPAN_FACTOR", 24.0)
+            wider = compare(mk()).numeric
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "REL_TOL", 3e-13)
+            patch.setattr(oracle, "ABS_TOL", 3e-15)
+            tighter = compare(mk()).numeric
         for other in (wider, tighter):
             assert abs(other.f - base.f) < 1e-7
             assert abs(other.b - base.b) < 1e-7

@@ -19,7 +19,6 @@ from diracstep.specfun import (
 
 LN_SQRT_PI = 0.57236494292470009
 LN_2 = 0.69314718055994531
-FOUR_OVER_PI = 1.2732395447351627
 
 # reference values computed with mpmath (dps=30)
 LOGGAMMA_REFERENCE = [
@@ -144,8 +143,19 @@ class TestHyp2F1:
         # 2F1(1,1;2;z) = -ln(1-z)/z
         assert hyp2f1(1, 1, 2, -1.0) == pytest.approx(LN_2, abs=1e-14)
 
-    def test_gauss_summation(self):
-        assert hyp2f1(0.5, 0.5, 2.0, 1.0) == pytest.approx(FOUR_OVER_PI, rel=1e-12)
+    def test_arctan_identity(self):
+        # 2F1(1/2,1;3/2;-z^2) = arctan(z)/z, summed by a Pfaff series at w = 1/2
+        assert hyp2f1(0.5, 1, 1.5, -1.0) == pytest.approx(math.pi / 4.0, abs=1e-14)
+
+    @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3),
+           st.floats(min_value=0.3, max_value=3))
+    def test_unit_argument_outside_domain(self, ar, br, cr):
+        # z = 1 raises whether or not the series converges there
+        a, b, c = complex(ar, 0.4), complex(br, -0.2), complex(cr, 0.1)
+        with pytest.raises(DomainError):
+            hyp2f1(a, b, c, 1.0)
+        with pytest.raises(DomainError):
+            hyp2f1_with_derivative(a, b, c, 1.0)
 
     def test_gauss_summation_requires_convergence(self):
         with pytest.raises(DomainError):
@@ -247,11 +257,3 @@ class TestHyp2F1Derivative:
     def test_contiguous_form(self, a, b, c, z, value, deriv):
         contiguous = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z)
         assert hyp2f1_derivative(a, b, c, z) == pytest.approx(contiguous, rel=1e-10)
-
-    def test_at_unit_argument(self):
-        # F'(1) = (a b / c) F(a+1, b+1; c+1; 1) needs Re(c - a - b) > 1
-        a, b, c = 0.5, 0.25, 3.0
-        contiguous = a * b / c * hyp2f1(a + 1, b + 1, c + 1, 1.0)
-        assert hyp2f1_derivative(a, b, c, 1.0) == pytest.approx(contiguous, rel=1e-14)
-        with pytest.raises(DomainError):
-            hyp2f1_derivative(0.5, 0.5, 2.0, 1.0)  # Re(c-a-b) = 1
