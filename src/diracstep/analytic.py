@@ -117,6 +117,7 @@ from .model import (
     StepParameters,
     TwoSpinor,
     asymptotic_modes,
+    check_inputs,
     dirac_upper,
     potential_at,
     potential_rate,
@@ -495,14 +496,11 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     The solve is performed on the always-finite chiral components, so the
     pi2 = 0 kinematics (where the standard-basis component ratios of the
     asymptotic modes degenerate) yields the exact limit: the backward
-    upper component vanishes identically and b = 0.  Raises ValueError for
-    m <= 0 or a non-finite input, as StepParameters does.
+    upper component vanishes identically and b = 0.  The inputs are checked
+    by `model.check_inputs`, the rule StepParameters applies: m <= 0 or a
+    non-finite input raises ValueError.
     """
-    for name, value in (("m", m), ("q", q), ("p", p), ("a1", a1), ("a2", a2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if m <= 0:
-        raise ValueError(f"m must be positive, got {m!r}")
+    check_inputs({"m": m, "q": q, "p": p, "a1": a1, "a2": a2})
     pi1 = p - q * a1
     pi2 = p - q * a2
     e1 = math.hypot(pi1, m)

@@ -52,10 +52,18 @@ def _add_physics_flags(p: argparse.ArgumentParser, with_tau: bool = True):
         p.add_argument("--tau", type=float, default=None, help="transition time parameter")
 
 
-def _params_from(args) -> model.StepParameters:
-    return model.StepParameters(
-        m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2, tau=args.tau, t0=args.t0,
-    )
+def _given_inputs(args) -> dict:
+    """The physics flags given or defaulted, in header order."""
+    return {k: v for k in ("m", "q", "p", "a1", "a2", "t0", "tau")
+            if (v := getattr(args, k)) is not None}
+
+
+def _momentum_at_ratio(ratio: float, args, minus: bool = False) -> float:
+    """The p whose incident energy is E1 = ratio*m: q*a1 ± m*sqrt(ratio² - 1)."""
+    if not ratio >= 1.0:  # written as `not >=` so that NaN fails too
+        raise ValueError(f"energy ratio must be >= 1, got {ratio}")
+    pi1 = args.m * math.sqrt(ratio * ratio - 1.0)
+    return args.q * args.a1 + (-pi1 if minus else pi1)
 
 
 def _header_lines(fixed: dict) -> list[str]:
@@ -101,11 +109,8 @@ def cmd_scatter(args) -> int:
     if args.p is None or args.a2 is None:
         return _fail(EXIT_FLAGS, "--p and --a2 are required")
     if args.sharp:
-        if args.tau is not None and args.tau <= 0:
-            return _fail(EXIT_FLAGS, "tau must be positive; --sharp already selects the Heaviside limit")
-        # sharp_step checks its own inputs but reads no t0, which the record echoes
-        if not math.isfinite(args.t0):
-            return _fail(EXIT_FLAGS, f"t0 must be finite, got {args.t0!r}")
+        # sharp_step reads no t0 or tau, and the record echoes both
+        model.check_inputs(_given_inputs(args))
         res = analytic.sharp_step(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2)
         tau = 0.0  # marks the Heaviside limit in the emitted record
     else:
@@ -113,7 +118,7 @@ def cmd_scatter(args) -> int:
             return _fail(EXIT_FLAGS, "--tau is required (or pass --sharp)")
         if args.tau <= 0:
             return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
-        params = _params_from(args)
+        params = model.StepParameters(**_given_inputs(args))
         res = analytic.scatter(params)
         tau = args.tau
     _guard_probabilities(res)
@@ -153,34 +158,14 @@ def _sweep_values(start: float, stop: float, count: int, log: bool) -> list[floa
     return [start + (stop - start) * i / (count - 1) for i in range(count)]
 
 
-def _params_for_sweep_point(args, value: float) -> model.StepParameters:
-    kw = dict(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2,
-              tau=args.tau, t0=args.t0)
-    if args.sweep_var == "p":
-        kw["p"] = value
-    elif args.sweep_var == "a2":
-        kw["a2"] = value
-    elif args.sweep_var == "tau":
-        kw["tau"] = value
-    else:  # energy_ratio: E1/m = value fixes |pi1|; branch picks the sign
-        if value < 1.0:
-            raise ValueError(f"energy ratio must be >= 1, got {value}")
-        pi1 = args.m * math.sqrt(value * value - 1.0)
-        if args.branch == "minus":
-            pi1 = -pi1
-        kw["p"] = args.q * args.a1 + pi1
-    return model.StepParameters(**kw)
-
-
 def cmd_sweep(args) -> int:
-    needed = {"p": ("a2", "tau"), "a2": ("p", "tau"), "tau": ("p", "a2"),
-              "energy_ratio": ("a2", "tau")}[args.sweep_var]
-    for name in needed:
-        if getattr(args, name) is None:
-            return _fail(EXIT_FLAGS, f"--{name} is required for a {args.sweep_var} sweep")
     # each row sets one input, p for an energy_ratio sweep and otherwise the
-    # swept one; a flag for it would be dropped
+    # swept one; the other two of p, a2 and tau are required, and a flag for
+    # the swept one would be dropped
     swept = "p" if args.sweep_var == "energy_ratio" else args.sweep_var
+    for name in ("p", "a2", "tau"):
+        if name != swept and getattr(args, name) is None:
+            return _fail(EXIT_FLAGS, f"--{name} is required for a {args.sweep_var} sweep")
     if getattr(args, swept) is not None:
         return _fail(EXIT_FLAGS, f"--{swept} cannot be given with --sweep-var {args.sweep_var}: "
                                  f"each row sets {swept}")
@@ -190,15 +175,11 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_FLAGS, "--oracle-every must be >= 0")
     if args.start == args.stop:
         return _fail(EXIT_FLAGS, "--start and --stop must differ")
-    if args.tau is not None and args.tau <= 0:
-        return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
-    try:
-        values = _sweep_values(args.start, args.stop, args.count, args.log)
-    except ValueError as exc:
-        return _fail(EXIT_FLAGS, str(exc))
-
-    fixed = {k: getattr(args, k) for k in ("m", "q", "p", "a1", "a2", "t0", "tau")
-             if getattr(args, k) is not None}
+    fixed = _given_inputs(args)
+    # a bad fixed input is a flag error before any row; only a swept value
+    # fails a single row
+    model.check_inputs(fixed)
+    values = _sweep_values(args.start, args.stop, args.count, args.log)
     header_cols = [args.sweep_var, *_RESULT_COLUMNS]
     if args.oracle_every:
         header_cols += ["oracle_dev_f", "oracle_dev_b"]
@@ -211,10 +192,15 @@ def cmd_sweep(args) -> int:
     checked = row + "," + _row_template(2) + ",ok"
     unchecked = row + (",,,ok" if args.oracle_every else ",ok")
     failed = "%.16e" + "," * (len(header_cols) - 1) + "%s"
+    inputs = dict(fixed)
     failures = 0
     for i, value in enumerate(values):
         try:
-            params = _params_for_sweep_point(args, value)
+            if args.sweep_var == "energy_ratio":
+                inputs["p"] = _momentum_at_ratio(value, args, args.branch == "minus")
+            else:
+                inputs[swept] = value
+            params = model.StepParameters(**inputs)
             res = analytic.scatter(params)
             _guard_probabilities(res)
             if args.oracle_every and i % args.oracle_every == 0:
@@ -235,11 +221,9 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- figure2
 
 
-def _figure2_panel(path: Path, tau: float, args) -> None:
-    """One panel: step-strength sweep at fixed incident E1/m, with the
-    Heaviside reference columns."""
-    pi1 = args.m * math.sqrt(args.energy_ratio ** 2 - 1.0)
-    p = args.q * args.a1 + pi1
+def _figure2_panel(tau: float, p: float, grid: list[tuple[float, float]], args) -> str:
+    """One panel's CSV: step-strength sweep at fixed incident E1/m, with the
+    Heaviside reference columns; grid holds the (q*A2, A2) pairs."""
     fixed = {"m": args.m, "q": args.q, "p": p, "a1": args.a1, "t0": args.t0, "tau": tau}
     # the Heaviside reference columns are F, B, F_u, B_u of the sharp step
     cols = ["qa2", *_RESULT_COLUMNS, *(c + "_sharp" for c in _RESULT_COLUMNS[4:])]
@@ -248,15 +232,13 @@ def _figure2_panel(path: Path, tau: float, args) -> None:
                  f"E1/m={_NUM(args.energy_ratio)}")
     lines.append(",".join(cols))
     row = _row_template(len(cols))
-    for qa2 in _sweep_values(args.start, args.stop, args.count, log=False):
-        a2 = qa2 / args.q
-        params = model.StepParameters(m=args.m, q=args.q, p=p, a1=args.a1,
-                                      a2=a2, tau=tau, t0=args.t0)
+    for qa2, a2 in grid:
+        params = model.StepParameters(a2=a2, **fixed)
         res = analytic.scatter(params)
         _guard_probabilities(res)
         hard = analytic.sharp_step(m=args.m, q=args.q, p=p, a1=args.a1, a2=a2)
         lines.append(row % (qa2, *_result_values(res), *_result_values(hard)[4:]))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 _GNUPLOT_TEMPLATE = """# gnuplot script: scattering probabilities vs step strength
@@ -286,15 +268,21 @@ unset multiplot
 def cmd_figure2(args) -> int:
     if args.count < 2:
         return _fail(EXIT_FLAGS, "--count must be >= 2")
-    if args.energy_ratio < 1.0:
-        return _fail(EXIT_FLAGS, "--energy-ratio must be >= 1")
     if args.q == 0:
         return _fail(EXIT_FLAGS, "--q must be nonzero: the sweep runs over q*A2")
+    # the flags before p, which is formed from them; the rows check each
+    # tau, and both panels are computed in full before anything is written
+    model.check_inputs({"m": args.m, "q": args.q, "a1": args.a1, "t0": args.t0})
+    p = _momentum_at_ratio(args.energy_ratio, args)
+    grid = [(qa2, qa2 / args.q)
+            for qa2 in _sweep_values(args.start, args.stop, args.count, log=False)]
+    panels = {"panel_a.csv": _figure2_panel(args.tau_fast, p, grid, args),
+              "panel_b.csv": _figure2_panel(args.tau_slow, p, grid, args)}
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _figure2_panel(out_dir / "panel_a.csv", args.tau_fast, args)
-        _figure2_panel(out_dir / "panel_b.csv", args.tau_slow, args)
+        for name, text in panels.items():
+            (out_dir / name).write_text(text)
         script = _GNUPLOT_TEMPLATE.format(tau_a=f"{args.tau_fast:g}", tau_b=f"{args.tau_slow:g}")
         (out_dir / "figure2.gp").write_text(script)
     except OSError as exc:

@@ -242,7 +242,7 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
     Supported z: real with -1 <= z <= 1/2; any other z, z = 1 included,
-    raises DomainError, unless a or b is 0 and the function is 1 everywhere.
+    raises DomainError.
     c must not be zero or a negative integer.
     Deterministic: identical inputs give identical output bits.
     """
@@ -250,8 +250,6 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
 
     if _is_nonpositive_int(c):
         raise GammaPoleError(f"2F1 parameter c = {c} is a non-positive integer")
-    if a == 0 or b == 0:
-        return 1.0 + 0.0j, 0.0 + 0.0j
     if z == 0:
         return 1.0 + 0.0j, a * b / c
     if z.imag != 0.0:

@@ -58,7 +58,7 @@ class TestScatter:
         assert rec["F"] == pytest.approx(hard.F, rel=1e-12)
 
     @pytest.mark.parametrize("flags", [("--m", "0"), ("--m", "-1"), ("--p", "nan"),
-                                       ("--t0", "inf")])
+                                       ("--t0", "inf"), ("--tau", "nan"), ("--tau", "-1")])
     def test_sharp_rejects_bad_inputs(self, capsys, flags):
         code, _, err = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2", *flags)
         assert code == 2
@@ -246,6 +246,21 @@ class TestSweep:
             assert out == ""
             assert f"--{var}" in err and f"--sweep-var {var}" in err
 
+    @pytest.mark.parametrize("var,name,value", [
+        ("p", "m", "0"), ("p", "m", "-1"), ("p", "q", "inf"), ("p", "a1", "nan"),
+        ("p", "t0", "inf"), ("p", "tau", "nan"), ("a2", "p", "nan"),
+        ("energy_ratio", "m", "0")])
+    def test_bad_fixed_flag_rejected_before_any_row(self, capsys, var, name, value):
+        # a fixed input would fail every row alike: a flag error, not rows
+        given = {"p": "1", "a2": "2", "tau": "0.5", name: value}
+        del given["p" if var == "energy_ratio" else var]
+        code, out, err = run(capsys, "sweep", "--sweep-var", var, "--start", "1",
+                             "--stop", "2", "--count", "3",
+                             *(f"--{k}={v}" for k, v in given.items()))
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be" in err
+
     def test_all_points_failing_exits_numerical(self, capsys):
         code, out, err = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-2.0",
                              "--stop", "-1.0", "--count", "3", "--p", "1", "--a2", "1")
@@ -364,6 +379,20 @@ class TestFigure2:
         code, _, err = run(capsys, "figure2", "--out-dir", str(tmp_path), "--q", "0")
         assert code == 2
         assert "--q" in err
+        code, out, err = run(capsys, "figure2", "--out-dir", str(tmp_path),
+                             "--energy-ratio", "nan")
+        assert code == 2
+        assert out == ""
+        assert "energy ratio" in err
+
+    @pytest.mark.parametrize("flags", [("--tau-slow", "-1"), ("--m", "-1"),
+                                       ("--energy-ratio", "0.5")])
+    def test_bad_flag_writes_nothing(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "figure2", "--out-dir", str(out_dir), "--count", "5", *flags)
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKinematicsCells:

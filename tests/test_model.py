@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracstep import model
+from diracstep import model, sharp_step
 from diracstep.model import (
     StepParameters,
     TwoSpinor,
@@ -39,6 +39,25 @@ class TestStepParameters:
             mk(p=math.inf)
         with pytest.raises(ValueError):
             mk(a2=math.nan)
+
+    @pytest.mark.parametrize("name,bad", [
+        (name, bad) for name in ("m", "q", "p", "a1", "a2")
+        for bad in (math.nan, math.inf, -math.inf)] + [("m", 0.0), ("m", -1.0)])
+    def test_one_rule(self, name, bad):
+        """check_inputs, StepParameters and sharp_step reject an input alike."""
+        inputs = dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=1.0)
+        inputs[name] = bad
+        expected = f"{name} must be {'positive' if math.isfinite(bad) else 'finite'}, got {bad!r}"
+        for check in (model.check_inputs, lambda kw: StepParameters(tau=1.0, **kw),
+                      lambda kw: sharp_step(**kw)):
+            with pytest.raises(ValueError) as exc:
+                check(inputs)
+            assert str(exc.value) == expected
+
+    def test_finite_inputs_whose_sum_overflows(self):
+        big = 1.5e308
+        assert mk(p=big, a1=big, a2=big, t0=big).p == big
+        model.check_inputs({"m": big, "tau": big})
 
 
 class TestPotential:

@@ -181,6 +181,13 @@ class TestHyp2F1:
             hyp2f1(1.0, 1.0, 2.0, 0.2 + 0.3j)
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, -1.5)
+        # a or b = 0 makes the function 1 everywhere; the domain holds all the same
+        with pytest.raises(DomainError):
+            hyp2f1(0, 1, 2, 5.0)
+        with pytest.raises(DomainError):
+            hyp2f1(0, 1, 2, 0.2 + 0.3j)
+        with pytest.raises(DomainError):
+            hyp2f1(1, 0, 2, -1.5)
 
     def test_c_pole_raises(self):
         with pytest.raises(GammaPoleError):
@@ -245,6 +252,10 @@ class TestHyp2F1Derivative:
     @given(st.floats(min_value=-0.99, max_value=0.45))
     def test_vanishes_for_zero_a(self, z):
         assert hyp2f1_derivative(0.0, 1.5j, 1 + 1j, z) == 0.0
+        # the first term ratio is 0, and the representation chosen keeps a
+        # zero parameter, so the series is exactly (1, 0)
+        assert hyp2f1_with_derivative(0.0, 1.5j, 1 + 1j, z) == (1.0, 0.0)
+        assert hyp2f1_with_derivative(2.5j, 0.0, 1 + 1j, z) == (1.0, 0.0)
 
     @pytest.mark.parametrize("a,b,c,z,value,deriv", HYP2F1_DERIVATIVE_REFERENCE)
     def test_reference_values(self, a, b, c, z, value, deriv):
