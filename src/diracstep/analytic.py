@@ -33,7 +33,8 @@ Both charts meet at t = t0, where zeta = -1.  Powers of zeta use the principal
 branch with the negative axis approached from above (arg zeta = +pi), so
 zeta^(-i eps) carries the real constant e^(pi eps) and, as t -> -/+inf, the
 two branches reduce to plane waves e^(-/+ i E (t - t0)).  A pure
-positive-frequency incident wave fixes (C1e, C2e) = (0, 1).
+positive-frequency incident wave fixes the earlier chart's coefficients of
+its (zeta^mu, zeta^-mu) branches to (0, 1), the module constant INCIDENT.
 
 The scattering amplitudes come from one chart alone.  The incident branch
 zeta^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
@@ -88,14 +89,14 @@ evaluation shares them, so the choice of series and its term ratios are not
 redone per time.  A plan gives 2F1 = (1 - zeta)^kappa s(zeta), and a branch
 is evaluated as zeta^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one
 complex exp, of mu ln zeta + (nu + kappa) ln(1 - zeta) with the real
-ln(1 - zeta) = log1p(-zeta).  `match_at_t0` takes the
-later-chart coefficients from the Gamma ratios through the chart branch
-constants, C1l = (g_f/g_i) e^(pi (eps1 + eps2)) and
-C2l = (g_b/g_i) e^(pi (eps1 - eps2)).  e^(pi (eps1 + eps2)) overflows for
-slow steps, so `build_solution` keeps the guard eps1 + eps2 <= 200.  In the
-chart normalization the asymptotic standard-basis upper components are
+ln(1 - zeta) = log1p(-zeta).  `match_at_t0` takes the later-chart
+coefficients from the Gamma ratios through the chart branch constants,
+C1l = (g_f/g_i) e^(pi (eps1 + eps2)) and C2l = (g_b/g_i) e^(pi (eps1 - eps2)).
+e^(pi (eps1 + eps2)) overflows for slow steps, so `build_solution` keeps the
+guard eps1 + eps2 <= 200.  In the chart normalization the asymptotic
+standard-basis upper components are
 
-    G_i = C2e e^(+pi eps1) (m + E1 - pi1) / (sqrt(2) m)
+    G_i =     e^(+pi eps1) (m + E1 - pi1) / (sqrt(2) m)
     G_f = C1l e^(-pi eps2) (m + E2 - pi2) / (sqrt(2) m)
     G_b = C2l e^(+pi eps2) (m - E2 - pi2) / (sqrt(2) m),
 
@@ -119,6 +120,7 @@ from .model import (
     asymptotic_modes,
     check_inputs,
     dirac_upper,
+    mode_lower,
     potential_at,
     potential_rate,
 )
@@ -145,6 +147,9 @@ __all__ = [
 # exp(pi*(eps1+eps2)) must stay below the double-precision overflow threshold
 _EPS_SUM_LIMIT = 200.0
 
+# the earlier chart's branch coefficients: a positive-frequency incident wave
+INCIDENT = (0.0 + 0.0j, 1.0 + 0.0j)
+
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation."""
@@ -156,36 +161,32 @@ class ChartExpansion:
 
     sign: +1 for the earlier chart, -1 for the later one; enters both
     d(zeta)/dt = sign * 2 zeta / tau and pi(zeta) = pi_asym + sign * delta *
-    zeta / (1 - zeta).  eps = tau * E_asym / 2 is the chart's frequency scale.
-    plan and plan_prime are the series plans of abc and abc_prime, built
-    once with the chart and shared by every evaluation of it; they take no
-    part in comparison.
+    zeta / (1 - zeta).  eps = tau * E_asym / 2 is the chart's frequency
+    scale and nu = i d the exponent of (1 - zeta).  branches holds the two
+    Frobenius branches as (exponent, plan) pairs: the zeta^(+i eps) branch
+    with the series plan of (a, b, c) and the zeta^(-i eps) branch with that
+    of (a', b', c').  The plans are built once with the chart and shared by
+    every evaluation of it; they take no part in comparison.
     """
 
-    mu: complex
-    nu: complex
-    abc: tuple[complex, complex, complex]
-    abc_prime: tuple[complex, complex, complex]
     sign: int
     pi_asym: float
     eps: float
-    plan: Hyp2F1Plan = field(compare=False, repr=False)
-    plan_prime: Hyp2F1Plan = field(compare=False, repr=False)
+    nu: complex
+    branches: tuple[tuple[complex, Hyp2F1Plan], tuple[complex, Hyp2F1Plan]] = field(
+        compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class HypergeometricSolution:
+    """Both charts, and the later one's coefficients once `match_at_t0` has
+    set them; the earlier chart's are always INCIDENT."""
+
     earlier: ChartExpansion
     later: ChartExpansion
     delta: float  # pi1 - pi2
-    c1e: complex | None = None
-    c2e: complex | None = None
     c1l: complex | None = None
     c2l: complex | None = None
-
-    @property
-    def matched(self) -> bool:
-        return self.c1l is not None
 
 
 @dataclass(frozen=True)
@@ -218,22 +219,15 @@ def governing_frequency(t: float, params: StepParameters) -> complex:
 
 def _chart(eps: float, eps_other: float, d: float, sign: int, pi_asym: float) -> ChartExpansion:
     mu = 1j * eps
-    nu = 1j * d
     a = 1j * (eps + d + eps_other)
     b = 1j * (eps + d - eps_other)
-    c = 1.0 + 2j * eps
-    abc = (a, b, c)
-    abc_prime = (a - 2 * mu, b - 2 * mu, 1.0 - 2j * eps)
     return ChartExpansion(
-        mu=mu,
-        nu=nu,
-        abc=abc,
-        abc_prime=abc_prime,
         sign=sign,
         pi_asym=pi_asym,
         eps=eps,
-        plan=Hyp2F1Plan(*abc),
-        plan_prime=Hyp2F1Plan(*abc_prime),
+        nu=1j * d,
+        branches=((mu, Hyp2F1Plan(a, b, 1.0 + 2j * eps)),
+                  (-mu, Hyp2F1Plan(a - 2 * mu, b - 2 * mu, 1.0 - 2j * eps))),
     )
 
 
@@ -256,45 +250,33 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
     )
 
 
-def _branch_phi_and_dt(chart: ChartExpansion, tau: float, second: bool,
-                       log_abs_zeta: float) -> tuple[complex, complex]:
-    """One Frobenius branch: (phi, dphi/dt) at ln|zeta| = log_abs_zeta.
-
-    second=False uses exponent +mu and (a, b, c); second=True the zeta^-mu
-    branch with (a', b', c').  Principal branch: ln zeta = ln|zeta| + i pi.
-    The plan gives 2F1 = (1-zeta)^kappa s, so the branch is
-    zeta^mu (1-zeta)^(nu+kappa) s, its head taken in one exp.
-    """
-    mu = -chart.mu if second else chart.mu
-    plan = chart.plan_prime if second else chart.plan
-    zeta = -math.exp(log_abs_zeta)
-    kappa, s, ds = plan.series(zeta)
-    nu = chart.nu + kappa
-    # zeta < 0, so ln(1 - zeta) is real
-    head = cmath.exp(mu * complex(log_abs_zeta, math.pi) + nu * math.log1p(-zeta))
-    phi = head * s
-    # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
-    zeta_dphi = phi * (mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
-    dphi_dt = chart.sign * (2.0 / tau) * zeta_dphi
-    return phi, dphi_dt
-
-
 def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
-                  c_first: complex, c_second: complex, t: float) -> TwoSpinor:
-    s = (t - params.t0) / params.tau
-    log_abs_zeta = chart.sign * 2.0 * s
+                  coefficients: tuple[complex, complex], t: float) -> TwoSpinor:
+    """Chiral spinor at time t of the chart's solution with the given
+    coefficients of its two branches; a zero coefficient skips its branch.
+
+    The plan of a branch zeta^mu (1-zeta)^nu 2F1 gives 2F1 = (1-zeta)^kappa s,
+    so the branch is zeta^mu (1-zeta)^(nu+kappa) s, its head taken in one exp
+    on the principal branch ln zeta = ln|zeta| + i pi.
+    """
+    log_abs_zeta = chart.sign * 2.0 * ((t - params.t0) / params.tau)
     zeta = -math.exp(log_abs_zeta)
-    piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
+    ln_zeta = complex(log_abs_zeta, math.pi)
+    ln_1mz = math.log1p(-zeta)  # zeta < 0, so ln(1 - zeta) is real
+    dt_scale = chart.sign * (2.0 / params.tau)  # d ln zeta / dt
     phi = 0.0 + 0.0j
     dphi = 0.0 + 0.0j
-    if c_first != 0:
-        p1, d1 = _branch_phi_and_dt(chart, params.tau, False, log_abs_zeta)
-        phi += c_first * p1
-        dphi += c_first * d1
-    if c_second != 0:
-        p2, d2 = _branch_phi_and_dt(chart, params.tau, True, log_abs_zeta)
-        phi += c_second * p2
-        dphi += c_second * d2
+    for c, (mu, plan) in zip(coefficients, chart.branches):
+        if c != 0:
+            kappa, s, ds = plan.series(zeta)
+            nu = chart.nu + kappa
+            head = cmath.exp(mu * ln_zeta + nu * ln_1mz)
+            branch = head * s
+            # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
+            zeta_dphi = branch * (mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
+            phi += c * branch
+            dphi += c * (dt_scale * zeta_dphi)
+    piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
     theta = (1j * dphi - piv * phi) / params.m
     return TwoSpinor(upper=phi, lower=theta)
 
@@ -304,16 +286,16 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     """Chiral spinor of the matched solution at time t.
 
     Each side of t0 is evaluated in its own chart, where the chart variable
-    lies in [-1, 0): t <= t0 in the earlier chart with (c1e, c2e), t > t0 in
+    lies in [-1, 0): t <= t0 in the earlier chart with INCIDENT, t > t0 in
     the later chart with (c1l, c2l).  Deep in either half-line zeta
     underflows to -0 and the spinor is the exact plane-wave limit.
     `solve_later` is the same function.
     """
-    if not sol.matched:
+    if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
     if t <= params.t0:
-        return _chart_spinor(sol.earlier, sol.delta, params, sol.c1e, sol.c2e, t)
-    return _chart_spinor(sol.later, sol.delta, params, sol.c1l, sol.c2l, t)
+        return _chart_spinor(sol.earlier, sol.delta, params, INCIDENT, t)
+    return _chart_spinor(sol.later, sol.delta, params, (sol.c1l, sol.c2l), t)
 
 
 solve_later = solve_earlier
@@ -341,7 +323,7 @@ def _connection(eps1: float, eps2: float, d: float) -> tuple[complex, complex]:
 
 
 def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> HypergeometricSolution:
-    """Fix the incident branch (c1e, c2e) = (0, 1) and continue it into the later chart.
+    """Continue the incident branch, INCIDENT in the earlier chart, into the later chart.
 
     The later-chart coefficients follow from the asymptotic amplitudes of
     the connection formula and the branch constants of both charts:
@@ -350,34 +332,32 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     eps1 = sol.earlier.eps
     eps2 = sol.later.eps
     r_f, r_b = _connection(eps1, eps2, sol.earlier.nu.imag)
-    return replace(sol, c1e=0.0 + 0.0j, c2e=1.0 + 0.0j,
-                   c1l=r_f * math.exp(math.pi * (eps1 + eps2)),
+    return replace(sol, c1l=r_f * math.exp(math.pi * (eps1 + eps2)),
                    c2l=r_b * math.exp(math.pi * (eps1 - eps2)))
 
 
 def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
                                 m: float, modes: AsymptoticModes) -> ScatteringResult:
-    """Assemble a ScatteringResult from chiral-basis mode amplitudes."""
-    g_i = gi_w * dirac_upper(modes.pi1, m, True)
-    g_f = gf_w * dirac_upper(modes.pi2, m, True)
-    g_b = gb_w * dirac_upper(modes.pi2, m, False)
-    f = abs(g_f / g_i)
-    b = abs(g_b / g_i)
+    """Assemble a ScatteringResult from chiral-basis mode amplitudes.
+
+    Each amplitude takes its mode factor as a ratio to the incident one
+    before it is divided by gi_w, so no intermediate leaves the double range
+    where the result does not."""
+    u_i = dirac_upper(modes.pi1, m, True)
+    f = abs(gf_w * (dirac_upper(modes.pi2, m, True) / u_i) / gi_w)
+    b = abs(gb_w * (dirac_upper(modes.pi2, m, False) / u_i) / gi_w)
     denom = f * f + b * b
-    # squared norms of the unnormalized mode spinors, all safely positive
-    n1 = m * m + (modes.e1 - modes.pi1) ** 2
-    n2p = m * m + (modes.e2 - modes.pi2) ** 2
-    n2m = m * m + (modes.e2 + modes.pi2) ** 2
-    r_f = abs(gf_w / gi_w) ** 2
-    r_b = abs(gb_w / gi_w) ** 2
+    # the squared norm m^2 + (E -+ pi)^2 of a mode spinor (1, l) is 2 E m |l|,
+    # here the square roots of its ratios to the incident one
+    root = math.sqrt(modes.e2 / modes.e1) / math.sqrt(mode_lower(modes.pi1, m))
     return ScatteringResult(
         modes=modes,
         f=f,
         b=b,
         F=f * f / denom,
         B=b * b / denom,
-        F_u=r_f * n2p / n1,
-        B_u=r_b * n2m / n1,
+        F_u=abs(gf_w * (root * math.sqrt(mode_lower(modes.pi2, m))) / gi_w) ** 2,
+        B_u=abs(gb_w * (root * math.sqrt(mode_lower(-modes.pi2, m))) / gi_w) ** 2,
     )
 
 
@@ -388,9 +368,9 @@ def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -
     plane waves whose constants are the e^(+-pi eps) branch factors of
     zeta^(+-mu); the chiral amplitudes below are exactly those limits.
     """
-    if not sol.matched:
+    if sol.c1l is None:
         raise ValueError("solution is unmatched; run match_at_t0 first")
-    gi_w = sol.c2e * math.exp(math.pi * sol.earlier.eps)
+    gi_w = INCIDENT[1] * math.exp(math.pi * sol.earlier.eps)
     gf_w = sol.c1l * math.exp(-math.pi * sol.later.eps)
     gb_w = sol.c2l * math.exp(math.pi * sol.later.eps)
     return result_from_mode_amplitudes(gi_w, gf_w, gb_w, params.m, asymptotic_modes(params))
@@ -493,11 +473,17 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
         alpha = (E1 + E2 - pi1 + pi2) / (2 E2)      (forward)
         beta  = (E2 - E1 + pi1 - pi2) / (2 E2)      (backward)
 
-    The solve is performed on the always-finite chiral components, so the
-    pi2 = 0 kinematics (where the standard-basis component ratios of the
-    asymptotic modes degenerate) yields the exact limit: the backward
-    upper component vanishes identically and b = 0.  The inputs are checked
-    by `model.check_inputs`, the rule StepParameters applies: m <= 0 or a
+    formed without subtraction as ((E1 - pi1) + (E2 + pi2)) / (2 E2) and,
+    with delta = pi1 - pi2 = q (A2 - A1) and E2 - E1 = -delta (pi1 + pi2) /
+    (E1 + E2) as in `scatter`, as delta ((E1 - pi1) + (E2 - pi2)) /
+    (2 E2 (E1 + E2)); each E -+ pi comes
+    from `model.mode_lower`, and the weights (1, alpha, beta) are passed
+    times 2 E2/m, so a tiny b keeps its relative accuracy.  The solve is
+    performed on the always-finite chiral components, so the pi2 = 0
+    kinematics (where the standard-basis component ratios of the asymptotic
+    modes degenerate) yields the exact limit: the backward upper component
+    vanishes identically and b = 0.  The inputs are checked by
+    `model.check_inputs`, the rule StepParameters applies: m <= 0 or a
     non-finite input raises ValueError.
     """
     check_inputs({"m": m, "q": q, "p": p, "a1": a1, "a2": a2})
@@ -505,8 +491,9 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     pi2 = p - q * a2
     e1 = math.hypot(pi1, m)
     e2 = math.hypot(pi2, m)
-    alpha = (e1 + e2 - pi1 + pi2) / (2.0 * e2)
-    beta = (e2 - e1 + pi1 - pi2) / (2.0 * e2)
+    # (E1 - pi1)/m, and 2 E2/m times alpha and beta
+    l1 = mode_lower(pi1, m)
+    w_f = l1 + mode_lower(-pi2, m)
+    w_b = q * (a2 - a1) / (e1 + e2) * (l1 + mode_lower(pi2, m))
     modes = AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2)
-    return result_from_mode_amplitudes(1.0 + 0.0j, complex(alpha), complex(beta), m, modes)
-
+    return result_from_mode_amplitudes(complex(2.0 * e2 / m), complex(w_f), complex(w_b), m, modes)

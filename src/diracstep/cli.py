@@ -5,7 +5,8 @@ the tool version in `#` header comments, and repeated runs with identical
 flags produce byte-identical CSV.
 
 Exit codes: 0 success, 1 selftest failure, 2 flag validation, 3 numerical
-failure, 4 I/O failure.
+failure, 4 I/O failure.  Only `main` maps the exceptions the commands raise
+to exit codes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, analytic, model, oracle, selftest, specfun
+from . import __version__, analytic, model, oracle, selftest
 
 _NUM = "{:.16e}".format  # 17 significant digits, scientific
 
@@ -28,28 +29,15 @@ EXIT_FLAGS = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_NUMERICAL_ERRORS = (
-    specfun.DomainError,
-    specfun.GammaPoleError,
-    oracle.OracleError,
-    ArithmeticError,  # covers series convergence and the probability guard
-)
 
-
-def _fail(code: int, message: str) -> int:
-    print(f"diracstep: error: {message}", file=sys.stderr)
-    return code
-
-
-def _add_physics_flags(p: argparse.ArgumentParser, with_tau: bool = True):
+def _add_physics_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=float, default=1.0, help="rest mass (default 1)")
     p.add_argument("--q", type=float, default=1.0, help="signed coupling (default 1)")
     p.add_argument("--p", type=float, default=None, help="conserved momentum")
     p.add_argument("--a1", type=float, default=0.0, help="early potential (default 0)")
     p.add_argument("--a2", type=float, default=None, help="late potential")
     p.add_argument("--t0", type=float, default=0.0, help="transition time (default 0)")
-    if with_tau:
-        p.add_argument("--tau", type=float, default=None, help="transition time parameter")
+    p.add_argument("--tau", type=float, default=None, help="transition time parameter")
 
 
 def _given_inputs(args) -> dict:
@@ -96,9 +84,9 @@ def _guard_probabilities(res: analytic.ScatteringResult) -> None:
     defect = res.F + res.B - 1.0
     defect_u = res.F_u + res.B_u - 1.0
     # written as `not <=` so that NaN fails too
-    if not abs(defect) <= 1e-12:
+    if not abs(defect) <= selftest.PROBABILITY_SUM_TOL:
         raise ArithmeticError(f"probability identity violated: F + B - 1 = {defect:.3e}")
-    if not abs(defect_u) <= 1e-9:
+    if not abs(defect_u) <= selftest.UNITARITY_TOL:
         raise ArithmeticError(f"unitarity defect too large: F_u + B_u - 1 = {defect_u:.3e}")
 
 
@@ -107,17 +95,19 @@ def _guard_probabilities(res: analytic.ScatteringResult) -> None:
 
 def cmd_scatter(args) -> int:
     if args.p is None or args.a2 is None:
-        return _fail(EXIT_FLAGS, "--p and --a2 are required")
+        raise ValueError("--p and --a2 are required")
     if args.sharp:
+        if args.oracle:
+            raise ValueError("--oracle cannot be given with --sharp: it needs tau > 0")
         # sharp_step reads no t0 or tau, and the record echoes both
         model.check_inputs(_given_inputs(args))
         res = analytic.sharp_step(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2)
         tau = 0.0  # marks the Heaviside limit in the emitted record
     else:
         if args.tau is None:
-            return _fail(EXIT_FLAGS, "--tau is required (or pass --sharp)")
+            raise ValueError("--tau is required (or pass --sharp)")
         if args.tau <= 0:
-            return _fail(EXIT_FLAGS, "tau must be positive; use `scatter --sharp` for the Heaviside limit")
+            raise ValueError("tau must be positive; use `scatter --sharp` for the Heaviside limit")
         params = model.StepParameters(**_given_inputs(args))
         res = analytic.scatter(params)
         tau = args.tau
@@ -125,7 +115,7 @@ def cmd_scatter(args) -> int:
     record = {k: getattr(args, k) for k in ("m", "q", "p", "a1", "a2", "t0")}
     record["tau"] = tau
     record.update(zip(_RESULT_COLUMNS, _result_values(res)))
-    if args.oracle and not args.sharp:
+    if args.oracle:
         report = oracle.compare(params)
         record["oracle_dev_f"] = report.deviations["f"]
         record["oracle_dev_b"] = report.deviations["b"]
@@ -150,12 +140,25 @@ def cmd_scatter(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, count: int, log: bool) -> list[float]:
+    """The count grid values from start to stop, evenly spaced (in log with
+    log=True); a grid that is too short or not finite is a flag error."""
+    if count < 2:
+        raise ValueError("--count must be >= 2")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--start and --stop must be finite, got {start!r} and {stop!r}")
+    beyond = f"--start {start!r} to --stop {stop!r} leaves the double range"
     if log:
         if start <= 0 or stop <= 0:
             raise ValueError("--log requires positive start/stop")
         la, lb = math.log(start), math.log(stop)
-        return [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
-    return [start + (stop - start) * i / (count - 1) for i in range(count)]
+        try:
+            return [math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
+        except OverflowError:  # the last exponent, rounded past ln(max double)
+            raise ValueError(beyond) from None
+    values = [start + (stop - start) * i / (count - 1) for i in range(count)]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(beyond)
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -165,16 +168,14 @@ def cmd_sweep(args) -> int:
     swept = "p" if args.sweep_var == "energy_ratio" else args.sweep_var
     for name in ("p", "a2", "tau"):
         if name != swept and getattr(args, name) is None:
-            return _fail(EXIT_FLAGS, f"--{name} is required for a {args.sweep_var} sweep")
+            raise ValueError(f"--{name} is required for a {args.sweep_var} sweep")
     if getattr(args, swept) is not None:
-        return _fail(EXIT_FLAGS, f"--{swept} cannot be given with --sweep-var {args.sweep_var}: "
-                                 f"each row sets {swept}")
-    if args.count < 2:
-        return _fail(EXIT_FLAGS, "--count must be >= 2")
+        raise ValueError(f"--{swept} cannot be given with --sweep-var {args.sweep_var}: "
+                         f"each row sets {swept}")
     if args.oracle_every < 0:
-        return _fail(EXIT_FLAGS, "--oracle-every must be >= 0")
+        raise ValueError("--oracle-every must be >= 0")
     if args.start == args.stop:
-        return _fail(EXIT_FLAGS, "--start and --stop must differ")
+        raise ValueError("--start and --stop must differ")
     fixed = _given_inputs(args)
     # a bad fixed input is a flag error before any row; only a swept value
     # fails a single row
@@ -214,7 +215,7 @@ def cmd_sweep(args) -> int:
         lines.append(line)
     print("\n".join(lines))
     if failures == len(values):
-        return _fail(EXIT_NUMERICAL, "all sweep points failed")
+        raise ArithmeticError("all sweep points failed")
     return EXIT_OK
 
 
@@ -266,30 +267,24 @@ unset multiplot
 
 
 def cmd_figure2(args) -> int:
-    if args.count < 2:
-        return _fail(EXIT_FLAGS, "--count must be >= 2")
     if args.q == 0:
-        return _fail(EXIT_FLAGS, "--q must be nonzero: the sweep runs over q*A2")
+        raise ValueError("--q must be nonzero: the sweep runs over q*A2")
     # the flags before p, which is formed from them; the rows check each
     # tau, and both panels are computed in full before anything is written
     model.check_inputs({"m": args.m, "q": args.q, "a1": args.a1, "t0": args.t0})
     p = _momentum_at_ratio(args.energy_ratio, args)
     grid = [(qa2, qa2 / args.q)
             for qa2 in _sweep_values(args.start, args.stop, args.count, log=False)]
-    panels = {"panel_a.csv": _figure2_panel(args.tau_fast, p, grid, args),
-              "panel_b.csv": _figure2_panel(args.tau_slow, p, grid, args)}
+    files = {"panel_a.csv": _figure2_panel(args.tau_fast, p, grid, args),
+             "panel_b.csv": _figure2_panel(args.tau_slow, p, grid, args),
+             "figure2.gp": _GNUPLOT_TEMPLATE.format(tau_a=f"{args.tau_fast:g}",
+                                                    tau_b=f"{args.tau_slow:g}")}
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in panels.items():
-            (out_dir / name).write_text(text)
-        script = _GNUPLOT_TEMPLATE.format(tau_a=f"{args.tau_fast:g}", tau_b=f"{args.tau_slow:g}")
-        (out_dir / "figure2.gp").write_text(script)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write outputs: {exc}")
-    print(f"wrote {out_dir / 'panel_a.csv'}")
-    print(f"wrote {out_dir / 'panel_b.csv'}")
-    print(f"wrote {out_dir / 'figure2.gp'}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    for name in files:
+        print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 
@@ -376,12 +371,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    except (ArithmeticError, oracle.OracleError) as exc:  # a guard, an all-failed sweep
+        code, message = EXIT_NUMERICAL, str(exc)
     except ValueError as exc:
-        return _fail(EXIT_FLAGS, str(exc))
+        code, message = EXIT_FLAGS, str(exc)
     except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
+        code, message = EXIT_IO, str(exc)
+    print(f"diracstep: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

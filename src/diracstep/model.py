@@ -118,12 +118,22 @@ def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
     )
 
 
+def mode_lower(pi: float, m: float) -> float:
+    """(E - pi)/m, the lower component of the chiral +E mode; at -pi it is
+    (E + pi)/m, minus that of the -E mode.  Taken as m/(E + pi) for pi > 0,
+    so nothing cancels and no m^2 is formed."""
+    e = math.hypot(pi, m)
+    return m / (e + pi) if pi > 0 else (e - pi) / m
+
+
 def dirac_upper(pi: float, m: float, positive: bool) -> float:
     """Standard-basis upper component of the (unnormalized) mode spinor.
 
     U takes the chiral mode (1, lower) to the standard basis, where its upper
     component is (1 + lower)/sqrt(2): (m + E - pi)/(sqrt(2) m) for the +E
-    branch and (m - E - pi)/(sqrt(2) m) for the -E branch.
+    branch and (m - E - pi)/(sqrt(2) m) for the -E branch, the first from
+    `mode_lower` and the second through (m + E - pi)(m - E - pi) = -2 m pi,
+    so neither cancels.
     """
-    e = math.hypot(pi, m)
-    return (m + e - pi) / (SQRT2 * m) if positive else (m - e - pi) / (SQRT2 * m)
+    up = 1.0 + mode_lower(pi, m)
+    return up / SQRT2 if positive else -2.0 * (pi / m) / up / SQRT2

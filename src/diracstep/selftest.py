@@ -28,7 +28,6 @@ ANCHOR = dict(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=2.0 * math.sqrt(3.0))
 SPECFUN_TOL = 1e-10
 REFLECTION_TOL = 1e-10
 RESIDUAL_TOL = 1e-7
-ORACLE_TOL = 1e-6  # on f and b, relative to max(1, f, b)
 SHARP_TOL = 1e-3
 SHARP_TAU = 1e-4  # the smooth step that must reproduce the Heaviside limit
 ADIABATIC_TOL = 1e-6  # on B_u at the slowest step
@@ -120,11 +119,11 @@ def residual_max(params: model.StepParameters, n_points: int = 20,
 
 
 def check_vs_oracle(reports: Sequence[oracle.ComparisonReport]):
-    """Closed-form f and b against the integrator, relative to max(1, f, b)."""
+    """Closed-form f and b against the integrator, by oracle.compare's bar."""
     worst = _worst(rep.deviations[k] / max(1.0, rep.analytic.f, rep.analytic.b)
                    for rep in reports for k in ("f", "b"))
-    return worst < ORACLE_TOL, (
-        f"worst f/b deviation {worst:.2e} of max(1, f, b) (tol {ORACLE_TOL:g}) "
+    return worst < oracle.COMPARE_TOL, (
+        f"worst f/b deviation {worst:.2e} of max(1, f, b) (tol {oracle.COMPARE_TOL:g}) "
         f"over {len(reports)} points"
     )
 

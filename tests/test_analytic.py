@@ -91,8 +91,10 @@ class TestBuildSolution:
         params = mk(tau=0.7)
         sol = build_solution(params)
         modes = asymptotic_modes(params)
-        assert sol.earlier.mu == pytest.approx(0.5j * params.tau * modes.e1)
-        assert sol.later.mu == pytest.approx(0.5j * params.tau * modes.e2)
+        for chart, e in ((sol.earlier, modes.e1), (sol.later, modes.e2)):
+            (mu, _), (minus_mu, _) = chart.branches
+            assert mu == pytest.approx(0.5j * params.tau * e)
+            assert minus_mu == -mu
 
     def test_exp_map_consistency(self):
         # before t0 the matched solution is the zeta^-mu branch of the earlier
@@ -111,12 +113,13 @@ class TestBuildSolution:
     def test_parameters_admissible(self):
         for tau in (1e-4, 0.3, 5.0):
             sol = build_solution(mk(tau=tau))
-            for triple in (sol.earlier.abc, sol.earlier.abc_prime,
-                           sol.later.abc, sol.later.abc_prime):
-                for v in triple:
-                    assert cmath.isfinite(v)
-                c = triple[2]
-                assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
+            for chart in (sol.earlier, sol.later):
+                for _, plan in chart.branches:
+                    for rep in (plan.on_z, plan.on_w):
+                        for v in (rep.a, rep.b, rep.c):
+                            assert cmath.isfinite(v)
+                        c = rep.c
+                        assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
 
     def test_residual_at_reference_point(self):
         params = mk(tau=0.3)
@@ -215,7 +218,7 @@ class TestChartEvaluation:
         with pytest.raises(specfun.ConvergenceError):
             solve_later(sol, params.t0 + 0.1, params)
         for chart in (sol.earlier, sol.later):
-            for plan in (chart.plan, chart.plan_prime):
+            for _, plan in chart.branches:
                 assert len(plan.on_z.table) <= 4
                 assert len(plan.on_w.table) <= 4
 
@@ -254,8 +257,9 @@ class TestMatching:
         params = mk(tau=0.6)
         sol = match_at_t0(build_solution(params), params)
         # both charts at t0, where the matched solution switches between them
-        early = analytic._chart_spinor(sol.earlier, sol.delta, params, sol.c1e, sol.c2e, params.t0)
-        late = analytic._chart_spinor(sol.later, sol.delta, params, sol.c1l, sol.c2l, params.t0)
+        early = analytic._chart_spinor(sol.earlier, sol.delta, params, analytic.INCIDENT,
+                                       params.t0)
+        late = analytic._chart_spinor(sol.later, sol.delta, params, (sol.c1l, sol.c2l), params.t0)
         mismatch = abs(early.upper - late.upper) + abs(early.lower - late.lower)
         assert mismatch / math.sqrt(early.norm_sq) < 1e-10
 
@@ -267,8 +271,8 @@ class TestMatching:
         sol = build_solution(params)
         for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
                             (sol.later, -2 * modes.e2 / params.m)):
-            f1 = analytic._chart_spinor(chart, sol.delta, params, 1.0, 0.0, params.t0)
-            f2 = analytic._chart_spinor(chart, sol.delta, params, 0.0, 1.0, params.t0)
+            f1 = analytic._chart_spinor(chart, sol.delta, params, (1.0, 0.0), params.t0)
+            f2 = analytic._chart_spinor(chart, sol.delta, params, (0.0, 1.0), params.t0)
             det = f1.upper * f2.lower - f2.upper * f1.lower
             assert det == pytest.approx(want, rel=1e-10)
 
@@ -464,3 +468,51 @@ class TestSharpStep:
         assert res.b == 0.0
         assert res.F == 1.0
         assert res.B_u > 0.0  # the unitary channel still sees the backward mode
+
+    def test_matches_a_decimal_reference_at_large_momenta(self):
+        # the continuity solve's own formulas in 800-digit decimal arithmetic,
+        # enough to resolve E - |pi| at |pi| = 1e300; weak steps (pi1 ~ pi2)
+        # and strong ones, on both signs of pi1 and pi2.  |q| = 1, so that
+        # p - q A rounds once and the reference measures the solve, not the
+        # conditioning of forming pi from the inputs
+        rng = random.Random(20261018)
+        cases = [(1.0, 1.0, 1e4, 0.0, 1.0), (1.0, 1.0, 1e6, 0.0, 1.0),
+                 (1.0, 1.0, 1e155, 0.0, 1.0), (1.0, 1.0, 1.0, 0.0, 1e200),
+                 (1.0, 1.0, 1e300, 0.0, -1e300), (1.0, -1.0, -1e300, 1.0, 3e299)]
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(0.0, 300.0)
+            p = rng.choice((-1.0, 1.0)) * scale
+            step = rng.choice((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0) * scale))
+            cases.append((math.exp(rng.uniform(-1.5, 1.5)), rng.choice((-1.0, 1.0)), p,
+                          rng.uniform(-1.0, 1.0), step))
+        for m, q, p, a1, a2 in cases:
+            res = sharp_step(m=m, q=q, p=p, a1=a1, a2=a2)
+            ref = _sharp_reference(m, q, p, a1, a2)
+            for name, want in ref.items():
+                got = getattr(res.modes if name in ("e1", "e2") else res, name)
+                # below 1e-290 a value may be lost to underflow
+                assert abs(got - want) <= 1e-14 * abs(want) + 1e-290, (
+                    (m, q, p, a1, a2), name, got, want)
+
+
+def _sharp_reference(m, q, p, a1, a2):
+    """sharp_step's result from the direct continuity-solve formulas, with
+    every input taken exactly and 800 significant digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 800
+        m, q, p, a1, a2 = (Decimal(v) for v in (m, q, p, a1, a2))
+        pi1, pi2 = p - q * a1, p - q * a2
+        e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
+        alpha = (e1 + e2 - pi1 + pi2) / (2 * e2)
+        beta = (e2 - e1 + pi1 - pi2) / (2 * e2)
+        # standard-basis upper components times sqrt(2) m
+        u_i, u_f, u_b = m + e1 - pi1, m + e2 - pi2, m - e2 - pi2
+        f, b = abs(alpha * u_f / u_i), abs(beta * u_b / u_i)
+        n1 = m * m + (e1 - pi1) ** 2
+        n2p, n2m = m * m + (e2 - pi2) ** 2, m * m + (e2 + pi2) ** 2
+        values = dict(e1=e1, e2=e2, f=f, b=b, F=f * f / (f * f + b * b),
+                      B=b * b / (f * f + b * b), F_u=alpha * alpha * n2p / n1,
+                      B_u=beta * beta * n2m / n1)
+        return {k: float(v) for k, v in values.items()}

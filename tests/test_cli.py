@@ -83,6 +83,27 @@ class TestScatter:
         assert rec["oracle_dev_f"] < 1e-6
         assert rec["oracle_dev_b"] < 1e-6
 
+    def test_sharp_with_oracle_is_flag_error(self, capsys):
+        # the record could not carry the oracle_dev_* fields --oracle promises
+        code, out, err = run(capsys, "scatter", "--sharp", "--oracle", "--p", "1", "--a2", "2",
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--oracle" in err and "--sharp" in err
+
+    @pytest.mark.parametrize("flags", [("--p", "1e6", "--a2", "1"), ("--p", "1e155", "--a2", "1"),
+                                       ("--p", "1", "--a2", "1e200")])
+    def test_sharp_at_large_momenta(self, capsys, flags):
+        code, out, _ = run(capsys, "scatter", "--sharp", *flags, "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        ref = sharp_step(m=1.0, q=1.0, p=rec["p"], a1=0.0, a2=rec["a2"])
+        assert (rec["f"], rec["b"], rec["B_u"]) == (ref.f, ref.b, ref.B_u)
+        if rec["p"] == 1e6:
+            # 60-digit decimal evaluation of the continuity solve
+            assert rec["b"] == pytest.approx(4.99999999999500e-13, rel=1e-13, abs=0.0)
+            assert rec["B_u"] == pytest.approx(2.50000500000250e-25, rel=1e-13, abs=0.0)
+
     def test_numerical_failure_exit_code(self, capsys):
         # pi tau E is a subnormal double: the sinh moduli cannot be resolved
         code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "5e-324")
@@ -261,6 +282,22 @@ class TestSweep:
         assert out == ""
         assert f"{name} must be" in err
 
+    @pytest.mark.parametrize("var,bounds,fixed", [
+        ("p", ("nan", "2"), ("--a2", "2", "--tau", "0.5")),
+        ("p", ("-inf", "2"), ("--a2", "2", "--tau", "0.5")),
+        ("tau", ("1", "inf"), ("--p", "1", "--a2", "2", "--log")),
+        # finite bounds whose grid leaves the double range
+        ("a2", ("0", "1e308"), ("--p", "1", "--tau", "1")),
+        ("a2", ("-1e308", "1e308"), ("--p", "1", "--tau", "1")),
+        ("tau", ("1e-300", "1.7976931348623157e308"), ("--p", "1", "--a2", "2", "--log")),
+    ])
+    def test_range_outside_the_doubles_is_flag_error(self, capsys, var, bounds, fixed):
+        code, out, err = run(capsys, "sweep", "--sweep-var", var, f"--start={bounds[0]}",
+                             f"--stop={bounds[1]}", "--count", "7", *fixed)
+        assert code == 2
+        assert out == ""
+        assert "--start" in err and "--stop" in err
+
     def test_all_points_failing_exits_numerical(self, capsys):
         code, out, err = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-2.0",
                              "--stop", "-1.0", "--count", "3", "--p", "1", "--a2", "1")
@@ -328,10 +365,14 @@ class TestSharedParser:
         assert exc.value.code == 0
         assert "--sweep-var" in capsys.readouterr().out
         code, out, _ = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2",
-                           "--oracle", "--format", "json")
+                           "--format", "json")
         assert code == 0
         assert json.loads(out)["tau"] == 0.0
-        # neither --sharp nor --oracle leaked from the call before
+        # a flag error raised in the command, after the parser has set both
+        code, out, _ = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2",
+                           "--oracle", "--format", "json")
+        assert (code, out) == (2, "")
+        # neither --sharp nor --oracle leaked from the calls before
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5",
                            "--format", "json")
         assert code == 0
@@ -386,13 +427,17 @@ class TestFigure2:
         assert "energy ratio" in err
 
     @pytest.mark.parametrize("flags", [("--tau-slow", "-1"), ("--m", "-1"),
-                                       ("--energy-ratio", "0.5")])
+                                       ("--energy-ratio", "0.5"), ("--start", "inf"),
+                                       ("--stop", "nan"), ("--stop", "1e308")])
     def test_bad_flag_writes_nothing(self, tmp_path, capsys, flags):
         out_dir = tmp_path / "out"
-        code, out, _ = run(capsys, "figure2", "--out-dir", str(out_dir), "--count", "5", *flags)
+        code, out, err = run(capsys, "figure2", "--out-dir", str(out_dir), "--count", "5", *flags)
         assert code == 2
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+        if flags[0] in ("--start", "--stop"):
+            # the message names the flags, not an input formed from them
+            assert "--start" in err and "--stop" in err
 
 
 class TestKinematicsCells:
@@ -457,6 +502,25 @@ class TestKinematicsCells:
         modes = asymptotic_modes(StepParameters(**self.FIXED))
         for rec in (smooth, sharp):
             assert (rec["e1"], rec["e2"]) == (modes.e1, modes.e2)
+
+
+class TestSharedTolerances:
+    """The command line's guard and the battery read one definition of each tolerance."""
+
+    @pytest.mark.parametrize("name,message", [("PROBABILITY_SUM_TOL", "F + B - 1"),
+                                              ("UNITARITY_TOL", "F_u + B_u - 1")])
+    def test_guard_reads_the_battery_tolerance(self, capsys, monkeypatch, name, message):
+        # a negative tolerance fails every point
+        monkeypatch.setattr(selftest, name, -1.0)
+        code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
+        assert (code, out) == (3, "")
+        assert message in err
+
+    def test_oracle_check_reads_the_compare_bar(self, monkeypatch):
+        report = oracle.compare(StepParameters(m=1.0, q=1.0, p=1.2, a1=0.0, a2=0.8, tau=0.2))
+        assert selftest.check_vs_oracle([report])[0]
+        monkeypatch.setattr(oracle, "COMPARE_TOL", 0.0)
+        assert not selftest.check_vs_oracle([report])[0]
 
 
 class TestSelftest:
