@@ -90,6 +90,19 @@ def _guard_probabilities(res: analytic.ScatteringResult) -> None:
         raise ArithmeticError(f"unitarity defect too large: F_u + B_u - 1 = {defect_u:.3e}")
 
 
+def _oracle_deviations(params: model.StepParameters) -> dict[str, float]:
+    """oracle.compare's deviations; a report that did not pass is a numerical
+    failure."""
+    report = oracle.compare(params)
+    dev = report.deviations
+    if not report.passed:
+        raise ArithmeticError(
+            "closed form and integrator disagree beyond oracle.COMPARE_TOL = "
+            f"{oracle.COMPARE_TOL:g}: deviations "
+            + " ".join(f"{k} {v:.3e}" for k, v in dev.items()))
+    return dev
+
+
 # ----------------------------------------------------------------- scatter
 
 
@@ -116,9 +129,9 @@ def cmd_scatter(args) -> int:
     record["tau"] = tau
     record.update(zip(_RESULT_COLUMNS, _result_values(res)))
     if args.oracle:
-        report = oracle.compare(params)
-        record["oracle_dev_f"] = report.deviations["f"]
-        record["oracle_dev_b"] = report.deviations["b"]
+        dev = _oracle_deviations(params)
+        record["oracle_dev_f"] = dev["f"]
+        record["oracle_dev_b"] = dev["b"]
     if args.format == "json":
         print(json.dumps(record))
     elif args.format == "csv":
@@ -205,7 +218,7 @@ def cmd_sweep(args) -> int:
             res = analytic.scatter(params)
             _guard_probabilities(res)
             if args.oracle_every and i % args.oracle_every == 0:
-                dev = oracle.compare(params).deviations
+                dev = _oracle_deviations(params)
                 line = checked % (value, *_result_values(res), dev["f"], dev["b"])
             else:
                 line = unchecked % (value, *_result_values(res))
@@ -324,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--sharp", action="store_true", help="Heaviside (sharp-step) limit")
     p_sc.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p_sc.add_argument("--oracle", action="store_true",
-                      help="attach integrator deviations to the record")
+                      help="check against the integrator and attach its deviations; "
+                           "exit 3 if the check fails")
     p_sc.set_defaults(func=cmd_scatter)
 
     p_sw = sub.add_parser("sweep", help="parameter sweep, CSV on stdout")
@@ -337,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--branch", choices=("plus", "minus"), default="plus",
                       help="sign branch for the energy_ratio sweep")
     p_sw.add_argument("--oracle-every", type=int, default=0, metavar="K",
-                      help="attach integrator deviations every K-th row")
+                      help="check every K-th row against the integrator and attach its "
+                           "deviations; a row that fails gets a failed status")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_f2 = sub.add_parser("figure2", help="step-strength sweeps at fast/slow tau, CSV + gnuplot")

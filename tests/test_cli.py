@@ -66,8 +66,8 @@ class TestScatter:
 
     @pytest.mark.parametrize("tau", ["1e-100", "1e-200", "1e-300"])
     def test_oracle_at_a_vanishing_tau(self, capsys, tau):
-        # the window is ~1e300 tau wide, and the first step into the
-        # transition is as wide as the plateau before it
+        # the integration variable is t/tau up to a power of two, so neither
+        # the window nor the steps leave the double range
         code, out, _ = run(capsys, "scatter", "--p", RT3_STR, "--a2", A2_STR, "--tau", tau,
                            "--format", "json", "--oracle")
         assert code == 0
@@ -517,10 +517,45 @@ class TestSharedTolerances:
         assert message in err
 
     def test_oracle_check_reads_the_compare_bar(self, monkeypatch):
-        report = oracle.compare(StepParameters(m=1.0, q=1.0, p=1.2, a1=0.0, a2=0.8, tau=0.2))
-        assert selftest.check_vs_oracle([report])[0]
+        params = StepParameters(m=1.0, q=1.0, p=1.2, a1=0.0, a2=0.8, tau=0.2)
+        assert selftest.check_vs_oracle([oracle.compare(params)])[0]
         monkeypatch.setattr(oracle, "COMPARE_TOL", 0.0)
-        assert not selftest.check_vs_oracle([report])[0]
+        assert not selftest.check_vs_oracle([oracle.compare(params)])[0]
+
+
+class TestOracleVerdict:
+    """A closed form that misses the integrator fails the command that checks it."""
+
+    @pytest.fixture(autouse=True)
+    def scaled_f(self, monkeypatch):
+        exact = analytic.scatter
+
+        def scaled(params):
+            res = exact(params)
+            return dataclasses.replace(res, f=1.01 * res.f)
+
+        # the command prints what cli reads, and compare checks what oracle reads
+        monkeypatch.setattr(analytic, "scatter", scaled)
+        monkeypatch.setattr(oracle, "scatter", scaled)
+
+    def test_scatter_exits_3_with_the_deviations_on_stderr(self, capsys):
+        code, out, err = run(capsys, "scatter", "--p", RT3_STR, "--a2", A2_STR, "--tau", "0.3",
+                             "--oracle", "--format", "json")
+        assert (code, out) == (3, "")
+        assert "disagree" in err and "f 6.4" in err
+
+    def test_sweep_marks_the_checked_rows_failed(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "tau", "--start", "0.1",
+                           "--stop", "0.4", "--count", "4", "--p", "1", "--a2", "1",
+                           "--oracle-every", "2")
+        assert code == 0
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        recs = [r.split(",") for r in rows[1:]]
+        for cells in recs[0::2]:
+            assert cells[-1].startswith("ArithmeticError: closed form and integrator disagree")
+            assert cells[1:-1] == [""] * (len(cells) - 2)
+        for cells in recs[1::2]:
+            assert cells[-1] == "ok"
 
 
 class TestSelftest:

@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 
-from diracstep import StepParameters, compare, integrate, oracle
+from diracstep import StepParameters, analytic, compare, integrate, oracle, sharp_step
+from diracstep.analytic import result_from_mode_amplitudes
+from diracstep.model import asymptotic_modes
 from diracstep.oracle import NormDriftError, StepLimitError
 
 from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
@@ -119,8 +122,8 @@ class TestIntegrate:
         assert num.f == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_limit_equal_amplitudes(self):
-        # below tau ~ 3e-3 the transition is a sliver of the window: a step
-        # grown across the empty plateau can jump it and report b = 0
+        # at every tau the window is 40 tau wide and a step lands on u = 0,
+        # so no step grown on a plateau can jump the transition and report b = 0
         for tau in (1e-12, 1e-4, 1e-3, 3e-3):
             num = compare(mk(tau=tau)).numeric
             assert num.f / num.b == pytest.approx(1.0, abs=1e-3)
@@ -162,21 +165,46 @@ class TestIntegrate:
             assert steps == pytest.approx(want, rel=0.02), f"tau = {tau}: {steps} steps"
 
     def test_step_cap_enforced(self, monkeypatch):
-        # tau = 30 takes ~3.5k steps, 56 per unit of 1 + tau E + log10(T/tau);
-        # a budget of 16 per unit allows ~1k
+        # tau = 30 takes ~3.5k steps, 58 per unit of 1 + tau E; a budget of
+        # 16 per unit allows ~1k
         monkeypatch.setattr(oracle, "STEP_BUDGET", 16)
         with pytest.raises(StepLimitError):
             integrate(mk(tau=30.0))
 
-    def test_step_budget_covers_the_plateaus_of_a_fast_step(self):
-        # at tau = 1e-50 the step size climbs ~50 decades to the window on
-        # each plateau, past 1000 steps; the log10(T/tau) term pays for them
-        assert integrate(mk(tau=1e-50)).steps > 1000
+    @pytest.mark.parametrize("tau", [1e-50, 1e-300])
+    def test_a_fast_step_takes_a_fixed_number_of_steps(self, tau):
+        # the window is 40 tau wide at every tau, so the plateaus cost what
+        # they cost at tau ~ 1e-3, not a climb over decades of step size
+        assert integrate(mk(tau=tau)).steps <= 200
 
-    def test_window_beyond_the_double_range(self):
-        # T/tau overflows: a numerical failure, not an endless loop
-        with pytest.raises(oracle.OracleError, match="overflows"):
-            integrate(mk(tau=5e-324))
+    def test_smallest_tau_gives_the_sharp_step(self):
+        # tau = 5e-324, the least double: Theta' = E is subnormal per unit
+        # s = u/S, Theta barely moves, and the amplitudes are the Heaviside limit's
+        params = mk(tau=5e-324)
+        out = integrate(params)
+        num = result_from_mode_amplitudes(1.0 + 0.0j, out.g_f, out.g_b, params.m,
+                                          asymptotic_modes(params))
+        hard = sharp_step(m=params.m, q=params.q, p=params.p, a1=params.a1, a2=params.a2)
+        assert num.f == pytest.approx(hard.f, abs=1e-10)
+        assert num.b == pytest.approx(hard.b, abs=1e-10)
+
+    def test_amplitudes_carry_the_closed_form_phases(self):
+        # g_f and g_b are the connection formula's C1l e^{-pi(eps1 + eps2)}
+        # and C2l e^{pi(eps2 - eps1)}, phase included; compare reads moduli only
+        rng = random.Random(3)
+        for _ in range(12):
+            m = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+            params = StepParameters(
+                m=m, q=rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5),
+                p=rng.uniform(-3.0, 3.0), a1=rng.uniform(-1.0, 1.0), a2=rng.uniform(-3.0, 3.0),
+                t0=rng.uniform(-2.0, 2.0), tau=math.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
+            sol = analytic.match_at_t0(analytic.build_solution(params), params)
+            eps1, eps2 = sol.earlier.eps, sol.later.eps
+            want_f = sol.c1l * math.exp(-math.pi * (eps1 + eps2))
+            want_b = sol.c2l * math.exp(math.pi * (eps2 - eps1))
+            out = integrate(params)
+            assert abs(out.g_f - want_f) <= 1e-10 * max(1.0, abs(want_f)), params
+            assert abs(out.g_b - want_b) <= 1e-10 * max(1.0, abs(want_b)), params
 
     @pytest.mark.parametrize("tau", [10.0, 30.0])
     def test_adiabatic_amplitudes_match_closed_form(self, tau):
