@@ -29,15 +29,16 @@ the indicial analysis fixes (verified symbolically and by the residual tests)
         (a', b', c') = (a - 2 mu, b - 2 mu, 1 - 2 i eps1)       [zeta^-mu branch]
     later chart:   mu = i eps2, same nu, with eps1 <-> eps2.
 
-Both charts meet at t = t0, where zeta = -1.  Powers of zeta use the principal
-branch with the negative axis approached from above (arg zeta = +pi), so
-zeta^(-i eps) carries the real constant e^(pi eps) and, as t -> -/+inf, the
-two branches reduce to plane waves e^(-/+ i E (t - t0)).  A pure
-positive-frequency incident wave fixes the earlier chart's coefficients of
-its (zeta^mu, zeta^-mu) branches to (0, 1), the module constant INCIDENT.
+Both charts meet at t = t0, where zeta = -1.  Powers of zeta are taken on
+|zeta| = -zeta, as the connection formula below writes (-z)^(-a), so as the
+chart's plateau is approached (zeta -> 0) each branch tends to its plane wave
+with unit amplitude: |zeta|^(-mu) of the earlier chart and |zeta|^mu of the
+later one to the positive-frequency e^(-i E (t - t0)), the other two to
+e^(+i E (t - t0)).  A pure positive-frequency incident wave is the earlier
+chart's |zeta|^(-mu) branch alone.
 
 The scattering amplitudes come from one chart alone.  The incident branch
-zeta^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
+|zeta|^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
 line, and as t -> +inf (zeta -> -inf) the inverse-argument connection formula
 (DLMF 15.8.2) splits it into the forward and backward plane waves.  The
 chiral amplitude ratios are therefore ratios of Gamma functions,
@@ -87,20 +88,18 @@ the spinor is its exact plane-wave limit.  `build_solution` builds the
 `specfun.Hyp2F1Plan` of both branches of both charts once, and every
 evaluation shares them, so the choice of series and its term ratios are not
 redone per time.  A plan gives 2F1 = (1 - zeta)^kappa s(zeta), and a branch
-is evaluated as zeta^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one
-complex exp, of mu ln zeta + (nu + kappa) ln(1 - zeta) with the real
-ln(1 - zeta) = log1p(-zeta).  `match_at_t0` takes the later-chart
-coefficients from the Gamma ratios through the chart branch constants,
-C1l = (g_f/g_i) e^(pi (eps1 + eps2)) and C2l = (g_b/g_i) e^(pi (eps1 - eps2)).
-e^(pi (eps1 + eps2)) overflows for slow steps, so `build_solution` keeps the
-guard eps1 + eps2 <= 200.  In the chart normalization the asymptotic
-standard-basis upper components are
-
-    G_i =     e^(+pi eps1) (m + E1 - pi1) / (sqrt(2) m)
-    G_f = C1l e^(-pi eps2) (m + E2 - pi2) / (sqrt(2) m)
-    G_b = C2l e^(+pi eps2) (m - E2 - pi2) / (sqrt(2) m),
-
-giving the amplitude ratios f = |G_f/G_i|, b = |G_b/G_i| and probabilities
+is evaluated as |zeta|^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one
+complex exp, of mu ln|zeta| + (nu + kappa) ln(1 - zeta) with the real
+ln(1 - zeta) = log1p(-zeta).  `match_at_t0` stores the Gamma ratios
+themselves as the later chart's coefficients, c1l = g_f/g_i and
+c2l = g_b/g_i, and `asymptotic_amplitudes` reads f, b, F, B, F_u and B_u
+from them through `result_from_mode_amplitudes`.  The matched spinor gives
+the incident wave the amplitude g_i = e^(pi eps1), so |psi|^2 =
+e^(pi tau E1) (1 + l1^2) on the earlier plateau, l1 = (E1 - pi1)/m; that
+amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
+eps1 + eps2 <= 200.  f and b are the moduli of the later waves'
+standard-basis upper components relative to the incident one's, the chiral
+ratios times those of the modes' upper components (`model.dirac_upper`), and
 F = f^2/(f^2+b^2), B = b^2/(f^2+b^2).  The unitary pair (F_u, B_u) instead
 projects onto orthonormalized modes; the two pairs are related by
 f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
@@ -144,11 +143,9 @@ __all__ = [
     "result_from_mode_amplitudes",
 ]
 
-# exp(pi*(eps1+eps2)) must stay below the double-precision overflow threshold
+# the incident amplitude e^(pi eps1) of the matched spinor overflows a double
+# from eps1 ~ 225; the bound on eps1 + eps2 also bounds |d|
 _EPS_SUM_LIMIT = 200.0
-
-# the earlier chart's branch coefficients: a positive-frequency incident wave
-INCIDENT = (0.0 + 0.0j, 1.0 + 0.0j)
 
 
 class ParameterRangeError(ValueError):
@@ -180,7 +177,9 @@ class ChartExpansion:
 @dataclass(frozen=True)
 class HypergeometricSolution:
     """Both charts, and the later one's coefficients once `match_at_t0` has
-    set them; the earlier chart's are always INCIDENT."""
+    set them: c1l = g_f/g_i and c2l = g_b/g_i, the amplitudes of the later
+    forward and backward waves per unit incident amplitude.  The earlier
+    chart carries the incident branch alone."""
 
     earlier: ChartExpansion
     later: ChartExpansion
@@ -241,7 +240,8 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
     if eps1 + eps2 > _EPS_SUM_LIMIT:
         raise ParameterRangeError(
             f"tau*(E1+E2)/2 = {eps1 + eps2:.3g} exceeds the supported range "
-            f"{_EPS_SUM_LIMIT} for double-precision evaluation"
+            f"{_EPS_SUM_LIMIT}: the incident amplitude e^(pi tau E1/2) must stay "
+            "below the double-precision overflow threshold"
         )
     return HypergeometricSolution(
         earlier=_chart(eps1, eps2, d, +1, modes.pi1),
@@ -256,21 +256,20 @@ def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
     coefficients of its two branches; a zero coefficient skips its branch.
 
     The plan of a branch zeta^mu (1-zeta)^nu 2F1 gives 2F1 = (1-zeta)^kappa s,
-    so the branch is zeta^mu (1-zeta)^(nu+kappa) s, its head taken in one exp
-    on the principal branch ln zeta = ln|zeta| + i pi.
+    so the branch is |zeta|^mu (1-zeta)^(nu+kappa) s, its head taken in one
+    exp of the real logarithms ln|zeta| and ln(1 - zeta).
     """
     log_abs_zeta = chart.sign * 2.0 * ((t - params.t0) / params.tau)
     zeta = -math.exp(log_abs_zeta)
-    ln_zeta = complex(log_abs_zeta, math.pi)
     ln_1mz = math.log1p(-zeta)  # zeta < 0, so ln(1 - zeta) is real
-    dt_scale = chart.sign * (2.0 / params.tau)  # d ln zeta / dt
+    dt_scale = chart.sign * (2.0 / params.tau)  # d ln|zeta| / dt
     phi = 0.0 + 0.0j
     dphi = 0.0 + 0.0j
     for c, (mu, plan) in zip(coefficients, chart.branches):
         if c != 0:
             kappa, s, ds = plan.series(zeta)
             nu = chart.nu + kappa
-            head = cmath.exp(mu * ln_zeta + nu * ln_1mz)
+            head = cmath.exp(mu * log_abs_zeta + nu * ln_1mz)
             branch = head * s
             # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
             zeta_dphi = branch * (mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
@@ -286,54 +285,46 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     """Chiral spinor of the matched solution at time t.
 
     Each side of t0 is evaluated in its own chart, where the chart variable
-    lies in [-1, 0): t <= t0 in the earlier chart with INCIDENT, t > t0 in
-    the later chart with (c1l, c2l).  Deep in either half-line zeta
+    lies in [-1, 0): t <= t0 in the earlier chart with the incident branch
+    alone, t > t0 in the later chart with (c1l, c2l).  The incident wave has
+    amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
+    earlier plateau, l1 = (E1 - pi1)/m.  Deep in either half-line zeta
     underflows to -0 and the spinor is the exact plane-wave limit.
     `solve_later` is the same function.
     """
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
+    g_i = math.exp(math.pi * sol.earlier.eps)
     if t <= params.t0:
-        return _chart_spinor(sol.earlier, sol.delta, params, INCIDENT, t)
-    return _chart_spinor(sol.later, sol.delta, params, (sol.c1l, sol.c2l), t)
+        return _chart_spinor(sol.earlier, sol.delta, params, (0.0, g_i), t)
+    return _chart_spinor(sol.later, sol.delta, params, (g_i * sol.c1l, g_i * sol.c2l), t)
 
 
 solve_later = solve_earlier
 
 
-def _connection(eps1: float, eps2: float, d: float) -> tuple[complex, complex]:
-    """Chiral amplitude ratios (g_f/g_i, g_b/g_i), DLMF 15.8.2.
+def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> HypergeometricSolution:
+    """Continue the incident branch of the earlier chart into the later chart.
 
-    The Gamma ratios of the module docstring, for the incident branch's
+    The later chart's coefficients are the amplitude ratios c1l = g_f/g_i
+    and c2l = g_b/g_i of the connection formula (DLMF 15.8.2), the Gamma
+    ratios of the module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
     Differences such as b' - a' = -2i eps2 are written out rather than
     subtracted.  a' = 0 only for a trivial step (pi1 = pi2), where
     1/G(a') = 0.
     """
+    eps1 = sol.earlier.eps
+    eps2 = sol.later.eps
+    d = sol.earlier.nu.imag
     a = 1j * (d + eps2 - eps1)
     b = 1j * (d - eps2 - eps1)
     lg_c = log_gamma(1.0 - 2j * eps1)
-    r_f = cmath.exp(lg_c + log_gamma(-2j * eps2) - log_gamma(b)
+    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - log_gamma(b)
                     - log_gamma(1.0 - 1j * (d + eps2 + eps1)))
-    if a == 0:
-        return r_f, 0j
-    r_b = cmath.exp(lg_c + log_gamma(2j * eps2) - log_gamma(a)
-                    - log_gamma(1.0 - 1j * (d - eps2 + eps1)))
-    return r_f, r_b
-
-
-def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> HypergeometricSolution:
-    """Continue the incident branch, INCIDENT in the earlier chart, into the later chart.
-
-    The later-chart coefficients follow from the asymptotic amplitudes of
-    the connection formula and the branch constants of both charts:
-    g_i = e^(pi eps1), g_f = c1l e^(-pi eps2), g_b = c2l e^(+pi eps2).
-    """
-    eps1 = sol.earlier.eps
-    eps2 = sol.later.eps
-    r_f, r_b = _connection(eps1, eps2, sol.earlier.nu.imag)
-    return replace(sol, c1l=r_f * math.exp(math.pi * (eps1 + eps2)),
-                   c2l=r_b * math.exp(math.pi * (eps1 - eps2)))
+    c2l = 0j if a == 0 else cmath.exp(lg_c + log_gamma(2j * eps2) - log_gamma(a)
+                                      - log_gamma(1.0 - 1j * (d - eps2 + eps1)))
+    return replace(sol, c1l=c1l, c2l=c2l)
 
 
 def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
@@ -364,16 +355,14 @@ def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
 def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -> ScatteringResult:
     """Extract plane-wave amplitudes from the matched solution.
 
-    In each chart zeta -> 0 sends 2F1 -> 1 and (1-zeta)^nu -> 1, leaving pure
-    plane waves whose constants are the e^(+-pi eps) branch factors of
-    zeta^(+-mu); the chiral amplitudes below are exactly those limits.
+    In each chart zeta -> 0 sends 2F1 -> 1 and (1-zeta)^nu -> 1, so every
+    branch tends to its plane wave with unit amplitude, and c1l and c2l are
+    the chiral amplitudes of the later waves per unit incident amplitude.
     """
     if sol.c1l is None:
         raise ValueError("solution is unmatched; run match_at_t0 first")
-    gi_w = INCIDENT[1] * math.exp(math.pi * sol.earlier.eps)
-    gf_w = sol.c1l * math.exp(-math.pi * sol.later.eps)
-    gb_w = sol.c2l * math.exp(math.pi * sol.later.eps)
-    return result_from_mode_amplitudes(gi_w, gf_w, gb_w, params.m, asymptotic_modes(params))
+    return result_from_mode_amplitudes(1.0 + 0.0j, sol.c1l, sol.c2l, params.m,
+                                       asymptotic_modes(params))
 
 
 def _log_sinh_excess(x: float) -> float:

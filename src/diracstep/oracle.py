@@ -79,7 +79,8 @@ class OracleError(RuntimeError):
 
 
 class StepLimitError(OracleError):
-    """Step budget exceeded (or step size underflowed) before reaching the end time."""
+    """Step budget exceeded (or step size underflowed) before reaching the end
+    time, or tau max(E1, E2) above MAX_TAU_E, refused before the first step."""
 
 
 class NormDriftError(OracleError):
@@ -233,6 +234,12 @@ DRIFT_LIMIT = 1e-9
 # m != 1, a1 != 0): at most 157 steps per unit at REL_TOL and ABS_TOL, 208 at
 # 10x tighter, so a stepper that has lost its order fails in seconds
 STEP_BUDGET = 1000
+# integrate refuses tau max(E1, E2) above MAX_TAU_E before its first step.
+# Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
+# a2 = 2 sqrt(3)), CPython 3.11 on one core, tau E = 2e3 took 74,708 steps in
+# 3.4 s and tau E = 1e4 took 302,758 steps in 14.5 s, both with norm drift
+# below 1.4e-12; the command line accepts tau up to the double range
+MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
 # the worst measured, over 677 inputs with tau 7e-301..811, signed q and
 # m != 1, is 3.8e-13
@@ -341,11 +348,16 @@ def integrate(params: StepParameters) -> OracleOutcome:
     t0 - T, T = SPAN_FACTOR tau (a = 1/cos(theta1/2), b = 0 in the eigenmode
     picture) and reports the chiral amplitudes of the forward/backward late
     modes at t0 + T, with the e^{-/+ i E2 (t - t0)} phases stripped; `compare`
-    turns them into f, b and the probabilities.  The window and tolerances
-    are the module constants, read at each call.
+    turns them into f, b and the probabilities.  The window, tolerances and
+    limits are the module constants, read at each call.
     """
     m = params.m
     modes = asymptotic_modes(params)
+    tau_e = params.tau * max(modes.e1, modes.e2)
+    if tau_e > MAX_TAU_E:
+        raise StepLimitError(
+            f"tau max(E1, E2) = {tau_e:.3g} exceeds the integrator's supported "
+            f"range {MAX_TAU_E:g}: its steps grow linearly in tau E")
     # integrate in s = u/S, u = t - t0, S = 2^k with tau = tau_s S and
     # tau_s in [1/2, 1); the profile depends on t only through s
     tau_s, k = math.frexp(params.tau)
@@ -384,7 +396,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
     h_max = 2.0 * s_end / 16.0
     h = min(tau_s / 4.0, 0.1 / max(modes.e1, modes.e2) / scale)
     h_min = 1e-14 * tau_s
-    max_steps = STEP_BUDGET * (1.0 + params.tau * max(modes.e1, modes.e2))
+    max_steps = STEP_BUDGET * (1.0 + tau_e)
     k1 = rhs(s, a, b, ph)
     err_prev = 1.0
     steps = 0

@@ -3,7 +3,8 @@
 The battery covers the special functions, the oscillator-equation residual of
 the constructed solution, the closed-form-vs-integrator agreement, the
 Heaviside and adiabatic limits, the normalization identities, and the
-backward-amplitude prefactor convention.
+matched wavefunction's amplitude ratios, phase included, against the
+integrator.
 
 Each check returns (passed, detail) and compares strictly against a tolerance
 held as a module constant, so a tolerance of 0 fails it.  The `check_*`
@@ -33,7 +34,6 @@ SHARP_TAU = 1e-4  # the smooth step that must reproduce the Heaviside limit
 ADIABATIC_TOL = 1e-6  # on B_u at the slowest step
 PROBABILITY_SUM_TOL = 1e-12  # |F + B - 1|
 UNITARITY_TOL = 1e-9  # |F_u + B_u - 1|
-PREFACTOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,21 @@ def check_vs_oracle(reports: Sequence[oracle.ComparisonReport]):
     )
 
 
+def check_amplitude_ratios(cases: Sequence[tuple[model.StepParameters, oracle.OracleOutcome]]):
+    """`match_at_t0`'s c1l and c2l against the integrator's g_f and g_b of
+    each (params, outcome), phase included, in units of max(1, |c|)."""
+    devs = []
+    for params, out in cases:
+        sol = analytic.match_at_t0(analytic.build_solution(params), params)
+        devs += [abs(sol.c1l - out.g_f) / max(1.0, abs(sol.c1l)),
+                 abs(sol.c2l - out.g_b) / max(1.0, abs(sol.c2l))]
+    worst = _worst(devs)
+    return worst < oracle.COMPARE_TOL, (
+        f"worst |(c1l, c2l) - (g_f, g_b)| {worst:.2e} of max(1, |c|) "
+        f"(tol {oracle.COMPARE_TOL:g}) over {len(cases)} points"
+    )
+
+
 def check_sharp_limit(kinematics: Sequence[dict]):
     """Scatter at tau = SHARP_TAU against the Heaviside closed form for each
     (m, q, p, a1, a2), and both at ANCHOR against its exact
@@ -191,26 +206,6 @@ def check_normalization(points: Sequence[model.StepParameters]):
     )
 
 
-def _check_backward_prefactor():
-    # The chart limit fixes the backward branch constant to e^(+pi tau E2/2),
-    # built from the late frequency.  The early frequency E1, the only other
-    # dimensionally consistent choice, changes b by exactly
-    # e^(pi tau (E1 - E2)/2) and must miss the integrator.  Asymmetric
-    # kinematics, so that the two conventions differ.
-    params = model.StepParameters(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=1.0, tau=0.4)
-    report = oracle.compare(params)
-    modes = report.analytic.modes
-    ratio = math.exp(0.5 * math.pi * params.tau * (modes.e1 - modes.e2))
-    b, b_num = report.analytic.b, report.numeric.b
-    dev_late = abs(b - b_num)
-    dev_early = abs(b * ratio - b_num)
-    ok = dev_late < PREFACTOR_TOL and dev_early > 100 * PREFACTOR_TOL
-    return ok, (
-        f"late-frequency form agrees with the integrator to {dev_late:.2e} "
-        f"(tol {PREFACTOR_TOL:g}); early-frequency variant differs by factor {ratio:.6f}"
-    )
-
-
 def _reflection_points() -> list[complex]:
     rng = random.Random(20240811)
     zs = [complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(60)]
@@ -229,6 +224,14 @@ def _oracle_reports() -> list[oracle.ComparisonReport]:
     return [oracle.compare(model.StepParameters(**kw)) for kw in points]
 
 
+def _ratio_cases() -> list[tuple[model.StepParameters, oracle.OracleOutcome]]:
+    # asymmetric kinematics, so that E1 != E2, and a point off the anchor's
+    # symmetries: signed q, m != 1, a1 != 0, t0 != 0
+    points = [model.StepParameters(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=1.0, tau=0.4),
+              model.StepParameters(m=0.8, q=-1.3, p=0.9, a1=0.4, a2=-1.6, t0=1.5, tau=0.6)]
+    return [(params, oracle.integrate(params)) for params in points]
+
+
 def _residual_cases() -> list[tuple[model.StepParameters, int]]:
     return [(model.StepParameters(m=1, q=1, p=p, a1=0.0, a2=a2, tau=tau), 7)
             for p, a2, tau in ((math.sqrt(3.0), 2 * math.sqrt(3.0), 0.3), (1.4, -2.0, 0.8))]
@@ -244,7 +247,7 @@ _CHECKS = [
     ("sharp-step limit", lambda: check_sharp_limit([ANCHOR])),
     ("adiabatic suppression", lambda: check_adiabatic((2.0, 4.0, 7.0, 10.0))),
     ("normalization identities", lambda: check_normalization(normalization_points(515, 60))),
-    ("backward-prefactor convention", _check_backward_prefactor),
+    ("amplitude ratios vs integrator", lambda: check_amplitude_ratios(_ratio_cases())),
 ]
 
 

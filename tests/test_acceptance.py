@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Each criterion prints one PASS/FAIL line (run pytest with -s to see them all)
-and asserts the same condition.  Criteria 1, 2, 3, 5, 6 and 8 run the checks
+and asserts the same condition.  Criteria 1, 2, 3, 5, 6, 8 and 10 run the checks
 of `diracstep.selftest`, with their tolerances, on larger point sets than the
 selftest's own; this file adds only the points and the time bounds.  The
 closed-form-vs-integrator grid is computed once in a module fixture and
@@ -18,6 +18,7 @@ from diracstep import StepParameters, compare
 from diracstep import cli, oracle
 from diracstep.selftest import (
     check_adiabatic,
+    check_amplitude_ratios,
     check_normalization,
     check_reflection,
     check_residual,
@@ -31,6 +32,8 @@ RT3 = math.sqrt(3.0)
 GRID_P = (0.5, 1.0, RT3, 2.5, 4.0)
 GRID_A2 = (0.5, 1.0, 2 * RT3, 4.0, 5.0)
 GRID_TAU = (0.05, 0.1, 0.3, 1.0, 3.0)
+GRID = [StepParameters(m=1.0, q=1.0, p=p, a1=0.0, a2=a2, tau=tau)
+        for p in GRID_P for a2 in GRID_A2 for tau in GRID_TAU]
 
 _MODULE_T0 = time.perf_counter()
 
@@ -42,10 +45,9 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def oracle_grid():
-    """compare() over the fixed 5x5x5 grid, and its runtime."""
+    """compare() over the fixed 5x5x5 GRID, in its order, and its runtime."""
     t0 = time.perf_counter()
-    reports = [compare(StepParameters(m=1.0, q=1.0, p=p, a1=0.0, a2=a2, tau=tau))
-               for p in GRID_P for a2 in GRID_A2 for tau in GRID_TAU]
+    reports = [compare(params) for params in GRID]
     return reports, time.perf_counter() - t0
 
 
@@ -157,3 +159,11 @@ def test_criterion_9_reproducibility(capsys):
     ok = code == 0 and first == second and elapsed < 120.0
     assert report(9, ok, f"selftest exit {code} (=0), sweep CSV byte-identical: "
                          f"{first == second}, acceptance module time {elapsed:.0f}s (<120s)")
+
+
+def test_criterion_10_amplitude_ratios(oracle_grid):
+    # the grid's own integrations, phase included
+    reports, _ = oracle_grid
+    ok, detail = check_amplitude_ratios([(params, rep.outcome)
+                                         for params, rep in zip(GRID, reports)])
+    assert report(10, ok, detail)

@@ -234,14 +234,14 @@ class TestChartEvaluation:
         params = mk(tau=1e-3)
         sol = match_at_t0(build_solution(params), params)
         modes = asymptotic_modes(params)
-        eps1, eps2 = sol.earlier.eps, sol.later.eps
+        g_i = math.exp(math.pi * sol.earlier.eps)
         dt = 1e3 * params.tau
         early = solve_earlier(sol, params.t0 - dt, params)
-        want = math.exp(math.pi * eps1) * cmath.exp(1j * modes.e1 * dt)
+        want = g_i * cmath.exp(1j * modes.e1 * dt)
         assert early.upper == pytest.approx(want, rel=1e-8)
         late = solve_later(sol, params.t0 + dt, params)
-        want = (sol.c1l * math.exp(-math.pi * eps2) * cmath.exp(-1j * modes.e2 * dt)
-                + sol.c2l * math.exp(math.pi * eps2) * cmath.exp(1j * modes.e2 * dt))
+        want = g_i * (sol.c1l * cmath.exp(-1j * modes.e2 * dt)
+                      + sol.c2l * cmath.exp(1j * modes.e2 * dt))
         assert late.upper == pytest.approx(want, rel=1e-8)
 
 
@@ -257,9 +257,10 @@ class TestMatching:
         params = mk(tau=0.6)
         sol = match_at_t0(build_solution(params), params)
         # both charts at t0, where the matched solution switches between them
-        early = analytic._chart_spinor(sol.earlier, sol.delta, params, analytic.INCIDENT,
-                                       params.t0)
-        late = analytic._chart_spinor(sol.later, sol.delta, params, (sol.c1l, sol.c2l), params.t0)
+        g_i = math.exp(math.pi * sol.earlier.eps)
+        early = analytic._chart_spinor(sol.earlier, sol.delta, params, (0.0, g_i), params.t0)
+        late = analytic._chart_spinor(sol.later, sol.delta, params,
+                                      (g_i * sol.c1l, g_i * sol.c2l), params.t0)
         mismatch = abs(early.upper - late.upper) + abs(early.lower - late.lower)
         assert mismatch / math.sqrt(early.norm_sq) < 1e-10
 

@@ -75,6 +75,13 @@ class TestScatter:
         assert rec["oracle_dev_f"] < oracle.COMPARE_TOL
         assert rec["oracle_dev_b"] < oracle.COMPARE_TOL
 
+    def test_oracle_refuses_a_slow_step(self, capsys):
+        # tau E = 3.2e8 is beyond oracle.MAX_TAU_E: exit 3 at once, nothing printed
+        code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1e8",
+                             "--oracle", "--format", "json")
+        assert (code, out) == (3, "")
+        assert "supported range" in err
+
     def test_oracle_deviation_fields(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1.2", "--a2", "0.8", "--tau", "0.2",
                            "--format", "json", "--oracle")
@@ -572,6 +579,21 @@ class TestSelftest:
         assert code == 1
         assert "FAIL" in out
         assert "special-function reference values" in out
+
+    def test_early_frequency_backward_ratio_fails(self, capsys, monkeypatch):
+        # c2l scaled by e^(pi (eps1 - eps2)), the backward ratio taken with
+        # the early frequency, must miss the integrator's g_b
+        real = analytic.match_at_t0
+
+        def early(sol, params):
+            sol = real(sol, params)
+            scale = math.exp(math.pi * (sol.earlier.eps - sol.later.eps))
+            return dataclasses.replace(sol, c2l=scale * sol.c2l)
+
+        monkeypatch.setattr(analytic, "match_at_t0", early)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "[FAIL] amplitude ratios vs integrator" in out
 
     def test_nan_result_fails_its_checks(self, capsys, monkeypatch):
         # a NaN deviation must fail, not drop out of the worst case
