@@ -188,7 +188,7 @@ class HypergeometricSolution:
     c2l: complex | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScatteringResult:
     """Scattering amplitude ratios and probabilities of one step.
 

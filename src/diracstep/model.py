@@ -43,14 +43,22 @@ def check_inputs(values: dict[str, float]) -> None:
         raise ValueError(f"tau must be positive, got {tau!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepParameters:
     """All physical inputs, natural units.
 
     m: rest mass (> 0); q: signed coupling; p: conserved momentum along the
     potential axis; a1/a2: early/late potential values; tau: transition time
     parameter (> 0; the Heaviside limit is a separate closed form, never
-    tau = 0 here); t0: transition time.  Checked by `check_inputs`.
+    tau = 0 here); t0: transition time.
+
+    The one frozen record, because it carries checked inputs: `__init__`
+    builds the values once, checks them by `check_inputs` and stores them in
+    one step, so a rejected input leaves no record.  Equality, hashing, repr,
+    `dataclasses.replace` (which checks again) and FrozenInstanceError on
+    assignment are the dataclass's own.  The per-point results
+    (`AsymptoticModes`, `TwoSpinor`, `analytic.ScatteringResult`) are plain
+    dataclasses, built without the frozen record's per-field set-up.
     """
 
     m: float
@@ -61,11 +69,15 @@ class StepParameters:
     tau: float
     t0: float = 0.0
 
-    def __post_init__(self):
-        check_inputs(self.__dict__)  # vars(self), without the builtin call
+    def __init__(self, m: float, q: float, p: float, a1: float, a2: float,
+                 tau: float, t0: float = 0.0):
+        values = {"m": m, "q": q, "p": p, "a1": a1, "a2": a2, "tau": tau, "t0": t0}
+        check_inputs(values)
+        # the frozen __setattr__ is for callers; one update stores every field
+        self.__dict__.update(values)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AsymptoticModes:
     """Kinetic momenta and mode energies of the two asymptotic plateaus."""
 
@@ -75,7 +87,7 @@ class AsymptoticModes:
     e2: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class TwoSpinor:
     """A spinor (phi, theta) in the chiral basis, the only basis the package uses."""
 

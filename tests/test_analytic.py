@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -390,6 +391,17 @@ class TestAmplitudes:
                 want = getattr(via_gamma, attr)
                 if want > 1e-250:
                     assert abs(getattr(direct, attr) - want) <= 1e-10 * want, attr
+
+
+class TestScatteringResult:
+    def test_replace_changes_only_the_named_field(self):
+        res = scatter(mk())
+        new = dataclasses.replace(res, F=0.25)
+        assert new.F == 0.25 and new != res
+        for f in dataclasses.fields(res):
+            if f.name != "F":
+                assert getattr(new, f.name) == getattr(res, f.name)
+        assert dataclasses.replace(res) == res
 
 
 # 50-digit values of (F_u, B_u) from the sinh form and of (f, b) from the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -58,6 +59,57 @@ class TestStepParameters:
         big = 1.5e308
         assert mk(p=big, a1=big, a2=big, t0=big).p == big
         model.check_inputs({"m": big, "tau": big})
+
+
+class TestRecords:
+    """StepParameters is the one frozen record; the per-point results are
+    plain dataclasses."""
+
+    def test_assignment_raises(self):
+        params = mk()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.tau = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del params.p
+        assert params.tau == 1.0
+
+    def test_replace_checks_the_inputs(self):
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(mk(), tau=-1.0)
+        assert str(exc.value) == "tau must be positive, got -1.0"
+        assert dataclasses.replace(mk(), tau=2.0) == mk(tau=2.0)
+
+    def test_construction_forms_agree(self):
+        forms = [StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5),
+                 StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5, 0.0),
+                 StepParameters(m=1.0, q=1.0, p=2.0, a1=0.0, a2=1.0, tau=0.5),
+                 StepParameters(tau=0.5, t0=0.0, a2=1.0, a1=0.0, p=2.0, q=1.0, m=1.0)]
+        for params in forms:
+            assert params == forms[0]
+            assert hash(params) == hash(forms[0])
+            assert repr(params) == ("StepParameters(m=1.0, q=1.0, p=2.0, a1=0.0, "
+                                    "a2=1.0, tau=0.5, t0=0.0)")
+        assert mk(t0=1.0) != forms[0]
+
+    def test_missing_or_unknown_argument(self):
+        with pytest.raises(TypeError):
+            StepParameters(m=1.0, q=1.0, p=2.0, a1=0.0, a2=1.0)
+        with pytest.raises(TypeError):
+            StepParameters(m=1.0, q=1.0, p=2.0, a1=0.0, a2=1.0, tau=0.5, t1=0.0)
+        with pytest.raises(TypeError):
+            StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("record,name,value", [
+        (asymptotic_modes(mk(p=2.0)), "e2", 3.0),
+        (TwoSpinor(1.0 + 2.0j, -0.5j), "lower", 4.0 + 0.0j),
+    ])
+    def test_replace_changes_only_the_named_field(self, record, name, value):
+        new = dataclasses.replace(record, **{name: value})
+        assert new != record and getattr(new, name) == value
+        for f in dataclasses.fields(record):
+            if f.name != name:
+                assert getattr(new, f.name) == getattr(record, f.name)
+        assert dataclasses.replace(record) == record
 
 
 class TestPotential:
