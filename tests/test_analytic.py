@@ -188,6 +188,15 @@ class TestChartEvaluation:
             t = params.t0 + lo + (hi - lo) * j / 201
             assert solve_earlier(sol, t, params).norm_sq == pytest.approx(incident, rel=1e-9)
 
+    def test_norm_sq_overflows_to_inf(self):
+        # eps1 ~ 115 and eps1 + eps2 ~ 151 are inside the supported range, but
+        # |psi|^2 at t = -400 is beyond the double range: inf, not OverflowError
+        params = mk(m=1.0, q=1.0, p=3.0, a1=0.0, a2=3.0, tau=72.7)
+        sol = match_at_t0(build_solution(params), params)
+        early = solve_earlier(sol, -400.0, params)
+        assert math.isfinite(abs(early.upper)) and math.isfinite(abs(early.lower))
+        assert early.norm_sq == math.inf
+
     def test_evaluation_is_deterministic(self):
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)

@@ -194,6 +194,10 @@ def chiral_mode(pi, m, positive):
 
 
 class TestModeSpinors:
+    def test_norm_sq(self):
+        assert TwoSpinor(3.0 + 4.0j, -12.0).norm_sq == 169.0
+        assert TwoSpinor(1e200j, 0.0).norm_sq == math.inf
+
     @given(st.floats(min_value=-8, max_value=8), st.floats(min_value=0.1, max_value=4))
     def test_eigenvector_identity(self, pi, m):
         # [[pi, m], [m, -pi]] applied to (1, (E - pi)/m) equals E * the vector
