@@ -1,7 +1,9 @@
 import dataclasses
+import decimal
 import json
 import math
 import sys
+import types
 
 import pytest
 from hypothesis import example, given
@@ -213,6 +215,32 @@ class TestSweep:
             cells = dict(zip(header, row.split(",")))
             assert float(cells["e1"]) == pytest.approx(float(cells["energy_ratio"]), rel=1e-12)
 
+    def test_momentum_at_ratio_against_decimal(self):
+        # m sqrt(r^2 - 1) to 40 digits from the exact binary r, for r - 1 from
+        # 1e-15, where r^2 - 1 cancels, to 1e300, where r^2 overflows
+        ctx = decimal.Context(prec=40)
+        args = types.SimpleNamespace(m=1.0, q=0.0, a1=0.0)
+        n = 20_000
+        for i in range(n):
+            r = 1.0 + 10.0 ** (-15.0 + 315.0 * i / (n - 1))
+            d = decimal.Decimal(r)
+            ref = ctx.sqrt(ctx.subtract(ctx.multiply(d, d), 1))
+            got = cli._momentum_at_ratio(r, args)
+            assert abs(decimal.Decimal(got) - ref) <= decimal.Decimal(1e-15) * ref, r
+            assert cli._momentum_at_ratio(r, args, minus=True) == -got
+
+    def test_huge_energy_ratios(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "energy_ratio", "--log",
+                           "--start", "1.0000001", "--stop", "1e300", "--count", "5",
+                           "--a2", "2", "--tau", "0.5")
+        assert code == 0
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        assert len(rows) == 6
+        for row in rows[1:]:
+            cells = dict(zip(rows[0].split(","), row.split(",")))
+            assert cells["status"] == "ok"
+            assert float(cells["e1"]) == pytest.approx(float(cells["energy_ratio"]), rel=1e-12)
+
     def test_oracle_every_interleaving(self, capsys):
         code, out, _ = run(capsys, "sweep", "--sweep-var", "p", "--start", "1", "--stop", "2",
                            "--count", "4", "--a2", "1.0", "--tau", "0.2",
@@ -411,6 +439,20 @@ class TestFigure2:
         assert max(abs(float(r["B"]) - float(r["B_sharp"])) for r in rows(panel_a)) < 0.01
         assert any(float(r["B"]) > 0.01 for r in rows(panel_b))
 
+    def test_huge_energy_ratio(self, tmp_path, capsys):
+        # p = 1e200: the ratio's square would overflow, the momentum does not
+        code, out, _ = run(capsys, "figure2", "--out-dir", str(tmp_path), "--count", "5",
+                           "--energy-ratio", "1e200")
+        assert code == 0
+        for name in ("panel_a.csv", "panel_b.csv"):
+            assert f"wrote {tmp_path / name}" in out
+            lines = [ln for ln in (tmp_path / name).read_text().splitlines()
+                     if not ln.startswith("#")]
+            assert len(lines) == 6
+            for line in lines[1:]:
+                e1 = float(dict(zip(lines[0].split(","), line.split(",")))["e1"])
+                assert e1 == pytest.approx(1e200, rel=1e-12)
+
     def test_unwritable_directory_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
@@ -476,7 +518,7 @@ class TestKinematicsCells:
             assert cells["status"] == "ok"
             value = float(cells[var])
             if var == "energy_ratio":
-                pi1 = fixed["m"] * math.sqrt(value * value - 1.0)
+                pi1 = fixed["m"] * (math.sqrt(value - 1.0) * math.sqrt(value + 1.0))
                 kw = {"p": fixed["q"] * fixed["a1"] + (-pi1 if branch == "minus" else pi1)}
             else:
                 kw = {var: value}
