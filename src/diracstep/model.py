@@ -52,13 +52,13 @@ class StepParameters:
     parameter (> 0; the Heaviside limit is a separate closed form, never
     tau = 0 here); t0: transition time.
 
-    The one frozen record, because it carries checked inputs: `__init__`
+    The one frozen record of a point, as it carries checked inputs: `__init__`
     builds the values once, checks them by `check_inputs` and stores them in
-    one step, so a rejected input leaves no record.  Equality, hashing, repr,
-    `dataclasses.replace` (which checks again) and FrozenInstanceError on
-    assignment are the dataclass's own.  The per-point results
-    (`AsymptoticModes`, `TwoSpinor`, `analytic.ScatteringResult`) are plain
-    dataclasses, built without the frozen record's per-field set-up.
+    one step.  Equality, hashing, repr, `dataclasses.replace` (which checks
+    again) and FrozenInstanceError on assignment are the dataclass's own.
+    The per-point results (`AsymptoticModes`, `TwoSpinor`,
+    `analytic.ScatteringResult`) are plain dataclasses, built without the
+    frozen record's per-field set-up.
     """
 
     m: float
@@ -98,8 +98,8 @@ class TwoSpinor:
     def norm_sq(self) -> float:
         """|phi|^2 + |theta|^2, inf where it overflows a double.  Each square
         is the product of a modulus with itself, correctly rounded; float **
-        would raise OverflowError there, and libm's pow(u, 2) is one ulp off
-        for about one u in a thousand."""
+        would raise OverflowError there, and libm's pow(u, 2) can be one ulp
+        off."""
         u, v = abs(self.upper), abs(self.lower)
         return u * u + v * v
 
