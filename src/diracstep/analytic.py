@@ -37,6 +37,18 @@ later one to the positive-frequency e^(-i E (t - t0)), the other two to
 e^(+i E (t - t0)).  A pure positive-frequency incident wave is the earlier
 chart's |zeta|^(-mu) branch alone.
 
+Only the positive-frequency branch of a chart needs a 2F1 series.  The
+Hamiltonian pi sigma3 + m sigma1 is real, so if (phi, theta) solves the
+system, so does its conjugate partner (theta*, -phi*).  Conjugation turns
+the branch's power |zeta|^(+-i eps) into |zeta|^(-+i eps), keeps a power
+series in the real zeta a power series, and takes the plateau's mode
+(1, (E - pi)/m) to (E - pi)/m times the negative-frequency mode
+(1, -(E + pi)/m).  By Frobenius uniqueness the partner times (E + pi)/m is
+the chart's other branch with its unit head.  On the later chart, with
+(E2 + pi2)/m = `model.mode_lower(-pi2, m)`,
+
+    psi_b = mode_lower(-pi2, m) (theta_f*, -phi_f*).
+
 The scattering amplitudes come from one chart alone.  The incident branch
 |zeta|^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
 line, and as t -> +inf (zeta -> -inf) the inverse-argument connection formula
@@ -84,12 +96,15 @@ wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`, and
 evaluated in the chart native to each side of the step: the earlier chart
 for t <= t0, the later chart for t > t0.  Every 2F1 argument is then
 zeta in [-1, 0), and deep in either half-line zeta underflows to -0, where
-the spinor is its exact plane-wave limit.  `build_solution` builds the
-`specfun.Hyp2F1Plan` of both branches of both charts once, and every
-evaluation shares them, so the choice of series and its term ratios are not
-redone per time.  A plan gives 2F1 = (1 - zeta)^kappa s(zeta), and a branch
-is evaluated as |zeta|^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one
-complex exp, of mu ln|zeta| + (nu + kappa) ln(1 - zeta) with the real
+the spinor is its exact plane-wave limit.  Each spinor sums one 2F1 series:
+for t <= t0 the incident branch, for t > t0 the later forward branch, whose
+conjugate partner gives the backward wave.  `build_solution` builds the
+`specfun.Hyp2F1Plan` of each chart's positive-frequency branch once, two
+plans in all, and every evaluation shares them, so the choice of series and
+its term ratios are not redone per time.  A plan gives 2F1 =
+(1 - zeta)^kappa s(zeta), and a branch is evaluated as
+|zeta|^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one complex exp, of
+mu ln|zeta| + (nu + kappa) ln(1 - zeta) with the real
 ln(1 - zeta) = log1p(-zeta).  `match_at_t0` stores the Gamma ratios
 themselves as the later chart's coefficients, c1l = g_f/g_i and
 c2l = g_b/g_i, and `asymptotic_amplitudes` reads f, b, F, B, F_u and B_u
@@ -159,19 +174,24 @@ class ChartExpansion:
     sign: +1 for the earlier chart, -1 for the later one; enters both
     d(zeta)/dt = sign * 2 zeta / tau and pi(zeta) = pi_asym + sign * delta *
     zeta / (1 - zeta).  eps = tau * E_asym / 2 is the chart's frequency
-    scale and nu = i d the exponent of (1 - zeta).  branches holds the two
-    Frobenius branches as (exponent, plan) pairs: the zeta^(+i eps) branch
-    with the series plan of (a, b, c) and the zeta^(-i eps) branch with that
-    of (a', b', c').  The plans are built once with the chart and shared by
-    every evaluation of it; they take no part in comparison.
+    scale and nu = i d the exponent of (1 - zeta).  The chart holds one
+    Frobenius branch, its positive-frequency one: mu = -sign i eps, the
+    exponent of |zeta| (the module docstring's -mu on the earlier chart, mu
+    on the later), so the branch tends to e^(-i E_asym (t - t0)) on the
+    chart's plateau, and plan, the series plan of its 2F1, (a', b', c') on
+    the earlier chart and (a, b, c) on the later one.  The other branch is
+    that one's conjugate partner (theta*, -phi*) times (E_asym + pi_asym)/m
+    (module docstring), so it needs no series of its own.  The plan is built
+    once with the chart and shared by every evaluation of it; it takes no
+    part in comparison.
     """
 
     sign: int
     pi_asym: float
     eps: float
     nu: complex
-    branches: tuple[tuple[complex, Hyp2F1Plan], tuple[complex, Hyp2F1Plan]] = field(
-        compare=False, repr=False)
+    mu: complex
+    plan: Hyp2F1Plan = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -217,16 +237,18 @@ def governing_frequency(t: float, params: StepParameters) -> complex:
 
 
 def _chart(eps: float, eps_other: float, d: float, sign: int, pi_asym: float) -> ChartExpansion:
-    mu = 1j * eps
-    a = 1j * (eps + d + eps_other)
-    b = 1j * (eps + d - eps_other)
+    mu = -sign * 1j * eps
+    # the branch's a and b are those of the |zeta|^(i eps) branch less
+    # i eps - mu: 0 on the later chart, 2 i eps on the earlier one
+    shift = 1j * eps - mu
     return ChartExpansion(
         sign=sign,
         pi_asym=pi_asym,
         eps=eps,
         nu=1j * d,
-        branches=((mu, Hyp2F1Plan(a, b, 1.0 + 2j * eps)),
-                  (-mu, Hyp2F1Plan(a - 2 * mu, b - 2 * mu, 1.0 - 2j * eps))),
+        mu=mu,
+        plan=Hyp2F1Plan(1j * (eps + d + eps_other) - shift, 1j * (eps + d - eps_other) - shift,
+                        1.0 + 2 * mu),
     )
 
 
@@ -251,33 +273,26 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
 
 
 def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
-                  coefficients: tuple[complex, complex], t: float) -> TwoSpinor:
-    """Chiral spinor at time t of the chart's solution with the given
-    coefficients of its two branches; a zero coefficient skips its branch.
+                  t: float) -> TwoSpinor:
+    """Chiral spinor at time t of the chart's positive-frequency branch, with
+    its unit head.
 
-    The plan of a branch zeta^mu (1-zeta)^nu 2F1 gives 2F1 = (1-zeta)^kappa s,
-    so the branch is |zeta|^mu (1-zeta)^(nu+kappa) s, its head taken in one
-    exp of the real logarithms ln|zeta| and ln(1 - zeta).
+    The plan gives 2F1 = (1-zeta)^kappa s, so the branch is
+    |zeta|^mu (1-zeta)^(nu+kappa) s, its head taken in one exp of the real
+    logarithms ln|zeta| and ln(1 - zeta).
     """
     log_abs_zeta = chart.sign * 2.0 * ((t - params.t0) / params.tau)
     zeta = -math.exp(log_abs_zeta)
     ln_1mz = math.log1p(-zeta)  # zeta < 0, so ln(1 - zeta) is real
-    dt_scale = chart.sign * (2.0 / params.tau)  # d ln|zeta| / dt
-    phi = 0.0 + 0.0j
-    dphi = 0.0 + 0.0j
-    for c, (mu, plan) in zip(coefficients, chart.branches):
-        if c != 0:
-            kappa, s, ds = plan.series(zeta)
-            nu = chart.nu + kappa
-            head = cmath.exp(mu * log_abs_zeta + nu * ln_1mz)
-            branch = head * s
-            # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
-            zeta_dphi = branch * (mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
-            phi += c * branch
-            dphi += c * (dt_scale * zeta_dphi)
+    kappa, s, ds = chart.plan.series(zeta)
+    nu = chart.nu + kappa
+    head = cmath.exp(chart.mu * log_abs_zeta + nu * ln_1mz)
+    phi = head * s
+    # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
+    zeta_dphi = phi * (chart.mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
+    dphi = chart.sign * (2.0 / params.tau) * zeta_dphi  # d ln|zeta| / dt = 2 sign / tau
     piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
-    theta = (1j * dphi - piv * phi) / params.m
-    return TwoSpinor(upper=phi, lower=theta)
+    return TwoSpinor(upper=phi, lower=(1j * dphi - piv * phi) / params.m)
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -286,7 +301,9 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
 
     Each side of t0 is evaluated in its own chart, where the chart variable
     lies in [-1, 0): t <= t0 in the earlier chart with the incident branch
-    alone, t > t0 in the later chart with (c1l, c2l).  The incident wave has
+    alone, t > t0 in the later chart with (c1l, c2l).  The later backward
+    wave is the forward one's conjugate partner (theta*, -phi*) times
+    (E2 + pi2)/m, so each side sums one 2F1 series.  The incident wave has
     amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
     earlier plateau, l1 = (E1 - pi1)/m.  Deep in either half-line zeta
     underflows to -0 and the spinor is the exact plane-wave limit.
@@ -296,8 +313,14 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
         raise ValueError("coefficients unset; run match_at_t0 first")
     g_i = math.exp(math.pi * sol.earlier.eps)
     if t <= params.t0:
-        return _chart_spinor(sol.earlier, sol.delta, params, (0.0, g_i), t)
-    return _chart_spinor(sol.later, sol.delta, params, (g_i * sol.c1l, g_i * sol.c2l), t)
+        inc = _chart_spinor(sol.earlier, sol.delta, params, t)
+        return TwoSpinor(upper=g_i * inc.upper, lower=g_i * inc.lower)
+    fwd = _chart_spinor(sol.later, sol.delta, params, t)
+    c_f = g_i * sol.c1l
+    # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
+    c_b = g_i * sol.c2l * mode_lower(-sol.later.pi_asym, params.m)
+    return TwoSpinor(upper=c_f * fwd.upper + c_b * fwd.lower.conjugate(),
+                     lower=c_f * fwd.lower - c_b * fwd.upper.conjugate())
 
 
 solve_later = solve_earlier

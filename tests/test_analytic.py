@@ -31,6 +31,14 @@ def mk(m=1.0, q=1.0, p=RT3, a1=0.0, a2=2 * RT3, tau=0.3, t0=0.0):
     return StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau, t0=t0)
 
 
+def partner(spinor, pi, m):
+    """The conjugate partner (theta*, -phi*) of a chiral spinor, times
+    (E + pi)/m: the other Frobenius branch of a chart, with its unit head."""
+    scale = model.mode_lower(-pi, m)
+    return model.TwoSpinor(upper=scale * spinor.lower.conjugate(),
+                           lower=-scale * spinor.upper.conjugate())
+
+
 def rk4_to_t0(params, n_steps=40_000):
     """Independent fixed-step RK4 integration of the two-component system from
     the chart-normalized incident state at t0 - 20 tau up to t0."""
@@ -93,9 +101,9 @@ class TestBuildSolution:
         sol = build_solution(params)
         modes = asymptotic_modes(params)
         for chart, e in ((sol.earlier, modes.e1), (sol.later, modes.e2)):
-            (mu, _), (minus_mu, _) = chart.branches
-            assert mu == pytest.approx(0.5j * params.tau * e)
-            assert minus_mu == -mu
+            assert chart.mu == pytest.approx(-chart.sign * 0.5j * params.tau * e)
+            # d ln|zeta|/dt = 2 sign / tau, so |zeta|^mu is e^(-i E (t - t0))
+            assert chart.mu * 2.0 * chart.sign / params.tau == pytest.approx(-1j * e)
 
     def test_exp_map_consistency(self):
         # before t0 the matched solution is the zeta^-mu branch of the earlier
@@ -115,23 +123,41 @@ class TestBuildSolution:
         for tau in (1e-4, 0.3, 5.0):
             sol = build_solution(mk(tau=tau))
             for chart in (sol.earlier, sol.later):
-                for _, plan in chart.branches:
-                    for rep in (plan.on_z, plan.on_w):
-                        for v in (rep.a, rep.b, rep.c):
-                            assert cmath.isfinite(v)
-                        c = rep.c
-                        assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
+                for rep in (chart.plan.on_z, chart.plan.on_w):
+                    for v in (rep.a, rep.b, rep.c):
+                        assert cmath.isfinite(v)
+                    c = rep.c
+                    assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
+
+    # the anchor, and pi2/m = +40 and -39.5, where the later backward wave's
+    # upper component comes from the forward wave's lower one
+    REFERENCE_POINTS = [mk(tau=0.3), mk(p=1.7, a2=-38.3, tau=0.3),
+                        mk(m=0.7, q=-1.2, p=0.4, a1=0.3, a2=-23.4, tau=0.2, t0=0.8)]
 
     def test_residual_at_reference_point(self):
-        params = mk(tau=0.3)
+        for params in self.REFERENCE_POINTS:
+            self._check_residuals(params)
+
+    @staticmethod
+    def _check_residuals(params):
         sol = match_at_t0(build_solution(params), params)
-        for t in (-2 * params.tau, 0.0, 2 * params.tau):
+        m = params.m
+        for t in (params.t0 - 2 * params.tau, params.t0, params.t0 + 2 * params.tau):
             om2 = governing_frequency(t, params)
             w_eff = math.sqrt(abs(om2)) + 2.0 / params.tau
             h = 1e-2 / w_eff
-            phi = [solve_earlier(sol, t + k * h, params).upper for k in (-2, -1, 0, 1, 2)]
+            psi = [solve_earlier(sol, t + k * h, params) for k in (-2, -1, 0, 1, 2)]
+            phi = [s.upper for s in psi]
+            theta = [s.lower for s in psi]
             second = (-phi[0] + 16 * phi[1] - 30 * phi[2] + 16 * phi[3] - phi[4]) / (12 * h * h)
             assert abs(second + om2 * phi[2]) / abs(om2 * phi[2]) < 1e-7
+            # both first-order equations, i phi' = pi phi + m theta and
+            # i theta' = -pi theta + m phi, by the five-point first derivative
+            piv = params.p - params.q * model.potential_at(t, params)
+            dphi, dtheta = ((v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h) for v in (phi, theta))
+            scale = (abs(piv) + m) * math.sqrt(psi[2].norm_sq)
+            assert abs(1j * dphi - piv * phi[2] - m * theta[2]) / scale < 1e-8
+            assert abs(1j * dtheta + piv * theta[2] - m * phi[2]) / scale < 1e-8
 
     def test_range_guard(self):
         with pytest.raises(ParameterRangeError):
@@ -172,6 +198,43 @@ class TestChartEvaluation:
         ref = rk4_to_t0(params)
         assert got.upper == pytest.approx(ref[0], rel=1e-6)
         assert got.lower == pytest.approx(ref[1], rel=1e-6)
+
+    def test_backward_branch_is_the_conjugate_partner(self):
+        # the later chart's |zeta|^(-i eps2) branch, summed from its own 2F1
+        # (a - 2 mu, b - 2 mu; 1 - 2 i eps2; zeta), against the conjugate
+        # partner of the |zeta|^(i eps2) branch that solve_later sums
+        rng = random.Random(1919)
+        for _ in range(40):
+            m = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+            q = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+            p = rng.uniform(-3.0, 3.0) * m
+            pi2 = rng.uniform(-50.0, 50.0) * m
+            a2 = (p - pi2) / q
+            # tau E2 / 2 from 0.05 to 8
+            tau = 2.0 * math.exp(rng.uniform(math.log(0.05), math.log(8.0))) / math.hypot(pi2, m)
+            a1 = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+            params = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau,
+                                    t0=rng.uniform(-2.0, 2.0))
+            sol = build_solution(params)
+            chart = sol.later
+            eps1, eps2, d = sol.earlier.eps, chart.eps, chart.nu.imag
+            a, b = 1j * (d + eps1 - eps2), 1j * (d - eps1 - eps2)
+            for _ in range(20):
+                # |zeta| from e^-8 to 1
+                t = params.t0 + 0.5 * params.tau * rng.uniform(0.0, 8.0)
+                log_abs_zeta = -2.0 * ((t - params.t0) / params.tau)
+                zeta = -math.exp(log_abs_zeta)
+                f, df = specfun.hyp2f1_with_derivative(a, b, 1.0 - 2j * eps2, zeta)
+                head = cmath.exp(-1j * eps2 * log_abs_zeta + chart.nu * math.log1p(-zeta))
+                phi = head * f
+                # d zeta/dt = -2 zeta / tau on the later chart
+                zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
+                piv = chart.pi_asym - sol.delta * zeta / (1.0 - zeta)
+                theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
+                positive = analytic._chart_spinor(chart, sol.delta, params, t)
+                got = partner(positive, chart.pi_asym, m)
+                err = math.hypot(abs(got.upper - phi), abs(got.lower - theta))
+                assert err <= 1e-12 * math.hypot(abs(phi), abs(theta)), (params, t)
 
     def test_norm_where_the_pfaff_series_cancels(self):
         # tau E2 / 2 ~ 14: on these times the earlier chart's argument would
@@ -228,9 +291,8 @@ class TestChartEvaluation:
         with pytest.raises(specfun.ConvergenceError):
             solve_later(sol, params.t0 + 0.1, params)
         for chart in (sol.earlier, sol.later):
-            for _, plan in chart.branches:
-                assert len(plan.on_z.table) <= 4
-                assert len(plan.on_w.table) <= 4
+            assert len(chart.plan.on_z.table) <= 4
+            assert len(chart.plan.on_w.table) <= 4
 
     def test_unset_coefficients_rejected(self):
         sol = build_solution(mk())
@@ -266,24 +328,26 @@ class TestMatching:
     def test_continuity_defining_property(self):
         params = mk(tau=0.6)
         sol = match_at_t0(build_solution(params), params)
-        # both charts at t0, where the matched solution switches between them
-        g_i = math.exp(math.pi * sol.earlier.eps)
-        early = analytic._chart_spinor(sol.earlier, sol.delta, params, (0.0, g_i), params.t0)
-        late = analytic._chart_spinor(sol.later, sol.delta, params,
-                                      (g_i * sol.c1l, g_i * sol.c2l), params.t0)
+        # the earlier chart at t0 and the later one a double after it, where
+        # the matched solution switches between them
+        early = solve_earlier(sol, params.t0, params)
+        late = solve_later(sol, math.nextafter(params.t0, math.inf), params)
         mismatch = abs(early.upper - late.upper) + abs(early.lower - late.lower)
         assert mismatch / math.sqrt(early.norm_sq) < 1e-10
 
     def test_wronskian_value(self):
         # the determinant of each chart's two branches at t0 is the constant
-        # +2 E1 / m (earlier chart) or -2 E2 / m (later chart)
+        # +2 E1 / m (earlier chart) or -2 E2 / m (later chart); the branch
+        # not summed is the conjugate partner of the one that is
         params = mk(tau=0.8)
         modes = asymptotic_modes(params)
         sol = build_solution(params)
         for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
                             (sol.later, -2 * modes.e2 / params.m)):
-            f1 = analytic._chart_spinor(chart, sol.delta, params, (1.0, 0.0), params.t0)
-            f2 = analytic._chart_spinor(chart, sol.delta, params, (0.0, 1.0), params.t0)
+            positive = analytic._chart_spinor(chart, sol.delta, params, params.t0)
+            other = partner(positive, chart.pi_asym, params.m)
+            # (|zeta|^(+i eps), |zeta|^(-i eps)) in the parent's order
+            f1, f2 = (other, positive) if chart.sign > 0 else (positive, other)
             det = f1.upper * f2.lower - f2.upper * f1.lower
             assert det == pytest.approx(want, rel=1e-10)
 
