@@ -49,11 +49,15 @@ def _given_inputs(args) -> dict:
 def _momentum_at_ratio(ratio: float, args, minus: bool = False) -> float:
     """The p whose incident energy is E1 = ratio*m: q*a1 ± m*sqrt(ratio² - 1),
     formed as m*sqrt(ratio - 1)*sqrt(ratio + 1), which neither cancels near
-    ratio = 1 nor overflows where ratio² would."""
+    ratio = 1 nor overflows where ratio² would.  A ratio of inf, or one whose
+    p leaves the double range, is a ValueError naming --energy-ratio."""
     if not ratio >= 1.0:  # written as `not >=` so that NaN fails too
         raise ValueError(f"energy ratio must be >= 1, got {ratio}")
     pi1 = args.m * (math.sqrt(ratio - 1.0) * math.sqrt(ratio + 1.0))
-    return args.q * args.a1 + (-pi1 if minus else pi1)
+    p = args.q * args.a1 + (-pi1 if minus else pi1)
+    if not math.isfinite(p):
+        raise ValueError(f"--energy-ratio {ratio} puts p beyond the double range")
+    return p
 
 
 def _header_lines(fixed: dict) -> list[str]:

@@ -241,6 +241,18 @@ class TestSweep:
             assert cells["status"] == "ok"
             assert float(cells["e1"]) == pytest.approx(float(cells["energy_ratio"]), rel=1e-12)
 
+    def test_energy_ratio_beyond_the_double_range(self, capsys):
+        # m sqrt(r^2 - 1) overflows at r = 1e308, m = 2: that row fails and
+        # names the ratio, the rows before it are computed
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "energy_ratio", "--log",
+                           "--start", "1e300", "--stop", "1e308", "--count", "3",
+                           "--a2", "2", "--tau", "0.5", "--m", "2")
+        assert code == 0
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        status = [dict(zip(rows[0].split(","), row.split(",")))["status"] for row in rows[1:]]
+        assert status[:2] == ["ok", "ok"]
+        assert status[2].startswith("ValueError: --energy-ratio ")
+
     def test_oracle_every_interleaving(self, capsys):
         code, out, _ = run(capsys, "sweep", "--sweep-var", "p", "--start", "1", "--stop", "2",
                            "--count", "4", "--a2", "1.0", "--tau", "0.2",
@@ -452,6 +464,17 @@ class TestFigure2:
             for line in lines[1:]:
                 e1 = float(dict(zip(lines[0].split(","), line.split(",")))["e1"])
                 assert e1 == pytest.approx(1e200, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [("--energy-ratio", "inf"),
+                                       ("--energy-ratio", "1e308", "--m", "2")])
+    def test_energy_ratio_beyond_the_double_range(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "figure2", "--out-dir", str(out_dir), "--count", "5", *flags)
+        assert code == 2
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        # the message names the flag, not the p formed from it
+        assert "--energy-ratio" in err
 
     def test_unwritable_directory_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "blocked"
