@@ -334,19 +334,37 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     ratios of the module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
     Differences such as b' - a' = -2i eps2 are written out rather than
-    subtracted.  a' = 0 only for a trivial step (pi1 = pi2), where
-    1/G(a') = 0.
+    subtracted.  The four arguments that can cancel are formed from
+    `scatter`'s gaps, with delta = pi1 - pi2 taken from the inputs: b' and
+    c' - a' from (tau/2)(delta -+ (E1 + E2)), one of which is
+    -+(tau/2)(E1 + E2 - |delta|), and a' and c' - b' from
+    (tau/2) delta (E1 + E2 -+ (pi1 + pi2))/(E1 + E2), one of which holds
+    E1 + E2 - |pi1 + pi2|.  a' = 0 only for a trivial step (pi1 = pi2),
+    where 1/G(a') = 0.
     """
+    modes = asymptotic_modes(params)
+    m = params.m
+    delta = params.q * (params.a2 - params.a1)
+    e_sum = modes.e1 + modes.e2
+    pi_sum = modes.pi1 + modes.pi2
+    # scatter's scale: the largest power of two not above max(|pi1|, |pi2|, m)
+    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
+    k = 0.5 * params.tau
+    width_f = e_sum + abs(delta)
+    width_b = e_sum + abs(pi_sum)
+    gap_f = _scaled_gap(modes, m, inv_s, +1, width_f, k)
+    gap_b = _scaled_gap(modes, m, inv_s, -1, width_b, k)
+    # b' = i xb, c' - a' = 1 - i xca, a' = i xa and c' - b' = 1 - i xcb
+    xb, xca = (-gap_f, k * width_f) if delta >= 0.0 else (-k * width_f, gap_f)
+    lo, hi = (gap_b, k * width_b) if pi_sum >= 0.0 else (k * width_b, gap_b)
+    xa, xcb = delta * lo / e_sum, delta * hi / e_sum
     eps1 = sol.earlier.eps
     eps2 = sol.later.eps
-    d = sol.earlier.nu.imag
-    a = 1j * (d + eps2 - eps1)
-    b = 1j * (d - eps2 - eps1)
     lg_c = log_gamma(1.0 - 2j * eps1)
-    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - log_gamma(b)
-                    - log_gamma(1.0 - 1j * (d + eps2 + eps1)))
-    c2l = 0j if a == 0 else cmath.exp(lg_c + log_gamma(2j * eps2) - log_gamma(a)
-                                      - log_gamma(1.0 - 1j * (d - eps2 + eps1)))
+    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - log_gamma(1j * xb)
+                    - log_gamma(1.0 - 1j * xca))
+    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + log_gamma(2j * eps2) - log_gamma(1j * xa)
+                                         - log_gamma(1.0 - 1j * xcb))
     return replace(sol, c1l=c1l, c2l=c2l)
 
 

@@ -21,24 +21,26 @@ forward and backward amplitudes are read off (a, b, Theta) directly.  Shares
 nothing with the hypergeometric path except the governing equations.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
-of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): twelve
-stages per step plus one evaluation at the accepted end point, which is the
-next step's first stage (FSAL).  Its error estimate blends embedded 5th- and
-3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), weighed per
-component by ABS_TOL + REL_TOL max(|y|, |y_new|), and a PI controller with
-exponents 0.7/8 and 0.4/8 sets the next step.  The coefficients are those
-of Hairer's dop853.f, as named module constants, and `_dop853_step` is
-written like that code: straight-line stages and output sums that read the
-constants by name, with no loop over the tableau.
+of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
+stages per step.  Its error estimate blends embedded 5th- and 3rd-order
+solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), weighed per component by
+ABS_TOL + REL_TOL max(|y|, |y_new|), and a PI controller with exponents
+0.7/8 and 0.4/8 sets the next step.  The coefficients are those of Hairer's
+dop853.f, as named module constants, and e3 is formed as there: the
+8th-order sum less the 3rd-order weights' terms.
 
-The right-hand side takes tanh(u/tau) and sech^2(u/tau) from the one
-exponential w = e^{-2|u|/tau}, as sign(u) (1 - w)/(1 + w) and
-4w/(1 + w)^2, and the coupling g e^{2i Theta} from cmath.rect.  The
-integration variable is s = u/S, S the power of two with tau/S in [1/2, 1):
-the slopes per unit s carry no 1/tau, so neither they nor the squares of the
-error norm overflow at any tau, and since scaling by a power of two is exact
-each step is the step in u, bit for bit, wherever no intermediate is
-subnormal.
+Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
+stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
+`_stage_profile` evaluates g and E at the twelve abscissae in one pass,
+with tanh(u/tau) and sech^2(u/tau) from the one exponential
+w = e^{-2|u|/tau}, as sign(u) (1 - w)/(1 + w) and 4w/(1 + w)^2.  `_step`
+is then straight-line code that reads the constants by name: Theta_i from
+its tableau row, G_i from cmath.rect, and the slopes of a and b as
+G_i b_i and -G_i* a_i.  The integration variable is s = u/S, S the power
+of two with tau/S in [1/2, 1): the slopes per unit s carry no 1/tau, so
+neither they nor the squares of the error norm overflow at any tau, and
+since scaling by a power of two is exact each step is the step in u, bit
+for bit, wherever no intermediate is subnormal.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -61,7 +63,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import StepParameters, asymptotic_modes
+from .model import AsymptoticModes, StepParameters, asymptotic_modes
 
 __all__ = [
     "OracleError",
@@ -91,7 +93,7 @@ class NormDriftError(OracleError):
 class OracleOutcome:
     """g_f and g_b are the chiral amplitudes of the late forward and backward
     modes per unit incident amplitude, with the e^{-/+i E2 (t - t0)} phases
-    stripped."""
+    stripped.  steps counts attempted steps, rejected ones included."""
 
     norm_drift: float
     g_f: complex
@@ -202,14 +204,10 @@ E5_9 = -0.3503288487499736816886487290
 E5_10 = 0.3341791187130174790297318841
 E5_11 = 0.8192320648511571246570742613e-1
 E5_12 = -0.2235530786388629525884427845e-1
-# 3rd-order weights (Hairer's BHH); the 3rd-order error weights are E3 = B - B3,
-# which differ from B only on stages 1, 9 and 12
+# 3rd-order weights (Hairer's BHH), nonzero on stages 1, 9 and 12 only
 B3_1 = 0.244094488188976377952755905512
 B3_9 = 0.733846688281611857341361741547
 B3_12 = 0.220588235294117647058823529412e-1
-E3_1 = B1 - B3_1
-E3_9 = B9 - B3_9
-E3_12 = B12 - B3_12
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -246,99 +244,121 @@ MAX_TAU_E = 1e4
 COMPARE_TOL = 1e-10
 
 
-def _dop853_step(rhs, u, h, a, b, ph, k1):
-    """One DOP853 step of (a, b, Theta) from u to u + h, written out stage by stage.
+# stage abscissae as fractions of the step, stage 1 first (C1 = 0, C12 = 1)
+_NODES = (0.0, C2, C3, C4, C5, C6, C7, C8, C9, C10, C11, 1.0)
 
-    k1 = rhs(u, a, b, ph).  Returns the 8th-order state at u + h followed by
-    the 5th- and 3rd-order error sums of a, b and Theta, each still to be
-    multiplied by h.
-    """
-    ka1, kb1, kp1 = k1
-    ka2, kb2, kp2 = rhs(
-        u + C2 * h,
-        a + h * (A21 * ka1),
-        b + h * (A21 * kb1),
-        ph + h * (A21 * kp1))
-    ka3, kb3, kp3 = rhs(
-        u + C3 * h,
-        a + h * (A31 * ka1 + A32 * ka2),
-        b + h * (A31 * kb1 + A32 * kb2),
-        ph + h * (A31 * kp1 + A32 * kp2))
-    ka4, kb4, kp4 = rhs(
-        u + C4 * h,
-        a + h * (A41 * ka1 + A43 * ka3),
-        b + h * (A41 * kb1 + A43 * kb3),
-        ph + h * (A41 * kp1 + A43 * kp3))
-    ka5, kb5, kp5 = rhs(
-        u + C5 * h,
-        a + h * (A51 * ka1 + A53 * ka3 + A54 * ka4),
-        b + h * (A51 * kb1 + A53 * kb3 + A54 * kb4),
-        ph + h * (A51 * kp1 + A53 * kp3 + A54 * kp4))
-    ka6, kb6, kp6 = rhs(
-        u + C6 * h,
-        a + h * (A61 * ka1 + A64 * ka4 + A65 * ka5),
-        b + h * (A61 * kb1 + A64 * kb4 + A65 * kb5),
-        ph + h * (A61 * kp1 + A64 * kp4 + A65 * kp5))
-    ka7, kb7, kp7 = rhs(
-        u + C7 * h,
-        a + h * (A71 * ka1 + A74 * ka4 + A75 * ka5 + A76 * ka6),
-        b + h * (A71 * kb1 + A74 * kb4 + A75 * kb5 + A76 * kb6),
-        ph + h * (A71 * kp1 + A74 * kp4 + A75 * kp5 + A76 * kp6))
-    ka8, kb8, kp8 = rhs(
-        u + C8 * h,
-        a + h * (A81 * ka1 + A84 * ka4 + A85 * ka5 + A86 * ka6 + A87 * ka7),
-        b + h * (A81 * kb1 + A84 * kb4 + A85 * kb5 + A86 * kb6 + A87 * kb7),
-        ph + h * (A81 * kp1 + A84 * kp4 + A85 * kp5 + A86 * kp6 + A87 * kp7))
-    ka9, kb9, kp9 = rhs(
-        u + C9 * h,
-        a + h * (A91 * ka1 + A94 * ka4 + A95 * ka5 + A96 * ka6 + A97 * ka7 + A98 * ka8),
-        b + h * (A91 * kb1 + A94 * kb4 + A95 * kb5 + A96 * kb6 + A97 * kb7 + A98 * kb8),
-        ph + h * (A91 * kp1 + A94 * kp4 + A95 * kp5 + A96 * kp6 + A97 * kp7 + A98 * kp8))
-    ka10, kb10, kp10 = rhs(
-        u + C10 * h,
-        a + h * (A101 * ka1 + A104 * ka4 + A105 * ka5 + A106 * ka6 + A107 * ka7 + A108 * ka8
-                 + A109 * ka9),
-        b + h * (A101 * kb1 + A104 * kb4 + A105 * kb5 + A106 * kb6 + A107 * kb7 + A108 * kb8
-                 + A109 * kb9),
-        ph + h * (A101 * kp1 + A104 * kp4 + A105 * kp5 + A106 * kp6 + A107 * kp7 + A108 * kp8
-                  + A109 * kp9))
-    ka11, kb11, kp11 = rhs(
-        u + C11 * h,
-        a + h * (A111 * ka1 + A114 * ka4 + A115 * ka5 + A116 * ka6 + A117 * ka7 + A118 * ka8
-                 + A119 * ka9 + A1110 * ka10),
-        b + h * (A111 * kb1 + A114 * kb4 + A115 * kb5 + A116 * kb6 + A117 * kb7 + A118 * kb8
-                 + A119 * kb9 + A1110 * kb10),
-        ph + h * (A111 * kp1 + A114 * kp4 + A115 * kp5 + A116 * kp6 + A117 * kp7 + A118 * kp8
-                  + A119 * kp9 + A1110 * kp10))
-    ka12, kb12, kp12 = rhs(
-        u + h,
-        a + h * (A121 * ka1 + A124 * ka4 + A125 * ka5 + A126 * ka6 + A127 * ka7 + A128 * ka8
-                 + A129 * ka9 + A1210 * ka10 + A1211 * ka11),
-        b + h * (A121 * kb1 + A124 * kb4 + A125 * kb5 + A126 * kb6 + A127 * kb7 + A128 * kb8
-                 + A129 * kb9 + A1210 * kb10 + A1211 * kb11),
-        ph + h * (A121 * kp1 + A124 * kp4 + A125 * kp5 + A126 * kp6 + A127 * kp7 + A128 * kp8
-                  + A129 * kp9 + A1210 * kp10 + A1211 * kp11))
-    sa = (B1 * ka1 + B6 * ka6 + B7 * ka7 + B8 * ka8 + B9 * ka9 + B10 * ka10 + B11 * ka11
-          + B12 * ka12)
-    sb = (B1 * kb1 + B6 * kb6 + B7 * kb7 + B8 * kb8 + B9 * kb9 + B10 * kb10 + B11 * kb11
-          + B12 * kb12)
-    sp = (B1 * kp1 + B6 * kp6 + B7 * kp7 + B8 * kp8 + B9 * kp9 + B10 * kp10 + B11 * kp11
-          + B12 * kp12)
-    e5a = (E5_1 * ka1 + E5_6 * ka6 + E5_7 * ka7 + E5_8 * ka8 + E5_9 * ka9 + E5_10 * ka10
-           + E5_11 * ka11 + E5_12 * ka12)
-    e5b = (E5_1 * kb1 + E5_6 * kb6 + E5_7 * kb7 + E5_8 * kb8 + E5_9 * kb9 + E5_10 * kb10
-           + E5_11 * kb11 + E5_12 * kb12)
-    e5p = (E5_1 * kp1 + E5_6 * kp6 + E5_7 * kp7 + E5_8 * kp8 + E5_9 * kp9 + E5_10 * kp10
-           + E5_11 * kp11 + E5_12 * kp12)
-    # E3 = B - B3 is B itself on stages 6, 7, 8, 10 and 11
-    e3a = (E3_1 * ka1 + B6 * ka6 + B7 * ka7 + B8 * ka8 + E3_9 * ka9 + B10 * ka10 + B11 * ka11
-           + E3_12 * ka12)
-    e3b = (E3_1 * kb1 + B6 * kb6 + B7 * kb7 + B8 * kb8 + E3_9 * kb9 + B10 * kb10 + B11 * kb11
-           + E3_12 * kb12)
-    e3p = (E3_1 * kp1 + B6 * kp6 + B7 * kp7 + B8 * kp8 + E3_9 * kp9 + B10 * kp10 + B11 * kp11
-           + E3_12 * kp12)
 
-    return (a + h * sa, b + h * sb, ph + h * sp, e5a, e5b, e5p, e3a, e3b, e3p)
+def _stage_profile(params: StepParameters, modes: AsymptoticModes):
+    """(tau_s, S, profile): s = u/S, tau = tau_s S with tau_s in [1/2, 1), and
+    profile(s, h) gives g and the Theta-slope S E per unit s, each times h,
+    at the twelve stage abscissae s + Ci h, stage 1 first."""
+    m = params.m
+    tau_s, k = math.frexp(params.tau)
+    scale = math.ldexp(1.0, k)
+    # pi(s) = pi_mid - half_dpi tanh(s/tau_s); per unit s, Theta' = S E and
+    # g = m q (a2 - a1) sech^2(s/tau_s) / (4 tau_s E^2), sech^2 = 4w / (1 + w)^2
+    pi_mid = 0.5 * (modes.pi1 + modes.pi2)
+    half_dpi = 0.5 * (modes.pi1 - modes.pi2)
+    g0 = m * params.q * (params.a2 - params.a1) / tau_s
+    inv_tau = 1.0 / tau_s
+    m_sq = m * m
+    exp = math.exp
+    sqrt = math.sqrt
+
+    def profile(s, h):
+        hg0 = h * g0
+        hs = h * scale
+        hg = []
+        hw = []
+        for c in _NODES:
+            x = (s + c * h) * inv_tau
+            # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling,
+            # and tanh|x| = (1 - w)/(1 + w), where 1 - w is exact for w >= 1/2
+            w = exp(-2.0 * abs(x))
+            opw = 1.0 + w
+            th = (1.0 - w) / opw
+            piv = pi_mid - half_dpi * th if x >= 0.0 else pi_mid + half_dpi * th
+            e_sq = piv * piv + m_sq
+            hg.append(hg0 * w / (opw * opw * e_sq))
+            hw.append(hs * sqrt(e_sq))
+        return hg, hw
+
+    return tau_s, scale, profile
+
+
+def _step(a, b, ph, hg, hw):
+    """One DOP853 step of (a, b, Theta) from the profile hg, hw at its twelve
+    stages.  Returns the 8th-order state at s + h followed by the 5th- and
+    3rd-order error sums of a, b and Theta, h-scaled like the slopes."""
+    hg1, hg2, hg3, hg4, hg5, hg6, hg7, hg8, hg9, hg10, hg11, hg12 = hg
+    kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12 = hw
+    rect = cmath.rect
+    g = rect(hg1, 2.0 * ph)
+    ka1 = g * b
+    kb1 = -g.conjugate() * a
+    g = rect(hg2, 2.0 * (ph + kp1 * A21))
+    ka2 = g * (b + kb1 * A21)
+    kb2 = -g.conjugate() * (a + ka1 * A21)
+    g = rect(hg3, 2.0 * (ph + (kp1 * A31 + kp2 * A32)))
+    ka3 = g * (b + (kb1 * A31 + kb2 * A32))
+    kb3 = -g.conjugate() * (a + (ka1 * A31 + ka2 * A32))
+    g = rect(hg4, 2.0 * (ph + (kp1 * A41 + kp3 * A43)))
+    ka4 = g * (b + (kb1 * A41 + kb3 * A43))
+    kb4 = -g.conjugate() * (a + (ka1 * A41 + ka3 * A43))
+    g = rect(hg5, 2.0 * (ph + (kp1 * A51 + kp3 * A53 + kp4 * A54)))
+    ka5 = g * (b + (kb1 * A51 + kb3 * A53 + kb4 * A54))
+    kb5 = -g.conjugate() * (a + (ka1 * A51 + ka3 * A53 + ka4 * A54))
+    g = rect(hg6, 2.0 * (ph + (kp1 * A61 + kp4 * A64 + kp5 * A65)))
+    ka6 = g * (b + (kb1 * A61 + kb4 * A64 + kb5 * A65))
+    kb6 = -g.conjugate() * (a + (ka1 * A61 + ka4 * A64 + ka5 * A65))
+    g = rect(hg7, 2.0 * (ph + (kp1 * A71 + kp4 * A74 + kp5 * A75 + kp6 * A76)))
+    ka7 = g * (b + (kb1 * A71 + kb4 * A74 + kb5 * A75 + kb6 * A76))
+    kb7 = -g.conjugate() * (a + (ka1 * A71 + ka4 * A74 + ka5 * A75 + ka6 * A76))
+    g = rect(hg8, 2.0 * (ph + (kp1 * A81 + kp4 * A84 + kp5 * A85 + kp6 * A86 + kp7 * A87)))
+    ka8 = g * (b + (kb1 * A81 + kb4 * A84 + kb5 * A85 + kb6 * A86 + kb7 * A87))
+    kb8 = -g.conjugate() * (a + (ka1 * A81 + ka4 * A84 + ka5 * A85 + ka6 * A86 + ka7 * A87))
+    g = rect(hg9, 2.0 * (ph + (kp1 * A91 + kp4 * A94 + kp5 * A95 + kp6 * A96 + kp7 * A97
+                               + kp8 * A98)))
+    ka9 = g * (b + (kb1 * A91 + kb4 * A94 + kb5 * A95 + kb6 * A96 + kb7 * A97 + kb8 * A98))
+    kb9 = -g.conjugate() * (a + (ka1 * A91 + ka4 * A94 + ka5 * A95 + ka6 * A96 + ka7 * A97
+                                 + ka8 * A98))
+    g = rect(hg10, 2.0 * (ph + (kp1 * A101 + kp4 * A104 + kp5 * A105 + kp6 * A106 + kp7 * A107
+                                + kp8 * A108 + kp9 * A109)))
+    ka10 = g * (b + (kb1 * A101 + kb4 * A104 + kb5 * A105 + kb6 * A106 + kb7 * A107
+                     + kb8 * A108 + kb9 * A109))
+    kb10 = -g.conjugate() * (a + (ka1 * A101 + ka4 * A104 + ka5 * A105 + ka6 * A106
+                                  + ka7 * A107 + ka8 * A108 + ka9 * A109))
+    g = rect(hg11, 2.0 * (ph + (kp1 * A111 + kp4 * A114 + kp5 * A115 + kp6 * A116 + kp7 * A117
+                                + kp8 * A118 + kp9 * A119 + kp10 * A1110)))
+    ka11 = g * (b + (kb1 * A111 + kb4 * A114 + kb5 * A115 + kb6 * A116 + kb7 * A117
+                     + kb8 * A118 + kb9 * A119 + kb10 * A1110))
+    kb11 = -g.conjugate() * (a + (ka1 * A111 + ka4 * A114 + ka5 * A115 + ka6 * A116
+                                  + ka7 * A117 + ka8 * A118 + ka9 * A119 + ka10 * A1110))
+    g = rect(hg12, 2.0 * (ph + (kp1 * A121 + kp4 * A124 + kp5 * A125 + kp6 * A126 + kp7 * A127
+                                + kp8 * A128 + kp9 * A129 + kp10 * A1210 + kp11 * A1211)))
+    ka12 = g * (b + (kb1 * A121 + kb4 * A124 + kb5 * A125 + kb6 * A126 + kb7 * A127
+                     + kb8 * A128 + kb9 * A129 + kb10 * A1210 + kb11 * A1211))
+    kb12 = -g.conjugate() * (a + (ka1 * A121 + ka4 * A124 + ka5 * A125 + ka6 * A126
+                                  + ka7 * A127 + ka8 * A128 + ka9 * A129 + ka10 * A1210
+                                  + ka11 * A1211))
+    sa = (ka1 * B1 + ka6 * B6 + ka7 * B7 + ka8 * B8 + ka9 * B9 + ka10 * B10 + ka11 * B11
+          + ka12 * B12)
+    sb = (kb1 * B1 + kb6 * B6 + kb7 * B7 + kb8 * B8 + kb9 * B9 + kb10 * B10 + kb11 * B11
+          + kb12 * B12)
+    sp = (kp1 * B1 + kp6 * B6 + kp7 * B7 + kp8 * B8 + kp9 * B9 + kp10 * B10 + kp11 * B11
+          + kp12 * B12)
+    e5a = (ka1 * E5_1 + ka6 * E5_6 + ka7 * E5_7 + ka8 * E5_8 + ka9 * E5_9 + ka10 * E5_10
+           + ka11 * E5_11 + ka12 * E5_12)
+    e5b = (kb1 * E5_1 + kb6 * E5_6 + kb7 * E5_7 + kb8 * E5_8 + kb9 * E5_9 + kb10 * E5_10
+           + kb11 * E5_11 + kb12 * E5_12)
+    e5p = (kp1 * E5_1 + kp6 * E5_6 + kp7 * E5_7 + kp8 * E5_8 + kp9 * E5_9 + kp10 * E5_10
+           + kp11 * E5_11 + kp12 * E5_12)
+    # the 3rd-order error is the 8th-order sum less the 3rd-order one, whose
+    # weights are nonzero on stages 1, 9 and 12 only, as dop853.f forms it
+    e3a = sa - ka1 * B3_1 - ka9 * B3_9 - ka12 * B3_12
+    e3b = sb - kb1 * B3_1 - kb9 * B3_9 - kb12 * B3_12
+    e3p = sp - kp1 * B3_1 - kp9 * B3_9 - kp12 * B3_12
+    return (a + sa, b + sb, ph + sp, e5a, e5b, e5p, e3a, e3b, e3p)
 
 
 def integrate(params: StepParameters) -> OracleOutcome:
@@ -358,10 +378,8 @@ def integrate(params: StepParameters) -> OracleOutcome:
         raise StepLimitError(
             f"tau max(E1, E2) = {tau_e:.3g} exceeds the integrator's supported "
             f"range {MAX_TAU_E:g}: its steps grow linearly in tau E")
-    # integrate in s = u/S, u = t - t0, S = 2^k with tau = tau_s S and
-    # tau_s in [1/2, 1); the profile depends on t only through s
-    tau_s, k = math.frexp(params.tau)
-    scale = math.ldexp(1.0, k)
+    # integrate in s = u/S, u = t - t0; the profile depends on t only through s
+    tau_s, scale, profile = _stage_profile(params, modes)
     s_end = SPAN_FACTOR * tau_s
     s = -s_end
     # incident wave: a = 1/cos(theta1/2), b = 0, dynamical phase -E1 T
@@ -371,33 +389,12 @@ def integrate(params: StepParameters) -> OracleOutcome:
     norm0 = (a * a.conjugate()).real
     drift_max = 0.0
 
-    # pi(s) = pi_mid - half_dpi * tanh(s/tau_s); per unit s, Theta' = S E and
-    # g = m q (a2 - a1) sech^2(s/tau_s) / (4 tau_s E^2), sech^2 = 4w / (1 + w)^2
-    pi_mid = 0.5 * (modes.pi1 + modes.pi2)
-    half_dpi = 0.5 * (modes.pi1 - modes.pi2)
-    g0 = m * params.q * (params.a2 - params.a1) / tau_s
-    inv_tau = 1.0 / tau_s
-    m_sq = m * m
-
-    def rhs(ss: float, aa: complex, bb: complex, pp: float) -> tuple[complex, complex, float]:
-        x = ss * inv_tau
-        # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling, and
-        # tanh|x| = (1 - w)/(1 + w), where 1 - w is exact for w >= 1/2
-        w = math.exp(-2.0 * abs(x))
-        opw = 1.0 + w
-        th = (1.0 - w) / opw
-        piv = pi_mid - half_dpi * th if x >= 0.0 else pi_mid + half_dpi * th
-        e_sq = piv * piv + m_sq
-        gr = cmath.rect(g0 * w / (opw * opw * e_sq), 2.0 * pp)
-        return (gr * bb, -gr.conjugate() * aa, scale * math.sqrt(e_sq))
-
     rtol = REL_TOL  # module settings read once per call, not per step
     atol = ABS_TOL
     h_max = 2.0 * s_end / 16.0
     h = min(tau_s / 4.0, 0.1 / max(modes.e1, modes.e2) / scale)
     h_min = 1e-14 * tau_s
     max_steps = STEP_BUDGET * (1.0 + tau_e)
-    k1 = rhs(s, a, b, ph)
     err_prev = 1.0
     steps = 0
     # a remaining sliver below rounding scale contributes nothing but could
@@ -411,24 +408,24 @@ def integrate(params: StepParameters) -> OracleOutcome:
         target = 0.0 if s < 0.0 else s_end
         if s + h > target:
             h = target - s
-        a_new, b_new, ph_new, ea5, eb5, ep5, ea3, eb3, ep3 = _dop853_step(
-            rhs, s, h, a, b, ph, k1)
+        hg, hw = profile(s, h)
+        a_new, b_new, ph_new, ea5, eb5, ep5, ea3, eb3, ep3 = _step(a, b, ph, hg, hw)
         sc_a = atol + rtol * max(abs(a), abs(a_new))
         sc_b = atol + rtol * max(abs(b), abs(b_new))
         sc_p = atol + rtol * max(abs(ph), abs(ph_new))
-        # DOP853's estimate h |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), as an rms
-        # over the three components
-        err5 = (abs(ea5) / sc_a) ** 2 + (abs(eb5) / sc_b) ** 2 + (ep5 / sc_p) ** 2
-        err3 = (abs(ea3) / sc_a) ** 2 + (abs(eb3) / sc_b) ** 2 + (ep3 / sc_p) ** 2
-        denom = err5 + 0.01 * err3
+        # DOP853's estimate |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), as an rms
+        # over the three components; the sums carry h already
+        x5a, x5b, x5p = abs(ea5) / sc_a, abs(eb5) / sc_b, ep5 / sc_p
+        x3a, x3b, x3p = abs(ea3) / sc_a, abs(eb3) / sc_b, ep3 / sc_p
+        err5 = x5a * x5a + x5b * x5b + x5p * x5p
+        denom = err5 + 0.01 * (x3a * x3a + x3b * x3b + x3p * x3p)
         # denom = 0: every scaled error is zero or squares to below the
-        # double range, so with h <= s_end/8 < 2.5 the step's error is < 1e-160
-        err = h * err5 / math.sqrt(3.0 * denom) if denom > 0.0 else 0.0
+        # double range, so the step's error is below 1e-161
+        err = err5 / math.sqrt(3.0 * denom) if denom > 0.0 else 0.0
         steps += 1
         if err <= 1.0:
             s += h
             a, b, ph = a_new, b_new, ph_new
-            k1 = rhs(s, a, b, ph)  # FSAL
             norm = (a * a.conjugate() + b * b.conjugate()).real
             drift = abs(norm - norm0) / norm0
             if drift > drift_max:

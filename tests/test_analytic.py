@@ -465,6 +465,17 @@ class TestAmplitudes:
                 if want > 1e-250:
                     assert abs(getattr(direct, attr) - want) <= 1e-10 * want, attr
 
+    @pytest.mark.parametrize("m", [1e-4, 1e-8, 1e-100])
+    def test_gamma_route_where_the_forward_gap_cancels(self, m):
+        # pi1 = -pi2 = 1.7, so E1 + E2 - |pi1 - pi2| ~ m^2/1.7: b' formed as
+        # i(d - eps2 - eps1) cancels to 0, a Gamma pole, below m ~ 1e-8
+        params = StepParameters(m=m, q=1.0, p=1.7, a1=0.0, a2=3.4, tau=0.3)
+        direct = scatter(params)
+        via_gamma = asymptotic_amplitudes(match_at_t0(build_solution(params), params), params)
+        for attr in ("F_u", "B_u"):
+            want = getattr(direct, attr)
+            assert abs(getattr(via_gamma, attr) - want) <= 1e-12 * want, attr
+
 
 class TestScatteringResult:
     def test_replace_changes_only_the_named_field(self):

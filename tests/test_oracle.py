@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import time
@@ -6,7 +7,7 @@ import pytest
 
 from diracstep import StepParameters, analytic, compare, integrate, oracle, sharp_step
 from diracstep.analytic import result_from_mode_amplitudes
-from diracstep.model import asymptotic_modes
+from diracstep.model import asymptotic_modes, potential_at, potential_rate
 from diracstep.oracle import NormDriftError, StepLimitError
 
 from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
@@ -18,8 +19,8 @@ def mk(m=1.0, q=1.0, p=RT3, a1=0.0, a2=2 * RT3, tau=0.3, t0=0.0):
     return StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau, t0=t0)
 
 
-# DOP853's stages as the step reads them: stage i (from 1; stage 1 is the
-# FSAL evaluation) is taken at u + Ci h from the stages in _COLS[i], with
+# DOP853's stages as the step reads them: stage i (from 1; stage 1 is at the
+# step's start) is taken at u + Ci h from the stages in _COLS[i], with
 # weights Aij; the 0-based tables below are built from those names
 _COLS = {
     2: (1,), 3: (1, 2), 4: (1, 3), 5: (1, 3, 4), 6: (1, 4, 5), 7: (1, 4, 5, 6),
@@ -39,50 +40,50 @@ _A = ((),) + tuple(tuple((j - 1, getattr(oracle, f"A{i}{j}")) for j in _COLS[i])
 _B = _weights("B", (1, 6, 7, 8, 9, 10, 11, 12))
 _E5 = _weights("E5_", (1, 6, 7, 8, 9, 10, 11, 12))
 _B3 = _weights("B3_", (1, 9, 12))
-# E3 = B - B3, as the step sums it: B itself where B3 is zero
-_E3 = tuple(getattr(oracle, f"E3_{i}") if i in (1, 9, 12) else bi
-            for i, bi in zip(_STAGES, _B))
-_OUT = tuple((j, _B[j], _E5[j], _E3[j]) for j in range(12) if _B[j] or _E5[j] or _E3[j])
+_E3 = tuple(bi - b3i for bi, b3i in zip(_B, _B3))
+_OUT = tuple((j, _B[j], _E5[j]) for j in range(12) if _B[j] or _E5[j])
+_OUT3 = tuple((j, b3j) for j, b3j in enumerate(_B3) if b3j)
 
 
-def reference_step(rhs, u, h, a, b, ph, k1):
-    """DOP853 as a loop over the sparse tableau rows: the stepper's earlier form."""
-    ka = [k1[0]]
-    kb = [k1[1]]
-    kp = [k1[2]]
-    for i in range(1, len(_C)):
+def reference_step(a, b, ph, hg, hw):
+    """DOP853 as a loop over the sparse tableau rows, on an h-scaled profile:
+    stage i's phase is ph plus its row's sum of the Theta-slopes hw, and its
+    slopes are G b_i and -G* a_i with G = hg[i] e^{2i Theta_i}."""
+    ka = []
+    kb = []
+    for i in range(len(_C)):
         sa = 0.0j
         sb = 0.0j
         sp = 0.0
         for j, aij in _A[i]:
-            sa += aij * ka[j]
-            sb += aij * kb[j]
-            sp += aij * kp[j]
-        da, db, dp = rhs(u + _C[i] * h, a + h * sa, b + h * sb, ph + h * sp)
-        ka.append(da)
-        kb.append(db)
-        kp.append(dp)
-    sa = sb = ea5 = eb5 = ea3 = eb3 = 0.0j
-    sp = ep5 = ep3 = 0.0
-    for j, bj, e5j, e3j in _OUT:
-        da, db, dp = ka[j], kb[j], kp[j]
-        sa += bj * da
-        sb += bj * db
-        sp += bj * dp
-        ea5 += e5j * da
-        eb5 += e5j * db
-        ep5 += e5j * dp
-        ea3 += e3j * da
-        eb3 += e3j * db
-        ep3 += e3j * dp
-    return (a + h * sa, b + h * sb, ph + h * sp, ea5, eb5, ep5, ea3, eb3, ep3)
+            sa += ka[j] * aij
+            sb += kb[j] * aij
+            sp += hw[j] * aij
+        g = cmath.rect(hg[i], 2.0 * (ph + sp))
+        ka.append(g * (b + sb))
+        kb.append(-g.conjugate() * (a + sa))
+    sa = sb = ea5 = eb5 = 0.0j
+    sp = ep5 = 0.0
+    for j, bj, e5j in _OUT:
+        sa += ka[j] * bj
+        sb += kb[j] * bj
+        sp += hw[j] * bj
+        ea5 += ka[j] * e5j
+        eb5 += kb[j] * e5j
+        ep5 += hw[j] * e5j
+    # e3 = (B-sum) - B3-terms
+    ea3, eb3, ep3 = sa, sb, sp
+    for j, b3j in _OUT3:
+        ea3 -= ka[j] * b3j
+        eb3 -= kb[j] * b3j
+        ep3 -= hw[j] * b3j
+    return (a + sa, b + sb, ph + sp, ea5, eb5, ep5, ea3, eb3, ep3)
 
 
-def toy_rhs(u, a, b, ph):
-    # linear, driven by u, and coupling all three components
-    return ((0.3 - 1.1j) * a + 0.7j * b + u,
-            -0.4 * a + (0.2 + 0.5j) * b + 0.1j * ph,
-            0.9 * ph - 0.25 * u + 0.6 * a.real)
+def toy_profile(u, h):
+    # h-scaled coupling and phase slope that differ at every stage
+    return ([h * (0.8 + 0.3 * math.sin(3.0 * (u + c * h))) for c in _C],
+            [h * (1.5 + math.cos(u + c * h) + 0.2 * c) for c in _C])
 
 
 class TestTableau:
@@ -111,9 +112,36 @@ class TestStep:
     @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4, 1.7])
     def test_matches_the_tableau_loop_bit_for_bit(self, h):
         for u, a, b, ph in ((0.0, 1.0 + 0.0j, 0.0j, 0.0), (-2.5, 0.3 - 0.8j, 1.2 + 0.1j, -4.0)):
-            k1 = toy_rhs(u, a, b, ph)
-            assert oracle._dop853_step(toy_rhs, u, h, a, b, ph, k1) == \
-                reference_step(toy_rhs, u, h, a, b, ph, k1)
+            hg, hw = toy_profile(u, h)
+            assert oracle._step(a, b, ph, hg, hw) == reference_step(a, b, ph, hg, hw)
+
+
+class TestProfile:
+    """The stepper's profile against the governing equations."""
+
+    @pytest.mark.parametrize("tau", [1e-300, 0.3, 1e3])
+    @pytest.mark.parametrize("m, q, p, a1, a2", [
+        (0.7, -1.3, 0.4, 0.5, -2.0),
+        (1.6, 0.8, -2.2, -0.6, 3.1),
+        (0.45, -0.9, 1.9, 0.3, 4.4),
+    ])
+    def test_coupling_and_phase_slope(self, m, q, p, a1, a2, tau):
+        # per unit s = u/S: the coupling S theta'/2 = -S m pi'(u) / (2 E^2)
+        # and the Theta-slope S E(u); with h = 1 the profile is unscaled
+        params = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau)
+        tau_s, scale, profile = oracle._stage_profile(params, asymptotic_modes(params))
+        assert tau_s * scale == tau and 0.5 <= tau_s < 1.0
+        for k in range(-40, 39):
+            s = 0.5 * k * tau_s  # stage abscissae up to |s/tau_s| = 20
+            hg, hw = profile(s, 1.0)
+            for c, g, w in zip(_C, hg, hw):
+                u = (s + c) * scale
+                piv = p - q * potential_at(u, params)
+                e_sq = piv * piv + m * m
+                want_g = -scale * m * (-q * potential_rate(u, params)) / (2.0 * e_sq)
+                want_w = scale * math.sqrt(e_sq)
+                assert abs(g - want_g) <= 1e-14 * abs(want_g), (u, g, want_g)
+                assert abs(w - want_w) <= 1e-14 * want_w, (u, w, want_w)
 
 
 class TestIntegrate:
