@@ -196,14 +196,14 @@ class ChartExpansion:
 
 @dataclass(frozen=True)
 class HypergeometricSolution:
-    """Both charts, and the later one's coefficients once `match_at_t0` has
-    set them: c1l = g_f/g_i and c2l = g_b/g_i, the amplitudes of the later
-    forward and backward waves per unit incident amplitude.  The earlier
-    chart carries the incident branch alone."""
+    """Both charts, their plateau kinematics, and the later chart's
+    coefficients once `match_at_t0` has set them: c1l = g_f/g_i and c2l =
+    g_b/g_i, the amplitudes of the later forward and backward waves per unit
+    incident amplitude.  The earlier chart carries the incident branch alone."""
 
     earlier: ChartExpansion
     later: ChartExpansion
-    delta: float  # pi1 - pi2
+    modes: AsymptoticModes
     c1l: complex | None = None
     c2l: complex | None = None
 
@@ -257,7 +257,7 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
     modes = asymptotic_modes(params)
     eps1 = 0.5 * params.tau * modes.e1
     eps2 = 0.5 * params.tau * modes.e2
-    d = 0.5 * params.tau * (modes.pi1 - modes.pi2)
+    d = 0.5 * params.tau * modes.delta
     # |d| <= tau (|pi1| + |pi2|)/2 <= eps1 + eps2, so this bounds d too
     if eps1 + eps2 > _EPS_SUM_LIMIT:
         raise ParameterRangeError(
@@ -268,7 +268,7 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
     return HypergeometricSolution(
         earlier=_chart(eps1, eps2, d, +1, modes.pi1),
         later=_chart(eps2, eps1, d, -1, modes.pi2),
-        delta=modes.pi1 - modes.pi2,
+        modes=modes,
     )
 
 
@@ -313,9 +313,9 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
         raise ValueError("coefficients unset; run match_at_t0 first")
     g_i = math.exp(math.pi * sol.earlier.eps)
     if t <= params.t0:
-        inc = _chart_spinor(sol.earlier, sol.delta, params, t)
+        inc = _chart_spinor(sol.earlier, sol.modes.delta, params, t)
         return TwoSpinor(upper=g_i * inc.upper, lower=g_i * inc.lower)
-    fwd = _chart_spinor(sol.later, sol.delta, params, t)
+    fwd = _chart_spinor(sol.later, sol.modes.delta, params, t)
     c_f = g_i * sol.c1l
     # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
     c_b = g_i * sol.c2l * mode_lower(-sol.later.pi_asym, params.m)
@@ -334,30 +334,19 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     ratios of the module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
     Differences such as b' - a' = -2i eps2 are written out rather than
-    subtracted.  The four arguments that can cancel are formed from
-    `scatter`'s gaps, with delta = pi1 - pi2 taken from the inputs: b' and
-    c' - a' from (tau/2)(delta -+ (E1 + E2)), one of which is
-    -+(tau/2)(E1 + E2 - |delta|), and a' and c' - b' from
-    (tau/2) delta (E1 + E2 -+ (pi1 + pi2))/(E1 + E2), one of which holds
-    E1 + E2 - |pi1 + pi2|.  a' = 0 only for a trivial step (pi1 = pi2),
-    where 1/G(a') = 0.
+    subtracted, and the four arguments that can cancel are those of
+    `_gap_arguments` at k = tau/2: b' and c' - a' are -i and 1 - i times
+    k (E1 + E2 -+ |delta|) in the order of the sign of delta, and a' and
+    c' - b' are i and 1 - i times sign(delta) k (|delta| -+ |E2 - E1|) in
+    the order of the sign of pi1 + pi2.  a' = 0 only for a trivial step
+    (delta = 0), where 1/G(a') = 0.
     """
-    modes = asymptotic_modes(params)
-    m = params.m
-    delta = params.q * (params.a2 - params.a1)
-    e_sum = modes.e1 + modes.e2
-    pi_sum = modes.pi1 + modes.pi2
-    # scatter's scale: the largest power of two not above max(|pi1|, |pi2|, m)
-    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
-    k = 0.5 * params.tau
-    width_f = e_sum + abs(delta)
-    width_b = e_sum + abs(pi_sum)
-    gap_f = _scaled_gap(modes, m, inv_s, +1, width_f, k)
-    gap_b = _scaled_gap(modes, m, inv_s, -1, width_b, k)
+    modes = sol.modes
+    w, gap, x_hi, x_lo = _gap_arguments(modes, params.m, 0.5 * params.tau)
     # b' = i xb, c' - a' = 1 - i xca, a' = i xa and c' - b' = 1 - i xcb
-    xb, xca = (-gap_f, k * width_f) if delta >= 0.0 else (-k * width_f, gap_f)
-    lo, hi = (gap_b, k * width_b) if pi_sum >= 0.0 else (k * width_b, gap_b)
-    xa, xcb = delta * lo / e_sum, delta * hi / e_sum
+    s = math.copysign(1.0, modes.delta)
+    xb, xca = (-gap, w) if s > 0.0 else (-w, gap)
+    xa, xcb = (s * x_lo, s * x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (s * x_hi, s * x_lo)
     eps1 = sol.earlier.eps
     eps2 = sol.later.eps
     lg_c = log_gamma(1.0 - 2j * eps1)
@@ -402,8 +391,7 @@ def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -
     """
     if sol.c1l is None:
         raise ValueError("solution is unmatched; run match_at_t0 first")
-    return result_from_mode_amplitudes(1.0 + 0.0j, sol.c1l, sol.c2l, params.m,
-                                       asymptotic_modes(params))
+    return result_from_mode_amplitudes(1.0 + 0.0j, sol.c1l, sol.c2l, params.m, sol.modes)
 
 
 def _log_sinh_excess(x: float) -> float:
@@ -411,27 +399,42 @@ def _log_sinh_excess(x: float) -> float:
     return math.log(-math.expm1(-2.0 * x))
 
 
-def _scaled_gap(modes: AsymptoticModes, m: float, inv_s: float, sign: int, width: float,
-                k: float) -> float:
-    """k (E1 + E2 - |pi1 - sign pi2|) >= 0, free of cancellation, overflow and early underflow.
+def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> tuple[float, ...]:
+    """k (E1 + E2 + |delta|), k (E1 + E2 - |delta|), k (|delta| + |E2 - E1|)
+    and k (|delta| - |E2 - E1|), free of cancellation, overflow and early
+    underflow: the sinh products' numerator arguments at k = pi tau/2, the
+    connection formula's Gamma arguments at k = tau/2.
 
-    width = E1 + E2 + |pi1 - sign pi2|, and the gap is the quotient
-    2 (m^2 + E1 E2 + sign pi1 pi2) / width.  When the two products have
-    opposite signs, (E1 E2)^2 - (pi1 pi2)^2 = m^2 (pi1^2 + pi2^2 + m^2)
-    makes the numerator m^2 (D + X) / D, with D = E1 E2 + |pi1 pi2| and
-    X = pi1^2 + pi2^2 + m^2.  Kinematics are formed divided by the scale
-    s = 1/inv_s, so no product overflows, and k is folded in before the
-    second factor of m: k m^2 stays representable where m^2 alone underflows.
+    A gap E1 + E2 - |pi1 -+ pi2| is 2 (m^2 + E1 E2 +- pi1 pi2) over
+    E1 + E2 + |pi1 -+ pi2|; where the products have opposite signs,
+    (E1 E2)^2 - (pi1 pi2)^2 = m^2 X makes the numerator m^2 (D + X) / D,
+    D = E1 E2 + |pi1 pi2|, X = pi1^2 + pi2^2 + m^2.  As E2 - E1 =
+    -delta (pi1 + pi2)/(E1 + E2), |delta| -+ |E2 - E1| is |delta| times
+    (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Products are formed over s, the
+    largest power of two not above max(|pi1|, |pi2|, m), so none overflows,
+    and k comes before the second factor of m: k m^2 stays representable
+    where m^2 underflows.
     """
-    ms, e2s, pi2s = m * inv_s, modes.e2 * inv_s, modes.pi2 * inv_s
+    e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
+    delta = abs(modes.delta)
+    e_sum = e1 + modes.e2
+    pi_sum = abs(pi1 + pi2)
+    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
+    ms, pi2s = m * inv_s, pi2 * inv_s
     # each product over s
-    e1e2 = modes.e1 * e2s
-    pp = sign * modes.pi1 * pi2s
-    if pp >= 0.0:
-        return k * (2.0 * (m * ms + e1e2 + pp) / (width * inv_s))
-    d = e1e2 - pp
-    x = modes.pi1 * (modes.pi1 * inv_s) + modes.pi2 * pi2s + m * ms
-    return 2.0 * (k * (m * ((d + x) / d))) * ms / (width * inv_s)
+    e1e2 = e1 * (modes.e2 * inv_s)
+    p12 = pi1 * pi2s
+    width_f = (e_sum + delta) * inv_s
+    width_b = (e_sum + pi_sum) * inv_s
+    # the numerator of the gap whose products add, and k times the other's
+    like = 2.0 * (m * ms + e1e2 + abs(p12))
+    d = e1e2 + abs(p12)
+    x = pi1 * (pi1 * inv_s) + pi2 * pi2s + m * ms
+    unlike = 2.0 * (k * (m * ((d + x) / d))) * ms
+    kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
+    kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
+    return (k * (e_sum + delta), kgap_f, k * delta * (e_sum + pi_sum) / e_sum,
+            delta * kgap_b / e_sum)
 
 
 def scatter(params: StepParameters) -> ScatteringResult:
@@ -442,18 +445,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
     """
     modes = asymptotic_modes(params)
     m, e1, e2 = params.m, modes.e1, modes.e2
-    # |pi1 - pi2| from the inputs, not from the rounded pi1 and pi2
-    delta = abs(params.q * (params.a2 - params.a1))
-    e_sum = e1 + e2
-    pi_sum = abs(modes.pi1 + modes.pi2)
-    # products of the kinematics are formed divided by s, the largest power
-    # of two not above max(|pi1|, |pi2|, m): none overflows, and scaling by
-    # a power of two is exact
-    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
     k = 0.5 * math.pi * params.tau
-    # the gaps E1 + E2 - |pi1 -+ pi2|, times k
-    kgap_f = _scaled_gap(modes, m, inv_s, +1, e_sum + delta, k)
-    kgap_b = _scaled_gap(modes, m, inv_s, -1, e_sum + pi_sum, k)
+    w, kgap_f, x_hi, x_lo = _gap_arguments(modes, m, k)
     if 2.0 * k * min(e1, e2) < sys.float_info.min:
         raise ArithmeticError(
             f"pi tau min(E1, E2) = {2.0 * k * min(e1, e2):.3g} is below the "
@@ -464,14 +457,12 @@ def scatter(params: StepParameters) -> ScatteringResult:
     if kgap_f == 0.0:  # k m^2 below the double range: the massless limit F_u = 0
         log_f_u = -math.inf
     else:
-        log_f_u = (_log_sinh_excess(k * (e_sum + delta)) + _log_sinh_excess(kgap_f)
-                   - log_denom)
-    # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m))
+        log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
+    # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m)),
+    # the products over a power of two near max(|pi1|, |pi2|, m)
+    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
     log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
-    # pi tau (|delta| +- |E2 - E1|)/2, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2)
-    x_hi = k * delta * (e_sum + pi_sum) / e_sum
-    x_lo = delta * kgap_b / e_sum
     if x_lo == 0.0:  # a trivial step, or B_u below the double range
         b_u = b = 0.0
     else:
@@ -524,6 +515,6 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     # (E1 - pi1)/m, and 2 E2/m times alpha and beta
     l1 = mode_lower(pi1, m)
     w_f = l1 + mode_lower(-pi2, m)
-    w_b = q * (a2 - a1) / (e1 + e2) * (l1 + mode_lower(pi2, m))
-    modes = AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2)
+    modes = AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2, delta=q * (a2 - a1))
+    w_b = modes.delta / (e1 + e2) * (l1 + mode_lower(pi2, m))
     return result_from_mode_amplitudes(complex(2.0 * e2 / m), complex(w_f), complex(w_b), m, modes)

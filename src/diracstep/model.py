@@ -79,12 +79,13 @@ class StepParameters:
 
 @dataclass
 class AsymptoticModes:
-    """Kinetic momenta and mode energies of the two asymptotic plateaus."""
+    """Kinetic momenta, mode energies and the step delta of the two plateaus."""
 
     pi1: float
     pi2: float
     e1: float
     e2: float
+    delta: float
 
 
 @dataclass
@@ -124,7 +125,7 @@ def potential_rate(t: float, params: StepParameters) -> float:
 
 
 def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
-    """Kinetic momenta pi_i = p - q*A_i and energies E_i = sqrt(pi_i^2 + m^2)."""
+    """pi_i = p - q*A_i, E_i = sqrt(pi_i^2 + m^2) and delta = q (A2 - A1), not pi1 - pi2."""
     pi1 = params.p - params.q * params.a1
     pi2 = params.p - params.q * params.a2
     return AsymptoticModes(
@@ -132,6 +133,7 @@ def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
         pi2=pi2,
         e1=math.hypot(pi1, params.m),
         e2=math.hypot(pi2, params.m),
+        delta=params.q * (params.a2 - params.a1),
     )
 
 

@@ -229,9 +229,9 @@ class TestChartEvaluation:
                 phi = head * f
                 # d zeta/dt = -2 zeta / tau on the later chart
                 zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
-                piv = chart.pi_asym - sol.delta * zeta / (1.0 - zeta)
+                piv = chart.pi_asym - sol.modes.delta * zeta / (1.0 - zeta)
                 theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
-                positive = analytic._chart_spinor(chart, sol.delta, params, t)
+                positive = analytic._chart_spinor(chart, sol.modes.delta, params, t)
                 got = partner(positive, chart.pi_asym, m)
                 err = math.hypot(abs(got.upper - phi), abs(got.lower - theta))
                 assert err <= 1e-12 * math.hypot(abs(phi), abs(theta)), (params, t)
@@ -344,7 +344,7 @@ class TestMatching:
         sol = build_solution(params)
         for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
                             (sol.later, -2 * modes.e2 / params.m)):
-            positive = analytic._chart_spinor(chart, sol.delta, params, params.t0)
+            positive = analytic._chart_spinor(chart, sol.modes.delta, params, params.t0)
             other = partner(positive, chart.pi_asym, params.m)
             # (|zeta|^(+i eps), |zeta|^(-i eps)) in the parent's order
             f1, f2 = (other, positive) if chart.sign > 0 else (positive, other)
