@@ -161,6 +161,8 @@ __all__ = [
 # the incident amplitude e^(pi eps1) of the matched spinor overflows a double
 # from eps1 ~ 225; the bound on eps1 + eps2 also bounds |d|
 _EPS_SUM_LIMIT = 200.0
+_NORMAL_MIN = sys.float_info.min
+_LN2 = math.log(2.0)
 
 
 class ParameterRangeError(ValueError):
@@ -343,17 +345,17 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     """
     modes = sol.modes
     w, gap, x_hi, x_lo = _gap_arguments(modes, params.m, 0.5 * params.tau)
-    # b' = i xb, c' - a' = 1 - i xca, a' = i xa and c' - b' = 1 - i xcb
+    # b' = -i xb, c' - a' = 1 - i xca, a' = i s xa and c' - b' = 1 - i s xcb
     s = math.copysign(1.0, modes.delta)
-    xb, xca = (-gap, w) if s > 0.0 else (-w, gap)
-    xa, xcb = (s * x_lo, s * x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (s * x_hi, s * x_lo)
+    xb, xca = (gap, w) if s > 0.0 else (w, gap)
+    xa, xcb = (x_lo, x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (x_hi, x_lo)
     eps1 = sol.earlier.eps
     eps2 = sol.later.eps
     lg_c = log_gamma(1.0 - 2j * eps1)
-    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - log_gamma(1j * xb)
-                    - log_gamma(1.0 - 1j * xca))
-    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + log_gamma(2j * eps2) - log_gamma(1j * xa)
-                                         - log_gamma(1.0 - 1j * xcb))
+    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - _log_gamma_gap(0.0, -1.0, xb)
+                    - _log_gamma_gap(1.0, -1.0, xca))
+    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + log_gamma(2j * eps2) - _log_gamma_gap(0.0, s, xa)
+                                         - _log_gamma_gap(1.0, -s, xcb))
     return replace(sol, c1l=c1l, c2l=c2l)
 
 
@@ -395,11 +397,24 @@ def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -
 
 
 def _log_sinh_excess(x: float) -> float:
-    """ln(2 sinh x) - x = ln(1 - e^(-2x)) for x > 0, accurate at both ends."""
-    return math.log(-math.expm1(-2.0 * x))
+    """ln(2 sinh x) - x = ln(1 - e^(-2x)) for x > 0, accurate at both ends.
+    A negative x is the logarithm of an argument below the normal range
+    (`_gap_arguments`), where ln(2 sinh y) - y = ln 2 + ln y."""
+    return math.log(-math.expm1(-2.0 * x)) if x >= 0.0 else _LN2 + x
 
 
-def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> tuple[float, ...]:
+def _log_gamma_gap(shift: float, sign: float, x: float) -> complex:
+    """log G(shift + i sign x), shift 0 or 1, for a gap argument x of
+    `_gap_arguments`.  A negative x is ln y of an argument y below the
+    normal range: log G(1 + i sign y) takes y itself, and
+    log G(i sign y) = log G(1 + i sign y) - ln y - i (pi/2) sign."""
+    if x >= 0.0:
+        return log_gamma(shift + 1j * (sign * x))
+    lg = log_gamma(1.0 + 1j * (sign * math.exp(x)))
+    return lg if shift else lg - complex(x, math.copysign(0.5 * math.pi, sign))
+
+
+def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     """k (E1 + E2 + |delta|), k (E1 + E2 - |delta|), k (|delta| + |E2 - E1|)
     and k (|delta| - |E2 - E1|), free of cancellation, overflow and early
     underflow: the sinh products' numerator arguments at k = pi tau/2, the
@@ -413,7 +428,9 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> tuple[float, .
     (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Products are formed over s, the
     largest power of two not above max(|pi1|, |pi2|, m), so none overflows,
     and k comes before the second factor of m: k m^2 stays representable
-    where m^2 underflows.
+    where m^2 underflows.  An argument below the normal range is returned
+    as its logarithm, a number below -708, formed from logarithms of factors
+    in range; the arguments themselves are >= 0, and 0 only for delta = 0.
     """
     e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
     delta = abs(modes.delta)
@@ -433,8 +450,22 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> tuple[float, .
     unlike = 2.0 * (k * (m * ((d + x) / d))) * ms
     kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
     kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
-    return (k * (e_sum + delta), kgap_f, k * delta * (e_sum + pi_sum) / e_sum,
-            delta * kgap_b / e_sum)
+    x_lo = delta * kgap_b / e_sum
+    args = [k * (e_sum + delta), kgap_f, k * delta * (e_sum + pi_sum) / e_sum, x_lo]
+    if kgap_f >= _NORMAL_MIN and (x_lo >= _NORMAL_MIN or not delta):
+        return args
+    # below the normal range an argument is carried as its logarithm, formed
+    # from the logarithms of factors in range
+    ln_k = math.log(k)
+    ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + math.log((d + x) / d)
+    ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - math.log(e_sum + delta)
+    ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - math.log(e_sum + pi_sum)
+    logs = [ln_k + math.log(e_sum + delta), ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
+    if delta:
+        ln_delta = math.log(delta)
+        logs[2:] = (ln_k + ln_delta + math.log((e_sum + pi_sum) / e_sum),
+                    ln_delta + ln_b - math.log(e_sum))
+    return [ln if arg < _NORMAL_MIN else arg for arg, ln in zip(args, logs)]
 
 
 def scatter(params: StepParameters) -> ScatteringResult:
@@ -453,20 +484,17 @@ def scatter(params: StepParameters) -> ScatteringResult:
             "double-precision range; use the Heaviside limit")
     log_denom = _log_sinh_excess(2.0 * k * e1) + _log_sinh_excess(2.0 * k * e2)
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
-    # -pi tau (E1 + E2 - |delta|) in B_u
-    if kgap_f == 0.0:  # k m^2 below the double range: the massless limit F_u = 0
-        log_f_u = -math.inf
-    else:
-        log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
+    # -pi tau (E1 + E2 - |delta|) in B_u, nothing where that is below the range
+    log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
     # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m)),
     # the products over a power of two near max(|pi1|, |pi2|, m)
     inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
     log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
-    if x_lo == 0.0:  # a trivial step, or B_u below the double range
+    if x_lo == 0.0:  # a trivial step
         b_u = b = 0.0
     else:
-        log_b_u = (-2.0 * kgap_f + _log_sinh_excess(x_hi) + _log_sinh_excess(x_lo)
+        log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi) + _log_sinh_excess(x_lo)
                    - log_denom)
         b_u = math.exp(log_b_u)
         # E2 - m = pi2^2 / (E2 + m)

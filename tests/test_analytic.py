@@ -378,11 +378,11 @@ class TestAmplitudes:
         assert res.B_u < 1e-6
 
     def test_massless_limit_when_mass_underflows(self):
-        # m^2 underflows, so the forward gap E1 + E2 - |pi1 - pi2| is 0: the
-        # massless limit F_u = f = 0, and the whole wave is reflected
+        # m^2 underflows, and so does F_u ~ 1e-400, but f ~ m does not: the
+        # forward gap is carried as its logarithm.  f from `_sinh_reference`
         res = scatter(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
         assert res.F_u == 0.0
-        assert res.f == 0.0
+        assert res.f == pytest.approx(1.7757669033229453e-200, rel=1e-13, abs=0.0)
         assert res.B_u == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert res.B == 1.0
 
@@ -477,6 +477,19 @@ class TestAmplitudes:
             assert abs(getattr(via_gamma, attr) - want) <= 1e-12 * want, attr
 
 
+    @pytest.mark.parametrize("m, tau", [(1e-200, 0.3), (1e-100, 1e-200)])
+    def test_gamma_route_where_the_forward_gap_underflows(self, m, tau):
+        # tau (E1 + E2 - |pi1 - pi2|)/2 is below the double range, so b' is
+        # carried as its logarithm instead of hitting the pole at 0; at
+        # m = 1e-200 F_u ~ 1e-400 is 0 on both routes
+        params = StepParameters(m=m, q=1.0, p=1.7, a1=0.0, a2=3.4, tau=tau)
+        direct = scatter(params)
+        via_gamma = asymptotic_amplitudes(match_at_t0(build_solution(params), params), params)
+        for attr in ("F_u", "B_u"):
+            want = getattr(direct, attr)
+            assert abs(getattr(via_gamma, attr) - want) <= 1e-12 * want, attr
+
+
 class TestScatteringResult:
     def test_replace_changes_only_the_named_field(self):
         res = scatter(mk())
@@ -527,6 +540,39 @@ class TestSauterForm:
         assert abs(res.F_u - (1.0 - want)) <= 1e-9
         if want > 1e-300:
             assert abs(res.B_u - want) <= 1e-9 * want
+
+
+class TestBelowTheNormalRange:
+    """Gap arguments pi tau (...)/2 below the smallest normal double, taken
+    by `_gap_arguments` as logarithms, against `_sinh_reference`."""
+
+    @pytest.mark.parametrize("kw, want", [
+        # F_u ~ 6e-401 underflows, f does not
+        (dict(m=1e-200, p=1.7, a2=3.4, tau=0.3), dict(f=7.754351e-201, F_u=0.0)),
+        (dict(m=1e-100, p=1.7, a2=3.4, tau=1e-150), dict(f=5.882353e-101, F_u=3.460208e-201)),
+        (dict(m=1e-20, p=3.0, a2=1.0, tau=1e-300), dict(b=8.333333e-22, B_u=6.944444e-43)),
+        # both B_u arguments are subnormal
+        (dict(m=1.0, p=1.0, a2=1e-20, tau=1e-300), dict(B_u=6.25e-42)),
+    ], ids=["m=1e-200", "m=1e-100-tau=1e-150", "m=1e-20-tau=1e-300", "a2=1e-20-tau=1e-300"])
+    def test_values_that_underflowed(self, kw, want):
+        params = StepParameters(q=1.0, a1=0.0, **kw)
+        res = scatter(params)
+        ref = _sinh_reference(params.m, params.q, params.p, params.a1, params.a2, params.tau)
+        for name, value in want.items():
+            assert ref[name] == pytest.approx(value, rel=1e-6, abs=0.0)
+            assert abs(getattr(res, name) - ref[name]) <= 1e-12 * ref[name], name
+
+    def test_fast_steps_and_tiny_masses(self):
+        # f, b, F_u and B_u to 1e-12 relative wherever they exceed 1e-290
+        rng = random.Random(20261019)
+        for _ in range(10):
+            args = (10.0 ** rng.uniform(-200.0, -5.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0),
+                    rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0),
+                    10.0 ** rng.uniform(-300.0, -100.0))
+            res = scatter(StepParameters(*args))
+            for name, want in _sinh_reference(*args).items():
+                if want > 1e-290:
+                    assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
 
 
 class TestSharpStep:
@@ -613,3 +659,38 @@ def _sharp_reference(m, q, p, a1, a2):
                       B=b * b / (f * f + b * b), F_u=alpha * alpha * n2p / n1,
                       B_u=beta * beta * n2m / n1)
         return {k: float(v) for k, v in values.items()}
+
+
+def _sinh_reference(m, q, p, a1, a2, tau):
+    """f, b, F_u and B_u from the sinh products of the analytic module
+    docstring, with every input taken exactly.  The arguments are formed
+    with 1200 significant digits, enough to resolve E - |pi| ~ m^2/|pi| at
+    m = 1e-300, and each sinh is then taken to 40."""
+    from decimal import Decimal, localcontext
+
+    def sinh(x):
+        if x < 1:
+            term, total, n = x, x, 1
+            while abs(term) > total * Decimal(10) ** -40:
+                term *= x * x / ((2 * n) * (2 * n + 1))
+                total += term
+                n += 1
+            return total
+        return (x.exp() - (-x).exp()) / 2
+
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        m, q, p, a1, a2, tau = (Decimal(v) for v in (m, q, p, a1, a2, tau))
+        pi1, pi2 = p - q * a1, p - q * a2
+        e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
+        delta, gap = abs(pi1 - pi2), abs(e2 - e1)
+        k = Decimal(math.pi) * tau / 2  # pi rounded once: 1e-16 relative in each argument
+        args = [2 * k * e1, 2 * k * e2, k * (e1 + e2 + delta), k * (e1 + e2 - delta),
+                k * (delta + gap), k * (delta - gap)]
+        ctx.prec = 40
+        s1, s2, fp, fm, bp, bm = (sinh(+x) for x in args)  # +x rounds to 40 digits
+        f_u, b_u = fp * fm / (s1 * s2), bp * bm / (s1 * s2)
+        scale = e1 / (e2 * (e1 + m))
+        values = dict(f=(f_u * scale * (e2 + m)).sqrt(), b=(b_u * scale * (e2 - m)).sqrt(),
+                      F_u=f_u, B_u=b_u)
+        return {name: float(v) for name, v in values.items()}
