@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -330,8 +331,19 @@ def cmd_selftest(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every token that starts -<digit> or -.<digit> for a value, so
+    a float flag reads -1e3 and -1.2e+00 on every Python; argparse's own
+    rule up to 3.12 takes only -2 and -.5.  The subcommand parsers are
+    built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracstep",
         description="Electron scattering at a smooth temporal potential step "
                     "(natural units, hbar=c=1)",

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import decimal
 import json
@@ -429,6 +430,36 @@ class TestSharedParser:
         code, again, _ = run(capsys, *sweep)
         assert code == 0
         assert again == first
+
+
+class TestNegativeValues:
+    """A float flag reads a negative value in any notation, whatever
+    argparse's own rule on the Python that runs it."""
+
+    def test_every_float_flag_of_every_command(self):
+        parser = cli.build_parser()
+        required = {"sweep": ["--sweep-var", "p", "--start", "0", "--stop", "1", "--count", "2"]}
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [(name, action) for name, sub in commands.choices.items()
+                 for action in sub._actions if action.type is float]
+        assert len(flags) == 25
+        for name, action in flags:
+            for text in ("-1e3", "-1.2000000000000000e+00", "-2.5E-1", "-.5", "-2"):
+                argv = [name, *required.get(name, []), action.option_strings[0], text]
+                assert getattr(parser.parse_args(argv), action.dest) == float(text), argv
+
+    def test_scatter_with_negative_scientific_values(self, capsys):
+        code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "-1e3", "--tau", "0.5",
+                           "--q", "-1.2000000000000000e+00", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["a2"], rec["q"]) == (-1e3, -1.2)
+
+    def test_a_malformed_negative_value_names_its_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scatter", "--p", "1", "--a2", "-1e3x", "--tau", "0.5"])
+        assert exc.value.code == 2
+        assert "--a2: invalid float value: '-1e3x'" in capsys.readouterr().err
 
 
 class TestFigure2:
