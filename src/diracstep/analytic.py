@@ -71,20 +71,24 @@ Sauter-pulse coefficients (Narozhny & Nikishov, Sov. J. Nucl. Phys. 11, 596
 
 `scatter` evaluates these two products and nothing else: no log_gamma, no
 hypergeometric series, no complex arithmetic.  delta is taken from the
-inputs, and E2 - E1 = -delta (pi1 + pi2)/(E1 + E2) and
-E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|) are formed
-without subtraction, so a weak step keeps the relative accuracy of B_u.
-The products in them are formed on kinematics divided by a power of two
-near max(|pi1|, |pi2|, m), so momenta up to the double range do not
-overflow.  Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so
-nothing overflows and the adiabatic tail is kept; f and b follow from the
-half-logarithms, so b stays representable where B_u underflows.  Over 20,000
-random points with tau from 1e-12 to 1e10 (signed q down to 6e-6, m != 1,
-a1 != 0, t0 != 0) the unitarity defect |F_u + B_u - 1| stays below 1.3e-14,
-and B_u agrees with 50-digit arithmetic to 4e-13 relative wherever
-B_u > 1e-300.  F_u + B_u = 1 is an identity of the two products in exact
-arithmetic, so the command line's 1e-9 guard on it checks only their
-floating-point evaluation; the independent check of the closed form is the
+inputs, once, as `AsymptoticModes.delta`, and `_gap_arguments` forms the
+four numerator arguments, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2) and
+E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|), without
+subtraction, so a weak step keeps the relative accuracy of B_u; at k = tau/2
+in place of pi tau/2 they are `match_at_t0`'s Gamma arguments.  The products
+in them are formed on kinematics divided by a power of two near
+max(|pi1|, |pi2|, m), so momenta up to the double range do not overflow, and
+an argument below the smallest normal double is carried as its logarithm.
+Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing
+overflows and the adiabatic tail is kept, and as x + ln x for an argument
+carried as a logarithm; f and b follow from the half-logarithms, so each
+stays representable where F_u or B_u underflows.  Over 20,000 random points
+with tau from 1e-12 to 1e10 (signed q down to 6e-6, m != 1, a1 != 0,
+t0 != 0) the unitarity defect |F_u + B_u - 1| stays below 1.3e-14, and B_u
+agrees with 50-digit arithmetic to 4e-13 relative wherever B_u > 1e-300.
+F_u + B_u = 1 is an identity of the two products in exact arithmetic, so
+the command line's 1e-9 guard on it checks only their floating-point
+evaluation; the independent check of the closed form is the
 integrator (`oracle.compare`).  pi tau E below the smallest normal double is
 reported as a numerical failure (ArithmeticError).  Every result carries the
 plateau kinematics it was computed from (`ScatteringResult.modes`), so its
@@ -161,8 +165,6 @@ __all__ = [
 # the incident amplitude e^(pi eps1) of the matched spinor overflows a double
 # from eps1 ~ 225; the bound on eps1 + eps2 also bounds |d|
 _EPS_SUM_LIMIT = 200.0
-_NORMAL_MIN = sys.float_info.min
-_LN2 = math.log(2.0)
 
 
 class ParameterRangeError(ValueError):
@@ -400,7 +402,7 @@ def _log_sinh_excess(x: float) -> float:
     """ln(2 sinh x) - x = ln(1 - e^(-2x)) for x > 0, accurate at both ends.
     A negative x is the logarithm of an argument below the normal range
     (`_gap_arguments`), where ln(2 sinh y) - y = ln 2 + ln y."""
-    return math.log(-math.expm1(-2.0 * x)) if x >= 0.0 else _LN2 + x
+    return math.log(-math.expm1(-2.0 * x)) if x >= 0.0 else math.log(2.0) + x
 
 
 def _log_gamma_gap(shift: float, sign: float, x: float) -> complex:
@@ -428,9 +430,11 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Products are formed over s, the
     largest power of two not above max(|pi1|, |pi2|, m), so none overflows,
     and k comes before the second factor of m: k m^2 stays representable
-    where m^2 underflows.  An argument below the normal range is returned
-    as its logarithm, a number below -708, formed from logarithms of factors
-    in range; the arguments themselves are >= 0, and 0 only for delta = 0.
+    where m^2 underflows.  Where a product falls below the normal range, an
+    argument below it is returned as its logarithm, a number below -708,
+    formed from the logarithms of factors in range; the arguments themselves
+    are >= 0, and 0 only for delta = 0.  Nothing else changes where no
+    product does.
     """
     e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
     delta = abs(modes.delta)
@@ -450,12 +454,15 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     unlike = 2.0 * (k * (m * ((d + x) / d))) * ms
     kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
     kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
-    x_lo = delta * kgap_b / e_sum
-    args = [k * (e_sum + delta), kgap_f, k * delta * (e_sum + pi_sum) / e_sum, x_lo]
-    if kgap_f >= _NORMAL_MIN and (x_lo >= _NORMAL_MIN or not delta):
+    kd, lo = k * delta, delta * kgap_b
+    args = [k * (e_sum + delta), kgap_f, kd * (e_sum + pi_sum) / e_sum, lo / e_sum]
+    tiny = sys.float_info.min
+    if kgap_f >= tiny and kgap_b >= tiny and (
+            not delta or kd >= tiny and lo >= tiny and args[3] >= tiny):
         return args
-    # below the normal range an argument is carried as its logarithm, formed
-    # from the logarithms of factors in range
+    # a product fell below the normal range: the last two are formed again
+    # with one product below it each, and an argument below it is carried as
+    # its logarithm, formed from the logarithms of factors in range
     ln_k = math.log(k)
     ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + math.log((d + x) / d)
     ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - math.log(e_sum + delta)
@@ -463,9 +470,10 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     logs = [ln_k + math.log(e_sum + delta), ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
     if delta:
         ln_delta = math.log(delta)
+        args[2:] = k * (delta * ((e_sum + pi_sum) / e_sum)), kgap_b * (delta / e_sum)
         logs[2:] = (ln_k + ln_delta + math.log((e_sum + pi_sum) / e_sum),
                     ln_delta + ln_b - math.log(e_sum))
-    return [ln if arg < _NORMAL_MIN else arg for arg, ln in zip(args, logs)]
+    return [ln if arg < tiny else arg for arg, ln in zip(args, logs)]
 
 
 def scatter(params: StepParameters) -> ScatteringResult:

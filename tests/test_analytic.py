@@ -553,7 +553,11 @@ class TestBelowTheNormalRange:
         (dict(m=1e-20, p=3.0, a2=1.0, tau=1e-300), dict(b=8.333333e-22, B_u=6.944444e-43)),
         # both B_u arguments are subnormal
         (dict(m=1.0, p=1.0, a2=1e-20, tau=1e-300), dict(B_u=6.25e-42)),
-    ], ids=["m=1e-200", "m=1e-100-tau=1e-150", "m=1e-20-tau=1e-300", "a2=1e-20-tau=1e-300"])
+        # pi tau |delta| (E1 + E2 + |pi1 + pi2|)/2 ~ 1e-321 on the way to B_u ~ 1
+        (dict(m=5e-215, p=-4e-67, a2=-3.2e-60, tau=2.75e-203),
+         dict(f=6.250001e-149, F_u=3.906251e-297, B_u=1.0)),
+    ], ids=["m=1e-200", "m=1e-100-tau=1e-150", "m=1e-20-tau=1e-300", "a2=1e-20-tau=1e-300",
+            "tiny-kinematics"])
     def test_values_that_underflowed(self, kw, want):
         params = StepParameters(q=1.0, a1=0.0, **kw)
         res = scatter(params)
@@ -671,7 +675,7 @@ def _sinh_reference(m, q, p, a1, a2, tau):
     def sinh(x):
         if x < 1:
             term, total, n = x, x, 1
-            while abs(term) > total * Decimal(10) ** -40:
+            while abs(term) > abs(total) * Decimal(10) ** -40:
                 term *= x * x / ((2 * n) * (2 * n + 1))
                 total += term
                 n += 1
