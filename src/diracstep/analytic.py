@@ -216,8 +216,8 @@ class HypergeometricSolution:
 class ScatteringResult:
     """Scattering amplitude ratios and probabilities of one step.
 
-    modes holds the plateau kinematics (pi1, pi2, E1, E2) the result was
-    computed from.  f and b are the moduli of the standard-basis upper
+    modes holds the plateau kinematics (pi1, pi2, E1, E2, delta) the result
+    was computed from.  f and b are the moduli of the standard-basis upper
     components of the later forward/backward plane waves relative to the
     incident one.  (F, B) normalize f^2, b^2 to unity; (F_u, B_u) are the
     unitary-projection probabilities, whose sum is 1 by norm conservation:
@@ -460,9 +460,9 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     if kgap_f >= tiny and kgap_b >= tiny and (
             not delta or kd >= tiny and lo >= tiny and args[3] >= tiny):
         return args
-    # a product fell below the normal range: the last two are formed again
-    # with one product below it each, and an argument below it is carried as
-    # its logarithm, formed from the logarithms of factors in range
+    # a product fell below the normal range: the last two are formed again so
+    # that only their final product can, and an argument below the range is
+    # carried as its logarithm, formed from the logarithms of factors in range
     ln_k = math.log(k)
     ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + math.log((d + x) / d)
     ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - math.log(e_sum + delta)
@@ -502,8 +502,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
     if x_lo == 0.0:  # a trivial step
         b_u = b = 0.0
     else:
-        log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi) + _log_sinh_excess(x_lo)
-                   - log_denom)
+        log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
+                   + _log_sinh_excess(x_lo) - log_denom)
         b_u = math.exp(log_b_u)
         # E2 - m = pi2^2 / (E2 + m)
         b = (0.0 if modes.pi2 == 0.0 else

@@ -476,7 +476,6 @@ class TestAmplitudes:
             want = getattr(direct, attr)
             assert abs(getattr(via_gamma, attr) - want) <= 1e-12 * want, attr
 
-
     @pytest.mark.parametrize("m, tau", [(1e-200, 0.3), (1e-100, 1e-200)])
     def test_gamma_route_where_the_forward_gap_underflows(self, m, tau):
         # tau (E1 + E2 - |pi1 - pi2|)/2 is below the double range, so b' is
@@ -570,8 +569,10 @@ class TestBelowTheNormalRange:
         # f, b, F_u and B_u to 1e-12 relative wherever they exceed 1e-290
         rng = random.Random(20261019)
         for _ in range(10):
-            args = (10.0 ** rng.uniform(-200.0, -5.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0),
-                    rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0),
+            # m, q, p, a1, a2, tau
+            args = (10.0 ** rng.uniform(-200.0, -5.0),
+                    rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0),
+                    rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0),
                     10.0 ** rng.uniform(-300.0, -100.0))
             res = scatter(StepParameters(*args))
             for name, want in _sinh_reference(*args).items():
