@@ -79,13 +79,19 @@ in place of pi tau/2 they are `match_at_t0`'s Gamma arguments.  The products
 in them are formed on kinematics divided by a power of two near
 max(|pi1|, |pi2|, m), so momenta up to the double range do not overflow, and
 an argument below the smallest normal double is carried as its logarithm.
+Where E1, E2 or m is so far below that power of two that a factor over it,
+or E1/E2 itself, leaves the normal range, the product is formed another way
+or from logarithms taken apart; over inputs drawn from the whole double range,
+with pi tau E1 and pi tau E2 normal, no point raises or returns a NaN.
 Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing
 overflows and the adiabatic tail is kept, and as x + ln x for an argument
 carried as a logarithm; f and b follow from the half-logarithms, so each
 stays representable where F_u or B_u underflows.  Over 20,000 random points
 with tau from 1e-12 to 1e10 (signed q down to 6e-6, m != 1, a1 != 0,
 t0 != 0) the unitarity defect |F_u + B_u - 1| stays below 1.3e-14, and B_u
-agrees with 50-digit arithmetic to 4e-13 relative wherever B_u > 1e-300.
+agrees with 50-digit arithmetic to 4e-13 relative wherever B_u > 1e-300; over
+5,000 points from the whole double range f, b, F_u and B_u agree with the
+decimal sinh products to 5e-13 wherever they exceed 1e-290.
 F_u + B_u = 1 is an identity of the two products in exact arithmetic, so
 the command line's 1e-9 guard on it checks only their floating-point
 evaluation; the independent check of the closed form is the
@@ -116,12 +122,16 @@ from them through `result_from_mode_amplitudes`.  The matched spinor gives
 the incident wave the amplitude g_i = e^(pi eps1), so |psi|^2 =
 e^(pi tau E1) (1 + l1^2) on the earlier plateau, l1 = (E1 - pi1)/m; that
 amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
-eps1 + eps2 <= 200.  f and b are the moduli of the later waves'
-standard-basis upper components relative to the incident one's, the chiral
-ratios times those of the modes' upper components (`model.dirac_upper`), and
-F = f^2/(f^2+b^2), B = b^2/(f^2+b^2).  The unitary pair (F_u, B_u) instead
-projects onto orthonormalized modes; the two pairs are related by
-f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
+eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
+multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
+forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
+`solve_earlier` forms no exp or mode factor per time.  f and b are the
+moduli of the later waves' standard-basis upper components relative to the
+incident one's, the chiral ratios times those of the modes' upper components
+(`model.dirac_upper`), and F = f^2/(f^2+b^2), B = b^2/(f^2+b^2).  The unitary
+pair (F_u, B_u) instead projects onto orthonormalized modes; the two pairs
+are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
+b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
 """
 
 from __future__ import annotations
@@ -203,13 +213,21 @@ class HypergeometricSolution:
     """Both charts, their plateau kinematics, and the later chart's
     coefficients once `match_at_t0` has set them: c1l = g_f/g_i and c2l =
     g_b/g_i, the amplitudes of the later forward and backward waves per unit
-    incident amplitude.  The earlier chart carries the incident branch alone."""
+    incident amplitude.  The earlier chart carries the incident branch alone.
+
+    `match_at_t0` also stores what `solve_earlier` multiplies each chart's
+    branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_i c1l for
+    the later forward branch and c_b = g_i c2l mode_lower(-pi2, m) for its
+    conjugate partner."""
 
     earlier: ChartExpansion
     later: ChartExpansion
     modes: AsymptoticModes
     c1l: complex | None = None
     c2l: complex | None = None
+    g_i: float | None = None
+    c_f: complex | None = None
+    c_b: complex | None = None
 
 
 @dataclass
@@ -277,9 +295,9 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
 
 
 def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
-                  t: float) -> TwoSpinor:
-    """Chiral spinor at time t of the chart's positive-frequency branch, with
-    its unit head.
+                  t: float) -> tuple[complex, complex]:
+    """Chiral components (phi, theta) at time t of the chart's
+    positive-frequency branch, with its unit head.
 
     The plan gives 2F1 = (1-zeta)^kappa s, so the branch is
     |zeta|^mu (1-zeta)^(nu+kappa) s, its head taken in one exp of the real
@@ -296,7 +314,7 @@ def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
     zeta_dphi = phi * (chart.mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
     dphi = chart.sign * (2.0 / params.tau) * zeta_dphi  # d ln|zeta| / dt = 2 sign / tau
     piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
-    return TwoSpinor(upper=phi, lower=(1j * dphi - piv * phi) / params.m)
+    return phi, (1j * dphi - piv * phi) / params.m
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -309,22 +327,21 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     wave is the forward one's conjugate partner (theta*, -phi*) times
     (E2 + pi2)/m, so each side sums one 2F1 series.  The incident wave has
     amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
-    earlier plateau, l1 = (E1 - pi1)/m.  Deep in either half-line zeta
-    underflows to -0 and the spinor is the exact plane-wave limit.
-    `solve_later` is the same function.
+    earlier plateau, l1 = (E1 - pi1)/m.  g_i and the later branches'
+    coefficients c_f = g_i c1l and c_b = g_i c2l (E2 + pi2)/m are fixed by
+    the matching, so `match_at_t0` stores them and each call only reads
+    them.  Deep in either half-line zeta underflows to -0 and the spinor is
+    the exact plane-wave limit.  `solve_later` is the same function.
     """
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
-    g_i = math.exp(math.pi * sol.earlier.eps)
     if t <= params.t0:
-        inc = _chart_spinor(sol.earlier, sol.modes.delta, params, t)
-        return TwoSpinor(upper=g_i * inc.upper, lower=g_i * inc.lower)
-    fwd = _chart_spinor(sol.later, sol.modes.delta, params, t)
-    c_f = g_i * sol.c1l
-    # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
-    c_b = g_i * sol.c2l * mode_lower(-sol.later.pi_asym, params.m)
-    return TwoSpinor(upper=c_f * fwd.upper + c_b * fwd.lower.conjugate(),
-                     lower=c_f * fwd.lower - c_b * fwd.upper.conjugate())
+        phi, theta = _chart_spinor(sol.earlier, sol.modes.delta, params, t)
+        return TwoSpinor(upper=sol.g_i * phi, lower=sol.g_i * theta)
+    phi, theta = _chart_spinor(sol.later, sol.modes.delta, params, t)
+    c_f, c_b = sol.c_f, sol.c_b
+    return TwoSpinor(upper=c_f * phi + c_b * theta.conjugate(),
+                     lower=c_f * theta - c_b * phi.conjugate())
 
 
 solve_later = solve_earlier
@@ -343,7 +360,8 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     k (E1 + E2 -+ |delta|) in the order of the sign of delta, and a' and
     c' - b' are i and 1 - i times sign(delta) k (|delta| -+ |E2 - E1|) in
     the order of the sign of pi1 + pi2.  a' = 0 only for a trivial step
-    (delta = 0), where 1/G(a') = 0.
+    (delta = 0), where 1/G(a') = 0.  The coefficients `solve_earlier`
+    applies, g_i, c_f and c_b, are set here too (`HypergeometricSolution`).
     """
     modes = sol.modes
     w, gap, x_hi, x_lo = _gap_arguments(modes, params.m, 0.5 * params.tau)
@@ -358,7 +376,10 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
                     - _log_gamma_gap(1.0, -1.0, xca))
     c2l = 0j if xa == 0.0 else cmath.exp(lg_c + log_gamma(2j * eps2) - _log_gamma_gap(0.0, s, xa)
                                          - _log_gamma_gap(1.0, -s, xcb))
-    return replace(sol, c1l=c1l, c2l=c2l)
+    g_i = math.exp(math.pi * eps1)
+    # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
+    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=g_i * c1l,
+                   c_b=g_i * c2l * mode_lower(-modes.pi2, params.m))
 
 
 def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
@@ -430,33 +451,41 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Products are formed over s, the
     largest power of two not above max(|pi1|, |pi2|, m), so none overflows,
     and k comes before the second factor of m: k m^2 stays representable
-    where m^2 underflows.  Where a product falls below the normal range, an
-    argument below it is returned as its logarithm, a number below -708,
-    formed from the logarithms of factors in range; the arguments themselves
-    are >= 0, and 0 only for delta = 0.  Nothing else changes where no
-    product does.
+    where m^2 underflows.  A product whose factor over s would fall below
+    the normal range (E2 or |pi2| << |pi1|, m << s), or whose ratio
+    (D + X)/D would overflow, is formed in another order.  Where a product
+    falls below the normal range, an argument below it is returned as its
+    logarithm, a number below -708, formed from the logarithms of factors in
+    range; the arguments themselves are >= 0, and 0 only for delta = 0.
+    Nothing else changes where no product does.
     """
     e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
     delta = abs(modes.delta)
     e_sum = e1 + modes.e2
     pi_sum = abs(pi1 + pi2)
+    tiny = sys.float_info.min
     inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
     ms, pi2s = m * inv_s, pi2 * inv_s
-    # each product over s
-    e1e2 = e1 * (modes.e2 * inv_s)
-    p12 = pi1 * pi2s
+    # each product over s; where E2/s or pi2/s is below the normal range (E2
+    # or |pi2| << |pi1|), the other factor is scaled instead
+    e2s = modes.e2 * inv_s
+    e1e2 = e1 * e2s if e2s >= tiny else (e1 * inv_s) * modes.e2
+    p12 = pi1 * pi2s if abs(pi2s) >= tiny else (pi1 * inv_s) * pi2
     width_f = (e_sum + delta) * inv_s
     width_b = (e_sum + pi_sum) * inv_s
     # the numerator of the gap whose products add, and k times the other's
     like = 2.0 * (m * ms + e1e2 + abs(p12))
     d = e1e2 + abs(p12)
     x = pi1 * (pi1 * inv_s) + pi2 * pi2s + m * ms
-    unlike = 2.0 * (k * (m * ((d + x) / d))) * ms
+    # where m/s is below the normal range, or (D + X)/D beyond it (as
+    # max(E1, E2)/min(E1, E2) can be), m (D + X)/(s D) < 8 is formed first
+    dx = (d + x) / d
+    unlike = (2.0 * (k * (m * dx)) * ms if ms >= tiny and dx < math.inf
+              else 2.0 * (k * (m * (m * ((d + x) * inv_s) / d))))
     kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
     kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
     kd, lo = k * delta, delta * kgap_b
     args = [k * (e_sum + delta), kgap_f, kd * (e_sum + pi_sum) / e_sum, lo / e_sum]
-    tiny = sys.float_info.min
     if kgap_f >= tiny and kgap_b >= tiny and (
             not delta or kd >= tiny and lo >= tiny and args[3] >= tiny):
         return args
@@ -464,7 +493,8 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     # that only their final product can, and an argument below the range is
     # carried as its logarithm, formed from the logarithms of factors in range
     ln_k = math.log(k)
-    ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + math.log((d + x) / d)
+    ln_dx = math.log(dx) if dx < math.inf else math.log(d + x) - math.log(d)
+    ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + ln_dx
     ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - math.log(e_sum + delta)
     ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - math.log(e_sum + pi_sum)
     logs = [ln_k + math.log(e_sum + delta), ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
@@ -486,7 +516,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
     m, e1, e2 = params.m, modes.e1, modes.e2
     k = 0.5 * math.pi * params.tau
     w, kgap_f, x_hi, x_lo = _gap_arguments(modes, m, k)
-    if 2.0 * k * min(e1, e2) < sys.float_info.min:
+    tiny = sys.float_info.min
+    if 2.0 * k * min(e1, e2) < tiny:
         raise ArithmeticError(
             f"pi tau min(E1, E2) = {2.0 * k * min(e1, e2):.3g} is below the "
             "double-precision range; use the Heaviside limit")
@@ -497,7 +528,13 @@ def scatter(params: StepParameters) -> ScatteringResult:
     # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m)),
     # the products over a power of two near max(|pi1|, |pi2|, m)
     inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
-    log_scale = 0.5 * math.log((e1 * inv_s) / (e2 * inv_s * (e1 + m)))
+    e1s, e2s = e1 * inv_s, e2 * inv_s
+    den = e2s * (e1 + m)
+    ratio = e1s / den if e2s >= tiny and den >= tiny else 0.0
+    # where E1 or E2 is so far below max(|pi1|, |pi2|) that the quotient or a
+    # factor of it leaves the normal range, the logarithms are taken apart
+    log_scale = (0.5 * math.log(ratio) if ratio >= tiny and e1s >= tiny
+                 else 0.5 * (math.log(e1) - math.log(e2) - math.log(e1 + m)))
     f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
     if x_lo == 0.0:  # a trivial step
         b_u = b = 0.0

@@ -28,7 +28,11 @@ choice at z is one comparison, g_D |z| <= g_P |w| with |z| <= 1/2; ties go
 to the z pair, as the four-way minimum gives them to the first of the four.
 Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
 grown on demand up to MAX_TERMS, so a term of the sum costs a complex
-product, a scaling by x/(n+1) and the stopping test.  The plan returns the
+product and a scaling by x/(n+1).  The terms are summed in pairs and the
+stopping test, two moduli, is made once per pair: the sum stops at the first
+pair whose two terms are both small, so one term that vanishes by accident
+does not stop it, and it stops at most one term later than a test of every
+term for two small ones in a row would.  The plan returns the
 exponent kappa of the representation's prefactor (1-z)^kappa with the sums,
 so that a caller with other powers of (1-z), such as the charts of
 `analytic`, takes them all in one exp.  The charts evaluate one (a, b, c) at
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import islice
 
 __all__ = [
     "GammaPoleError",
@@ -153,47 +156,58 @@ class _Representation:
 
         S = sum t_n and dS/dx = sum u_n with u_n = t_n rho_n and
         t_(n+1) = u_n x / (n+1), so each term is rounded as it would be
-        with rho_n formed in the loop.  Stops only on two consecutive small
-        terms of both sums: a single term may vanish accidentally for
-        oscillatory parameters.
+        with rho_n formed in the loop.  The terms are summed two at a time,
+        t_(n+1) and t_(n+2) for even n, and the stopping test is made once
+        per pair: the sum stops at the first pair whose two terms are small
+        in both sums, |t| <= tol |S| or |t| <= tiny against the sums at the
+        end of the pair, and the same for u against dS/dx.  A single term
+        may vanish accidentally for oscillatory parameters, so one small
+        term never stops it; against a test of every term for two small
+        ones in a row, it stops at most one term later.  A term costs two
+        complex products, a division by n + 1 and two additions; the test
+        costs two moduli per pair until the pair's second term is small.
         """
         tol = SERIES_TOL  # module settings read once per call, not per term
         max_terms = MAX_TERMS
-        # |term| <= tol max(|sum|, 1e-300) is |term| <= tol |sum| or |term| <= tiny
+        # |term| <= max(tol |sum|, tiny) is |term| <= tol |sum| or |term| <= tiny
         tiny = tol * 1e-300
         table = self.table
         term = 1.0 + 0.0j
         total = term
         deriv = 0.0 + 0.0j
-        prev_small = False
         done = 0
         while True:
-            for n1, rho in enumerate(islice(table, done, max_terms), done + 1):
-                dterm = term * rho  # u_n
-                term = dterm * x / n1  # t_(n+1)
+            size = min(len(table), max_terms)
+            for n in range(done, size - 1, 2):
+                u0 = term * table[n]
+                t1 = u0 * x / (n + 1)
+                total += t1
+                deriv += u0
+                u1 = t1 * table[n + 1]
+                term = u1 * x / (n + 2)
                 total += term
-                deriv += dterm
-                at = abs(term)
-                if at <= tol * abs(total) or at <= tiny:
-                    ad = abs(dterm)
-                    if ad <= tol * abs(deriv) or ad <= tiny:
-                        if prev_small:
-                            return total, deriv
-                        prev_small = True
-                        continue
-                prev_small = False
-            done = min(len(table), max_terms)
-            if done == max_terms:
+                deriv += u1
+                small = tol * abs(total)
+                if small < tiny:
+                    small = tiny
+                if abs(term) <= small and abs(t1) <= small:
+                    small = tol * abs(deriv)
+                    if small < tiny:
+                        small = tiny
+                    if abs(u1) <= small and abs(u0) <= small:
+                        return total, deriv
+            if size == max_terms:
                 raise ConvergenceError(
                     f"2F1 series did not converge within {max_terms} terms "
                     f"(a={self.a}, b={self.b}, c={self.c}, x={x})"
                 )
+            done = size - size % 2  # the first term of the next pair
             # a new list, not appends: an evaluation running alongside keeps
             # iterating a whole table
             a, b, c = self.a, self.b, self.c
             table = self.table = table + [
                 (a + n) * (b + n) / (c + n)
-                for n in range(done, min(max_terms, max(_TABLE_START, 2 * done)))]
+                for n in range(size, min(max_terms, max(_TABLE_START, 2 * size)))]
 
 
 class Hyp2F1Plan:

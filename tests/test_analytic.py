@@ -164,6 +164,45 @@ class TestBuildSolution:
             build_solution(mk(tau=150.0))
 
 
+# The matched spinor (phi, theta) at one time on each side of t0 for each
+# series a plan can choose there, computed once with mpmath (dps 40) from the
+# incident branch alone: g_i |zeta|^(-i eps1) (1 - zeta)^(i d)
+# 2F1(a', b'; c'; zeta) with zeta = -exp(2 (t - t0)/tau) continued past
+# zeta = -1 by mpmath.hyp2f1, phi' by mpmath.diff and theta = (i phi' - pi phi)/m
+# with pi(t) from the tanh profile; no chart, plan or connection formula of
+# the program enters.
+_CHART_A = StepParameters(m=0.8379646270918913, q=-0.9219730999288476, p=0.6235202315771669,
+                          a1=0.25144060821610803, a2=-3.475769126081495,
+                          tau=0.13160317973169794, t0=0.67493816419292)
+_CHART_B = StepParameters(m=1.461664716459667, q=1.1869308476850022, p=-2.6317912480901944,
+                          a1=-0.5583936542669883, a2=-3.022231785378633,
+                          tau=2.2303302732135806, t0=-0.7615789745553991)
+_CHART_C = StepParameters(m=0.8593540143280076, q=-0.8150464623971797, p=1.302888235610582,
+                          a1=0.08194777125807762, a2=0.3970493362160443,
+                          tau=1.0531229848695063, t0=0.7220442168506447)
+_CHART_D = StepParameters(m=1.3881088548980554, q=0.9369780424004464, p=1.8054526259113697,
+                          a1=-0.11075788789847874, a2=3.4846937736361685,
+                          tau=2.2092799848113, t0=-0.8050913805382456)
+CHART_PINNED = [
+    (_CHART_A, 0.47753339459537303, "direct",
+     (1.241288405815052+0.31336756062034876j), (0.5110778253608381+0.11743999767770642j)),
+    (_CHART_B, -4.10707438437577, "euler",
+     (-2548.891552352439+5054.021053756446j), (-7440.707509383318+14380.333645346853j)),
+    (_CHART_C, -0.8576402604536149, "pfaff-a",
+     (-12.036490031892578+8.114054368155287j), (-3.451084102459805+2.310145696114631j)),
+    (_CHART_A, 0.6486175282465804, "pfaff-b",
+     (1.2596748900132484+0.18637514433986382j), (0.5392128700694798-0.04149444401319042j)),
+    (_CHART_A, 0.7539000720319388, "direct",
+     (1.219239851573253+0.29337509837696385j), (0.5416405096336923-0.21908816810092052j)),
+    (_CHART_D, 0.5204766103485343, "euler",
+     (1860.591864842827-147.58466961647827j), (3254.6806244372456-584.0433914532814j)),
+    (_CHART_D, -0.6946273812976805, "pfaff-a",
+     (-418.0187937903045+2829.6655121606086j), (168.16487772546003+2491.5075604218227j)),
+    (_CHART_A, 0.6815183231795049, "pfaff-b",
+     (1.2532137719615677+0.20183481673981155j), (0.5429033835777847-0.08923393809187018j)),
+]
+
+
 class TestChartEvaluation:
     def test_incident_asymptote(self):
         params = mk(tau=0.5)
@@ -190,6 +229,19 @@ class TestChartEvaluation:
             got = solve_later(sol, t, params)
             want = amp * cmath.exp(-1j * modes.e1 * (t - params.t0))
             assert got.upper == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("params, t, series, phi, theta", CHART_PINNED,
+                             ids=[f"{'earlier' if c[1] <= c[0].t0 else 'later'}-{c[2]}"
+                                  for c in CHART_PINNED])
+    def test_pinned_high_precision_spinors(self, params, t, series, phi, theta):
+        sol = match_at_t0(build_solution(params), params)
+        chart = sol.earlier if t <= params.t0 else sol.later
+        zeta = -math.exp(chart.sign * 2.0 * ((t - params.t0) / params.tau))
+        assert chart.plan.select(zeta).name == series
+        got = solve_earlier(sol, t, params)
+        scale = math.hypot(abs(phi), abs(theta))
+        assert abs(got.upper - phi) <= 1e-12 * scale
+        assert abs(got.lower - theta) <= 1e-12 * scale
 
     def test_matches_independent_integration_at_t0(self):
         params = mk(tau=0.3)
@@ -231,7 +283,8 @@ class TestChartEvaluation:
                 zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
                 piv = chart.pi_asym - sol.modes.delta * zeta / (1.0 - zeta)
                 theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
-                positive = analytic._chart_spinor(chart, sol.modes.delta, params, t)
+                positive = model.TwoSpinor(
+                    *analytic._chart_spinor(chart, sol.modes.delta, params, t))
                 got = partner(positive, chart.pi_asym, m)
                 err = math.hypot(abs(got.upper - phi), abs(got.lower - theta))
                 assert err <= 1e-12 * math.hypot(abs(phi), abs(theta)), (params, t)
@@ -344,7 +397,8 @@ class TestMatching:
         sol = build_solution(params)
         for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
                             (sol.later, -2 * modes.e2 / params.m)):
-            positive = analytic._chart_spinor(chart, sol.modes.delta, params, params.t0)
+            positive = model.TwoSpinor(*analytic._chart_spinor(chart, sol.modes.delta, params,
+                                                              params.t0))
             other = partner(positive, chart.pi_asym, params.m)
             # (|zeta|^(+i eps), |zeta|^(-i eps)) in the parent's order
             f1, f2 = (other, positive) if chart.sign > 0 else (positive, other)
@@ -580,6 +634,51 @@ class TestBelowTheNormalRange:
                     assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
 
 
+class TestAcrossTheDoubleRange:
+    """m, p, a1 and a2 drawn over the whole double range, tau where
+    pi tau E1 and pi tau E2 are normal doubles below 1e300."""
+
+    @staticmethod
+    def _points(n):
+        rng = random.Random(20261020)
+
+        def signed(lo, hi):
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+        for _ in range(n):
+            m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
+            p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
+            modes = asymptotic_modes(StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=1.0))
+            # log10 of the smallest normal double, 2.2e-308, is -307.65
+            lo = max(-300.0, -307.6 - math.log10(math.pi * min(modes.e1, modes.e2)))
+            hi = min(300.0, 300.0 - math.log10(math.pi * max(modes.e1, modes.e2)))
+            yield m, q, p, a1, a2, 10.0 ** rng.uniform(lo, hi)
+
+    def test_no_point_raises(self):
+        # among them E1/E2 beyond the double range, m/max(|pi1|, |pi2|) below
+        # it, and E2 or |pi2| far below |pi1|; 50 points against the sinh
+        # products with twice the default digits
+        for i, args in enumerate(self._points(300)):
+            res = scatter(StepParameters(*args))
+            values = [res.f, res.b, res.F_u, res.B_u]
+            assert all(math.isfinite(v) for v in values), args
+            assert abs(res.F_u + res.B_u - 1.0) <= 1e-12, args
+            if i % 6 == 0:
+                for name, want in _sinh_reference(*args, digits=2400).items():
+                    if want > 1e-290:
+                        assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
+
+    def test_energy_far_below_the_momenta(self):
+        # E1 = m = 1e-200, E2 = 1e150: E1/s and the quotient E1/(E2 (E1 + m))
+        # underflow, so the half-logarithm of f^2/F_u is taken term by term;
+        # all four values are 1/2 to 40 digits in the sinh products
+        args = (1e-200, 1.0, 0.0, 0.0, 1e150, 1e-100)
+        res = scatter(StepParameters(*args))
+        for name, want in _sinh_reference(*args).items():
+            assert want == 0.5
+            assert abs(getattr(res, name) - want) <= 4e-13 * want, name
+
+
 class TestSharpStep:
     def test_anchor_closed_form(self, anchor_kw):
         res = sharp_step(**anchor_kw)
@@ -666,36 +765,55 @@ def _sharp_reference(m, q, p, a1, a2):
         return {k: float(v) for k, v in values.items()}
 
 
-def _sinh_reference(m, q, p, a1, a2, tau):
+def _sinh_reference(m, q, p, a1, a2, tau, digits=1200):
     """f, b, F_u and B_u from the sinh products of the analytic module
     docstring, with every input taken exactly.  The arguments are formed
-    with 1200 significant digits, enough to resolve E - |pi| ~ m^2/|pi| at
-    m = 1e-300, and each sinh is then taken to 40."""
+    with 1200 significant digits by default, enough to resolve
+    E - |pi| ~ m^2/|pi| at m = 1e-300; |delta| - |E2 - E1|, which can be
+    |delta| m^2/pi^2 for |pi1|, |pi2| >> m, takes up to twice as many.
+    Each sinh is taken in logarithms, ln sinh x = x + ln((1 - e^(-2x))/2)
+    from x = 1 on: the linear parts are summed with the arguments' digits,
+    so they cancel as in exact arithmetic, and the rest is taken to 40.  An
+    argument far beyond the double range, such as pi tau E2 = 3e50, then
+    overflows nothing."""
     from decimal import Decimal, localcontext
 
-    def sinh(x):
-        if x < 1:
-            term, total, n = x, x, 1
+    def log_sinh(x):
+        # (linear part, the rest to 40 digits)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x40 = +x
+            if x40 >= 1:
+                return x, ((1 - (-2 * x40).exp()) / 2).ln()
+            term, total, n = x40, x40, 1
             while abs(term) > abs(total) * Decimal(10) ** -40:
-                term *= x * x / ((2 * n) * (2 * n + 1))
+                term *= x40 * x40 / ((2 * n) * (2 * n + 1))
                 total += term
                 n += 1
-            return total
-        return (x.exp() - (-x).exp()) / 2
+            return 0, total.ln()
+
+    def log_ratio(num, den):
+        # ln(sinh num_1 sinh num_2 / (sinh den_1 sinh den_2))
+        (a, ra), (b, rb), (c, rc), (d, rd) = (log_sinh(x) for x in num + den)
+        return (a + b - c - d) + (ra + rb - rc - rd)
 
     with localcontext() as ctx:
-        ctx.prec = 1200
+        ctx.prec = digits
         m, q, p, a1, a2, tau = (Decimal(v) for v in (m, q, p, a1, a2, tau))
         pi1, pi2 = p - q * a1, p - q * a2
         e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
         delta, gap = abs(pi1 - pi2), abs(e2 - e1)
         k = Decimal(math.pi) * tau / 2  # pi rounded once: 1e-16 relative in each argument
-        args = [2 * k * e1, 2 * k * e2, k * (e1 + e2 + delta), k * (e1 + e2 - delta),
-                k * (delta + gap), k * (delta - gap)]
+        den = [2 * k * e1, 2 * k * e2]
+        log_f_u = log_ratio([k * (e1 + e2 + delta), k * (e1 + e2 - delta)], den)
+        # a trivial step's last argument is 0, and so are B_u and b
+        log_b_u = log_ratio([k * (delta + gap), k * (delta - gap)], den) if delta else None
         ctx.prec = 40
-        s1, s2, fp, fm, bp, bm = (sinh(+x) for x in args)  # +x rounds to 40 digits
-        f_u, b_u = fp * fm / (s1 * s2), bp * bm / (s1 * s2)
-        scale = e1 / (e2 * (e1 + m))
-        values = dict(f=(f_u * scale * (e2 + m)).sqrt(), b=(b_u * scale * (e2 - m)).sqrt(),
-                      F_u=f_u, B_u=b_u)
+        log_scale = e1.ln() - e2.ln() - (e1 + m).ln()
+        values = dict(f=((log_f_u + log_scale + (e2 + m).ln()) / 2).exp(), b=0,
+                      F_u=log_f_u.exp(), B_u=0)
+        if log_b_u is not None:
+            values["B_u"] = log_b_u.exp()
+            if e2 != m:
+                values["b"] = ((log_b_u + log_scale + (e2 - m).ln()) / 2).exp()
         return {name: float(v) for name, v in values.items()}

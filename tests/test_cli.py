@@ -41,6 +41,18 @@ class TestScatter:
         assert rec["F"] == pytest.approx(1.0, abs=1e-12)
         assert rec["B"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_energy_far_below_the_momenta(self, capsys):
+        # E1 = 1e-200, E2 = 1e150: E1/E2 is below the double range; f, b,
+        # F_u and B_u are 1/2 to 40 digits (test_analytic's decimal sinh
+        # products), and the command once exited 2 with "math domain error"
+        code, out, err = run(capsys, "scatter", "--m", "1e-200", "--p", "0", "--a2", "1e150",
+                             "--tau", "1e-100", "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["e1"], rec["e2"]) == (1e-200, 1e150)
+        for name in ("f", "b", "F_u", "B_u"):
+            assert abs(rec[name] - 0.5) <= 4e-13 * 0.5, name
+
     def test_tau_zero_is_flag_error(self, capsys):
         code, _, err = run(capsys, "scatter", "--tau", "0", "--p", "1", "--a2", "2")
         assert code == 2

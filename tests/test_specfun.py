@@ -195,6 +195,30 @@ class TestHyp2F1:
         with pytest.raises(GammaPoleError):
             hyp2f1(0.5, 0.5, -3.0, -0.5)
 
+    # a + 1 and c + 2 are 1e-17 i and 3e-17 i, so in every representation the
+    # term ratio (A+1)(B+1)/(C+1) nearly vanishes and (A+2)(B+2)/(C+2) is
+    # nearly a pole: t_2 is ~1e-19 |S| and t_3 ~1e-3 |S|.  (F, F') computed
+    # with mpmath (dps=50); a rule that stopped on t_2 would miss ~1e-3 of F
+    @pytest.mark.parametrize("z, series, value, slope", [
+        (-0.45, "pfaff-b", 0.9335459436179354 - 0.04394009697559417j,
+         0.14418256116315142 + 0.09423702956095056j),
+        (0.25, "direct", 1.0370024389673855 + 0.02442527813010929j,
+         0.14303935451408056 + 0.09179348671958056j),
+    ])
+    def test_one_small_term_does_not_stop_the_series(self, z, series, value, slope):
+        a, b, c = complex(-1.0, 1e-17), complex(0.3, 0.2), complex(-2.0, 3e-17)
+        plan = Hyp2F1Plan(a, b, c)
+        rep = plan.select(z)
+        assert rep.name == series
+        x = z if rep is plan.on_z else z / (z - 1.0)
+        t = [1.0]
+        for n in range(3):
+            t.append(t[-1] * (rep.a + n) * (rep.b + n) / (rep.c + n) * x / (n + 1))
+        assert abs(t[2]) <= specfun.SERIES_TOL * abs(sum(t)) < abs(t[3])
+        f, df = hyp2f1_with_derivative(a, b, c, z)
+        assert abs(f - value) <= 1e-14 * abs(value)
+        assert abs(df - slope) <= 1e-14 * abs(slope)
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "MAX_TERMS", 4)
         with pytest.raises(ConvergenceError):
