@@ -75,23 +75,25 @@ inputs, once, as `AsymptoticModes.delta`, and `_gap_arguments` forms the
 four numerator arguments, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2) and
 E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|), without
 subtraction, so a weak step keeps the relative accuracy of B_u; at k = tau/2
-in place of pi tau/2 they are `match_at_t0`'s Gamma arguments.  The products
-in them are formed on kinematics divided by a power of two near
-max(|pi1|, |pi2|, m), so momenta up to the double range do not overflow, and
-an argument below the smallest normal double is carried as its logarithm.
-Where E1, E2 or m is so far below that power of two that a factor over it,
-or E1/E2 itself, leaves the normal range, the product is formed another way
-or from logarithms taken apart; over inputs drawn from the whole double range,
-with pi tau E1 and pi tau E2 normal, no point raises or returns a NaN.
-Each sinh is taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing
-overflows and the adiabatic tail is kept, and as x + ln x for an argument
-carried as a logarithm; f and b follow from the half-logarithms, so each
-stays representable where F_u or B_u underflows.  Over 20,000 random points
-with tau from 1e-12 to 1e10 (signed q down to 6e-6, m != 1, a1 != 0,
-t0 != 0) the unitarity defect |F_u + B_u - 1| stays below 1.3e-14, and B_u
-agrees with 50-digit arithmetic to 4e-13 relative wherever B_u > 1e-300; over
-5,000 points from the whole double range f, b, F_u and B_u agree with the
-decimal sinh products to 5e-13 wherever they exceed 1e-290.
+in place of pi tau/2 they are `match_at_t0`'s Gamma arguments.  The sums
+and products in them are formed on kinematics divided by a power of two 16
+to 32 times max(|pi1|, |pi2|, m), so momenta up to the double range do not
+overflow, and an argument below the smallest normal double is carried as
+its logarithm.  Where E1, E2 or m is so far below that power of two that a
+factor over it, or E1/E2 itself, leaves the normal range, the product is
+formed another way or from logarithms taken apart; over inputs drawn from
+the whole double range, with pi tau E1 and pi tau E2 normal, no point
+raises or returns a NaN.  Each sinh is taken as
+ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing overflows and the
+adiabatic tail is kept, and as x + ln x for an argument carried as a
+logarithm; the amplitudes sqrt(F_u) and sqrt(B_u) follow from the
+half-logarithms, so each stays representable where F_u or B_u underflows.
+Over 20,000 random points with tau from 1e-12 to 1e10 (signed q down to
+6e-6, m != 1, a1 != 0, t0 != 0) the unitarity defect |F_u + B_u - 1| stays
+below 1.3e-14, and B_u agrees with 50-digit arithmetic to 4e-13 relative
+wherever B_u > 1e-300; over 5,000 points from the whole double range f, b,
+F_u and B_u agree with the decimal sinh products to 5e-13 wherever they
+exceed 1e-290.
 F_u + B_u = 1 is an identity of the two products in exact arithmetic, so
 the command line's 1e-9 guard on it checks only their floating-point
 evaluation; the independent check of the closed form is the
@@ -99,6 +101,15 @@ integrator (`oracle.compare`).  pi tau E below the smallest normal double is
 reported as a numerical failure (ArithmeticError).  Every result carries the
 plateau kinematics it was computed from (`ScatteringResult.modes`), so its
 consumers do not derive them again.
+
+The Heaviside limit is an identity of the same products: as tau -> 0 each
+sinh tends to its argument, and
+
+    F_u = (E1 + E2 + |delta|)(E1 + E2 - |delta|)/(4 E1 E2),
+    B_u = (|delta| + |E2 - E1|)(|delta| - |E2 - E1|)/(4 E1 E2),
+
+the gap arguments at k = 1/2 over E1 E2.  `sharp_step` evaluates these, so
+it shares `scatter`'s cancellation-free arguments and its range.
 
 The charts, and with them log_gamma, serve only the time-dependent
 wavefunction API (`build_solution`, `match_at_t0`, `solve_earlier`, and
@@ -125,13 +136,15 @@ amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
 eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
 multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
 forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
-`solve_earlier` forms no exp or mode factor per time.  f and b are the
-moduli of the later waves' standard-basis upper components relative to the
-incident one's, the chiral ratios times those of the modes' upper components
-(`model.dirac_upper`), and F = f^2/(f^2+b^2), B = b^2/(f^2+b^2).  The unitary
-pair (F_u, B_u) instead projects onto orthonormalized modes; the two pairs
-are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
-b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
+`solve_earlier` forms no exp or mode factor per time.  The unitary pair
+(F_u, B_u) projects onto orthonormalized modes: F_u is |c1l|^2 times the
+forward mode's squared norm over the incident one's, and B_u likewise.  f and
+b are the moduli of the later waves' standard-basis upper components
+relative to the incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the
+two pairs are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
+b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`
+and `result_from_mode_amplitudes`, hands sqrt(F_u) and sqrt(B_u) to one
+assembly (`_result`), which forms f, b, F and B from them.
 """
 
 from __future__ import annotations
@@ -147,8 +160,8 @@ from .model import (
     TwoSpinor,
     asymptotic_modes,
     check_inputs,
-    dirac_upper,
     mode_lower,
+    plateau_modes,
     potential_at,
     potential_rate,
 )
@@ -382,29 +395,51 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
                    c_b=g_i * c2l * mode_lower(-modes.pi2, params.m))
 
 
-def result_from_mode_amplitudes(gi_w: complex, gf_w: complex, gb_w: complex,
-                                m: float, modes: AsymptoticModes) -> ScatteringResult:
-    """Assemble a ScatteringResult from chiral-basis mode amplitudes.
+def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:
+    """The one assembly of a ScatteringResult, from the unitary amplitudes
+    a_f = sqrt(F_u) and a_b = sqrt(B_u).
 
-    Each amplitude takes its mode factor as a ratio to the incident one
-    before it is divided by gi_w, so no intermediate leaves the double range
-    where the result does not."""
-    u_i = dirac_upper(modes.pi1, m, True)
-    f = abs(gf_w * (dirac_upper(modes.pi2, m, True) / u_i) / gi_w)
-    b = abs(gb_w * (dirac_upper(modes.pi2, m, False) / u_i) / gi_w)
-    denom = f * f + b * b
-    # the squared norm m^2 + (E -+ pi)^2 of a mode spinor (1, l) is 2 E m |l|,
-    # here the square roots of its ratios to the incident one
-    root = math.sqrt(modes.e2 / modes.e1) / math.sqrt(mode_lower(modes.pi1, m))
-    return ScatteringResult(
-        modes=modes,
-        f=f,
-        b=b,
-        F=f * f / denom,
-        B=b * b / denom,
-        F_u=abs(gf_w * (root * math.sqrt(mode_lower(modes.pi2, m))) / gi_w) ** 2,
-        B_u=abs(gb_w * (root * math.sqrt(mode_lower(-modes.pi2, m))) / gi_w) ** 2,
-    )
+    f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and b^2 = B_u E1 (E2 - m)/(E2 (E1 + m))
+    (module docstring), taken as f = a_f sqrt((1 + m/E2)/(1 + m/E1)) and, with
+    E2 - m = pi2^2/(E2 + m), b = a_b (|pi2|/E2)/sqrt((1 + m/E1)(1 + m/E2)):
+    every factor lies in [1/2, 2] but |pi2|/E2 <= 1, so f and b are
+    representable wherever a_f and a_b are.  F and B are formed on the
+    smaller of b/f and f/b, so neither is 0/0 or overflows.
+    """
+    g1, g2 = 1.0 + m / modes.e1, 1.0 + m / modes.e2
+    f = a_f * math.sqrt(g2 / g1)
+    b = a_b * (abs(modes.pi2) / modes.e2) / math.sqrt(g1 * g2)
+    r = b / f if b <= f else f / b
+    r2 = r * r
+    big, small = 1.0 / (1.0 + r2), r2 / (1.0 + r2)
+    F, B = (big, small) if b <= f else (small, big)
+    return ScatteringResult(modes=modes, f=f, b=b, F=F, B=B, F_u=a_f * a_f, B_u=a_b * a_b)
+
+
+def _log_mode_norm(pi: float, e: float, m: float) -> float:
+    """ln(E (E - pi)), the logarithm of m^2/2 times the squared norm
+    1 + l^2 = 2 E l/m of the chiral mode (1, l), l = (E - pi)/m: with
+    ln(E + |pi|) = ln E + log1p(|pi|/E), it is 2 ln E + log1p(|pi|/E) for
+    pi <= 0 and, as E - pi = m^2/(E + pi), 2 ln m - log1p(pi/E) for pi > 0.
+    At -pi it is that of the -E mode (1, -(E + pi)/m)."""
+    lp = math.log1p(abs(pi) / e)
+    return 2.0 * math.log(e) + lp if pi <= 0.0 else 2.0 * math.log(m) - lp
+
+
+def result_from_mode_amplitudes(g_f: complex, g_b: complex, m: float,
+                                modes: AsymptoticModes) -> ScatteringResult:
+    """Assemble a ScatteringResult from the chiral amplitudes g_f and g_b of
+    the later forward and backward modes (1, l) per unit incident one.
+
+    F_u = |g_f|^2 and B_u = |g_b|^2 times the ratio of the mode's squared
+    norm to the incident mode's, (E2/E1) l(+-pi2)/l(pi1) with l(pi) =
+    (E - pi)/m; the ratio and the amplitude are taken in logarithms
+    (`_log_mode_norm`), so no ratio of mode factors is formed and nothing
+    leaves the double range where a_f and a_b do not."""
+    log_i = _log_mode_norm(modes.pi1, modes.e1, m)
+    a_f, a_b = (math.exp(math.log(abs(g)) + 0.5 * (_log_mode_norm(pi, modes.e2, m) - log_i))
+                if g else 0.0 for g, pi in ((g_f, modes.pi2), (g_b, -modes.pi2)))
+    return _result(modes, m, a_f, a_b)
 
 
 def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -> ScatteringResult:
@@ -416,7 +451,7 @@ def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -
     """
     if sol.c1l is None:
         raise ValueError("solution is unmatched; run match_at_t0 first")
-    return result_from_mode_amplitudes(1.0 + 0.0j, sol.c1l, sol.c2l, params.m, sol.modes)
+    return result_from_mode_amplitudes(sol.c1l, sol.c2l, params.m, sol.modes)
 
 
 def _log_sinh_excess(x: float) -> float:
@@ -448,35 +483,34 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     (E1 E2)^2 - (pi1 pi2)^2 = m^2 X makes the numerator m^2 (D + X) / D,
     D = E1 E2 + |pi1 pi2|, X = pi1^2 + pi2^2 + m^2.  As E2 - E1 =
     -delta (pi1 + pi2)/(E1 + E2), |delta| -+ |E2 - E1| is |delta| times
-    (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Products are formed over s, the
-    largest power of two not above max(|pi1|, |pi2|, m), so none overflows,
-    and k comes before the second factor of m: k m^2 stays representable
-    where m^2 underflows.  A product whose factor over s would fall below
-    the normal range (E2 or |pi2| << |pi1|, m << s), or whose ratio
-    (D + X)/D would overflow, is formed in another order.  Where a product
-    falls below the normal range, an argument below it is returned as its
-    logarithm, a number below -708, formed from the logarithms of factors in
-    range; the arguments themselves are >= 0, and 0 only for delta = 0.
-    Nothing else changes where no product does.
+    (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Sums and products are formed over
+    s, a power of two 16 to 32 times max(|pi1|, |pi2|, m), so none overflows
+    up to the top of the double range, and k comes before the second factor
+    of m: k m^2 stays representable where m^2 underflows.  A product whose
+    factor over s would fall below the normal range (E2 or |pi2| << |pi1|,
+    m << s), or whose ratio (D + X)/D would overflow, is formed in another
+    order.  Where a product falls below the normal range, an argument below
+    it is returned as its logarithm, a number below -708, formed from the
+    logarithms of factors in range; the arguments themselves are >= 0, and 0
+    only for delta = 0.  Nothing else changes where no product does.
     """
     e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
     delta = abs(modes.delta)
-    e_sum = e1 + modes.e2
-    pi_sum = abs(pi1 + pi2)
     tiny = sys.float_info.min
-    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
-    ms, pi2s = m * inv_s, pi2 * inv_s
+    inv_s = math.ldexp(1.0, -4 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
+    ms, pi1s, pi2s = m * inv_s, pi1 * inv_s, pi2 * inv_s
+    e1s, e2s, delta_s = e1 * inv_s, modes.e2 * inv_s, delta * inv_s
     # each product over s; where E2/s or pi2/s is below the normal range (E2
     # or |pi2| << |pi1|), the other factor is scaled instead
-    e2s = modes.e2 * inv_s
-    e1e2 = e1 * e2s if e2s >= tiny else (e1 * inv_s) * modes.e2
-    p12 = pi1 * pi2s if abs(pi2s) >= tiny else (pi1 * inv_s) * pi2
-    width_f = (e_sum + delta) * inv_s
-    width_b = (e_sum + pi_sum) * inv_s
+    e1e2 = e1 * e2s if e2s >= tiny else e1s * modes.e2
+    p12 = pi1 * pi2s if abs(pi2s) >= tiny else pi1s * pi2
+    e_sum = e1s + e2s
+    width_f = e_sum + delta_s
+    width_b = e_sum + abs(pi1s + pi2s)
     # the numerator of the gap whose products add, and k times the other's
     like = 2.0 * (m * ms + e1e2 + abs(p12))
     d = e1e2 + abs(p12)
-    x = pi1 * (pi1 * inv_s) + pi2 * pi2s + m * ms
+    x = pi1 * pi1s + pi2 * pi2s + m * ms
     # where m/s is below the normal range, or (D + X)/D beyond it (as
     # max(E1, E2)/min(E1, E2) can be), m (D + X)/(s D) < 8 is formed first
     dx = (d + x) / d
@@ -484,25 +518,24 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
               else 2.0 * (k * (m * (m * ((d + x) * inv_s) / d))))
     kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
     kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
-    kd, lo = k * delta, delta * kgap_b
-    args = [k * (e_sum + delta), kgap_f, kd * (e_sum + pi_sum) / e_sum, lo / e_sum]
+    ratio = delta_s / e_sum  # |delta|/(E1 + E2) <= 1
+    args = [k * width_f / inv_s, kgap_f, k * (delta * (width_b / e_sum)), kgap_b * ratio]
     if kgap_f >= tiny and kgap_b >= tiny and (
-            not delta or kd >= tiny and lo >= tiny and args[3] >= tiny):
+            not delta or ratio >= tiny and args[2] >= tiny and args[3] >= tiny):
         return args
-    # a product fell below the normal range: the last two are formed again so
-    # that only their final product can, and an argument below the range is
-    # carried as its logarithm, formed from the logarithms of factors in range
+    # a product fell below the normal range: an argument below it is carried
+    # as its logarithm, formed from the logarithms of factors in range
     ln_k = math.log(k)
+    # ln(E1 + E2 + |delta|), ln(E1 + E2 + |pi1 + pi2|) and ln(E1 + E2)
+    ln_wf, ln_wb, ln_e = (math.log(v) - math.log(inv_s) for v in (width_f, width_b, e_sum))
     ln_dx = math.log(dx) if dx < math.inf else math.log(d + x) - math.log(d)
     ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + ln_dx
-    ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - math.log(e_sum + delta)
-    ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - math.log(e_sum + pi_sum)
-    logs = [ln_k + math.log(e_sum + delta), ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
+    ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - ln_wf
+    ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - ln_wb
+    logs = [ln_k + ln_wf, ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
     if delta:
         ln_delta = math.log(delta)
-        args[2:] = k * (delta * ((e_sum + pi_sum) / e_sum)), kgap_b * (delta / e_sum)
-        logs[2:] = (ln_k + ln_delta + math.log((e_sum + pi_sum) / e_sum),
-                    ln_delta + ln_b - math.log(e_sum))
+        logs[2:] = (ln_k + ln_delta + math.log(width_b / e_sum), ln_delta + ln_b - ln_e)
     return [ln if arg < tiny else arg for arg, ln in zip(args, logs)]
 
 
@@ -510,7 +543,7 @@ def scatter(params: StepParameters) -> ScatteringResult:
     """Scattering amplitudes and probabilities from the elementary moduli.
 
     F_u and B_u are the sinh products of the module docstring, each taken in
-    logarithms, and f, b follow from their half-logarithms.
+    logarithms, and their half-logarithms give the amplitudes `_result` takes.
     """
     modes = asymptotic_modes(params)
     m, e1, e2 = params.m, modes.e1, modes.e2
@@ -525,69 +558,37 @@ def scatter(params: StepParameters) -> ScatteringResult:
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
     # -pi tau (E1 + E2 - |delta|) in B_u, nothing where that is below the range
     log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
-    # f^2 = F_u E1 (E2 + m) / (E2 (E1 + m)), b^2 = B_u E1 (E2 - m) / (E2 (E1 + m)),
-    # the products over a power of two near max(|pi1|, |pi2|, m)
-    inv_s = math.ldexp(1.0, 1 - math.frexp(max(abs(modes.pi1), abs(modes.pi2), m))[1])
-    e1s, e2s = e1 * inv_s, e2 * inv_s
-    den = e2s * (e1 + m)
-    ratio = e1s / den if e2s >= tiny and den >= tiny else 0.0
-    # where E1 or E2 is so far below max(|pi1|, |pi2|) that the quotient or a
-    # factor of it leaves the normal range, the logarithms are taken apart
-    log_scale = (0.5 * math.log(ratio) if ratio >= tiny and e1s >= tiny
-                 else 0.5 * (math.log(e1) - math.log(e2) - math.log(e1 + m)))
-    f = math.exp(0.5 * log_f_u + log_scale + 0.5 * math.log(e2 + m))
-    if x_lo == 0.0:  # a trivial step
-        b_u = b = 0.0
-    else:
-        log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
-                   + _log_sinh_excess(x_lo) - log_denom)
-        b_u = math.exp(log_b_u)
-        # E2 - m = pi2^2 / (E2 + m)
-        b = (0.0 if modes.pi2 == 0.0 else
-             math.exp(0.5 * log_b_u + log_scale + math.log(abs(modes.pi2))
-                      - 0.5 * math.log(e2 + m)))
-    norm = f * f + b * b
-    return ScatteringResult(
-        modes=modes,
-        f=f,
-        b=b,
-        F=f * f / norm,
-        B=b * b / norm,
-        F_u=math.exp(log_f_u),
-        B_u=b_u,
-    )
+    # a trivial step's B_u is 0
+    log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
+               + _log_sinh_excess(x_lo) - log_denom) if x_lo else -math.inf
+    return _result(modes, m, math.exp(0.5 * log_f_u), math.exp(0.5 * log_b_u))
+
+
+def _sqrt_ratio(x: float, e: float) -> float:
+    """sqrt(y/e) for a gap argument x of `_gap_arguments`: y = x, or e^x
+    where x < 0 carries an argument below the normal range."""
+    return math.sqrt(x) / math.sqrt(e) if x >= 0.0 else math.exp(0.5 * (x - math.log(e)))
 
 
 def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> ScatteringResult:
-    """Heaviside-limit scattering from the 2x2 continuity solve.
+    """Heaviside-limit scattering: the closed form at tau -> 0.
 
-    The state itself is continuous at the jump; expanding the incident mode in
-    the late eigenbasis gives chiral coefficients
-
-        alpha = (E1 + E2 - pi1 + pi2) / (2 E2)      (forward)
-        beta  = (E2 - E1 + pi1 - pi2) / (2 E2)      (backward)
-
-    formed without subtraction as ((E1 - pi1) + (E2 + pi2)) / (2 E2) and,
-    with delta = pi1 - pi2 = q (A2 - A1) and E2 - E1 = -delta (pi1 + pi2) /
-    (E1 + E2) as in `scatter`, as delta ((E1 - pi1) + (E2 - pi2)) /
-    (2 E2 (E1 + E2)); each E -+ pi comes
-    from `model.mode_lower`, and the weights (1, alpha, beta) are passed
-    times 2 E2/m, so a tiny b keeps its relative accuracy.  The solve is
-    performed on the always-finite chiral components, so the pi2 = 0
-    kinematics (where the standard-basis component ratios of the asymptotic
-    modes degenerate) yields the exact limit: the backward upper component
-    vanishes identically and b = 0.  The inputs are checked by
-    `model.check_inputs`, the rule StepParameters applies: m <= 0 or a
-    non-finite input raises ValueError.
+    As tau -> 0 every sinh in F_u and B_u tends to its argument, and the
+    products become F_u = (E1 + E2 + |delta|)(E1 + E2 - |delta|)/(4 E1 E2)
+    and B_u = (|delta| + |E2 - E1|)(|delta| - |E2 - E1|)/(4 E1 E2): the
+    four gap arguments of `_gap_arguments` at k = 1/2, free of cancellation
+    and overflow, over E1 E2.  Each amplitude is taken as
+    sqrt(x_hi/max(E1, E2)) sqrt(x_lo/min(E1, E2)), x_hi and x_lo the larger
+    and smaller argument of its pair, whose factors cannot overflow, and f,
+    b, F and B follow from `_result`.  At pi2 = 0
+    the backward mode's standard-basis upper component vanishes, so b = 0
+    exactly while B_u > 0.  The inputs are checked by `model.check_inputs`,
+    the rule StepParameters applies: m <= 0 or a non-finite input raises
+    ValueError.
     """
     check_inputs({"m": m, "q": q, "p": p, "a1": a1, "a2": a2})
-    pi1 = p - q * a1
-    pi2 = p - q * a2
-    e1 = math.hypot(pi1, m)
-    e2 = math.hypot(pi2, m)
-    # (E1 - pi1)/m, and 2 E2/m times alpha and beta
-    l1 = mode_lower(pi1, m)
-    w_f = l1 + mode_lower(-pi2, m)
-    modes = AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2, delta=q * (a2 - a1))
-    w_b = modes.delta / (e1 + e2) * (l1 + mode_lower(pi2, m))
-    return result_from_mode_amplitudes(complex(2.0 * e2 / m), complex(w_f), complex(w_b), m, modes)
+    modes = plateau_modes(m, q, p, a1, a2)
+    w, gap, x_hi, x_lo = _gap_arguments(modes, m, 0.5)
+    e_hi, e_lo = max(modes.e1, modes.e2), min(modes.e1, modes.e2)
+    return _result(modes, m, _sqrt_ratio(w, e_hi) * _sqrt_ratio(gap, e_lo),
+                   _sqrt_ratio(x_hi, e_hi) * _sqrt_ratio(x_lo, e_lo))

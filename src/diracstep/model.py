@@ -24,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-SQRT2 = math.sqrt(2.0)
-
-
 def check_inputs(values: dict[str, float]) -> None:
     """The one rule for physical inputs, given by name: each must be finite,
     and m and tau positive where given; else ValueError naming the input."""
@@ -124,17 +121,22 @@ def potential_rate(t: float, params: StepParameters) -> float:
     return (params.a2 - params.a1) / (2.0 * params.tau) * _sech_sq(s)
 
 
-def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
+def plateau_modes(m: float, q: float, p: float, a1: float, a2: float) -> AsymptoticModes:
     """pi_i = p - q*A_i, E_i = sqrt(pi_i^2 + m^2) and delta = q (A2 - A1), not pi1 - pi2."""
-    pi1 = params.p - params.q * params.a1
-    pi2 = params.p - params.q * params.a2
+    pi1 = p - q * a1
+    pi2 = p - q * a2
     return AsymptoticModes(
         pi1=pi1,
         pi2=pi2,
-        e1=math.hypot(pi1, params.m),
-        e2=math.hypot(pi2, params.m),
-        delta=params.q * (params.a2 - params.a1),
+        e1=math.hypot(pi1, m),
+        e2=math.hypot(pi2, m),
+        delta=q * (a2 - a1),
     )
+
+
+def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
+    """The plateau kinematics of a step (`plateau_modes`)."""
+    return plateau_modes(params.m, params.q, params.p, params.a1, params.a2)
 
 
 def mode_lower(pi: float, m: float) -> float:
@@ -144,15 +146,3 @@ def mode_lower(pi: float, m: float) -> float:
     e = math.hypot(pi, m)
     return m / (e + pi) if pi > 0 else (e - pi) / m
 
-
-def dirac_upper(pi: float, m: float, positive: bool) -> float:
-    """Standard-basis upper component of the (unnormalized) mode spinor.
-
-    U takes the chiral mode (1, lower) to the standard basis, where its upper
-    component is (1 + lower)/sqrt(2): (m + E - pi)/(sqrt(2) m) for the +E
-    branch and (m - E - pi)/(sqrt(2) m) for the -E branch, the first from
-    `mode_lower` and the second through (m + E - pi)(m - E - pi) = -2 m pi,
-    so neither cancels.
-    """
-    up = 1.0 + mode_lower(pi, m)
-    return up / SQRT2 if positive else -2.0 * (pi / m) / up / SQRT2

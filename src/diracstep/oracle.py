@@ -472,7 +472,7 @@ def compare(params: StepParameters) -> ComparisonReport:
     """
     ana = scatter(params)
     out = integrate(params)
-    num = result_from_mode_amplitudes(1.0 + 0.0j, out.g_f, out.g_b, params.m, ana.modes)
+    num = result_from_mode_amplitudes(out.g_f, out.g_b, params.m, ana.modes)
     deviations = {
         "f": abs(ana.f - num.f),
         "b": abs(ana.b - num.b),

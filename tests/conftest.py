@@ -78,3 +78,26 @@ SAUTER_CASES = _sauter_cases()
 
 def sauter_case_id(c):
     return f"p={c['p']:.3g}-a2={c['a2']:.3g}-tau={c['tau']:.3g}"
+
+
+def sharp_reference(m, q, p, a1, a2):
+    """The Heaviside limit from the direct continuity-solve formulas, with
+    every input taken exactly and 800 significant digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 800
+        m, q, p, a1, a2 = (Decimal(v) for v in (m, q, p, a1, a2))
+        pi1, pi2 = p - q * a1, p - q * a2
+        e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
+        alpha = (e1 + e2 - pi1 + pi2) / (2 * e2)
+        beta = (e2 - e1 + pi1 - pi2) / (2 * e2)
+        # standard-basis upper components times sqrt(2) m
+        u_i, u_f, u_b = m + e1 - pi1, m + e2 - pi2, m - e2 - pi2
+        f, b = abs(alpha * u_f / u_i), abs(beta * u_b / u_i)
+        n1 = m * m + (e1 - pi1) ** 2
+        n2p, n2m = m * m + (e2 - pi2) ** 2, m * m + (e2 + pi2) ** 2
+        values = dict(e1=e1, e2=e2, f=f, b=b, F=f * f / (f * f + b * b),
+                      B=b * b / (f * f + b * b), F_u=alpha * alpha * n2p / n1,
+                      B_u=beta * beta * n2m / n1)
+        return {k: float(v) for k, v in values.items()}

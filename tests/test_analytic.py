@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from diracstep.analytic import (
 from diracstep.model import StepParameters, asymptotic_modes
 from diracstep.selftest import residual_max
 
-from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
+from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id, sharp_reference
 
 RT3 = math.sqrt(3.0)
 
@@ -668,6 +669,60 @@ class TestAcrossTheDoubleRange:
                     if want > 1e-290:
                         assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
 
+    def test_heaviside_limit_at_every_point(self):
+        for args in self._points(300):
+            res = sharp_step(*args[:5])
+            values = [res.f, res.b, res.F, res.B, res.F_u, res.B_u]
+            assert all(math.isfinite(v) for v in values), args
+            assert abs(res.F_u + res.B_u - 1.0) <= 1e-12, args
+
+    @pytest.mark.parametrize("tau", [1e-308, 1e-300, 1.0])
+    def test_momenta_at_the_top_of_the_range(self, tau):
+        # pi1 = -pi2 = 8e307: E1 + E2 + |delta| = 3.2e308 overflows unless
+        # it is formed over s, as the products are; B_u = b = 1 to double
+        # precision in the sinh products
+        args = (1.0, 1.0, 8e307, 0.0, 1.6e308, tau)
+        res = scatter(StepParameters(*args))
+        for name, want in _sinh_reference(*args).items():
+            if want > 1e-290:
+                assert abs(getattr(res, name) - want) <= 1e-12 * want, name
+        assert (res.b, res.B_u) == (1.0, 1.0)
+        hard = sharp_step(*args[:5])
+        assert (hard.b, hard.B_u) == (1.0, 1.0)
+
+    def test_chart_route_agrees_with_scatter(self):
+        # the connection formula's amplitudes (match_at_t0, then
+        # asymptotic_amplitudes) against the sinh products at
+        # tau (E1 + E2) = 10; a Gamma argument at a pole or an overflow
+        # inside match_at_t0 is a failure of the matching, so such a point
+        # is skipped, as is one where pi tau min(E1, E2) is below the
+        # normal range, outside scatter's domain
+        rng = random.Random(20261023)
+
+        def signed(lo, hi):
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+        checked = 0
+        for _ in range(100):
+            m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
+            p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
+            modes = model.plateau_modes(m, q, p, a1, a2)
+            params = StepParameters(m, q, p, a1, a2, 10.0 / (modes.e1 + modes.e2))
+            if math.pi * params.tau * min(modes.e1, modes.e2) < sys.float_info.min:
+                continue
+            try:
+                sol = match_at_t0(build_solution(params), params)
+            except (specfun.GammaPoleError, OverflowError):
+                continue
+            via_gamma = asymptotic_amplitudes(sol, params)
+            direct = scatter(params)
+            bar = 1e-10 * max(1.0, direct.f, direct.b)
+            for name in ("f", "b", "F", "B", "F_u", "B_u"):
+                assert abs(getattr(via_gamma, name) - getattr(direct, name)) <= bar, (
+                    (m, q, p, a1, a2), name)
+            checked += 1
+        assert checked >= 80
+
     def test_energy_far_below_the_momenta(self):
         # E1 = m = 1e-200, E2 = 1e150: E1/s and the quotient E1/(E2 (E1 + m))
         # underflow, so the half-logarithm of f^2/F_u is taken term by term;
@@ -734,35 +789,12 @@ class TestSharpStep:
                           rng.uniform(-1.0, 1.0), step))
         for m, q, p, a1, a2 in cases:
             res = sharp_step(m=m, q=q, p=p, a1=a1, a2=a2)
-            ref = _sharp_reference(m, q, p, a1, a2)
+            ref = sharp_reference(m, q, p, a1, a2)
             for name, want in ref.items():
                 got = getattr(res.modes if name in ("e1", "e2") else res, name)
                 # below 1e-290 a value may be lost to underflow
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-290, (
                     (m, q, p, a1, a2), name, got, want)
-
-
-def _sharp_reference(m, q, p, a1, a2):
-    """sharp_step's result from the direct continuity-solve formulas, with
-    every input taken exactly and 800 significant digits."""
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 800
-        m, q, p, a1, a2 = (Decimal(v) for v in (m, q, p, a1, a2))
-        pi1, pi2 = p - q * a1, p - q * a2
-        e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
-        alpha = (e1 + e2 - pi1 + pi2) / (2 * e2)
-        beta = (e2 - e1 + pi1 - pi2) / (2 * e2)
-        # standard-basis upper components times sqrt(2) m
-        u_i, u_f, u_b = m + e1 - pi1, m + e2 - pi2, m - e2 - pi2
-        f, b = abs(alpha * u_f / u_i), abs(beta * u_b / u_i)
-        n1 = m * m + (e1 - pi1) ** 2
-        n2p, n2m = m * m + (e2 - pi2) ** 2, m * m + (e2 + pi2) ** 2
-        values = dict(e1=e1, e2=e2, f=f, b=b, F=f * f / (f * f + b * b),
-                      B=b * b / (f * f + b * b), F_u=alpha * alpha * n2p / n1,
-                      B_u=beta * beta * n2m / n1)
-        return {k: float(v) for k, v in values.items()}
 
 
 def _sinh_reference(m, q, p, a1, a2, tau, digits=1200):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from diracstep import StepParameters, analytic, asymptotic_modes, cli, oracle, selftest, sharp_step
 
+from conftest import sharp_reference
+
 RT3_STR = "1.7320508"
 A2_STR = "3.4641016"
 
@@ -125,6 +127,33 @@ class TestScatter:
             # 60-digit decimal evaluation of the continuity solve
             assert rec["b"] == pytest.approx(4.99999999999500e-13, rel=1e-13, abs=0.0)
             assert rec["B_u"] == pytest.approx(2.50000500000250e-25, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("flags", [
+        ("--m", "2.2319937348444016e-263", "--q", "-809.1063405712639",
+         "--p", "2.4094208447587265e-203", "--a1", "2.7312176019499322e+60",
+         "--a2", "-1.3802861836389848e-300"),
+        ("--m", "1.993695827230455e-106", "--q", "-0.23385194077476407",
+         "--p", "-2.895822915735515e-257", "--a1", "-2.5903004890980456e-81",
+         "--a2", "-6.644126397634703e+245"),
+    ], ids=["E1=2e63-E2=2e-203", "E1=6e-82-E2=2e245"])
+    def test_sharp_across_the_double_range(self, capsys, flags):
+        # m/E and E1/E2 far from 1: these exited 3 with "float division by
+        # zero" and "F + B - 1 = nan" while the mode factors were ratios
+        code, out, err = run(capsys, "scatter", "--sharp", *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        for name, want in sharp_reference(*(rec[k] for k in ("m", "q", "p", "a1", "a2"))).items():
+            assert abs(rec[name] - want) <= 1e-13 * abs(want), name
+
+    @pytest.mark.parametrize("flags", [("--tau", "1e-308"), ("--tau", "1e-300"), ("--tau", "1"),
+                                       ("--sharp",)])
+    def test_momenta_at_the_top_of_the_range(self, capsys, flags):
+        # E1 + E2 + |delta| = 3.2e308 overflowed and gave "F + B - 1 = nan"
+        code, out, err = run(capsys, "scatter", "--p", "8e307", "--a2", "1.6e308", *flags,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["b"], rec["B_u"]) == (1.0, 1.0)
 
     def test_numerical_failure_exit_code(self, capsys):
         # pi tau E is a subnormal double: the sinh moduli cannot be resolved

@@ -188,9 +188,8 @@ class TestAsymptoticModes:
 
 
 def chiral_mode(pi, m, positive):
-    # the rotation [[1, 1], [1, -1]]/sqrt(2) to the standard basis gives the
-    # chiral mode (1, lower) the upper component (1 + lower)/sqrt(2)
-    return TwoSpinor(1.0, math.sqrt(2.0) * model.dirac_upper(pi, m, positive) - 1.0)
+    # (1, (E - pi)/m) of +E and (1, -(E + pi)/m) of -E
+    return TwoSpinor(1.0, model.mode_lower(pi, m) if positive else -model.mode_lower(-pi, m))
 
 
 class TestModeSpinors:
@@ -216,16 +215,3 @@ class TestModeSpinors:
         bot = m * v.upper - pi * v.lower
         assert top == pytest.approx(-e * v.upper, rel=1e-12, abs=1e-12)
         assert bot == pytest.approx(-e * v.lower, rel=1e-12, abs=1e-12)
-
-    def test_dirac_upper_consistency(self):
-        # the chiral eigenvectors (1, (E - pi)/m) of +E and (1, -(E + pi)/m)
-        # of -E of [[pi, m], [m, -pi]], rotated to the standard basis
-        m = 1.0
-        for pi in (-2.3, 0.0, 0.4, 5.0):
-            e = math.hypot(pi, m)
-            for positive, energy in ((True, e), (False, -e)):
-                lower = (e - pi) / m if positive else -(e + pi) / m
-                assert pi + m * lower == pytest.approx(energy, abs=1e-14)
-                assert m - pi * lower == pytest.approx(energy * lower, abs=1e-13)
-                via = (1.0 + lower) / math.sqrt(2.0)
-                assert model.dirac_upper(pi, m, positive) == pytest.approx(via, abs=1e-14)

@@ -225,8 +225,7 @@ class TestIntegrate:
         # s = u/S, Theta barely moves, and the amplitudes are the Heaviside limit's
         params = mk(tau=5e-324)
         out = integrate(params)
-        num = result_from_mode_amplitudes(1.0 + 0.0j, out.g_f, out.g_b, params.m,
-                                          asymptotic_modes(params))
+        num = result_from_mode_amplitudes(out.g_f, out.g_b, params.m, asymptotic_modes(params))
         hard = sharp_step(m=params.m, q=params.q, p=params.p, a1=params.a1, a2=params.a2)
         assert num.f == pytest.approx(hard.f, abs=1e-10)
         assert num.b == pytest.approx(hard.b, abs=1e-10)
