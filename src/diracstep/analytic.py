@@ -71,19 +71,23 @@ Sauter-pulse coefficients (Narozhny & Nikishov, Sov. J. Nucl. Phys. 11, 596
 
 `scatter` evaluates these two products and nothing else: no log_gamma, no
 hypergeometric series, no complex arithmetic.  delta is taken from the
-inputs, once, as `AsymptoticModes.delta`, and `_gap_arguments` forms the
-four numerator arguments, with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2) and
-E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|), without
-subtraction, so a weak step keeps the relative accuracy of B_u; at k = tau/2
-in place of pi tau/2 they are `match_at_t0`'s Gamma arguments.  The sums
+inputs, once, as `AsymptoticModes.delta`, and `_gap_arguments` forms all
+six arguments, the four numerators with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2)
+and E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|),
+without subtraction, so a weak step keeps the relative accuracy of B_u, and
+the denominators pi tau E1 and pi tau E2; at k = tau/2 in place of pi tau/2
+they are every argument of `match_at_t0`'s Gamma functions.  The sums
 and products in them are formed on kinematics divided by a power of two 16
 to 32 times max(|pi1|, |pi2|, m), so momenta up to the double range do not
 overflow, and an argument below the smallest normal double is carried as
 its logarithm.  Where E1, E2 or m is so far below that power of two that a
 factor over it, or E1/E2 itself, leaves the normal range, the product is
-formed another way or from logarithms taken apart; over inputs drawn from
-the whole double range, with pi tau E1 and pi tau E2 normal, no point
-raises or returns a NaN.  Each sinh is taken as
+formed another way or from logarithms taken apart, and where k itself is
+below the normal range the arguments are formed at tau 2^64 and scaled
+back; over inputs drawn from the whole double range, tau down to 5e-324
+included, no point raises or returns a NaN, and wherever
+pi tau (E1 + E2 + |delta|) < 1e-6 the result is the Heaviside limit
+(`sharp_step`) to 6e-13 relative.  Each sinh is taken as
 ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing overflows and the
 adiabatic tail is kept, and as x + ln x for an argument carried as a
 logarithm; the amplitudes sqrt(F_u) and sqrt(B_u) follow from the
@@ -97,9 +101,8 @@ exceed 1e-290.
 F_u + B_u = 1 is an identity of the two products in exact arithmetic, so
 the command line's 1e-9 guard on it checks only their floating-point
 evaluation; the independent check of the closed form is the
-integrator (`oracle.compare`).  pi tau E below the smallest normal double is
-reported as a numerical failure (ArithmeticError).  Every result carries the
-plateau kinematics it was computed from (`ScatteringResult.modes`), so its
+integrator (`oracle.compare`).  Every result carries the plateau
+kinematics it was computed from (`ScatteringResult.modes`), so its
 consumers do not derive them again.
 
 The Heaviside limit is an identity of the same products: as tau -> 0 each
@@ -367,29 +370,32 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     and c2l = g_b/g_i of the connection formula (DLMF 15.8.2), the Gamma
     ratios of the module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
-    Differences such as b' - a' = -2i eps2 are written out rather than
-    subtracted, and the four arguments that can cancel are those of
-    `_gap_arguments` at k = tau/2: b' and c' - a' are -i and 1 - i times
-    k (E1 + E2 -+ |delta|) in the order of the sign of delta, and a' and
-    c' - b' are i and 1 - i times sign(delta) k (|delta| -+ |E2 - E1|) in
-    the order of the sign of pi1 + pi2.  a' = 0 only for a trivial step
-    (delta = 0), where 1/G(a') = 0.  The coefficients `solve_earlier`
-    applies, g_i, c_f and c_b, are set here too (`HypergeometricSolution`).
+    Every Gamma argument is one of `_gap_arguments` at k = tau/2, so
+    differences are written out rather than subtracted: b' and c' - a' are
+    -i and 1 - i times k (E1 + E2 -+ |delta|) in the order of the sign of
+    delta, a' and c' - b' are i and 1 - i times
+    sign(delta) k (|delta| -+ |E2 - E1|) in the order of the sign of
+    pi1 + pi2, c' = 1 - i tau E1 and b' - a' = -i tau E2.  All seven log G
+    are taken by one route, `_log_gamma_gap`, which reads an argument below
+    the normal range from its logarithm, so none of them meets the pole at
+    0; log G(a' - b') = log G(+i tau E2) is the conjugate of
+    log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
+    1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
+    are set here too (`HypergeometricSolution`).
     """
     modes = sol.modes
-    w, gap, x_hi, x_lo = _gap_arguments(modes, params.m, 0.5 * params.tau)
+    w, gap, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, params.m, 0.5, params.tau)
     # b' = -i xb, c' - a' = 1 - i xca, a' = i s xa and c' - b' = 1 - i s xcb
     s = math.copysign(1.0, modes.delta)
     xb, xca = (gap, w) if s > 0.0 else (w, gap)
     xa, xcb = (x_lo, x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (x_hi, x_lo)
-    eps1 = sol.earlier.eps
-    eps2 = sol.later.eps
-    lg_c = log_gamma(1.0 - 2j * eps1)
-    c1l = cmath.exp(lg_c + log_gamma(-2j * eps2) - _log_gamma_gap(0.0, -1.0, xb)
-                    - _log_gamma_gap(1.0, -1.0, xca))
-    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + log_gamma(2j * eps2) - _log_gamma_gap(0.0, s, xa)
+    # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
+    lg_c = _log_gamma_gap(1.0, -1.0, x_1)
+    lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
+    c1l = cmath.exp(lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca))
+    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
                                          - _log_gamma_gap(1.0, -s, xcb))
-    g_i = math.exp(math.pi * eps1)
+    g_i = math.exp(math.pi * sol.earlier.eps)
     # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
     return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=g_i * c1l,
                    c_b=g_i * c2l * mode_lower(-modes.pi2, params.m))
@@ -472,11 +478,14 @@ def _log_gamma_gap(shift: float, sign: float, x: float) -> complex:
     return lg if shift else lg - complex(x, math.copysign(0.5 * math.pi, sign))
 
 
-def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
-    """k (E1 + E2 + |delta|), k (E1 + E2 - |delta|), k (|delta| + |E2 - E1|)
-    and k (|delta| - |E2 - E1|), free of cancellation, overflow and early
-    underflow: the sinh products' numerator arguments at k = pi tau/2, the
-    connection formula's Gamma arguments at k = tau/2.
+def _gap_arguments(modes: AsymptoticModes, m: float, c: float, tau: float) -> list[float]:
+    """k (E1 + E2 + |delta|), k (E1 + E2 - |delta|), k (|delta| + |E2 - E1|),
+    k (|delta| - |E2 - E1|), 2 k E1 and 2 k E2, with k = c tau, free of
+    cancellation, overflow and early underflow.  At k = pi tau/2 they are
+    the sinh products' arguments, four numerators and the denominators
+    pi tau E1 and pi tau E2; at k = tau/2 the connection formula's Gamma
+    arguments, the last two tau E1 and tau E2; at k = 1/2 the Heaviside
+    limit's, the last two E1 and E2.
 
     A gap E1 + E2 - |pi1 -+ pi2| is 2 (m^2 + E1 E2 +- pi1 pi2) over
     E1 + E2 + |pi1 -+ pi2|; where the products have opposite signs,
@@ -492,11 +501,25 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     order.  Where a product falls below the normal range, an argument below
     it is returned as its logarithm, a number below -708, formed from the
     logarithms of factors in range; the arguments themselves are >= 0, and 0
-    only for delta = 0.  Nothing else changes where no product does.
+    only for delta = 0.  Nothing else changes where no product does.  Where
+    k (E1 + E2 - |pi1 + pi2|) overflows and |delta|/(E1 + E2) underflows,
+    the last numerator's product is inf 0 = NaN, and its logarithm is taken
+    as for one below the range; only `scatter` gets there, with k E beyond
+    the double range, where B_u = 0 whatever that argument is.
+
+    k is formed here, so that it keeps its digits where c tau is below the
+    normal range: there the arguments are formed at tau 2^64 and scaled back
+    by 2^-64, exactly with ldexp where the result stays normal and as a
+    logarithm less 64 ln 2 where it does not.
     """
+    tiny = sys.float_info.min
+    k = c * tau
+    if k < tiny:
+        return [y if (y := math.ldexp(x, -64)) >= tiny or not x
+                else (x if x < 0.0 else math.log(x)) - 64.0 * math.log(2.0)
+                for x in _gap_arguments(modes, m, c, math.ldexp(tau, 64))]
     e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
     delta = abs(modes.delta)
-    tiny = sys.float_info.min
     inv_s = math.ldexp(1.0, -4 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
     ms, pi1s, pi2s = m * inv_s, pi1 * inv_s, pi2 * inv_s
     e1s, e2s, delta_s = e1 * inv_s, modes.e2 * inv_s, delta * inv_s
@@ -519,24 +542,27 @@ def _gap_arguments(modes: AsymptoticModes, m: float, k: float) -> list[float]:
     kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
     kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
     ratio = delta_s / e_sum  # |delta|/(E1 + E2) <= 1
-    args = [k * width_f / inv_s, kgap_f, k * (delta * (width_b / e_sum)), kgap_b * ratio]
-    if kgap_f >= tiny and kgap_b >= tiny and (
+    args = [k * width_f / inv_s, kgap_f, k * (delta * (width_b / e_sum)), kgap_b * ratio,
+            2.0 * k * e1, 2.0 * k * modes.e2]
+    if kgap_f >= tiny and kgap_b >= tiny and min(args[4:]) >= tiny and (
             not delta or ratio >= tiny and args[2] >= tiny and args[3] >= tiny):
         return args
     # a product fell below the normal range: an argument below it is carried
     # as its logarithm, formed from the logarithms of factors in range
-    ln_k = math.log(k)
+    ln_k, ln_2k = math.log(k), math.log(2.0 * k)
     # ln(E1 + E2 + |delta|), ln(E1 + E2 + |pi1 + pi2|) and ln(E1 + E2)
     ln_wf, ln_wb, ln_e = (math.log(v) - math.log(inv_s) for v in (width_f, width_b, e_sum))
     ln_dx = math.log(dx) if dx < math.inf else math.log(d + x) - math.log(d)
-    ln_unlike = math.log(2.0 * k) + 2.0 * math.log(m) + ln_dx
+    ln_unlike = ln_2k + 2.0 * math.log(m) + ln_dx
     ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - ln_wf
     ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - ln_wb
-    logs = [ln_k + ln_wf, ln_f, 0.0, 0.0]  # 0.0: a trivial step's zeros
+    # 0.0: a trivial step's zeros
+    logs = [ln_k + ln_wf, ln_f, 0.0, 0.0, ln_2k + math.log(e1), ln_2k + math.log(modes.e2)]
     if delta:
         ln_delta = math.log(delta)
-        logs[2:] = (ln_k + ln_delta + math.log(width_b / e_sum), ln_delta + ln_b - ln_e)
-    return [ln if arg < tiny else arg for arg, ln in zip(args, logs)]
+        logs[2:4] = (ln_k + ln_delta + math.log(width_b / e_sum), ln_delta + ln_b - ln_e)
+    # NaN, an overflowed kgap_b times an underflowed ratio, is not >= tiny
+    return [arg if arg >= tiny else ln for arg, ln in zip(args, logs)]
 
 
 def scatter(params: StepParameters) -> ScatteringResult:
@@ -546,22 +572,15 @@ def scatter(params: StepParameters) -> ScatteringResult:
     logarithms, and their half-logarithms give the amplitudes `_result` takes.
     """
     modes = asymptotic_modes(params)
-    m, e1, e2 = params.m, modes.e1, modes.e2
-    k = 0.5 * math.pi * params.tau
-    w, kgap_f, x_hi, x_lo = _gap_arguments(modes, m, k)
-    tiny = sys.float_info.min
-    if 2.0 * k * min(e1, e2) < tiny:
-        raise ArithmeticError(
-            f"pi tau min(E1, E2) = {2.0 * k * min(e1, e2):.3g} is below the "
-            "double-precision range; use the Heaviside limit")
-    log_denom = _log_sinh_excess(2.0 * k * e1) + _log_sinh_excess(2.0 * k * e2)
+    w, kgap_f, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, params.m, 0.5 * math.pi, params.tau)
+    log_denom = _log_sinh_excess(x_1) + _log_sinh_excess(x_2)
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
     # -pi tau (E1 + E2 - |delta|) in B_u, nothing where that is below the range
     log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
     # a trivial step's B_u is 0
     log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
                + _log_sinh_excess(x_lo) - log_denom) if x_lo else -math.inf
-    return _result(modes, m, math.exp(0.5 * log_f_u), math.exp(0.5 * log_b_u))
+    return _result(modes, params.m, math.exp(0.5 * log_f_u), math.exp(0.5 * log_b_u))
 
 
 def _sqrt_ratio(x: float, e: float) -> float:
@@ -588,7 +607,7 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     """
     check_inputs({"m": m, "q": q, "p": p, "a1": a1, "a2": a2})
     modes = plateau_modes(m, q, p, a1, a2)
-    w, gap, x_hi, x_lo = _gap_arguments(modes, m, 0.5)
+    w, gap, x_hi, x_lo = _gap_arguments(modes, m, 0.5, 1.0)[:4]
     e_hi, e_lo = max(modes.e1, modes.e2), min(modes.e1, modes.e2)
     return _result(modes, m, _sqrt_ratio(w, e_hi) * _sqrt_ratio(gap, e_lo),
                    _sqrt_ratio(x_hi, e_hi) * _sqrt_ratio(x_lo, e_lo))

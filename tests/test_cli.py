@@ -64,6 +64,10 @@ class TestScatter:
         code, _, err = run(capsys, "scatter", "--tau", "0.5")
         assert code == 2
         assert "--p" in err
+        # neither --tau nor --sharp
+        code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "2")
+        assert (code, out) == (2, "")
+        assert "--tau" in err
 
     def test_sharp_limit_flag(self, capsys):
         code, out, _ = run(capsys, "scatter", "--sharp", "--p", RT3_STR, "--a2", A2_STR,
@@ -156,10 +160,61 @@ class TestScatter:
         assert (rec["b"], rec["B_u"]) == (1.0, 1.0)
 
     def test_numerical_failure_exit_code(self, capsys):
-        # pi tau E is a subnormal double: the sinh moduli cannot be resolved
-        code, _, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "5e-324")
-        assert code == 3
-        assert "error" in err
+        # pi tau E is a subnormal double, which once exited 3: the sinh
+        # arguments are formed at tau 2^64 and scaled back, so the step is
+        # its Heaviside limit
+        code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "5e-324",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        code, out, _ = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "4",
+                           "--format", "json")
+        assert code == 0
+        hard = json.loads(out)
+        for name in ("F_u", "B_u"):
+            assert abs(rec[name] - hard[name]) <= 1e-12 * hard[name], name
+
+    @pytest.mark.parametrize("flags", [
+        ("--m", "1e-200", "--p", "0", "--a2", "1e150", "--tau", "1e-200"),
+        ("--m", "1e290", "--p", "1e300", "--a2", "3e300", "--tau", "1e-320"),
+        ("--m", "1", "--p", "2e300", "--a2", "1e300", "--tau", "1e-320"),
+    ], ids=["E1=1e-200-E2=1e150", "F_u=5.625e-21", "E1=2e300-E2=1e300"])
+    def test_subnormal_steps_are_the_heaviside_limit(self, capsys, flags):
+        # pi tau E1 or pi tau E2 below the normal range: these exited 3, or
+        # printed F_u = 5.62466e-21 where the limit is 5.625e-21, while the
+        # arguments were formed with pi tau/2 itself subnormal
+        code, out, err = run(capsys, "scatter", *flags, "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        hard = sharp_step(*(rec[k] for k in ("m", "q", "p", "a1", "a2")))
+        for name in ("f", "b", "F", "B", "F_u", "B_u"):
+            want = getattr(hard, name)
+            assert abs(rec[name] - want) <= 1e-12 * want, name
+        if rec["m"] == 1e-200:
+            for name in ("F", "B", "F_u", "B_u"):
+                assert abs(rec[name] - 0.5) <= 1e-12, name
+
+    def test_adiabatic_limit_where_the_backward_gap_overflows(self, capsys):
+        # k (E1 + E2 - |pi1 + pi2|) overflows and |delta|/(E1 + E2) underflows:
+        # their product was inf 0 = NaN, and this exited 3 with
+        # "F + B - 1 = nan"
+        code, out, err = run(capsys, "scatter", "--m", "1e200", "--p", "0", "--a1", "1e-170",
+                             "--a2", "0", "--tau", "1e200", "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert (rec["f"], rec["b"], rec["F_u"], rec["B_u"]) == (1.0, 0.0, 1.0, 0.0)
+
+    def test_csv_record_reads_back_as_the_json_one(self, capsys):
+        flags = ("scatter", "--p", "1.2", "--a2", "-0.8", "--a1", "0.3", "--tau", "0.2",
+                 "--t0", "1.5", "--m", "0.7", "--q", "-1.1")
+        code, out, err = run(capsys, *flags, "--format", "csv")
+        assert (code, err) == (0, "")
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(lines) == 2
+        record = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        code, out, _ = run(capsys, *flags, "--format", "json")
+        assert code == 0
+        assert record == json.loads(out)
 
     def test_very_slow_step_passes_the_unitarity_guard(self, capsys):
         code, out, _ = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "1e8",
@@ -386,6 +441,20 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "--start" in err and "--stop" in err
+
+    @pytest.mark.parametrize("flag,flags", [
+        ("--log", ("--sweep-var", "tau", "--log", "--start", "0", "--stop", "1",
+                   "--p", "1", "--a2", "2")),
+        ("--log", ("--sweep-var", "p", "--log", "--start", "1", "--stop", "-2",
+                   "--a2", "2", "--tau", "0.5")),
+        ("--a2", ("--sweep-var", "p", "--start", "1", "--stop", "2", "--tau", "0.5")),
+        ("--oracle-every", ("--sweep-var", "p", "--start", "1", "--stop", "2",
+                            "--a2", "2", "--tau", "0.5", "--oracle-every", "-1")),
+    ], ids=["log-start-0", "log-stop-negative", "no-a2", "oracle-every-negative"])
+    def test_flag_error_names_its_flag(self, capsys, flag, flags):
+        code, out, err = run(capsys, "sweep", "--count", "3", *flags)
+        assert (code, out) == (2, "")
+        assert flag in err
 
     def test_all_points_failing_exits_numerical(self, capsys):
         code, out, err = run(capsys, "sweep", "--sweep-var", "tau", "--start", "-2.0",
@@ -716,6 +785,20 @@ class TestSelftest:
         assert code == 1
         assert "FAIL" in out
         assert "special-function reference values" in out
+
+    def test_a_check_that_raises_fails(self, capsys, monkeypatch):
+        # a check that raises is reported failed, and the battery goes on
+        def broken(points):
+            raise ZeroDivisionError("broken check")
+
+        monkeypatch.setattr(selftest, "check_sharp_limit", broken)
+        code, out, _ = run(capsys, "selftest", "--json")
+        assert code == 1
+        records = {r["name"]: r for r in json.loads(out)}
+        failed = records.pop("sharp-step limit")
+        assert not failed["passed"]
+        assert failed["detail"] == "raised ZeroDivisionError: broken check"
+        assert all(r["passed"] for r in records.values())
 
     def test_early_frequency_backward_ratio_fails(self, capsys, monkeypatch):
         # c2l scaled by e^(pi (eps1 - eps2)), the backward ratio taken with
