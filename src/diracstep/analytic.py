@@ -76,20 +76,21 @@ six arguments, the four numerators with E2 - E1 = -delta (pi1 + pi2)/(E1 + E2)
 and E1 + E2 - |delta| = 2 (m^2 + E1 E2 + pi1 pi2)/(E1 + E2 + |delta|),
 without subtraction, so a weak step keeps the relative accuracy of B_u, and
 the denominators pi tau E1 and pi tau E2; at k = tau/2 in place of pi tau/2
-they are every argument of `match_at_t0`'s Gamma functions.  The sums
-and products in them are formed on kinematics divided by a power of two 16
-to 32 times max(|pi1|, |pi2|, m), so momenta up to the double range do not
-overflow, and an argument below the smallest normal double is carried as
-its logarithm.  Where E1, E2 or m is so far below that power of two that a
-factor over it, or E1/E2 itself, leaves the normal range, the product is
-formed another way or from logarithms taken apart, and where k itself is
-below the normal range the arguments are formed at tau 2^64 and scaled
-back; over inputs drawn from the whole double range, tau down to 5e-324
-included, no point raises or returns a NaN, and wherever
-pi tau (E1 + E2 + |delta|) < 1e-6 the result is the Heaviside limit
-(`sharp_step`) to 6e-13 relative.  Each sinh is taken as
-ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing overflows and the
-adiabatic tail is kept, and as x + ln x for an argument carried as a
+they are every argument of `match_at_t0`'s Gamma functions.  They are
+written once, as one formula (`_gap_formula`) that takes floats or
+Decimals.  Where k, m^2, every argument and the two intermediates a
+quotient can lift back into range are normal doubles, the float result is
+returned; elsewhere (m^2 or a product of momenta beyond the double range,
+E1/E2 or m/|pi| beyond it, tau down to 5e-324) the same formula runs in 40-digit
+decimal with exponents to +-10^6, where nothing overflows or underflows,
+and an argument below the smallest normal double is returned as its
+logarithm.  That path costs ~0.1 ms a call, against ~6 us for a whole
+`scatter` on floats, and no ordinary input takes it.  Over inputs drawn
+from the whole double range, tau down to 5e-324 included, no point raises
+or returns a NaN, and wherever pi tau (E1 + E2 + |delta|) < 1e-6 the result
+is the Heaviside limit (`sharp_step`) to 6e-13 relative.  Each sinh is
+taken as ln sinh x = x + ln(-expm1(-2x)) - ln 2, so nothing overflows and
+the adiabatic tail is kept, and as x + ln x for an argument carried as a
 logarithm; the amplitudes sqrt(F_u) and sqrt(B_u) follow from the
 half-logarithms, so each stays representable where F_u or B_u underflows.
 Over 20,000 random points with tau from 1e-12 to 1e10 (signed q down to
@@ -478,6 +479,24 @@ def _log_gamma_gap(shift: float, sign: float, x: float) -> complex:
     return lg if shift else lg - complex(x, math.copysign(0.5 * math.pi, sign))
 
 
+def _gap_formula(e1, e2, pi1, pi2, delta, m, k):
+    """The six arguments of `_gap_arguments`, then the two intermediates a
+    quotient can lift back into range: the unlike-sign numerator
+    2 k m (D + X)/D m and |delta|/(E1 + E2).  Written once for floats and
+    Decimals alike: the same operations, in the same order, on either."""
+    e1e2, p12, e_sum = e1 * e2, pi1 * pi2, e1 + e2
+    width_f, width_b = e_sum + delta, e_sum + abs(pi1 + pi2)
+    # the numerator of the gap whose products add, and k times the other's
+    like = 2 * (m * m + e1e2 + abs(p12))
+    d = e1e2 + abs(p12)
+    unlike = 2 * (k * (m * ((d + (pi1 * pi1 + pi2 * pi2 + m * m)) / d))) * m
+    kgap_f = k * (like / width_f) if p12 >= 0 else unlike / width_f
+    kgap_b = k * (like / width_b) if p12 <= 0 else unlike / width_b
+    ratio = delta / e_sum
+    return [k * width_f, kgap_f, k * (delta * (width_b / e_sum)), kgap_b * ratio,
+            2 * k * e1, 2 * k * e2, unlike, ratio]
+
+
 def _gap_arguments(modes: AsymptoticModes, m: float, c: float, tau: float) -> list[float]:
     """k (E1 + E2 + |delta|), k (E1 + E2 - |delta|), k (|delta| + |E2 - E1|),
     k (|delta| - |E2 - E1|), 2 k E1 and 2 k E2, with k = c tau, free of
@@ -490,79 +509,47 @@ def _gap_arguments(modes: AsymptoticModes, m: float, c: float, tau: float) -> li
     A gap E1 + E2 - |pi1 -+ pi2| is 2 (m^2 + E1 E2 +- pi1 pi2) over
     E1 + E2 + |pi1 -+ pi2|; where the products have opposite signs,
     (E1 E2)^2 - (pi1 pi2)^2 = m^2 X makes the numerator m^2 (D + X) / D,
-    D = E1 E2 + |pi1 pi2|, X = pi1^2 + pi2^2 + m^2.  As E2 - E1 =
-    -delta (pi1 + pi2)/(E1 + E2), |delta| -+ |E2 - E1| is |delta| times
-    (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).  Sums and products are formed over
-    s, a power of two 16 to 32 times max(|pi1|, |pi2|, m), so none overflows
-    up to the top of the double range, and k comes before the second factor
-    of m: k m^2 stays representable where m^2 underflows.  A product whose
-    factor over s would fall below the normal range (E2 or |pi2| << |pi1|,
-    m << s), or whose ratio (D + X)/D would overflow, is formed in another
-    order.  Where a product falls below the normal range, an argument below
-    it is returned as its logarithm, a number below -708, formed from the
-    logarithms of factors in range; the arguments themselves are >= 0, and 0
-    only for delta = 0.  Nothing else changes where no product does.  Where
-    k (E1 + E2 - |pi1 + pi2|) overflows and |delta|/(E1 + E2) underflows,
-    the last numerator's product is inf 0 = NaN, and its logarithm is taken
-    as for one below the range; only `scatter` gets there, with k E beyond
-    the double range, where B_u = 0 whatever that argument is.
+    D = E1 E2 + |pi1 pi2|, X = pi1^2 + pi2^2 + m^2, and k comes before the
+    second factor of m.  As E2 - E1 = -delta (pi1 + pi2)/(E1 + E2),
+    |delta| -+ |E2 - E1| is |delta| times (E1 + E2 -+ |pi1 + pi2|)/(E1 + E2).
+    `_gap_formula` writes these once.
 
-    k is formed here, so that it keeps its digits where c tau is below the
-    normal range: there the arguments are formed at tau 2^64 and scaled back
-    by 2^-64, exactly with ldexp where the result stays normal and as a
-    logarithm less 64 ln 2 where it does not.
+    It is evaluated on floats first, and that result is returned wherever
+    k and m^2 are normal doubles and every argument, and each intermediate
+    a quotient can lift back into range, is finite and normal.  There no
+    factor, divisor or quotient has lost digits to the range: pi1 pi2 and
+    pi^2 can be subnormal, but only as terms of a sum with a normal m^2 or
+    E1 E2, and the like-sign quotient that k multiplies is at least
+    E1 E2/(E1 + E2) >= m/2.  Elsewhere (m^2 or a product of momenta beyond
+    the double range, E1/E2 or m/|pi| beyond it, a subnormal k) the same
+    formula is evaluated on Decimals with 40 digits and exponents to
+    +-10^6, where nothing overflows or underflows, at ~0.1 ms a call
+    against ~6 us for a whole `scatter` on floats; decimal is imported
+    there only.  Each result is then returned as a float where it is
+    normal, inf where it overflows, and otherwise as its logarithm, a number
+    below -708.  The arguments themselves are >= 0, and 0 only for a
+    trivial step (delta = 0), whose third and fourth are exact zeros on
+    either path.
     """
     tiny = sys.float_info.min
     k = c * tau
-    if k < tiny:
-        return [y if (y := math.ldexp(x, -64)) >= tiny or not x
-                else (x if x < 0.0 else math.log(x)) - 64.0 * math.log(2.0)
-                for x in _gap_arguments(modes, m, c, math.ldexp(tau, 64))]
-    e1, pi1, pi2 = modes.e1, modes.pi1, modes.pi2
-    delta = abs(modes.delta)
-    inv_s = math.ldexp(1.0, -4 - math.frexp(max(abs(pi1), abs(pi2), m))[1])
-    ms, pi1s, pi2s = m * inv_s, pi1 * inv_s, pi2 * inv_s
-    e1s, e2s, delta_s = e1 * inv_s, modes.e2 * inv_s, delta * inv_s
-    # each product over s; where E2/s or pi2/s is below the normal range (E2
-    # or |pi2| << |pi1|), the other factor is scaled instead
-    e1e2 = e1 * e2s if e2s >= tiny else e1s * modes.e2
-    p12 = pi1 * pi2s if abs(pi2s) >= tiny else pi1s * pi2
-    e_sum = e1s + e2s
-    width_f = e_sum + delta_s
-    width_b = e_sum + abs(pi1s + pi2s)
-    # the numerator of the gap whose products add, and k times the other's
-    like = 2.0 * (m * ms + e1e2 + abs(p12))
-    d = e1e2 + abs(p12)
-    x = pi1 * pi1s + pi2 * pi2s + m * ms
-    # where m/s is below the normal range, or (D + X)/D beyond it (as
-    # max(E1, E2)/min(E1, E2) can be), m (D + X)/(s D) < 8 is formed first
-    dx = (d + x) / d
-    unlike = (2.0 * (k * (m * dx)) * ms if ms >= tiny and dx < math.inf
-              else 2.0 * (k * (m * (m * ((d + x) * inv_s) / d))))
-    kgap_f = k * (like / width_f) if p12 >= 0.0 else unlike / width_f
-    kgap_b = k * (like / width_b) if p12 <= 0.0 else unlike / width_b
-    ratio = delta_s / e_sum  # |delta|/(E1 + E2) <= 1
-    args = [k * width_f / inv_s, kgap_f, k * (delta * (width_b / e_sum)), kgap_b * ratio,
-            2.0 * k * e1, 2.0 * k * modes.e2]
-    if kgap_f >= tiny and kgap_b >= tiny and min(args[4:]) >= tiny and (
-            not delta or ratio >= tiny and args[2] >= tiny and args[3] >= tiny):
-        return args
-    # a product fell below the normal range: an argument below it is carried
-    # as its logarithm, formed from the logarithms of factors in range
-    ln_k, ln_2k = math.log(k), math.log(2.0 * k)
-    # ln(E1 + E2 + |delta|), ln(E1 + E2 + |pi1 + pi2|) and ln(E1 + E2)
-    ln_wf, ln_wb, ln_e = (math.log(v) - math.log(inv_s) for v in (width_f, width_b, e_sum))
-    ln_dx = math.log(dx) if dx < math.inf else math.log(d + x) - math.log(d)
-    ln_unlike = ln_2k + 2.0 * math.log(m) + ln_dx
-    ln_f = ln_k + math.log(like / width_f) if p12 >= 0.0 else ln_unlike - ln_wf
-    ln_b = ln_k + math.log(like / width_b) if p12 <= 0.0 else ln_unlike - ln_wb
-    # 0.0: a trivial step's zeros
-    logs = [ln_k + ln_wf, ln_f, 0.0, 0.0, ln_2k + math.log(e1), ln_2k + math.log(modes.e2)]
-    if delta:
-        ln_delta = math.log(delta)
-        logs[2:4] = (ln_k + ln_delta + math.log(width_b / e_sum), ln_delta + ln_b - ln_e)
-    # NaN, an overflowed kgap_b times an underflowed ratio, is not >= tiny
-    return [arg if arg >= tiny else ln for arg, ln in zip(args, logs)]
+    kinematics = (modes.e1, modes.e2, modes.pi1, modes.pi2, abs(modes.delta), m)
+    # a normal m^2 also keeps D = E1 E2 + |pi1 pi2| from 0
+    if k >= tiny and m * m >= tiny:
+        values = _gap_formula(*kinematics, k)
+        # a trivial step's third and fourth arguments and |delta|/(E1 + E2) are 0
+        checked = values if modes.delta else values[:2] + values[4:7]
+        # the sum is inf or NaN wherever one of them is (and inf where it
+        # overflows, which only sends a point to the Decimals)
+        if min(checked) >= tiny and sum(checked) < math.inf:
+            return values[:6]
+    import decimal
+    # no traps: non-finite kinematics give NaN, as the float formula does
+    with decimal.localcontext(decimal.Context(prec=40, Emin=-10**6, Emax=10**6, traps=[])):
+        exact = _gap_formula(*map(decimal.Decimal, kinematics),
+                             decimal.Decimal(c) * decimal.Decimal(tau))[:6]
+        small = decimal.Decimal(tiny)
+        return [float(a) if a >= small or not a else float(a.ln()) for a in exact]
 
 
 def scatter(params: StepParameters) -> ScatteringResult:

@@ -166,6 +166,8 @@ def _sweep_values(start: float, stop: float, count: int, log: bool) -> list[floa
         raise ValueError("--count must be >= 2")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"--start and --stop must be finite, got {start!r} and {stop!r}")
+    if start == stop:
+        raise ValueError("--start and --stop must differ")
     beyond = f"--start {start!r} to --stop {stop!r} leaves the double range"
     if log:
         if start <= 0 or stop <= 0:
@@ -194,8 +196,6 @@ def cmd_sweep(args) -> int:
                          f"each row sets {swept}")
     if args.oracle_every < 0:
         raise ValueError("--oracle-every must be >= 0")
-    if args.start == args.stop:
-        raise ValueError("--start and --stop must differ")
     fixed = _given_inputs(args)
     # a bad fixed input is a flag error before any row; only a swept value
     # fails a single row
@@ -289,9 +289,18 @@ unset multiplot
 def cmd_figure2(args) -> int:
     if args.q == 0:
         raise ValueError("--q must be nonzero: the sweep runs over q*A2")
-    # the flags before p, which is formed from them; the rows check each
-    # tau, and both panels are computed in full before anything is written
+    # every flag is checked before p, which is formed from them, and both
+    # panels are computed in full before anything is written.  The taus and
+    # the ratio are checked here to name their flags: the messages of
+    # StepParameters and _momentum_at_ratio, which sweep's status cells
+    # carry, name the input
     model.check_inputs({"m": args.m, "q": args.q, "a1": args.a1, "t0": args.t0})
+    for flag, tau in (("--tau-fast", args.tau_fast), ("--tau-slow", args.tau_slow)):
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {tau!r}")
+    if not args.energy_ratio >= 1.0:  # written as `not >=` so that NaN fails too
+        raise ValueError(f"--energy-ratio, the incident energy ratio E1/m, must be >= 1, "
+                         f"got {args.energy_ratio!r}")
     p = _momentum_at_ratio(args.energy_ratio, args)
     grid = [(qa2, qa2 / args.q)
             for qa2 in _sweep_values(args.start, args.stop, args.count, log=False)]

@@ -678,9 +678,9 @@ class TestAcrossTheDoubleRange:
 
     @pytest.mark.parametrize("tau", [1e-308, 1e-300, 1.0])
     def test_momenta_at_the_top_of_the_range(self, tau):
-        # pi1 = -pi2 = 8e307: E1 + E2 + |delta| = 3.2e308 overflows unless
-        # it is formed over s, as the products are; B_u = b = 1 to double
-        # precision in the sinh products
+        # pi1 = -pi2 = 8e307: E1 + E2 + |delta| = 3.2e308 overflows a
+        # double, so the arguments are formed in decimal; B_u = b = 1 to
+        # double precision in the sinh products
         args = (1.0, 1.0, 8e307, 0.0, 1.6e308, tau)
         res = scatter(StepParameters(*args))
         for name, want in _sinh_reference(*args).items():
@@ -744,8 +744,18 @@ class TestAcrossTheDoubleRange:
         assert _sinh_reference(*args) == dict(f=1.0, b=0.0, F_u=1.0, B_u=0.0)
         assert (res.f, res.b, res.F, res.B, res.F_u, res.B_u) == (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
 
+    def test_unlike_numerator_lifted_back_into_range(self):
+        # pi1 pi2 = -1e347 overflows a double; an order of the unlike-sign
+        # numerator that passed through a subnormal ~1e-322 before k lifted
+        # it back into range printed F_u = 1.605e-241, where the sinh
+        # products give 1.5708e-241
+        args = (1e-94, 1.0, 0.0, 1e133, -1e214, 1e80)
+        res = scatter(StepParameters(*args))
+        for name, want in _sinh_reference(*args, digits=2400).items():
+            assert abs(getattr(res, name) - want) <= 1e-12 * want, name
+
     def test_energy_far_below_the_momenta(self):
-        # E1 = m = 1e-200, E2 = 1e150: E1/s and the quotient E1/(E2 (E1 + m))
+        # E1 = m = 1e-200, E2 = 1e150: m^2 and the quotient E1/(E2 (E1 + m))
         # underflow, so the half-logarithm of f^2/F_u is taken term by term;
         # all four values are 1/2 to 40 digits in the sinh products
         args = (1e-200, 1.0, 0.0, 0.0, 1e150, 1e-100)
@@ -753,6 +763,34 @@ class TestAcrossTheDoubleRange:
         for name, want in _sinh_reference(*args).items():
             assert want == 0.5
             assert abs(getattr(res, name) - want) <= 4e-13 * want, name
+
+
+class TestGapFormula:
+    """`_gap_arguments` evaluates the one formula, `_gap_formula`, on floats
+    where nothing leaves the normal range, and on Decimals elsewhere."""
+
+    @staticmethod
+    def _ordinary_points(n):
+        rng = random.Random(20261025)
+        for _ in range(n):
+            m = 10.0 ** rng.uniform(-2.0, 1.0)
+            q = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 1.0)
+            p, a1, a2 = rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0), rng.uniform(-10.0, 10.0)
+            yield m, model.plateau_modes(m, q, p, a1, a2), 10.0 ** rng.uniform(-12.0, 10.0)
+
+    @pytest.mark.parametrize("c", [0.5 * math.pi, 0.5])
+    def test_ordinary_points_take_the_float_formula(self, c):
+        from decimal import Context, Decimal, localcontext
+
+        for m, modes, tau in self._ordinary_points(200):
+            kinematics = (modes.e1, modes.e2, modes.pi1, modes.pi2, abs(modes.delta), m)
+            args = analytic._gap_arguments(modes, m, c, tau)
+            assert args == analytic._gap_formula(*kinematics, c * tau)[:6], (m, modes, tau)
+            with localcontext(Context(prec=40)):
+                exact = analytic._gap_formula(*map(Decimal, kinematics),
+                                              Decimal(c) * Decimal(tau))[:6]
+            for got, want in zip(args, exact):
+                assert abs(Decimal(got) - want) <= Decimal(2e-15) * want, (m, modes, tau)
 
 
 class TestSharpStep:

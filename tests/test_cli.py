@@ -161,8 +161,8 @@ class TestScatter:
 
     def test_numerical_failure_exit_code(self, capsys):
         # pi tau E is a subnormal double, which once exited 3: the sinh
-        # arguments are formed at tau 2^64 and scaled back, so the step is
-        # its Heaviside limit
+        # arguments are formed in decimal, so the step is its Heaviside
+        # limit
         code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "4", "--tau", "5e-324",
                              "--format", "json")
         assert (code, err) == (0, "")
@@ -651,6 +651,17 @@ class TestFigure2:
         if flags[0] in ("--start", "--stop"):
             # the message names the flags, not an input formed from them
             assert "--start" in err and "--stop" in err
+
+
+    @pytest.mark.parametrize("flags", [("--tau-fast", "0"), ("--tau-slow", "nan"),
+                                       ("--energy-ratio", "0.5"),
+                                       ("--start", "1", "--stop", "1")])
+    def test_flag_error_names_its_flag(self, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "figure2", "--out-dir", str(out_dir), "--count", "5", *flags)
+        assert (code, out) == (2, "")
+        assert flags[0] in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestKinematicsCells:
