@@ -29,6 +29,10 @@ the indicial analysis fixes (verified symbolically and by the residual tests)
         (a', b', c') = (a - 2 mu, b - 2 mu, 1 - 2 i eps1)       [zeta^-mu branch]
     later chart:   mu = i eps2, same nu, with eps1 <-> eps2.
 
+These sums are the derivation's, not the program's: where m << |pi| some of
+them cancel to ~m^2 of their terms, and the program takes every parameter
+from the gap arguments instead (below).
+
 Both charts meet at t = t0, where zeta = -1.  Powers of zeta are taken on
 |zeta| = -zeta, as the connection formula below writes (-z)^(-a), so as the
 chart's plateau is approached (zeta -> 0) each branch tends to its plane wave
@@ -126,11 +130,22 @@ for t <= t0 the incident branch, for t > t0 the later forward branch, whose
 conjugate partner gives the backward wave.  `build_solution` builds the
 `specfun.Hyp2F1Plan` of each chart's positive-frequency branch once, two
 plans in all, and every evaluation shares them, so the choice of series and
-its term ratios are not redone per time.  A plan gives 2F1 =
-(1 - zeta)^kappa s(zeta), and a branch is evaluated as
-|zeta|^mu (1 - zeta)^(nu + kappa) s(zeta): its head is one complex exp, of
-mu ln|zeta| + (nu + kappa) ln(1 - zeta) with the real
-ln(1 - zeta) = log1p(-zeta).  `match_at_t0` stores the Gamma ratios
+its term ratios are not redone per time.  Both plans and `match_at_t0`'s
+Gamma functions read one arrangement of `_gap_arguments` at k = tau/2
+(`_connection_arguments`): with s the sign of delta, the incident branch is
+(a', b', c') = (i s xa, -i xb, 1 - i x_1) with mu = -i x_1/2 and the later
+forward branch (a, b, c) = (i xca, i s xa, 1 + i x_2) with mu = +i x_2/2, so
+a parameter that is small because m << |pi| keeps its relative accuracy,
+and an argument carried as its logarithm enters a plan as its value.  A plan
+gives 2F1 = (1 - zeta)^kappa s(zeta) and 2F1' = (1 - zeta)^kappa f(zeta),
+and a branch is evaluated as phi = |zeta|^mu (1 - zeta)^(nu + kappa) s(zeta):
+its head is one complex exp, of mu ln|zeta| + (nu + kappa) ln(1 - zeta) with
+the real ln(1 - zeta) = log1p(-zeta).  The lower component is taken by an
+identity, not as (i phi' - pi phi)/m, a difference that cancels to
+~m^2/(2 pi) of its terms: in i phi' the mu term is E phi and the nu term
+cancels the step of pi(zeta), so
+m theta = (E - pi) phi + (2 i sign/tau) zeta head f, where f carries a b/c,
+as small as E - pi wherever that is small.  `match_at_t0` stores the Gamma ratios
 themselves as the later chart's coefficients, c1l = g_f/g_i and
 c2l = g_b/g_i, and `asymptotic_amplitudes` reads f, b, F, B, F_u and B_u
 from them through `result_from_mode_amplitudes`.  The matched spinor gives
@@ -202,23 +217,27 @@ class ParameterRangeError(ValueError):
 class ChartExpansion:
     """Hypergeometric data of one chart.
 
-    sign: +1 for the earlier chart, -1 for the later one; enters both
-    d(zeta)/dt = sign * 2 zeta / tau and pi(zeta) = pi_asym + sign * delta *
-    zeta / (1 - zeta).  eps = tau * E_asym / 2 is the chart's frequency
+    sign: +1 for the earlier chart, -1 for the later one, as
+    d(zeta)/dt = sign * 2 zeta / tau.  lower = (E_asym - pi_asym)/m =
+    `model.mode_lower(pi_asym, m)`, the lower component of the chart's
+    plateau mode (1, lower), taken once with the chart; the spinor's theta
+    is lower times phi plus a term that carries the 2F1's derivative
+    (`_chart_spinor`).  eps = tau * E_asym / 2 is the chart's frequency
     scale and nu = i d the exponent of (1 - zeta).  The chart holds one
     Frobenius branch, its positive-frequency one: mu = -sign i eps, the
     exponent of |zeta| (the module docstring's -mu on the earlier chart, mu
     on the later), so the branch tends to e^(-i E_asym (t - t0)) on the
     chart's plateau, and plan, the series plan of its 2F1, (a', b', c') on
-    the earlier chart and (a, b, c) on the later one.  The other branch is
-    that one's conjugate partner (theta*, -phi*) times (E_asym + pi_asym)/m
-    (module docstring), so it needs no series of its own.  The plan is built
-    once with the chart and shared by every evaluation of it; it takes no
-    part in comparison.
+    the earlier chart and (a, b, c) on the later one, each parameter a gap
+    argument (`_connection_arguments`).  The other branch is that one's
+    conjugate partner (theta*, -phi*) times (E_asym + pi_asym)/m (module
+    docstring), so it needs no series of its own.  The plan is built once
+    with the chart and shared by every evaluation of it; it takes no part
+    in comparison.
     """
 
     sign: int
-    pi_asym: float
+    lower: float
     eps: float
     nu: complex
     mu: complex
@@ -275,28 +294,32 @@ def governing_frequency(t: float, params: StepParameters) -> complex:
     return complex(piv * piv + params.m * params.m, pidot)
 
 
-def _chart(eps: float, eps_other: float, d: float, sign: int, pi_asym: float) -> ChartExpansion:
-    mu = -sign * 1j * eps
-    # the branch's a and b are those of the |zeta|^(i eps) branch less
-    # i eps - mu: 0 on the later chart, 2 i eps on the earlier one
-    shift = 1j * eps - mu
-    return ChartExpansion(
-        sign=sign,
-        pi_asym=pi_asym,
-        eps=eps,
-        nu=1j * d,
-        mu=mu,
-        plan=Hyp2F1Plan(1j * (eps + d + eps_other) - shift, 1j * (eps + d - eps_other) - shift,
-                        1.0 + 2 * mu),
-    )
+def _connection_arguments(modes: AsymptoticModes, m: float,
+                          tau: float) -> tuple[float, ...]:
+    """(s, xa, xcb, xb, xca, x_1, x_2): `_gap_arguments` at k = tau/2
+    arranged as the incident branch's parameters, a' = i s xa,
+    c' - b' = 1 - i s xcb, b' = -i xb, c' - a' = 1 - i xca, c' = 1 - i x_1
+    and b' - a' = -i x_2, with s the sign of delta.  b' and c' - a' are
+    k (E1 + E2 -+ |delta|) in the order of that sign, a' and c' - b' take
+    k (|delta| -+ |E2 - E1|) in the order of the sign of pi1 + pi2.  The
+    later chart's positive-frequency branch has (a, b, c) =
+    (i xca, i s xa, 1 + i x_2)."""
+    w, gap, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, m, 0.5, tau)
+    s = math.copysign(1.0, modes.delta)
+    xb, xca = (gap, w) if s > 0.0 else (w, gap)
+    xa, xcb = (x_lo, x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (x_hi, x_lo)
+    return s, xa, xcb, xb, xca, x_1, x_2
 
 
 def build_solution(params: StepParameters) -> HypergeometricSolution:
-    """Construct both chart expansions; coefficients left unset."""
+    """Construct both chart expansions; coefficients left unset.
+
+    Each plan's parameters are the `_connection_arguments` `match_at_t0`
+    reads, an argument carried as its logarithm entering as its value."""
     modes = asymptotic_modes(params)
-    eps1 = 0.5 * params.tau * modes.e1
-    eps2 = 0.5 * params.tau * modes.e2
-    d = 0.5 * params.tau * modes.delta
+    s, *gaps = _connection_arguments(modes, params.m, params.tau)
+    xa, _, xb, xca, x_1, x_2 = (x if x >= 0.0 else math.exp(x) for x in gaps)
+    eps1, eps2 = 0.5 * x_1, 0.5 * x_2
     # |d| <= tau (|pi1| + |pi2|)/2 <= eps1 + eps2, so this bounds d too
     if eps1 + eps2 > _EPS_SUM_LIMIT:
         raise ParameterRangeError(
@@ -304,34 +327,38 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
             f"{_EPS_SUM_LIMIT}: the incident amplitude e^(pi tau E1/2) must stay "
             "below the double-precision overflow threshold"
         )
+    nu = 1j * (0.5 * params.tau * modes.delta)
     return HypergeometricSolution(
-        earlier=_chart(eps1, eps2, d, +1, modes.pi1),
-        later=_chart(eps2, eps1, d, -1, modes.pi2),
+        earlier=ChartExpansion(+1, mode_lower(modes.pi1, params.m), eps1, nu, -1j * eps1,
+                               Hyp2F1Plan(1j * s * xa, -1j * xb, 1.0 - 1j * x_1)),
+        later=ChartExpansion(-1, mode_lower(modes.pi2, params.m), eps2, nu, 1j * eps2,
+                             Hyp2F1Plan(1j * xca, 1j * s * xa, 1.0 + 1j * x_2)),
         modes=modes,
     )
 
 
-def _chart_spinor(chart: ChartExpansion, delta: float, params: StepParameters,
+def _chart_spinor(chart: ChartExpansion, params: StepParameters,
                   t: float) -> tuple[complex, complex]:
     """Chiral components (phi, theta) at time t of the chart's
     positive-frequency branch, with its unit head.
 
-    The plan gives 2F1 = (1-zeta)^kappa s, so the branch is
-    |zeta|^mu (1-zeta)^(nu+kappa) s, its head taken in one exp of the real
-    logarithms ln|zeta| and ln(1 - zeta).
+    The plan gives 2F1 = (1-zeta)^kappa s and 2F1' = (1-zeta)^kappa f, so
+    the branch is phi = head s with head = |zeta|^mu (1-zeta)^(nu+kappa),
+    taken in one exp of the real logarithms ln|zeta| and ln(1 - zeta).
+    theta is (i phi' - pi phi)/m, taken by an identity: in i phi' the mu
+    term is E phi and the nu term cancels the step of pi(zeta) exactly, so
+    m theta = (E - pi_asym) phi + (2 i sign/tau) zeta head f, E - pi_asym
+    being m times the chart's lower.  f carries a b/c, which is as small as
+    E - pi_asym wherever that is small, so nothing cancels; the division by
+    m comes last, so that 1/(tau m) is never formed on its own.
     """
     log_abs_zeta = chart.sign * 2.0 * ((t - params.t0) / params.tau)
     zeta = -math.exp(log_abs_zeta)
-    ln_1mz = math.log1p(-zeta)  # zeta < 0, so ln(1 - zeta) is real
-    kappa, s, ds = chart.plan.series(zeta)
-    nu = chart.nu + kappa
-    head = cmath.exp(chart.mu * log_abs_zeta + nu * ln_1mz)
+    kappa, s, f = chart.plan.series(zeta)
+    # zeta < 0, so ln(1 - zeta) is real
+    head = cmath.exp(chart.mu * log_abs_zeta + (chart.nu + kappa) * math.log1p(-zeta))
     phi = head * s
-    # dphi/dzeta * zeta, assembled to stay finite as zeta -> 0
-    zeta_dphi = phi * (chart.mu - nu * zeta / (1.0 - zeta)) + head * zeta * ds
-    dphi = chart.sign * (2.0 / params.tau) * zeta_dphi  # d ln|zeta| / dt = 2 sign / tau
-    piv = chart.pi_asym + chart.sign * delta * zeta / (1.0 - zeta)
-    return phi, (1j * dphi - piv * phi) / params.m
+    return phi, chart.lower * phi + chart.sign * 2j * (zeta * head * f / params.tau) / params.m
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -353,9 +380,9 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
     if t <= params.t0:
-        phi, theta = _chart_spinor(sol.earlier, sol.modes.delta, params, t)
+        phi, theta = _chart_spinor(sol.earlier, params, t)
         return TwoSpinor(upper=sol.g_i * phi, lower=sol.g_i * theta)
-    phi, theta = _chart_spinor(sol.later, sol.modes.delta, params, t)
+    phi, theta = _chart_spinor(sol.later, params, t)
     c_f, c_b = sol.c_f, sol.c_b
     return TwoSpinor(upper=c_f * phi + c_b * theta.conjugate(),
                      lower=c_f * theta - c_b * phi.conjugate())
@@ -371,12 +398,9 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     and c2l = g_b/g_i of the connection formula (DLMF 15.8.2), the Gamma
     ratios of the module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
-    Every Gamma argument is one of `_gap_arguments` at k = tau/2, so
-    differences are written out rather than subtracted: b' and c' - a' are
-    -i and 1 - i times k (E1 + E2 -+ |delta|) in the order of the sign of
-    delta, a' and c' - b' are i and 1 - i times
-    sign(delta) k (|delta| -+ |E2 - E1|) in the order of the sign of
-    pi1 + pi2, c' = 1 - i tau E1 and b' - a' = -i tau E2.  All seven log G
+    Every Gamma argument is one of `_connection_arguments`, the gap
+    arguments at k = tau/2 that `build_solution`'s plans read too, so
+    differences are written out rather than subtracted.  All seven log G
     are taken by one route, `_log_gamma_gap`, which reads an argument below
     the normal range from its logarithm, so none of them meets the pole at
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
@@ -385,11 +409,7 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     are set here too (`HypergeometricSolution`).
     """
     modes = sol.modes
-    w, gap, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, params.m, 0.5, params.tau)
-    # b' = -i xb, c' - a' = 1 - i xca, a' = i s xa and c' - b' = 1 - i s xcb
-    s = math.copysign(1.0, modes.delta)
-    xb, xca = (gap, w) if s > 0.0 else (w, gap)
-    xa, xcb = (x_lo, x_hi) if modes.pi1 + modes.pi2 >= 0.0 else (x_hi, x_lo)
+    s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
     # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)

@@ -122,16 +122,21 @@ def potential_rate(t: float, params: StepParameters) -> float:
 
 
 def plateau_modes(m: float, q: float, p: float, a1: float, a2: float) -> AsymptoticModes:
-    """pi_i = p - q*A_i, E_i = sqrt(pi_i^2 + m^2) and delta = q (A2 - A1), not pi1 - pi2."""
+    """pi_i = p - q*A_i, E_i = sqrt(pi_i^2 + m^2) and delta = q (A2 - A1), not pi1 - pi2.
+
+    Finite inputs can still overflow here (p = 1e308, q a1 = -1e308 gives
+    pi1 = inf); wherever E1, E2 or delta is not finite this raises
+    ValueError naming them and the inputs."""
     pi1 = p - q * a1
     pi2 = p - q * a2
-    return AsymptoticModes(
-        pi1=pi1,
-        pi2=pi2,
-        e1=math.hypot(pi1, m),
-        e2=math.hypot(pi2, m),
-        delta=q * (a2 - a1),
-    )
+    e1, e2, delta = math.hypot(pi1, m), math.hypot(pi2, m), q * (a2 - a1)
+    # a quarter of each keeps the sum of three finite values finite, and an
+    # inf or NaN among them makes it inf or NaN
+    if not math.isfinite(0.25 * e1 + 0.25 * e2 + 0.25 * delta):
+        raise ValueError(
+            f"plateau kinematics beyond the double range: E1 = {e1!r}, E2 = {e2!r}, "
+            f"delta = {delta!r} from m = {m!r}, q = {q!r}, p = {p!r}, a1 = {a1!r}, a2 = {a2!r}")
+    return AsymptoticModes(pi1=pi1, pi2=pi2, e1=e1, e2=e2, delta=delta)
 
 
 def asymptotic_modes(params: StepParameters) -> AsymptoticModes:

@@ -29,7 +29,7 @@ ANCHOR = dict(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=2.0 * math.sqrt(3.0))
 SPECFUN_TOL = 1e-10
 REFLECTION_TOL = 1e-10
 RESIDUAL_TOL = 1e-7
-SHARP_TOL = 1e-3
+SHARP_TOL = 1e-6
 SHARP_TAU = 1e-4  # the smooth step that must reproduce the Heaviside limit
 ADIABATIC_TOL = 1e-6  # on B_u at the slowest step
 PROBABILITY_SUM_TOL = 1e-12  # |F + B - 1|

@@ -236,19 +236,26 @@ class Hyp2F1Plan:
         return self.on_w
 
     def series(self, z: float) -> tuple[complex, complex, complex]:
-        """(kappa, s, ds) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and ds = s'(z).
+        """(kappa, s, f) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and
+        d/dz 2F1 = (1-z)^kappa f(z), f = s' - kappa s/(1-z).
 
         The prefactor's exponent is returned rather than applied, so a
-        caller with other powers of (1-z) takes them all in one exp.
+        caller with other powers of (1-z) takes them all in one exp.  f is
+        written here once, for `hyp2f1_with_derivative` and the charts of
+        `analytic` alike.  Where a or b is small the plan sums direct or the
+        Pfaff series that keeps it, each of whose terms then carries the
+        small parameter, so f = (1-z)^(-kappa) (a b / c) F(a+1, b+1; c+1; z)
+        keeps its relative accuracy.
         """
         rep = self.select(z)
+        one_minus = 1.0 - z
         if rep is self.on_z:
             s, ds = rep.sums(z)
-            return rep.kappa, s, ds
-        # x = z/(z-1), dx/dz = -1/(1-z)^2
-        one_minus = 1.0 - z
-        s, ds = rep.sums(z / (z - 1.0))
-        return rep.kappa, s, -ds / (one_minus * one_minus)
+        else:
+            # x = z/(z-1), dx/dz = -1/(1-z)^2
+            s, ds = rep.sums(z / (z - 1.0))
+            ds = -ds / (one_minus * one_minus)
+        return rep.kappa, s, ds - rep.kappa * s / one_minus
 
 
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
@@ -271,10 +278,10 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
     x = z.real
     if not -1.0 <= x <= 0.5:
         raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2, got z = {x}")
-    kappa, s, ds = Hyp2F1Plan(a, b, c).series(x)
+    kappa, s, f = Hyp2F1Plan(a, b, c).series(x)
     # 1 - x >= 1/2: the logarithm is real
     prefactor = cmath.exp(kappa * math.log1p(-x))
-    return prefactor * s, prefactor * (ds - kappa * s / (1.0 - x))
+    return prefactor * s, prefactor * f
 
 
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:

@@ -171,7 +171,9 @@ class TestBuildSolution:
 # 2F1(a', b'; c'; zeta) with zeta = -exp(2 (t - t0)/tau) continued past
 # zeta = -1 by mpmath.hyp2f1, phi' by mpmath.diff and theta = (i phi' - pi phi)/m
 # with pi(t) from the tanh profile; no chart, plan or connection formula of
-# the program enters.
+# the program enters.  The last four are a small mass, m << |pi| (`_chart_m`),
+# where i phi' - pi phi cancels to ~m^2/(2 pi) of its terms, so the
+# reference takes dps 60 at m = 1e-12 and dps 280 at m = 1e-100.
 _CHART_A = StepParameters(m=0.8379646270918913, q=-0.9219730999288476, p=0.6235202315771669,
                           a1=0.25144060821610803, a2=-3.475769126081495,
                           tau=0.13160317973169794, t0=0.67493816419292)
@@ -184,6 +186,11 @@ _CHART_C = StepParameters(m=0.8593540143280076, q=-0.8150464623971797, p=1.30288
 _CHART_D = StepParameters(m=1.3881088548980554, q=0.9369780424004464, p=1.8054526259113697,
                           a1=-0.11075788789847874, a2=3.4846937736361685,
                           tau=2.2092799848113, t0=-0.8050913805382456)
+
+def _chart_m(m):
+    return StepParameters(m=m, q=1.0, p=1.7, a1=0.0, a2=0.4, tau=0.3, t0=0.0)
+
+
 CHART_PINNED = [
     (_CHART_A, 0.47753339459537303, "direct",
      (1.241288405815052+0.31336756062034876j), (0.5110778253608381+0.11743999767770642j)),
@@ -201,7 +208,22 @@ CHART_PINNED = [
      (-418.0187937903045+2829.6655121606086j), (168.16487772546003+2491.5075604218227j)),
     (_CHART_A, 0.6815183231795049, "pfaff-b",
      (1.2532137719615677+0.20183481673981155j), (0.5429033835777847-0.08923393809187018j)),
+    (_chart_m(1e-12), -0.1, "pfaff-a",
+     (2.185837619206809+0.4314114260277101j), (6.613492862946861e-13+1.0475370174788113e-13j)),
+    (_chart_m(1e-12), 0.6, "direct",
+     (1.5856236390286118-1.5651835647618515j), (5.00062760149536e-13-7.044335509919987e-13j)),
+    (_chart_m(1e-100), -0.1, "pfaff-a",
+     (2.185837619206809+0.4314114260277101j), (6.613492862946861e-101+1.0475370174788112e-101j)),
+    (_chart_m(1e-100), 0.6, "direct",
+     (1.5856236390286118-1.5651835647618515j), (5.00062760149536e-101-7.044335509919987e-101j)),
 ]
+
+
+def _chart_id(case):
+    params, t, series = case[:3]
+    side = "earlier" if t <= params.t0 else "later"
+    # the small-mass cases name their mass, so every id stays unique
+    return f"{side}-{series}" + (f"-m={params.m:g}" if params.m < 1e-3 else "")
 
 
 class TestChartEvaluation:
@@ -232,8 +254,7 @@ class TestChartEvaluation:
             assert got.upper == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("params, t, series, phi, theta", CHART_PINNED,
-                             ids=[f"{'earlier' if c[1] <= c[0].t0 else 'later'}-{c[2]}"
-                                  for c in CHART_PINNED])
+                             ids=[_chart_id(c) for c in CHART_PINNED])
     def test_pinned_high_precision_spinors(self, params, t, series, phi, theta):
         sol = match_at_t0(build_solution(params), params)
         chart = sol.earlier if t <= params.t0 else sol.later
@@ -243,6 +264,8 @@ class TestChartEvaluation:
         scale = math.hypot(abs(phi), abs(theta))
         assert abs(got.upper - phi) <= 1e-12 * scale
         assert abs(got.lower - theta) <= 1e-12 * scale
+        # theta on its own scale too: at a small mass it is ~m/|pi| of phi
+        assert abs(got.lower - theta) <= 1e-12 * abs(theta)
 
     def test_matches_independent_integration_at_t0(self):
         params = mk(tau=0.3)
@@ -282,11 +305,11 @@ class TestChartEvaluation:
                 phi = head * f
                 # d zeta/dt = -2 zeta / tau on the later chart
                 zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
-                piv = chart.pi_asym - sol.modes.delta * zeta / (1.0 - zeta)
+                piv = sol.modes.pi2 - sol.modes.delta * zeta / (1.0 - zeta)
                 theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
                 positive = model.TwoSpinor(
-                    *analytic._chart_spinor(chart, sol.modes.delta, params, t))
-                got = partner(positive, chart.pi_asym, m)
+                    *analytic._chart_spinor(chart, params, t))
+                got = partner(positive, sol.modes.pi2, m)
                 err = math.hypot(abs(got.upper - phi), abs(got.lower - theta))
                 assert err <= 1e-12 * math.hypot(abs(phi), abs(theta)), (params, t)
 
@@ -396,11 +419,10 @@ class TestMatching:
         params = mk(tau=0.8)
         modes = asymptotic_modes(params)
         sol = build_solution(params)
-        for chart, want in ((sol.earlier, 2 * modes.e1 / params.m),
-                            (sol.later, -2 * modes.e2 / params.m)):
-            positive = model.TwoSpinor(*analytic._chart_spinor(chart, sol.modes.delta, params,
-                                                              params.t0))
-            other = partner(positive, chart.pi_asym, params.m)
+        for chart, pi, want in ((sol.earlier, modes.pi1, 2 * modes.e1 / params.m),
+                                (sol.later, modes.pi2, -2 * modes.e2 / params.m)):
+            positive = model.TwoSpinor(*analytic._chart_spinor(chart, params, params.t0))
+            other = partner(positive, pi, params.m)
             # (|zeta|^(+i eps), |zeta|^(-i eps)) in the parent's order
             f1, f2 = (other, positive) if chart.sign > 0 else (positive, other)
             det = f1.upper * f2.lower - f2.upper * f1.lower

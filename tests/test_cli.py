@@ -159,6 +159,17 @@ class TestScatter:
         rec = json.loads(out)
         assert (rec["b"], rec["B_u"]) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("flags", [("--p", "1e308", "--a1", "-1e308", "--a2", "0", "--tau", "1"),
+                                       ("--sharp", "--p", "1e308", "--a2", "-1e308")],
+                             ids=["pi1=inf", "sharp-pi2=inf"])
+    def test_overflowing_kinematics_are_refused(self, capsys, flags):
+        # finite inputs whose pi1 or pi2 overflows exited 3 with
+        # "F + B - 1 = nan": now a flag error naming the kinematics and inputs
+        code, out, err = run(capsys, "scatter", *flags, "--format", "json")
+        assert (code, out) == (2, "")
+        assert "plateau kinematics beyond the double range" in err
+        assert "p = 1e+308" in err and "E2 = " in err
+
     def test_numerical_failure_exit_code(self, capsys):
         # pi tau E is a subnormal double, which once exited 3: the sinh
         # arguments are formed in decimal, so the step is its Heaviside
@@ -463,6 +474,17 @@ class TestSweep:
         rows = [r for r in out.splitlines() if r and not r.startswith("#")]
         for row in rows[1:]:
             assert row.split(",")[-1] != "ok"
+
+    def test_rows_with_overflowing_kinematics_name_them(self, capsys):
+        # E2 = inf on every row: each status names the kinematics, not a
+        # broken identity "F + B - 1 = nan"
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "a2", "--start", "-1e308",
+                           "--stop", "-1.7e308", "--count", "3", "--p", "1e308", "--tau", "1")
+        assert code == 3
+        rows = [r for r in out.splitlines() if r and not r.startswith("#")]
+        for row in rows[1:]:
+            assert row.split(",")[-1].startswith(
+                "ValueError: plateau kinematics beyond the double range: E1 = 1e+308; E2 = inf")
 
     def test_partial_failure_keeps_going(self, capsys):
         # tau sweep crossing zero: negative tau rows fail, positive succeed
