@@ -74,21 +74,9 @@ class ConvergenceError(ArithmeticError):
     """Series failed to reach tolerance within the iteration cap."""
 
 
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficient set, widely
-# reproduced e.g. in Numerical Recipes-derived code); ~1e-15 relative on the
-# right half plane.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+# Stirling's series (DLMF 5.11.1): B_2k / (2k (2k - 1)), k = 1..8
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 
 SERIES_TOL = 1e-15
@@ -104,34 +92,49 @@ def _is_nonpositive_int(z: complex) -> bool:
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma.
 
-    exp(log_gamma) satisfies the recurrence and reflection identities to
-    ~1e-14 relative on |Re z|, |Im z| <= 50.  Raises GammaPoleError at the
-    poles 0, -1, -2, ...
+    One path on the closed upper half plane, the lower taken by conjugation
+    (a zero imaginary part of either sign takes the upper side): the
+    recurrence ln G(z) = ln G(z + n) - sum_k ln(z + k), whose principal
+    logarithms add up to the principal branch there, lifts z until
+    Re z >= 1 and |z| >= 10, and eight terms of Stirling's series in 1/z
+    finish it.  Only for Re z < -20, where the lift would take more than
+    ~30 logarithms, the reflection formula maps z to 1 - z first.
+
+    Against 30-digit mpmath, on the lines Re z = 0 and 1 that
+    `analytic.match_at_t0` visits, the error is within 9e-15 for
+    |Im z| <= 10 and within 3.4e-16 |ln G(z)| for 10 < |Im z| <= 400.
+    Within |Re z|, |Im z| <= 50 it is within 1.4e-15 max(1, |ln G(z)|),
+    next to the poles 0 to -19 too; where Re z < -20 the reflection cancels
+    next to a pole in 1 - e^{2 i pi z}, ~1e-4 off at a distance of 1e-11.
+    Raises GammaPoleError at the poles 0, -1, -2, ...
     """
     z = complex(z)
     if _is_nonpositive_int(z):
         raise GammaPoleError(f"log_gamma pole at z = {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
-    if abs(z) < 0.5:
-        # near the pole at 0 the reflection below cancels in 1 - e^{2 i pi z}
-        return log_gamma(1.0 + z) - cmath.log(z)
-    if z.real < 0.5:
-        # reflection onto Re >= 0.5 with a continuous branch of log sin(pi z)
-        # on the closed upper half plane:
-        #   sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) * i/2
+    if z.imag == 0.0:
+        z = complex(z.real, 0.0)  # -0.0 would put ln(z) on the lower side
+    if z.real < -20.0:
+        # reflection with a continuous branch of log sin(pi z) on the closed
+        # upper half plane: sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) * i/2
         lsin = (
             -1j * math.pi * z
             + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
             - cmath.log(2j)
         )
         return math.log(math.pi) - lsin - log_gamma(1.0 - z) - 1j * math.pi
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    lifted = 0j
+    while z.real < 1.0 or abs(z) < 10.0:
+        lifted += cmath.log(z)
+        z += 1.0
+    # w first: z * z overflows for |z| above ~1e154
+    w = 1.0 / z
+    w2 = w * w
+    tail = 0j
+    for coeff in reversed(_STIRLING):
+        tail = tail * w2 + coeff
+    return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + w * tail - lifted
 
 
 class _Representation:

@@ -23,7 +23,7 @@ from diracstep.analytic import (
 from diracstep.model import StepParameters, asymptotic_modes
 from diracstep.selftest import residual_max
 
-from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id, sharp_reference
+from conftest import SAUTER_CASES, sauter_case_id, sharp_reference, sinh_reference
 
 RT3 = math.sqrt(3.0)
 
@@ -428,6 +428,18 @@ class TestMatching:
             det = f1.upper * f2.lower - f2.upper * f1.lower
             assert det == pytest.approx(want, rel=1e-10)
 
+    def test_gamma_ratios_where_tau_e2_is_18(self):
+        # G(c') G(b'-a')/(G(b') G(c'-a')) and G(c') G(a'-b')/(G(a') G(c'-b'))
+        # computed once with mpmath (dps 150) from these exact binary inputs;
+        # tau E2 = 18.47 puts log G(-i tau E2) at |Im z| ~ 18
+        params = StepParameters(m=1.2889742354046688e-39, q=-1.7520955294161322,
+                                p=-2.514692200642492, a1=0.3791218723777005,
+                                a2=-3.4732809507443827, tau=2.1474068177924406)
+        sol = match_at_t0(build_solution(params), params)
+        for got, want in ((sol.c1l, 0.21516148836060198 + 1.2464470750603525e-79j),
+                          (sol.c2l, -1.4107400884248747e-05 + 9.067673840786453e-06j)):
+            assert abs(got - want) <= 2e-14 * abs(want)
+
     def test_sharp_limit_of_amplitudes(self, anchor_kw):
         soft = scatter(StepParameters(tau=1e-4, **anchor_kw))
         hard = sharp_step(**anchor_kw)
@@ -456,7 +468,7 @@ class TestAmplitudes:
 
     def test_massless_limit_when_mass_underflows(self):
         # m^2 underflows, and so does F_u ~ 1e-400, but f ~ m does not: the
-        # forward gap is carried as its logarithm.  f from `_sinh_reference`
+        # forward gap is carried as its logarithm.  f from `sinh_reference`
         res = scatter(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
         assert res.F_u == 0.0
         assert res.f == pytest.approx(1.7757669033229453e-200, rel=1e-13, abs=0.0)
@@ -603,15 +615,14 @@ class TestSauterForm:
     def test_pinned_high_precision_values(self, kw, f_u, b_u, f, b):
         res = scatter(StepParameters(**kw))
         for got, want in ((res.F_u, f_u), (res.B_u, b_u), (res.f, f), (res.b, b),
-                          (sauter_backward_probability(**kw), b_u)):
+                          (sinh_reference(**kw)["B_u"], b_u)):
             assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("kw", SAUTER_CASES,
                              ids=[sauter_case_id(c) for c in SAUTER_CASES])
     def test_scatter_matches_elementary_form(self, kw):
         res = scatter(StepParameters(**kw))
-        want = sauter_backward_probability(kw["m"], kw["q"], kw["p"], kw["a1"],
-                                           kw["a2"], kw["tau"])
+        want = sinh_reference(kw["m"], kw["q"], kw["p"], kw["a1"], kw["a2"], kw["tau"])["B_u"]
         assert abs(res.B_u - want) <= 1e-9
         assert abs(res.F_u - (1.0 - want)) <= 1e-9
         if want > 1e-300:
@@ -620,7 +631,7 @@ class TestSauterForm:
 
 class TestBelowTheNormalRange:
     """Gap arguments pi tau (...)/2 below the smallest normal double, taken
-    by `_gap_arguments` as logarithms, against `_sinh_reference`."""
+    by `_gap_arguments` as logarithms, against `sinh_reference`."""
 
     @pytest.mark.parametrize("kw, want", [
         # F_u ~ 6e-401 underflows, f does not
@@ -637,7 +648,7 @@ class TestBelowTheNormalRange:
     def test_values_that_underflowed(self, kw, want):
         params = StepParameters(q=1.0, a1=0.0, **kw)
         res = scatter(params)
-        ref = _sinh_reference(params.m, params.q, params.p, params.a1, params.a2, params.tau)
+        ref = sinh_reference(params.m, params.q, params.p, params.a1, params.a2, params.tau)
         for name, value in want.items():
             assert ref[name] == pytest.approx(value, rel=1e-6, abs=0.0)
             assert abs(getattr(res, name) - ref[name]) <= 1e-12 * ref[name], name
@@ -652,7 +663,7 @@ class TestBelowTheNormalRange:
                     rng.uniform(-1.0, 1.0), rng.uniform(-5.0, 5.0),
                     10.0 ** rng.uniform(-300.0, -100.0))
             res = scatter(StepParameters(*args))
-            for name, want in _sinh_reference(*args).items():
+            for name, want in sinh_reference(*args).items():
                 if want > 1e-290:
                     assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
 
@@ -687,7 +698,7 @@ class TestAcrossTheDoubleRange:
             assert all(math.isfinite(v) for v in values), args
             assert abs(res.F_u + res.B_u - 1.0) <= 1e-12, args
             if i % 6 == 0:
-                for name, want in _sinh_reference(*args, digits=2400).items():
+                for name, want in sinh_reference(*args, digits=2400).items():
                     if want > 1e-290:
                         assert abs(getattr(res, name) - want) <= 1e-12 * want, (args, name)
 
@@ -705,7 +716,7 @@ class TestAcrossTheDoubleRange:
         # double precision in the sinh products
         args = (1.0, 1.0, 8e307, 0.0, 1.6e308, tau)
         res = scatter(StepParameters(*args))
-        for name, want in _sinh_reference(*args).items():
+        for name, want in sinh_reference(*args).items():
             if want > 1e-290:
                 assert abs(getattr(res, name) - want) <= 1e-12 * want, name
         assert (res.b, res.B_u) == (1.0, 1.0)
@@ -763,7 +774,7 @@ class TestAcrossTheDoubleRange:
         # B_u were NaN; the adiabatic limit is exact in the sinh products
         args = (1e200, 1.0, 0.0, 1e-170, 0.0, 1e200)
         res = scatter(StepParameters(*args))
-        assert _sinh_reference(*args) == dict(f=1.0, b=0.0, F_u=1.0, B_u=0.0)
+        assert sinh_reference(*args) == dict(f=1.0, b=0.0, F_u=1.0, B_u=0.0)
         assert (res.f, res.b, res.F, res.B, res.F_u, res.B_u) == (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_unlike_numerator_lifted_back_into_range(self):
@@ -773,7 +784,7 @@ class TestAcrossTheDoubleRange:
         # products give 1.5708e-241
         args = (1e-94, 1.0, 0.0, 1e133, -1e214, 1e80)
         res = scatter(StepParameters(*args))
-        for name, want in _sinh_reference(*args, digits=2400).items():
+        for name, want in sinh_reference(*args, digits=2400).items():
             assert abs(getattr(res, name) - want) <= 1e-12 * want, name
 
     def test_energy_far_below_the_momenta(self):
@@ -782,7 +793,7 @@ class TestAcrossTheDoubleRange:
         # all four values are 1/2 to 40 digits in the sinh products
         args = (1e-200, 1.0, 0.0, 0.0, 1e150, 1e-100)
         res = scatter(StepParameters(*args))
-        for name, want in _sinh_reference(*args).items():
+        for name, want in sinh_reference(*args).items():
             assert want == 0.5
             assert abs(getattr(res, name) - want) <= 4e-13 * want, name
 
@@ -876,57 +887,3 @@ class TestSharpStep:
                 # below 1e-290 a value may be lost to underflow
                 assert abs(got - want) <= 1e-14 * abs(want) + 1e-290, (
                     (m, q, p, a1, a2), name, got, want)
-
-
-def _sinh_reference(m, q, p, a1, a2, tau, digits=1200):
-    """f, b, F_u and B_u from the sinh products of the analytic module
-    docstring, with every input taken exactly.  The arguments are formed
-    with 1200 significant digits by default, enough to resolve
-    E - |pi| ~ m^2/|pi| at m = 1e-300; |delta| - |E2 - E1|, which can be
-    |delta| m^2/pi^2 for |pi1|, |pi2| >> m, takes up to twice as many.
-    Each sinh is taken in logarithms, ln sinh x = x + ln((1 - e^(-2x))/2)
-    from x = 1 on: the linear parts are summed with the arguments' digits,
-    so they cancel as in exact arithmetic, and the rest is taken to 40.  An
-    argument far beyond the double range, such as pi tau E2 = 3e50, then
-    overflows nothing."""
-    from decimal import Decimal, localcontext
-
-    def log_sinh(x):
-        # (linear part, the rest to 40 digits)
-        with localcontext() as ctx:
-            ctx.prec = 40
-            x40 = +x
-            if x40 >= 1:
-                return x, ((1 - (-2 * x40).exp()) / 2).ln()
-            term, total, n = x40, x40, 1
-            while abs(term) > abs(total) * Decimal(10) ** -40:
-                term *= x40 * x40 / ((2 * n) * (2 * n + 1))
-                total += term
-                n += 1
-            return 0, total.ln()
-
-    def log_ratio(num, den):
-        # ln(sinh num_1 sinh num_2 / (sinh den_1 sinh den_2))
-        (a, ra), (b, rb), (c, rc), (d, rd) = (log_sinh(x) for x in num + den)
-        return (a + b - c - d) + (ra + rb - rc - rd)
-
-    with localcontext() as ctx:
-        ctx.prec = digits
-        m, q, p, a1, a2, tau = (Decimal(v) for v in (m, q, p, a1, a2, tau))
-        pi1, pi2 = p - q * a1, p - q * a2
-        e1, e2 = (pi1 * pi1 + m * m).sqrt(), (pi2 * pi2 + m * m).sqrt()
-        delta, gap = abs(pi1 - pi2), abs(e2 - e1)
-        k = Decimal(math.pi) * tau / 2  # pi rounded once: 1e-16 relative in each argument
-        den = [2 * k * e1, 2 * k * e2]
-        log_f_u = log_ratio([k * (e1 + e2 + delta), k * (e1 + e2 - delta)], den)
-        # a trivial step's last argument is 0, and so are B_u and b
-        log_b_u = log_ratio([k * (delta + gap), k * (delta - gap)], den) if delta else None
-        ctx.prec = 40
-        log_scale = e1.ln() - e2.ln() - (e1 + m).ln()
-        values = dict(f=((log_f_u + log_scale + (e2 + m).ln()) / 2).exp(), b=0,
-                      F_u=log_f_u.exp(), B_u=0)
-        if log_b_u is not None:
-            values["B_u"] = log_b_u.exp()
-            if e2 != m:
-                values["b"] = ((log_b_u + log_scale + (e2 - m).ln()) / 2).exp()
-        return {name: float(v) for name, v in values.items()}

@@ -10,7 +10,7 @@ from diracstep.analytic import result_from_mode_amplitudes
 from diracstep.model import asymptotic_modes, potential_at, potential_rate
 from diracstep.oracle import NormDriftError, StepLimitError
 
-from conftest import SAUTER_CASES, sauter_backward_probability, sauter_case_id
+from conftest import SAUTER_CASES, sauter_case_id, sinh_reference
 
 RT3 = math.sqrt(3.0)
 
@@ -281,6 +281,5 @@ class TestCompare:
         # signed q, m != 1, a1 != 0, t0 != 0, tau 1e-12..3
         report = compare(StepParameters(**kw))
         assert report.passed
-        want = sauter_backward_probability(kw["m"], kw["q"], kw["p"], kw["a1"],
-                                           kw["a2"], kw["tau"])
+        want = sinh_reference(kw["m"], kw["q"], kw["p"], kw["a1"], kw["a2"], kw["tau"])["B_u"]
         assert abs(report.numeric.B_u - want) <= 1e-6
