@@ -210,7 +210,9 @@ _EPS_SUM_LIMIT = 200.0
 
 
 class ParameterRangeError(ValueError):
-    """tau * E too large for accurate double-precision evaluation."""
+    """tau * E too large for accurate double-precision evaluation, or a
+    coefficient of `match_at_t0`, c1l or c2l, beyond the double range (as
+    where tau E2 is far below it)."""
 
 
 @dataclass(frozen=True)
@@ -352,13 +354,14 @@ def _chart_spinor(chart: ChartExpansion, params: StepParameters,
     E - pi_asym wherever that is small, so nothing cancels; the division by
     m comes last, so that 1/(tau m) is never formed on its own.
     """
-    log_abs_zeta = chart.sign * 2.0 * ((t - params.t0) / params.tau)
+    sign, tau = chart.sign, params.tau
+    log_abs_zeta = sign * 2.0 * ((t - params.t0) / tau)
     zeta = -math.exp(log_abs_zeta)
     kappa, s, f = chart.plan.series(zeta)
     # zeta < 0, so ln(1 - zeta) is real
     head = cmath.exp(chart.mu * log_abs_zeta + (chart.nu + kappa) * math.log1p(-zeta))
     phi = head * s
-    return phi, chart.lower * phi + chart.sign * 2j * (zeta * head * f / params.tau) / params.m
+    return phi, chart.lower * phi + sign * 2j * (zeta * head * f / tau) / params.m
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -381,7 +384,8 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
         raise ValueError("coefficients unset; run match_at_t0 first")
     if t <= params.t0:
         phi, theta = _chart_spinor(sol.earlier, params, t)
-        return TwoSpinor(upper=sol.g_i * phi, lower=sol.g_i * theta)
+        g_i = sol.g_i
+        return TwoSpinor(upper=g_i * phi, lower=g_i * theta)
     phi, theta = _chart_spinor(sol.later, params, t)
     c_f, c_b = sol.c_f, sol.c_b
     return TwoSpinor(upper=c_f * phi + c_b * theta.conjugate(),
@@ -406,20 +410,36 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
     1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
-    are set here too (`HypergeometricSolution`).
+    are set here too (`HypergeometricSolution`).  Where c1l or c2l is beyond
+    the double range, it raises ParameterRangeError.
     """
     modes = sol.modes
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
     # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
-    c1l = cmath.exp(lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca))
-    c2l = 0j if xa == 0.0 else cmath.exp(lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
-                                         - _log_gamma_gap(1.0, -s, xcb))
+    c1l = _gamma_ratio("c1l", lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb)
+                       - _log_gamma_gap(1.0, -1.0, xca), x_2)
+    c2l = 0j if xa == 0.0 else _gamma_ratio("c2l", lg_c + lg_ba.conjugate()
+                                            - _log_gamma_gap(0.0, s, xa)
+                                            - _log_gamma_gap(1.0, -s, xcb), x_2)
     g_i = math.exp(math.pi * sol.earlier.eps)
     # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
     return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=g_i * c1l,
                    c_b=g_i * c2l * mode_lower(-modes.pi2, params.m))
+
+
+def _gamma_ratio(name: str, exponent: complex, x_2: float) -> complex:
+    """e^exponent, the coefficient `name` of `match_at_t0` from its log G
+    sum, or ParameterRangeError naming tau E2 (x_2, a gap argument) and the
+    exponent where the coefficient is beyond the double range."""
+    try:
+        return cmath.exp(exponent)
+    except OverflowError:
+        tau_e2 = f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})"
+        raise ParameterRangeError(
+            f"{name} = e^({exponent:.6g}) is beyond the double range at "
+            f"tau E2 = {tau_e2}") from None
 
 
 def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:

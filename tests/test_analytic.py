@@ -363,13 +363,39 @@ class TestChartEvaluation:
 
     def test_iteration_cap_bounds_the_tables(self, monkeypatch):
         params = mk(tau=2.0)
+        for cap in (4, 5, 6, 7):
+            sol = match_at_t0(build_solution(params), params)
+            monkeypatch.setattr(specfun, "MAX_TERMS", cap)
+            with pytest.raises(specfun.ConvergenceError):
+                solve_later(sol, params.t0 + 0.1, params)
+            for chart in (sol.earlier, sol.later):
+                assert len(chart.plan.on_z.table) <= cap
+                assert len(chart.plan.on_w.table) <= cap
+
+    def test_one_series_per_spinor_and_two_plans_per_solution(self, monkeypatch):
+        # the cost of the chart route: build_solution builds two plans, and a
+        # spinor on either side of t0 sums one 2F1 series
+        counts = {"plans": 0, "sums": 0}
+        plan_init, sums = specfun.Hyp2F1Plan.__init__, specfun._Representation.sums
+
+        def counting_init(plan, *args):
+            counts["plans"] += 1
+            plan_init(plan, *args)
+
+        def counting_sums(rep, x):
+            counts["sums"] += 1
+            return sums(rep, x)
+
+        monkeypatch.setattr(specfun.Hyp2F1Plan, "__init__", counting_init)
+        monkeypatch.setattr(specfun._Representation, "sums", counting_sums)
+        params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)
-        monkeypatch.setattr(specfun, "MAX_TERMS", 4)
-        with pytest.raises(specfun.ConvergenceError):
-            solve_later(sol, params.t0 + 0.1, params)
-        for chart in (sol.earlier, sol.later):
-            assert len(chart.plan.on_z.table) <= 4
-            assert len(chart.plan.on_w.table) <= 4
+        assert counts == {"plans": 2, "sums": 0}
+        for dt in (-4.0, -1.0, -0.1, 0.0, 0.1, 1.0, 4.0):
+            before = counts["sums"]
+            solve_earlier(sol, params.t0 + dt * params.tau, params)
+            assert counts["sums"] == before + 1, dt
+        assert counts["plans"] == 2
 
     def test_unset_coefficients_rejected(self):
         sol = build_solution(mk())
@@ -726,8 +752,8 @@ class TestAcrossTheDoubleRange:
     def test_chart_route_agrees_with_scatter(self):
         # the connection formula's amplitudes (match_at_t0, then
         # asymptotic_amplitudes) against the sinh products at
-        # tau (E1 + E2) = 10; an overflow inside match_at_t0 is a failure of
-        # the matching, so such a point is skipped.  scatter is defined where
+        # tau (E1 + E2) = 10; a point where match_at_t0 refuses a coefficient
+        # beyond the double range is skipped.  scatter is defined where
         # pi tau min(E1, E2) is below the normal range, but there c1l or c2l
         # can underflow and the chart route then misses it, so such a point
         # is skipped too
@@ -746,7 +772,7 @@ class TestAcrossTheDoubleRange:
                 continue
             try:
                 sol = match_at_t0(build_solution(params), params)
-            except OverflowError:
+            except ParameterRangeError:
                 continue
             via_gamma = asymptotic_amplitudes(sol, params)
             direct = scatter(params)
@@ -756,6 +782,14 @@ class TestAcrossTheDoubleRange:
                     (m, q, p, a1, a2), name)
             checked += 1
         assert checked >= 80
+
+    def test_coefficient_beyond_the_range_is_refused(self):
+        # tau E2 = 1e-599: c1l carries G(-i tau E2) ~ i/(tau E2) and is
+        # e^1381.55, so match_at_t0 raises ParameterRangeError, naming tau E2
+        # by its logarithm
+        params = StepParameters(1e-300, 1.0, 0.0, 1e300, 0.0, 1e-299)
+        with pytest.raises(ParameterRangeError, match=r"c1l = e\^\(1381\.55.*tau E2 = e\^\(-1379\.2"):
+            match_at_t0(build_solution(params), params)
 
     def test_matching_where_tau_e2_is_below_the_range(self):
         # tau E2 = 2e-394 underflows to 0, where log G(-i tau E2) hit its
