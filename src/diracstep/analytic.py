@@ -155,15 +155,17 @@ amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
 eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
 multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
 forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
-`solve_earlier` forms no exp or mode factor per time.  The unitary pair
-(F_u, B_u) projects onto orthonormalized modes: F_u is |c1l|^2 times the
-forward mode's squared norm over the incident one's, and B_u likewise.  f and
-b are the moduli of the later waves' standard-basis upper components
-relative to the incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the
-two pairs are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
-b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`
-and `result_from_mode_amplitudes`, hands sqrt(F_u) and sqrt(B_u) to one
-assembly (`_result`), which forms f, b, F and B from them.
+`solve_earlier` forms no exp or mode factor per time; c_f and c_b are each
+one exp of their logarithms, so neither is inf or 0 inf = NaN where the
+product of its factors would be.  The unitary pair (F_u, B_u) projects onto
+orthonormalized modes: F_u is |c1l|^2 times the forward mode's squared norm
+over the incident one's, and B_u likewise.  f and b are the moduli of the
+later waves' standard-basis upper components relative to the incident
+one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the two pairs are related
+by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
+Every route, `scatter`, `sharp_step` and `result_from_mode_amplitudes`,
+hands sqrt(F_u) and sqrt(B_u) to one assembly (`_result`), which forms f,
+b, F and B from them.
 """
 
 from __future__ import annotations
@@ -211,8 +213,8 @@ _EPS_SUM_LIMIT = 200.0
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation, or a
-    coefficient of `match_at_t0`, c1l or c2l, beyond the double range (as
-    where tau E2 is far below it)."""
+    coefficient of `match_at_t0` (c1l, c2l, c_f or c_b) beyond the double
+    range, as where tau E2 is far below it."""
 
 
 @dataclass(frozen=True)
@@ -410,36 +412,48 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
     1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
-    are set here too (`HypergeometricSolution`).  Where c1l or c2l is beyond
-    the double range, it raises ParameterRangeError.
+    are set here too (`HypergeometricSolution`), c_f = e^(pi eps1 + E_f)
+    and c_b = e^(pi eps1 + E_b + ln mode_lower(-pi2, m)) each as one exp,
+    E_f and E_b being the log G sums of c1l and c2l.  Where one of the four
+    is beyond the double range, it raises ParameterRangeError naming it.
     """
     modes = sol.modes
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
     # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
-    c1l = _gamma_ratio("c1l", lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb)
-                       - _log_gamma_gap(1.0, -1.0, xca), x_2)
-    c2l = 0j if xa == 0.0 else _gamma_ratio("c2l", lg_c + lg_ba.conjugate()
-                                            - _log_gamma_gap(0.0, s, xa)
-                                            - _log_gamma_gap(1.0, -s, xcb), x_2)
-    g_i = math.exp(math.pi * sol.earlier.eps)
-    # a product, not a quotient by mode_lower(pi2, m), which can underflow to 0
-    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=g_i * c1l,
-                   c_b=g_i * c2l * mode_lower(-modes.pi2, params.m))
+    log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
+    log_g_i = math.pi * sol.earlier.eps
+    g_i = math.exp(log_g_i)
+    c1l = _gamma_ratio("c1l", log_f, x_2)
+    c_f = _gamma_ratio("c_f", log_g_i + log_f)
+    if xa == 0.0:
+        c2l = c_b = 0j
+    else:
+        log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
+                 - _log_gamma_gap(1.0, -s, xcb))
+        c2l = _gamma_ratio("c2l", log_b, x_2)
+        # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m), from ln(E2 (E2 + pi2)):
+        # the factor itself can overflow where c2l underflows
+        log_lower = (_log_mode_norm(-modes.pi2, modes.e2, params.m)
+                     - math.log(modes.e2) - math.log(params.m))
+        c_b = _gamma_ratio("c_b", log_g_i + log_b + log_lower)
+    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=c_f, c_b=c_b)
 
 
-def _gamma_ratio(name: str, exponent: complex, x_2: float) -> complex:
+def _gamma_ratio(name: str, exponent: complex, x_2: float | None = None) -> complex:
     """e^exponent, the coefficient `name` of `match_at_t0` from its log G
-    sum, or ParameterRangeError naming tau E2 (x_2, a gap argument) and the
-    exponent where the coefficient is beyond the double range."""
+    sum, or ParameterRangeError naming it and the exponent where it is
+    beyond the double range, and tau E2 (x_2, a gap argument) where that is
+    the cause."""
     try:
         return cmath.exp(exponent)
     except OverflowError:
-        tau_e2 = f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})"
+        at = ""
+        if x_2 is not None:
+            at = " at tau E2 = " + (f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})")
         raise ParameterRangeError(
-            f"{name} = e^({exponent:.6g}) is beyond the double range at "
-            f"tau E2 = {tau_e2}") from None
+            f"{name} = e^({exponent:.6g}) is beyond the double range{at}") from None
 
 
 def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:

@@ -27,21 +27,20 @@ plan keeps the better of each pair by its constant g = |A*B|/|C| and the
 choice at z is one comparison, g_D |z| <= g_P |w| with |z| <= 1/2; ties go
 to the z pair, as the four-way minimum gives them to the first of the four.
 Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
-grown on demand up to MAX_TERMS, so a term of the sum costs a complex
-product by its ratio and one by the float x/(n+1).  The terms are added four
-at a time and the stopping test, two moduli, is made once per pass, on the
-pass's last two terms: the sum stops at the first pass whose last two terms
-are small in the value and the derivative sum, so one term that vanishes by
-accident does not stop it, and on a decreasing tail it stops at most three
-terms later than a test of every term for two small ones in a row would.
-Against the same loop in pairs with a complex division by n + 1 per term,
-this and fewer attribute reads per chart spinor took the `wavefunction`
-benchmark op from 1.022 to 0.921 ms at the median (seed 7, 10 alternating
-pairs of 30 s runs on CPython 3.11, 10 of 10 won, parent quartile spread
-0.009 ms).  The plan returns the exponent kappa of the representation's
-prefactor (1-z)^kappa with the sums, so that a caller with other powers of
-(1-z), such as the charts of `analytic`, takes them all in one exp.  The
-charts evaluate one (a, b, c) at many z and build their plans once.
+grown on demand, so a term of the sum costs a complex product by its ratio
+and one by the float x/(n+1).  The terms are added four at a time, and the
+series stops at the first pass whose last term is small in the value and in
+the derivative sum, once the pass starts at or past n = -Re C, c's nearest
+pole, or whose last term is exactly 0.  A term becomes small only through a
+factor A + n or B + n that nearly vanishes, and every later term carries
+that factor, so a later 1/(C + k) with C + k ~ 0 could lift the sum again;
+past -Re C none can, and after a 0 every term is 0.  Later ratios above 1,
+as for a large real B, can lift it too; the test does not see them.
+MAX_TERMS is counted in whole passes, rounded down to a multiple of four.
+The plan returns the exponent kappa of the representation's prefactor
+(1-z)^kappa with the sums, so that a caller with other powers of (1-z),
+such as the charts of `analytic`, takes them all in one exp.  The charts
+evaluate one (a, b, c) at many z and build their plans once.
 
 `hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
 series loop sums S and dS/dx together, and each transformation carries the
@@ -155,9 +154,11 @@ class _Representation:
 
     The table holds rho_n = (a+n)(b+n)/(c+n), which depends only on
     (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS.
+    first_stop = max(0, -Re c) is the first pass start whose last term may
+    stop the sum (`sums`).
     """
 
-    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "table")
+    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "first_stop", "table")
 
     def __init__(self, name: str, a: complex, b: complex, c: complex, kappa: complex) -> None:
         self.name = name
@@ -165,6 +166,8 @@ class _Representation:
         self.kappa = kappa
         # term-growth indicator per unit |argument|
         self.growth = abs(a * b) / max(abs(c), 1e-30)
+        # n >= -Re c is n >= ceil(-Re c) for an integer n
+        self.first_stop = max(0.0, -c.real)
         self.table: list[complex] = []
 
     def sums(self, x: float) -> tuple[complex, complex]:
@@ -175,79 +178,61 @@ class _Representation:
         term costs a complex product by rho_n and one by a float.  The terms
         are added four at a time, t_(n+1) to t_(n+4) for n a multiple of
         four, summed among themselves before they join S (the u likewise
-        for dS/dx), and the stopping test is made once per pass, on its last
-        two terms: the sum stops at the first pass whose t_(n+3) and t_(n+4)
-        are small, |t| <= tol |S| or |t| <= tiny against the sums at the end
-        of the pass, and whose u_(n+2) and u_(n+3) are small against dS/dx.
-        A single term may vanish accidentally for oscillatory parameters, so
-        one small term never stops it; on a decreasing tail it stops at most
-        three terms after a test of every term for two small ones in a row
-        would, and at most two after a test of each pair.  The test costs two
-        moduli per pass until the pass's last term is small.  Against the
-        loop in pairs with t_(n+1) = (u_n x)/(n+1), a complex division, this
-        loop alone took the `wavefunction` benchmark op from 1.012 to
-        0.924 ms at the median (seed 7, 3 alternating pairs of 30 s runs).
-        Where MAX_TERMS is not a multiple of four, the terms past the last
-        whole pass below it are added one at a time and the test is made on
-        the last two, so exactly MAX_TERMS terms after t_0 are tried before
-        ConvergenceError.
+        for dS/dx).  The sum stops at the first pass with n >= first_stop
+        whose t_(n+4) is small, |t| <= tol |S| or |t| <= tiny against S at
+        the end of the pass, and whose u_(n+3) is small against dS/dx.  A
+        term is small only through a factor a + k or b + k that nearly
+        vanishes, which every later term carries, so a later 1/(c + k) with
+        c + k ~ 0 could lift the sum again (as could later ratios above 1,
+        which this test does not see); from n >= first_stop = -Re c on,
+        every later |c + k| is at least 1.  A last term of exactly 0 stops
+        the sum before that, as every later term is 0 too.  These
+        comparisons are made only once the last term is small, so an
+        ordinary pass costs one modulus.  MAX_TERMS is counted in whole
+        passes, rounded down to a multiple of four, and ConvergenceError
+        names the number of terms tried.
         """
         tol = SERIES_TOL  # module settings read once per call, not per term
-        max_terms = MAX_TERMS
+        max_terms = MAX_TERMS - MAX_TERMS % 4
         # |term| <= max(tol |sum|, tiny) is |term| <= tol |sum| or |term| <= tiny
         tiny = tol * 1e-300
+        first_stop = self.first_stop
         table = self.table
         term = 1.0 + 0.0j
         total = term
         deriv = 0.0 + 0.0j
-        u = None  # the last u_n summed, once there is one
         done = 0
         while True:
             size = min(len(table), max_terms)
-            for n in range(done, size - 3, 4):
+            for n in range(done, size, 4):
                 u0 = term * table[n]
                 t1 = u0 * (x / (n + 1))
                 u1 = t1 * table[n + 1]
                 t2 = u1 * (x / (n + 2))
                 u2 = t2 * table[n + 2]
                 t3 = u2 * (x / (n + 3))
-                u = t3 * table[n + 3]
-                term = u * (x / (n + 4))
+                u3 = t3 * table[n + 3]
+                term = u3 * (x / (n + 4))
                 total += t1 + t2 + t3 + term
-                deriv += u0 + u1 + u2 + u
+                deriv += u0 + u1 + u2 + u3
                 small = tol * abs(total)
                 if small < tiny:
                     small = tiny
-                if abs(term) <= small and abs(t3) <= small:
+                if abs(term) <= small and (n >= first_stop or not term):
                     small = tol * abs(deriv)
                     if small < tiny:
                         small = tiny
-                    if abs(u) <= small and abs(u2) <= small:
+                    if abs(u3) <= small:
                         return total, deriv
-            done = size - size % 4  # the first term of the next pass
             if size == max_terms:
                 break
+            done = size
             # a new list, not appends: an evaluation running alongside keeps
             # iterating a whole table
             a, b, c = self.a, self.b, self.c
             table = self.table = table + [
                 (a + n) * (b + n) / (c + n)
                 for n in range(size, min(max_terms, max(_TABLE_START, 2 * size)))]
-        # the cap's last size % 4 terms, one at a time, and the test on the
-        # last two
-        t_prev = u_prev = None
-        for n in range(done, size):
-            t_prev, u_prev = term, u
-            u = term * table[n]
-            term = u * (x / (n + 1))
-            total += term
-            deriv += u
-        if u_prev is not None:
-            small = max(tol * abs(total), tiny)
-            if abs(term) <= small and abs(t_prev) <= small:
-                small = max(tol * abs(deriv), tiny)
-                if abs(u) <= small and abs(u_prev) <= small:
-                    return total, deriv
         raise ConvergenceError(
             f"2F1 series did not converge within {max_terms} terms "
             f"(a={self.a}, b={self.b}, c={self.c}, x={x})"

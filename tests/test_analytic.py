@@ -791,6 +791,29 @@ class TestAcrossTheDoubleRange:
         with pytest.raises(ParameterRangeError, match=r"c1l = e\^\(1381\.55.*tau E2 = e\^\(-1379\.2"):
             match_at_t0(build_solution(params), params)
 
+    def test_coefficient_product_beyond_the_range_is_refused(self):
+        # tau E1 = 380 and tau E2 = 3.8e-98: g_i = e^(190 pi) and c1l ~ 1e100
+        # are doubles, but c_f = g_i c1l = e^827.16 is not; it was stored as
+        # inf, and c_b as NaN.  tau E2 is not the cause, so it is not named
+        params = StepParameters(1.0, 1.0, -1e100, 0.0, -1e100, 3.8e-98)
+        with pytest.raises(ParameterRangeError, match=r"^c_f = e\^\(827\.16") as info:
+            match_at_t0(build_solution(params), params)
+        assert "tau E2" not in str(info.value)
+
+    def test_coefficient_product_below_the_range(self):
+        # c2l underflows to 0 where mode_lower(-pi2, m) overflows to inf, so
+        # c_b = g_i c2l mode_lower was 0 inf = NaN and every later spinor NaN;
+        # taken as one exp, c_b underflows to 0 itself
+        args = (5.891118715673762e-233, -0.0010586524023870247, 53834696.87920547,
+                2.407794096770281e+175, 1.7390190064765216e+251)
+        modes = model.plateau_modes(*args)
+        params = StepParameters(*args, 10.0 / (modes.e1 + modes.e2))
+        assert model.mode_lower(-modes.pi2, params.m) == math.inf
+        sol = match_at_t0(build_solution(params), params)
+        assert sol.c2l == 0.0 and sol.c_b == 0.0 and cmath.isfinite(sol.c_f)
+        psi = solve_later(sol, params.t0 + 0.2 * params.tau, params)
+        assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
+
     def test_matching_where_tau_e2_is_below_the_range(self):
         # tau E2 = 2e-394 underflows to 0, where log G(-i tau E2) hit its
         # pole; it is taken from ln(tau E2) now
