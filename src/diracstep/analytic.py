@@ -155,17 +155,18 @@ amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
 eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
 multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
 forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
-`solve_earlier` forms no exp or mode factor per time; c_f and c_b are each
-one exp of their logarithms, so neither is inf or 0 inf = NaN where the
-product of its factors would be.  The unitary pair (F_u, B_u) projects onto
-orthonormalized modes: F_u is |c1l|^2 times the forward mode's squared norm
-over the incident one's, and B_u likewise.  f and b are the moduli of the
-later waves' standard-basis upper components relative to the incident
-one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the two pairs are related
-by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).
-Every route, `scatter`, `sharp_step` and `result_from_mode_amplitudes`,
-hands sqrt(F_u) and sqrt(B_u) to one assembly (`_result`), which forms f,
-b, F and B from them.
+`solve_earlier` forms no exp or mode factor per time.  Where a factor or
+the product is not a normal double, c_f or c_b is one exp of its logarithm
+instead, so neither is inf, 0 inf = NaN or a lost underflow; one beyond the
+double range refuses the later side alone.  The unitary pair (F_u, B_u)
+projects onto orthonormalized modes: F_u is |c1l|^2 times the forward
+mode's squared norm over the incident one's, and B_u likewise.  f and b are
+the moduli of the later waves' standard-basis upper components relative to
+the incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the two pairs
+are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
+b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`
+and `result_from_mode_amplitudes`, hands sqrt(F_u) and sqrt(B_u) to one
+assembly (`_result`), which forms f, b, F and B from them.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ _EPS_SUM_LIMIT = 200.0
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation, or a
-    coefficient of `match_at_t0` (c1l, c2l, c_f or c_b) beyond the double
-    range, as where tau E2 is far below it."""
+    coefficient of `match_at_t0` beyond the double range: c1l or c2l (as
+    where tau E2 is far below it), or c_f or c_b for the later spinors."""
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,8 @@ class HypergeometricSolution:
     `match_at_t0` also stores what `solve_earlier` multiplies each chart's
     branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_i c1l for
     the later forward branch and c_b = g_i c2l mode_lower(-pi2, m) for its
-    conjugate partner."""
+    conjugate partner.  A coefficient beyond the double range is None, and
+    later_refused says which, with its exponent."""
 
     earlier: ChartExpansion
     later: ChartExpansion
@@ -268,6 +270,7 @@ class HypergeometricSolution:
     g_i: float | None = None
     c_f: complex | None = None
     c_b: complex | None = None
+    later_refused: str | None = None
 
 
 @dataclass
@@ -380,7 +383,9 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     coefficients c_f = g_i c1l and c_b = g_i c2l (E2 + pi2)/m are fixed by
     the matching, so `match_at_t0` stores them and each call only reads
     them.  Deep in either half-line zeta underflows to -0 and the spinor is
-    the exact plane-wave limit.  `solve_later` is the same function.
+    the exact plane-wave limit.  Where c_f or c_b is beyond the double
+    range, t > t0 raises ParameterRangeError naming it.  `solve_later` is
+    the same function.
     """
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
@@ -388,6 +393,8 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
         phi, theta = _chart_spinor(sol.earlier, params, t)
         g_i = sol.g_i
         return TwoSpinor(upper=g_i * phi, lower=g_i * theta)
+    if sol.later_refused is not None:
+        raise ParameterRangeError(sol.later_refused)
     phi, theta = _chart_spinor(sol.later, params, t)
     c_f, c_b = sol.c_f, sol.c_b
     return TwoSpinor(upper=c_f * phi + c_b * theta.conjugate(),
@@ -412,10 +419,10 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
     1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
-    are set here too (`HypergeometricSolution`), c_f = e^(pi eps1 + E_f)
-    and c_b = e^(pi eps1 + E_b + ln mode_lower(-pi2, m)) each as one exp,
-    E_f and E_b being the log G sums of c1l and c2l.  Where one of the four
-    is beyond the double range, it raises ParameterRangeError naming it.
+    are set here too (`HypergeometricSolution`), by `_later_coefficient`.
+    Where c1l or c2l is beyond the double range, it raises
+    ParameterRangeError naming it; where c_f or c_b is, only the later side
+    is refused, as c1l and c2l and the earlier side do not need them.
     """
     modes = sol.modes
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
@@ -426,10 +433,9 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     log_g_i = math.pi * sol.earlier.eps
     g_i = math.exp(log_g_i)
     c1l = _gamma_ratio("c1l", log_f, x_2)
-    c_f = _gamma_ratio("c_f", log_g_i + log_f)
-    if xa == 0.0:
-        c2l = c_b = 0j
-    else:
+    c_f, why_f = _later_coefficient("c_f", (g_i, c1l), log_g_i + log_f)
+    c2l, c_b, why_b = 0j, 0j, None
+    if xa != 0.0:
         log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
                  - _log_gamma_gap(1.0, -s, xcb))
         c2l = _gamma_ratio("c2l", log_b, x_2)
@@ -437,23 +443,39 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
         # the factor itself can overflow where c2l underflows
         log_lower = (_log_mode_norm(-modes.pi2, modes.e2, params.m)
                      - math.log(modes.e2) - math.log(params.m))
-        c_b = _gamma_ratio("c_b", log_g_i + log_b + log_lower)
-    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=c_f, c_b=c_b)
+        c_b, why_b = _later_coefficient("c_b", (g_i, c2l, mode_lower(-modes.pi2, params.m)),
+                                        log_g_i + log_b + log_lower)
+    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=c_f, c_b=c_b,
+                   later_refused="; ".join(filter(None, (why_f, why_b))) or None)
 
 
-def _gamma_ratio(name: str, exponent: complex, x_2: float | None = None) -> complex:
+def _later_coefficient(name: str, factors: tuple[complex, ...],
+                       exponent: complex) -> tuple[complex | None, str | None]:
+    """(value, None) of the later branches' coefficient `name`: the product
+    of its factors where each of them and the product are normal doubles,
+    else e^exponent, the sum of their logarithms, so that it is not inf,
+    0 inf = NaN or an underflow the product lost.  (None, why) where it is
+    beyond the double range."""
+    product = math.prod(factors)
+    if all(sys.float_info.min <= abs(v) < math.inf for v in (*factors, product)):
+        return product, None
+    try:
+        return cmath.exp(exponent), None
+    except OverflowError:
+        return None, f"{name} = e^({exponent:.6g}) is beyond the double range"
+
+
+def _gamma_ratio(name: str, exponent: complex, x_2: float) -> complex:
     """e^exponent, the coefficient `name` of `match_at_t0` from its log G
-    sum, or ParameterRangeError naming it and the exponent where it is
-    beyond the double range, and tau E2 (x_2, a gap argument) where that is
-    the cause."""
+    sum, or ParameterRangeError naming tau E2 (x_2, a gap argument) and the
+    exponent where the coefficient is beyond the double range."""
     try:
         return cmath.exp(exponent)
     except OverflowError:
-        at = ""
-        if x_2 is not None:
-            at = " at tau E2 = " + (f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})")
+        tau_e2 = f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})"
         raise ParameterRangeError(
-            f"{name} = e^({exponent:.6g}) is beyond the double range{at}") from None
+            f"{name} = e^({exponent:.6g}) is beyond the double range at "
+            f"tau E2 = {tau_e2}") from None
 
 
 def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:

@@ -29,13 +29,14 @@ to the z pair, as the four-way minimum gives them to the first of the four.
 Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
 grown on demand, so a term of the sum costs a complex product by its ratio
 and one by the float x/(n+1).  The terms are added four at a time, and the
-series stops at the first pass whose last term is small in the value and in
-the derivative sum, once the pass starts at or past n = -Re C, c's nearest
-pole, or whose last term is exactly 0.  A term becomes small only through a
-factor A + n or B + n that nearly vanishes, and every later term carries
-that factor, so a later 1/(C + k) with C + k ~ 0 could lift the sum again;
-past -Re C none can, and after a 0 every term is 0.  Later ratios above 1,
-as for a large real B, can lift it too; the test does not see them.
+series stops at the first pass whose last term, times a bound on the rest
+of the series, is small in the value and in the derivative sum: for
+n > -Re C, c's nearest pole, the ratio of every later term to the one before
+is at most r = |x| (1 + |A|/n) (1 + |B - C|/(Re C + n)), so the rest is at
+most r/(1 - r) times the last term.  A term made small by a factor A + k or
+B + k that nearly vanishes does not stop the sum before a near pole
+C + k ~ 0 or ratios above 1 (a large real B) lift it again.  A last term of
+exactly 0 stops it too, as every later term of the recurrence is 0.
 MAX_TERMS is counted in whole passes, rounded down to a multiple of four.
 The plan returns the exponent kappa of the representation's prefactor
 (1-z)^kappa with the sums, so that a caller with other powers of (1-z),
@@ -154,11 +155,9 @@ class _Representation:
 
     The table holds rho_n = (a+n)(b+n)/(c+n), which depends only on
     (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS.
-    first_stop = max(0, -Re c) is the first pass start whose last term may
-    stop the sum (`sums`).
     """
 
-    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "first_stop", "table")
+    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "reach", "table")
 
     def __init__(self, name: str, a: complex, b: complex, c: complex, kappa: complex) -> None:
         self.name = name
@@ -166,8 +165,8 @@ class _Representation:
         self.kappa = kappa
         # term-growth indicator per unit |argument|
         self.growth = abs(a * b) / max(abs(c), 1e-30)
-        # n >= -Re c is n >= ceil(-Re c) for an integer n
-        self.first_stop = max(0.0, -c.real)
+        # (|a|, |b - c|, Re c), which bound the later term ratios (`sums`)
+        self.reach = (abs(a), abs(b - c), c.real)
         self.table: list[complex] = []
 
     def sums(self, x: float) -> tuple[complex, complex]:
@@ -178,25 +177,30 @@ class _Representation:
         term costs a complex product by rho_n and one by a float.  The terms
         are added four at a time, t_(n+1) to t_(n+4) for n a multiple of
         four, summed among themselves before they join S (the u likewise
-        for dS/dx).  The sum stops at the first pass with n >= first_stop
-        whose t_(n+4) is small, |t| <= tol |S| or |t| <= tiny against S at
-        the end of the pass, and whose u_(n+3) is small against dS/dx.  A
-        term is small only through a factor a + k or b + k that nearly
-        vanishes, which every later term carries, so a later 1/(c + k) with
-        c + k ~ 0 could lift the sum again (as could later ratios above 1,
-        which this test does not see); from n >= first_stop = -Re c on,
-        every later |c + k| is at least 1.  A last term of exactly 0 stops
-        the sum before that, as every later term is 0 too.  These
-        comparisons are made only once the last term is small, so an
+        for dS/dx).  Let m = n + 4 be the end of a pass.  For
+        k >= m > -Re c, |a + k|/k <= 1 + |a|/m and
+        |b + k|/|c + k| <= 1 + |b - c|/(Re c + m), so
+        r = |x| (1 + |a|/m) (1 + |b - c|/(Re c + m)) bounds every later ratio
+        t_(k+1)/t_k = rho_k x/(k+1) and u_k/u_(k-1) = rho_k x/k, and where
+        r < 1 the rest of each sum is at most r/(1 - r) times the pass's
+        last term, t_m or u_(m-1).  The sum stops at the first pass where
+        that last term times max(1, r/(1 - r)) is at most tol |S| (or tiny,
+        for S ~ 0), and the same for dS/dx; a small term before a near pole
+        c + k ~ 0 or before ratios above 1 (a large real b) thus does not
+        stop it.  A last term of exactly 0 stops it too, as every later term
+        of the recurrence is then 0: a terminating series, or terms fallen
+        below the double range.  Where Re c is far below 0 no other stop is
+        made before m > -Re c, so such a series runs until its terms
+        underflow (F(0.5, 1; -50000.5; 0.3) within 128 terms) or to
+        MAX_TERMS.  r is formed only once both last terms are small, so an
         ordinary pass costs one modulus.  MAX_TERMS is counted in whole
-        passes, rounded down to a multiple of four, and ConvergenceError
-        names the number of terms tried.
+        passes, rounded down to a multiple of four, and
+        ConvergenceError names the number of terms tried.
         """
         tol = SERIES_TOL  # module settings read once per call, not per term
         max_terms = MAX_TERMS - MAX_TERMS % 4
         # |term| <= max(tol |sum|, tiny) is |term| <= tol |sum| or |term| <= tiny
         tiny = tol * 1e-300
-        first_stop = self.first_stop
         table = self.table
         term = 1.0 + 0.0j
         total = term
@@ -218,12 +222,19 @@ class _Representation:
                 small = tol * abs(total)
                 if small < tiny:
                     small = tiny
-                if abs(term) <= small and (n >= first_stop or not term):
-                    small = tol * abs(deriv)
-                    if small < tiny:
-                        small = tiny
-                    if abs(u3) <= small:
-                        return total, deriv
+                if abs(term) <= small:
+                    small_d = tol * abs(deriv)
+                    if small_d < tiny:
+                        small_d = tiny
+                    if abs(u3) <= small_d:
+                        size_a, size_bc, re_c = self.reach
+                        m = n + 4.0
+                        r = (abs(x) * (1.0 + size_a / m) * (1.0 + size_bc / (m + re_c))
+                             if m + re_c > 0.0 else 1.0)
+                        # max(1, r/(1 - r)) is 1 for r <= 1/2
+                        if (not term or r <= 0.5 or r < 1.0
+                                and max(abs(term) / small, abs(u3) / small_d) * r <= 1.0 - r):
+                            return total, deriv
             if size == max_terms:
                 break
             done = size

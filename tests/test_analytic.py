@@ -794,11 +794,16 @@ class TestAcrossTheDoubleRange:
     def test_coefficient_product_beyond_the_range_is_refused(self):
         # tau E1 = 380 and tau E2 = 3.8e-98: g_i = e^(190 pi) and c1l ~ 1e100
         # are doubles, but c_f = g_i c1l = e^827.16 is not; it was stored as
-        # inf, and c_b as NaN.  tau E2 is not the cause, so it is not named
+        # inf, and c_b as NaN.  The amplitudes need only c1l and c2l, so only
+        # the later spinors are refused, by name; tau E2 is not the cause
         params = StepParameters(1.0, 1.0, -1e100, 0.0, -1e100, 3.8e-98)
+        sol = match_at_t0(build_solution(params), params)
+        assert sol.c_f is None and sol.c_b is None
+        res = asymptotic_amplitudes(sol, params)
+        assert all(math.isfinite(v) for v in (res.f, res.b, res.F, res.B, res.F_u, res.B_u))
         with pytest.raises(ParameterRangeError, match=r"^c_f = e\^\(827\.16") as info:
-            match_at_t0(build_solution(params), params)
-        assert "tau E2" not in str(info.value)
+            solve_later(sol, params.t0 + 0.2 * params.tau, params)
+        assert "c_b = e^(827.16" in str(info.value) and "tau E2" not in str(info.value)
 
     def test_coefficient_product_below_the_range(self):
         # c2l underflows to 0 where mode_lower(-pi2, m) overflows to inf, so
