@@ -211,6 +211,11 @@ __all__ = [
 # from eps1 ~ 225; the bound on eps1 + eps2 also bounds |d|
 _EPS_SUM_LIMIT = 200.0
 
+# the bars on a result's probabilities, read at each use by the command
+# line's guard and by the selftest battery
+PROBABILITY_SUM_TOL = 1e-12  # |F + B - 1|
+UNITARITY_TOL = 1e-9  # |F_u + B_u - 1|
+
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation, or a

@@ -3,8 +3,11 @@ import dataclasses
 import decimal
 import json
 import math
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -756,11 +759,13 @@ class TestSharedTolerances:
     @pytest.mark.parametrize("name,message", [("PROBABILITY_SUM_TOL", "F + B - 1"),
                                               ("UNITARITY_TOL", "F_u + B_u - 1")])
     def test_guard_reads_the_battery_tolerance(self, capsys, monkeypatch, name, message):
-        # a negative tolerance fails every point
-        monkeypatch.setattr(selftest, name, -1.0)
+        # the one definition is analytic's; a negative tolerance fails every
+        # point, in the command line's guard and in the battery alike
+        monkeypatch.setattr(analytic, name, -1.0)
         code, out, err = run(capsys, "scatter", "--p", "1", "--a2", "2", "--tau", "0.5")
         assert (code, out) == (3, "")
         assert message in err
+        assert not selftest.check_normalization(selftest.normalization_points(515, 3))[0]
 
     def test_oracle_check_reads_the_compare_bar(self, monkeypatch):
         params = StepParameters(m=1.0, q=1.0, p=1.2, a1=0.0, a2=0.8, tau=0.2)
@@ -805,6 +810,14 @@ class TestOracleVerdict:
 
 
 class TestSelftest:
+    def test_the_battery_is_imported_only_to_run(self):
+        # scatter, sweep and figure2 do not need it: `cmd_selftest` imports it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys, diracstep.cli; print('diracstep.selftest' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "False\n"
+
     def test_json_report_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--json")
         assert code == 0

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from diracstep import StepParameters, analytic, compare, integrate, oracle, sharp_step
+from diracstep import StepParameters, analytic, compare, dop853, integrate, oracle, sharp_step
 from diracstep.analytic import result_from_mode_amplitudes
 from diracstep.model import asymptotic_modes, potential_at, potential_rate
 from diracstep.oracle import NormDriftError, StepLimitError
@@ -31,11 +31,11 @@ _STAGES = range(1, 13)
 
 
 def _weights(prefix, stages):
-    return tuple(getattr(oracle, f"{prefix}{i}") if i in stages else 0.0 for i in _STAGES)
+    return tuple(getattr(dop853, f"{prefix}{i}") if i in stages else 0.0 for i in _STAGES)
 
 
-_C = (0.0,) + tuple(getattr(oracle, f"C{i}") for i in range(2, 12)) + (1.0,)
-_A = ((),) + tuple(tuple((j - 1, getattr(oracle, f"A{i}{j}")) for j in _COLS[i])
+_C = (0.0,) + tuple(getattr(dop853, f"C{i}") for i in range(2, 12)) + (1.0,)
+_A = ((),) + tuple(tuple((j - 1, getattr(dop853, f"A{i}{j}")) for j in _COLS[i])
                    for i in range(2, 13))
 _B = _weights("B", (1, 6, 7, 8, 9, 10, 11, 12))
 _E5 = _weights("E5_", (1, 6, 7, 8, 9, 10, 11, 12))
@@ -81,9 +81,9 @@ def reference_step(a, b, ph, hg, hw):
 
 
 def toy_profile(u, h):
-    # h-scaled coupling and phase slope that differ at every stage
-    return ([h * (0.8 + 0.3 * math.sin(3.0 * (u + c * h))) for c in _C],
-            [h * (1.5 + math.cos(u + c * h) + 0.2 * c) for c in _C])
+    # coupling and phase slope that differ at every stage
+    return ([0.8 + 0.3 * math.sin(3.0 * (u + c * h)) for c in _C],
+            [1.5 + math.cos(u + c * h) + 0.2 * c for c in _C])
 
 
 class TestTableau:
@@ -109,11 +109,30 @@ class TestTableau:
 
 
 class TestStep:
+    @staticmethod
+    def assert_matches_reference(a, b, ph, h, g, e):
+        # the float step takes the state as (Re a, Im a, Re b, Im b, Theta) and
+        # the unscaled profile; the reference takes complex a, b and h-scaled lists
+        out = dop853.step(a.real, a.imag, b.real, b.imag, ph, h, g, e)
+        ref = reference_step(a, b, ph, [h * x for x in g], [h * x for x in e])
+        got = (complex(out[0], out[1]), complex(out[2], out[3]), out[4],
+               complex(out[5], out[6]), complex(out[7], out[8]), out[9],
+               complex(out[10], out[11]), complex(out[12], out[13]), out[14])
+        assert got == ref
+
     @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4, 1.7])
     def test_matches_the_tableau_loop_bit_for_bit(self, h):
-        for u, a, b, ph in ((0.0, 1.0 + 0.0j, 0.0j, 0.0), (-2.5, 0.3 - 0.8j, 1.2 + 0.1j, -4.0)):
-            hg, hw = toy_profile(u, h)
-            assert oracle._step(a, b, ph, hg, hw) == reference_step(a, b, ph, hg, hw)
+        for u, a, b, ph in ((0.0, 1.0 + 0.0j, 0.0j, 0.0), (-2.5, 0.3 - 0.8j, 1.2 + 0.1j, -4.0),
+                            (1.5, -0.7 + 0.4j, 0.0j, 2.5)):
+            self.assert_matches_reference(a, b, ph, h, *toy_profile(u, h))
+
+    def test_matches_the_tableau_loop_with_a_subnormal_coupling(self):
+        # h g subnormal at every stage: the stage slopes keep few bits, and the
+        # float step must still make the complex step's every rounding
+        g, e = toy_profile(0.7, 0.05)
+        self.assert_matches_reference(0.3 - 0.8j, 1.2 + 0.1j, -4.0, 0.05,
+                                      [x * 1e-310 for x in g], e)
+        self.assert_matches_reference(1.0 + 0.0j, 0.0j, 0.0, 0.05, [x * 1e-310 for x in g], e)
 
 
 class TestProfile:
@@ -127,13 +146,15 @@ class TestProfile:
     ])
     def test_coupling_and_phase_slope(self, m, q, p, a1, a2, tau):
         # per unit s = u/S: the coupling S theta'/2 = -S m pi'(u) / (2 E^2)
-        # and the Theta-slope S E(u); with h = 1 the profile is unscaled
+        # and the Theta-slope S E(u); stage 1's values, at s, come from a
+        # profile of zero width, whose every abscissa is s
         params = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau)
         tau_s, scale, profile = oracle._stage_profile(params, asymptotic_modes(params))
         assert tau_s * scale == tau and 0.5 <= tau_s < 1.0
         for k in range(-40, 39):
             s = 0.5 * k * tau_s  # stage abscissae up to |s/tau_s| = 20
-            hg, hw = profile(s, 1.0)
+            at_s = profile(s, 0.0, 0.0, 0.0)
+            hg, hw = profile(s, 1.0, at_s[0][-1], at_s[1][-1])
             for c, g, w in zip(_C, hg, hw):
                 u = (s + c) * scale
                 piv = p - q * potential_at(u, params)
@@ -157,6 +178,26 @@ class TestIntegrate:
             num = compare(mk(tau=tau)).numeric
             assert num.f / num.b == pytest.approx(1.0, abs=1e-3)
 
+    def test_the_first_node_is_handed_on(self, monkeypatch):
+        # each step takes stage 1's profile values from the step before, or
+        # from the rejected attempt at the same s; evaluating them afresh at
+        # every step gives the same outcome, bit for bit
+        handed_on = integrate(mk(tau=3.0))
+        stage_profile = oracle._stage_profile
+
+        def afresh(params, modes):
+            tau_s, scale, profile = stage_profile(params, modes)
+
+            def recomputing(s, h, g1, e1):
+                g, e = profile(s, 0.0, 0.0, 0.0)
+                return profile(s, h, g[-1], e[-1])
+
+            return tau_s, scale, recomputing
+
+        monkeypatch.setattr(oracle, "_stage_profile", afresh)
+        assert integrate(mk(tau=3.0)) == handed_on
+        assert handed_on.steps > 400
+
     def test_norm_conserved_along_trajectory(self):
         out = integrate(mk())
         assert out.norm_drift < 1e-9
@@ -165,6 +206,42 @@ class TestIntegrate:
         monkeypatch.setattr(oracle, "DRIFT_LIMIT", 0.0)
         with pytest.raises(NormDriftError):
             integrate(mk())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_nan_state_is_never_returned(self, monkeypatch, bad):
+        # a step that returns a NaN or infinite state with zero error sums: its
+        # error weights are NaN or 0, and its norm drift NaN or inf, and none
+        # of these may pass a comparison with a limit
+        monkeypatch.setattr(dop853, "step",
+                            lambda ar, ai, br, bi, ph, h, g, e: (bad,) * 4 + (ph,) + (0.0,) * 10)
+        with pytest.raises(oracle.OracleError):
+            integrate(mk())
+
+    @pytest.mark.parametrize("kw", [
+        dict(m=1e200, p=0.0, a2=1e200, tau=1e-300),
+        dict(m=1e160, q=1e160, p=0.0, a2=1.0, tau=1e-300),
+    ])
+    def test_huge_kinematics_do_not_overflow_the_profile(self, kw):
+        # m q (a2 - a1) and pi^2 + m^2 overflow a double; (m/E) (q (a2 - a1)/E)
+        # and E = hypot(pi, m) do not
+        report = compare(mk(**kw))
+        assert report.passed
+        assert 0.0 < report.outcome.norm_drift <= oracle.DRIFT_LIMIT
+
+    def test_an_unresolved_profile_is_refused(self):
+        # pi1 = 1e200, pi2 = 0: near the late plateau pi_mid - half_dpi tanh
+        # cancels to 0, so the coupling m q (a2 - a1)/E^2 is ~4e183 where it
+        # should be ~4e-184 and the amplitudes overflow; the NaN error sums
+        # are refused, not taken for zero
+        with pytest.raises(oracle.OracleError):
+            integrate(mk(m=1.0, p=1e200, a2=1e200, tau=1e-250))
+
+    def test_a_vanishing_mass_is_refused_as_a_step_limit(self):
+        # m^2 = 1e-400 underflows where pi crosses 0; E = hypot(pi, m) = m
+        # there, the coupling spike is refused as at m = 1e-8, and nothing
+        # divides by zero
+        with pytest.raises(StepLimitError):
+            integrate(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
 
     def test_stability_in_span_and_tolerance(self, monkeypatch):
         base = compare(mk()).numeric
