@@ -17,7 +17,9 @@ exactly on the plateaus, so the step count follows the sech^2 transition and
 not the width of the window.  The integration runs from the exact incident
 plane wave (a = 1/cos(theta1/2), b = 0) well before the transition; at the
 end the instantaneous eigenmodes are the exact late-time ones, so the
-forward and backward amplitudes are read off (a, b, Theta) directly.  Shares
+forward and backward amplitudes are read off (a, b, Theta) directly.  The
+half angles of theta1 and theta2 are taken from E +- pi (`_half_angle`), not
+from atan2, which rounds theta near pi where pi < 0 and m << |pi|.  Shares
 nothing with the hypergeometric path except the governing equations.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
@@ -195,6 +197,18 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     return tau_s, scale, profile
 
 
+def _half_angle(pi: float, e: float, m: float) -> tuple[float, float]:
+    """(cos theta/2, sin theta/2) of the mixing angle theta = atan2(m, pi),
+    m > 0, as sqrt((E + pi)/(2E)) and sqrt((E - pi)/(2E)).  The one of
+    E + pi and E - pi that cancels is m^2/(E + |pi|), so with
+    big = 1 + |pi|/E the larger half is sqrt(big/2) and the smaller
+    (m/E)/sqrt(2 big): neither cancels, overflows or rounds theta near pi."""
+    big = 1.0 + abs(pi) / e
+    large = math.sqrt(0.5 * big)
+    small = m / e / math.sqrt(2.0 * big)
+    return (large, small) if pi >= 0.0 else (small, large)
+
+
 def integrate(params: StepParameters) -> OracleOutcome:
     """Propagate the incident wave through the step and project the final state.
 
@@ -218,7 +232,12 @@ def integrate(params: StepParameters) -> OracleOutcome:
     s = -s_end
     # incident wave: a = 1/cos(theta1/2), b = 0, dynamical phase -E1 T; the
     # state is carried as the floats (Re a, Im a, Re b, Im b, Theta)
-    ar = 1.0 / math.cos(0.5 * math.atan2(m, modes.pi1))
+    cos1 = _half_angle(modes.pi1, modes.e1, m)[0]
+    if cos1 < 1e-154:
+        # pi1 < 0 and E1/m above ~1e154: |a|^2 ~ 4 (E1/m)^2 overflows
+        raise OracleError(f"the incident amplitude 1/cos(theta1/2) = 1/{cos1:.3g} squares "
+                          f"beyond the double range")
+    ar = 1.0 / cos1
     ai = br = bi = 0.0
     ph = -modes.e1 * (s_end * scale)
     norm0 = na = ar * ar  # |a0|^2, and |a|^2, |b|^2 of the state
@@ -299,9 +318,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the late eigenmodes are
     # v+ = cos(theta2/2) u+ and v- = -sin(theta2/2) u- in terms of the
     # chiral u+ = (1, (E2 - pi2)/m), u- = (1, -(E2 + pi2)/m)
-    half2 = 0.5 * math.atan2(m, modes.pi2)
-    c2 = math.cos(half2)
-    s2 = math.sin(half2)
+    c2, s2 = _half_angle(modes.pi2, modes.e2, m)
     pos = complex(ar, ai) * cmath.exp(-1j * ph)
     neg = complex(br, bi) * cmath.exp(1j * ph)
     cf = pos * c2

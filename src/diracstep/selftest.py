@@ -29,7 +29,6 @@ from . import analytic, model, oracle, specfun
 ANCHOR = dict(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=2.0 * math.sqrt(3.0))
 
 SPECFUN_TOL = 1e-10
-REFLECTION_TOL = 1e-10
 RESIDUAL_TOL = 1e-7
 SHARP_TOL = 1e-6
 SHARP_TAU = 1e-4  # the smooth step that must reproduce the Heaviside limit
@@ -73,15 +72,24 @@ def check_specfun_values(points: Sequence[tuple[complex, complex, complex, float
     return worst < SPECFUN_TOL, f"worst deviation {worst:.2e} (tol {SPECFUN_TOL:g})"
 
 
-def check_reflection(zs: Sequence[complex]):
-    """G(z) G(1 - z) = pi / sin(pi z), relative, at each z off the real axis."""
-    worst = _worst(
-        abs(cmath.exp(specfun.log_gamma(z)) * cmath.exp(specfun.log_gamma(1 - z))
-            * cmath.sin(math.pi * z) / math.pi - 1.0)
-        for z in zs
-    )
-    return worst < REFLECTION_TOL, (
-        f"worst reflection deviation {worst:.2e} (tol {REFLECTION_TOL:g})"
+def check_gamma_moduli(ys: Sequence[float]):
+    """|G(iy)|^2 = pi/(y sinh pi y) and |G(1 + iy)|^2 = pi y/sinh pi y
+    (DLMF 5.4.3, 5.4.4) at each y > 0, the lines `match_at_t0` takes log G
+    on, in log form: absolute in 2 Re ln G, so relative in |G|^2."""
+    devs = []
+    ln_pi = math.log(math.pi)
+    for y in ys:
+        # ln sinh x = x + ln(1 - e^(-2x)) - ln 2 at x = pi y, which neither
+        # overflows nor cancels
+        x = math.pi * y
+        ln_sinh = x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
+        ln_y = math.log(y)
+        devs += [abs(2.0 * specfun.log_gamma(1j * y).real - (ln_pi - ln_y - ln_sinh)),
+                 abs(2.0 * specfun.log_gamma(1.0 + 1j * y).real - (ln_pi + ln_y - ln_sinh))]
+    worst = _worst(devs)
+    return worst < SPECFUN_TOL, (
+        f"worst deviation of 2 Re ln G from DLMF 5.4.3/5.4.4 {worst:.2e} "
+        f"over {len(ys)} y on Re z = 0 and 1 (tol {SPECFUN_TOL:g})"
     )
 
 
@@ -209,12 +217,6 @@ def check_normalization(points: Sequence[model.StepParameters]):
     )
 
 
-def _reflection_points() -> list[complex]:
-    rng = random.Random(20240811)
-    zs = [complex(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(60)]
-    return [z for z in zs if abs(z.imag) >= 0.05]
-
-
 def _oracle_reports() -> list[oracle.ComparisonReport]:
     points = [
         dict(ANCHOR, tau=0.1),
@@ -244,7 +246,8 @@ def _residual_cases() -> list[tuple[model.StepParameters, int]]:
 _CHECKS = [
     ("special-function reference values",
      lambda: check_specfun_values([(0.3 + 0.7j, 1.1 + 0.0j, 2.4 - 0.2j, -1.0)])),
-    ("log-gamma reflection identity", lambda: check_reflection(_reflection_points())),
+    ("log-gamma moduli on Re z = 0 and 1",
+     lambda: check_gamma_moduli([10 ** (k / 40) for k in range(-120, 105, 8)])),
     ("oscillator-equation residual", lambda: check_residual(_residual_cases(), n_points=8)),
     ("closed form vs integrator", lambda: check_vs_oracle(_oracle_reports())),
     ("sharp-step limit", lambda: check_sharp_limit([ANCHOR])),

@@ -5,9 +5,11 @@ the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 1/2.
 Each chart of the time-dependent solution is evaluated only on its own side
 of the step, where its argument zeta = -exp(-2|t - t0|/tau) lies in [-1, 0),
 so no representation for z < -1 or for z near 1 is needed; z = 1 itself
-raises DomainError like any other point outside the domain.  Parameters are
-generally complex; in production they are purely imaginary (a, b) with c on
-the line 1 + i*R.
+raises DomainError like any other point outside the domain.  a and b are
+generally complex and c needs Re c >= 1, DomainError elsewhere; in production
+a and b are purely imaginary and c lies on the line 1 + i*R, which the Euler
+and Pfaff forms keep.  log_gamma likewise takes Re z >= 0, z != 0: the
+connection coefficients need it only on the lines Re z = 0 and 1.
 
 Accuracy strategy: among the equivalent Maclaurin representations
 
@@ -30,13 +32,13 @@ Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
 grown on demand, so a term of the sum costs a complex product by its ratio
 and one by the float x/(n+1).  The terms are added four at a time, and the
 series stops at the first pass whose last term, times a bound on the rest
-of the series, is small in the value and in the derivative sum: for
-n > -Re C, c's nearest pole, the ratio of every later term to the one before
-is at most r = |x| (1 + |A|/n) (1 + |B - C|/(Re C + n)), so the rest is at
-most r/(1 - r) times the last term.  A term made small by a factor A + k or
-B + k that nearly vanishes does not stop the sum before a near pole
-C + k ~ 0 or ratios above 1 (a large real B) lift it again.  A last term of
-exactly 0 stops it too, as every later term of the recurrence is 0.
+of the series, is small in the value and in the derivative sum: as
+Re C >= 1, the ratio of every term after the n-th to the one before is at
+most r = |x| (1 + |A|/n) (1 + |B - C|/(Re C + n)), so the rest is at most
+r/(1 - r) times the last term.  A term made small by a factor A + k or
+B + k that nearly vanishes does not stop the sum before ratios above 1 (a
+large real B) lift it again.  A last term of exactly 0 stops it too, as
+every later term of the recurrence is 0.
 MAX_TERMS is counted in whole passes, rounded down to a multiple of four.
 The plan returns the exponent kappa of the representation's prefactor
 (1-z)^kappa with the sums, so that a caller with other powers of (1-z),
@@ -56,7 +58,6 @@ import cmath
 import math
 
 __all__ = [
-    "GammaPoleError",
     "DomainError",
     "ConvergenceError",
     "Hyp2F1Plan",
@@ -65,10 +66,6 @@ __all__ = [
     "hyp2f1_derivative",
     "hyp2f1_with_derivative",
 ]
-
-
-class GammaPoleError(ValueError):
-    """log_gamma evaluated at a non-positive integer."""
 
 
 class DomainError(ValueError):
@@ -90,53 +87,26 @@ MAX_TERMS = 100_000
 _TABLE_START = 32
 
 
-def _is_nonpositive_int(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
-
-
 def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma.
+    """Principal branch of log Gamma on the closed right half plane.
 
-    One path on the closed upper half plane, the lower taken by conjugation
-    (a zero imaginary part of either sign takes the upper side): the
-    recurrence ln G(z) = ln G(z + n) - sum_k ln(z + k), whose principal
+    One path on the closed upper half plane, the lower taken by conjugation:
+    the recurrence ln G(z) = ln G(z + n) - sum_k ln(z + k), whose principal
     logarithms add up to the principal branch there, lifts z until
     Re z >= 1 and |z| >= 10, and eight terms of Stirling's series in 1/z
-    finish it.  Only for Re z < -20, where the lift would take more than
-    ~30 logarithms, the reflection formula maps z to 1 - z first.
+    finish it.
 
     Against 30-digit mpmath, on the lines Re z = 0 and 1 that
     `analytic.match_at_t0` visits, the error is within 9e-15 for
     |Im z| <= 10 and within 3.4e-16 |ln G(z)| for 10 < |Im z| <= 400.
-    Within |Re z|, |Im z| <= 50 it is within 1.4e-15 max(1, |ln G(z)|),
-    next to the poles 0 to -19 too.  Where Re z < -20 the reflection takes
-    1 - e^{2 i pi z} as -2 i sin(pi f) e^{i pi f} at the exact
-    f = z - round(Re z), which does not cancel next to a pole: at 320 points
-    within 1e-14 to 0.1 of the poles -21 to -60 it is within
-    3.5e-16 max(1, |ln G(z)|) of mpmath.  Raises GammaPoleError at the poles
-    0, -1, -2, ...; Re z = -inf gives nan + nan i.
+    Raises DomainError where not Re z >= 0 (a NaN included) and at the pole
+    z = 0.
     """
     z = complex(z)
-    if _is_nonpositive_int(z):
-        raise GammaPoleError(f"log_gamma pole at z = {z}")
+    if not z.real >= 0.0 or z == 0:
+        raise DomainError(f"log_gamma needs Re z >= 0 and z != 0, got z = {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)  # -0.0 would put ln(z) on the lower side
-    if z.real < -20.0:
-        if z.real == -math.inf:
-            return complex(math.nan, math.nan)
-        # reflection with a continuous branch of log sin(pi z) on the closed
-        # upper half plane: sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) * i/2.
-        # 1 - e^{2 i pi z} cancels next to a pole, so it is taken at the
-        # exact f = z - round(Re z) as -2 i sin(pi f) e^{i pi f}
-        f = z - round(z.real)
-        lsin = (
-            -1j * math.pi * z
-            + cmath.log(-2j * cmath.sin(math.pi * f) * cmath.exp(1j * math.pi * f))
-            - cmath.log(2j)
-        )
-        return math.log(math.pi) - lsin - log_gamma(1.0 - z) - 1j * math.pi
     lifted = 0j
     while z.real < 1.0 or abs(z) < 10.0:
         lifted += cmath.log(z)
@@ -164,7 +134,7 @@ class _Representation:
         self.a, self.b, self.c = a, b, c
         self.kappa = kappa
         # term-growth indicator per unit |argument|
-        self.growth = abs(a * b) / max(abs(c), 1e-30)
+        self.growth = abs(a * b) / abs(c)
         # (|a|, |b - c|, Re c), which bound the later term ratios (`sums`)
         self.reach = (abs(a), abs(b - c), c.real)
         self.table: list[complex] = []
@@ -177,22 +147,19 @@ class _Representation:
         term costs a complex product by rho_n and one by a float.  The terms
         are added four at a time, t_(n+1) to t_(n+4) for n a multiple of
         four, summed among themselves before they join S (the u likewise
-        for dS/dx).  Let m = n + 4 be the end of a pass.  For
-        k >= m > -Re c, |a + k|/k <= 1 + |a|/m and
+        for dS/dx).  Let m = n + 4 be the end of a pass.  For k >= m,
+        |a + k|/k <= 1 + |a|/m and, as Re c >= 1,
         |b + k|/|c + k| <= 1 + |b - c|/(Re c + m), so
         r = |x| (1 + |a|/m) (1 + |b - c|/(Re c + m)) bounds every later ratio
         t_(k+1)/t_k = rho_k x/(k+1) and u_k/u_(k-1) = rho_k x/k, and where
         r < 1 the rest of each sum is at most r/(1 - r) times the pass's
         last term, t_m or u_(m-1).  The sum stops at the first pass where
         that last term times max(1, r/(1 - r)) is at most tol |S| (or tiny,
-        for S ~ 0), and the same for dS/dx; a small term before a near pole
-        c + k ~ 0 or before ratios above 1 (a large real b) thus does not
-        stop it.  A last term of exactly 0 stops it too, as every later term
-        of the recurrence is then 0: a terminating series, or terms fallen
-        below the double range.  Where Re c is far below 0 no other stop is
-        made before m > -Re c, so such a series runs until its terms
-        underflow (F(0.5, 1; -50000.5; 0.3) within 128 terms) or to
-        MAX_TERMS.  r is formed only once both last terms are small, so an
+        for S ~ 0), and the same for dS/dx; a small term before ratios
+        above 1 (a large real b) thus does not stop it.  A last term of
+        exactly 0 stops it too, as every later term of the recurrence is
+        then 0: a terminating series, or terms fallen below the double
+        range.  r is formed only once both last terms are small, so an
         ordinary pass costs one modulus.  MAX_TERMS is counted in whole
         passes, rounded down to a multiple of four, and
         ConvergenceError names the number of terms tried.
@@ -229,8 +196,7 @@ class _Representation:
                     if abs(u3) <= small_d:
                         size_a, size_bc, re_c = self.reach
                         m = n + 4.0
-                        r = (abs(x) * (1.0 + size_a / m) * (1.0 + size_bc / (m + re_c))
-                             if m + re_c > 0.0 else 1.0)
+                        r = abs(x) * (1.0 + size_a / m) * (1.0 + size_bc / (m + re_c))
                         # max(1, r/(1 - r)) is 1 for r <= 1/2
                         if (not term or r <= 0.5 or r < 1.0
                                 and max(abs(term) / small, abs(u3) / small_d) * r <= 1.0 - r):
@@ -254,7 +220,8 @@ class Hyp2F1Plan:
     """The series plan of 2F1(a, b; c; z) for one parameter triple.
 
     on_z is the better of direct and Euler, on_w the better of Pfaff-a and
-    Pfaff-b, by growth constant (ties to direct and to Pfaff-a).  The two
+    Pfaff-b, by growth constant (ties to direct and to Pfaff-a).  Raises
+    DomainError where not Re c >= 1 (a NaN included).  The two
     tables are shared by every evaluation, the results are not: the sums at
     z do not depend on which z were evaluated before.
     """
@@ -262,6 +229,8 @@ class Hyp2F1Plan:
     __slots__ = ("on_z", "on_w")
 
     def __init__(self, a: complex, b: complex, c: complex) -> None:
+        if not c.real >= 1.0:
+            raise DomainError(f"2F1 needs Re c >= 1, got c = {c}")
         direct = _Representation("direct", a, b, c, 0j)
         euler = _Representation("euler", c - a, c - b, c, c - a - b)
         pfaff_a = _Representation("pfaff-a", a, c - b, c, -a)
@@ -303,15 +272,13 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
                            z: complex) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
-    Supported z: real with -1 <= z <= 1/2; any other z, z = 1 included,
-    raises DomainError.
-    c must not be zero or a negative integer.
+    Supported: Re c >= 1 and real z with -1 <= z <= 1/2; any other c or z,
+    z = 1 included, raises DomainError, c checked first, at z = 0 too.
     Deterministic: identical inputs give identical output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
 
-    if _is_nonpositive_int(c):
-        raise GammaPoleError(f"2F1 parameter c = {c} is a non-positive integer")
+    plan = Hyp2F1Plan(a, b, c)
     if z == 0:
         return 1.0 + 0.0j, a * b / c
     if z.imag != 0.0:
@@ -319,7 +286,7 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
     x = z.real
     if not -1.0 <= x <= 0.5:
         raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2, got z = {x}")
-    kappa, s, f = Hyp2F1Plan(a, b, c).series(x)
+    kappa, s, f = plan.series(x)
     # 1 - x >= 1/2: the logarithm is real
     prefactor = cmath.exp(kappa * math.log1p(-x))
     return prefactor * s, prefactor * f

@@ -228,6 +228,25 @@ class TestIntegrate:
         assert report.passed
         assert 0.0 < report.outcome.norm_drift <= oracle.DRIFT_LIMIT
 
+    def test_half_angles_keep_the_mixing_angle(self):
+        # 2 cos sin = sin theta = m/E and cos^2 - sin^2 = cos theta = pi/E,
+        # each to a few ulps of 1, at every sign and scale
+        for m in (1e-300, 1e-30, 1e-6, 1.0, 1e6, 1e300):
+            for pi in (-1e300, -3.0, -1e-300, 0.0, 1e-300, 3.0, 1e300):
+                e = math.hypot(pi, m)
+                c, s = oracle._half_angle(pi, e, m)
+                assert abs(2.0 * c * s - m / e) <= 1e-15, (m, pi)
+                assert abs(c * c - s * s - pi / e) <= 1e-15, (m, pi)
+                assert (c >= s) == (pi >= 0.0), (m, pi)
+
+    @pytest.mark.parametrize("m", [1e-200, 5e-324])
+    def test_an_incident_amplitude_beyond_the_double_range_is_refused(self, m):
+        # pi1 = -1: |a|^2 = 1/cos^2(theta1/2) ~ 4/m^2 overflows, and at
+        # m = 5e-324 cos(theta1/2) itself underflows to 0; refused, not a
+        # division by zero or a NaN drift
+        with pytest.raises(oracle.OracleError, match="incident amplitude"):
+            integrate(mk(m=m, p=-1.0, a2=1.0, tau=1.0))
+
     def test_an_unresolved_profile_is_refused(self):
         # pi1 = 1e200, pi2 = 0: near the late plateau pi_mid - half_dpi tanh
         # cancels to 0, so the coupling m q (a2 - a1)/E^2 is ~4e183 where it
@@ -342,6 +361,17 @@ class TestCompare:
         assert report.passed
         assert report.deviations["f"] < 1e-6
         assert report.deviations["b"] < 1e-6
+
+    @pytest.mark.parametrize("m", [1e-6, 1e-12, 1e-30])
+    def test_incident_wave_where_theta_is_near_pi(self, m):
+        # pi1 = -1, pi2 = 0 (q = 1, a1 = 0, a2 = 1): theta1 = atan2(m, pi1)
+        # rounds near pi, so a = 1/cos(theta1/2) from the angle kept few
+        # digits, and at m = 1e-20 gave f = 2 where the closed form gives 1
+        report = compare(mk(m=m, p=-1.0, a2=1.0, tau=1.0))
+        assert report.passed
+        # rounding only: the integrator's own error at these tolerances
+        assert report.deviations["f"] <= 1e-14
+        assert report.deviations["F_u"] <= 1e-14
 
     def test_trivial_step(self):
         report = compare(mk(a1=0.5, a2=0.5, p=1.4))
