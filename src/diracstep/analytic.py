@@ -155,10 +155,11 @@ amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
 eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
 multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
 forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
-`solve_earlier` forms no exp or mode factor per time.  Where a factor or
-the product is not a normal double, c_f or c_b is one exp of its logarithm
-instead, so neither is inf, 0 inf = NaN or a lost underflow; one beyond the
-double range refuses the later side alone.  The unitary pair (F_u, B_u)
+`solve_earlier` forms no exp or mode factor per time.  c_f and c_b are each
+one exp of the sum of their factors' logarithms, ln((E2 + pi2)/m) taken
+from `model.log_half_angles`, so neither is inf, 0 inf = NaN or a lost
+underflow where a factor leaves the double range; one beyond the double
+range refuses the later side alone.  The unitary pair (F_u, B_u)
 projects onto orthonormalized modes: F_u is |c1l|^2 times the forward
 mode's squared norm over the incident one's, and B_u likewise.  f and b are
 the moduli of the later waves' standard-basis upper components relative to
@@ -182,6 +183,7 @@ from .model import (
     TwoSpinor,
     asymptotic_modes,
     check_inputs,
+    log_half_angles,
     mode_lower,
     plateau_modes,
     potential_at,
@@ -424,7 +426,10 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
     1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
-    are set here too (`HypergeometricSolution`), by `_later_coefficient`.
+    are set here too (`HypergeometricSolution`), each as one exp of the sum
+    of its factors' logarithms: c_f = e^(pi eps1 + log c1l) and c_b =
+    e^(pi eps1 + log c2l + ln((E2 + pi2)/m)), the last from
+    `model.log_half_angles`.
     Where c1l or c2l is beyond the double range, it raises
     ParameterRangeError naming it; where c_f or c_b is, only the later side
     is refused, as c1l and c2l and the earlier side do not need them.
@@ -436,34 +441,27 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
     log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
     log_g_i = math.pi * sol.earlier.eps
-    g_i = math.exp(log_g_i)
     c1l = _gamma_ratio("c1l", log_f, x_2)
-    c_f, why_f = _later_coefficient("c_f", (g_i, c1l), log_g_i + log_f)
+    c_f, why_f = _exp_or_why("c_f", log_g_i + log_f)
     c2l, c_b, why_b = 0j, 0j, None
     if xa != 0.0:
         log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
                  - _log_gamma_gap(1.0, -s, xcb))
         c2l = _gamma_ratio("c2l", log_b, x_2)
-        # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m), from ln(E2 (E2 + pi2)):
-        # the factor itself can overflow where c2l underflows
-        log_lower = (_log_mode_norm(-modes.pi2, modes.e2, params.m)
-                     - math.log(modes.e2) - math.log(params.m))
-        c_b, why_b = _later_coefficient("c_b", (g_i, c2l, mode_lower(-modes.pi2, params.m)),
-                                        log_g_i + log_b + log_lower)
-    return replace(sol, c1l=c1l, c2l=c2l, g_i=g_i, c_f=c_f, c_b=c_b,
+        # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m) = ln cot(theta2/2): the
+        # factor itself can overflow where c2l underflows
+        lc2, ls2 = log_half_angles(modes.pi2, modes.e2, params.m)
+        c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2))
+    return replace(sol, c1l=c1l, c2l=c2l, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
                    later_refused="; ".join(filter(None, (why_f, why_b))) or None)
 
 
-def _later_coefficient(name: str, factors: tuple[complex, ...],
-                       exponent: complex) -> tuple[complex | None, str | None]:
-    """(value, None) of the later branches' coefficient `name`: the product
-    of its factors where each of them and the product are normal doubles,
-    else e^exponent, the sum of their logarithms, so that it is not inf,
-    0 inf = NaN or an underflow the product lost.  (None, why) where it is
-    beyond the double range."""
-    product = math.prod(factors)
-    if all(sys.float_info.min <= abs(v) < math.inf for v in (*factors, product)):
-        return product, None
+def _exp_or_why(name: str, exponent: complex) -> tuple[complex | None, str | None]:
+    """(e^exponent, None), the coefficient `name` of `match_at_t0` from the
+    sum of its factors' logarithms, or (None, why) where it is beyond the
+    double range.  g_i = e^(pi eps1) is within e^628 (`_EPS_SUM_LIMIT`), so
+    the exp of the sum is as accurate as the product of the factors, and
+    meets no inf, 0 inf = NaN or underflow that the product would."""
     try:
         return cmath.exp(exponent), None
     except OverflowError:
@@ -474,13 +472,11 @@ def _gamma_ratio(name: str, exponent: complex, x_2: float) -> complex:
     """e^exponent, the coefficient `name` of `match_at_t0` from its log G
     sum, or ParameterRangeError naming tau E2 (x_2, a gap argument) and the
     exponent where the coefficient is beyond the double range."""
-    try:
-        return cmath.exp(exponent)
-    except OverflowError:
+    value, why = _exp_or_why(name, exponent)
+    if why is not None:
         tau_e2 = f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})"
-        raise ParameterRangeError(
-            f"{name} = e^({exponent:.6g}) is beyond the double range at "
-            f"tau E2 = {tau_e2}") from None
+        raise ParameterRangeError(f"{why} at tau E2 = {tau_e2}")
+    return value
 
 
 def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:
@@ -504,29 +500,21 @@ def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> Scatter
     return ScatteringResult(modes=modes, f=f, b=b, F=F, B=B, F_u=a_f * a_f, B_u=a_b * a_b)
 
 
-def _log_mode_norm(pi: float, e: float, m: float) -> float:
-    """ln(E (E - pi)), the logarithm of m^2/2 times the squared norm
-    1 + l^2 = 2 E l/m of the chiral mode (1, l), l = (E - pi)/m: with
-    ln(E + |pi|) = ln E + log1p(|pi|/E), it is 2 ln E + log1p(|pi|/E) for
-    pi <= 0 and, as E - pi = m^2/(E + pi), 2 ln m - log1p(pi/E) for pi > 0.
-    At -pi it is that of the -E mode (1, -(E + pi)/m)."""
-    lp = math.log1p(abs(pi) / e)
-    return 2.0 * math.log(e) + lp if pi <= 0.0 else 2.0 * math.log(m) - lp
-
-
 def result_from_mode_amplitudes(g_f: complex, g_b: complex, m: float,
                                 modes: AsymptoticModes) -> ScatteringResult:
     """Assemble a ScatteringResult from the chiral amplitudes g_f and g_b of
     the later forward and backward modes (1, l) per unit incident one.
 
     F_u = |g_f|^2 and B_u = |g_b|^2 times the ratio of the mode's squared
-    norm to the incident mode's, (E2/E1) l(+-pi2)/l(pi1) with l(pi) =
-    (E - pi)/m; the ratio and the amplitude are taken in logarithms
-    (`_log_mode_norm`), so no ratio of mode factors is formed and nothing
-    leaves the double range where a_f and a_b do not."""
-    log_i = _log_mode_norm(modes.pi1, modes.e1, m)
-    a_f, a_b = (math.exp(math.log(abs(g)) + 0.5 * (_log_mode_norm(pi, modes.e2, m) - log_i))
-                if g else 0.0 for g, pi in ((g_f, modes.pi2), (g_b, -modes.pi2)))
+    norm to the incident mode's, 1/cos^2(theta2/2) and 1/sin^2(theta2/2)
+    against 1/cos^2(theta1/2) (`model.log_half_angles`): a_f = |g_f|
+    cos(theta1/2)/cos(theta2/2) and a_b = |g_b| cos(theta1/2)/sin(theta2/2)
+    are each one exp of a sum of logarithms, so no ratio of mode factors is
+    formed and nothing leaves the double range where a_f and a_b do not."""
+    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
+    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
+    a_f = math.exp(math.log(abs(g_f)) + lc1 - lc2) if g_f else 0.0
+    a_b = math.exp(math.log(abs(g_b)) + lc1 - ls2) if g_b else 0.0
     return _result(modes, m, a_f, a_b)
 
 

@@ -22,6 +22,7 @@ units of 1/m for m = 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 def check_inputs(values: dict[str, float]) -> None:
@@ -151,3 +152,23 @@ def mode_lower(pi: float, m: float) -> float:
     e = math.hypot(pi, m)
     return m / (e + pi) if pi > 0 else (e - pi) / m
 
+
+_LN2 = math.log(2.0)
+
+
+def log_half_angles(pi: float, e: float, m: float) -> tuple[float, float]:
+    """(ln cos theta/2, ln sin theta/2) of the mixing angle theta = atan2(m, pi),
+    m > 0, E = hypot(pi, m): the +E eigenmode is (cos theta/2, sin theta/2) =
+    cos(theta/2) (1, mode_lower(pi, m)) and the -E one (-sin theta/2,
+    cos theta/2).  cos^2 and sin^2 are (E +- pi)/(2E), and the one of E +- pi
+    that cancels is m^2/(E + |pi|), so with lb = log1p(|pi|/E) the larger log
+    is (lb - ln 2)/2 and the smaller ln(m/E) - (lb + ln 2)/2: neither
+    cancels, overflows or underflows.  ln(m/E) is the log of the ratio where
+    that is a normal double, as ln m - ln E would cancel to ~1e-13 absolute
+    at m ~ 1e-300, and ln m - ln E only below, where its exp is below 1e-308."""
+    lb = math.log1p(abs(pi) / e)
+    large = 0.5 * (lb - _LN2)
+    ratio = m / e
+    small = ((math.log(ratio) if ratio >= sys.float_info.min else math.log(m) - math.log(e))
+             - 0.5 * (lb + _LN2))
+    return (large, small) if pi >= 0.0 else (small, large)

@@ -14,13 +14,22 @@ the amplitudes and the dynamical phase obey
 with g = theta'/2 = m q (A2 - A1) sech^2(u/tau) / (4 tau E(u)^2).  The free
 e^{-/+iEt} oscillation is carried by Theta, which the integrator follows
 exactly on the plateaus, so the step count follows the sech^2 transition and
-not the width of the window.  The integration runs from the exact incident
-plane wave (a = 1/cos(theta1/2), b = 0) well before the transition; at the
-end the instantaneous eigenmodes are the exact late-time ones, so the
-forward and backward amplitudes are read off (a, b, Theta) directly.  The
-half angles of theta1 and theta2 are taken from E +- pi (`_half_angle`), not
-from atan2, which rounds theta near pi where pi < 0 and m << |pi|.  Shares
-nothing with the hypergeometric path except the governing equations.
+not the width of the window.  The integration runs from the unit incident
+eigenmode (a = 1, b = 0), an exact solution on the early plateau, well
+before the transition; at the end the instantaneous eigenmodes are the
+exact late-time ones, so the forward and backward amplitudes per unit
+incident amplitude are read off (a, b, Theta) directly, each as one exp of
+a ratio of half angles and a phase.  The half angles' logarithms come from
+`model.log_half_angles`, which takes them from E +- pi, not from atan2, as
+atan2 rounds theta near pi where pi < 0 and m << |pi|.  Shares nothing with
+the hypergeometric path except the governing equations and those logarithms.
+
+pi(u) is taken from the nearer plateau, pi2 + delta w/(1 + w) for u >= 0
+and pi1 - delta w/(1 + w) for u < 0 with w = e^{-2|u|/tau}, so it keeps
+every digit where one plateau's |pi| is far below the other's.  The window
+is t0 +- T, T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau: on a plateau
+g <= (|delta|/m) sech^2, so the widening keeps the coupling's tail beyond
+the window below e^-40 however small m is against the step.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
@@ -33,8 +42,8 @@ squared moduli against squared weights, and a PI controller with exponents
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
 `_stage_profile` evaluates g and E at the stage abscissae in one pass, with
-tanh(u/tau) and sech^2(u/tau) from the one exponential w = e^{-2|u|/tau},
-as sign(u) (1 - w)/(1 + w) and 4w/(1 + w)^2, E as hypot(pi, m) and g as
+pi(u) (above) and sech^2(u/tau) = 4w/(1 + w)^2 from the one exponential
+w = e^{-2|u|/tau}, E as hypot(pi, m) and g as
 (m/E) (q (A2 - A1)/E) sech^2/(4 tau), so that nothing overflows where the
 plateaus' kinematics are finite.  A step's last abscissa is the next one's
 first, so each step evaluates eleven nodes and takes stage 1's values from
@@ -49,7 +58,7 @@ squares of the error norm overflow at any tau, and since scaling by a power
 of two is exact each step is the step in u, bit for bit, wherever no
 intermediate is subnormal.
 
-The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2, which
+The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2 = 1, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
 Runge-Kutta steps do not, so the accumulated drift of the norm is a direct
 measure of the error in (a, b) and is enforced, never silently ignored.  An
@@ -71,7 +80,7 @@ from dataclasses import dataclass
 
 from . import dop853
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import AsymptoticModes, StepParameters, asymptotic_modes
+from .model import AsymptoticModes, StepParameters, asymptotic_modes, log_half_angles
 
 __all__ = [
     "OracleError",
@@ -124,9 +133,9 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
-# the window is t0 +- SPAN_FACTOR tau at every tau, since only the sech^2
-# coupling moves |a| and |b|; a factor >= 12 keeps the tanh tail residual
-# below ~4e-11
+# the window is t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at every
+# tau, since only the sech^2 coupling moves |a| and |b|, and it is at most
+# (|delta|/m) sech^2: the tail beyond the window moves them by below e^-40
 SPAN_FACTOR = 20.0
 # per-component error weight ABS_TOL + REL_TOL max(|y|, |y_new|)
 REL_TOL = 3e-12
@@ -167,14 +176,15 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     every abscissa is s, so the last entries of profile(s, 0.0, 0.0, 0.0)
     are the values at s."""
     m = params.m
-    delta = modes.delta
+    pi1, pi2, delta = modes.pi1, modes.pi2, modes.delta
     tau_s, k = math.frexp(params.tau)
     scale = math.ldexp(1.0, k)
-    # pi(s) = pi_mid - half_dpi tanh(s/tau_s); per unit s, Theta' = S E and
-    # g = (m/E) (q (a2 - a1)/E) sech^2(s/tau_s) / (4 tau_s), sech^2 = 4w/(1 + w)^2,
-    # with E = hypot(pi, m): each factor is finite where the plateaus' are
-    pi_mid = 0.5 * (modes.pi1 + modes.pi2)
-    half_dpi = 0.5 * (modes.pi1 - modes.pi2)
+    # pi(s) = pi2 + delta w/(1 + w) for s >= 0 and pi1 - delta w/(1 + w) for
+    # s < 0, as 1 - tanh|x| = 2w/(1 + w): pi is taken from the nearer plateau,
+    # so it does not cancel where that plateau's |pi| is far below the other's;
+    # per unit s, Theta' = S E and g = (m/E) (delta/E) sech^2(s/tau_s) / (4 tau_s),
+    # sech^2 = 4w/(1 + w)^2, with E = hypot(pi, m): each factor is finite
+    # where the plateaus' are
     inv_tau = 1.0 / tau_s
     exp = math.exp
     hypot = math.hypot
@@ -184,12 +194,11 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
         es = [e1]
         for c in _NODES:
             x = (s + c * h) * inv_tau
-            # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling,
-            # and tanh|x| = (1 - w)/(1 + w), where 1 - w is exact for w >= 1/2
+            # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling
             w = exp(-2.0 * abs(x))
             opw = 1.0 + w
-            th = (1.0 - w) / opw
-            e = hypot(pi_mid - half_dpi * th if x >= 0.0 else pi_mid + half_dpi * th, m)
+            dpi = delta * w / opw
+            e = hypot(pi2 + dpi if x >= 0.0 else pi1 - dpi, m)
             gs.append(m / e * (delta / e) * w / (opw * opw * tau_s))
             es.append(scale * e)
         return gs, es
@@ -197,25 +206,14 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     return tau_s, scale, profile
 
 
-def _half_angle(pi: float, e: float, m: float) -> tuple[float, float]:
-    """(cos theta/2, sin theta/2) of the mixing angle theta = atan2(m, pi),
-    m > 0, as sqrt((E + pi)/(2E)) and sqrt((E - pi)/(2E)).  The one of
-    E + pi and E - pi that cancels is m^2/(E + |pi|), so with
-    big = 1 + |pi|/E the larger half is sqrt(big/2) and the smaller
-    (m/E)/sqrt(2 big): neither cancels, overflows or rounds theta near pi."""
-    big = 1.0 + abs(pi) / e
-    large = math.sqrt(0.5 * big)
-    small = m / e / math.sqrt(2.0 * big)
-    return (large, small) if pi >= 0.0 else (small, large)
-
-
 def integrate(params: StepParameters) -> OracleOutcome:
     """Propagate the incident wave through the step and project the final state.
 
-    Starts from phi = e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) * phi at
-    t0 - T, T = SPAN_FACTOR tau (a = 1/cos(theta1/2), b = 0 in the eigenmode
-    picture) and reports the chiral amplitudes of the forward/backward late
-    modes at t0 + T, with the e^{-/+ i E2 (t - t0)} phases stripped; `compare`
+    Starts from the unit incident eigenmode, a = 1, b = 0, at t0 - T, that is
+    phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, with
+    T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and reports the chiral
+    amplitudes of the forward/backward late modes at t0 + T per unit incident
+    amplitude, with the e^{-/+ i E2 (t - t0)} phases stripped; `compare`
     turns them into f, b and the probabilities.  The window, tolerances and
     limits are the module constants, read at each call.
     """
@@ -228,19 +226,17 @@ def integrate(params: StepParameters) -> OracleOutcome:
             f"range {MAX_TAU_E:g}: its steps grow linearly in tau E")
     # integrate in s = u/S, u = t - t0; the profile depends on t only through s
     tau_s, scale, profile = _stage_profile(params, modes)
-    s_end = SPAN_FACTOR * tau_s
+    # on a plateau g <= (|delta|/m) sech^2, so the window widens by
+    # ln(|delta|/m)/2 tau where |delta| > m to keep the tail residual e^-40
+    widen = 0.5 * (math.log(abs(modes.delta)) - math.log(m)) if modes.delta else 0.0
+    s_end = (SPAN_FACTOR + max(0.0, widen)) * tau_s
     s = -s_end
-    # incident wave: a = 1/cos(theta1/2), b = 0, dynamical phase -E1 T; the
-    # state is carried as the floats (Re a, Im a, Re b, Im b, Theta)
-    cos1 = _half_angle(modes.pi1, modes.e1, m)[0]
-    if cos1 < 1e-154:
-        # pi1 < 0 and E1/m above ~1e154: |a|^2 ~ 4 (E1/m)^2 overflows
-        raise OracleError(f"the incident amplitude 1/cos(theta1/2) = 1/{cos1:.3g} squares "
-                          f"beyond the double range")
-    ar = 1.0 / cos1
+    # incident eigenmode: a = 1, b = 0, dynamical phase -E1 T; the state is
+    # carried as the floats (Re a, Im a, Re b, Im b, Theta)
+    ar = 1.0
     ai = br = bi = 0.0
     ph = -modes.e1 * (s_end * scale)
-    norm0 = na = ar * ar  # |a0|^2, and |a|^2, |b|^2 of the state
+    na = 1.0  # |a|^2 and |b|^2 of the state, whose sum starts at 1
     nb = 0.0
     drift_max = 0.0
     # stage 1's profile values at s: a step's last stage is at s + h, so an
@@ -299,7 +295,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
             nb = nb_new
             g1 = g[11]
             e1 = e[11]
-            drift = abs(na + nb - norm0) / norm0
+            drift = abs(na + nb - 1.0)
             # written as `not <=` so that a NaN drift is kept, and fails below
             if not drift <= drift_max:
                 drift_max = drift
@@ -315,20 +311,32 @@ def integrate(params: StepParameters) -> OracleOutcome:
     if not drift_max <= DRIFT_LIMIT:
         raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
-    # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the late eigenmodes are
-    # v+ = cos(theta2/2) u+ and v- = -sin(theta2/2) u- in terms of the
-    # chiral u+ = (1, (E2 - pi2)/m), u- = (1, -(E2 + pi2)/m)
-    c2, s2 = _half_angle(modes.pi2, modes.e2, m)
-    pos = complex(ar, ai) * cmath.exp(-1j * ph)
-    neg = complex(br, bi) * cmath.exp(1j * ph)
-    cf = pos * c2
-    cb = -neg * s2
+    # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the eigenmodes are
+    # v+ = cos(theta/2) u+ and v- = -sin(theta/2) u- in terms of the chiral
+    # u+ = (1, (E - pi)/m), u- = (1, -(E + pi)/m), and the incident wave is
+    # cos(theta1/2) u+, so each late amplitude per unit incident one is one
+    # exp of a ratio of half angles (`model.log_half_angles`) and a phase
+    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
+    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
+    phase = modes.e2 * (s * scale) - ph
     return OracleOutcome(
         norm_drift=drift_max,
-        g_f=cf * cmath.exp(1j * modes.e2 * (s * scale)),
-        g_b=cb * cmath.exp(-1j * modes.e2 * (s * scale)),
+        g_f=_per_incident("g_f", complex(ar, ai), lc2 - lc1, phase),
+        g_b=_per_incident("g_b", -complex(br, bi), ls2 - lc1, -phase),
         steps=steps,
     )
+
+
+def _per_incident(name: str, amplitude: complex, log_ratio: float, phase: float) -> complex:
+    """amplitude e^{log_ratio + i phase}, the late amplitude `name` per unit
+    incident one, or OracleError naming it where the ratio of its mode's
+    half angle to the incident one's is beyond the double range (pi1 < 0 and
+    m/E1 below ~1e-308)."""
+    try:
+        return amplitude * cmath.exp(complex(log_ratio, phase))
+    except OverflowError:
+        raise OracleError(f"{name}: the mode ratio e^({log_ratio:.6g}) to the unit incident "
+                          f"amplitude is beyond the double range") from None
 
 
 def compare(params: StepParameters) -> ComparisonReport:
