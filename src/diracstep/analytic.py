@@ -159,7 +159,8 @@ forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
 one exp of the sum of their factors' logarithms, ln((E2 + pi2)/m) taken
 from `model.log_half_angles`, so neither is inf, 0 inf = NaN or a lost
 underflow where a factor leaves the double range; one beyond the double
-range refuses the later side alone.  The unitary pair (F_u, B_u)
+range refuses the later side alone, and a chart's lower (E - pi)/m beyond
+it refuses that chart's side.  The unitary pair (F_u, B_u)
 projects onto orthonormalized modes: F_u is |c1l|^2 times the forward
 mode's squared norm over the incident one's, and B_u likewise.  f and b are
 the moduli of the later waves' standard-basis upper components relative to
@@ -267,7 +268,10 @@ class HypergeometricSolution:
     branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_i c1l for
     the later forward branch and c_b = g_i c2l mode_lower(-pi2, m) for its
     conjugate partner.  A coefficient beyond the double range is None, and
-    later_refused says which, with its exponent."""
+    later_refused says which, with its exponent.  A chart's lower,
+    (E - pi)/m, overflows where pi < 0 and m << |pi|, and its spinors would
+    be inf or NaN: later_refused then names (E2 - pi2)/m too, and
+    earlier_refused names (E1 - pi1)/m."""
 
     earlier: ChartExpansion
     later: ChartExpansion
@@ -278,6 +282,7 @@ class HypergeometricSolution:
     c_f: complex | None = None
     c_b: complex | None = None
     later_refused: str | None = None
+    earlier_refused: str | None = None
 
 
 @dataclass
@@ -390,13 +395,16 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     coefficients c_f = g_i c1l and c_b = g_i c2l (E2 + pi2)/m are fixed by
     the matching, so `match_at_t0` stores them and each call only reads
     them.  Deep in either half-line zeta underflows to -0 and the spinor is
-    the exact plane-wave limit.  Where c_f or c_b is beyond the double
-    range, t > t0 raises ParameterRangeError naming it.  `solve_later` is
-    the same function.
+    the exact plane-wave limit.  Where c_f, c_b or the later chart's
+    (E2 - pi2)/m is beyond the double range, t > t0 raises
+    ParameterRangeError naming it, and where the earlier chart's
+    (E1 - pi1)/m is, t <= t0 does.  `solve_later` is the same function.
     """
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
     if t <= params.t0:
+        if sol.earlier_refused is not None:
+            raise ParameterRangeError(sol.earlier_refused)
         phi, theta = _chart_spinor(sol.earlier, params, t)
         g_i = sol.g_i
         return TwoSpinor(upper=g_i * phi, lower=g_i * theta)
@@ -431,8 +439,10 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     e^(pi eps1 + log c2l + ln((E2 + pi2)/m)), the last from
     `model.log_half_angles`.
     Where c1l or c2l is beyond the double range, it raises
-    ParameterRangeError naming it; where c_f or c_b is, only the later side
-    is refused, as c1l and c2l and the earlier side do not need them.
+    ParameterRangeError naming it; where c_f, c_b or the later chart's lower
+    is, only the later side is refused, as c1l and c2l and the earlier side
+    do not need them, and where the earlier chart's lower is, only the
+    earlier side (`HypergeometricSolution`).
     """
     modes = sol.modes
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
@@ -452,8 +462,12 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
         # factor itself can overflow where c2l underflows
         lc2, ls2 = log_half_angles(modes.pi2, modes.e2, params.m)
         c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2))
+    # a chart's lower, (E - pi)/m, overflows where pi < 0 and m << |pi|
+    why_l = None if sol.later.lower < math.inf else "(E2 - pi2)/m is beyond the double range"
+    why_e = None if sol.earlier.lower < math.inf else "(E1 - pi1)/m is beyond the double range"
     return replace(sol, c1l=c1l, c2l=c2l, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
-                   later_refused="; ".join(filter(None, (why_f, why_b))) or None)
+                   later_refused="; ".join(filter(None, (why_f, why_b, why_l))) or None,
+                   earlier_refused=why_e)
 
 
 def _exp_or_why(name: str, exponent: complex) -> tuple[complex | None, str | None]:

@@ -8,12 +8,16 @@ constants.  `step` takes one step of the oracle's eigenmode system
     a' = g e^{2i Theta} b,   b' = -g e^{-2i Theta} a,   Theta' = e,
 
 from the coupling g and the Theta-slope e at the step's twelve stage
-abscissae, which do not depend on (a, b) and so come in as two lists.  The
+abscissae, which do not depend on (a, b) and so come in as two lists,
+each already times the step size h: the step takes no h of its own.  The
 state is the five floats (Re a, Im a, Re b, Im b, Theta): CPython 3.11
 runs a float operation at about a third of the cost of a complex one, and
 almost every tableau term is a complex times a real.  The step is straight-line
-code that reads the constants by name, and forms e3 as dop853.f does: the
-8th-order sum less the 3rd-order weights' terms.
+code that reads the constants by name, and forms the amplitudes' e3 as
+dop853.f does: the 8th-order sum less the 3rd-order weights' terms.
+Theta's two error sums are taken on the slopes' differences from stage 1,
+which is exact as each sum's weights add to 0, and gives exactly 0 where
+Theta's slope is constant, on the plateaus.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its
@@ -124,47 +128,34 @@ B3_9 = 0.733846688281611857341361741547
 B3_12 = 0.220588235294117647058823529412e-1
 
 
-def step(ar, ai, br, bi, ph, h, g, e):
+def step(ar, ai, br, bi, ph, hg, hw):
     """One DOP853 step of (a, b, Theta), a = ar + i ai and b = br + i bi, of
-    size h from the profile g, e at its twelve stages.  Returns the
-    8th-order state at s + h, (ar, ai, br, bi, Theta), followed by the 5th-
-    and 3rd-order error sums of the same five, h-scaled like the slopes.
+    size h from the h-scaled profile at its twelve stages, hg = h g and
+    hw = h e.  Returns the 8th-order state at s + h, (ar, ai, br, bi, Theta),
+    followed by the 5th- and 3rd-order error sums of the same five, h-scaled
+    like the slopes; Theta's weigh hw_i - hw_1, not hw_i, over stages 6..12.
 
-    Each stage's coupling G = h g e^{2i Theta_i} is formed as h g cos 2Theta_i,
-    h g sin 2Theta_i, what cmath.rect computes, and the slopes G b_i and
+    Each stage's coupling G = h g e^{2i Theta_i} is formed as hg cos 2Theta_i,
+    hg sin 2Theta_i, what cmath.rect computes, and the slopes G b_i and
     -G* a_i in real arithmetic.  Every operation is the one the complex form
     makes on the same parts, or its exact negation, so the result is that of
     the complex step, bit for bit, up to the sign of a zero."""
-    g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12 = g
-    th1, th2, th3, th4, th5, th6, th7, th8, th9, th10, th11, th12 = e
+    g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12 = hg
+    kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12 = hw
     cos = math.cos
     sin = math.sin
-    kp1 = h * th1
-    kp2 = h * th2
-    kp3 = h * th3
-    kp4 = h * th4
-    kp5 = h * th5
-    kp6 = h * th6
-    kp7 = h * th7
-    kp8 = h * th8
-    kp9 = h * th9
-    kp10 = h * th10
-    kp11 = h * th11
-    kp12 = h * th12
     # stage i: Theta_i, G = (gr, gi), then the slope of a from b_i = (x, y)
     # and that of b from a_i = (x, y); the b-slopes are kept as G* a_i, their
     # negatives, and subtracted
-    g = h * g1
-    gr = g * cos(2.0 * ph)
-    gi = g * sin(2.0 * ph)
+    gr = g1 * cos(2.0 * ph)
+    gi = g1 * sin(2.0 * ph)
     kar1 = gr * br - gi * bi
     kai1 = gr * bi + gi * br
     mbr1 = gr * ar + gi * ai
     mbi1 = gr * ai - gi * ar
     t = 2.0 * (ph + (kp1 * A21))
-    g = h * g2
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g2 * cos(t)
+    gi = g2 * sin(t)
     x = br - (mbr1 * A21)
     y = bi - (mbi1 * A21)
     kar2 = gr * x - gi * y
@@ -174,9 +165,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr2 = gr * x + gi * y
     mbi2 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A31 + kp2 * A32))
-    g = h * g3
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g3 * cos(t)
+    gi = g3 * sin(t)
     x = br - (mbr1 * A31 + mbr2 * A32)
     y = bi - (mbi1 * A31 + mbi2 * A32)
     kar3 = gr * x - gi * y
@@ -186,9 +176,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr3 = gr * x + gi * y
     mbi3 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A41 + kp3 * A43))
-    g = h * g4
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g4 * cos(t)
+    gi = g4 * sin(t)
     x = br - (mbr1 * A41 + mbr3 * A43)
     y = bi - (mbi1 * A41 + mbi3 * A43)
     kar4 = gr * x - gi * y
@@ -198,9 +187,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr4 = gr * x + gi * y
     mbi4 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A51 + kp3 * A53 + kp4 * A54))
-    g = h * g5
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g5 * cos(t)
+    gi = g5 * sin(t)
     x = br - (mbr1 * A51 + mbr3 * A53 + mbr4 * A54)
     y = bi - (mbi1 * A51 + mbi3 * A53 + mbi4 * A54)
     kar5 = gr * x - gi * y
@@ -210,9 +198,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr5 = gr * x + gi * y
     mbi5 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A61 + kp4 * A64 + kp5 * A65))
-    g = h * g6
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g6 * cos(t)
+    gi = g6 * sin(t)
     x = br - (mbr1 * A61 + mbr4 * A64 + mbr5 * A65)
     y = bi - (mbi1 * A61 + mbi4 * A64 + mbi5 * A65)
     kar6 = gr * x - gi * y
@@ -222,9 +209,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr6 = gr * x + gi * y
     mbi6 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A71 + kp4 * A74 + kp5 * A75 + kp6 * A76))
-    g = h * g7
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g7 * cos(t)
+    gi = g7 * sin(t)
     x = br - (mbr1 * A71 + mbr4 * A74 + mbr5 * A75 + mbr6 * A76)
     y = bi - (mbi1 * A71 + mbi4 * A74 + mbi5 * A75 + mbi6 * A76)
     kar7 = gr * x - gi * y
@@ -234,9 +220,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr7 = gr * x + gi * y
     mbi7 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A81 + kp4 * A84 + kp5 * A85 + kp6 * A86 + kp7 * A87))
-    g = h * g8
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g8 * cos(t)
+    gi = g8 * sin(t)
     x = br - (mbr1 * A81 + mbr4 * A84 + mbr5 * A85 + mbr6 * A86 + mbr7 * A87)
     y = bi - (mbi1 * A81 + mbi4 * A84 + mbi5 * A85 + mbi6 * A86 + mbi7 * A87)
     kar8 = gr * x - gi * y
@@ -246,9 +231,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbr8 = gr * x + gi * y
     mbi8 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A91 + kp4 * A94 + kp5 * A95 + kp6 * A96 + kp7 * A97 + kp8 * A98))
-    g = h * g9
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g9 * cos(t)
+    gi = g9 * sin(t)
     x = br - (mbr1 * A91 + mbr4 * A94 + mbr5 * A95 + mbr6 * A96 + mbr7 * A97 + mbr8 * A98)
     y = bi - (mbi1 * A91 + mbi4 * A94 + mbi5 * A95 + mbi6 * A96 + mbi7 * A97 + mbi8 * A98)
     kar9 = gr * x - gi * y
@@ -259,9 +243,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbi9 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A101 + kp4 * A104 + kp5 * A105 + kp6 * A106 + kp7 * A107 + kp8 * A108
                      + kp9 * A109))
-    g = h * g10
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g10 * cos(t)
+    gi = g10 * sin(t)
     x = br - (mbr1 * A101 + mbr4 * A104 + mbr5 * A105 + mbr6 * A106 + mbr7 * A107 + mbr8 * A108
               + mbr9 * A109)
     y = bi - (mbi1 * A101 + mbi4 * A104 + mbi5 * A105 + mbi6 * A106 + mbi7 * A107 + mbi8 * A108
@@ -276,9 +259,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbi10 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A111 + kp4 * A114 + kp5 * A115 + kp6 * A116 + kp7 * A117 + kp8 * A118
                      + kp9 * A119 + kp10 * A1110))
-    g = h * g11
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g11 * cos(t)
+    gi = g11 * sin(t)
     x = br - (mbr1 * A111 + mbr4 * A114 + mbr5 * A115 + mbr6 * A116 + mbr7 * A117 + mbr8 * A118
               + mbr9 * A119 + mbr10 * A1110)
     y = bi - (mbi1 * A111 + mbi4 * A114 + mbi5 * A115 + mbi6 * A116 + mbi7 * A117 + mbi8 * A118
@@ -293,9 +275,8 @@ def step(ar, ai, br, bi, ph, h, g, e):
     mbi11 = gr * y - gi * x
     t = 2.0 * (ph + (kp1 * A121 + kp4 * A124 + kp5 * A125 + kp6 * A126 + kp7 * A127 + kp8 * A128
                      + kp9 * A129 + kp10 * A1210 + kp11 * A1211))
-    g = h * g12
-    gr = g * cos(t)
-    gi = g * sin(t)
+    gr = g12 * cos(t)
+    gi = g12 * sin(t)
     x = br - (mbr1 * A121 + mbr4 * A124 + mbr5 * A125 + mbr6 * A126 + mbr7 * A127 + mbr8 * A128
               + mbr9 * A129 + mbr10 * A1210 + mbr11 * A1211)
     y = bi - (mbi1 * A121 + mbi4 * A124 + mbi5 * A125 + mbi6 * A126 + mbi7 * A127 + mbi8 * A128
@@ -326,14 +307,19 @@ def step(ar, ai, br, bi, ph, h, g, e):
             + mbr11 * E5_11 + mbr12 * E5_12)
     e5bi = (mbi1 * E5_1 + mbi6 * E5_6 + mbi7 * E5_7 + mbi8 * E5_8 + mbi9 * E5_9 + mbi10 * E5_10
             + mbi11 * E5_11 + mbi12 * E5_12)
-    e5p = (kp1 * E5_1 + kp6 * E5_6 + kp7 * E5_7 + kp8 * E5_8 + kp9 * E5_9 + kp10 * E5_10
-           + kp11 * E5_11 + kp12 * E5_12)
     # the 3rd-order error is the 8th-order sum less the 3rd-order one, whose
     # weights are nonzero on stages 1, 9 and 12 only, as dop853.f forms it
     e3ar = sar - kar1 * B3_1 - kar9 * B3_9 - kar12 * B3_12
     e3ai = sai - kai1 * B3_1 - kai9 * B3_9 - kai12 * B3_12
     e3br = sbr - mbr1 * B3_1 - mbr9 * B3_9 - mbr12 * B3_12
     e3bi = sbi - mbi1 * B3_1 - mbi9 * B3_9 - mbi12 * B3_12
-    e3p = sp - kp1 * B3_1 - kp9 * B3_9 - kp12 * B3_12
+    # Theta's error sums, on the slopes' differences from stage 1: each set
+    # of weights adds to 0, so these are the plain sums in exact arithmetic,
+    # and they are exactly 0 where the slope is constant, as on the plateaus
+    # (the plain sums' float weights add to -1.6e-16, leaving noise there)
+    e5p = ((kp6 - kp1) * E5_6 + (kp7 - kp1) * E5_7 + (kp8 - kp1) * E5_8 + (kp9 - kp1) * E5_9
+           + (kp10 - kp1) * E5_10 + (kp11 - kp1) * E5_11 + (kp12 - kp1) * E5_12)
+    e3p = ((kp6 - kp1) * B6 + (kp7 - kp1) * B7 + (kp8 - kp1) * B8 + (kp9 - kp1) * (B9 - B3_9)
+           + (kp10 - kp1) * B10 + (kp11 - kp1) * B11 + (kp12 - kp1) * (B12 - B3_12))
     return (ar + sar, ai + sai, br - sbr, bi - sbi, ph + sp,
             e5ar, e5ai, -e5br, -e5bi, e5p, e3ar, e3ai, -e3br, -e3bi, e3p)

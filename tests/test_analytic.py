@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -818,6 +819,30 @@ class TestAcrossTheDoubleRange:
         assert sol.c2l == 0.0 and sol.c_b == 0.0 and cmath.isfinite(sol.c_f)
         psi = solve_later(sol, params.t0 + 0.2 * params.tau, params)
         assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
+
+    @pytest.mark.parametrize("args, refused", [
+        # pi1 = 8.3e282, pi2 = -2.6e114 and m = 1.7e-196, tau = 10/(E1 + E2):
+        # c1l underflows, and c_f theta was 0 inf
+        ((1.7173301279885868e-196, -0.14774443026220513, -2.618135928795297e+114,
+          5.619784929009988e+283, -7.161451251464571e+100, 1.2043956744148708e-282), ("later",)),
+        # pi1 = -1e200 and pi2 = -1.1e200, m = 1e-200: both charts' lower overflow
+        ((1e-200, 1.0, -1e200, 0.0, 1e199, 1e-200), ("earlier", "later")),
+    ])
+    def test_a_chart_lower_beyond_the_range_is_refused(self, args, refused):
+        # pi < 0 and m << |pi|: a chart's lower (E - pi)/m overflows to inf,
+        # and its spinors were NaN; that side is refused by name instead,
+        # while the amplitudes, which need only c1l and c2l, are still given
+        params = StepParameters(*args)
+        sol = match_at_t0(build_solution(params), params)
+        assert asymptotic_amplitudes(sol, params).F_u == scatter(params).F_u
+        for side, x, name in (("earlier", -0.2, "(E1 - pi1)/m"), ("later", 0.2, "(E2 - pi2)/m")):
+            t = params.t0 + x * params.tau
+            if side in refused:
+                with pytest.raises(ParameterRangeError, match=re.escape(name)):
+                    solve_earlier(sol, t, params)
+            else:
+                psi = solve_earlier(sol, t, params)
+                assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
 
     def test_matching_where_tau_e2_is_below_the_range(self):
         # tau E2 = 2e-394 underflows to 0, where log G(-i tau E2) hit its

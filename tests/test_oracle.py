@@ -49,7 +49,8 @@ _OUT3 = tuple((j, b3j) for j, b3j in enumerate(_B3) if b3j)
 def reference_step(a, b, ph, hg, hw):
     """DOP853 as a loop over the sparse tableau rows, on an h-scaled profile:
     stage i's phase is ph plus its row's sum of the Theta-slopes hw, and its
-    slopes are G b_i and -G* a_i with G = hg[i] e^{2i Theta_i}."""
+    slopes are G b_i and -G* a_i with G = hg[i] e^{2i Theta_i}.  Theta's error
+    sums are taken on the slopes' differences from stage 1, as the step's."""
     ka = []
     kb = []
     for i in range(len(_C)):
@@ -64,27 +65,31 @@ def reference_step(a, b, ph, hg, hw):
         ka.append(g * (b + sb))
         kb.append(-g.conjugate() * (a + sa))
     sa = sb = ea5 = eb5 = 0.0j
-    sp = ep5 = 0.0
+    sp = 0.0
     for j, bj, e5j in _OUT:
         sa += ka[j] * bj
         sb += kb[j] * bj
         sp += hw[j] * bj
         ea5 += ka[j] * e5j
         eb5 += kb[j] * e5j
-        ep5 += hw[j] * e5j
     # e3 = (B-sum) - B3-terms
-    ea3, eb3, ep3 = sa, sb, sp
+    ea3, eb3 = sa, sb
     for j, b3j in _OUT3:
         ea3 -= ka[j] * b3j
         eb3 -= kb[j] * b3j
-        ep3 -= hw[j] * b3j
+    # sum(E5) = sum(E3) = 0: Theta's sums are taken on hw[j] - hw[0], whose
+    # stage-1 term is 0, over stages 6..12
+    ep5 = ep3 = 0.0
+    for j in range(5, 12):
+        ep5 += (hw[j] - hw[0]) * _E5[j]
+        ep3 += (hw[j] - hw[0]) * _E3[j]
     return (a + sa, b + sb, ph + sp, ea5, eb5, ep5, ea3, eb3, ep3)
 
 
 def toy_profile(u, h):
-    # coupling and phase slope that differ at every stage
-    return ([0.8 + 0.3 * math.sin(3.0 * (u + c * h)) for c in _C],
-            [1.5 + math.cos(u + c * h) + 0.2 * c for c in _C])
+    # h-scaled coupling and phase slope that differ at every stage
+    return ([h * (0.8 + 0.3 * math.sin(3.0 * (u + c * h))) for c in _C],
+            [h * (1.5 + math.cos(u + c * h) + 0.2 * c) for c in _C])
 
 
 class TestTableau:
@@ -111,11 +116,11 @@ class TestTableau:
 
 class TestStep:
     @staticmethod
-    def assert_matches_reference(a, b, ph, h, g, e):
-        # the float step takes the state as (Re a, Im a, Re b, Im b, Theta) and
-        # the unscaled profile; the reference takes complex a, b and h-scaled lists
-        out = dop853.step(a.real, a.imag, b.real, b.imag, ph, h, g, e)
-        ref = reference_step(a, b, ph, [h * x for x in g], [h * x for x in e])
+    def assert_matches_reference(a, b, ph, hg, hw):
+        # the float step takes the state as (Re a, Im a, Re b, Im b, Theta), the
+        # reference complex a and b; both take the h-scaled profile
+        out = dop853.step(a.real, a.imag, b.real, b.imag, ph, hg, hw)
+        ref = reference_step(a, b, ph, hg, hw)
         got = (complex(out[0], out[1]), complex(out[2], out[3]), out[4],
                complex(out[5], out[6]), complex(out[7], out[8]), out[9],
                complex(out[10], out[11]), complex(out[12], out[13]), out[14])
@@ -125,15 +130,15 @@ class TestStep:
     def test_matches_the_tableau_loop_bit_for_bit(self, h):
         for u, a, b, ph in ((0.0, 1.0 + 0.0j, 0.0j, 0.0), (-2.5, 0.3 - 0.8j, 1.2 + 0.1j, -4.0),
                             (1.5, -0.7 + 0.4j, 0.0j, 2.5)):
-            self.assert_matches_reference(a, b, ph, h, *toy_profile(u, h))
+            self.assert_matches_reference(a, b, ph, *toy_profile(u, h))
 
     def test_matches_the_tableau_loop_with_a_subnormal_coupling(self):
         # h g subnormal at every stage: the stage slopes keep few bits, and the
         # float step must still make the complex step's every rounding
-        g, e = toy_profile(0.7, 0.05)
-        self.assert_matches_reference(0.3 - 0.8j, 1.2 + 0.1j, -4.0, 0.05,
-                                      [x * 1e-310 for x in g], e)
-        self.assert_matches_reference(1.0 + 0.0j, 0.0j, 0.0, 0.05, [x * 1e-310 for x in g], e)
+        hg, hw = toy_profile(0.7, 0.05)
+        hg = [x * 1e-310 for x in hg]
+        self.assert_matches_reference(0.3 - 0.8j, 1.2 + 0.1j, -4.0, hg, hw)
+        self.assert_matches_reference(1.0 + 0.0j, 0.0j, 0.0, hg, hw)
 
 
 class TestProfile:
@@ -147,15 +152,15 @@ class TestProfile:
     ])
     def test_coupling_and_phase_slope(self, m, q, p, a1, a2, tau):
         # per unit s = u/S: the coupling S theta'/2 = -S m pi'(u) / (2 E^2)
-        # and the Theta-slope S E(u); stage 1's values, at s, come from a
-        # profile of zero width, whose every abscissa is s
+        # and the Theta-slope S E(u), h-scaled at h = 1; stage 1's values, at
+        # s, are the unscaled end values of a profile of zero width
         params = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau)
         tau_s, scale, profile = oracle._stage_profile(params, asymptotic_modes(params))
         assert tau_s * scale == tau and 0.5 <= tau_s < 1.0
         for k in range(-40, 39):
             s = 0.5 * k * tau_s  # stage abscissae up to |s/tau_s| = 20
-            at_s = profile(s, 0.0, 0.0, 0.0)
-            hg, hw = profile(s, 1.0, at_s[0][-1], at_s[1][-1])
+            g1, e1 = profile(s, 0.0, 0.0, 0.0)[2:]
+            hg, hw, _, _ = profile(s, 1.0, g1, e1)
             for c, g, w in zip(_C, hg, hw):
                 u = (s + c) * scale
                 piv = p - q * potential_at(u, params)
@@ -173,7 +178,7 @@ class TestProfile:
         # with pi = pi2 + delta w/(1 + w), w = e^-2x
         params = StepParameters(m=1.0, q=1.0, p=1e200, a1=0.0, a2=1e200, tau=1e-250)
         tau_s, _, profile = oracle._stage_profile(params, asymptotic_modes(params))
-        g = profile(19.0 * tau_s, 0.0, 0.0, 0.0)[0][-1]
+        g = profile(19.0 * tau_s, 0.0, 0.0, 0.0)[2]
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             delta, tau_s_d = decimal.Decimal(1e200), decimal.Decimal(tau_s)
@@ -209,8 +214,7 @@ class TestIntegrate:
             tau_s, scale, profile = stage_profile(params, modes)
 
             def recomputing(s, h, g1, e1):
-                g, e = profile(s, 0.0, 0.0, 0.0)
-                return profile(s, h, g[-1], e[-1])
+                return profile(s, h, *profile(s, 0.0, 0.0, 0.0)[2:])
 
             return tau_s, scale, recomputing
 
@@ -233,7 +237,7 @@ class TestIntegrate:
         # error weights are NaN or 0, and its norm drift NaN or inf, and none
         # of these may pass a comparison with a limit
         monkeypatch.setattr(dop853, "step",
-                            lambda ar, ai, br, bi, ph, h, g, e: (bad,) * 4 + (ph,) + (0.0,) * 10)
+                            lambda ar, ai, br, bi, ph, hg, hw: (bad,) * 4 + (ph,) + (0.0,) * 10)
         with pytest.raises(oracle.OracleError):
             integrate(mk())
 
@@ -315,9 +319,42 @@ class TestIntegrate:
         # the free e^{-/+iEt} oscillation is stripped, so the steps follow the
         # sech^2 transition, about linearly in tau; a mis-wired stage that
         # loses order takes many more
-        for tau, want in ((0.3, 120), (3.0, 424), (10.0, 1335), (30.0, 3496)):
+        for tau, want in ((0.3, 118), (3.0, 425), (10.0, 1335), (30.0, 3495)):
             steps = integrate(mk(tau=tau)).steps
             assert steps == pytest.approx(want, rel=0.02), f"tau = {tau}: {steps} steps"
+
+    def test_step_counts_do_not_follow_rounding(self, monkeypatch):
+        # on the plateaus Theta's slope is constant and its error sums are
+        # exactly 0, not the rounding of weights that add to -1.6e-16 in
+        # floats, so raising E = hypot(pi, m) one ulp at every node moves no
+        # step count; with the noise it moved 221 of the 384 inputs of the
+        # benchmark's oracle-validation seeds 1-3, by up to 8 steps
+        points = [mk(tau=0.3), mk(tau=3.0), mk(p=0.5, a2=0.5, tau=1.0),
+                  mk(p=2.5, a2=0.5, tau=1.0), mk(p=4.0, a2=5.0, tau=0.1)]
+        steps = [integrate(params).steps for params in points]
+
+        class HypotOneUlpUp:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def hypot(x, y):
+                return math.nextafter(math.hypot(x, y), math.inf)
+
+        monkeypatch.setattr(oracle, "math", HypotOneUlpUp())
+        assert [integrate(params).steps for params in points] == steps
+
+    @pytest.mark.parametrize("m", [1e-12, 1e-100, 1e-300])
+    def test_small_mass_phases_rest_on_theta_error_control(self, m):
+        # pi1 = -1, pi2 = -2: g_f and g_b carry c1l's and c2l's phases only
+        # if the step control weighs Theta's error with a and b; `compare`
+        # reads moduli only, and a norm without Theta's terms still passed
+        # it here while taking ~22 steps, with g_b off by up to 9.7 relative
+        params = mk(m=m, p=-1.0, a2=1.0, tau=1.0)
+        sol = analytic.match_at_t0(analytic.build_solution(params), params)
+        out = integrate(params)
+        assert abs(out.g_f - sol.c1l) <= 1e-9 * abs(sol.c1l)
+        assert abs(out.g_b - sol.c2l) <= 1e-7 * abs(sol.c2l)
 
     def test_step_cap_enforced(self, monkeypatch):
         # tau = 30 takes ~3.5k steps, 58 per unit of 1 + tau E; a budget of
