@@ -398,10 +398,13 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     the exact plane-wave limit.  Where c_f, c_b or the later chart's
     (E2 - pi2)/m is beyond the double range, t > t0 raises
     ParameterRangeError naming it, and where the earlier chart's
-    (E1 - pi1)/m is, t <= t0 does.  `solve_later` is the same function.
+    (E1 - pi1)/m is, t <= t0 does.  A t that is not finite raises
+    ValueError naming it.  `solve_later` is the same function.
     """
     if sol.c1l is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
+    if not abs(t) < math.inf:  # one comparison, NaN included
+        raise ValueError(f"t must be finite, got t = {t}")
     if t <= params.t0:
         if sol.earlier_refused is not None:
             raise ParameterRangeError(sol.earlier_refused)

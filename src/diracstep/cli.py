@@ -119,7 +119,9 @@ def cmd_scatter(args) -> int:
     if args.sharp:
         if args.oracle:
             raise ValueError("--oracle cannot be given with --sharp: it needs tau > 0")
-        # sharp_step reads no t0 or tau, and the record echoes both
+        if args.tau is not None:
+            raise ValueError("--tau cannot be given with --sharp: its record carries tau = 0")
+        # sharp_step reads no t0, and the record echoes it
         model.check_inputs(_given_inputs(args))
         res = analytic.sharp_step(m=args.m, q=args.q, p=args.p, a1=args.a1, a2=args.a2)
         tau = 0.0  # marks the Heaviside limit in the emitted record

@@ -1,53 +1,50 @@
 """Complex-parameter special functions for the analytic step solution.
 
 Only the arguments the scattering problem actually visits are first class:
-the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 1/2.
+the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 0.
 Each chart of the time-dependent solution is evaluated only on its own side
 of the step, where its argument zeta = -exp(-2|t - t0|/tau) lies in [-1, 0),
-so no representation for z < -1 or for z near 1 is needed; z = 1 itself
-raises DomainError like any other point outside the domain.  a and b are
+so that is the domain; any other z raises DomainError.  a and b are
 generally complex and c needs Re c >= 1, DomainError elsewhere; in production
-a and b are purely imaginary and c lies on the line 1 + i*R, which the Euler
-and Pfaff forms keep.  log_gamma likewise takes Re z >= 0, z != 0: the
-connection coefficients need it only on the lines Re z = 0 and 1.
+a and b are purely imaginary and c lies on the line 1 + i*R, which the Pfaff
+forms keep.  log_gamma likewise takes Re z >= 0, z != 0: the connection
+coefficients need it only on the lines Re z = 0 and 1.
 
-Accuracy strategy: among the equivalent Maclaurin representations
+Accuracy strategy: 2F1 is summed as one of its two Pfaff forms (DLMF 15.8.1)
 
-    direct   F(a, b; c; z)
-    Euler    (1-z)^(c-a-b) F(c-a, c-b; c; z)
-    Pfaff-a  (1-z)^(-a)    F(a, c-b; c; z/(z-1))
-    Pfaff-b  (1-z)^(-b)    F(c-a, b; c; z/(z-1))
+    Pfaff-a  (1-z)^(-a)    F(a, c-b; c; w)
+    Pfaff-b  (1-z)^(-b)    F(c-a, b; c; w),     w = z/(z-1),
 
-the one with the smallest term-growth indicator |A*B*x|/|C| is summed
-(x = z or w = z/(z-1)), which keeps intermediate terms small and avoids the
-catastrophic cancellation a naive series suffers for oscillatory parameter
-sets.  On the chart arguments -1 <= z < 0 every series runs at |x| <= 1/2.
+the one with the smaller term-growth indicator |A*B|/|C|, chosen once per
+(a, b, c), ties to Pfaff-a.  This keeps intermediate terms small and avoids
+the catastrophic cancellation a naive series suffers for oscillatory
+parameter sets, and on -1 <= z <= 0 the series runs at 0 <= w <= 1/2.  The
+accuracy is vouched for on the chart parameter family (a, b purely
+imaginary, c on 1 + i*R, as `analytic.build_solution` builds them), against
+high-precision references in the tests; for general complex parameters it
+is not.
 
-Every evaluation goes through a `Hyp2F1Plan`, built once per (a, b, c).
-Direct and Euler share the argument z, Pfaff-a and Pfaff-b share w, so the
-plan keeps the better of each pair by its constant g = |A*B|/|C| and the
-choice at z is one comparison, g_D |z| <= g_P |w| with |z| <= 1/2; ties go
-to the z pair, as the four-way minimum gives them to the first of the four.
-Each kept series has a table of its term ratios rho_n = (A+n)(B+n)/(C+n),
-grown on demand, so a term of the sum costs a complex product by its ratio
-and one by the float x/(n+1).  The terms are added four at a time, and the
-series stops at the first pass whose last term, times a bound on the rest
-of the series, is small in the value and in the derivative sum: as
-Re C >= 1, the ratio of every term after the n-th to the one before is at
-most r = |x| (1 + |A|/n) (1 + |B - C|/(Re C + n)), so the rest is at most
-r/(1 - r) times the last term.  A term made small by a factor A + k or
-B + k that nearly vanishes does not stop the sum before ratios above 1 (a
-large real B) lift it again.  A last term of exactly 0 stops it too, as
-every later term of the recurrence is 0.
+Every evaluation goes through a `Hyp2F1Plan`, built once per (a, b, c),
+which holds the kept series and a table of its term ratios
+rho_n = (A+n)(B+n)/(C+n), grown on demand, so a term of the sum costs a
+complex product by its ratio and one by the float w/(n+1).  The terms are
+added four at a time, and the series stops at the first pass whose last
+term, times a bound on the rest of the series, is small in the value and in
+the derivative sum: as Re C >= 1, the ratio of every term after the n-th to
+the one before is at most r = |w| (1 + |A|/n) (1 + |B - C|/(Re C + n)), so
+the rest is at most r/(1 - r) times the last term.  A term made small by a
+factor A + k or B + k that nearly vanishes does not stop the sum before
+ratios above 1 (a large real B) lift it again.  A last term of exactly 0
+stops it too, as every later term of the recurrence is 0.
 MAX_TERMS is counted in whole passes, rounded down to a multiple of four.
-The plan returns the exponent kappa of the representation's prefactor
+The plan returns the exponent kappa of the series' prefactor
 (1-z)^kappa with the sums, so that a caller with other powers of (1-z),
 such as the charts of `analytic`, takes them all in one exp.  The charts
 evaluate one (a, b, c) at many z and build their plans once.
 
 `hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
-series loop sums S and dS/dx together, and each transformation carries the
-derivative by the chain rule, so no second representation is chosen for
+series loop sums S and dS/dw together, and the Pfaff transformation carries
+the derivative by the chain rule, so no second series is summed for
 F' = (a b / c) F(a+1, b+1; c+1; z).  `hyp2f1` and `hyp2f1_derivative` are
 its two halves.
 """
@@ -120,23 +117,34 @@ def log_gamma(z: complex) -> complex:
     return (z - 0.5) * cmath.log(z) - z + _LN_SQRT_2PI + w * tail - lifted
 
 
-class _Representation:
-    """One Maclaurin series (1-z)^kappa F(a, b; c; x) and its term-ratio table.
+class Hyp2F1Plan:
+    """The series plan of 2F1(a, b; c; z) for one parameter triple: the
+    better of its two Pfaff series and that series' term-ratio table.
 
+    Of Pfaff-a (1-z)^(-a) F(a, c-b; c; w) and Pfaff-b (1-z)^(-b)
+    F(c-a, b; c; w), w = z/(z-1), the plan keeps the one with the smaller
+    |A B|/|C|, ties to Pfaff-a; a, b and c are then that series' parameters
+    A, B and C, and kappa is the exponent of its prefactor (1-z)^kappa.
     The table holds rho_n = (a+n)(b+n)/(c+n), which depends only on
-    (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS.
+    (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS; it
+    is shared by every evaluation, the results are not: the sums at z do
+    not depend on which z were evaluated before.  Raises DomainError where
+    not Re c >= 1 (a NaN included).
     """
 
-    __slots__ = ("name", "a", "b", "c", "kappa", "growth", "reach", "table")
+    __slots__ = ("a", "b", "c", "kappa", "reach", "table")
 
-    def __init__(self, name: str, a: complex, b: complex, c: complex, kappa: complex) -> None:
-        self.name = name
-        self.a, self.b, self.c = a, b, c
-        self.kappa = kappa
-        # term-growth indicator per unit |argument|
-        self.growth = abs(a * b) / abs(c)
+    def __init__(self, a: complex, b: complex, c: complex) -> None:
+        if not c.real >= 1.0:
+            raise DomainError(f"2F1 needs Re c >= 1, got c = {c}")
+        # both series have C = c, so |A B| alone decides
+        if abs(a * (c - b)) <= abs((c - a) * b):
+            self.a, self.b, self.kappa = a, c - b, -a
+        else:
+            self.a, self.b, self.kappa = c - a, b, -b
+        self.c = c
         # (|a|, |b - c|, Re c), which bound the later term ratios (`sums`)
-        self.reach = (abs(a), abs(b - c), c.real)
+        self.reach = (abs(self.a), abs(self.b - c), c.real)
         self.table: list[complex] = []
 
     def sums(self, x: float) -> tuple[complex, complex]:
@@ -215,79 +223,45 @@ class _Representation:
             f"(a={self.a}, b={self.b}, c={self.c}, x={x})"
         )
 
-
-class Hyp2F1Plan:
-    """The series plan of 2F1(a, b; c; z) for one parameter triple.
-
-    on_z is the better of direct and Euler, on_w the better of Pfaff-a and
-    Pfaff-b, by growth constant (ties to direct and to Pfaff-a).  Raises
-    DomainError where not Re c >= 1 (a NaN included).  The two
-    tables are shared by every evaluation, the results are not: the sums at
-    z do not depend on which z were evaluated before.
-    """
-
-    __slots__ = ("on_z", "on_w")
-
-    def __init__(self, a: complex, b: complex, c: complex) -> None:
-        if not c.real >= 1.0:
-            raise DomainError(f"2F1 needs Re c >= 1, got c = {c}")
-        direct = _Representation("direct", a, b, c, 0j)
-        euler = _Representation("euler", c - a, c - b, c, c - a - b)
-        pfaff_a = _Representation("pfaff-a", a, c - b, c, -a)
-        pfaff_b = _Representation("pfaff-b", c - a, b, c, -b)
-        self.on_z = direct if direct.growth <= euler.growth else euler
-        self.on_w = pfaff_a if pfaff_a.growth <= pfaff_b.growth else pfaff_b
-
-    def select(self, z: float) -> _Representation:
-        """The representation summed at real z, -1 <= z <= 1/2."""
-        if abs(z) <= 0.5 and self.on_z.growth * abs(z) <= self.on_w.growth * abs(z / (z - 1.0)):
-            return self.on_z
-        return self.on_w
-
     def series(self, z: float) -> tuple[complex, complex, complex]:
         """(kappa, s, f) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and
-        d/dz 2F1 = (1-z)^kappa f(z), f = s' - kappa s/(1-z).
+        d/dz 2F1 = (1-z)^kappa f(z), f = s' - kappa s/(1-z), for real
+        -1 <= z <= 0, where 0 <= w <= 1/2.
 
         The prefactor's exponent is returned rather than applied, so a
         caller with other powers of (1-z) takes them all in one exp.  f is
         written here once, for `hyp2f1_with_derivative` and the charts of
-        `analytic` alike.  Where a or b is small the plan sums direct or the
-        Pfaff series that keeps it, each of whose terms then carries the
-        small parameter, so f = (1-z)^(-kappa) (a b / c) F(a+1, b+1; c+1; z)
-        keeps its relative accuracy.
+        `analytic` alike.  Where the original a or b is small the plan sums
+        the Pfaff series that keeps it, each of whose terms then carries the
+        small parameter, but f = s' - kappa s/(1-z) is a difference, which
+        cancels by about |c|/|c - b| of the series' (a, b, c) where a and b
+        are both small against c.
         """
-        rep = self.select(z)
-        kappa = rep.kappa
         one_minus = 1.0 - z
-        if rep is self.on_z:
-            s, ds = rep.sums(z)
-        else:
-            # x = z/(z-1), dx/dz = -1/(1-z)^2
-            s, ds = rep.sums(z / (z - 1.0))
-            ds = -ds / (one_minus * one_minus)
-        return kappa, s, ds - kappa * s / one_minus
+        # w = z/(z-1), dw/dz = -1/(1-z)^2
+        s, ds = self.sums(z / (z - 1.0))
+        kappa = self.kappa
+        return kappa, s, -ds / (one_minus * one_minus) - kappa * s / one_minus
 
 
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
                            z: complex) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
-    Supported: Re c >= 1 and real z with -1 <= z <= 1/2; any other c or z,
-    z = 1 included, raises DomainError, c checked first, at z = 0 too.
-    Deterministic: identical inputs give identical output bits.
+    Supported: Re c >= 1 and real z with -1 <= z <= 0; any other c or z
+    raises DomainError, c checked first.  At z = 0 the series gives 1 and
+    a b / c.  Deterministic: identical inputs give identical output bits.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
 
     plan = Hyp2F1Plan(a, b, c)
-    if z == 0:
-        return 1.0 + 0.0j, a * b / c
     if z.imag != 0.0:
         raise DomainError(f"2F1 argument must be real, got z = {z}")
     x = z.real
-    if not -1.0 <= x <= 0.5:
-        raise DomainError(f"2F1 argument must satisfy -1 <= z <= 1/2, got z = {x}")
+    if not -1.0 <= x <= 0.0:
+        raise DomainError(f"2F1 argument must satisfy -1 <= z <= 0, got z = {x}")
     kappa, s, f = plan.series(x)
-    # 1 - x >= 1/2: the logarithm is real
+    # 1 - x >= 1: the logarithm is real
     prefactor = cmath.exp(kappa * math.log1p(-x))
     return prefactor * s, prefactor * f
 

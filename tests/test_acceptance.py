@@ -98,12 +98,8 @@ def test_criterion_6_special_functions():
     t0 = time.perf_counter()
     rng = random.Random(6)
     ys = [10 ** (k / 40) for k in range(-120, 105)]
-    quads = [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-              complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-              complex(rng.uniform(1.0, 3.0), rng.uniform(-2, 2)),
-              rng.uniform(-0.9, 0.45))
-             for _ in range(40)]
-    ok_values, values = check_specfun_values(quads)
+    pairs = [(rng.uniform(-15, 15), rng.uniform(-15, 15)) for _ in range(40)]
+    ok_values, values = check_specfun_values(pairs)
     ok_moduli, moduli = check_gamma_moduli(ys)
     elapsed = time.perf_counter() - t0
     assert report(6, ok_values and ok_moduli and elapsed < 5.0,

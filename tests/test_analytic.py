@@ -125,11 +125,11 @@ class TestBuildSolution:
         for tau in (1e-4, 0.3, 5.0):
             sol = build_solution(mk(tau=tau))
             for chart in (sol.earlier, sol.later):
-                for rep in (chart.plan.on_z, chart.plan.on_w):
-                    for v in (rep.a, rep.b, rep.c):
-                        assert cmath.isfinite(v)
-                    c = rep.c
-                    assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
+                plan = chart.plan
+                for v in (plan.a, plan.b, plan.c, plan.kappa):
+                    assert cmath.isfinite(v)
+                c = plan.c
+                assert not (c.imag == 0 and c.real <= 0 and c.real == round(c.real))
 
     # the anchor, and pi2/m = +40 and -39.5, where the later backward wave's
     # upper component comes from the forward wave's lower one
@@ -166,8 +166,10 @@ class TestBuildSolution:
             build_solution(mk(tau=150.0))
 
 
-# The matched spinor (phi, theta) at one time on each side of t0 for each
-# series a plan can choose there, computed once with mpmath (dps 40) from the
+# The matched spinor (phi, theta) at one time on each side of t0, at points
+# chosen for the series an earlier four-way plan (direct, Euler and the two
+# Pfaff forms) summed there, which still name them; every chart now sums one
+# Pfaff series.  Computed once with mpmath (dps 40) from the
 # incident branch alone: g_i |zeta|^(-i eps1) (1 - zeta)^(i d)
 # 2F1(a', b'; c'; zeta) with zeta = -exp(2 (t - t0)/tau) continued past
 # zeta = -1 by mpmath.hyp2f1, phi' by mpmath.diff and theta = (i phi' - pi phi)/m
@@ -220,8 +222,7 @@ CHART_PINNED = [
 ]
 
 
-def _chart_id(case):
-    params, t, series = case[:3]
+def _chart_id(params, t, series):
     side = "earlier" if t <= params.t0 else "later"
     # the small-mass cases name their mass, so every id stays unique
     return f"{side}-{series}" + (f"-m={params.m:g}" if params.m < 1e-3 else "")
@@ -254,13 +255,11 @@ class TestChartEvaluation:
             want = amp * cmath.exp(-1j * modes.e1 * (t - params.t0))
             assert got.upper == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("params, t, series, phi, theta", CHART_PINNED,
-                             ids=[_chart_id(c) for c in CHART_PINNED])
-    def test_pinned_high_precision_spinors(self, params, t, series, phi, theta):
+    @pytest.mark.parametrize("params, t, phi, theta",
+                             [pytest.param(params, t, phi, theta, id=_chart_id(params, t, series))
+                              for params, t, series, phi, theta in CHART_PINNED])
+    def test_pinned_high_precision_spinors(self, params, t, phi, theta):
         sol = match_at_t0(build_solution(params), params)
-        chart = sol.earlier if t <= params.t0 else sol.later
-        zeta = -math.exp(chart.sign * 2.0 * ((t - params.t0) / params.tau))
-        assert chart.plan.select(zeta).name == series
         got = solve_earlier(sol, t, params)
         scale = math.hypot(abs(phi), abs(theta))
         assert abs(got.upper - phi) <= 1e-12 * scale
@@ -341,7 +340,7 @@ class TestChartEvaluation:
     def test_evaluation_is_deterministic(self):
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)
-        # |zeta| from e^-8 to 1 in each chart, through every representation
+        # |zeta| from e^-8 to 1 in each chart
         times = [params.t0 + params.tau * (0.25 * j - 4.0) for j in range(33)]
 
         def spinors():
@@ -370,25 +369,24 @@ class TestChartEvaluation:
             with pytest.raises(specfun.ConvergenceError):
                 solve_later(sol, params.t0 + 0.1, params)
             for chart in (sol.earlier, sol.later):
-                assert len(chart.plan.on_z.table) <= cap
-                assert len(chart.plan.on_w.table) <= cap
+                assert len(chart.plan.table) <= cap
 
     def test_one_series_per_spinor_and_two_plans_per_solution(self, monkeypatch):
         # the cost of the chart route: build_solution builds two plans, and a
         # spinor on either side of t0 sums one 2F1 series
         counts = {"plans": 0, "sums": 0}
-        plan_init, sums = specfun.Hyp2F1Plan.__init__, specfun._Representation.sums
+        plan_init, sums = specfun.Hyp2F1Plan.__init__, specfun.Hyp2F1Plan.sums
 
         def counting_init(plan, *args):
             counts["plans"] += 1
             plan_init(plan, *args)
 
-        def counting_sums(rep, x):
+        def counting_sums(plan, x):
             counts["sums"] += 1
-            return sums(rep, x)
+            return sums(plan, x)
 
         monkeypatch.setattr(specfun.Hyp2F1Plan, "__init__", counting_init)
-        monkeypatch.setattr(specfun._Representation, "sums", counting_sums)
+        monkeypatch.setattr(specfun.Hyp2F1Plan, "sums", counting_sums)
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)
         assert counts == {"plans": 2, "sums": 0}
@@ -402,6 +400,14 @@ class TestChartEvaluation:
         sol = build_solution(mk())
         with pytest.raises(ValueError):
             solve_earlier(sol, 0.0, mk())
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # inf gave NaN spinors, and NaN summed the series to its term cap
+        params = mk(tau=0.3)
+        sol = match_at_t0(build_solution(params), params)
+        with pytest.raises(ValueError, match=f"t must be finite, got t = {t}"):
+            solve_earlier(sol, t, params)
 
     def test_chart_overflow_guard(self):
         # 1e3 tau from t0, |ln zeta| = 2000: each side's chart variable

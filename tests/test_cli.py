@@ -82,11 +82,15 @@ class TestScatter:
         assert rec["F"] == pytest.approx(hard.F, rel=1e-12)
 
     @pytest.mark.parametrize("flags", [("--m", "0"), ("--m", "-1"), ("--p", "nan"),
-                                       ("--t0", "inf"), ("--tau", "nan"), ("--tau", "-1")])
+                                       ("--t0", "inf"), ("--tau", "nan"), ("--tau", "-1"),
+                                       ("--tau", "5")])
     def test_sharp_rejects_bad_inputs(self, capsys, flags):
-        code, _, err = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2", *flags)
-        assert code == 2
+        code, out, err = run(capsys, "scatter", "--sharp", "--p", "1", "--a2", "2", *flags)
+        assert (code, out) == (2, "")
         assert flags[0][2:] in err
+        # a --tau the record would drop: every tau is refused, naming both flags
+        if flags[0] == "--tau":
+            assert "--tau" in err and "--sharp" in err
 
     @pytest.mark.parametrize("tau", ["1e-100", "1e-200", "1e-300"])
     def test_oracle_at_a_vanishing_tau(self, capsys, tau):
@@ -743,7 +747,8 @@ class TestKinematicsCells:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         smooth = json.loads(out)
-        code, out, _ = run(capsys, *argv, "--sharp")
+        # --sharp refuses a --tau, which its record would drop
+        code, out, _ = run(capsys, *(a for a in argv if not a.startswith("--tau=")), "--sharp")
         assert code == 0
         sharp = json.loads(out)
         assert list(sharp) == list(smooth)
