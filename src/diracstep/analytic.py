@@ -410,13 +410,12 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
             raise ParameterRangeError(sol.earlier_refused)
         phi, theta = _chart_spinor(sol.earlier, params, t)
         g_i = sol.g_i
-        return TwoSpinor(upper=g_i * phi, lower=g_i * theta)
+        return TwoSpinor(g_i * phi, g_i * theta)
     if sol.later_refused is not None:
         raise ParameterRangeError(sol.later_refused)
     phi, theta = _chart_spinor(sol.later, params, t)
     c_f, c_b = sol.c_f, sol.c_b
-    return TwoSpinor(upper=c_f * phi + c_b * theta.conjugate(),
-                     lower=c_f * theta - c_b * phi.conjugate())
+    return TwoSpinor(c_f * phi + c_b * theta.conjugate(), c_f * theta - c_b * phi.conjugate())
 
 
 solve_later = solve_earlier

@@ -5,10 +5,11 @@ the Gauss hypergeometric function 2F1(a, b; c; z) for real -1 <= z <= 0.
 Each chart of the time-dependent solution is evaluated only on its own side
 of the step, where its argument zeta = -exp(-2|t - t0|/tau) lies in [-1, 0),
 so that is the domain; any other z raises DomainError.  a and b are
-generally complex and c needs Re c >= 1, DomainError elsewhere; in production
-a and b are purely imaginary and c lies on the line 1 + i*R, which the Pfaff
-forms keep.  log_gamma likewise takes Re z >= 0, z != 0: the connection
-coefficients need it only on the lines Re z = 0 and 1.
+generally complex and c needs Re c >= 1, and all three must be finite,
+DomainError elsewhere; in production a and b are purely imaginary and c
+lies on the line 1 + i*R, which the Pfaff forms keep.  log_gamma likewise
+takes Re z >= 0, z != 0: the connection coefficients need it only on the
+lines Re z = 0 and 1.
 
 Accuracy strategy: 2F1 is summed as one of its two Pfaff forms (DLMF 15.8.1)
 
@@ -26,7 +27,8 @@ is not.
 
 Every evaluation goes through a `Hyp2F1Plan`, built once per (a, b, c),
 which holds the kept series and a table of its term ratios
-rho_n = (A+n)(B+n)/(C+n), grown on demand, so a term of the sum costs a
+rho_n = (A+n)(B+n)/(C+n).  Its `series` sums at one z in one loop, which
+grows the table when it reaches the end, so a term of the sum costs a
 complex product by its ratio and one by the float w/(n+1).  The terms are
 added four at a time, and the series stops at the first pass whose last
 term, times a bound on the rest of the series, is small in the value and in
@@ -37,10 +39,10 @@ factor A + k or B + k that nearly vanishes does not stop the sum before
 ratios above 1 (a large real B) lift it again.  A last term of exactly 0
 stops it too, as every later term of the recurrence is 0.
 MAX_TERMS is counted in whole passes, rounded down to a multiple of four.
-The plan returns the exponent kappa of the series' prefactor
-(1-z)^kappa with the sums, so that a caller with other powers of (1-z),
-such as the charts of `analytic`, takes them all in one exp.  The charts
-evaluate one (a, b, c) at many z and build their plans once.
+`series` returns the exponent kappa of the series' prefactor
+(1-z)^kappa beside the two sums, so that a caller with other powers of
+(1-z), such as the charts of `analytic`, takes them all in one exp.  The
+charts evaluate one (a, b, c) at many z and build their plans once.
 
 `hyp2f1_with_derivative` returns F and dF/dz from one series pass: the
 series loop sums S and dS/dw together, and the Pfaff transformation carries
@@ -127,9 +129,9 @@ class Hyp2F1Plan:
     A, B and C, and kappa is the exponent of its prefactor (1-z)^kappa.
     The table holds rho_n = (a+n)(b+n)/(c+n), which depends only on
     (a, b, c).  It grows on demand, doubling, and never past MAX_TERMS; it
-    is shared by every evaluation, the results are not: the sums at z do
-    not depend on which z were evaluated before.  Raises DomainError where
-    not Re c >= 1 (a NaN included).
+    is shared by every evaluation, the results are not: the series at z
+    does not depend on which z were evaluated before.  Raises DomainError
+    where not Re c >= 1 (a NaN included) and where a, b or c is not finite.
     """
 
     __slots__ = ("a", "b", "c", "kappa", "reach", "table")
@@ -137,96 +139,47 @@ class Hyp2F1Plan:
     def __init__(self, a: complex, b: complex, c: complex) -> None:
         if not c.real >= 1.0:
             raise DomainError(f"2F1 needs Re c >= 1, got c = {c}")
+        # a NaN or inf parameter makes NaN terms, which would run to MAX_TERMS
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+            raise DomainError(f"2F1 needs finite a, b and c, got a = {a}, b = {b}, c = {c}")
         # both series have C = c, so |A B| alone decides
         if abs(a * (c - b)) <= abs((c - a) * b):
             self.a, self.b, self.kappa = a, c - b, -a
         else:
             self.a, self.b, self.kappa = c - a, b, -b
         self.c = c
-        # (|a|, |b - c|, Re c), which bound the later term ratios (`sums`)
+        # (|a|, |b - c|, Re c), which bound the later term ratios (`series`)
         self.reach = (abs(self.a), abs(self.b - c), c.real)
         self.table: list[complex] = []
 
-    def sums(self, x: float) -> tuple[complex, complex]:
-        """(S, dS/dx) of F(a, b; c; x) from one pass over the table.
+    def series(self, z: float) -> tuple[complex, complex, complex]:
+        """(kappa, s, f) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and
+        d/dz 2F1 = (1-z)^kappa f(z), f = s' - kappa s/(1-z), for real
+        -1 <= z <= 0, from one pass over the table at x = w = z/(z-1),
+        0 <= x <= 1/2.
 
-        S = sum t_n and dS/dx = sum u_n with u_n = t_n rho_n and
-        t_(n+1) = u_n (x/(n+1)), the real factor one float division, so a
-        term costs a complex product by rho_n and one by a float.  The terms
-        are added four at a time, t_(n+1) to t_(n+4) for n a multiple of
-        four, summed among themselves before they join S (the u likewise
-        for dS/dx).  Let m = n + 4 be the end of a pass.  For k >= m,
-        |a + k|/k <= 1 + |a|/m and, as Re c >= 1,
+        s = sum t_n and s' = -(ds/dx)/(1-z)^2 with ds/dx = sum u_n,
+        u_n = t_n rho_n and t_(n+1) = u_n (x/(n+1)), the real factor one
+        float division, so a term costs a complex product by rho_n and one
+        by a float.  The terms are added four at a time, t_(n+1) to t_(n+4)
+        for n a multiple of four, summed among themselves before they join
+        s (the u likewise for ds/dx).  Let m = n + 4 be the end of a pass.
+        For k >= m, |a + k|/k <= 1 + |a|/m and, as Re c >= 1,
         |b + k|/|c + k| <= 1 + |b - c|/(Re c + m), so
         r = |x| (1 + |a|/m) (1 + |b - c|/(Re c + m)) bounds every later ratio
         t_(k+1)/t_k = rho_k x/(k+1) and u_k/u_(k-1) = rho_k x/k, and where
         r < 1 the rest of each sum is at most r/(1 - r) times the pass's
         last term, t_m or u_(m-1).  The sum stops at the first pass where
-        that last term times max(1, r/(1 - r)) is at most tol |S| (or tiny,
-        for S ~ 0), and the same for dS/dx; a small term before ratios
+        that last term times max(1, r/(1 - r)) is at most tol |s| (or tiny,
+        for s ~ 0), and the same for ds/dx; a small term before ratios
         above 1 (a large real b) thus does not stop it.  A last term of
         exactly 0 stops it too, as every later term of the recurrence is
         then 0: a terminating series, or terms fallen below the double
         range.  r is formed only once both last terms are small, so an
-        ordinary pass costs one modulus.  MAX_TERMS is counted in whole
-        passes, rounded down to a multiple of four, and
-        ConvergenceError names the number of terms tried.
-        """
-        tol = SERIES_TOL  # module settings read once per call, not per term
-        max_terms = MAX_TERMS - MAX_TERMS % 4
-        # |term| <= max(tol |sum|, tiny) is |term| <= tol |sum| or |term| <= tiny
-        tiny = tol * 1e-300
-        table = self.table
-        term = 1.0 + 0.0j
-        total = term
-        deriv = 0.0 + 0.0j
-        done = 0
-        while True:
-            size = min(len(table), max_terms)
-            for n in range(done, size, 4):
-                u0 = term * table[n]
-                t1 = u0 * (x / (n + 1))
-                u1 = t1 * table[n + 1]
-                t2 = u1 * (x / (n + 2))
-                u2 = t2 * table[n + 2]
-                t3 = u2 * (x / (n + 3))
-                u3 = t3 * table[n + 3]
-                term = u3 * (x / (n + 4))
-                total += t1 + t2 + t3 + term
-                deriv += u0 + u1 + u2 + u3
-                small = tol * abs(total)
-                if small < tiny:
-                    small = tiny
-                if abs(term) <= small:
-                    small_d = tol * abs(deriv)
-                    if small_d < tiny:
-                        small_d = tiny
-                    if abs(u3) <= small_d:
-                        size_a, size_bc, re_c = self.reach
-                        m = n + 4.0
-                        r = abs(x) * (1.0 + size_a / m) * (1.0 + size_bc / (m + re_c))
-                        # max(1, r/(1 - r)) is 1 for r <= 1/2
-                        if (not term or r <= 0.5 or r < 1.0
-                                and max(abs(term) / small, abs(u3) / small_d) * r <= 1.0 - r):
-                            return total, deriv
-            if size == max_terms:
-                break
-            done = size
-            # a new list, not appends: an evaluation running alongside keeps
-            # iterating a whole table
-            a, b, c = self.a, self.b, self.c
-            table = self.table = table + [
-                (a + n) * (b + n) / (c + n)
-                for n in range(size, min(max_terms, max(_TABLE_START, 2 * size)))]
-        raise ConvergenceError(
-            f"2F1 series did not converge within {max_terms} terms "
-            f"(a={self.a}, b={self.b}, c={self.c}, x={x})"
-        )
-
-    def series(self, z: float) -> tuple[complex, complex, complex]:
-        """(kappa, s, f) with 2F1(a, b; c; z) = (1-z)^kappa s(z) and
-        d/dz 2F1 = (1-z)^kappa f(z), f = s' - kappa s/(1-z), for real
-        -1 <= z <= 0, where 0 <= w <= 1/2.
+        ordinary pass costs one modulus.  A pass that reaches the end of
+        the table first grows it.  MAX_TERMS is counted in whole passes,
+        rounded down to a multiple of four, and ConvergenceError names the
+        number of terms tried.
 
         The prefactor's exponent is returned rather than applied, so a
         caller with other powers of (1-z) takes them all in one exp.  f is
@@ -237,20 +190,74 @@ class Hyp2F1Plan:
         cancels by about |c|/|c - b| of the series' (a, b, c) where a and b
         are both small against c.
         """
-        one_minus = 1.0 - z
+        tol = SERIES_TOL  # module settings read once per call, not per term
+        max_terms = MAX_TERMS - MAX_TERMS % 4
+        # |term| <= max(tol |sum|, tiny) is |term| <= tol |sum| or |term| <= tiny
+        tiny = tol * 1e-300
         # w = z/(z-1), dw/dz = -1/(1-z)^2
-        s, ds = self.sums(z / (z - 1.0))
-        kappa = self.kappa
-        return kappa, s, -ds / (one_minus * one_minus) - kappa * s / one_minus
+        x = z / (z - 1.0)
+        table = self.table
+        size = len(table)
+        term = 1.0 + 0.0j
+        total = term
+        deriv = 0.0 + 0.0j
+        # a table longer than max_terms (grown under a larger cap) is read
+        # only up to it
+        for n in range(0, max_terms, 4):
+            if n == size:
+                # a new list, not appends: an evaluation running alongside
+                # keeps iterating a whole table
+                a, b, c = self.a, self.b, self.c
+                table = self.table = table + [
+                    (a + k) * (b + k) / (c + k)
+                    for k in range(size, min(max_terms, max(_TABLE_START, 2 * size)))]
+                size = len(table)
+            u0 = term * table[n]
+            t1 = u0 * (x / (n + 1))
+            u1 = t1 * table[n + 1]
+            t2 = u1 * (x / (n + 2))
+            u2 = t2 * table[n + 2]
+            t3 = u2 * (x / (n + 3))
+            u3 = t3 * table[n + 3]
+            term = u3 * (x / (n + 4))
+            total += t1 + t2 + t3 + term
+            deriv += u0 + u1 + u2 + u3
+            small = tol * abs(total)
+            if small < tiny:
+                small = tiny
+            if abs(term) <= small:
+                small_d = tol * abs(deriv)
+                if small_d < tiny:
+                    small_d = tiny
+                if abs(u3) <= small_d:
+                    size_a, size_bc, re_c = self.reach
+                    m = n + 4.0
+                    r = abs(x) * (1.0 + size_a / m) * (1.0 + size_bc / (m + re_c))
+                    # max(1, r/(1 - r)) is 1 for r <= 1/2
+                    if (not term or r <= 0.5 or r < 1.0
+                            and max(abs(term) / small, abs(u3) / small_d) * r <= 1.0 - r):
+                        one_minus = 1.0 - z
+                        kappa = self.kappa
+                        return (kappa, total,
+                                -deriv / (one_minus * one_minus) - kappa * total / one_minus)
+        raise ConvergenceError(
+            f"2F1 series did not converge within {max_terms} terms "
+            f"(a={self.a}, b={self.b}, c={self.c}, x={x})"
+        )
 
 
 def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
                            z: complex) -> tuple[complex, complex]:
     """(2F1(a, b; c; z), d/dz 2F1(a, b; c; z)) from one series evaluation.
 
-    Supported: Re c >= 1 and real z with -1 <= z <= 0; any other c or z
-    raises DomainError, c checked first.  At z = 0 the series gives 1 and
-    a b / c.  Deterministic: identical inputs give identical output bits.
+    Supported: Re c >= 1, finite a, b and c, and real z with -1 <= z <= 0;
+    any other parameters or z raise DomainError, the parameters checked
+    first.  At z = 0 the series gives 1 and a b / c.  Deterministic:
+    identical inputs give identical output bits.  The values are vouched
+    for only on the chart parameter family (a, b purely imaginary, c on
+    1 + i*R): for general complex parameters the kept series' terms can
+    grow far beyond the sum and cancel, and the result can be wrong with
+    no error raised.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
 
@@ -269,7 +276,9 @@ def hyp2f1_with_derivative(a: complex, b: complex, c: complex,
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function on the domain the step problem visits.
 
-    The value half of `hyp2f1_with_derivative`, with its domain and errors.
+    The value half of `hyp2f1_with_derivative`, with its domain, errors
+    and accuracy: vouched for only on the chart parameter family (a, b
+    purely imaginary, c on 1 + i*R), not for general complex parameters.
     """
     return hyp2f1_with_derivative(a, b, c, z)[0]
 
@@ -277,6 +286,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 def hyp2f1_derivative(a: complex, b: complex, c: complex, z: complex) -> complex:
     """d/dz 2F1(a, b; c; z), equal to (a b / c) 2F1(a+1, b+1; c+1; z).
 
-    The derivative half of `hyp2f1_with_derivative`, with its domain and errors.
+    The derivative half of `hyp2f1_with_derivative`, with its domain, errors
+    and accuracy.
     """
     return hyp2f1_with_derivative(a, b, c, z)[1]

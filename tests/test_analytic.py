@@ -374,26 +374,26 @@ class TestChartEvaluation:
     def test_one_series_per_spinor_and_two_plans_per_solution(self, monkeypatch):
         # the cost of the chart route: build_solution builds two plans, and a
         # spinor on either side of t0 sums one 2F1 series
-        counts = {"plans": 0, "sums": 0}
-        plan_init, sums = specfun.Hyp2F1Plan.__init__, specfun.Hyp2F1Plan.sums
+        counts = {"plans": 0, "series": 0}
+        plan_init, series = specfun.Hyp2F1Plan.__init__, specfun.Hyp2F1Plan.series
 
         def counting_init(plan, *args):
             counts["plans"] += 1
             plan_init(plan, *args)
 
-        def counting_sums(plan, x):
-            counts["sums"] += 1
-            return sums(plan, x)
+        def counting_series(plan, z):
+            counts["series"] += 1
+            return series(plan, z)
 
         monkeypatch.setattr(specfun.Hyp2F1Plan, "__init__", counting_init)
-        monkeypatch.setattr(specfun.Hyp2F1Plan, "sums", counting_sums)
+        monkeypatch.setattr(specfun.Hyp2F1Plan, "series", counting_series)
         params = mk(m=0.83, q=-1.1, p=0.49, a1=-0.31, a2=5.2, tau=4.6, t0=0.4)
         sol = match_at_t0(build_solution(params), params)
-        assert counts == {"plans": 2, "sums": 0}
+        assert counts == {"plans": 2, "series": 0}
         for dt in (-4.0, -1.0, -0.1, 0.0, 0.1, 1.0, 4.0):
-            before = counts["sums"]
+            before = counts["series"]
             solve_earlier(sol, params.t0 + dt * params.tau, params)
-            assert counts["sums"] == before + 1, dt
+            assert counts["series"] == before + 1, dt
         assert counts["plans"] == 2
 
     def test_unset_coefficients_rejected(self):
