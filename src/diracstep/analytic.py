@@ -176,10 +176,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
 
 from .model import (
     AsymptoticModes,
+    FrozenRecord,
+    Record,
     StepParameters,
     TwoSpinor,
     asymptotic_modes,
@@ -226,8 +227,7 @@ class ParameterRangeError(ValueError):
     where tau E2 is far below it), or c_f or c_b for the later spinors."""
 
 
-@dataclass(frozen=True)
-class ChartExpansion:
+class ChartExpansion(FrozenRecord):
     """Hypergeometric data of one chart.
 
     sign: +1 for the earlier chart, -1 for the later one, as
@@ -246,19 +246,17 @@ class ChartExpansion:
     conjugate partner (theta*, -phi*) times (E_asym + pi_asym)/m (module
     docstring), so it needs no series of its own.  The plan is built once
     with the chart and shared by every evaluation of it; it takes no part
-    in comparison.
+    in comparison, hash or repr.
     """
 
-    sign: int
-    lower: float
-    eps: float
-    nu: complex
-    mu: complex
-    plan: Hyp2F1Plan = field(compare=False, repr=False)
+    fields = ("sign", "lower", "eps", "nu", "mu")
+
+    def __init__(self, sign: int, lower: float, eps: float, nu: complex, mu: complex,
+                 plan: Hyp2F1Plan):
+        self.__dict__.update(sign=sign, lower=lower, eps=eps, nu=nu, mu=mu, plan=plan)
 
 
-@dataclass(frozen=True)
-class HypergeometricSolution:
+class HypergeometricSolution(FrozenRecord):
     """Both charts, their plateau kinematics, and the later chart's
     coefficients once `match_at_t0` has set them: c1l = g_f/g_i and c2l =
     g_b/g_i, the amplitudes of the later forward and backward waves per unit
@@ -273,20 +271,20 @@ class HypergeometricSolution:
     be inf or NaN: later_refused then names (E2 - pi2)/m too, and
     earlier_refused names (E1 - pi1)/m."""
 
-    earlier: ChartExpansion
-    later: ChartExpansion
-    modes: AsymptoticModes
-    c1l: complex | None = None
-    c2l: complex | None = None
-    g_i: float | None = None
-    c_f: complex | None = None
-    c_b: complex | None = None
-    later_refused: str | None = None
-    earlier_refused: str | None = None
+    fields = ("earlier", "later", "modes", "c1l", "c2l", "g_i", "c_f", "c_b",
+              "later_refused", "earlier_refused")
+
+    def __init__(self, earlier: ChartExpansion, later: ChartExpansion,
+                 modes: AsymptoticModes, c1l: complex | None = None,
+                 c2l: complex | None = None, g_i: float | None = None,
+                 c_f: complex | None = None, c_b: complex | None = None,
+                 later_refused: str | None = None, earlier_refused: str | None = None):
+        self.__dict__.update(earlier=earlier, later=later, modes=modes, c1l=c1l, c2l=c2l,
+                             g_i=g_i, c_f=c_f, c_b=c_b, later_refused=later_refused,
+                             earlier_refused=earlier_refused)
 
 
-@dataclass
-class ScatteringResult:
+class ScatteringResult(Record):
     """Scattering amplitude ratios and probabilities of one step.
 
     modes holds the plateau kinematics (pi1, pi2, E1, E2, delta) the result
@@ -297,13 +295,17 @@ class ScatteringResult:
     an identity of `scatter`'s closed form, a diagnostic of the integrator's.
     """
 
-    modes: AsymptoticModes
-    f: float
-    b: float
-    F: float
-    B: float
-    F_u: float
-    B_u: float
+    fields = ("modes", "f", "b", "F", "B", "F_u", "B_u")
+
+    def __init__(self, modes: AsymptoticModes, f: float, b: float, F: float, B: float,
+                 F_u: float, B_u: float):
+        self.modes = modes
+        self.f = f
+        self.b = b
+        self.F = F
+        self.B = B
+        self.F_u = F_u
+        self.B_u = B_u
 
 
 def governing_frequency(t: float, params: StepParameters) -> complex:
@@ -467,9 +469,9 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     # a chart's lower, (E - pi)/m, overflows where pi < 0 and m << |pi|
     why_l = None if sol.later.lower < math.inf else "(E2 - pi2)/m is beyond the double range"
     why_e = None if sol.earlier.lower < math.inf else "(E1 - pi1)/m is beyond the double range"
-    return replace(sol, c1l=c1l, c2l=c2l, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
-                   later_refused="; ".join(filter(None, (why_f, why_b, why_l))) or None,
-                   earlier_refused=why_e)
+    return sol.replace(c1l=c1l, c2l=c2l, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
+                       later_refused="; ".join(filter(None, (why_f, why_b, why_l))) or None,
+                       earlier_refused=why_e)
 
 
 def _exp_or_why(name: str, exponent: complex) -> tuple[complex | None, str | None]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
-from datetime import datetime, timezone
-from pathlib import Path
 
+# json, datetime and pathlib are imported by the commands that use them, as
+# each run is a fresh process that pays for every import at start-up
 from . import __version__, analytic, model, oracle
 
 _NUM = "{:.16e}".format  # 17 significant digits, scientific
@@ -142,6 +141,8 @@ def cmd_scatter(args) -> int:
         record["oracle_dev_f"] = dev["f"]
         record["oracle_dev_b"] = dev["b"]
     if args.format == "json":
+        import json
+
         print(json.dumps(record))
     elif args.format == "csv":
         keys = list(record)
@@ -150,6 +151,8 @@ def cmd_scatter(args) -> int:
         print(",".join(keys))
         print(_row_template(len(keys)) % tuple(record.values()))
     else:
+        from datetime import datetime, timezone
+
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         print(f"diracstep {__version__} ({stamp}), natural units hbar=c=1")
         width = max(len(k) for k in record)
@@ -310,6 +313,8 @@ def cmd_figure2(args) -> int:
              "panel_b.csv": _figure2_panel(args.tau_slow, p, grid, args),
              "figure2.gp": _GNUPLOT_TEMPLATE.format(tau_a=f"{args.tau_fast:g}",
                                                     tau_b=f"{args.tau_slow:g}")}
+    from pathlib import Path
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -324,6 +329,8 @@ def cmd_figure2(args) -> int:
 
 def cmd_selftest(args) -> int:
     # imported here: scatter, sweep and figure2 do not need the battery
+    import json
+
     from . import selftest
 
     results = selftest.run_all()

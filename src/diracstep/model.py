@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
 
 def check_inputs(values: dict[str, float]) -> None:
     """The one rule for physical inputs, given by name: each must be finite,
@@ -41,8 +41,56 @@ def check_inputs(values: dict[str, float]) -> None:
         raise ValueError(f"tau must be positive, got {tau!r}")
 
 
-@dataclass(frozen=True, init=False)
-class StepParameters:
+class Record:
+    """A record of named values: a dataclass's behaviour without the import
+    and code generation of `dataclasses`.
+
+    `fields` names the values that take part in repr and equality, in
+    order.  The repr is the dataclass's, to the byte, and two records are
+    equal where they are of one class and their field tuples are equal, so
+    a record holding a NaN equals itself (a tuple compares its items by
+    identity first).  Every attribute a record's `__init__` stores is its
+    argument of the same name, so `replace` builds the copy through
+    `__init__`, which checks the inputs again.  A record is mutable and
+    unhashable; a `FrozenRecord` is neither.
+    """
+
+    fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.fields)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def replace(self, **changes):
+        """A new record of this class, with the named values changed."""
+        return type(self)(**{**self.__dict__, **changes})
+
+
+class FrozenRecord(Record):
+    """A record whose attributes cannot be assigned or deleted
+    (AttributeError), hashed by its field tuple.  Its `__init__` stores every
+    value with one `self.__dict__.update`."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StepParameters(FrozenRecord):
     """All physical inputs, natural units.
 
     m: rest mass (> 0); q: signed coupling; p: conserved momentum along the
@@ -50,48 +98,43 @@ class StepParameters:
     parameter (> 0; the Heaviside limit is a separate closed form, never
     tau = 0 here); t0: transition time.
 
-    The one frozen record of a point, as it carries checked inputs: `__init__`
+    The frozen record of a point, as it carries checked inputs: `__init__`
     builds the values once, checks them by `check_inputs` and stores them in
-    one step.  Equality, hashing, repr, `dataclasses.replace` (which checks
-    again) and FrozenInstanceError on assignment are the dataclass's own.
-    The per-point results (`AsymptoticModes`, `TwoSpinor`,
-    `analytic.ScatteringResult`) are plain dataclasses, built without the
-    frozen record's per-field set-up.
+    one step, and `replace` checks them again.  The per-point results
+    (`AsymptoticModes`, `TwoSpinor`, `analytic.ScatteringResult`) are
+    mutable records, whose `__init__` assigns each field.
     """
 
-    m: float
-    q: float
-    p: float
-    a1: float
-    a2: float
-    tau: float
-    t0: float = 0.0
+    fields = ("m", "q", "p", "a1", "a2", "tau", "t0")
 
     def __init__(self, m: float, q: float, p: float, a1: float, a2: float,
                  tau: float, t0: float = 0.0):
         values = {"m": m, "q": q, "p": p, "a1": a1, "a2": a2, "tau": tau, "t0": t0}
         check_inputs(values)
-        # the frozen __setattr__ is for callers; one update stores every field
         self.__dict__.update(values)
 
 
-@dataclass
-class AsymptoticModes:
+class AsymptoticModes(Record):
     """Kinetic momenta, mode energies and the step delta of the two plateaus."""
 
-    pi1: float
-    pi2: float
-    e1: float
-    e2: float
-    delta: float
+    fields = ("pi1", "pi2", "e1", "e2", "delta")
+
+    def __init__(self, pi1: float, pi2: float, e1: float, e2: float, delta: float):
+        self.pi1 = pi1
+        self.pi2 = pi2
+        self.e1 = e1
+        self.e2 = e2
+        self.delta = delta
 
 
-@dataclass
-class TwoSpinor:
+class TwoSpinor(Record):
     """A spinor (phi, theta) in the chiral basis, the only basis the package uses."""
 
-    upper: complex
-    lower: complex
+    fields = ("upper", "lower")
+
+    def __init__(self, upper: complex, lower: complex):
+        self.upper = upper
+        self.lower = lower
 
     @property
     def norm_sq(self) -> float:

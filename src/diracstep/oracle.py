@@ -85,11 +85,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from . import dop853
 from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import AsymptoticModes, StepParameters, asymptotic_modes, log_half_angles
+from .model import (AsymptoticModes, FrozenRecord, StepParameters, asymptotic_modes,
+                    log_half_angles)
 
 __all__ = [
     "OracleError",
@@ -115,25 +115,24 @@ class NormDriftError(OracleError):
     """Norm conservation violated beyond DRIFT_LIMIT."""
 
 
-@dataclass(frozen=True)
-class OracleOutcome:
+class OracleOutcome(FrozenRecord):
     """g_f and g_b are the chiral amplitudes of the late forward and backward
     modes per unit incident amplitude, with the e^{-/+i E2 (t - t0)} phases
     stripped.  steps counts attempted steps, rejected ones included."""
 
-    norm_drift: float
-    g_f: complex
-    g_b: complex
-    steps: int
+    fields = ("norm_drift", "g_f", "g_b", "steps")
+
+    def __init__(self, norm_drift: float, g_f: complex, g_b: complex, steps: int):
+        self.__dict__.update(norm_drift=norm_drift, g_f=g_f, g_b=g_b, steps=steps)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    analytic: ScatteringResult
-    numeric: ScatteringResult
-    outcome: OracleOutcome
-    deviations: dict[str, float]
-    passed: bool
+class ComparisonReport(FrozenRecord):
+    fields = ("analytic", "numeric", "outcome", "deviations", "passed")
+
+    def __init__(self, analytic: ScatteringResult, numeric: ScatteringResult,
+                 outcome: OracleOutcome, deviations: dict[str, float], passed: bool):
+        self.__dict__.update(analytic=analytic, numeric=numeric, outcome=outcome,
+                             deviations=deviations, passed=passed)
 
 
 _SAFETY = 0.9

@@ -22,7 +22,6 @@ import math
 import random
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import analytic, model, oracle, specfun
 
@@ -35,12 +34,11 @@ SHARP_TAU = 1e-4  # the smooth step that must reproduce the Heaviside limit
 ADIABATIC_TOL = 1e-6  # on B_u at the slowest step
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(model.FrozenRecord):
+    fields = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
 
 
 def _worst(deviations) -> float:

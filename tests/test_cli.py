@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import decimal
 import json
 import math
@@ -788,7 +787,7 @@ class TestOracleVerdict:
 
         def scaled(params):
             res = exact(params)
-            return dataclasses.replace(res, f=1.01 * res.f)
+            return res.replace(f=1.01 * res.f)
 
         # the command prints what cli reads, and compare checks what oracle reads
         monkeypatch.setattr(analytic, "scatter", scaled)
@@ -822,6 +821,18 @@ class TestSelftest:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout == "False\n"
+
+    def test_start_up_imports_what_every_command_needs_only(self):
+        # each run is a fresh process that pays for every import: json,
+        # datetime and pathlib are imported by the commands that use them, and
+        # the records need no dataclasses (which imports inspect).  -S keeps
+        # site-packages' .pth files, which may import pathlib, out of the probe
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys, diracstep.cli; print(sorted({'dataclasses', 'inspect', 'json', "
+                 "'datetime', 'pathlib', 'diracstep.selftest'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "[]\n"
 
     def test_json_report_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--json")
@@ -859,7 +870,7 @@ class TestSelftest:
         def early(sol, params):
             sol = real(sol, params)
             scale = math.exp(math.pi * (sol.earlier.eps - sol.later.eps))
-            return dataclasses.replace(sol, c2l=scale * sol.c2l)
+            return sol.replace(c2l=scale * sol.c2l)
 
         monkeypatch.setattr(analytic, "match_at_t0", early)
         code, out, _ = run(capsys, "selftest")
@@ -870,7 +881,7 @@ class TestSelftest:
         # a NaN deviation must fail, not drop out of the worst case
         real = analytic.scatter
         monkeypatch.setattr(analytic, "scatter",
-                            lambda params: dataclasses.replace(real(params), F=math.nan))
+                            lambda params: real(params).replace(F=math.nan))
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "[FAIL] normalization identities" in out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracstep import model, sharp_step
+from diracstep import analytic, model, oracle, selftest, sharp_step
 from diracstep.model import (
     StepParameters,
     TwoSpinor,
@@ -61,23 +61,35 @@ class TestStepParameters:
         model.check_inputs({"m": big, "tau": big})
 
 
+def one_record_of_each_class():
+    """A record of each of the package's nine record classes."""
+    params = mk()
+    sol = analytic.match_at_t0(analytic.build_solution(params), params)
+    return [params, asymptotic_modes(params), TwoSpinor(1.0 + 2.0j, -0.5j), sol.earlier, sol,
+            analytic.scatter(params), oracle.OracleOutcome(0.0, 1j, 0j, 3),
+            oracle.compare(params), selftest.CheckResult("check", True, "detail", 0.5)]
+
+
 class TestRecords:
-    """StepParameters is the one frozen record; the per-point results are
-    plain dataclasses."""
+    """The records are `model.Record`s, without `dataclasses` but with its
+    repr, equality and hash: StepParameters and the chart, solution, oracle
+    and check records are frozen and hashable, the per-point results
+    (AsymptoticModes, TwoSpinor, ScatteringResult) mutable and unhashable."""
 
     def test_assignment_raises(self):
         params = mk()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'tau'"):
             params.tau = 2.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot delete field 'p'"):
             del params.p
         assert params.tau == 1.0
 
     def test_replace_checks_the_inputs(self):
         with pytest.raises(ValueError) as exc:
-            dataclasses.replace(mk(), tau=-1.0)
+            mk().replace(tau=-1.0)
         assert str(exc.value) == "tau must be positive, got -1.0"
-        assert dataclasses.replace(mk(), tau=2.0) == mk(tau=2.0)
+        assert mk().replace(tau=2.0) == mk(tau=2.0)
+        assert hash(mk().replace(tau=2.0)) == hash(mk(tau=2.0))
 
     def test_construction_forms_agree(self):
         forms = [StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5),
@@ -98,18 +110,70 @@ class TestRecords:
             StepParameters(m=1.0, q=1.0, p=2.0, a1=0.0, a2=1.0, tau=0.5, t1=0.0)
         with pytest.raises(TypeError):
             StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            mk().replace(t1=0.0)
 
     @pytest.mark.parametrize("record,name,value", [
         (asymptotic_modes(mk(p=2.0)), "e2", 3.0),
         (TwoSpinor(1.0 + 2.0j, -0.5j), "lower", 4.0 + 0.0j),
     ])
     def test_replace_changes_only_the_named_field(self, record, name, value):
-        new = dataclasses.replace(record, **{name: value})
+        new = record.replace(**{name: value})
         assert new != record and getattr(new, name) == value
-        for f in dataclasses.fields(record):
-            if f.name != name:
-                assert getattr(new, f.name) == getattr(record, f.name)
-        assert dataclasses.replace(record) == record
+        for other in record.fields:
+            if other != name:
+                assert getattr(new, other) == getattr(record, other)
+        assert record.replace() == record
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(oracle.OracleOutcome(norm_drift=0.0, g_f=1j, g_b=0j, steps=3)) == (
+            "OracleOutcome(norm_drift=0.0, g_f=1j, g_b=0j, steps=3)")
+        for record in one_record_of_each_class():
+            cls = type(record)
+            reference = dataclasses.make_dataclass(cls.__qualname__, cls.fields)
+            assert repr(record) == repr(reference(*record._values()))
+
+    def test_equality_is_of_one_class_and_its_field_tuple(self):
+        for record in one_record_of_each_class():
+            twin = record.replace()
+            assert twin is not record and twin == record
+            assert record != record._values()
+        spinor = TwoSpinor(1.0, 2.0)
+        assert type("Other", (TwoSpinor,), {})(1.0, 2.0) != spinor
+        # a tuple compares its items by identity first, as a dataclass's __eq__ does
+        modes = model.AsymptoticModes(math.nan, 1.0, 2.0, 3.0, 4.0)
+        assert modes == modes.replace()
+        assert modes != modes.replace(pi1=float("nan"))
+
+    def test_the_chart_plan_takes_no_part(self):
+        chart = analytic.build_solution(mk()).earlier
+        other = chart.replace(plan=analytic.build_solution(mk(tau=2.0)).earlier.plan)
+        assert other.plan is not chart.plan
+        assert other == chart and hash(other) == hash(chart) and repr(other) == repr(chart)
+        assert "plan" not in repr(chart)
+
+    def test_frozen_records_refuse_assignment_and_mutable_ones_take_it(self):
+        frozen = (StepParameters, analytic.ChartExpansion, analytic.HypergeometricSolution,
+                  oracle.OracleOutcome, oracle.ComparisonReport, selftest.CheckResult)
+        for record in one_record_of_each_class():
+            if isinstance(record, frozen):
+                with pytest.raises(AttributeError):
+                    record.fields = ()
+            else:
+                record.fields = ()
+                assert record.fields == ()
+
+    def test_a_frozen_record_hashes_its_field_tuple(self):
+        # so a record holding a mutable one, or a dict, is unhashable, as a
+        # dataclass is
+        hashable = (StepParameters, analytic.ChartExpansion, oracle.OracleOutcome,
+                    selftest.CheckResult)
+        for record in one_record_of_each_class():
+            if isinstance(record, hashable):
+                assert hash(record) == hash(record.replace()) == hash(record._values())
+            else:
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(record)
 
 
 class TestPotential:
