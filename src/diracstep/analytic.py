@@ -56,17 +56,18 @@ the chart's other branch with its unit head.  On the later chart, with
 The scattering amplitudes come from one chart alone.  The incident branch
 |zeta|^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
 line, and as t -> +inf (zeta -> -inf) the inverse-argument connection formula
-(DLMF 15.8.2) splits it into the forward and backward plane waves.  The
-chiral amplitude ratios are therefore ratios of Gamma functions,
+(DLMF 15.8.2) splits it into the forward and backward plane waves.  Their
+chiral amplitudes per unit incident one are therefore ratios of Gamma
+functions,
 
     g_f/g_i = G(c') G(b'-a') / (G(b') G(c'-a'))
     g_b/g_i = G(c') G(a'-b') / (G(a') G(c'-b')),
 
-evaluated as exp of a sum of log_gamma by `match_at_t0`.  Through
+and `match_at_t0` takes each as a sum of log_gamma.  Through
 |G(iy)|^2 = pi/(y sinh pi y) and |G(1 + iy)|^2 = pi y/sinh(pi y) (DLMF
 5.4.3, 5.4.4) their moduli are products of sinh factors, the fermion
 Sauter-pulse coefficients (Narozhny & Nikishov, Sov. J. Nucl. Phys. 11, 596
-(1970)):
+(1970)), once each chiral mode is taken to its eigenmode:
 
     B_u = sinh(pi tau (|delta| + |E2 - E1|)/2) sinh(pi tau (|delta| - |E2 - E1|)/2)
           / (sinh(pi tau E1) sinh(pi tau E2)),
@@ -145,30 +146,40 @@ identity, not as (i phi' - pi phi)/m, a difference that cancels to
 ~m^2/(2 pi) of its terms: in i phi' the mu term is E phi and the nu term
 cancels the step of pi(zeta), so
 m theta = (E - pi) phi + (2 i sign/tau) zeta head f, where f carries a b/c,
-as small as E - pi wherever that is small.  `match_at_t0` stores the Gamma ratios
-themselves as the later chart's coefficients, c1l = g_f/g_i and
-c2l = g_b/g_i, and `asymptotic_amplitudes` reads f, b, F, B, F_u and B_u
-from them through `result_from_mode_amplitudes`.  The matched spinor gives
-the incident wave the amplitude g_i = e^(pi eps1), so |psi|^2 =
-e^(pi tau E1) (1 + l1^2) on the earlier plateau, l1 = (E1 - pi1)/m; that
-amplitude overflows from eps1 ~ 225, so `build_solution` keeps the guard
-eps1 + eps2 <= 200.  `match_at_t0` also stores what each spinor is
-multiplied by, g_i for the incident branch, c_f = g_i c1l for the later
-forward branch and c_b = g_i c2l (E2 + pi2)/m for its conjugate partner, so
+as small as E - pi wherever that is small.
+
+`match_at_t0` reports the later waves as unitary eigenmode amplitudes, the
+convention the integrator (`oracle.integrate`) reports them in too: u_f is
+the amplitude of the late +E eigenmode (cos theta2/2, sin theta2/2) and u_b
+that of its conjugate partner (sin theta2/2, -cos theta2/2), each per unit
+incident eigenmode (cos theta1/2, sin theta1/2) and with the
+e^(-/+i E2 (t - t0)) phases stripped, so |u_f|^2 = F_u and |u_b|^2 = B_u.
+A positive-frequency branch with unit head tends to its eigenmode over
+cos(theta/2), and the later partner branch to (sin theta2/2, -cos theta2/2)
+over sin(theta2/2), so u_f = (g_f/g_i) cos(theta1/2)/cos(theta2/2) and
+u_b = (g_b/g_i) cos(theta1/2)/sin(theta2/2): each is one exp of its
+log G sum plus the half angles' logarithms (`model.log_half_angles`), and
+neither can overflow.  `asymptotic_amplitudes` hands |u_f| and |u_b| to
+`result_from_amplitudes`.  The matched spinor gives the incident wave the
+amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
+earlier plateau, l1 = (E1 - pi1)/m; that amplitude overflows from
+eps1 ~ 225, so `build_solution` keeps the guard eps1 + eps2 <= 200.
+`match_at_t0` also stores what each spinor is multiplied by, g_i for the
+incident branch, c_f = g_f for the later forward branch and
+c_b = g_b (E2 + pi2)/m for its conjugate partner, so
 `solve_earlier` forms no exp or mode factor per time.  c_f and c_b are each
 one exp of the sum of their factors' logarithms, ln((E2 + pi2)/m) taken
 from `model.log_half_angles`, so neither is inf, 0 inf = NaN or a lost
 underflow where a factor leaves the double range; one beyond the double
 range refuses the later side alone, and a chart's lower (E - pi)/m beyond
-it refuses that chart's side.  The unitary pair (F_u, B_u)
-projects onto orthonormalized modes: F_u is |c1l|^2 times the forward
-mode's squared norm over the incident one's, and B_u likewise.  f and b are
-the moduli of the later waves' standard-basis upper components relative to
-the incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); the two pairs
-are related by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
-b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`
-and `result_from_mode_amplitudes`, hands sqrt(F_u) and sqrt(B_u) to one
-assembly (`_result`), which forms f, b, F and B from them.
+it refuses that chart's side.  f and b are the moduli of the later waves'
+standard-basis upper components relative to the incident one's,
+F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); they follow from the unitary pair
+by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
+b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`,
+`asymptotic_amplitudes` and `oracle.compare`, hands sqrt(F_u) and sqrt(B_u)
+to one assembly (`result_from_amplitudes`), which forms f, b, F and B from
+them.
 """
 
 from __future__ import annotations
@@ -208,7 +219,7 @@ __all__ = [
     "asymptotic_amplitudes",
     "scatter",
     "sharp_step",
-    "result_from_mode_amplitudes",
+    "result_from_amplitudes",
 ]
 
 # the incident amplitude e^(pi eps1) of the matched spinor overflows a double
@@ -223,8 +234,9 @@ UNITARITY_TOL = 1e-9  # |F_u + B_u - 1|
 
 class ParameterRangeError(ValueError):
     """tau * E too large for accurate double-precision evaluation, or a
-    coefficient of `match_at_t0` beyond the double range: c1l or c2l (as
-    where tau E2 is far below it), or c_f or c_b for the later spinors."""
+    factor of one side's spinors beyond the double range: c_f or c_b of
+    `match_at_t0` for the later side, a chart's lower (E - pi)/m for its
+    own side.  The amplitudes u_f and u_b are never refused."""
 
 
 class ChartExpansion(FrozenRecord):
@@ -257,29 +269,32 @@ class ChartExpansion(FrozenRecord):
 
 
 class HypergeometricSolution(FrozenRecord):
-    """Both charts, their plateau kinematics, and the later chart's
-    coefficients once `match_at_t0` has set them: c1l = g_f/g_i and c2l =
-    g_b/g_i, the amplitudes of the later forward and backward waves per unit
-    incident amplitude.  The earlier chart carries the incident branch alone.
+    """Both charts, their plateau kinematics, and the later waves once
+    `match_at_t0` has set them: u_f and u_b, the amplitudes of the late +E
+    eigenmode (cos theta2/2, sin theta2/2) and of its conjugate partner
+    (sin theta2/2, -cos theta2/2) per unit incident eigenmode, with the
+    e^(-/+i E2 (t - t0)) phases stripped, so |u_f|^2 = F_u and
+    |u_b|^2 = B_u.  The earlier chart carries the incident branch alone.
 
     `match_at_t0` also stores what `solve_earlier` multiplies each chart's
-    branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_i c1l for
-    the later forward branch and c_b = g_i c2l mode_lower(-pi2, m) for its
-    conjugate partner.  A coefficient beyond the double range is None, and
+    branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_f for the
+    later forward branch and c_b = g_b mode_lower(-pi2, m) for its
+    conjugate partner, g_f and g_b the chiral amplitudes of the later waves
+    (module docstring).  A coefficient beyond the double range is None, and
     later_refused says which, with its exponent.  A chart's lower,
     (E - pi)/m, overflows where pi < 0 and m << |pi|, and its spinors would
     be inf or NaN: later_refused then names (E2 - pi2)/m too, and
     earlier_refused names (E1 - pi1)/m."""
 
-    fields = ("earlier", "later", "modes", "c1l", "c2l", "g_i", "c_f", "c_b",
+    fields = ("earlier", "later", "modes", "u_f", "u_b", "g_i", "c_f", "c_b",
               "later_refused", "earlier_refused")
 
     def __init__(self, earlier: ChartExpansion, later: ChartExpansion,
-                 modes: AsymptoticModes, c1l: complex | None = None,
-                 c2l: complex | None = None, g_i: float | None = None,
+                 modes: AsymptoticModes, u_f: complex | None = None,
+                 u_b: complex | None = None, g_i: float | None = None,
                  c_f: complex | None = None, c_b: complex | None = None,
                  later_refused: str | None = None, earlier_refused: str | None = None):
-        self.__dict__.update(earlier=earlier, later=later, modes=modes, c1l=c1l, c2l=c2l,
+        self.__dict__.update(earlier=earlier, later=later, modes=modes, u_f=u_f, u_b=u_b,
                              g_i=g_i, c_f=c_f, c_b=c_b, later_refused=later_refused,
                              earlier_refused=earlier_refused)
 
@@ -389,12 +404,12 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
 
     Each side of t0 is evaluated in its own chart, where the chart variable
     lies in [-1, 0): t <= t0 in the earlier chart with the incident branch
-    alone, t > t0 in the later chart with (c1l, c2l).  The later backward
+    alone, t > t0 in the later chart with its two waves.  The later backward
     wave is the forward one's conjugate partner (theta*, -phi*) times
     (E2 + pi2)/m, so each side sums one 2F1 series.  The incident wave has
     amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
     earlier plateau, l1 = (E1 - pi1)/m.  g_i and the later branches'
-    coefficients c_f = g_i c1l and c_b = g_i c2l (E2 + pi2)/m are fixed by
+    coefficients c_f = g_f and c_b = g_b (E2 + pi2)/m are fixed by
     the matching, so `match_at_t0` stores them and each call only reads
     them.  Deep in either half-line zeta underflows to -0 and the spinor is
     the exact plane-wave limit.  Where c_f, c_b or the later chart's
@@ -403,7 +418,7 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     (E1 - pi1)/m is, t <= t0 does.  A t that is not finite raises
     ValueError naming it.  `solve_later` is the same function.
     """
-    if sol.c1l is None:
+    if sol.u_f is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
     if not abs(t) < math.inf:  # one comparison, NaN included
         raise ValueError(f"t must be finite, got t = {t}")
@@ -426,9 +441,9 @@ solve_later = solve_earlier
 def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> HypergeometricSolution:
     """Continue the incident branch of the earlier chart into the later chart.
 
-    The later chart's coefficients are the amplitude ratios c1l = g_f/g_i
-    and c2l = g_b/g_i of the connection formula (DLMF 15.8.2), the Gamma
-    ratios of the module docstring for the incident branch's
+    The later waves' chiral amplitudes per unit incident one, g_f/g_i and
+    g_b/g_i, are the connection formula's (DLMF 15.8.2) Gamma ratios of the
+    module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
     Every Gamma argument is one of `_connection_arguments`, the gap
     arguments at k = tau/2 that `build_solution`'s plans read too, so
@@ -437,39 +452,43 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     the normal range from its logarithm, so none of them meets the pole at
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
-    1/G(a') = 0.  The coefficients `solve_earlier` applies, g_i, c_f and c_b,
-    are set here too (`HypergeometricSolution`), each as one exp of the sum
-    of its factors' logarithms: c_f = e^(pi eps1 + log c1l) and c_b =
-    e^(pi eps1 + log c2l + ln((E2 + pi2)/m)), the last from
-    `model.log_half_angles`.
-    Where c1l or c2l is beyond the double range, it raises
-    ParameterRangeError naming it; where c_f, c_b or the later chart's lower
-    is, only the later side is refused, as c1l and c2l and the earlier side
-    do not need them, and where the earlier chart's lower is, only the
-    earlier side (`HypergeometricSolution`).
+    1/G(a') = 0.  Each value set here is one exp of the sum of its
+    factors' logarithms, the half angles' from `model.log_half_angles`: the
+    unitary amplitudes u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
+    - ln cos(theta2/2)) and u_b = e^(log(g_b/g_i) + ln cos(theta1/2)
+    - ln sin(theta2/2)), which cannot overflow, and the coefficients
+    `solve_earlier` applies, g_i, c_f = e^(pi eps1 + log(g_f/g_i)) and
+    c_b = e^(pi eps1 + log(g_b/g_i) + ln((E2 + pi2)/m))
+    (`HypergeometricSolution`).  Where c_f, c_b or the later chart's lower
+    is beyond the double range, only the later side is refused, and where
+    the earlier chart's lower is, only the earlier side; u_f and u_b are
+    always given.
     """
-    modes = sol.modes
-    s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, params.m, params.tau)
+    modes, m = sol.modes, params.m
+    s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, m, params.tau)
     # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
     log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
     log_g_i = math.pi * sol.earlier.eps
-    c1l = _gamma_ratio("c1l", log_f, x_2)
+    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
+    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
+    # log_f and lc1 nearly cancel where either is large (~1e3 with u_f ~ 1),
+    # so their sum is taken first, exactly, and lc2 rounds only what is left
+    u_f = cmath.exp((log_f + lc1) - lc2)
     c_f, why_f = _exp_or_why("c_f", log_g_i + log_f)
-    c2l, c_b, why_b = 0j, 0j, None
+    u_b, c_b, why_b = 0j, 0j, None
     if xa != 0.0:
         log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
                  - _log_gamma_gap(1.0, -s, xcb))
-        c2l = _gamma_ratio("c2l", log_b, x_2)
+        u_b = cmath.exp((log_b + lc1) - ls2)
         # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m) = ln cot(theta2/2): the
-        # factor itself can overflow where c2l underflows
-        lc2, ls2 = log_half_angles(modes.pi2, modes.e2, params.m)
+        # factor itself can overflow where g_b/g_i underflows
         c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2))
     # a chart's lower, (E - pi)/m, overflows where pi < 0 and m << |pi|
     why_l = None if sol.later.lower < math.inf else "(E2 - pi2)/m is beyond the double range"
     why_e = None if sol.earlier.lower < math.inf else "(E1 - pi1)/m is beyond the double range"
-    return sol.replace(c1l=c1l, c2l=c2l, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
+    return sol.replace(u_f=u_f, u_b=u_b, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
                        later_refused="; ".join(filter(None, (why_f, why_b, why_l))) or None,
                        earlier_refused=why_e)
 
@@ -486,18 +505,8 @@ def _exp_or_why(name: str, exponent: complex) -> tuple[complex | None, str | Non
         return None, f"{name} = e^({exponent:.6g}) is beyond the double range"
 
 
-def _gamma_ratio(name: str, exponent: complex, x_2: float) -> complex:
-    """e^exponent, the coefficient `name` of `match_at_t0` from its log G
-    sum, or ParameterRangeError naming tau E2 (x_2, a gap argument) and the
-    exponent where the coefficient is beyond the double range."""
-    value, why = _exp_or_why(name, exponent)
-    if why is not None:
-        tau_e2 = f"{x_2:.6g}" if x_2 >= 0.0 else f"e^({x_2:.6g})"
-        raise ParameterRangeError(f"{why} at tau E2 = {tau_e2}")
-    return value
-
-
-def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> ScatteringResult:
+def result_from_amplitudes(modes: AsymptoticModes, m: float, a_f: float,
+                           a_b: float) -> ScatteringResult:
     """The one assembly of a ScatteringResult, from the unitary amplitudes
     a_f = sqrt(F_u) and a_b = sqrt(B_u).
 
@@ -518,34 +527,17 @@ def _result(modes: AsymptoticModes, m: float, a_f: float, a_b: float) -> Scatter
     return ScatteringResult(modes=modes, f=f, b=b, F=F, B=B, F_u=a_f * a_f, B_u=a_b * a_b)
 
 
-def result_from_mode_amplitudes(g_f: complex, g_b: complex, m: float,
-                                modes: AsymptoticModes) -> ScatteringResult:
-    """Assemble a ScatteringResult from the chiral amplitudes g_f and g_b of
-    the later forward and backward modes (1, l) per unit incident one.
-
-    F_u = |g_f|^2 and B_u = |g_b|^2 times the ratio of the mode's squared
-    norm to the incident mode's, 1/cos^2(theta2/2) and 1/sin^2(theta2/2)
-    against 1/cos^2(theta1/2) (`model.log_half_angles`): a_f = |g_f|
-    cos(theta1/2)/cos(theta2/2) and a_b = |g_b| cos(theta1/2)/sin(theta2/2)
-    are each one exp of a sum of logarithms, so no ratio of mode factors is
-    formed and nothing leaves the double range where a_f and a_b do not."""
-    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
-    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
-    a_f = math.exp(math.log(abs(g_f)) + lc1 - lc2) if g_f else 0.0
-    a_b = math.exp(math.log(abs(g_b)) + lc1 - ls2) if g_b else 0.0
-    return _result(modes, m, a_f, a_b)
-
-
 def asymptotic_amplitudes(sol: HypergeometricSolution, params: StepParameters) -> ScatteringResult:
     """Extract plane-wave amplitudes from the matched solution.
 
     In each chart zeta -> 0 sends 2F1 -> 1 and (1-zeta)^nu -> 1, so every
-    branch tends to its plane wave with unit amplitude, and c1l and c2l are
-    the chiral amplitudes of the later waves per unit incident amplitude.
+    branch tends to its plane wave with unit amplitude, and the moduli of
+    `match_at_t0`'s unitary amplitudes u_f and u_b are sqrt(F_u) and
+    sqrt(B_u).
     """
-    if sol.c1l is None:
+    if sol.u_f is None:
         raise ValueError("solution is unmatched; run match_at_t0 first")
-    return result_from_mode_amplitudes(sol.c1l, sol.c2l, params.m, sol.modes)
+    return result_from_amplitudes(sol.modes, params.m, abs(sol.u_f), abs(sol.u_b))
 
 
 def _log_sinh_excess(x: float) -> float:
@@ -643,7 +635,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
     """Scattering amplitudes and probabilities from the elementary moduli.
 
     F_u and B_u are the sinh products of the module docstring, each taken in
-    logarithms, and their half-logarithms give the amplitudes `_result` takes.
+    logarithms, and their half-logarithms give the amplitudes
+    `result_from_amplitudes` takes.
     """
     modes = asymptotic_modes(params)
     w, kgap_f, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, params.m, 0.5 * math.pi, params.tau)
@@ -654,7 +647,8 @@ def scatter(params: StepParameters) -> ScatteringResult:
     # a trivial step's B_u is 0
     log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
                + _log_sinh_excess(x_lo) - log_denom) if x_lo else -math.inf
-    return _result(modes, params.m, math.exp(0.5 * log_f_u), math.exp(0.5 * log_b_u))
+    return result_from_amplitudes(modes, params.m, math.exp(0.5 * log_f_u),
+                                  math.exp(0.5 * log_b_u))
 
 
 def _sqrt_ratio(x: float, e: float) -> float:
@@ -673,8 +667,8 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     and overflow, over E1 E2.  Each amplitude is taken as
     sqrt(x_hi/max(E1, E2)) sqrt(x_lo/min(E1, E2)), x_hi and x_lo the larger
     and smaller argument of its pair, whose factors cannot overflow, and f,
-    b, F and B follow from `_result`.  At pi2 = 0
-    the backward mode's standard-basis upper component vanishes, so b = 0
+    b, F and B follow from `result_from_amplitudes`.  At pi2 = 0 the
+    backward mode's standard-basis upper component vanishes, so b = 0
     exactly while B_u > 0.  The inputs are checked by `model.check_inputs`,
     the rule StepParameters applies: m <= 0 or a non-finite input raises
     ValueError.
@@ -683,5 +677,5 @@ def sharp_step(m: float, q: float, p: float, a1: float, a2: float) -> Scattering
     modes = plateau_modes(m, q, p, a1, a2)
     w, gap, x_hi, x_lo = _gap_arguments(modes, m, 0.5, 1.0)[:4]
     e_hi, e_lo = max(modes.e1, modes.e2), min(modes.e1, modes.e2)
-    return _result(modes, m, _sqrt_ratio(w, e_hi) * _sqrt_ratio(gap, e_lo),
-                   _sqrt_ratio(x_hi, e_hi) * _sqrt_ratio(x_lo, e_lo))
+    return result_from_amplitudes(modes, m, _sqrt_ratio(w, e_hi) * _sqrt_ratio(gap, e_lo),
+                                  _sqrt_ratio(x_hi, e_hi) * _sqrt_ratio(x_lo, e_lo))

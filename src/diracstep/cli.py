@@ -49,14 +49,16 @@ def _given_inputs(args) -> dict:
 def _momentum_at_ratio(ratio: float, args, minus: bool = False) -> float:
     """The p whose incident energy is E1 = ratio*m: q*a1 ± m*sqrt(ratio² - 1),
     formed as m*sqrt(ratio - 1)*sqrt(ratio + 1), which neither cancels near
-    ratio = 1 nor overflows where ratio² would.  A ratio of inf, or one whose
-    p leaves the double range, is a ValueError naming --energy-ratio."""
+    ratio = 1 nor overflows where ratio² would.  A ratio below 1 or NaN, or
+    one whose p leaves the double range (inf among them), is a ValueError
+    naming the energy ratio, the input and not a flag: a `sweep` row's
+    status cell carries it, and `figure2` adds its flag."""
     if not ratio >= 1.0:  # written as `not >=` so that NaN fails too
-        raise ValueError(f"energy ratio must be >= 1, got {ratio}")
+        raise ValueError(f"the energy ratio E1/m must be >= 1, got {ratio!r}")
     pi1 = args.m * (math.sqrt(ratio - 1.0) * math.sqrt(ratio + 1.0))
     p = args.q * args.a1 + (-pi1 if minus else pi1)
     if not math.isfinite(p):
-        raise ValueError(f"--energy-ratio {ratio} puts p beyond the double range")
+        raise ValueError(f"the energy ratio E1/m = {ratio!r} puts p beyond the double range")
     return p
 
 
@@ -295,18 +297,18 @@ def cmd_figure2(args) -> int:
     if args.q == 0:
         raise ValueError("--q must be nonzero: the sweep runs over q*A2")
     # every flag is checked before p, which is formed from them, and both
-    # panels are computed in full before anything is written.  The taus and
-    # the ratio are checked here to name their flags: the messages of
-    # StepParameters and _momentum_at_ratio, which sweep's status cells
-    # carry, name the input
+    # panels are computed in full before anything is written.  The taus are
+    # checked here and the ratio's error is prefixed to name their flags: the
+    # messages of StepParameters and _momentum_at_ratio, which sweep's status
+    # cells carry, name the input
     model.check_inputs({"m": args.m, "q": args.q, "a1": args.a1, "t0": args.t0})
     for flag, tau in (("--tau-fast", args.tau_fast), ("--tau-slow", args.tau_slow)):
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"{flag} must be finite and positive, got {tau!r}")
-    if not args.energy_ratio >= 1.0:  # written as `not >=` so that NaN fails too
-        raise ValueError(f"--energy-ratio, the incident energy ratio E1/m, must be >= 1, "
-                         f"got {args.energy_ratio!r}")
-    p = _momentum_at_ratio(args.energy_ratio, args)
+    try:
+        p = _momentum_at_ratio(args.energy_ratio, args)
+    except ValueError as exc:
+        raise ValueError(f"--energy-ratio: {exc}") from None
     grid = [(qa2, qa2 / args.q)
             for qa2 in _sweep_values(args.start, args.stop, args.count, log=False)]
     files = {"panel_a.csv": _figure2_panel(args.tau_fast, p, grid, args),

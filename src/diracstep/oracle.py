@@ -17,12 +17,11 @@ exactly on the plateaus, so the step count follows the sech^2 transition and
 not the width of the window.  The integration runs from the unit incident
 eigenmode (a = 1, b = 0), an exact solution on the early plateau, well
 before the transition; at the end the instantaneous eigenmodes are the
-exact late-time ones, so the forward and backward amplitudes per unit
-incident amplitude are read off (a, b, Theta) directly, each as one exp of
-a ratio of half angles and a phase.  The half angles' logarithms come from
-`model.log_half_angles`, which takes them from E +- pi, not from atan2, as
-atan2 rounds theta near pi where pi < 0 and m << |pi|.  Shares nothing with
-the hypergeometric path except the governing equations and those logarithms.
+exact late-time ones, so (a, b) with the late phase stripped are the
+forward and backward amplitudes per unit incident eigenmode, in the
+convention `analytic.match_at_t0` reports them in (u_f and u_b): unitary,
+so neither can overflow, and with no mode factor to form.  Shares nothing
+with the hypergeometric path except the governing equations.
 
 pi(u) is taken from the nearer plateau, pi2 + delta w/(1 + w) for u >= 0
 and pi1 - delta w/(1 + w) for u < 0 with w = e^{-2|u|/tau}, so it keeps
@@ -42,10 +41,11 @@ slopes' differences from stage 1, so on the plateaus, where its slope is
 constant and g ~ 0, they are exactly 0 and not the rounding noise of
 weights that add to -1.6e-16 in floats: the step counts do not move with
 the last bit of E.  Theta stays in the norm with a and b: `compare` reads
-moduli only, but the phases of g_f and g_b at small m, where pi1 < 0, are
+moduli only, but the phases of u_f and u_b at small m, where pi1 < 0, are
 right only while the step control bounds Theta's error (without Theta's
 terms, runs at p = -1, a2 = 1, tau = 1 and m = 1e-12..1e-300 took 21-22
-steps, not 77-93, and left g_b off by up to 9.7 relative).
+steps, not 77-93, and left the backward amplitude off by up to 9.7
+relative).
 
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
@@ -82,14 +82,12 @@ u = 0, the sech^2 peak, which the error estimate cannot miss.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
 from . import dop853
-from .analytic import ScatteringResult, result_from_mode_amplitudes, scatter
-from .model import (AsymptoticModes, FrozenRecord, StepParameters, asymptotic_modes,
-                    log_half_angles)
+from .analytic import ScatteringResult, result_from_amplitudes, scatter
+from .model import AsymptoticModes, FrozenRecord, StepParameters, asymptotic_modes
 
 __all__ = [
     "OracleError",
@@ -116,14 +114,17 @@ class NormDriftError(OracleError):
 
 
 class OracleOutcome(FrozenRecord):
-    """g_f and g_b are the chiral amplitudes of the late forward and backward
-    modes per unit incident amplitude, with the e^{-/+i E2 (t - t0)} phases
-    stripped.  steps counts attempted steps, rejected ones included."""
+    """u_f is the amplitude of the late +E eigenmode (cos theta2/2,
+    sin theta2/2) and u_b that of its conjugate partner (sin theta2/2,
+    -cos theta2/2), each per unit incident eigenmode and with the
+    e^{-/+i E2 (t - t0)} phases stripped, so |u_f|^2 and |u_b|^2 are F_u and
+    B_u: the convention of `analytic.match_at_t0`'s u_f and u_b.  steps
+    counts attempted steps, rejected ones included."""
 
-    fields = ("norm_drift", "g_f", "g_b", "steps")
+    fields = ("norm_drift", "u_f", "u_b", "steps")
 
-    def __init__(self, norm_drift: float, g_f: complex, g_b: complex, steps: int):
-        self.__dict__.update(norm_drift=norm_drift, g_f=g_f, g_b=g_b, steps=steps)
+    def __init__(self, norm_drift: float, u_f: complex, u_b: complex, steps: int):
+        self.__dict__.update(norm_drift=norm_drift, u_f=u_f, u_b=u_b, steps=steps)
 
 
 class ComparisonReport(FrozenRecord):
@@ -223,11 +224,12 @@ def integrate(params: StepParameters) -> OracleOutcome:
 
     Starts from the unit incident eigenmode, a = 1, b = 0, at t0 - T, that is
     phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, with
-    T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and reports the chiral
-    amplitudes of the forward/backward late modes at t0 + T per unit incident
-    amplitude, with the e^{-/+ i E2 (t - t0)} phases stripped; `compare`
-    turns them into f, b and the probabilities.  The window, tolerances and
-    limits are the module constants, read at each call.
+    T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and reports the
+    amplitudes u_f and u_b of the forward/backward late eigenmodes at
+    t0 + T per unit incident eigenmode, with the e^{-/+ i E2 (t - t0)}
+    phases stripped (`OracleOutcome`); `compare` turns them into f, b and
+    the probabilities.  The window, tolerances and limits are the module
+    constants, read at each call.
     """
     m = params.m
     modes = asymptotic_modes(params)
@@ -321,32 +323,13 @@ def integrate(params: StepParameters) -> OracleOutcome:
     if not drift_max <= DRIFT_LIMIT:
         raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
-    # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-; the eigenmodes are
-    # v+ = cos(theta/2) u+ and v- = -sin(theta/2) u- in terms of the chiral
-    # u+ = (1, (E - pi)/m), u- = (1, -(E + pi)/m), and the incident wave is
-    # cos(theta1/2) u+, so each late amplitude per unit incident one is one
-    # exp of a ratio of half angles (`model.log_half_angles`) and a phase
-    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
-    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
+    # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-, and the conjugate partner
+    # of v+ = (cos theta/2, sin theta/2) is -v-; stripping e^{-/+i E2 u}
+    # leaves u_f = a e^{i phase} and u_b = -b e^{-i phase}
     phase = modes.e2 * (s * scale) - ph
-    return OracleOutcome(
-        norm_drift=drift_max,
-        g_f=_per_incident("g_f", complex(ar, ai), lc2 - lc1, phase),
-        g_b=_per_incident("g_b", -complex(br, bi), ls2 - lc1, -phase),
-        steps=steps,
-    )
-
-
-def _per_incident(name: str, amplitude: complex, log_ratio: float, phase: float) -> complex:
-    """amplitude e^{log_ratio + i phase}, the late amplitude `name` per unit
-    incident one, or OracleError naming it where the ratio of its mode's
-    half angle to the incident one's is beyond the double range (pi1 < 0 and
-    m/E1 below ~1e-308)."""
-    try:
-        return amplitude * cmath.exp(complex(log_ratio, phase))
-    except OverflowError:
-        raise OracleError(f"{name}: the mode ratio e^({log_ratio:.6g}) to the unit incident "
-                          f"amplitude is beyond the double range") from None
+    rot = complex(math.cos(phase), math.sin(phase))
+    return OracleOutcome(norm_drift=drift_max, u_f=complex(ar, ai) * rot,
+                         u_b=-complex(br, bi) * rot.conjugate(), steps=steps)
 
 
 def compare(params: StepParameters) -> ComparisonReport:
@@ -361,7 +344,7 @@ def compare(params: StepParameters) -> ComparisonReport:
     """
     ana = scatter(params)
     out = integrate(params)
-    num = result_from_mode_amplitudes(out.g_f, out.g_b, params.m, ana.modes)
+    num = result_from_amplitudes(ana.modes, params.m, abs(out.u_f), abs(out.u_b))
     deviations = {
         "f": abs(ana.f - num.f),
         "b": abs(ana.b - num.b),

@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -421,8 +420,10 @@ class TestChartEvaluation:
         want = g_i * cmath.exp(1j * modes.e1 * dt)
         assert early.upper == pytest.approx(want, rel=1e-8)
         late = solve_later(sol, params.t0 + dt, params)
-        want = g_i * (sol.c1l * cmath.exp(-1j * modes.e2 * dt)
-                      + sol.c2l * cmath.exp(1j * modes.e2 * dt))
+        # the later forward branch tends to (1, lower) e^(-i E2 dt), and its
+        # partner's upper component to lower e^(+i E2 dt)
+        want = (sol.c_f * cmath.exp(-1j * modes.e2 * dt)
+                + sol.c_b * sol.later.lower * cmath.exp(1j * modes.e2 * dt))
         assert late.upper == pytest.approx(want, rel=1e-8)
 
 
@@ -430,7 +431,7 @@ class TestMatching:
     def test_trivial_step(self):
         params = mk(a1=0.7, a2=0.7)
         sol = match_at_t0(build_solution(params), params)
-        assert abs(sol.c2l) < 1e-12 * abs(sol.c1l)
+        assert abs(sol.u_b) < 1e-12 * abs(sol.u_f)
         res = asymptotic_amplitudes(sol, params)
         assert res.f == pytest.approx(1.0, abs=1e-10)
 
@@ -461,15 +462,17 @@ class TestMatching:
             assert det == pytest.approx(want, rel=1e-10)
 
     def test_gamma_ratios_where_tau_e2_is_18(self):
-        # G(c') G(b'-a')/(G(b') G(c'-a')) and G(c') G(a'-b')/(G(a') G(c'-b'))
-        # computed once with mpmath (dps 150) from these exact binary inputs;
-        # tau E2 = 18.47 puts log G(-i tau E2) at |Im z| ~ 18
+        # u_f = G(c') G(b'-a')/(G(b') G(c'-a')) cos(theta1/2)/cos(theta2/2)
+        # and u_b = G(c') G(a'-b')/(G(a') G(c'-b')) cos(theta1/2)/sin(theta2/2),
+        # cos^2 and sin^2 of theta/2 being (E +- pi)/(2E), computed once with
+        # mpmath (dps 150) from these exact binary inputs; tau E2 = 18.47 puts
+        # log G(-i tau E2) at |Im z| ~ 18
         params = StepParameters(m=1.2889742354046688e-39, q=-1.7520955294161322,
                                 p=-2.514692200642492, a1=0.3791218723777005,
                                 a2=-3.4732809507443827, tau=2.1474068177924406)
         sol = match_at_t0(build_solution(params), params)
-        for got, want in ((sol.c1l, 0.21516148836060198 + 1.2464470750603525e-79j),
-                          (sol.c2l, -1.4107400884248747e-05 + 9.067673840786453e-06j)):
+        for got, want in ((sol.u_f, 1 + 5.793077025807506e-79j),
+                          (sol.u_b, -4.913461306642281e-45 + 3.158176684955616e-45j)):
             assert abs(got - want) <= 2e-14 * abs(want)
 
     def test_sharp_limit_of_amplitudes(self, anchor_kw):
@@ -758,50 +761,49 @@ class TestAcrossTheDoubleRange:
     def test_chart_route_agrees_with_scatter(self):
         # the connection formula's amplitudes (match_at_t0, then
         # asymptotic_amplitudes) against the sinh products at
-        # tau (E1 + E2) = 10; a point where match_at_t0 refuses a coefficient
-        # beyond the double range is skipped.  scatter is defined where
-        # pi tau min(E1, E2) is below the normal range, but there c1l or c2l
-        # can underflow and the chart route then misses it, so such a point
-        # is skipped too
+        # tau (E1 + E2) = 10, at every point: draw 215 has pi tau min(E1, E2)
+        # below the normal range, where the chiral amplitude ratio underflowed
+        # and the route missed scatter, and draw 236 a ratio of e^715.44,
+        # which was refused; the unitary amplitudes u_f and u_b form neither
         rng = random.Random(20261023)
 
         def signed(lo, hi):
             return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
 
-        checked = 0
-        for _ in range(100):
+        for _ in range(300):
             m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
             p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
             modes = model.plateau_modes(m, q, p, a1, a2)
             params = StepParameters(m, q, p, a1, a2, 10.0 / (modes.e1 + modes.e2))
-            if math.pi * params.tau * min(modes.e1, modes.e2) < sys.float_info.min:
-                continue
-            try:
-                sol = match_at_t0(build_solution(params), params)
-            except ParameterRangeError:
-                continue
-            via_gamma = asymptotic_amplitudes(sol, params)
+            via_gamma = asymptotic_amplitudes(match_at_t0(build_solution(params), params),
+                                              params)
             direct = scatter(params)
             bar = 1e-10 * max(1.0, direct.f, direct.b)
             for name in ("f", "b", "F", "B", "F_u", "B_u"):
                 assert abs(getattr(via_gamma, name) - getattr(direct, name)) <= bar, (
                     (m, q, p, a1, a2), name)
-            checked += 1
-        assert checked >= 80
 
     def test_coefficient_beyond_the_range_is_refused(self):
-        # tau E2 = 1e-599: c1l carries G(-i tau E2) ~ i/(tau E2) and is
-        # e^1381.55, so match_at_t0 raises ParameterRangeError, naming tau E2
-        # by its logarithm
+        # tau E2 = 1e-599: the chiral ratio g_f/g_i carries G(-i tau E2) ~
+        # i/(tau E2) and is e^1381.55, and match_at_t0 refused it.  The
+        # unitary amplitudes take it times cos(theta1/2)/cos(theta2/2) ~
+        # e^-1382, so match_at_t0 answers and they match scatter; only the
+        # later spinors, which need c_f = g_i (g_f/g_i) = e^1397.26, are refused
         params = StepParameters(1e-300, 1.0, 0.0, 1e300, 0.0, 1e-299)
-        with pytest.raises(ParameterRangeError, match=r"c1l = e\^\(1381\.55.*tau E2 = e\^\(-1379\.2"):
-            match_at_t0(build_solution(params), params)
+        sol = match_at_t0(build_solution(params), params)
+        via_gamma = asymptotic_amplitudes(sol, params)
+        direct = scatter(params)
+        for name in ("f", "b", "F", "B", "F_u", "B_u"):
+            assert abs(getattr(via_gamma, name) - getattr(direct, name)) <= 1e-12, name
+        with pytest.raises(ParameterRangeError, match=r"^c_f = e\^\(1397\.26"):
+            solve_later(sol, params.t0 + 0.2 * params.tau, params)
 
     def test_coefficient_product_beyond_the_range_is_refused(self):
-        # tau E1 = 380 and tau E2 = 3.8e-98: g_i = e^(190 pi) and c1l ~ 1e100
-        # are doubles, but c_f = g_i c1l = e^827.16 is not; it was stored as
-        # inf, and c_b as NaN.  The amplitudes need only c1l and c2l, so only
-        # the later spinors are refused, by name; tau E2 is not the cause
+        # tau E1 = 380 and tau E2 = 3.8e-98: g_i = e^(190 pi) and g_f/g_i ~
+        # 1e100 are doubles, but c_f = g_i (g_f/g_i) = e^827.16 is not; it was
+        # stored as inf, and c_b as NaN.  The amplitudes need only u_f and
+        # u_b, so only the later spinors are refused, by name; tau E2 is not
+        # the cause
         params = StepParameters(1.0, 1.0, -1e100, 0.0, -1e100, 3.8e-98)
         sol = match_at_t0(build_solution(params), params)
         assert sol.c_f is None and sol.c_b is None
@@ -812,22 +814,22 @@ class TestAcrossTheDoubleRange:
         assert "c_b = e^(827.16" in str(info.value) and "tau E2" not in str(info.value)
 
     def test_coefficient_product_below_the_range(self):
-        # c2l underflows to 0 where mode_lower(-pi2, m) overflows to inf, so
-        # c_b = g_i c2l mode_lower was 0 inf = NaN and every later spinor NaN;
-        # taken as one exp, c_b underflows to 0 itself
+        # g_b/g_i underflows to 0 where mode_lower(-pi2, m) overflows to inf,
+        # so c_b = g_i (g_b/g_i) mode_lower was 0 inf = NaN and every later
+        # spinor NaN; taken as one exp, c_b underflows to 0 itself
         args = (5.891118715673762e-233, -0.0010586524023870247, 53834696.87920547,
                 2.407794096770281e+175, 1.7390190064765216e+251)
         modes = model.plateau_modes(*args)
         params = StepParameters(*args, 10.0 / (modes.e1 + modes.e2))
         assert model.mode_lower(-modes.pi2, params.m) == math.inf
         sol = match_at_t0(build_solution(params), params)
-        assert sol.c2l == 0.0 and sol.c_b == 0.0 and cmath.isfinite(sol.c_f)
+        assert sol.u_b == 0.0 and sol.c_b == 0.0 and cmath.isfinite(sol.c_f)
         psi = solve_later(sol, params.t0 + 0.2 * params.tau, params)
         assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
 
     @pytest.mark.parametrize("args, refused", [
         # pi1 = 8.3e282, pi2 = -2.6e114 and m = 1.7e-196, tau = 10/(E1 + E2):
-        # c1l underflows, and c_f theta was 0 inf
+        # g_f/g_i underflows, and c_f theta was 0 inf
         ((1.7173301279885868e-196, -0.14774443026220513, -2.618135928795297e+114,
           5.619784929009988e+283, -7.161451251464571e+100, 1.2043956744148708e-282), ("later",)),
         # pi1 = -1e200 and pi2 = -1.1e200, m = 1e-200: both charts' lower overflow
@@ -836,7 +838,7 @@ class TestAcrossTheDoubleRange:
     def test_a_chart_lower_beyond_the_range_is_refused(self, args, refused):
         # pi < 0 and m << |pi|: a chart's lower (E - pi)/m overflows to inf,
         # and its spinors were NaN; that side is refused by name instead,
-        # while the amplitudes, which need only c1l and c2l, are still given
+        # while the amplitudes, which need only u_f and u_b, are still given
         params = StepParameters(*args)
         sol = match_at_t0(build_solution(params), params)
         assert asymptotic_amplitudes(sol, params).F_u == scatter(params).F_u

@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -355,17 +356,32 @@ class TestSweep:
             assert cells["status"] == "ok"
             assert float(cells["e1"]) == pytest.approx(float(cells["energy_ratio"]), rel=1e-12)
 
-    def test_energy_ratio_beyond_the_double_range(self, capsys):
-        # m sqrt(r^2 - 1) overflows at r = 1e308, m = 2: that row fails and
-        # names the ratio, the rows before it are computed
-        code, out, _ = run(capsys, "sweep", "--sweep-var", "energy_ratio", "--log",
-                           "--start", "1e300", "--stop", "1e308", "--count", "3",
-                           "--a2", "2", "--tau", "0.5", "--m", "2")
+    @staticmethod
+    def _ratio_sweep_status(capsys, *flags):
+        code, out, _ = run(capsys, "sweep", "--sweep-var", "energy_ratio", "--a2", "2",
+                           "--tau", "0.5", *flags)
         assert code == 0
         rows = [r for r in out.splitlines() if r and not r.startswith("#")]
-        status = [dict(zip(rows[0].split(","), row.split(",")))["status"] for row in rows[1:]]
+        return [dict(zip(rows[0].split(","), row.split(",")))["status"] for row in rows[1:]]
+
+    def test_energy_ratio_beyond_the_double_range(self, capsys):
+        # m sqrt(r^2 - 1) overflows at r = 1e308, m = 2: that row fails and
+        # names the ratio, not a flag sweep does not have; the rows before
+        # it are computed
+        status = self._ratio_sweep_status(capsys, "--log", "--start", "1e300", "--stop",
+                                          "1e308", "--count", "3", "--m", "2")
         assert status[:2] == ["ok", "ok"]
-        assert status[2].startswith("ValueError: --energy-ratio ")
+        # the last log-spaced value is 1.0000000000000136e+308
+        assert re.fullmatch(r"ValueError: the energy ratio E1/m = 1\.0\d*e\+308 puts p "
+                            r"beyond the double range", status[2])
+
+    def test_energy_ratio_below_one_fails_its_row(self, capsys):
+        # a ratio below 1 has no p: that row fails and names the ratio, and
+        # the rows from 1 on are computed
+        status = self._ratio_sweep_status(capsys, "--start", "0.5", "--stop", "2",
+                                          "--count", "4")
+        assert status == ["ValueError: the energy ratio E1/m must be >= 1; got 0.5",
+                          "ok", "ok", "ok"]
 
     def test_oracle_every_interleaving(self, capsys):
         code, out, _ = run(capsys, "sweep", "--sweep-var", "p", "--start", "1", "--stop", "2",
@@ -863,14 +879,14 @@ class TestSelftest:
         assert all(r["passed"] for r in records.values())
 
     def test_early_frequency_backward_ratio_fails(self, capsys, monkeypatch):
-        # c2l scaled by e^(pi (eps1 - eps2)), the backward ratio taken with
-        # the early frequency, must miss the integrator's g_b
+        # u_b scaled by e^(pi (eps1 - eps2)), the backward ratio taken with
+        # the early frequency, must miss the integrator's u_b
         real = analytic.match_at_t0
 
         def early(sol, params):
             sol = real(sol, params)
             scale = math.exp(math.pi * (sol.earlier.eps - sol.later.eps))
-            return sol.replace(c2l=scale * sol.c2l)
+            return sol.replace(u_b=scale * sol.u_b)
 
         monkeypatch.setattr(analytic, "match_at_t0", early)
         code, out, _ = run(capsys, "selftest")

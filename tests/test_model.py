@@ -126,8 +126,8 @@ class TestRecords:
         assert record.replace() == record
 
     def test_repr_is_the_dataclass_repr(self):
-        assert repr(oracle.OracleOutcome(norm_drift=0.0, g_f=1j, g_b=0j, steps=3)) == (
-            "OracleOutcome(norm_drift=0.0, g_f=1j, g_b=0j, steps=3)")
+        assert repr(oracle.OracleOutcome(norm_drift=0.0, u_f=1j, u_b=0j, steps=3)) == (
+            "OracleOutcome(norm_drift=0.0, u_f=1j, u_b=0j, steps=3)")
         for record in one_record_of_each_class():
             cls = type(record)
             reference = dataclasses.make_dataclass(cls.__qualname__, cls.fields)

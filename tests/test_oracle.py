@@ -7,7 +7,7 @@ import time
 import pytest
 
 from diracstep import StepParameters, analytic, compare, dop853, integrate, oracle, sharp_step
-from diracstep.analytic import result_from_mode_amplitudes
+from diracstep.analytic import result_from_amplitudes
 from diracstep.model import asymptotic_modes, log_half_angles, potential_at, potential_rate
 from diracstep.oracle import NormDriftError, StepLimitError
 
@@ -266,13 +266,15 @@ class TestIntegrate:
                 assert c >= s if pi >= 0.0 else s >= c, (m, pi)
 
     @pytest.mark.parametrize("m", [5e-324])
-    def test_an_incident_amplitude_beyond_the_double_range_is_refused(self, m):
-        # pi1 = -1: the integrator starts from the unit incident eigenmode, and
-        # the late backward mode per unit incident amplitude is the ratio
-        # sin(theta2/2)/cos(theta1/2) ~ 2/m = e^745, beyond the double range;
-        # refused by name, not returned as inf or NaN
-        with pytest.raises(oracle.OracleError, match=r"g_b: the mode ratio e\^\(745"):
-            integrate(mk(m=m, p=-1.0, a2=1.0, tau=1.0))
+    def test_compare_passes_where_the_mode_ratio_leaves_the_range(self, m):
+        # pi1 = -1: the chiral backward mode per unit incident one carries
+        # sin(theta2/2)/cos(theta1/2) ~ 2/m = e^745, beyond the double range,
+        # and that ratio was refused; the integrator reports the unitary
+        # amplitudes, which never form it, and agrees with the closed form
+        report = compare(mk(m=m, p=-1.0, a2=1.0, tau=1.0))
+        assert report.passed
+        assert abs(report.outcome.u_f) <= 1.0 + 1e-9 and abs(report.outcome.u_b) <= 1.0
+        assert max(report.deviations.values()) <= 1e-13
 
     @pytest.mark.parametrize("kw", [
         dict(m=1.0, p=1e200, a2=1e200, tau=1e-250),
@@ -346,15 +348,16 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("m", [1e-12, 1e-100, 1e-300])
     def test_small_mass_phases_rest_on_theta_error_control(self, m):
-        # pi1 = -1, pi2 = -2: g_f and g_b carry c1l's and c2l's phases only
-        # if the step control weighs Theta's error with a and b; `compare`
-        # reads moduli only, and a norm without Theta's terms still passed
-        # it here while taking ~22 steps, with g_b off by up to 9.7 relative
+        # pi1 = -1, pi2 = -2: the integrator's u_f and u_b carry the charts'
+        # phases only if the step control weighs Theta's error with a and b;
+        # `compare` reads moduli only, and a norm without Theta's terms still
+        # passed it here while taking ~22 steps, with u_b off by up to 9.7
+        # relative
         params = mk(m=m, p=-1.0, a2=1.0, tau=1.0)
         sol = analytic.match_at_t0(analytic.build_solution(params), params)
         out = integrate(params)
-        assert abs(out.g_f - sol.c1l) <= 1e-9 * abs(sol.c1l)
-        assert abs(out.g_b - sol.c2l) <= 1e-7 * abs(sol.c2l)
+        assert abs(out.u_f - sol.u_f) <= 1e-9 * abs(sol.u_f)
+        assert abs(out.u_b - sol.u_b) <= 1e-7 * abs(sol.u_b)
 
     def test_step_cap_enforced(self, monkeypatch):
         # tau = 30 takes ~3.5k steps, 58 per unit of 1 + tau E; a budget of
@@ -388,14 +391,16 @@ class TestIntegrate:
         # s = u/S, Theta barely moves, and the amplitudes are the Heaviside limit's
         params = mk(tau=5e-324)
         out = integrate(params)
-        num = result_from_mode_amplitudes(out.g_f, out.g_b, params.m, asymptotic_modes(params))
+        num = result_from_amplitudes(asymptotic_modes(params), params.m, abs(out.u_f),
+                                     abs(out.u_b))
         hard = sharp_step(m=params.m, q=params.q, p=params.p, a1=params.a1, a2=params.a2)
         assert num.f == pytest.approx(hard.f, abs=1e-10)
         assert num.b == pytest.approx(hard.b, abs=1e-10)
 
     def test_amplitudes_carry_the_closed_form_phases(self):
-        # g_f and g_b are the connection formula's amplitude ratios c1l and
-        # c2l, phase included; compare reads moduli only
+        # the integrator's u_f and u_b are the charts' (connection formula)
+        # unitary amplitudes, phase included; compare reads moduli only, and
+        # |u| <= 1, so the bar is absolute
         rng = random.Random(3)
         for _ in range(12):
             m = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
@@ -405,8 +410,8 @@ class TestIntegrate:
                 t0=rng.uniform(-2.0, 2.0), tau=math.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
             sol = analytic.match_at_t0(analytic.build_solution(params), params)
             out = integrate(params)
-            assert abs(out.g_f - sol.c1l) <= 1e-10 * max(1.0, abs(sol.c1l)), params
-            assert abs(out.g_b - sol.c2l) <= 1e-10 * max(1.0, abs(sol.c2l)), params
+            assert abs(out.u_f - sol.u_f) <= 1e-10, params
+            assert abs(out.u_b - sol.u_b) <= 1e-10, params
 
     @pytest.mark.parametrize("tau", [10.0, 30.0])
     def test_adiabatic_amplitudes_match_closed_form(self, tau):
