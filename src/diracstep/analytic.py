@@ -170,9 +170,10 @@ c_b = g_b (E2 + pi2)/m for its conjugate partner, so
 `solve_earlier` forms no exp or mode factor per time.  c_f and c_b are each
 one exp of the sum of their factors' logarithms, ln((E2 + pi2)/m) taken
 from `model.log_half_angles`, so neither is inf, 0 inf = NaN or a lost
-underflow where a factor leaves the double range; one beyond the double
-range refuses the later side alone, and a chart's lower (E - pi)/m beyond
-it refuses that chart's side.  f and b are the moduli of the later waves'
+underflow where a factor leaves the double range.  A side is refused where
+one of its coefficients (g_i, or c_f or c_b), times its chart's lower
+(E - pi)/m where that exceeds 1, is beyond the double range, as its
+spinors' theta would be.  f and b are the moduli of the later waves'
 standard-basis upper components relative to the incident one's,
 F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); they follow from the unitary pair
 by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
@@ -231,12 +232,17 @@ _EPS_SUM_LIMIT = 200.0
 PROBABILITY_SUM_TOL = 1e-12  # |F + B - 1|
 UNITARITY_TOL = 1e-9  # |F_u + B_u - 1|
 
+# ln of the largest double: a coefficient of `match_at_t0` whose logarithm
+# exceeds it is beyond the double range
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 class ParameterRangeError(ValueError):
-    """tau * E too large for accurate double-precision evaluation, or a
-    factor of one side's spinors beyond the double range: c_f or c_b of
-    `match_at_t0` for the later side, a chart's lower (E - pi)/m for its
-    own side.  The amplitudes u_f and u_b are never refused."""
+    """tau * E too large for accurate double-precision evaluation, or one
+    side's spinors beyond the double range: a coefficient of `match_at_t0`,
+    times its chart's lower (E - pi)/m where that exceeds 1, g_i for the
+    earlier side, c_f or c_b for the later one.  The amplitudes u_f and u_b
+    are never refused."""
 
 
 class ChartExpansion(FrozenRecord):
@@ -280,11 +286,12 @@ class HypergeometricSolution(FrozenRecord):
     branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_f for the
     later forward branch and c_b = g_b mode_lower(-pi2, m) for its
     conjugate partner, g_f and g_b the chiral amplitudes of the later waves
-    (module docstring).  A coefficient beyond the double range is None, and
-    later_refused says which, with its exponent.  A chart's lower,
-    (E - pi)/m, overflows where pi < 0 and m << |pi|, and its spinors would
-    be inf or NaN: later_refused then names (E2 - pi2)/m too, and
-    earlier_refused names (E1 - pi1)/m."""
+    (module docstring).  Where a coefficient, times its chart's lower
+    (E - pi)/m if that exceeds 1, is beyond the double range, the side's
+    spinors would be inf or NaN: later_refused or earlier_refused then names
+    the coefficient and the product's exponent, and a later coefficient so
+    refused is None.  A lower overflows to inf where pi < 0 and
+    m << |pi|."""
 
     fields = ("earlier", "later", "modes", "u_f", "u_b", "g_i", "c_f", "c_b",
               "later_refused", "earlier_refused")
@@ -412,11 +419,11 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
     coefficients c_f = g_f and c_b = g_b (E2 + pi2)/m are fixed by
     the matching, so `match_at_t0` stores them and each call only reads
     them.  Deep in either half-line zeta underflows to -0 and the spinor is
-    the exact plane-wave limit.  Where c_f, c_b or the later chart's
-    (E2 - pi2)/m is beyond the double range, t > t0 raises
-    ParameterRangeError naming it, and where the earlier chart's
-    (E1 - pi1)/m is, t <= t0 does.  A t that is not finite raises
-    ValueError naming it.  `solve_later` is the same function.
+    the exact plane-wave limit.  Where c_f or c_b, times (E2 - pi2)/m if
+    that exceeds 1, is beyond the double range, t > t0 raises
+    ParameterRangeError naming it, and where g_i (E1 - pi1)/m is, t <= t0
+    does.  A t that is not finite raises ValueError naming it.
+    `solve_later` is the same function.
     """
     if sol.u_f is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
@@ -459,10 +466,10 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     - ln sin(theta2/2)), which cannot overflow, and the coefficients
     `solve_earlier` applies, g_i, c_f = e^(pi eps1 + log(g_f/g_i)) and
     c_b = e^(pi eps1 + log(g_b/g_i) + ln((E2 + pi2)/m))
-    (`HypergeometricSolution`).  Where c_f, c_b or the later chart's lower
-    is beyond the double range, only the later side is refused, and where
-    the earlier chart's lower is, only the earlier side; u_f and u_b are
-    always given.
+    (`HypergeometricSolution`).  Where c_f or c_b, times the later chart's
+    lower where that exceeds 1, is beyond the double range, only the later
+    side is refused, and where g_i times the earlier chart's lower is, only
+    the earlier side; u_f and u_b are always given.
     """
     modes, m = sol.modes, params.m
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, m, params.tau)
@@ -476,7 +483,8 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     # log_f and lc1 nearly cancel where either is large (~1e3 with u_f ~ 1),
     # so their sum is taken first, exactly, and lc2 rounds only what is left
     u_f = cmath.exp((log_f + lc1) - lc2)
-    c_f, why_f = _exp_or_why("c_f", log_g_i + log_f)
+    lower2 = sol.later.lower
+    c_f, why_f = _exp_or_why("c_f", log_g_i + log_f, lower2, "(E2 - pi2)/m")
     u_b, c_b, why_b = 0j, 0j, None
     if xa != 0.0:
         log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
@@ -484,25 +492,30 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
         u_b = cmath.exp((log_b + lc1) - ls2)
         # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m) = ln cot(theta2/2): the
         # factor itself can overflow where g_b/g_i underflows
-        c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2))
-    # a chart's lower, (E - pi)/m, overflows where pi < 0 and m << |pi|
-    why_l = None if sol.later.lower < math.inf else "(E2 - pi2)/m is beyond the double range"
-    why_e = None if sol.earlier.lower < math.inf else "(E1 - pi1)/m is beyond the double range"
+        c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2), lower2, "(E2 - pi2)/m")
+    why_e = _exp_or_why("g_i", log_g_i, sol.earlier.lower, "(E1 - pi1)/m")[1]
     return sol.replace(u_f=u_f, u_b=u_b, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
-                       later_refused="; ".join(filter(None, (why_f, why_b, why_l))) or None,
+                       later_refused="; ".join(filter(None, (why_f, why_b))) or None,
                        earlier_refused=why_e)
 
 
-def _exp_or_why(name: str, exponent: complex) -> tuple[complex | None, str | None]:
+def _exp_or_why(name: str, exponent: complex, lower: float,
+                lower_name: str) -> tuple[complex | None, str | None]:
     """(e^exponent, None), the coefficient `name` of `match_at_t0` from the
-    sum of its factors' logarithms, or (None, why) where it is beyond the
-    double range.  g_i = e^(pi eps1) is within e^628 (`_EPS_SUM_LIMIT`), so
+    sum of its factors' logarithms, or (None, why) where it, or it times
+    the lower component `lower` of its chart's plateau mode where that
+    exceeds 1, is beyond the double range: the spinors it multiplies would
+    be inf there.  g_i = e^(pi eps1) is within e^628 (`_EPS_SUM_LIMIT`), so
     the exp of the sum is as accurate as the product of the factors, and
-    meets no inf, 0 inf = NaN or underflow that the product would."""
-    try:
+    meets no inf, 0 inf = NaN or underflow that the product would.  A lower
+    of inf, where pi < 0 and m << |pi|, is refused by the same rule."""
+    reach = exponent
+    if lower > 1.0:
+        name = f"{name} {lower_name}"
+        reach += math.log(lower)
+    if reach.real <= _LOG_MAX:
         return cmath.exp(exponent), None
-    except OverflowError:
-        return None, f"{name} = e^({exponent:.6g}) is beyond the double range"
+    return None, f"{name} = e^({reach:.6g}) is beyond the double range"
 
 
 def result_from_amplitudes(modes: AsymptoticModes, m: float, a_f: float,

@@ -14,21 +14,35 @@ the amplitudes and the dynamical phase obey
 with g = theta'/2 = m q (A2 - A1) sech^2(u/tau) / (4 tau E(u)^2).  The free
 e^{-/+iEt} oscillation is carried by Theta, which the integrator follows
 exactly on the plateaus, so the step count follows the sech^2 transition and
-not the width of the window.  The integration runs from the unit incident
-eigenmode (a = 1, b = 0), an exact solution on the early plateau, well
-before the transition; at the end the instantaneous eigenmodes are the
-exact late-time ones, so (a, b) with the late phase stripped are the
-forward and backward amplitudes per unit incident eigenmode, in the
-convention `analytic.match_at_t0` reports them in (u_f and u_b): unitary,
-so neither can overflow, and with no mode factor to form.  Shares nothing
-with the hypergeometric path except the governing equations.
+not the width of the window.  The incident wave is the unit incident
+eigenmode (a = 1, b = 0) on the early plateau; at the end the
+instantaneous eigenmodes are the exact late-time ones, so (a, b) with the
+late phase stripped are the forward and backward amplitudes per unit
+incident eigenmode, in the convention `analytic.match_at_t0` reports them
+in (u_f and u_b): unitary, so neither can overflow, and with no mode
+factor to form.  Shares nothing with the hypergeometric path except the
+governing equations.
 
 pi(u) is taken from the nearer plateau, pi2 + delta w/(1 + w) for u >= 0
 and pi1 - delta w/(1 + w) for u < 0 with w = e^{-2|u|/tau}, so it keeps
-every digit where one plateau's |pi| is far below the other's.  The window
-is t0 +- T, T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau: on a plateau
-g <= (|delta|/m) sech^2, so the widening keeps the coupling's tail beyond
-the window below e^-40 however small m is against the step.
+every digit where one plateau's |pi| is far below the other's.  DOP853
+runs over the window t0 +- U, U = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau
+with SPAN_FACTOR = 9.  Beyond it the coupling is a decaying exponential
+times a plane wave, g = (m/E_i) (delta/E_i) w/tau and
+E = E_i + (pi_i/E_i) delta w to O(w^2), and each tail is added in closed
+form to first order in g.  With w_U = e^{-2U/tau} and
+kappa_i = (m/E_i) (delta/E_i) w_U, the run starts from a = 1,
+b = -kappa1 e^{2i E1 U}/(2 - 2i E1 tau) and
+Theta = -E1 U - (pi1/E1) delta w_U tau/2, and at the end, from a and b both
+read before either update, a gains b kappa2 e^{2i Theta}/(2 - 2i E2 tau),
+b loses a kappa2 e^{-2i Theta}/(2 + 2i E2 tau), and the stripped phase
+gains -(pi2/E2) delta w_U tau/2.  On a plateau g <= (|delta|/m) sech^2, so
+the widening keeps kappa_i <= e^(-2 SPAN_FACTOR) however small m is against
+the step, and the terms left out are O(e^(-4 SPAN_FACTOR)) = 2.3e-16, below
+one ulp of |a| = 1: that bound alone sets SPAN_FACTOR.  Where the window is
+widened, delta w_U is sign(delta) m e^(-2 SPAN_FACTOR), and pi_i delta is
+never formed, so no tail product overflows or underflows where the
+plateaus' kinematics are finite.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
@@ -82,6 +96,7 @@ u = 0, the sech^2 peak, which the error estimate cannot miss.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -142,10 +157,10 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
-# the window is t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at every
-# tau, since only the sech^2 coupling moves |a| and |b|, and it is at most
-# (|delta|/m) sech^2: the tail beyond the window moves them by below e^-40
-SPAN_FACTOR = 20.0
+# DOP853 runs over t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at
+# every tau, and the coupling's tails beyond are added to first order in
+# closed form: what that leaves out is O(e^(-4 SPAN_FACTOR)) = 2.3e-16
+SPAN_FACTOR = 9.0
 # per-component error weight ABS_TOL + REL_TOL max(|y|, |y_new|)
 REL_TOL = 3e-12
 ABS_TOL = 3e-14
@@ -161,9 +176,10 @@ DRIFT_LIMIT = 1e-9
 STEP_BUDGET = 1000
 # integrate refuses tau max(E1, E2) above MAX_TAU_E before its first step.
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
-# a2 = 2 sqrt(3)), CPython 3.11 on one core, tau E = 2e3 took 74,708 steps in
-# 3.4 s and tau E = 1e4 took 302,758 steps in 14.5 s, both with norm drift
-# below 1.4e-12; the command line accepts tau up to the double range
+# a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
+# took 69,814 steps in 1.8 s of CPU and tau E = 1e4 took 285,271 steps in
+# 5.2 s, both with norm drift below 7e-13; the command line accepts tau up
+# to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
 # the worst measured, over 677 inputs with tau 7e-301..811, signed q and
@@ -222,13 +238,15 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
 def integrate(params: StepParameters) -> OracleOutcome:
     """Propagate the incident wave through the step and project the final state.
 
-    Starts from the unit incident eigenmode, a = 1, b = 0, at t0 - T, that is
-    phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, with
-    T = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and reports the
-    amplitudes u_f and u_b of the forward/backward late eigenmodes at
-    t0 + T per unit incident eigenmode, with the e^{-/+ i E2 (t - t0)}
-    phases stripped (`OracleOutcome`); `compare` turns them into f, b and
-    the probabilities.  The window, tolerances and limits are the module
+    The incident wave is the unit incident eigenmode, a = 1, b = 0, that is
+    phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, on
+    the early plateau.  DOP853 runs over t0 +- U with
+    U = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and the coupling's
+    tails beyond are added in closed form (module docstring).  Reports the
+    amplitudes u_f and u_b of the forward/backward late eigenmodes per unit
+    incident eigenmode, with the e^{-/+ i E2 (t - t0)} phases stripped
+    (`OracleOutcome`); `compare` turns them into f, b and the
+    probabilities.  The window, tolerances and limits are the module
     constants, read at each call.
     """
     m = params.m
@@ -241,17 +259,31 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # integrate in s = u/S, u = t - t0; the profile depends on t only through s
     tau_s, scale, profile = _stage_profile(params, modes)
     # on a plateau g <= (|delta|/m) sech^2, so the window widens by
-    # ln(|delta|/m)/2 tau where |delta| > m to keep the tail residual e^-40
+    # ln(|delta|/m)/2 tau where |delta| > m, and the tails' neglected terms
+    # stay O(e^(-4 SPAN_FACTOR)) however small m is against the step
     widen = 0.5 * (math.log(abs(modes.delta)) - math.log(m)) if modes.delta else 0.0
     s_end = (SPAN_FACTOR + max(0.0, widen)) * tau_s
     s = -s_end
-    # incident eigenmode: a = 1, b = 0, dynamical phase -E1 T; the state is
-    # carried as the floats (Re a, Im a, Re b, Im b, Theta)
+    # delta w_U, w_U = e^(-2 U/tau), for the closed-form tails beyond the
+    # window (module docstring): where the window is widened it is
+    # sign(delta) m e^(-2 SPAN_FACTOR), which neither overflows nor underflows
+    if widen > 0.0:
+        delta_w = math.copysign(m, modes.delta) * math.exp(-2.0 * SPAN_FACTOR)
+    else:
+        delta_w = modes.delta * math.exp(-2.0 * SPAN_FACTOR)
+    tau, e_in, e_out = params.tau, modes.e1, modes.e2
+    e_u = e_in * (s_end * scale)
+    # the early tail's b from the incident eigenmode, and Theta = E1 u plus
+    # the integral of E - E1 from -inf; the state is carried as the floats
+    # (Re a, Im a, Re b, Im b, Theta)
+    b = -(m / e_in * (delta_w / e_in)) * cmath.exp(2j * e_u) / complex(2.0, -2.0 * e_in * tau)
     ar = 1.0
-    ai = br = bi = 0.0
-    ph = -modes.e1 * (s_end * scale)
-    na = 1.0  # |a|^2 and |b|^2 of the state, whose sum starts at 1
-    nb = 0.0
+    ai = 0.0
+    br = b.real
+    bi = b.imag
+    ph = -e_u - modes.pi1 / e_in * delta_w * (0.5 * tau)
+    na = 1.0  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_U^2)
+    nb = br * br + bi * bi
     drift_max = 0.0
     # stage 1's profile values at s: a step's last stage is at s + h, so an
     # accepted step hands them on, and a rejected one retries from the same s
@@ -323,13 +355,21 @@ def integrate(params: StepParameters) -> OracleOutcome:
     if not drift_max <= DRIFT_LIMIT:
         raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
+    # the late tail, from a and b both read before either update, and the
+    # integral of E - E2 to +inf in the phase
+    a = complex(ar, ai)
+    b = complex(br, bi)
+    kappa = m / e_out * (delta_w / e_out)
+    turn = cmath.exp(2j * ph)
+    a, b = (a + b * kappa * turn / complex(2.0, -2.0 * e_out * tau),
+            b - a * kappa * turn.conjugate() / complex(2.0, 2.0 * e_out * tau))
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-, and the conjugate partner
     # of v+ = (cos theta/2, sin theta/2) is -v-; stripping e^{-/+i E2 u}
     # leaves u_f = a e^{i phase} and u_b = -b e^{-i phase}
-    phase = modes.e2 * (s * scale) - ph
+    phase = e_out * (s * scale) - ph - modes.pi2 / e_out * delta_w * (0.5 * tau)
     rot = complex(math.cos(phase), math.sin(phase))
-    return OracleOutcome(norm_drift=drift_max, u_f=complex(ar, ai) * rot,
-                         u_b=-complex(br, bi) * rot.conjugate(), steps=steps)
+    return OracleOutcome(norm_drift=drift_max, u_f=a * rot, u_b=-b * rot.conjugate(),
+                         steps=steps)
 
 
 def compare(params: StepParameters) -> ComparisonReport:
@@ -338,9 +378,10 @@ def compare(params: StepParameters) -> ComparisonReport:
     Deviations of f, b and F_u are measured against COMPARE_TOL * max(1, f, b);
     the other probabilities are reported alongside for inspection.  `passed`
     is therefore an absolute check on f, b and F_u: it does not vouch for the
-    relative accuracy of a tiny B_u.  The integrator resolves B_u only to
-    about 1e-25 absolute; at tau = 10, p = 4, a2 = 1 (m = q = 1) it gives
-    4.0e-26 where the exact value is 1.2e-86, and the report still passes.
+    relative accuracy of a tiny B_u.  The integrator resolves B_u only down
+    to the square of its absolute error in b; at tau = 10, p = 4,
+    a2 = 1 (m = q = 1) it gives 2.4e-33 where the exact value is 1.2e-86,
+    and the report still passes.
     """
     ana = scatter(params)
     out = integrate(params)

@@ -851,6 +851,21 @@ class TestAcrossTheDoubleRange:
                 psi = solve_earlier(sol, t, params)
                 assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
 
+    def test_a_coefficient_times_a_chart_lower_beyond_the_range_is_refused(self):
+        # draw 3 of the chart-route probe: c_f = 1.0e247 and the later
+        # chart's lower (E2 - pi2)/m = 3.5e170 are doubles, but c_f theta
+        # is not, and the later spinor at t0 + 0.2 tau was -inf + inf i; the
+        # later side is refused by the product's exponent instead
+        args = (1.0487738141823337e-276, -19.578726679048525, 5.440233947091657e-150,
+                -1.4662355006557483e+133, -9.490275316427631e-108)
+        modes = model.plateau_modes(*args)
+        params = StepParameters(*args, 10.0 / (modes.e1 + modes.e2))
+        sol = match_at_t0(build_solution(params), params)
+        assert 1e170 < sol.later.lower < math.inf
+        assert asymptotic_amplitudes(sol, params).F_u == scatter(params).F_u
+        with pytest.raises(ParameterRangeError, match=r"^c_f \(E2 - pi2\)/m = e\^\(961\.468"):
+            solve_later(sol, params.t0 + 0.2 * params.tau, params)
+
     def test_matching_where_tau_e2_is_below_the_range(self):
         # tau E2 = 2e-394 underflows to 0, where log G(-i tau E2) hit its
         # pole; it is taken from ln(tau E2) now
