@@ -41,17 +41,19 @@ later one to the positive-frequency e^(-i E (t - t0)), the other two to
 e^(+i E (t - t0)).  A pure positive-frequency incident wave is the earlier
 chart's |zeta|^(-mu) branch alone.
 
-Only the positive-frequency branch of a chart needs a 2F1 series.  The
-Hamiltonian pi sigma3 + m sigma1 is real, so if (phi, theta) solves the
-system, so does its conjugate partner (theta*, -phi*).  Conjugation turns
-the branch's power |zeta|^(+-i eps) into |zeta|^(-+i eps), keeps a power
-series in the real zeta a power series, and takes the plateau's mode
-(1, (E - pi)/m) to (E - pi)/m times the negative-frequency mode
-(1, -(E + pi)/m).  By Frobenius uniqueness the partner times (E + pi)/m is
-the chart's other branch with its unit head.  On the later chart, with
-(E2 + pi2)/m = `model.mode_lower(-pi2, m)`,
+Only the positive-frequency branch of a chart needs a 2F1 series, and each
+chart scales it to its plateau's unit eigenmode: with theta = atan2(m, pi)
+on that plateau, the branch tends to (cos theta/2, sin theta/2)
+e^(-i E (t - t0)).  The Hamiltonian pi sigma3 + m sigma1 is real, so if
+(phi, theta) solves the system, so does its conjugate partner
+(theta*, -phi*).  Conjugation turns the branch's power |zeta|^(+-i eps)
+into |zeta|^(-+i eps), keeps a power series in the real zeta a power
+series, and takes the plateau's eigenmode to (sin theta/2, -cos theta/2)
+e^(+i E (t - t0)), the unit -E eigenmode.  By Frobenius uniqueness the
+partner is the chart's other branch, on its unit eigenmode too.  On the
+later chart
 
-    psi_b = mode_lower(-pi2, m) (theta_f*, -phi_f*).
+    psi_b = (theta_f*, -phi_f*).
 
 The scattering amplitudes come from one chart alone.  The incident branch
 |zeta|^-mu (1 - zeta)^nu F(a', b'; c'; zeta) solves the equation on the whole
@@ -141,12 +143,18 @@ and an argument carried as its logarithm enters a plan as its value.  A plan
 gives 2F1 = (1 - zeta)^kappa s(zeta) and 2F1' = (1 - zeta)^kappa f(zeta),
 and a branch is evaluated as phi = |zeta|^mu (1 - zeta)^(nu + kappa) s(zeta):
 its head is one complex exp, of mu ln|zeta| + (nu + kappa) ln(1 - zeta) with
-the real ln(1 - zeta) = log1p(-zeta).  The lower component is taken by an
-identity, not as (i phi' - pi phi)/m, a difference that cancels to
-~m^2/(2 pi) of its terms: in i phi' the mu term is E phi and the nu term
-cancels the step of pi(zeta), so
+the real ln(1 - zeta) = log1p(-zeta).  With a unit head the lower component
+would be theta = (i phi' - pi phi)/m, a difference that cancels to
+~m^2/(2 pi) of its terms, so it is taken by an identity: in i phi' the mu
+term is E phi and the nu term cancels the step of pi(zeta), so
 m theta = (E - pi) phi + (2 i sign/tau) zeta head f, where f carries a b/c,
-as small as E - pi wherever that is small.
+as small as E - pi wherever that is small.  On the unit eigenmode the
+branch is (cos(theta/2) phi, sin(theta/2) phi + (cos(theta/2)/m)
+(2 i sign/tau) zeta head f), as (E - pi)/m = tan(theta/2): the chart holds
+the three factors, each one number taken from `model.log_half_angles`
+(`_half_angles`), so none overflows, and cos(theta/2)/m stays finite where
+cos(theta/2) underflows (pi < 0, m << |pi|) and the second term is still
+O(1).
 
 `match_at_t0` reports the later waves as unitary eigenmode amplitudes, the
 convention the integrator (`oracle.integrate`) reports them in too: u_f is
@@ -160,23 +168,20 @@ over sin(theta2/2), so u_f = (g_f/g_i) cos(theta1/2)/cos(theta2/2) and
 u_b = (g_b/g_i) cos(theta1/2)/sin(theta2/2): each is one exp of its
 log G sum plus the half angles' logarithms (`model.log_half_angles`), and
 neither can overflow.  `asymptotic_amplitudes` hands |u_f| and |u_b| to
-`result_from_amplitudes`.  The matched spinor gives the incident wave the
-amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
-earlier plateau, l1 = (E1 - pi1)/m; that amplitude overflows from
-eps1 ~ 225, so `build_solution` keeps the guard eps1 + eps2 <= 200.
-`match_at_t0` also stores what each spinor is multiplied by, g_i for the
-incident branch, c_f = g_f for the later forward branch and
-c_b = g_b (E2 + pi2)/m for its conjugate partner, so
-`solve_earlier` forms no exp or mode factor per time.  c_f and c_b are each
-one exp of the sum of their factors' logarithms, ln((E2 + pi2)/m) taken
-from `model.log_half_angles`, so neither is inf, 0 inf = NaN or a lost
-underflow where a factor leaves the double range.  A side is refused where
-one of its coefficients (g_i, or c_f or c_b), times its chart's lower
-(E - pi)/m where that exceeds 1, is beyond the double range, as its
-spinors' theta would be.  f and b are the moduli of the later waves'
-standard-basis upper components relative to the incident one's,
-F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); they follow from the unitary pair
-by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
+`result_from_amplitudes`.  The matched spinor is one real
+N = e^(pi eps1)/cos(theta1/2) times the unit incident eigenmode's solution:
+for t <= t0 the earlier chart's branch, for t > t0 u_f times the later
+chart's branch plus u_b times its conjugate partner.  The Hamiltonian is
+Hermitian, so that solution keeps its unit norm at every t, and
+|psi(t)| = N: |psi|^2 = e^(pi tau E1) (1 + l1^2), l1 = (E1 - pi1)/m, a
+unit-head incident branch times e^(pi eps1).  `match_at_t0` stores ln N,
+and `HypergeometricSolution` N, N u_f and N u_b, so `solve_earlier` forms
+no exp per time.  Where ln N = pi eps1 - ln cos(theta1/2) exceeds ln of the
+largest double, both sides are refused, naming that exponent; elsewhere no
+component of a spinor can overflow, as none exceeds N.  f and b are the
+moduli of the later waves' standard-basis upper components relative to the
+incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); they follow from
+the unitary pair by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
 b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`,
 `asymptotic_amplitudes` and `oracle.compare`, hands sqrt(F_u) and sqrt(B_u)
 to one assembly (`result_from_amplitudes`), which forms f, b, F and B from
@@ -198,7 +203,6 @@ from .model import (
     asymptotic_modes,
     check_inputs,
     log_half_angles,
-    mode_lower,
     plateau_modes,
     potential_at,
     potential_rate,
@@ -223,8 +227,10 @@ __all__ = [
     "result_from_amplitudes",
 ]
 
-# the incident amplitude e^(pi eps1) of the matched spinor overflows a double
-# from eps1 ~ 225; the bound on eps1 + eps2 also bounds |d|
+# the range of the chart series: build_solution refuses tau (E1 + E2)/2
+# above it, which also bounds |d|.  It is not an overflow threshold (the
+# norm rule of `HypergeometricSolution` refuses exactly what would
+# overflow); the series cancel more as tau E grows
 _EPS_SUM_LIMIT = 200.0
 
 # the bars on a result's probabilities, read at each use by the command
@@ -232,46 +238,45 @@ _EPS_SUM_LIMIT = 200.0
 PROBABILITY_SUM_TOL = 1e-12  # |F + B - 1|
 UNITARITY_TOL = 1e-9  # |F_u + B_u - 1|
 
-# ln of the largest double: a coefficient of `match_at_t0` whose logarithm
-# exceeds it is beyond the double range
+# ln of the largest double: a matched spinor whose ln N exceeds it is beyond
+# the double range
 _LOG_MAX = math.log(sys.float_info.max)
 
 
 class ParameterRangeError(ValueError):
-    """tau * E too large for accurate double-precision evaluation, or one
-    side's spinors beyond the double range: a coefficient of `match_at_t0`,
-    times its chart's lower (E - pi)/m where that exceeds 1, g_i for the
-    earlier side, c_f or c_b for the later one.  The amplitudes u_f and u_b
-    are never refused."""
+    """tau (E1 + E2)/2 beyond the range of the chart series
+    (`build_solution`), or a matched spinor beyond the double range: its
+    norm N = e^(pi eps1)/cos(theta1/2) is (`solve_earlier`).  The amplitudes
+    u_f and u_b are never refused."""
 
 
 class ChartExpansion(FrozenRecord):
     """Hypergeometric data of one chart.
 
     sign: +1 for the earlier chart, -1 for the later one, as
-    d(zeta)/dt = sign * 2 zeta / tau.  lower = (E_asym - pi_asym)/m =
-    `model.mode_lower(pi_asym, m)`, the lower component of the chart's
-    plateau mode (1, lower), taken once with the chart; the spinor's theta
-    is lower times phi plus a term that carries the 2F1's derivative
-    (`_chart_spinor`).  eps = tau * E_asym / 2 is the chart's frequency
-    scale and nu = i d the exponent of (1 - zeta).  The chart holds one
-    Frobenius branch, its positive-frequency one: mu = -sign i eps, the
-    exponent of |zeta| (the module docstring's -mu on the earlier chart, mu
-    on the later), so the branch tends to e^(-i E_asym (t - t0)) on the
-    chart's plateau, and plan, the series plan of its 2F1, (a', b', c') on
-    the earlier chart and (a, b, c) on the later one, each parameter a gap
-    argument (`_connection_arguments`).  The other branch is that one's
-    conjugate partner (theta*, -phi*) times (E_asym + pi_asym)/m (module
-    docstring), so it needs no series of its own.  The plan is built once
-    with the chart and shared by every evaluation of it; it takes no part
-    in comparison, hash or repr.
+    d(zeta)/dt = sign * 2 zeta / tau.  cos, sin and cos_over_m are
+    cos(theta/2), sin(theta/2) and cos(theta/2)/m of the chart's plateau,
+    theta = atan2(m, pi_asym), each one exp of `model.log_half_angles`: the
+    factors that put the chart's branch on its plateau's unit eigenmode
+    (`_chart_spinor`).  nu = i d is the exponent of (1 - zeta).  The chart
+    holds one Frobenius branch, its positive-frequency one: mu =
+    -sign i tau E_asym/2, the exponent of |zeta| (the module docstring's -mu
+    on the earlier chart, mu on the later), so the branch tends to
+    (cos, sin) e^(-i E_asym (t - t0)) on the chart's plateau, and plan, the
+    series plan of its 2F1, (a', b', c') on the earlier chart and (a, b, c)
+    on the later one, each parameter a gap argument
+    (`_connection_arguments`).  The other branch is that one's conjugate
+    partner (theta*, -phi*) (module docstring), so it needs no series of
+    its own.  The plan is built once with the chart and shared by every
+    evaluation of it; it takes no part in comparison, hash or repr.
     """
 
-    fields = ("sign", "lower", "eps", "nu", "mu")
+    fields = ("sign", "cos", "sin", "cos_over_m", "nu", "mu")
 
-    def __init__(self, sign: int, lower: float, eps: float, nu: complex, mu: complex,
-                 plan: Hyp2F1Plan):
-        self.__dict__.update(sign=sign, lower=lower, eps=eps, nu=nu, mu=mu, plan=plan)
+    def __init__(self, sign: int, cos: float, sin: float, cos_over_m: float, nu: complex,
+                 mu: complex, plan: Hyp2F1Plan):
+        self.__dict__.update(sign=sign, cos=cos, sin=sin, cos_over_m=cos_over_m, nu=nu, mu=mu,
+                             plan=plan)
 
 
 class HypergeometricSolution(FrozenRecord):
@@ -282,28 +287,21 @@ class HypergeometricSolution(FrozenRecord):
     e^(-/+i E2 (t - t0)) phases stripped, so |u_f|^2 = F_u and
     |u_b|^2 = B_u.  The earlier chart carries the incident branch alone.
 
-    `match_at_t0` also stores what `solve_earlier` multiplies each chart's
-    branch by: g_i = e^(pi eps1), the incident amplitude, c_f = g_f for the
-    later forward branch and c_b = g_b mode_lower(-pi2, m) for its
-    conjugate partner, g_f and g_b the chiral amplitudes of the later waves
-    (module docstring).  Where a coefficient, times its chart's lower
-    (E - pi)/m if that exceeds 1, is beyond the double range, the side's
-    spinors would be inf or NaN: later_refused or earlier_refused then names
-    the coefficient and the product's exponent, and a later coefficient so
-    refused is None.  A lower overflows to inf where pi < 0 and
-    m << |pi|."""
+    log_norm is ln N, N = e^(pi eps1)/cos(theta1/2) the norm of the matched
+    spinor at every t (module docstring).  `__init__` derives N, N u_f and
+    N u_b from it once, for `solve_earlier`; where ln N is beyond ln of the
+    largest double they are None, and `solve_earlier` refuses both sides."""
 
-    fields = ("earlier", "later", "modes", "u_f", "u_b", "g_i", "c_f", "c_b",
-              "later_refused", "earlier_refused")
+    fields = ("earlier", "later", "modes", "u_f", "u_b", "log_norm")
 
     def __init__(self, earlier: ChartExpansion, later: ChartExpansion,
                  modes: AsymptoticModes, u_f: complex | None = None,
-                 u_b: complex | None = None, g_i: float | None = None,
-                 c_f: complex | None = None, c_b: complex | None = None,
-                 later_refused: str | None = None, earlier_refused: str | None = None):
+                 u_b: complex | None = None, log_norm: float | None = None):
+        norm = None if log_norm is None or log_norm > _LOG_MAX else math.exp(log_norm)
+        # N >= 1, so `norm and` gives None only where norm is None
         self.__dict__.update(earlier=earlier, later=later, modes=modes, u_f=u_f, u_b=u_b,
-                             g_i=g_i, c_f=c_f, c_b=c_b, later_refused=later_refused,
-                             earlier_refused=earlier_refused)
+                             log_norm=log_norm, _norm=norm,
+                             _norm_f=norm and norm * u_f, _norm_b=norm and norm * u_b)
 
 
 class ScatteringResult(Record):
@@ -355,45 +353,58 @@ def _connection_arguments(modes: AsymptoticModes, m: float,
 
 
 def build_solution(params: StepParameters) -> HypergeometricSolution:
-    """Construct both chart expansions; coefficients left unset.
+    """Construct both chart expansions; the later waves left unset.
 
     Each plan's parameters are the `_connection_arguments` `match_at_t0`
     reads, an argument carried as its logarithm entering as its value."""
-    modes = asymptotic_modes(params)
-    s, *gaps = _connection_arguments(modes, params.m, params.tau)
+    modes, m = asymptotic_modes(params), params.m
+    s, *gaps = _connection_arguments(modes, m, params.tau)
     xa, _, xb, xca, x_1, x_2 = (x if x >= 0.0 else math.exp(x) for x in gaps)
     eps1, eps2 = 0.5 * x_1, 0.5 * x_2
     # |d| <= tau (|pi1| + |pi2|)/2 <= eps1 + eps2, so this bounds d too
     if eps1 + eps2 > _EPS_SUM_LIMIT:
         raise ParameterRangeError(
-            f"tau*(E1+E2)/2 = {eps1 + eps2:.3g} exceeds the supported range "
-            f"{_EPS_SUM_LIMIT}: the incident amplitude e^(pi tau E1/2) must stay "
-            "below the double-precision overflow threshold"
+            f"tau*(E1+E2)/2 = {eps1 + eps2:.3g} exceeds {_EPS_SUM_LIMIT}, "
+            "the range of the chart series"
         )
     nu = 1j * (0.5 * params.tau * modes.delta)
     return HypergeometricSolution(
-        earlier=ChartExpansion(+1, mode_lower(modes.pi1, params.m), eps1, nu, -1j * eps1,
+        earlier=ChartExpansion(+1, *_half_angles(modes.pi1, modes.e1, m), nu, -1j * eps1,
                                Hyp2F1Plan(1j * s * xa, -1j * xb, 1.0 - 1j * x_1)),
-        later=ChartExpansion(-1, mode_lower(modes.pi2, params.m), eps2, nu, 1j * eps2,
+        later=ChartExpansion(-1, *_half_angles(modes.pi2, modes.e2, m), nu, 1j * eps2,
                              Hyp2F1Plan(1j * xca, 1j * s * xa, 1.0 + 1j * x_2)),
         modes=modes,
     )
 
 
+def _half_angles(pi: float, e: float, m: float) -> tuple[float, float, float]:
+    """cos(theta/2), sin(theta/2) and cos(theta/2)/m, theta = atan2(m, pi),
+    from `model.log_half_angles`.  cos(theta/2)/m is the quotient where
+    cos(theta/2) is a normal double, as the exp of ln cos(theta/2) - ln m
+    would carry ~|ln m| ulps of ln m's rounding (6e-14 at m = 1e200).
+    Where cos(theta/2) is below the normal range (pi < 0, m << |pi|) it is
+    that exp, which stays finite."""
+    lc, ls = log_half_angles(pi, e, m)
+    cos = math.exp(lc)
+    return (cos, math.exp(ls),
+            cos / m if cos >= sys.float_info.min else math.exp(lc - math.log(m)))
+
+
 def _chart_spinor(chart: ChartExpansion, params: StepParameters,
                   t: float) -> tuple[complex, complex]:
-    """Chiral components (phi, theta) at time t of the chart's
-    positive-frequency branch, with its unit head.
+    """Chiral components at time t of the chart's positive-frequency
+    branch, on its plateau's unit eigenmode.
 
     The plan gives 2F1 = (1-zeta)^kappa s and 2F1' = (1-zeta)^kappa f, so
-    the branch is phi = head s with head = |zeta|^mu (1-zeta)^(nu+kappa),
-    taken in one exp of the real logarithms ln|zeta| and ln(1 - zeta).
-    theta is (i phi' - pi phi)/m, taken by an identity: in i phi' the mu
-    term is E phi and the nu term cancels the step of pi(zeta) exactly, so
-    m theta = (E - pi_asym) phi + (2 i sign/tau) zeta head f, E - pi_asym
-    being m times the chart's lower.  f carries a b/c, which is as small as
-    E - pi_asym wherever that is small, so nothing cancels; the division by
-    m comes last, so that 1/(tau m) is never formed on its own.
+    the unit-head branch is phi = head s with head =
+    |zeta|^mu (1-zeta)^(nu+kappa), taken in one exp of the real logarithms
+    ln|zeta| and ln(1 - zeta).  Its theta is (i phi' - pi phi)/m, taken by
+    an identity: in i phi' the mu term is E phi and the nu term cancels the
+    step of pi(zeta) exactly, so m theta = (E - pi_asym) phi +
+    (2 i sign/tau) zeta head f.  f carries a b/c, which is as small as
+    E - pi_asym wherever that is small, so nothing cancels.  Times
+    cos(theta/2), with (E - pi_asym)/m = tan(theta/2), the branch is
+    (cos phi, sin phi + cos_over_m (2 i sign/tau) zeta head f).
     """
     sign, tau = chart.sign, params.tau
     log_abs_zeta = sign * 2.0 * ((t - params.t0) / tau)
@@ -402,7 +413,8 @@ def _chart_spinor(chart: ChartExpansion, params: StepParameters,
     # zeta < 0, so ln(1 - zeta) is real
     head = cmath.exp(chart.mu * log_abs_zeta + (chart.nu + kappa) * math.log1p(-zeta))
     phi = head * s
-    return phi, chart.lower * phi + sign * 2j * (zeta * head * f / tau) / params.m
+    return (chart.cos * phi,
+            chart.sin * phi + chart.cos_over_m * (sign * 2j * (zeta * head * f / tau)))
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -411,35 +423,34 @@ def solve_earlier(sol: HypergeometricSolution, t: float,
 
     Each side of t0 is evaluated in its own chart, where the chart variable
     lies in [-1, 0): t <= t0 in the earlier chart with the incident branch
-    alone, t > t0 in the later chart with its two waves.  The later backward
-    wave is the forward one's conjugate partner (theta*, -phi*) times
-    (E2 + pi2)/m, so each side sums one 2F1 series.  The incident wave has
-    amplitude g_i = e^(pi eps1), so |psi|^2 = e^(pi tau E1) (1 + l1^2) on the
-    earlier plateau, l1 = (E1 - pi1)/m.  g_i and the later branches'
-    coefficients c_f = g_f and c_b = g_b (E2 + pi2)/m are fixed by
-    the matching, so `match_at_t0` stores them and each call only reads
-    them.  Deep in either half-line zeta underflows to -0 and the spinor is
-    the exact plane-wave limit.  Where c_f or c_b, times (E2 - pi2)/m if
-    that exceeds 1, is beyond the double range, t > t0 raises
-    ParameterRangeError naming it, and where g_i (E1 - pi1)/m is, t <= t0
-    does.  A t that is not finite raises ValueError naming it.
-    `solve_later` is the same function.
+    alone, t > t0 in the later chart with its two waves.  Each branch is on
+    its plateau's unit eigenmode, and the later backward wave is the
+    forward one's conjugate partner (theta*, -phi*), so each side sums one
+    2F1 series.  The spinor is N times the incident branch, or N u_f times
+    the later branch plus N u_b times its partner, with
+    N = e^(pi eps1)/cos(theta1/2) = |psi(t)|, so |psi|^2 =
+    e^(pi tau E1) (1 + l1^2), l1 = (E1 - pi1)/m.  `HypergeometricSolution`
+    holds N, N u_f and N u_b, so each call only reads them.  Deep in either
+    half-line zeta underflows to -0 and the spinor is the exact plane-wave
+    limit.  Where N is beyond the double range, either side raises
+    ParameterRangeError naming ln N, and a t that is not finite raises
+    ValueError naming it.  `solve_later` is the same function.
     """
     if sol.u_f is None:
         raise ValueError("coefficients unset; run match_at_t0 first")
     if not abs(t) < math.inf:  # one comparison, NaN included
         raise ValueError(f"t must be finite, got t = {t}")
+    norm = sol._norm
+    if norm is None:
+        raise ParameterRangeError(
+            f"the matched spinor's norm e^(pi eps1)/cos(theta1/2) = e^({sol.log_norm:.6g}) "
+            "is beyond the double range")
     if t <= params.t0:
-        if sol.earlier_refused is not None:
-            raise ParameterRangeError(sol.earlier_refused)
         phi, theta = _chart_spinor(sol.earlier, params, t)
-        g_i = sol.g_i
-        return TwoSpinor(g_i * phi, g_i * theta)
-    if sol.later_refused is not None:
-        raise ParameterRangeError(sol.later_refused)
+        return TwoSpinor(norm * phi, norm * theta)
     phi, theta = _chart_spinor(sol.later, params, t)
-    c_f, c_b = sol.c_f, sol.c_b
-    return TwoSpinor(c_f * phi + c_b * theta.conjugate(), c_f * theta - c_b * phi.conjugate())
+    n_f, n_b = sol._norm_f, sol._norm_b
+    return TwoSpinor(n_f * phi + n_b * theta.conjugate(), n_f * theta - n_b * phi.conjugate())
 
 
 solve_later = solve_earlier
@@ -459,17 +470,13 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     the normal range from its logarithm, so none of them meets the pole at
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
-    1/G(a') = 0.  Each value set here is one exp of the sum of its
-    factors' logarithms, the half angles' from `model.log_half_angles`: the
-    unitary amplitudes u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
+    1/G(a') = 0.  The unitary amplitudes are each one exp of the sum of
+    their factors' logarithms, the half angles' from
+    `model.log_half_angles`: u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
     - ln cos(theta2/2)) and u_b = e^(log(g_b/g_i) + ln cos(theta1/2)
-    - ln sin(theta2/2)), which cannot overflow, and the coefficients
-    `solve_earlier` applies, g_i, c_f = e^(pi eps1 + log(g_f/g_i)) and
-    c_b = e^(pi eps1 + log(g_b/g_i) + ln((E2 + pi2)/m))
-    (`HypergeometricSolution`).  Where c_f or c_b, times the later chart's
-    lower where that exceeds 1, is beyond the double range, only the later
-    side is refused, and where g_i times the earlier chart's lower is, only
-    the earlier side; u_f and u_b are always given.
+    - ln sin(theta2/2)), which cannot overflow.  The matched spinor's
+    ln N = pi eps1 - ln cos(theta1/2) is set beside them
+    (`HypergeometricSolution`); u_f and u_b are always given.
     """
     modes, m = sol.modes, params.m
     s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, m, params.tau)
@@ -477,45 +484,18 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
     log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
-    log_g_i = math.pi * sol.earlier.eps
     lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
     lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
     # log_f and lc1 nearly cancel where either is large (~1e3 with u_f ~ 1),
     # so their sum is taken first, exactly, and lc2 rounds only what is left
     u_f = cmath.exp((log_f + lc1) - lc2)
-    lower2 = sol.later.lower
-    c_f, why_f = _exp_or_why("c_f", log_g_i + log_f, lower2, "(E2 - pi2)/m")
-    u_b, c_b, why_b = 0j, 0j, None
+    u_b = 0j
     if xa != 0.0:
         log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
                  - _log_gamma_gap(1.0, -s, xcb))
         u_b = cmath.exp((log_b + lc1) - ls2)
-        # ln mode_lower(-pi2, m) = ln((E2 + pi2)/m) = ln cot(theta2/2): the
-        # factor itself can overflow where g_b/g_i underflows
-        c_b, why_b = _exp_or_why("c_b", log_g_i + log_b + (lc2 - ls2), lower2, "(E2 - pi2)/m")
-    why_e = _exp_or_why("g_i", log_g_i, sol.earlier.lower, "(E1 - pi1)/m")[1]
-    return sol.replace(u_f=u_f, u_b=u_b, g_i=math.exp(log_g_i), c_f=c_f, c_b=c_b,
-                       later_refused="; ".join(filter(None, (why_f, why_b))) or None,
-                       earlier_refused=why_e)
-
-
-def _exp_or_why(name: str, exponent: complex, lower: float,
-                lower_name: str) -> tuple[complex | None, str | None]:
-    """(e^exponent, None), the coefficient `name` of `match_at_t0` from the
-    sum of its factors' logarithms, or (None, why) where it, or it times
-    the lower component `lower` of its chart's plateau mode where that
-    exceeds 1, is beyond the double range: the spinors it multiplies would
-    be inf there.  g_i = e^(pi eps1) is within e^628 (`_EPS_SUM_LIMIT`), so
-    the exp of the sum is as accurate as the product of the factors, and
-    meets no inf, 0 inf = NaN or underflow that the product would.  A lower
-    of inf, where pi < 0 and m << |pi|, is refused by the same rule."""
-    reach = exponent
-    if lower > 1.0:
-        name = f"{name} {lower_name}"
-        reach += math.log(lower)
-    if reach.real <= _LOG_MAX:
-        return cmath.exp(exponent), None
-    return None, f"{name} = e^({reach:.6g}) is beyond the double range"
+    # the earlier chart's mu is -i eps1
+    return sol.replace(u_f=u_f, u_b=u_b, log_norm=math.pi * -sol.earlier.mu.imag - lc1)
 
 
 def result_from_amplitudes(modes: AsymptoticModes, m: float, a_f: float,

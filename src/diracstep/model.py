@@ -50,9 +50,11 @@ class Record:
     equal where they are of one class and their field tuples are equal, so
     a record holding a NaN equals itself (a tuple compares its items by
     identity first).  Every attribute a record's `__init__` stores is its
-    argument of the same name, so `replace` builds the copy through
-    `__init__`, which checks the inputs again.  A record is mutable and
-    unhashable; a `FrozenRecord` is neither.
+    argument of the same name, or private (a leading underscore) and
+    derived from those, so `replace` builds the copy through `__init__`
+    from the others, which checks the inputs and derives the private ones
+    again.  A record is mutable and unhashable; a `FrozenRecord` is
+    neither.
     """
 
     fields: tuple[str, ...] = ()
@@ -72,7 +74,8 @@ class Record:
 
     def replace(self, **changes):
         """A new record of this class, with the named values changed."""
-        return type(self)(**{**self.__dict__, **changes})
+        values = {name: v for name, v in self.__dict__.items() if name[0] != "_"}
+        return type(self)(**{**values, **changes})
 
 
 class FrozenRecord(Record):
@@ -188,21 +191,13 @@ def asymptotic_modes(params: StepParameters) -> AsymptoticModes:
     return plateau_modes(params.m, params.q, params.p, params.a1, params.a2)
 
 
-def mode_lower(pi: float, m: float) -> float:
-    """(E - pi)/m, the lower component of the chiral +E mode; at -pi it is
-    (E + pi)/m, minus that of the -E mode.  Taken as m/(E + pi) for pi > 0,
-    so nothing cancels and no m^2 is formed."""
-    e = math.hypot(pi, m)
-    return m / (e + pi) if pi > 0 else (e - pi) / m
-
-
 _LN2 = math.log(2.0)
 
 
 def log_half_angles(pi: float, e: float, m: float) -> tuple[float, float]:
     """(ln cos theta/2, ln sin theta/2) of the mixing angle theta = atan2(m, pi),
     m > 0, E = hypot(pi, m): the +E eigenmode is (cos theta/2, sin theta/2) =
-    cos(theta/2) (1, mode_lower(pi, m)) and the -E one (-sin theta/2,
+    cos(theta/2) (1, (E - pi)/m) and the -E one (-sin theta/2,
     cos theta/2).  cos^2 and sin^2 are (E +- pi)/(2E), and the one of E +- pi
     that cancels is m^2/(E + |pi|), so with lb = log1p(|pi|/E) the larger log
     is (lb - ln 2)/2 and the smaller ln(m/E) - (lb + ln 2)/2: neither

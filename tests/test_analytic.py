@@ -25,18 +25,19 @@ from diracstep.selftest import residual_max
 from conftest import SAUTER_CASES, sauter_case_id, sharp_reference, sinh_reference
 
 RT3 = math.sqrt(3.0)
+# solve_earlier's one refusal starts with this
+_NORM_REFUSAL = re.escape("the matched spinor's norm e^(pi eps1)/cos(theta1/2) = e^(")
 
 
 def mk(m=1.0, q=1.0, p=RT3, a1=0.0, a2=2 * RT3, tau=0.3, t0=0.0):
     return StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau, t0=t0)
 
 
-def partner(spinor, pi, m):
-    """The conjugate partner (theta*, -phi*) of a chiral spinor, times
-    (E + pi)/m: the other Frobenius branch of a chart, with its unit head."""
-    scale = model.mode_lower(-pi, m)
-    return model.TwoSpinor(upper=scale * spinor.lower.conjugate(),
-                           lower=-scale * spinor.upper.conjugate())
+def partner(spinor):
+    """The conjugate partner (theta*, -phi*) of a chiral spinor: of a
+    chart's branch, the chart's other Frobenius branch, on its unit -E
+    eigenmode."""
+    return model.TwoSpinor(upper=spinor.lower.conjugate(), lower=-spinor.upper.conjugate())
 
 
 def rk4_to_t0(params, n_steps=40_000):
@@ -275,8 +276,9 @@ class TestChartEvaluation:
 
     def test_backward_branch_is_the_conjugate_partner(self):
         # the later chart's |zeta|^(-i eps2) branch, summed from its own 2F1
-        # (a - 2 mu, b - 2 mu; 1 - 2 i eps2; zeta), against the conjugate
-        # partner of the |zeta|^(i eps2) branch that solve_later sums
+        # (a - 2 mu, b - 2 mu; 1 - 2 i eps2; zeta) with its unit head, times
+        # sin(theta2/2), which puts it on its unit -E eigenmode, against the
+        # conjugate partner of the |zeta|^(i eps2) branch that solve_later sums
         rng = random.Random(1919)
         for _ in range(40):
             m = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
@@ -291,7 +293,8 @@ class TestChartEvaluation:
                                     t0=rng.uniform(-2.0, 2.0))
             sol = build_solution(params)
             chart = sol.later
-            eps1, eps2, d = sol.earlier.eps, chart.eps, chart.nu.imag
+            # the charts' mu are -i eps1 and +i eps2
+            eps1, eps2, d = -sol.earlier.mu.imag, chart.mu.imag, chart.nu.imag
             a, b = 1j * (d + eps1 - eps2), 1j * (d - eps1 - eps2)
             for _ in range(20):
                 # |zeta| from e^-8 to 1
@@ -305,9 +308,10 @@ class TestChartEvaluation:
                 zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
                 piv = sol.modes.pi2 - sol.modes.delta * zeta / (1.0 - zeta)
                 theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
+                phi, theta = chart.sin * phi, chart.sin * theta
                 positive = model.TwoSpinor(
                     *analytic._chart_spinor(chart, params, t))
-                got = partner(positive, sol.modes.pi2, m)
+                got = partner(positive)
                 err = math.hypot(abs(got.upper - phi), abs(got.lower - theta))
                 assert err <= 1e-12 * math.hypot(abs(phi), abs(theta)), (params, t)
 
@@ -414,16 +418,17 @@ class TestChartEvaluation:
         params = mk(tau=1e-3)
         sol = match_at_t0(build_solution(params), params)
         modes = asymptotic_modes(params)
-        g_i = math.exp(math.pi * sol.earlier.eps)
+        g_i = math.exp(0.5 * math.pi * params.tau * modes.e1)
         dt = 1e3 * params.tau
         early = solve_earlier(sol, params.t0 - dt, params)
         want = g_i * cmath.exp(1j * modes.e1 * dt)
         assert early.upper == pytest.approx(want, rel=1e-8)
         late = solve_later(sol, params.t0 + dt, params)
-        # the later forward branch tends to (1, lower) e^(-i E2 dt), and its
-        # partner's upper component to lower e^(+i E2 dt)
-        want = (sol.c_f * cmath.exp(-1j * modes.e2 * dt)
-                + sol.c_b * sol.later.lower * cmath.exp(1j * modes.e2 * dt))
+        # the later forward branch tends to (cos, sin)(theta2/2) e^(-i E2 dt),
+        # and its partner to (sin, -cos)(theta2/2) e^(+i E2 dt)
+        norm = math.exp(sol.log_norm)
+        want = norm * (sol.u_f * sol.later.cos * cmath.exp(-1j * modes.e2 * dt)
+                       + sol.u_b * sol.later.sin * cmath.exp(1j * modes.e2 * dt))
         assert late.upper == pytest.approx(want, rel=1e-8)
 
 
@@ -447,15 +452,15 @@ class TestMatching:
 
     def test_wronskian_value(self):
         # the determinant of each chart's two branches at t0 is the constant
-        # +2 E1 / m (earlier chart) or -2 E2 / m (later chart); the branch
-        # not summed is the conjugate partner of the one that is
+        # +1 (earlier chart) or -1 (later chart): the branch not summed is
+        # the conjugate partner of the one that is, so the determinant is
+        # +-(|phi|^2 + |theta|^2), the unit norm of a branch on its unit
+        # eigenmode
         params = mk(tau=0.8)
-        modes = asymptotic_modes(params)
         sol = build_solution(params)
-        for chart, pi, want in ((sol.earlier, modes.pi1, 2 * modes.e1 / params.m),
-                                (sol.later, modes.pi2, -2 * modes.e2 / params.m)):
+        for chart, want in ((sol.earlier, 1.0), (sol.later, -1.0)):
             positive = model.TwoSpinor(*analytic._chart_spinor(chart, params, params.t0))
-            other = partner(positive, pi, params.m)
+            other = partner(positive)
             # (|zeta|^(+i eps), |zeta|^(-i eps)) in the parent's order
             f1, f2 = (other, positive) if chart.sign > 0 else (positive, other)
             det = f1.upper * f2.lower - f2.upper * f1.lower
@@ -787,84 +792,143 @@ class TestAcrossTheDoubleRange:
         # tau E2 = 1e-599: the chiral ratio g_f/g_i carries G(-i tau E2) ~
         # i/(tau E2) and is e^1381.55, and match_at_t0 refused it.  The
         # unitary amplitudes take it times cos(theta1/2)/cos(theta2/2) ~
-        # e^-1382, so match_at_t0 answers and they match scatter; only the
-        # later spinors, which need c_f = g_i (g_f/g_i) = e^1397.26, are refused
+        # e^-1382, so match_at_t0 answers and they match scatter.  The
+        # spinors' norm N = e^(pi eps1)/cos(theta1/2) is e^1397.95, with
+        # pi1 = -1e300 and m = 1e-300, so both sides are refused by it
         params = StepParameters(1e-300, 1.0, 0.0, 1e300, 0.0, 1e-299)
         sol = match_at_t0(build_solution(params), params)
         via_gamma = asymptotic_amplitudes(sol, params)
         direct = scatter(params)
         for name in ("f", "b", "F", "B", "F_u", "B_u"):
             assert abs(getattr(via_gamma, name) - getattr(direct, name)) <= 1e-12, name
-        with pytest.raises(ParameterRangeError, match=r"^c_f = e\^\(1397\.26"):
-            solve_later(sol, params.t0 + 0.2 * params.tau, params)
+        for x in (-0.2, 0.2):
+            with pytest.raises(ParameterRangeError, match=_NORM_REFUSAL + r"1397\.95\)"):
+                solve_later(sol, params.t0 + x * params.tau, params)
 
     def test_coefficient_product_beyond_the_range_is_refused(self):
         # tau E1 = 380 and tau E2 = 3.8e-98: g_i = e^(190 pi) and g_f/g_i ~
         # 1e100 are doubles, but c_f = g_i (g_f/g_i) = e^827.16 is not; it was
         # stored as inf, and c_b as NaN.  The amplitudes need only u_f and
-        # u_b, so only the later spinors are refused, by name; tau E2 is not
-        # the cause
+        # u_b; the spinors' norm N = e^(190 pi)/cos(theta1/2) = e^827.854 is
+        # beyond the range, so both sides are refused by it, and tau E2 is
+        # not named
         params = StepParameters(1.0, 1.0, -1e100, 0.0, -1e100, 3.8e-98)
         sol = match_at_t0(build_solution(params), params)
-        assert sol.c_f is None and sol.c_b is None
         res = asymptotic_amplitudes(sol, params)
         assert all(math.isfinite(v) for v in (res.f, res.b, res.F, res.B, res.F_u, res.B_u))
-        with pytest.raises(ParameterRangeError, match=r"^c_f = e\^\(827\.16") as info:
-            solve_later(sol, params.t0 + 0.2 * params.tau, params)
-        assert "c_b = e^(827.16" in str(info.value) and "tau E2" not in str(info.value)
+        for x in (-0.2, 0.2):
+            with pytest.raises(ParameterRangeError, match=_NORM_REFUSAL + r"827\.854\)") as info:
+                solve_later(sol, params.t0 + x * params.tau, params)
+            assert "tau E2" not in str(info.value)
 
     def test_coefficient_product_below_the_range(self):
-        # g_b/g_i underflows to 0 where mode_lower(-pi2, m) overflows to inf,
-        # so c_b = g_i (g_b/g_i) mode_lower was 0 inf = NaN and every later
-        # spinor NaN; taken as one exp, c_b underflows to 0 itself
+        # g_b/g_i underflows to 0 where (E2 + pi2)/m overflows to inf, so
+        # c_b = g_i (g_b/g_i) (E2 + pi2)/m was 0 inf = NaN and every later
+        # spinor NaN; the later backward branch is now the forward one's
+        # partner with no mode factor, and u_b = 0 adds nothing
         args = (5.891118715673762e-233, -0.0010586524023870247, 53834696.87920547,
                 2.407794096770281e+175, 1.7390190064765216e+251)
         modes = model.plateau_modes(*args)
         params = StepParameters(*args, 10.0 / (modes.e1 + modes.e2))
-        assert model.mode_lower(-modes.pi2, params.m) == math.inf
+        # ln((E2 + pi2)/m) = ln cot(theta2/2)
+        lc2, ls2 = model.log_half_angles(modes.pi2, modes.e2, params.m)
+        assert lc2 - ls2 > analytic._LOG_MAX
         sol = match_at_t0(build_solution(params), params)
-        assert sol.u_b == 0.0 and sol.c_b == 0.0 and cmath.isfinite(sol.c_f)
+        assert sol.u_b == 0.0
         psi = solve_later(sol, params.t0 + 0.2 * params.tau, params)
         assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
+        assert abs(math.log(psi.norm_sq) - 2.0 * sol.log_norm) <= 1e-12
 
     @pytest.mark.parametrize("args, refused", [
         # pi1 = 8.3e282, pi2 = -2.6e114 and m = 1.7e-196, tau = 10/(E1 + E2):
-        # g_f/g_i underflows, and c_f theta was 0 inf
+        # g_f/g_i underflows, and c_f theta was 0 inf; the later chart's
+        # lower (E2 - pi2)/m overflows, and that side was refused.  On its
+        # unit eigenmode the chart overflows nowhere, and N = e^15.71
         ((1.7173301279885868e-196, -0.14774443026220513, -2.618135928795297e+114,
-          5.619784929009988e+283, -7.161451251464571e+100, 1.2043956744148708e-282), ("later",)),
-        # pi1 = -1e200 and pi2 = -1.1e200, m = 1e-200: both charts' lower overflow
+          5.619784929009988e+283, -7.161451251464571e+100, 1.2043956744148708e-282), ()),
+        # pi1 = -1e200 and pi2 = -1.1e200, m = 1e-200: both charts' lower
+        # overflow, and N = e^923.298 is beyond the range
         ((1e-200, 1.0, -1e200, 0.0, 1e199, 1e-200), ("earlier", "later")),
     ])
     def test_a_chart_lower_beyond_the_range_is_refused(self, args, refused):
-        # pi < 0 and m << |pi|: a chart's lower (E - pi)/m overflows to inf,
-        # and its spinors were NaN; that side is refused by name instead,
-        # while the amplitudes, which need only u_f and u_b, are still given
+        # pi < 0 and m << |pi|: a chart's lower (E - pi)/m overflowed to inf,
+        # and its spinors were NaN.  Each side is now answered with
+        # |psi| = N, or refused by N, while the amplitudes, which need only
+        # u_f and u_b, are still given
         params = StepParameters(*args)
         sol = match_at_t0(build_solution(params), params)
         assert asymptotic_amplitudes(sol, params).F_u == scatter(params).F_u
-        for side, x, name in (("earlier", -0.2, "(E1 - pi1)/m"), ("later", 0.2, "(E2 - pi2)/m")):
+        for side, x in (("earlier", -0.2), ("later", 0.2)):
             t = params.t0 + x * params.tau
             if side in refused:
-                with pytest.raises(ParameterRangeError, match=re.escape(name)):
+                with pytest.raises(ParameterRangeError, match=_NORM_REFUSAL):
                     solve_earlier(sol, t, params)
             else:
                 psi = solve_earlier(sol, t, params)
                 assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower)
+                assert abs(math.log(psi.norm_sq) - 2.0 * sol.log_norm) <= 1e-12, side
 
     def test_a_coefficient_times_a_chart_lower_beyond_the_range_is_refused(self):
         # draw 3 of the chart-route probe: c_f = 1.0e247 and the later
-        # chart's lower (E2 - pi2)/m = 3.5e170 are doubles, but c_f theta
-        # is not, and the later spinor at t0 + 0.2 tau was -inf + inf i; the
-        # later side is refused by the product's exponent instead
+        # chart's lower (E2 - pi2)/m = 3.5e170 were doubles, but c_f theta
+        # was not, and the later spinor at t0 + 0.2 tau was -inf + inf i.
+        # The norm N = e^(pi eps1)/cos(theta1/2) = e^961.468 of the matched
+        # spinor is beyond the range: both sides are refused by it
         args = (1.0487738141823337e-276, -19.578726679048525, 5.440233947091657e-150,
                 -1.4662355006557483e+133, -9.490275316427631e-108)
         modes = model.plateau_modes(*args)
         params = StepParameters(*args, 10.0 / (modes.e1 + modes.e2))
         sol = match_at_t0(build_solution(params), params)
-        assert 1e170 < sol.later.lower < math.inf
         assert asymptotic_amplitudes(sol, params).F_u == scatter(params).F_u
-        with pytest.raises(ParameterRangeError, match=r"^c_f \(E2 - pi2\)/m = e\^\(961\.468"):
-            solve_later(sol, params.t0 + 0.2 * params.tau, params)
+        for x in (-0.2, 0.2):
+            with pytest.raises(ParameterRangeError, match=_NORM_REFUSAL + r"961\.468\)"):
+                solve_later(sol, params.t0 + x * params.tau, params)
+
+    def test_the_norm_is_the_one_refusal(self):
+        # 300 draws of the chart-route probe, each at t0 -+ 0.2 tau: a side
+        # is refused exactly where ln N = pi eps1 - ln cos(theta1/2) is
+        # beyond ln of the largest double, naming it, and every other
+        # spinor is finite
+        rng = random.Random(20261023)
+
+        def signed(lo, hi):
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+        refusals = 0
+        for _ in range(300):
+            m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
+            p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
+            modes = model.plateau_modes(m, q, p, a1, a2)
+            params = StepParameters(m, q, p, a1, a2, 10.0 / (modes.e1 + modes.e2))
+            sol = match_at_t0(build_solution(params), params)
+            lc1 = model.log_half_angles(modes.pi1, modes.e1, m)[0]
+            want = 0.5 * math.pi * params.tau * modes.e1 - lc1
+            assert abs(sol.log_norm - want) <= 1e-14 * max(1.0, want)
+            for x in (-0.2, 0.2):
+                t = params.t0 + x * params.tau
+                if sol.log_norm > analytic._LOG_MAX:
+                    refusals += 1
+                    with pytest.raises(ParameterRangeError,
+                                       match=_NORM_REFUSAL + re.escape(f"{sol.log_norm:.6g})")):
+                        solve_earlier(sol, t, params)
+                else:
+                    psi = solve_earlier(sol, t, params)
+                    assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower), (params, x)
+        assert 0 < refusals < 600
+
+    @pytest.mark.parametrize("x", [0.05, 0.2])
+    def test_later_side_where_tau_e1_is_subnormal(self, x):
+        # tau E1 = 6.1e-311 is subnormal: the later chart's lower
+        # (E2 - pi2)/m overflowed, and the later side was refused.  On its
+        # unit eigenmode it is answered, with ln|psi|^2 = 2 ln N to 1e-12.
+        # (The earlier side's theta is off there, by up to 4.5e-7 in the
+        # norm, as the earlier plan's f keeps few bits; that is not pinned.)
+        params = StepParameters(7.860244442015603e-96, 495.12812960580635,
+                                2.5908347624842284e-264, 2.257971556520177e-215,
+                                2.5956354406326036e+213, 7.781058924088977e-216)
+        sol = match_at_t0(build_solution(params), params)
+        psi = solve_later(sol, params.t0 + x * params.tau, params)
+        assert abs(math.log(psi.norm_sq) - 2.0 * sol.log_norm) <= 1e-12
 
     def test_matching_where_tau_e2_is_below_the_range(self):
         # tau E2 = 2e-394 underflows to 0, where log G(-i tau E2) hit its

@@ -885,7 +885,8 @@ class TestSelftest:
 
         def early(sol, params):
             sol = real(sol, params)
-            scale = math.exp(math.pi * (sol.earlier.eps - sol.later.eps))
+            # the charts' mu are -i eps1 and +i eps2
+            scale = math.exp(-math.pi * (sol.earlier.mu.imag + sol.later.mu.imag))
             return sol.replace(u_b=scale * sol.u_b)
 
         monkeypatch.setattr(analytic, "match_at_t0", early)

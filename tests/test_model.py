@@ -91,6 +91,19 @@ class TestRecords:
         assert mk().replace(tau=2.0) == mk(tau=2.0)
         assert hash(mk().replace(tau=2.0)) == hash(mk(tau=2.0))
 
+    def test_replace_derives_the_private_values_again(self):
+        # a matched solution's N, N u_f and N u_b follow its log_norm and
+        # amplitudes through replace, and so does the one refusal
+        params = mk()
+        sol = analytic.match_at_t0(analytic.build_solution(params), params)
+        twice = sol.replace(log_norm=sol.log_norm + math.log(2.0))
+        for t in (-0.5, 0.5):
+            one, two = (analytic.solve_earlier(s, t, params) for s in (sol, twice))
+            assert two.upper == pytest.approx(2.0 * one.upper, rel=1e-14)
+            assert two.lower == pytest.approx(2.0 * one.lower, rel=1e-14)
+        with pytest.raises(analytic.ParameterRangeError, match=r"e\^\(1000\)"):
+            analytic.solve_earlier(sol.replace(log_norm=1000.0), 0.5, params)
+
     def test_construction_forms_agree(self):
         forms = [StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5),
                  StepParameters(1.0, 1.0, 2.0, 0.0, 1.0, 0.5, 0.0),
@@ -252,8 +265,10 @@ class TestAsymptoticModes:
 
 
 def chiral_mode(pi, m, positive):
-    # (1, (E - pi)/m) of +E and (1, -(E + pi)/m) of -E
-    return TwoSpinor(1.0, model.mode_lower(pi, m) if positive else -model.mode_lower(-pi, m))
+    # the unit eigenmodes (cos, sin)(theta/2) of +E and (-sin, cos)(theta/2)
+    # of -E, theta = atan2(m, pi), from `model.log_half_angles`
+    c, s = (math.exp(x) for x in model.log_half_angles(pi, math.hypot(pi, m), m))
+    return TwoSpinor(c, s) if positive else TwoSpinor(-s, c)
 
 
 class TestModeSpinors:
@@ -263,7 +278,7 @@ class TestModeSpinors:
 
     @given(st.floats(min_value=-8, max_value=8), st.floats(min_value=0.1, max_value=4))
     def test_eigenvector_identity(self, pi, m):
-        # [[pi, m], [m, -pi]] applied to (1, (E - pi)/m) equals E * the vector
+        # [[pi, m], [m, -pi]] applied to (cos, sin)(theta/2) equals E times it
         e = math.hypot(pi, m)
         v = chiral_mode(pi, m, positive=True)
         top = pi * v.upper + m * v.lower
