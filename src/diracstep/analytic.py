@@ -254,29 +254,32 @@ class ChartExpansion(FrozenRecord):
     """Hypergeometric data of one chart.
 
     sign: +1 for the earlier chart, -1 for the later one, as
-    d(zeta)/dt = sign * 2 zeta / tau.  cos, sin and cos_over_m are
-    cos(theta/2), sin(theta/2) and cos(theta/2)/m of the chart's plateau,
-    theta = atan2(m, pi_asym), each one exp of `model.log_half_angles`: the
-    factors that put the chart's branch on its plateau's unit eigenmode
-    (`_chart_spinor`).  nu = i d is the exponent of (1 - zeta).  The chart
-    holds one Frobenius branch, its positive-frequency one: mu =
-    -sign i tau E_asym/2, the exponent of |zeta| (the module docstring's -mu
-    on the earlier chart, mu on the later), so the branch tends to
-    (cos, sin) e^(-i E_asym (t - t0)) on the chart's plateau, and plan, the
-    series plan of its 2F1, (a', b', c') on the earlier chart and (a, b, c)
-    on the later one, each parameter a gap argument
-    (`_connection_arguments`).  The other branch is that one's conjugate
-    partner (theta*, -phi*) (module docstring), so it needs no series of
-    its own.  The plan is built once with the chart and shared by every
-    evaluation of it; it takes no part in comparison, hash or repr.
+    d(zeta)/dt = sign * 2 zeta / tau.  log_cos and log_sin are
+    ln cos(theta/2) and ln sin(theta/2) of the chart's plateau,
+    theta = atan2(m, pi_asym), from `model.log_half_angles`, and cos_over_m
+    is cos(theta/2)/m (`_half_angles`): the factors that put the chart's
+    branch on its plateau's unit eigenmode (`_chart_spinor`), which reads
+    cos(theta/2) and sin(theta/2) as their exps, derived once here.
+    nu = i d is the exponent of (1 - zeta).  The chart holds one Frobenius
+    branch, its positive-frequency one: mu = -sign i tau E_asym/2, the
+    exponent of |zeta| (the module docstring's -mu on the earlier chart, mu
+    on the later), so the branch tends to (cos, sin) e^(-i E_asym (t - t0))
+    on the chart's plateau, and plan, the series plan of its 2F1,
+    (a', b', c') on the earlier chart and (a, b, c) on the later one, each
+    parameter a gap argument (`_connection_arguments`).  The other branch
+    is that one's conjugate partner (theta*, -phi*) (module docstring), so
+    it needs no series of its own.  The plan is built once with the chart
+    and shared by every evaluation of it; it takes no part in comparison,
+    hash or repr.
     """
 
-    fields = ("sign", "cos", "sin", "cos_over_m", "nu", "mu")
+    fields = ("sign", "log_cos", "log_sin", "cos_over_m", "nu", "mu")
 
-    def __init__(self, sign: int, cos: float, sin: float, cos_over_m: float, nu: complex,
-                 mu: complex, plan: Hyp2F1Plan):
-        self.__dict__.update(sign=sign, cos=cos, sin=sin, cos_over_m=cos_over_m, nu=nu, mu=mu,
-                             plan=plan)
+    def __init__(self, sign: int, log_cos: float, log_sin: float, cos_over_m: float,
+                 nu: complex, mu: complex, plan: Hyp2F1Plan):
+        self.__dict__.update(sign=sign, log_cos=log_cos, log_sin=log_sin, cos_over_m=cos_over_m,
+                             nu=nu, mu=mu, plan=plan, _cos=math.exp(log_cos),
+                             _sin=math.exp(log_sin))
 
 
 class HypergeometricSolution(FrozenRecord):
@@ -378,16 +381,16 @@ def build_solution(params: StepParameters) -> HypergeometricSolution:
 
 
 def _half_angles(pi: float, e: float, m: float) -> tuple[float, float, float]:
-    """cos(theta/2), sin(theta/2) and cos(theta/2)/m, theta = atan2(m, pi),
-    from `model.log_half_angles`.  cos(theta/2)/m is the quotient where
-    cos(theta/2) is a normal double, as the exp of ln cos(theta/2) - ln m
-    would carry ~|ln m| ulps of ln m's rounding (6e-14 at m = 1e200).
-    Where cos(theta/2) is below the normal range (pi < 0, m << |pi|) it is
-    that exp, which stays finite."""
+    """ln cos(theta/2), ln sin(theta/2) and cos(theta/2)/m, theta =
+    atan2(m, pi), from `model.log_half_angles`.  cos(theta/2)/m is the
+    quotient where cos(theta/2) is a normal double, as the exp of
+    ln cos(theta/2) - ln m would carry ~|ln m| ulps of ln m's rounding (6e-14
+    at m = 1e200); that quotient is inf only at a subnormal m, where
+    `_chart_spinor` divides by m last.  Where cos(theta/2) is below the
+    normal range (pi < 0, m << |pi|) it is that exp, which stays finite."""
     lc, ls = log_half_angles(pi, e, m)
     cos = math.exp(lc)
-    return (cos, math.exp(ls),
-            cos / m if cos >= sys.float_info.min else math.exp(lc - math.log(m)))
+    return lc, ls, cos / m if cos >= sys.float_info.min else math.exp(lc - math.log(m))
 
 
 def _chart_spinor(chart: ChartExpansion, params: StepParameters,
@@ -404,7 +407,10 @@ def _chart_spinor(chart: ChartExpansion, params: StepParameters,
     (2 i sign/tau) zeta head f.  f carries a b/c, which is as small as
     E - pi_asym wherever that is small, so nothing cancels.  Times
     cos(theta/2), with (E - pi_asym)/m = tan(theta/2), the branch is
-    (cos phi, sin phi + cos_over_m (2 i sign/tau) zeta head f).
+    (cos phi, sin phi + cos_over_m (2 i sign/tau) zeta head f).  Where
+    cos_over_m is inf (a subnormal m), cos multiplies the second term and m
+    divides it last, so that 1/m is never formed on its own: the branch
+    has unit norm, so (2 i sign/tau) zeta head f is at most 2 m/cos there.
     """
     sign, tau = chart.sign, params.tau
     log_abs_zeta = sign * 2.0 * ((t - params.t0) / tau)
@@ -413,8 +419,10 @@ def _chart_spinor(chart: ChartExpansion, params: StepParameters,
     # zeta < 0, so ln(1 - zeta) is real
     head = cmath.exp(chart.mu * log_abs_zeta + (chart.nu + kappa) * math.log1p(-zeta))
     phi = head * s
-    return (chart.cos * phi,
-            chart.sin * phi + chart.cos_over_m * (sign * 2j * (zeta * head * f / tau)))
+    term = sign * 2j * (zeta * head * f / tau)
+    if chart.cos_over_m < math.inf:
+        return chart._cos * phi, chart._sin * phi + chart.cos_over_m * term
+    return chart._cos * phi, chart._sin * phi + chart._cos * (term / params.m)
 
 
 def solve_earlier(sol: HypergeometricSolution, t: float,
@@ -471,8 +479,8 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     0; log G(a' - b') = log G(+i tau E2) is the conjugate of
     log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
     1/G(a') = 0.  The unitary amplitudes are each one exp of the sum of
-    their factors' logarithms, the half angles' from
-    `model.log_half_angles`: u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
+    their factors' logarithms, the half angles' as the charts hold them
+    (`ChartExpansion`): u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
     - ln cos(theta2/2)) and u_b = e^(log(g_b/g_i) + ln cos(theta1/2)
     - ln sin(theta2/2)), which cannot overflow.  The matched spinor's
     ln N = pi eps1 - ln cos(theta1/2) is set beside them
@@ -484,8 +492,7 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     lg_c = _log_gamma_gap(1.0, -1.0, x_1)
     lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
     log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
-    lc1 = log_half_angles(modes.pi1, modes.e1, m)[0]
-    lc2, ls2 = log_half_angles(modes.pi2, modes.e2, m)
+    lc1, lc2, ls2 = sol.earlier.log_cos, sol.later.log_cos, sol.later.log_sin
     # log_f and lc1 nearly cancel where either is large (~1e3 with u_f ~ 1),
     # so their sum is taken first, exactly, and lc2 rounds only what is left
     u_f = cmath.exp((log_f + lc1) - lc2)

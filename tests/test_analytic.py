@@ -296,6 +296,7 @@ class TestChartEvaluation:
             # the charts' mu are -i eps1 and +i eps2
             eps1, eps2, d = -sol.earlier.mu.imag, chart.mu.imag, chart.nu.imag
             a, b = 1j * (d + eps1 - eps2), 1j * (d - eps1 - eps2)
+            sin2 = math.exp(chart.log_sin)
             for _ in range(20):
                 # |zeta| from e^-8 to 1
                 t = params.t0 + 0.5 * params.tau * rng.uniform(0.0, 8.0)
@@ -308,7 +309,7 @@ class TestChartEvaluation:
                 zeta_dphi = phi * (-1j * eps2 - chart.nu * zeta / (1.0 - zeta)) + head * zeta * df
                 piv = sol.modes.pi2 - sol.modes.delta * zeta / (1.0 - zeta)
                 theta = (1j * (-2.0 / params.tau) * zeta_dphi - piv * phi) / m
-                phi, theta = chart.sin * phi, chart.sin * theta
+                phi, theta = sin2 * phi, sin2 * theta
                 positive = model.TwoSpinor(
                     *analytic._chart_spinor(chart, params, t))
                 got = partner(positive)
@@ -427,8 +428,9 @@ class TestChartEvaluation:
         # the later forward branch tends to (cos, sin)(theta2/2) e^(-i E2 dt),
         # and its partner to (sin, -cos)(theta2/2) e^(+i E2 dt)
         norm = math.exp(sol.log_norm)
-        want = norm * (sol.u_f * sol.later.cos * cmath.exp(-1j * modes.e2 * dt)
-                       + sol.u_b * sol.later.sin * cmath.exp(1j * modes.e2 * dt))
+        cos2, sin2 = math.exp(sol.later.log_cos), math.exp(sol.later.log_sin)
+        want = norm * (sol.u_f * cos2 * cmath.exp(-1j * modes.e2 * dt)
+                       + sol.u_b * sin2 * cmath.exp(1j * modes.e2 * dt))
         assert late.upper == pytest.approx(want, rel=1e-8)
 
 
@@ -769,24 +771,42 @@ class TestAcrossTheDoubleRange:
         # tau (E1 + E2) = 10, at every point: draw 215 has pi tau min(E1, E2)
         # below the normal range, where the chiral amplitude ratio underflowed
         # and the route missed scatter, and draw 236 a ratio of e^715.44,
-        # which was refused; the unitary amplitudes u_f and u_b form neither
+        # which was refused; the unitary amplitudes u_f and u_b form neither.
+        # At t0 -+ 0.2 tau a side is refused exactly where
+        # ln N = pi eps1 - ln cos(theta1/2) is beyond ln of the largest
+        # double, naming it, and every other spinor is finite
         rng = random.Random(20261023)
 
         def signed(lo, hi):
             return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
 
+        refusals = 0
         for _ in range(300):
             m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
             p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
             modes = model.plateau_modes(m, q, p, a1, a2)
             params = StepParameters(m, q, p, a1, a2, 10.0 / (modes.e1 + modes.e2))
-            via_gamma = asymptotic_amplitudes(match_at_t0(build_solution(params), params),
-                                              params)
+            sol = match_at_t0(build_solution(params), params)
+            via_gamma = asymptotic_amplitudes(sol, params)
             direct = scatter(params)
             bar = 1e-10 * max(1.0, direct.f, direct.b)
             for name in ("f", "b", "F", "B", "F_u", "B_u"):
                 assert abs(getattr(via_gamma, name) - getattr(direct, name)) <= bar, (
                     (m, q, p, a1, a2), name)
+            lc1 = model.log_half_angles(modes.pi1, modes.e1, m)[0]
+            want = 0.5 * math.pi * params.tau * modes.e1 - lc1
+            assert abs(sol.log_norm - want) <= 1e-14 * max(1.0, want)
+            for x in (-0.2, 0.2):
+                t = params.t0 + x * params.tau
+                if sol.log_norm > analytic._LOG_MAX:
+                    refusals += 1
+                    with pytest.raises(ParameterRangeError,
+                                       match=_NORM_REFUSAL + re.escape(f"{sol.log_norm:.6g})")):
+                        solve_earlier(sol, t, params)
+                else:
+                    psi = solve_earlier(sol, t, params)
+                    assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower), (params, x)
+        assert 0 < refusals < 600
 
     def test_coefficient_beyond_the_range_is_refused(self):
         # tau E2 = 1e-599: the chiral ratio g_f/g_i carries G(-i tau E2) ~
@@ -849,6 +869,11 @@ class TestAcrossTheDoubleRange:
         # pi1 = -1e200 and pi2 = -1.1e200, m = 1e-200: both charts' lower
         # overflow, and N = e^923.298 is beyond the range
         ((1e-200, 1.0, -1e200, 0.0, 1e199, 1e-200), ("earlier", "later")),
+        # m = 5e-324, pi1 = 1 and pi2 = -3 or 5: cos(theta1/2)/m overflows,
+        # and that inf times the lower term's exact 0 was NaN on both sides;
+        # m divides that term last
+        ((5e-324, 1.0, 1.0, 0.0, 4.0, 1.0), ()),
+        ((5e-324, 1.0, 1.0, 0.0, -4.0, 1.0), ()),
     ])
     def test_a_chart_lower_beyond_the_range_is_refused(self, args, refused):
         # pi < 0 and m << |pi|: a chart's lower (E - pi)/m overflowed to inf,
@@ -883,38 +908,6 @@ class TestAcrossTheDoubleRange:
         for x in (-0.2, 0.2):
             with pytest.raises(ParameterRangeError, match=_NORM_REFUSAL + r"961\.468\)"):
                 solve_later(sol, params.t0 + x * params.tau, params)
-
-    def test_the_norm_is_the_one_refusal(self):
-        # 300 draws of the chart-route probe, each at t0 -+ 0.2 tau: a side
-        # is refused exactly where ln N = pi eps1 - ln cos(theta1/2) is
-        # beyond ln of the largest double, naming it, and every other
-        # spinor is finite
-        rng = random.Random(20261023)
-
-        def signed(lo, hi):
-            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
-
-        refusals = 0
-        for _ in range(300):
-            m, q = 10.0 ** rng.uniform(-300.0, 300.0), signed(-3.0, 3.0)
-            p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
-            modes = model.plateau_modes(m, q, p, a1, a2)
-            params = StepParameters(m, q, p, a1, a2, 10.0 / (modes.e1 + modes.e2))
-            sol = match_at_t0(build_solution(params), params)
-            lc1 = model.log_half_angles(modes.pi1, modes.e1, m)[0]
-            want = 0.5 * math.pi * params.tau * modes.e1 - lc1
-            assert abs(sol.log_norm - want) <= 1e-14 * max(1.0, want)
-            for x in (-0.2, 0.2):
-                t = params.t0 + x * params.tau
-                if sol.log_norm > analytic._LOG_MAX:
-                    refusals += 1
-                    with pytest.raises(ParameterRangeError,
-                                       match=_NORM_REFUSAL + re.escape(f"{sol.log_norm:.6g})")):
-                        solve_earlier(sol, t, params)
-                else:
-                    psi = solve_earlier(sol, t, params)
-                    assert cmath.isfinite(psi.upper) and cmath.isfinite(psi.lower), (params, x)
-        assert 0 < refusals < 600
 
     @pytest.mark.parametrize("x", [0.05, 0.2])
     def test_later_side_where_tau_e1_is_subnormal(self, x):
