@@ -23,25 +23,26 @@ in (u_f and u_b): unitary, so neither can overflow, and with no mode
 factor to form.  Shares nothing with the hypergeometric path except the
 governing equations.
 
-pi(u) is taken from the nearer plateau, pi2 + delta w/(1 + w) for u >= 0
-and pi1 - delta w/(1 + w) for u < 0 with w = e^{-2|u|/tau}, so it keeps
-every digit where one plateau's |pi| is far below the other's.  DOP853
-runs over the window t0 +- U, U = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau
-with SPAN_FACTOR = 9.  Beyond it the coupling is a decaying exponential
-times a plane wave, g = (m/E_i) (delta/E_i) w/tau and
-E = E_i + (pi_i/E_i) delta w to O(w^2), and each tail is added in closed
-form to first order in g.  With w_U = e^{-2U/tau} and
-kappa_i = (m/E_i) (delta/E_i) w_U, the run starts from a = 1,
-b = -kappa1 e^{2i E1 U}/(2 - 2i E1 tau) and
-Theta = -E1 U - (pi1/E1) delta w_U tau/2, and at the end, from a and b both
-read before either update, a gains b kappa2 e^{2i Theta}/(2 - 2i E2 tau),
-b loses a kappa2 e^{-2i Theta}/(2 + 2i E2 tau), and the stripped phase
-gains -(pi2/E2) delta w_U tau/2.  On a plateau g <= (|delta|/m) sech^2, so
-the widening keeps kappa_i <= e^(-2 SPAN_FACTOR) however small m is against
-the step, and the terms left out are O(e^(-4 SPAN_FACTOR)) = 2.3e-16, below
-one ulp of |a| = 1: that bound alone sets SPAN_FACTOR.  Where the window is
-widened, delta w_U is sign(delta) m e^(-2 SPAN_FACTOR), and pi_i delta is
-never formed, so no tail product overflows or underflows where the
+The integration variable is x = u/tau, the transition's own coordinate.
+pi(x) is taken from the nearer plateau, pi2 + delta w/(1 + w) for x >= 0
+and pi1 - delta w/(1 + w) for x < 0 with w = e^{-2|x|}, so it keeps every
+digit where one plateau's |pi| is far below the other's.  DOP853 runs over
+x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 9.
+Beyond it the coupling per unit x is a decaying exponential times a plane
+wave, g = (m/E_i) (delta/E_i) w and E = E_i + (pi_i/E_i) delta w to O(w^2),
+and `_tail` adds each tail in closed form to first order in g: with
+w_X = e^{-2X}, kappa_i = (m/E_i) (delta/E_i) w_X and Theta the phase at the
+window's edge, it maps (a, b) to (a + b T, b - a T*),
+T = kappa_i e^{2i Theta}/(2 + i slope), the slope being 2 tau E1 at the
+start and -2 tau E2 at the end.  The run starts from the incident
+eigenmode a = 1, b = 0 carried across the early tail, with
+Theta = -E1 X tau - (pi1/E1) delta w_X tau/2, and at the end the stripped
+phase gains -(pi2/E2) delta w_X tau/2.  On a plateau g <= (|delta|/m)
+sech^2, so the widening keeps kappa_i <= e^(-2 SPAN_FACTOR) however small m
+is against the step, and the terms left out are O(e^(-4 SPAN_FACTOR)) =
+2.3e-16, below one ulp of |a| = 1: that bound alone sets SPAN_FACTOR.
+delta w_X is sign(delta) min(|delta|, m) e^(-2 SPAN_FACTOR), and pi_i delta
+is never formed, so no tail product overflows or underflows where the
 plateaus' kinematics are finite.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
@@ -64,22 +65,22 @@ relative).
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
 `_stage_profile` evaluates g and E at the stage abscissae in one pass and
-hands `dop853.step` both times the step size h, with
-pi(u) (above) and sech^2(u/tau) = 4w/(1 + w)^2 from the one exponential
-w = e^{-2|u|/tau}, E as hypot(pi, m) and g as
-(m/E) (q (A2 - A1)/E) sech^2/(4 tau), so that nothing overflows where the
-plateaus' kinematics are finite.  A step's last abscissa is the next one's
-first, so each step evaluates eleven nodes and takes stage 1's values from
-the step before, or from the rejected attempt at the same point.  The state
-is carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
+hands `dop853.step` both times the step size h, with pi(x) (above) and
+sech^2(x) = 4w/(1 + w)^2 from the one exponential w = e^{-2|x|}, E as
+hypot(pi, m), and per unit x the coupling g = (m/E) (delta/E) w/(1 + w)^2
+and the Theta-slope tau E, so that nothing overflows where the plateaus'
+kinematics are finite.  A step's last abscissa is the next one's first, so
+each step evaluates eleven nodes and takes stage 1's values from the step
+before, or from the rejected attempt at the same point.  The state is
+carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
 runs the stages as straight-line float arithmetic, bit for bit the complex
 step's, at ~0.9 of its cost (~18 us a step against ~20 us over the seed-1
 inputs of the `oracle-validation` benchmark, CPython 3.11, shared host).
-The integration variable is s = u/S, S the power of two with tau/S
-in [1/2, 1): the slopes per unit s carry no 1/tau, so neither they nor the
-squares of the error norm overflow at any tau, and since scaling by a power
-of two is exact each step is the step in u, bit for bit, wherever no
-intermediate is subnormal.
+Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
+they nor the squares of the error norm overflow at any tau; and scaling
+(m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
+leaves every slope, and so every step, bit for bit as it was, wherever no
+intermediate is subnormal and the window is not widened.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2 = 1, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -91,7 +92,7 @@ which weighs Theta with a and b.
 On both plateaus g is negligible and the step size grows to the window's cap,
 so a step could jump the whole transition, see zero coupling at every stage,
 and return b = 0 with zero drift.  Every trajectory therefore lands a step on
-u = 0, the sech^2 peak, which the error estimate cannot miss.
+x = 0, the sech^2 peak, which the error estimate cannot miss.
 """
 
 from __future__ import annotations
@@ -194,45 +195,50 @@ _NODES = (dop853.C2, dop853.C3, dop853.C4, dop853.C5, dop853.C6, dop853.C7, dop8
 
 
 def _stage_profile(params: StepParameters, modes: AsymptoticModes):
-    """(tau_s, S, profile): s = u/S, tau = tau_s S with tau_s in [1/2, 1), and
-    profile(s, h, g1, e1) gives (hg, hw, g_end, e_end): hg and hw are h times
-    the coupling g and the Theta-slope S E per unit s at the twelve stage
-    abscissae s + Ci h, stage 1 first, as `dop853.step` takes them, and
-    g_end and e_end are g and S E unscaled at s + h, the next step's stage
-    1.  Stage 1's values, at s itself, are passed in as g1 and e1; with
-    h = 0 every abscissa is s, so profile(s, 0.0, 0.0, 0.0)[2:] are the
-    values at s."""
-    m = params.m
+    """The profile in x = (t - t0)/tau: profile(x, h, g1, e1) gives
+    (hg, hw, g_end, e_end), where hg and hw are h times the coupling g and
+    the Theta-slope tau E per unit x at the twelve stage abscissae x + Ci h,
+    stage 1 first, as `dop853.step` takes them, and g_end and e_end are g
+    and tau E unscaled at x + h, the next step's stage 1.  Stage 1's values,
+    at x itself, are passed in as g1 and e1; with h = 0 every abscissa is x,
+    so profile(x, 0.0, 0.0, 0.0)[2:] are the values at x."""
+    m, tau = params.m, params.tau
     pi1, pi2, delta = modes.pi1, modes.pi2, modes.delta
-    tau_s, k = math.frexp(params.tau)
-    scale = math.ldexp(1.0, k)
-    # pi(s) = pi2 + delta w/(1 + w) for s >= 0 and pi1 - delta w/(1 + w) for
-    # s < 0, as 1 - tanh|x| = 2w/(1 + w): pi is taken from the nearer plateau,
+    # pi(x) = pi2 + delta w/(1 + w) for x >= 0 and pi1 - delta w/(1 + w) for
+    # x < 0, as 1 - tanh|x| = 2w/(1 + w): pi is taken from the nearer plateau,
     # so it does not cancel where that plateau's |pi| is far below the other's;
-    # per unit s, Theta' = S E and g = (m/E) (delta/E) sech^2(s/tau_s) / (4 tau_s),
+    # per unit x, Theta' = tau E and g = (m/E) (delta/E) sech^2(x)/4,
     # sech^2 = 4w/(1 + w)^2, with E = hypot(pi, m): each factor is finite
     # where the plateaus' are
-    inv_tau = 1.0 / tau_s
     exp = math.exp
     hypot = math.hypot
 
-    def profile(s, h, g1, e1):
+    def profile(x, h, g1, e1):
         hg = [h * g1]
         hw = [h * e1]
         for c in _NODES:
-            x = (s + c * h) * inv_tau
+            xc = x + c * h
             # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling
-            w = exp(-2.0 * abs(x))
+            w = exp(-2.0 * abs(xc))
             opw = 1.0 + w
             dpi = delta * w / opw
-            e = hypot(pi2 + dpi if x >= 0.0 else pi1 - dpi, m)
-            g = m / e * (delta / e) * w / (opw * opw * tau_s)
-            e = scale * e
+            e = hypot(pi2 + dpi if xc >= 0.0 else pi1 - dpi, m)
+            g = m / e * (delta / e) * w / (opw * opw)
+            e = tau * e
             hg.append(h * g)
             hw.append(h * e)
         return hg, hw, g, e
 
-    return tau_s, scale, profile
+    return profile
+
+
+def _tail(a: complex, b: complex, kappa: float, theta: float, slope: float):
+    """(a, b) carried across one of the coupling's exponential tails beyond
+    the window, to first order in it: (a + b T, b - a T*) with
+    T = kappa e^{2i Theta}/(2 + i slope), Theta the phase at the window's
+    edge and slope 2 tau E1 at the start, -2 tau E2 at the end."""
+    t = kappa * cmath.exp(2j * theta) / complex(2.0, slope)
+    return a + b * t, b - a * t.conjugate()
 
 
 def integrate(params: StepParameters) -> OracleOutcome:
@@ -240,77 +246,72 @@ def integrate(params: StepParameters) -> OracleOutcome:
 
     The incident wave is the unit incident eigenmode, a = 1, b = 0, that is
     phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, on
-    the early plateau.  DOP853 runs over t0 +- U with
-    U = (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau, and the coupling's
-    tails beyond are added in closed form (module docstring).  Reports the
-    amplitudes u_f and u_b of the forward/backward late eigenmodes per unit
-    incident eigenmode, with the e^{-/+ i E2 (t - t0)} phases stripped
-    (`OracleOutcome`); `compare` turns them into f, b and the
-    probabilities.  The window, tolerances and limits are the module
+    the early plateau.  DOP853 runs in x = (t - t0)/tau over
+    x = +-(SPAN_FACTOR + max(0, ln(|delta|/m)/2)), and the coupling's
+    tails beyond are added in closed form by `_tail` (module docstring).
+    Reports the amplitudes u_f and u_b of the forward/backward late
+    eigenmodes per unit incident eigenmode, with the e^{-/+ i E2 (t - t0)}
+    phases stripped (`OracleOutcome`); `compare` turns them into f, b and
+    the probabilities.  The window, tolerances and limits are the module
     constants, read at each call.
     """
-    m = params.m
+    m, tau = params.m, params.tau
     modes = asymptotic_modes(params)
-    tau_e = params.tau * max(modes.e1, modes.e2)
+    e_in, e_out = modes.e1, modes.e2
+    # tau E1 and tau E2, the Theta-slopes per unit x on the plateaus
+    te_in, te_out = tau * e_in, tau * e_out
+    tau_e = max(te_in, te_out)
     if tau_e > MAX_TAU_E:
         raise StepLimitError(
             f"tau max(E1, E2) = {tau_e:.3g} exceeds the integrator's supported "
             f"range {MAX_TAU_E:g}: its steps grow linearly in tau E")
-    # integrate in s = u/S, u = t - t0; the profile depends on t only through s
-    tau_s, scale, profile = _stage_profile(params, modes)
+    profile = _stage_profile(params, modes)
     # on a plateau g <= (|delta|/m) sech^2, so the window widens by
-    # ln(|delta|/m)/2 tau where |delta| > m, and the tails' neglected terms
+    # ln(|delta|/m)/2 where |delta| > m, and the tails' neglected terms
     # stay O(e^(-4 SPAN_FACTOR)) however small m is against the step
     widen = 0.5 * (math.log(abs(modes.delta)) - math.log(m)) if modes.delta else 0.0
-    s_end = (SPAN_FACTOR + max(0.0, widen)) * tau_s
-    s = -s_end
-    # delta w_U, w_U = e^(-2 U/tau), for the closed-form tails beyond the
-    # window (module docstring): where the window is widened it is
-    # sign(delta) m e^(-2 SPAN_FACTOR), which neither overflows nor underflows
-    if widen > 0.0:
-        delta_w = math.copysign(m, modes.delta) * math.exp(-2.0 * SPAN_FACTOR)
-    else:
-        delta_w = modes.delta * math.exp(-2.0 * SPAN_FACTOR)
-    tau, e_in, e_out = params.tau, modes.e1, modes.e2
-    e_u = e_in * (s_end * scale)
-    # the early tail's b from the incident eigenmode, and Theta = E1 u plus
-    # the integral of E - E1 from -inf; the state is carried as the floats
-    # (Re a, Im a, Re b, Im b, Theta)
-    b = -(m / e_in * (delta_w / e_in)) * cmath.exp(2j * e_u) / complex(2.0, -2.0 * e_in * tau)
-    ar = 1.0
-    ai = 0.0
-    br = b.real
-    bi = b.imag
-    ph = -e_u - modes.pi1 / e_in * delta_w * (0.5 * tau)
-    na = 1.0  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_U^2)
+    x_end = SPAN_FACTOR + max(0.0, widen)
+    x = -x_end
+    # delta w_X, w_X = e^(-2 x_end), for the closed-form tails beyond the
+    # window (module docstring): sign(delta) m e^(-2 SPAN_FACTOR) where the
+    # window is widened, which neither overflows nor underflows
+    delta_w = math.copysign(min(abs(modes.delta), m), modes.delta) * math.exp(-2.0 * SPAN_FACTOR)
+    # the incident eigenmode carried across the early tail, and Theta = E1 u
+    # plus the integral of E - E1 from -inf; the state is carried as the
+    # floats (Re a, Im a, Re b, Im b, Theta)
+    ph = -te_in * x_end - modes.pi1 / e_in * delta_w * (0.5 * tau)
+    a, b = _tail(1.0, 0.0, m / e_in * (delta_w / e_in), ph, 2.0 * te_in)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    na = ar * ar + ai * ai  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_X^2)
     nb = br * br + bi * bi
     drift_max = 0.0
-    # stage 1's profile values at s: a step's last stage is at s + h, so an
-    # accepted step hands them on, and a rejected one retries from the same s
-    g1, e1 = profile(s, 0.0, 0.0, 0.0)[2:]
+    # stage 1's profile values at x: a step's last stage is at x + h, so an
+    # accepted step hands them on, and a rejected one retries from the same x
+    g1, e1 = profile(x, 0.0, 0.0, 0.0)[2:]
 
     rtol = REL_TOL  # module settings read once per call, not per step
     atol = ABS_TOL
     step = dop853.step
     sqrt = math.sqrt
-    h_max = 2.0 * s_end / 16.0
-    h = min(tau_s / 4.0, 0.1 / max(modes.e1, modes.e2) / scale)
-    h_min = 1e-14 * tau_s
+    h_max = 2.0 * x_end / 16.0
+    # tau_e underflows to 0 at the least taus
+    h = 0.1 / tau_e if tau_e > 0.4 else 0.25
+    h_min = 1e-14
     max_steps = STEP_BUDGET * (1.0 + tau_e)
     err_prev = 1.0
     steps = 0
     # a remaining sliver below rounding scale contributes nothing but could
     # drive the step size into the underflow guard
-    span_eps = 16.0 * sys.float_info.epsilon * s_end
-    while s_end - s > span_eps:
+    span_eps = 16.0 * sys.float_info.epsilon * x_end
+    while x_end - x > span_eps:
         if steps >= max_steps:
             raise StepLimitError(
-                f"step budget {max_steps:.0f} exceeded at t - t0 = {s * scale:.6g}")
-        # land on the sech^2 peak at s = 0 so no step can jump the transition
-        target = 0.0 if s < 0.0 else s_end
-        if s + h > target:
-            h = target - s
-        hg, hw, g_end, e_end = profile(s, h, g1, e1)
+                f"step budget {max_steps:.0f} exceeded at t - t0 = {x * tau:.6g}")
+        # land on the sech^2 peak at x = 0 so no step can jump the transition
+        target = 0.0 if x < 0.0 else x_end
+        if x + h > target:
+            h = target - x
+        hg, hw, g_end, e_end = profile(x, h, g1, e1)
         (ar_new, ai_new, br_new, bi_new, ph_new, e5ar, e5ai, e5br, e5bi, e5p,
          e3ar, e3ai, e3br, e3bi, e3p) = step(ar, ai, br, bi, ph, hg, hw)
         # per-component weights 1/sc^2, sc = ABS_TOL + REL_TOL max(|y|, |y_new|),
@@ -333,7 +334,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
         err = 0.0 if denom == 0.0 else err5 / sqrt(3.0 * denom)
         steps += 1
         if err <= 1.0:
-            s += h
+            x += h
             ar, ai, br, bi, ph = ar_new, ai_new, br_new, bi_new, ph_new
             na = na_new
             nb = nb_new
@@ -350,23 +351,18 @@ def integrate(params: StepParameters) -> OracleOutcome:
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
         h = min(h, h_max)
         if h <= h_min:
-            raise StepLimitError(f"step size underflow at t - t0 = {s * scale:.6g}")
+            raise StepLimitError(f"step size underflow at t - t0 = {x * tau:.6g}")
 
     if not drift_max <= DRIFT_LIMIT:
         raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
-    # the late tail, from a and b both read before either update, and the
-    # integral of E - E2 to +inf in the phase
-    a = complex(ar, ai)
-    b = complex(br, bi)
-    kappa = m / e_out * (delta_w / e_out)
-    turn = cmath.exp(2j * ph)
-    a, b = (a + b * kappa * turn / complex(2.0, -2.0 * e_out * tau),
-            b - a * kappa * turn.conjugate() / complex(2.0, 2.0 * e_out * tau))
+    # the late tail, and the integral of E - E2 to +inf in the phase
+    a, b = _tail(complex(ar, ai), complex(br, bi), m / e_out * (delta_w / e_out), ph,
+                 -2.0 * te_out)
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-, and the conjugate partner
     # of v+ = (cos theta/2, sin theta/2) is -v-; stripping e^{-/+i E2 u}
     # leaves u_f = a e^{i phase} and u_b = -b e^{-i phase}
-    phase = e_out * (s * scale) - ph - modes.pi2 / e_out * delta_w * (0.5 * tau)
+    phase = te_out * x - ph - modes.pi2 / e_out * delta_w * (0.5 * tau)
     rot = complex(math.cos(phase), math.sin(phase))
     return OracleOutcome(norm_drift=drift_max, u_f=a * rot, u_b=-b * rot.conjugate(),
                          steps=steps)

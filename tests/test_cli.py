@@ -94,14 +94,24 @@ class TestScatter:
 
     @pytest.mark.parametrize("tau", ["1e-100", "1e-200", "1e-300"])
     def test_oracle_at_a_vanishing_tau(self, capsys, tau):
-        # the integration variable is t/tau up to a power of two, so neither
-        # the window nor the steps leave the double range
+        # the integration variable is x = (t - t0)/tau, so neither the
+        # window nor the steps leave the double range
         code, out, _ = run(capsys, "scatter", "--p", RT3_STR, "--a2", A2_STR, "--tau", tau,
                            "--format", "json", "--oracle")
         assert code == 0
         rec = json.loads(out)
         assert rec["oracle_dev_f"] < oracle.COMPARE_TOL
         assert rec["oracle_dev_b"] < oracle.COMPARE_TOL
+
+    def test_oracle_where_tau_e_underflows(self, capsys):
+        # tau max(E1, E2) = 5e-324 * 0.27 rounds to 0: the first step is
+        # 1/4 of a width, not a division by zero
+        code, out, _ = run(capsys, "scatter", "--m", "0.1", "--p", "0.05", "--a2", "0.3",
+                           "--tau", "5e-324", "--oracle", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["oracle_dev_f"] < 1e-13
+        assert rec["oracle_dev_b"] < 1e-13
 
     def test_oracle_refuses_a_slow_step(self, capsys):
         # tau E = 3.2e8 is beyond oracle.MAX_TAU_E: exit 3 at once, nothing printed

@@ -151,43 +151,42 @@ class TestProfile:
         (0.45, -0.9, 1.9, 0.3, 4.4),
     ])
     def test_coupling_and_phase_slope(self, m, q, p, a1, a2, tau):
-        # per unit s = u/S: the coupling S theta'/2 = -S m pi'(u) / (2 E^2)
-        # and the Theta-slope S E(u), h-scaled at h = 1; stage 1's values, at
-        # s, are the unscaled end values of a profile of zero width
+        # per unit x = u/tau: the coupling tau theta'/2 = -tau m pi'(u) / (2 E^2)
+        # and the Theta-slope tau E(u), h-scaled at h = 1; stage 1's values, at
+        # x, are the unscaled end values of a profile of zero width
         params = StepParameters(m=m, q=q, p=p, a1=a1, a2=a2, tau=tau)
-        tau_s, scale, profile = oracle._stage_profile(params, asymptotic_modes(params))
-        assert tau_s * scale == tau and 0.5 <= tau_s < 1.0
+        profile = oracle._stage_profile(params, asymptotic_modes(params))
         for k in range(-40, 39):
-            s = 0.5 * k * tau_s  # stage abscissae up to |s/tau_s| = 20
-            g1, e1 = profile(s, 0.0, 0.0, 0.0)[2:]
-            hg, hw, _, _ = profile(s, 1.0, g1, e1)
+            x = 0.5 * k  # stage abscissae up to |x| = 20
+            g1, e1 = profile(x, 0.0, 0.0, 0.0)[2:]
+            hg, hw, _, _ = profile(x, 1.0, g1, e1)
             for c, g, w in zip(_C, hg, hw):
-                u = (s + c) * scale
+                u = (x + c) * tau
                 piv = p - q * potential_at(u, params)
                 e_sq = piv * piv + m * m
-                want_g = -scale * m * (-q * potential_rate(u, params)) / (2.0 * e_sq)
-                want_w = scale * math.sqrt(e_sq)
+                want_g = -tau * m * (-q * potential_rate(u, params)) / (2.0 * e_sq)
+                want_w = tau * math.sqrt(e_sq)
                 assert abs(g - want_g) <= 1e-14 * abs(want_g), (u, g, want_g)
                 assert abs(w - want_w) <= 1e-14 * want_w, (u, w, want_w)
 
     def test_coupling_beside_a_plateau_at_zero_momentum(self):
-        # pi1 = 1e200, pi2 = 0, tau = 1e-250: at s = 19 tau_s pi is
-        # ~1e200 e^-38, which pi_mid - half_dpi tanh(s/tau_s) lost to rounding
-        # (g = 4.4e183); from the late plateau it keeps every digit.  The
-        # reference is g = (m/E) (delta/E) sech^2(x) / (4 tau_s) in 60 digits,
-        # with pi = pi2 + delta w/(1 + w), w = e^-2x
+        # pi1 = 1e200, pi2 = 0, tau = 1e-250: at x = 19 pi is ~1e200 e^-38,
+        # which pi_mid - half_dpi tanh(x) lost to rounding (g per unit x was
+        # 3.2e183); from the late plateau it keeps every digit.  The
+        # reference is g = (m/E) (delta/E) sech^2(x)/4 per unit x in 60
+        # digits, with pi = pi2 + delta w/(1 + w), w = e^-2x
         params = StepParameters(m=1.0, q=1.0, p=1e200, a1=0.0, a2=1e200, tau=1e-250)
-        tau_s, _, profile = oracle._stage_profile(params, asymptotic_modes(params))
-        g = profile(19.0 * tau_s, 0.0, 0.0, 0.0)[2]
+        profile = oracle._stage_profile(params, asymptotic_modes(params))
+        g = profile(19.0, 0.0, 0.0, 0.0)[2]
         with decimal.localcontext() as ctx:
             ctx.prec = 60
-            delta, tau_s_d = decimal.Decimal(1e200), decimal.Decimal(tau_s)
+            delta = decimal.Decimal(1e200)
             w = decimal.Decimal(-38).exp()
             pi = delta * w / (1 + w)
             e_sq = pi * pi + 1
-            want = delta / e_sq * 4 * w / ((1 + w) ** 2 * 4 * tau_s_d)
+            want = delta / e_sq * 4 * w / ((1 + w) ** 2 * 4)
         assert abs(g - float(want)) <= 1e-14 * float(want), (g, want)
-        assert 4e-184 < g < 5e-184
+        assert 3e-184 < g < 3.4e-184
 
 
 class TestIntegrate:
@@ -206,22 +205,43 @@ class TestIntegrate:
 
     def test_the_first_node_is_handed_on(self, monkeypatch):
         # each step takes stage 1's profile values from the step before, or
-        # from the rejected attempt at the same s; evaluating them afresh at
+        # from the rejected attempt at the same x; evaluating them afresh at
         # every step gives the same outcome, bit for bit
         handed_on = integrate(mk(tau=3.0))
         stage_profile = oracle._stage_profile
 
         def afresh(params, modes):
-            tau_s, scale, profile = stage_profile(params, modes)
+            profile = stage_profile(params, modes)
 
-            def recomputing(s, h, g1, e1):
-                return profile(s, h, *profile(s, 0.0, 0.0, 0.0)[2:])
+            def recomputing(x, h, g1, e1):
+                return profile(x, h, *profile(x, 0.0, 0.0, 0.0)[2:])
 
-            return tau_s, scale, recomputing
+            return recomputing
 
         monkeypatch.setattr(oracle, "_stage_profile", afresh)
         assert integrate(mk(tau=3.0)) == handed_on
         assert handed_on.steps > 360
+
+    @pytest.mark.parametrize("lam", [2.0, 0.25])
+    @pytest.mark.parametrize("kw", [
+        dict(m=0.8, q=-1.2, p=0.4, a1=0.3, a2=-0.2, tau=0.5, t0=1.5),
+        dict(m=1.3, q=0.7, p=-1.1, a1=-0.5, a2=1.0, tau=2.0, t0=-0.7),
+        dict(m=0.6, q=-0.9, p=2.2, a1=0.4, a2=1.0, tau=0.05, t0=0.25),
+        dict(m=1.0, q=1.0, p=0.9, a1=0.0, a2=0.8, tau=1.0, t0=3.0),
+    ], ids=lambda kw: f"tau={kw['tau']:g}")
+    def test_power_of_two_mass_scaling_is_exact(self, kw, lam):
+        # (m, p, a1, a2, tau, t0) -> (l m, l p, l a1, l a2, tau/l, t0/l) leaves
+        # every slope per unit x = (t - t0)/tau unchanged, and scaling by a
+        # power of two is exact, so the run is the same bit for bit.  Only
+        # where |delta| <= m: a widened window's ln|delta| - ln m rounds
+        # differently under the scaling, and in 80 seeded scalings the one
+        # that moved (u by ~2e-14) had |delta| > m
+        base = StepParameters(**kw)
+        assert abs(asymptotic_modes(base).delta) <= base.m
+        scaled = StepParameters(m=lam * base.m, q=base.q, p=lam * base.p, a1=lam * base.a1,
+                                a2=lam * base.a2, tau=base.tau / lam, t0=base.t0 / lam)
+        want, got = integrate(base), integrate(scaled)
+        assert (got.u_f, got.u_b, got.steps) == (want.u_f, want.u_b, want.steps)
 
     def test_norm_conserved_along_trajectory(self):
         out = integrate(mk())
@@ -245,10 +265,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("kw", [
         dict(m=1e200, p=0.0, a2=1e200, tau=1e-300),
         dict(m=1e160, q=1e160, p=0.0, a2=1.0, tau=1e-300),
+        dict(m=1e-308, p=0.0, a2=1e-308, tau=1e308),
     ])
     def test_huge_kinematics_do_not_overflow_the_profile(self, kw):
         # m q (a2 - a1) and pi^2 + m^2 overflow a double; (m/E) (q (a2 - a1)/E)
-        # and E = hypot(pi, m) do not
+        # and E = hypot(pi, m) do not.  At tau = 1e308 the window's 9 tau in t
+        # overflows, but tau E and x do not, so Theta stays finite
         report = compare(mk(**kw))
         assert report.passed
         assert 0.0 < report.outcome.norm_drift <= oracle.DRIFT_LIMIT
@@ -404,8 +426,8 @@ class TestIntegrate:
         assert integrate(mk(tau=tau)).steps <= 200
 
     def test_smallest_tau_gives_the_sharp_step(self):
-        # tau = 5e-324, the least double: Theta' = E is subnormal per unit
-        # s = u/S, Theta barely moves, and the amplitudes are the Heaviside limit's
+        # tau = 5e-324, the least double: Theta' = tau E is subnormal per unit
+        # x = u/tau, Theta barely moves, and the amplitudes are the Heaviside limit's
         params = mk(tau=5e-324)
         out = integrate(params)
         num = result_from_amplitudes(asymptotic_modes(params), params.m, abs(out.u_f),
