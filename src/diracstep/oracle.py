@@ -27,23 +27,38 @@ The integration variable is x = u/tau, the transition's own coordinate.
 pi(x) is taken from the nearer plateau, pi2 + delta w/(1 + w) for x >= 0
 and pi1 - delta w/(1 + w) for x < 0 with w = e^{-2|x|}, so it keeps every
 digit where one plateau's |pi| is far below the other's.  DOP853 runs over
-x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 9.
-Beyond it the coupling per unit x is a decaying exponential times a plane
-wave, g = (m/E_i) (delta/E_i) w and E = E_i + (pi_i/E_i) delta w to O(w^2),
-and `_tail` adds each tail in closed form to first order in g: with
-w_X = e^{-2X}, kappa_i = (m/E_i) (delta/E_i) w_X and Theta the phase at the
-window's edge, it maps (a, b) to (a + b T, b - a T*),
-T = kappa_i e^{2i Theta}/(2 + i slope), the slope being 2 tau E1 at the
-start and -2 tau E2 at the end.  The run starts from the incident
-eigenmode a = 1, b = 0 carried across the early tail, with
-Theta = -E1 X tau - (pi1/E1) delta w_X tau/2, and at the end the stripped
-phase gains -(pi2/E2) delta w_X tau/2.  On a plateau g <= (|delta|/m)
-sech^2, so the widening keeps kappa_i <= e^(-2 SPAN_FACTOR) however small m
-is against the step, and the terms left out are O(e^(-4 SPAN_FACTOR)) =
-2.3e-16, below one ulp of |a| = 1: that bound alone sets SPAN_FACTOR.
-delta w_X is sign(delta) min(|delta|, m) e^(-2 SPAN_FACTOR), and pi_i delta
-is never formed, so no tail product overflows or underflows where the
-plateaus' kinematics are finite.
+x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 6.
+Beyond it the coupling per unit x decays as powers of w times a plane
+wave.  With sigma = -1 at the start and +1 at the end, E_i and pi_i the
+nearer plateau's and D = pi_i delta/E_i, to O(w^2)
+
+    g = (m/E_i) (delta/E_i) w (1 + g1 w),   g1 = -2 - 2 sigma pi_i delta/E_i^2,
+    E = E_i + sigma D w + A2 w^2,            A2 = -sigma D + delta^2 m^2/(2 E_i^3),
+
+and `_tail` adds each tail in closed form to second order in g, as the
+propagator I + int A + int int A A of a' = G b, b' = -G* a.  With
+w_X = e^{-2X}, kappa = (m/E_i) (delta/E_i) w_X, Theta the phase at the
+window's edge and nu = 2 + i slope, the slope being 2 tau E1 at the start
+and -2 tau E2 at the end, it maps (a, b) to ((1 - J) a + T b,
+(1 - J*) b - T* a), with
+
+    T = kappa e^{2i Theta} [1/nu + g1 w_X/(nu + 2) + 2i tau D w_X/(nu (nu + 2))],
+    J = kappa^2 / (4 (2 - 2i tau E_i)),
+
+and Re J = |T|^2/2 to this order, so the map keeps |a|^2 + |b|^2 to
+O(w_X^3).  e^{2i Theta} is expanded about the window's edge, not about the
+plateau, so each term is bounded uniformly in tau: the i tau D term is
+O(D/(tau E_i^2)) where tau E_i is large.  tau times the integral of E - E_i
+across a tail is phi_i = tau (sigma D w_X/2 + A2 w_X^2/4); the run starts
+from the incident eigenmode a = 1, b = 0 carried across the early tail,
+with Theta = -E1 X tau + phi_1, and at the end the stripped phase gains
+-phi_2.  On a plateau g <= (|delta|/m) sech^2, so the widening keeps
+kappa <= e^(-2 SPAN_FACTOR) however small m is against the step, and the
+terms left out are O(e^(-6 SPAN_FACTOR)) = 2.3e-16, below one ulp of
+|a| = 1: that bound alone sets SPAN_FACTOR.  delta w_X is sign(delta)
+min(|delta|, m) e^(-2 SPAN_FACTOR), and every tail term is formed from the
+ratios m/E_i, delta w_X/E_i and pi_i/E_i, so none overflows or underflows
+where the plateaus' kinematics are finite.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
@@ -76,6 +91,8 @@ carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
 runs the stages as straight-line float arithmetic, bit for bit the complex
 step's, at ~0.9 of its cost (~18 us a step against ~20 us over the seed-1
 inputs of the `oracle-validation` benchmark, CPython 3.11, shared host).
+Every step costs about the same, so the window sets the cost: those inputs
+take 16,710 steps in all at SPAN_FACTOR = 6.
 Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
 they nor the squares of the error norm overflow at any tau; and scaling
 (m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
@@ -159,9 +176,9 @@ _PI_ALPHA = 0.7 / 8.0
 _PI_BETA = 0.4 / 8.0
 
 # DOP853 runs over t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at
-# every tau, and the coupling's tails beyond are added to first order in
-# closed form: what that leaves out is O(e^(-4 SPAN_FACTOR)) = 2.3e-16
-SPAN_FACTOR = 9.0
+# every tau, and the coupling's tails beyond are added to second order in
+# closed form: what that leaves out is O(e^(-6 SPAN_FACTOR)) = 2.3e-16
+SPAN_FACTOR = 6.0
 # per-component error weight ABS_TOL + REL_TOL max(|y|, |y_new|)
 REL_TOL = 3e-12
 ABS_TOL = 3e-14
@@ -232,13 +249,20 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     return profile
 
 
-def _tail(a: complex, b: complex, kappa: float, theta: float, slope: float):
-    """(a, b) carried across one of the coupling's exponential tails beyond
-    the window, to first order in it: (a + b T, b - a T*) with
-    T = kappa e^{2i Theta}/(2 + i slope), Theta the phase at the window's
-    edge and slope 2 tau E1 at the start, -2 tau E2 at the end."""
-    t = kappa * cmath.exp(2j * theta) / complex(2.0, slope)
-    return a + b * t, b - a * t.conjugate()
+def _tail(sigma: float, te: float, mu: float, r: float, k: float, w: float):
+    """One of the coupling's exponential tails beyond the window, to second
+    order in it: sigma = -1 at the start and +1 at the end, te = tau E_i,
+    mu = m/E_i, r = pi_i/E_i, k = delta w_X/E_i and w = w_X, with E_i and
+    pi_i the nearer plateau's.  Returns (phi, c, j): phi is tau times the
+    integral of E - E_i across the tail, and the tail maps (a, b) to
+    ((1 - j) a + t b, (1 - j*) b - t* a), t = c e^{2i Theta}, Theta the
+    phase at the window's edge (module docstring)."""
+    nu = complex(2.0, -2.0 * sigma * te)
+    kappa = mu * k
+    c = kappa / nu * (1.0 + (2j * te * r * k - 2.0 * (w + sigma * r * k) * nu) / (nu + 2.0))
+    j = kappa * kappa / complex(8.0, -8.0 * te)
+    phi = te * (0.25 * sigma * r * k * (2.0 - w) + 0.125 * kappa * kappa)
+    return phi, c, j
 
 
 def integrate(params: StepParameters) -> OracleOutcome:
@@ -248,7 +272,8 @@ def integrate(params: StepParameters) -> OracleOutcome:
     phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, on
     the early plateau.  DOP853 runs in x = (t - t0)/tau over
     x = +-(SPAN_FACTOR + max(0, ln(|delta|/m)/2)), and the coupling's
-    tails beyond are added in closed form by `_tail` (module docstring).
+    tails beyond are added in closed form, to second order, by `_tail`
+    (module docstring).
     Reports the amplitudes u_f and u_b of the forward/backward late
     eigenmodes per unit incident eigenmode, with the e^{-/+ i E2 (t - t0)}
     phases stripped (`OracleOutcome`); `compare` turns them into f, b and
@@ -268,7 +293,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
     profile = _stage_profile(params, modes)
     # on a plateau g <= (|delta|/m) sech^2, so the window widens by
     # ln(|delta|/m)/2 where |delta| > m, and the tails' neglected terms
-    # stay O(e^(-4 SPAN_FACTOR)) however small m is against the step
+    # stay O(e^(-6 SPAN_FACTOR)) however small m is against the step
     widen = 0.5 * (math.log(abs(modes.delta)) - math.log(m)) if modes.delta else 0.0
     x_end = SPAN_FACTOR + max(0.0, widen)
     x = -x_end
@@ -276,13 +301,15 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # window (module docstring): sign(delta) m e^(-2 SPAN_FACTOR) where the
     # window is widened, which neither overflows nor underflows
     delta_w = math.copysign(min(abs(modes.delta), m), modes.delta) * math.exp(-2.0 * SPAN_FACTOR)
+    w_x = math.exp(-2.0 * x_end)
     # the incident eigenmode carried across the early tail, and Theta = E1 u
     # plus the integral of E - E1 from -inf; the state is carried as the
     # floats (Re a, Im a, Re b, Im b, Theta)
-    ph = -te_in * x_end - modes.pi1 / e_in * delta_w * (0.5 * tau)
-    a, b = _tail(1.0, 0.0, m / e_in * (delta_w / e_in), ph, 2.0 * te_in)
+    phi, c, j = _tail(-1.0, te_in, m / e_in, modes.pi1 / e_in, delta_w / e_in, w_x)
+    ph = phi - te_in * x_end
+    a, b = 1.0 - j, -(c * cmath.exp(2j * ph)).conjugate()
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    na = ar * ar + ai * ai  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_X^2)
+    na = ar * ar + ai * ai  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_X^3)
     nb = br * br + bi * bi
     drift_max = 0.0
     # stage 1's profile values at x: a step's last stage is at x + h, so an
@@ -357,12 +384,14 @@ def integrate(params: StepParameters) -> OracleOutcome:
         raise NormDriftError(f"norm drift {drift_max:.3e} exceeds limit {DRIFT_LIMIT:.3e}")
 
     # the late tail, and the integral of E - E2 to +inf in the phase
-    a, b = _tail(complex(ar, ai), complex(br, bi), m / e_out * (delta_w / e_out), ph,
-                 -2.0 * te_out)
+    phi, c, j = _tail(1.0, te_out, m / e_out, modes.pi2 / e_out, delta_w / e_out, w_x)
+    t = c * cmath.exp(2j * ph)
+    a, b = complex(ar, ai), complex(br, bi)
+    a, b = (1.0 - j) * a + t * b, (1.0 - j.conjugate()) * b - t.conjugate() * a
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-, and the conjugate partner
     # of v+ = (cos theta/2, sin theta/2) is -v-; stripping e^{-/+i E2 u}
     # leaves u_f = a e^{i phase} and u_b = -b e^{-i phase}
-    phase = te_out * x - ph - modes.pi2 / e_out * delta_w * (0.5 * tau)
+    phase = te_out * x - ph - phi
     rot = complex(math.cos(phase), math.sin(phase))
     return OracleOutcome(norm_drift=drift_max, u_f=a * rot, u_b=-b * rot.conjugate(),
                          steps=steps)
