@@ -64,18 +64,24 @@ The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
 stages per step, taken by `dop853.step`.  Its error estimate blends
 embedded 5th- and 3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100),
-weighed per component by ABS_TOL + REL_TOL max(|y|, |y_new|), taken from
-squared moduli against squared weights, and a PI controller with exponents
-0.7/8 and 0.4/8 sets the next step.  Theta's error sums are taken on the
-slopes' differences from stage 1, so on the plateaus, where its slope is
-constant and g ~ 0, they are exactly 0 and not the rounding noise of
-weights that add to -1.6e-16 in floats: the step counts do not move with
-the last bit of E.  Theta stays in the norm with a and b: `compare` reads
-moduli only, but the phases of u_f and u_b at small m, where pi1 < 0, are
-right only while the step control bounds Theta's error (without Theta's
-terms, runs at p = -1, a2 = 1, tau = 1 and m = 1e-12..1e-300 took 21-22
-steps, not 77-93, and left the backward amplitude off by up to 9.7
-relative).
+taken from squared moduli against squared weights.  a and b are weighed
+by ABS_TOL + REL_TOL max(|y|, |y_new|), and Theta by ABS_TOL + REL_TOL,
+the scale of a and b where |a| ~ 1: an error in Theta is a phase error of
+the amplitudes, absolute however large Theta has grown.  Accepted and
+rejected steps take one rule, h times min(5, max(0.2, 0.9 err^(-0.7/8))),
+5 where err = 0, with no memory of the step before and no cap on h below
+the window, as Hairer's dop853.f runs by default (BETA = 0).  Theta's
+error sums are taken on the slopes' differences from stage 1, so on the
+plateaus, where its slope is constant and g ~ 0, they are exactly 0 and
+not the rounding noise of weights that add to -1.6e-16 in floats: the step
+counts do not move with the last bit of E.  Theta stays in the norm with a
+and b: `compare` reads moduli only, but the phases of u_f and u_b at small
+m, where pi1 < 0, are right only while the step control bounds Theta's
+error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
+3.5e-13 of `analytic.match_at_t0`'s in 76-107 steps; with Theta weighed by
+REL_TOL |Theta|, which grows with tau E times the window, it was off by up
+to 4.1e-12, and without Theta's terms runs took 21-22 steps and left the
+backward amplitude off by up to 9.7 relative.
 
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
@@ -89,10 +95,11 @@ each step evaluates eleven nodes and takes stage 1's values from the step
 before, or from the rejected attempt at the same point.  The state is
 carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
 runs the stages as straight-line float arithmetic, bit for bit the complex
-step's, at ~0.9 of its cost (~18 us a step against ~20 us over the seed-1
-inputs of the `oracle-validation` benchmark, CPython 3.11, shared host).
-Every step costs about the same, so the window sets the cost: those inputs
-take 16,710 steps in all at SPAN_FACTOR = 6.
+step's, at ~0.9 of its cost.  Over the seed-1 inputs of the
+`oracle-validation` benchmark a step costs ~15 us (CPython 3.11.7, one core
+of an Intel Xeon, shared host), and every step costs about the same, so the
+window sets the cost: those inputs take 16,671 steps in all at
+SPAN_FACTOR = 6.
 Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
 they nor the squares of the error norm overflow at any tau; and scaling
 (m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
@@ -104,9 +111,9 @@ the true flow conserves exactly (its generator is anti-Hermitian).  The
 Runge-Kutta steps do not, so the accumulated drift of the norm is a direct
 measure of the error in (a, b) and is enforced, never silently ignored.  An
 error in Theta alone keeps the norm; it is bounded by the step-size control,
-which weighs Theta with a and b.
+which weighs it as an absolute error of a and b.
 
-On both plateaus g is negligible and the step size grows to the window's cap,
+On both plateaus g is negligible and the step size grows five-fold a step,
 so a step could jump the whole transition, see zero coupling at every stage,
 and return b = 0 with zero drift.  Every trajectory therefore lands a step on
 x = 0, the sech^2 peak, which the error estimate cannot miss.
@@ -172,36 +179,39 @@ class ComparisonReport(FrozenRecord):
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 8.0
-_PI_BETA = 0.4 / 8.0
+_EXPONENT = 0.7 / 8.0
 
 # DOP853 runs over t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at
 # every tau, and the coupling's tails beyond are added to second order in
 # closed form: what that leaves out is O(e^(-6 SPAN_FACTOR)) = 2.3e-16
 SPAN_FACTOR = 6.0
-# per-component error weight ABS_TOL + REL_TOL max(|y|, |y_new|)
-REL_TOL = 3e-12
-ABS_TOL = 3e-14
-# measured worst norm drift at these tolerances: 6.9e-14 on the acceptance
-# grid for tau 1e-12..30, 3.5e-13 with random points (signed q, m != 1,
-# a1 != 0, t0 != 0, tau up to ~1e3)
+# a and b are weighed by ABS_TOL + REL_TOL max(|y|, |y_new|) and Theta by
+# ABS_TOL + REL_TOL.  On the benchmark's 384 oracle-validation inputs of
+# seeds 1-3 (tools/census.py) these take 49,945 steps with a worst deviation
+# of 1.6e-13 of max(1, f, b); 3e-12 and 3e-14 take 41,319 steps and 6.2e-13
+REL_TOL = 6e-13
+ABS_TOL = 6e-15
+# measured worst norm drift at these tolerances: 7.4e-14 on the acceptance
+# (p, a2) grid for tau 1e-12..30, 5.8e-13 on 400 seeded random points
+# (m 0.5..2, signed q, a1 != 0, t0 != 0, tau log-uniform from 1e-300 or
+# 1e-2 to 1e3)
 DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2)) steps: the
 # window is a fixed number of tau wide, and the transition's steps grow about
-# linearly in tau E.  Measured over 677 inputs (tau 7e-301..811, signed q,
-# m != 1, a1 != 0): at most 157 steps per unit at REL_TOL and ABS_TOL, 208 at
-# 10x tighter, so a stepper that has lost its order fails in seconds
+# linearly in tau E.  Measured over DRIFT_LIMIT's 400 random points: at most
+# 120 steps per unit at REL_TOL and ABS_TOL, 157 at 10x tighter, both at the
+# least taus, where a run takes a fixed number of steps; so a stepper that
+# has lost its order fails in seconds
 STEP_BUDGET = 1000
 # integrate refuses tau max(E1, E2) above MAX_TAU_E before its first step.
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
 # a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
-# took 69,814 steps in 1.8 s of CPU and tau E = 1e4 took 285,271 steps in
-# 5.2 s, both with norm drift below 7e-13; the command line accepts tau up
+# took 61,409 steps in 1.1 s of CPU and tau E = 1e4 took 251,085 steps in
+# 4.4 s, both with norm drift below 7e-13; the command line accepts tau up
 # to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
-# the worst measured, over 677 inputs with tau 7e-301..811, signed q and
-# m != 1, is 3.8e-13
+# the worst measured, over DRIFT_LIMIT's 400 random points, is 5.8e-13
 COMPARE_TOL = 1e-10
 
 
@@ -318,17 +328,16 @@ def integrate(params: StepParameters) -> OracleOutcome:
 
     rtol = REL_TOL  # module settings read once per call, not per step
     atol = ABS_TOL
+    # Theta's error is a phase error, weighed as a and b are where |a| ~ 1
+    wp = 1.0 / (atol + rtol) ** 2
     step = dop853.step
     sqrt = math.sqrt
-    h_max = 2.0 * x_end / 16.0
     # tau_e underflows to 0 at the least taus
     h = 0.1 / tau_e if tau_e > 0.4 else 0.25
-    h_min = 1e-14
     max_steps = STEP_BUDGET * (1.0 + tau_e)
-    err_prev = 1.0
     steps = 0
-    # a remaining sliver below rounding scale contributes nothing but could
-    # drive the step size into the underflow guard
+    # 16 ulps of x_end: a remaining sliver below it contributes nothing, and
+    # a step size below it is refused as an underflow
     span_eps = 16.0 * sys.float_info.epsilon * x_end
     while x_end - x > span_eps:
         if steps >= max_steps:
@@ -349,8 +358,6 @@ def integrate(params: StepParameters) -> OracleOutcome:
         wa = 1.0 / (sc * sc)
         sc = atol + rtol * sqrt(nb if nb > nb_new else nb_new)
         wb = 1.0 / (sc * sc)
-        sc = atol + rtol * max(abs(ph), abs(ph_new))
-        wp = 1.0 / (sc * sc)
         # DOP853's estimate |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), as an rms
         # over the three components; the sums carry h already
         err5 = (e5ar * e5ar + e5ai * e5ai) * wa + (e5br * e5br + e5bi * e5bi) * wb + e5p * e5p * wp
@@ -371,13 +378,11 @@ def integrate(params: StepParameters) -> OracleOutcome:
             # written as `not <=` so that a NaN drift is kept, and fails below
             if not drift <= drift_max:
                 drift_max = drift
-            factor = _SAFETY * (err ** -_PI_ALPHA if err > 0 else _MAX_FACTOR) * err_prev ** _PI_BETA
-            err_prev = max(err, 1e-4)
-        else:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** -_PI_ALPHA)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h = min(h, h_max)
-        if h <= h_min:
+        # max(_MIN_FACTOR, nan) is _MIN_FACTOR: a NaN error is rejected and
+        # shrinks h to the underflow refusal below, as `err > 0.0` would not
+        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _MAX_FACTOR if err == 0.0
+                                  else _SAFETY * err ** -_EXPONENT))
+        if h <= span_eps:
             raise StepLimitError(f"step size underflow at t - t0 = {x * tau:.6g}")
 
     if not drift_max <= DRIFT_LIMIT:

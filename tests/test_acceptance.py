@@ -119,8 +119,8 @@ def test_criterion_7_oracle_integrity(oracle_grid, monkeypatch):
             patch.setattr(oracle, "SPAN_FACTOR", 24.0)
             wider = compare(params).numeric
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "REL_TOL", 3e-13)
-            patch.setattr(oracle, "ABS_TOL", 3e-15)
+            patch.setattr(oracle, "REL_TOL", oracle.REL_TOL / 10)
+            patch.setattr(oracle, "ABS_TOL", oracle.ABS_TOL / 10)
             tighter = compare(params).numeric
         for other in (wider, tighter):
             worst_change = max(worst_change, abs(other.f - base.f), abs(other.b - base.b))
