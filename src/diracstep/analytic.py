@@ -65,7 +65,7 @@ functions,
     g_f/g_i = G(c') G(b'-a') / (G(b') G(c'-a'))
     g_b/g_i = G(c') G(a'-b') / (G(a') G(c'-b')),
 
-and `match_at_t0` takes each as a sum of log_gamma.  Through
+and `match_at_t0` takes the phase of each from a sum of log_gamma.  Through
 |G(iy)|^2 = pi/(y sinh pi y) and |G(1 + iy)|^2 = pi y/sinh(pi y) (DLMF
 5.4.3, 5.4.4) their moduli are products of sinh factors, the fermion
 Sauter-pulse coefficients (Narozhny & Nikishov, Sov. J. Nucl. Phys. 11, 596
@@ -165,9 +165,14 @@ e^(-/+i E2 (t - t0)) phases stripped, so |u_f|^2 = F_u and |u_b|^2 = B_u.
 A positive-frequency branch with unit head tends to its eigenmode over
 cos(theta/2), and the later partner branch to (sin theta2/2, -cos theta2/2)
 over sin(theta2/2), so u_f = (g_f/g_i) cos(theta1/2)/cos(theta2/2) and
-u_b = (g_b/g_i) cos(theta1/2)/sin(theta2/2): each is one exp of its
-log G sum plus the half angles' logarithms (`model.log_half_angles`), and
-neither can overflow.  `asymptotic_amplitudes` hands |u_f| and |u_b| to
+u_b = (g_b/g_i) cos(theta1/2)/sin(theta2/2).  The half angles are positive
+and the Gamma ratios' moduli are the sinh products, so each is
+e^(ln P/2 + i phase): ln P = ln F_u or ln B_u from `_log_sinh_products`,
+`scatter`'s own formula, and the phase from the log G sum, taken on the
+line Re z = 1 alone as arg G(iy) = arg G(1 + iy) - sign(y) pi/2.  Neither
+can overflow, and |u_f|^2 + |u_b|^2 = F_u + B_u, not a sum of logarithms
+that cancel to ~ulp(ln cos(theta2/2)) where a half angle is small.
+`asymptotic_amplitudes` hands |u_f| and |u_b| to
 `result_from_amplitudes`.  The matched spinor is one real
 N = e^(pi eps1)/cos(theta1/2) times the unit incident eigenmode's solution:
 for t <= t0 the earlier chart's branch, for t > t0 u_f times the later
@@ -184,8 +189,9 @@ incident one's, F = f^2/(f^2+b^2) and B = b^2/(f^2+b^2); they follow from
 the unitary pair by f^2 = F_u E1 (E2 + m)/(E2 (E1 + m)) and
 b^2 = B_u E1 (E2 - m)/(E2 (E1 + m)).  Every route, `scatter`, `sharp_step`,
 `asymptotic_amplitudes` and `oracle.compare`, hands sqrt(F_u) and sqrt(B_u)
-to one assembly (`result_from_amplitudes`), which forms f, b, F and B from
-them.
+(`scatter` and `asymptotic_amplitudes` from one sinh formula, `sharp_step`
+from its tau -> 0 limit) to one assembly (`result_from_amplitudes`), which
+forms f, b, F and B from them.
 """
 
 from __future__ import annotations
@@ -471,38 +477,36 @@ def match_at_t0(sol: HypergeometricSolution, params: StepParameters) -> Hypergeo
     g_b/g_i, are the connection formula's (DLMF 15.8.2) Gamma ratios of the
     module docstring for the incident branch's
     (a', b', c') = (i(d + eps2 - eps1), i(d - eps2 - eps1), 1 - 2i eps1).
-    Every Gamma argument is one of `_connection_arguments`, the gap
-    arguments at k = tau/2 that `build_solution`'s plans read too, so
-    differences are written out rather than subtracted.  All seven log G
-    are taken by one route, `_log_gamma_gap`, which reads an argument below
-    the normal range from its logarithm, so none of them meets the pole at
-    0; log G(a' - b') = log G(+i tau E2) is the conjugate of
-    log G(-i tau E2).  a' = 0 only for a trivial step (delta = 0), where
-    1/G(a') = 0.  The unitary amplitudes are each one exp of the sum of
-    their factors' logarithms, the half angles' as the charts hold them
-    (`ChartExpansion`): u_f = e^(log(g_f/g_i) + ln cos(theta1/2)
-    - ln cos(theta2/2)) and u_b = e^(log(g_b/g_i) + ln cos(theta1/2)
-    - ln sin(theta2/2)), which cannot overflow.  The matched spinor's
+    The unitary amplitudes are u_f = (g_f/g_i) cos(theta1/2)/cos(theta2/2)
+    and u_b = (g_b/g_i) cos(theta1/2)/sin(theta2/2); the half angles are
+    positive, so only the Gamma ratios carry phase, and their moduli are
+    the sinh products (DLMF 5.4.3, 5.4.4).  So |u_f| and |u_b| are
+    e^(ln F_u/2) and e^(ln B_u/2) from `_log_sinh_products`, `scatter`'s
+    own formula, and only the phases are taken from log_gamma, on the line
+    Re z = 1 alone: every Gamma argument is one of `_connection_arguments`,
+    the gap arguments at k = tau/2 that `build_solution`'s plans read too,
+    an argument carried as its logarithm entering as its value, and
+    arg G(iy) = arg G(1 + iy) - sign(y) pi/2.  The pi/2 terms of
+    G(b' - a') = G(-i tau E2) and G(b') cancel in u_f's phase; those of
+    G(a' - b') = G(+i tau E2) and G(a') = G(i s xa) leave (s - 1) pi/2 in
+    u_b's, s the sign of delta.  A trivial step (delta = 0) has
+    ln B_u = -inf, so u_b = e^(-inf + i phase) = 0.  The matched spinor's
     ln N = pi eps1 - ln cos(theta1/2) is set beside them
     (`HypergeometricSolution`); u_f and u_b are always given.
     """
-    modes, m = sol.modes, params.m
-    s, xa, xcb, xb, xca, x_1, x_2 = _connection_arguments(modes, m, params.tau)
-    # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes the conjugate
-    lg_c = _log_gamma_gap(1.0, -1.0, x_1)
-    lg_ba = _log_gamma_gap(0.0, -1.0, x_2)
-    log_f = lg_c + lg_ba - _log_gamma_gap(0.0, -1.0, xb) - _log_gamma_gap(1.0, -1.0, xca)
-    lc1, lc2, ls2 = sol.earlier.log_cos, sol.later.log_cos, sol.later.log_sin
-    # log_f and lc1 nearly cancel where either is large (~1e3 with u_f ~ 1),
-    # so their sum is taken first, exactly, and lc2 rounds only what is left
-    u_f = cmath.exp((log_f + lc1) - lc2)
-    u_b = 0j
-    if xa != 0.0:
-        log_b = (lg_c + lg_ba.conjugate() - _log_gamma_gap(0.0, s, xa)
-                 - _log_gamma_gap(1.0, -s, xcb))
-        u_b = cmath.exp((log_b + lc1) - ls2)
+    modes, tau = sol.modes, params.tau
+    s, *gaps = _connection_arguments(modes, params.m, tau)
+    xa, xcb, xb, xca, x_1, x_2 = (x if x >= 0.0 else math.exp(x) for x in gaps)
+    # c' = 1 - i x_1 and b' - a' = -i x_2; a' - b' = +i x_2 takes -arg_ba
+    arg_c, arg_ba = log_gamma(1.0 - 1j * x_1).imag, log_gamma(1.0 - 1j * x_2).imag
+    phase_f = arg_c + arg_ba - log_gamma(1.0 - 1j * xb).imag - log_gamma(1.0 - 1j * xca).imag
+    phase_b = (arg_c - arg_ba - log_gamma(1.0 + 1j * (s * xa)).imag
+               - log_gamma(1.0 - 1j * (s * xcb)).imag + (s - 1.0) * (0.5 * math.pi))
+    log_f_u, log_b_u = _log_sinh_products(modes, params.m, tau)
     # the earlier chart's mu is -i eps1
-    return sol.replace(u_f=u_f, u_b=u_b, log_norm=math.pi * -sol.earlier.mu.imag - lc1)
+    return sol.replace(u_f=cmath.exp(complex(0.5 * log_f_u, phase_f)),
+                       u_b=cmath.exp(complex(0.5 * log_b_u, phase_b)),
+                       log_norm=math.pi * -sol.earlier.mu.imag - sol.earlier.log_cos)
 
 
 def result_from_amplitudes(modes: AsymptoticModes, m: float, a_f: float,
@@ -545,17 +549,6 @@ def _log_sinh_excess(x: float) -> float:
     A negative x is the logarithm of an argument below the normal range
     (`_gap_arguments`), where ln(2 sinh y) - y = ln 2 + ln y."""
     return math.log(-math.expm1(-2.0 * x)) if x >= 0.0 else math.log(2.0) + x
-
-
-def _log_gamma_gap(shift: float, sign: float, x: float) -> complex:
-    """log G(shift + i sign x), shift 0 or 1, for a gap argument x of
-    `_gap_arguments`.  A negative x is ln y of an argument y below the
-    normal range: log G(1 + i sign y) takes y itself, and
-    log G(i sign y) = log G(1 + i sign y) - ln y - i (pi/2) sign."""
-    if x >= 0.0:
-        return log_gamma(shift + 1j * (sign * x))
-    lg = log_gamma(1.0 + 1j * (sign * math.exp(x)))
-    return lg if shift else lg - complex(x, math.copysign(0.5 * math.pi, sign))
 
 
 def _gap_formula(e1, e2, pi1, pi2, delta, m, k):
@@ -631,22 +624,28 @@ def _gap_arguments(modes: AsymptoticModes, m: float, c: float, tau: float) -> li
         return [float(a) if a >= small or not a else float(a.ln()) for a in exact]
 
 
-def scatter(params: StepParameters) -> ScatteringResult:
-    """Scattering amplitudes and probabilities from the elementary moduli.
-
-    F_u and B_u are the sinh products of the module docstring, each taken in
-    logarithms, and their half-logarithms give the amplitudes
-    `result_from_amplitudes` takes.
-    """
-    modes = asymptotic_modes(params)
-    w, kgap_f, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, params.m, 0.5 * math.pi, params.tau)
+def _log_sinh_products(modes: AsymptoticModes, m: float, tau: float) -> tuple[float, float]:
+    """ln F_u and ln B_u, the sinh products of the module docstring, from
+    `_gap_arguments` at k = pi tau/2; ln B_u is -inf for a trivial step."""
+    w, kgap_f, x_hi, x_lo, x_1, x_2 = _gap_arguments(modes, m, 0.5 * math.pi, tau)
     log_denom = _log_sinh_excess(x_1) + _log_sinh_excess(x_2)
     # the linear parts of the log-sinh pairs cancel exactly in F_u and leave
     # -pi tau (E1 + E2 - |delta|) in B_u, nothing where that is below the range
     log_f_u = _log_sinh_excess(w) + _log_sinh_excess(kgap_f) - log_denom
-    # a trivial step's B_u is 0
     log_b_u = (-2.0 * (kgap_f if kgap_f > 0.0 else 0.0) + _log_sinh_excess(x_hi)
                + _log_sinh_excess(x_lo) - log_denom) if x_lo else -math.inf
+    return log_f_u, log_b_u
+
+
+def scatter(params: StepParameters) -> ScatteringResult:
+    """Scattering amplitudes and probabilities from the elementary moduli.
+
+    F_u and B_u are the sinh products of the module docstring, each taken in
+    logarithms (`_log_sinh_products`), and their half-logarithms give the
+    amplitudes `result_from_amplitudes` takes.
+    """
+    modes = asymptotic_modes(params)
+    log_f_u, log_b_u = _log_sinh_products(modes, params.m, params.tau)
     return result_from_amplitudes(modes, params.m, math.exp(0.5 * log_f_u),
                                   math.exp(0.5 * log_b_u))
 

@@ -78,7 +78,7 @@ counts do not move with the last bit of E.  Theta stays in the norm with a
 and b: `compare` reads moduli only, but the phases of u_f and u_b at small
 m, where pi1 < 0, are right only while the step control bounds Theta's
 error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
-3.5e-13 of `analytic.match_at_t0`'s in 76-107 steps; with Theta weighed by
+2.3e-13 of `analytic.match_at_t0`'s in 76-107 steps; with Theta weighed by
 REL_TOL |Theta|, which grows with tau E times the window, it was off by up
 to 4.1e-12, and without Theta's terms runs took 21-22 steps and left the
 backward amplitude off by up to 9.7 relative.

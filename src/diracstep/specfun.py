@@ -95,8 +95,8 @@ def log_gamma(z: complex) -> complex:
     Re z >= 1 and |z| >= 10, and eight terms of Stirling's series in 1/z
     finish it.
 
-    Against 30-digit mpmath, on the lines Re z = 0 and 1 that
-    `analytic.match_at_t0` visits, the error is within 9e-15 for
+    Against 30-digit mpmath, on the lines Re z = 0 and 1 (`analytic.match_at_t0`
+    visits Re z = 1 alone), the error is within 9e-15 for
     |Im z| <= 10 and within 3.4e-16 |ln G(z)| for 10 < |Im z| <= 400.
     Raises DomainError where not Re z >= 0 (a NaN included) and at the pole
     z = 0.

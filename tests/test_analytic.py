@@ -482,6 +482,49 @@ class TestMatching:
                           (sol.u_b, -4.913461306642281e-45 + 3.158176684955616e-45j)):
             assert abs(got - want) <= 2e-14 * abs(want)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, RT3, 0.0, 2 * RT3, 0.3),  # the anchor
+        (1e-100, 1.0, -1.0, 0.0, 1.0, 1.0),  # ln cos(theta1/2) = -230.6
+        (0.3, -2.0, 4.0, 1.0, 3.0, 30.0),  # B_u = e^-1203, 0 as a double
+        (1e-300, 1.0, 0.0, 1e300, 0.0, 1e-299),  # tau E2 = 1e-599, as its log
+        (1.0, 1.0, RT3, 0.5, 0.5, 0.3),  # a trivial step, B_u = 0
+    ])
+    def test_log_gamma_moduli_are_the_sinh_products(self, args):
+        # match_at_t0 takes |u_f| and |u_b| from the sinh products and only
+        # their phases from log_gamma; through DLMF 5.4.3 and 5.4.4 the real
+        # parts of its log G sums plus the half angles' logarithms are
+        # (1/2) ln F_u and (1/2) ln B_u, which checks log_gamma, on Re z = 0
+        # and 1, and the arrangement of `_connection_arguments` against them
+        def log_gamma_gap(shift, sign, x):
+            # log G(shift + i sign y) of a gap argument: y = x, or y = e^x
+            # where x < 0 carries y as its logarithm, and there
+            # log G(i sign y) = log G(1 + i sign y) - ln y - i sign pi/2
+            if x >= 0.0:
+                return specfun.log_gamma(shift + 1j * (sign * x))
+            lg = specfun.log_gamma(1.0 + 1j * (sign * math.exp(x)))
+            return lg if shift else lg - complex(x, math.copysign(0.5 * math.pi, sign))
+
+        params = StepParameters(*args)
+        modes = asymptotic_modes(params)
+        s, xa, xcb, xb, xca, x_1, x_2 = analytic._connection_arguments(modes, params.m, params.tau)
+        lc1 = model.log_half_angles(modes.pi1, modes.e1, params.m)[0]
+        lc2, ls2 = model.log_half_angles(modes.pi2, modes.e2, params.m)
+        log_f_u, log_b_u = analytic._log_sinh_products(modes, params.m, params.tau)
+        # g_f/g_i = G(c') G(b'-a')/(G(b') G(c'-a')), times cos(theta1/2)/cos(theta2/2)
+        terms = [log_gamma_gap(1.0, -1.0, x_1).real, log_gamma_gap(0.0, -1.0, x_2).real,
+                 -log_gamma_gap(0.0, -1.0, xb).real, -log_gamma_gap(1.0, -1.0, xca).real,
+                 lc1, -lc2]
+        assert abs(sum(terms) - 0.5 * log_f_u) <= 1e-15 * max(1.0, sum(map(abs, terms)))
+        if xa == 0.0:
+            # 1/G(a') = 1/G(0) = 0
+            assert (modes.delta, log_b_u) == (0.0, -math.inf)
+            return
+        # g_b/g_i = G(c') G(a'-b')/(G(a') G(c'-b')), times cos(theta1/2)/sin(theta2/2)
+        terms = [log_gamma_gap(1.0, -1.0, x_1).real, log_gamma_gap(0.0, 1.0, x_2).real,
+                 -log_gamma_gap(0.0, s, xa).real, -log_gamma_gap(1.0, -s, xcb).real,
+                 lc1, -ls2]
+        assert abs(sum(terms) - 0.5 * log_b_u) <= 1e-15 * max(1.0, sum(map(abs, terms)))
+
     def test_sharp_limit_of_amplitudes(self, anchor_kw):
         soft = scatter(StepParameters(tau=1e-4, **anchor_kw))
         hard = sharp_step(**anchor_kw)

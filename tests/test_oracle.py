@@ -425,8 +425,8 @@ class TestIntegrate:
         assert abs(out.u_b - sol.u_b) <= 1e-9 * abs(sol.u_b)
 
     def test_step_cap_enforced(self, monkeypatch):
-        # tau = 30 takes ~3.5k steps, 58 per unit of 1 + tau E; a budget of
-        # 16 per unit allows ~1k
+        # tau = 30 takes 2,828 steps, 46 per unit of 1 + tau E; a budget of
+        # 16 per unit allows ~980
         monkeypatch.setattr(oracle, "STEP_BUDGET", 16)
         with pytest.raises(StepLimitError):
             integrate(mk(tau=30.0))
