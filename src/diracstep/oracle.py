@@ -62,19 +62,11 @@ where the plateaus' kinematics are finite.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
-stages per step, taken by `dop853.step`.  Its error estimate blends
-embedded 5th- and 3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100),
-taken from squared moduli against squared weights.  a and b are weighed
-by ABS_TOL + REL_TOL max(|y|, |y_new|), and Theta by ABS_TOL + REL_TOL,
-the scale of a and b where |a| ~ 1: an error in Theta is a phase error of
-the amplitudes, absolute however large Theta has grown.  Accepted and
-rejected steps take one rule, h times min(5, max(0.2, 0.9 err^(-0.7/8))),
-5 where err = 0, with no memory of the step before and no cap on h below
-the window, as Hairer's dop853.f runs by default (BETA = 0).  Theta's
-error sums are taken on the slopes' differences from stage 1, so on the
-plateaus, where its slope is constant and g ~ 0, they are exactly 0 and
-not the rounding noise of weights that add to -1.6e-16 in floats: the step
-counts do not move with the last bit of E.  Theta stays in the norm with a
+stages per step, taken by `dop853.step`, which returns the step's error
+scaled by ABS_TOL and REL_TOL (its docstring).  Accepted and rejected steps
+take one rule, h times min(5, max(0.2, 0.9 err^(-0.7/8))), 5 where err = 0,
+with no memory of the step before and no cap on h below the window, as
+Hairer's dop853.f runs by default (BETA = 0).  Theta stays in the norm with a
 and b: `compare` reads moduli only, but the phases of u_f and u_b at small
 m, where pi1 < 0, are right only while the step control bounds Theta's
 error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
@@ -95,11 +87,7 @@ each step evaluates eleven nodes and takes stage 1's values from the step
 before, or from the rejected attempt at the same point.  The state is
 carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
 runs the stages as straight-line float arithmetic, bit for bit the complex
-step's, at ~0.9 of its cost.  Over the seed-1 inputs of the
-`oracle-validation` benchmark a step costs ~15 us (CPython 3.11.7, one core
-of an Intel Xeon, shared host), and every step costs about the same, so the
-window sets the cost: those inputs take 16,671 steps in all at
-SPAN_FACTOR = 6.
+step's, at ~0.9 of its cost.
 Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
 they nor the squares of the error norm overflow at any tau; and scaling
 (m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
@@ -215,12 +203,6 @@ MAX_TAU_E = 1e4
 COMPARE_TOL = 1e-10
 
 
-# stage abscissae as fractions of the step for stages 2..12 (C12 = 1); stage
-# 1's, at the step's start, is the last one of the step before
-_NODES = (dop853.C2, dop853.C3, dop853.C4, dop853.C5, dop853.C6, dop853.C7, dop853.C8,
-          dop853.C9, dop853.C10, dop853.C11, 1.0)
-
-
 def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     """The profile in x = (t - t0)/tau: profile(x, h, g1, e1) gives
     (hg, hw, g_end, e_end), where hg and hw are h times the coupling g and
@@ -243,7 +225,7 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
     def profile(x, h, g1, e1):
         hg = [h * g1]
         hw = [h * e1]
-        for c in _NODES:
+        for c in dop853.NODES:
             xc = x + c * h
             # w = e^{-2|x|}: the sech^2 tails underflow instead of cancelling
             w = exp(-2.0 * abs(xc))
@@ -319,8 +301,6 @@ def integrate(params: StepParameters) -> OracleOutcome:
     ph = phi - te_in * x_end
     a, b = 1.0 - j, -(c * cmath.exp(2j * ph)).conjugate()
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    na = ar * ar + ai * ai  # |a|^2 and |b|^2 of the state, whose sum is 1 to O(w_X^3)
-    nb = br * br + bi * bi
     drift_max = 0.0
     # stage 1's profile values at x: a step's last stage is at x + h, so an
     # accepted step hands them on, and a rejected one retries from the same x
@@ -331,7 +311,6 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # Theta's error is a phase error, weighed as a and b are where |a| ~ 1
     wp = 1.0 / (atol + rtol) ** 2
     step = dop853.step
-    sqrt = math.sqrt
     # tau_e underflows to 0 at the least taus
     h = 0.1 / tau_e if tau_e > 0.4 else 0.25
     max_steps = STEP_BUDGET * (1.0 + tau_e)
@@ -348,33 +327,14 @@ def integrate(params: StepParameters) -> OracleOutcome:
         if x + h > target:
             h = target - x
         hg, hw, g_end, e_end = profile(x, h, g1, e1)
-        (ar_new, ai_new, br_new, bi_new, ph_new, e5ar, e5ai, e5br, e5bi, e5p,
-         e3ar, e3ai, e3br, e3bi, e3p) = step(ar, ai, br, bi, ph, hg, hw)
-        # per-component weights 1/sc^2, sc = ABS_TOL + REL_TOL max(|y|, |y_new|),
-        # from the squared moduli of a and b
-        na_new = ar_new * ar_new + ai_new * ai_new
-        nb_new = br_new * br_new + bi_new * bi_new
-        sc = atol + rtol * sqrt(na if na > na_new else na_new)
-        wa = 1.0 / (sc * sc)
-        sc = atol + rtol * sqrt(nb if nb > nb_new else nb_new)
-        wb = 1.0 / (sc * sc)
-        # DOP853's estimate |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), as an rms
-        # over the three components; the sums carry h already
-        err5 = (e5ar * e5ar + e5ai * e5ai) * wa + (e5br * e5br + e5bi * e5bi) * wb + e5p * e5p * wp
-        denom = err5 + 0.01 * ((e3ar * e3ar + e3ai * e3ai) * wa
-                               + (e3br * e3br + e3bi * e3bi) * wb + e3p * e3p * wp)
-        # denom = 0: every error sum squares to below the double range, so
-        # the step's scaled error is below 1e-148; a NaN error is refused
-        err = 0.0 if denom == 0.0 else err5 / sqrt(3.0 * denom)
+        # the state at x + h, and the step's error scaled by the tolerances
+        ar1, ai1, br1, bi1, ph1, err = step(ar, ai, br, bi, ph, hg, hw, rtol, atol, wp)
         steps += 1
         if err <= 1.0:
             x += h
-            ar, ai, br, bi, ph = ar_new, ai_new, br_new, bi_new, ph_new
-            na = na_new
-            nb = nb_new
-            g1 = g_end
-            e1 = e_end
-            drift = abs(na + nb - 1.0)
+            ar, ai, br, bi, ph = ar1, ai1, br1, bi1, ph1
+            g1, e1 = g_end, e_end
+            drift = abs((ar * ar + ai * ai) + (br * br + bi * bi) - 1.0)
             # written as `not <=` so that a NaN drift is kept, and fails below
             if not drift <= drift_max:
                 drift_max = drift

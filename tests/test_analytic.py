@@ -482,6 +482,35 @@ class TestMatching:
                           (sol.u_b, -4.913461306642281e-45 + 3.158176684955616e-45j)):
             assert abs(got - want) <= 2e-14 * abs(want)
 
+    @pytest.mark.parametrize("args, t0, u_f, u_b", [
+        # the anchor, eps1 + eps2 = 0.6
+        ((1.0, 1.0, RT3, 0.0, 2 * RT3, 0.3), 0.0,
+         0.6295165422155353 + 0.13717514360129868j, 0.7647822585906129 - 1.5330622737491956e-51j),
+        # selftest's asymmetric point, eps1 + eps2 = 0.92
+        ((0.8, -1.3, 0.9, 0.4, -1.6, 0.6), 1.5,
+         0.679611902401891 + 0.34389012578032796j, 0.6479071246834327 - 0.009143374044613658j),
+        # the anchor, eps1 + eps2 = 60
+        ((1.0, 1.0, RT3, 0.0, 2 * RT3, 30.0), 0.0,
+         -0.9639829425838363 - 0.2659640697677192j, 1.077689705865085e-11 + 3.686926098260272e-60j),
+        # delta < 0, eps1 + eps2 = 129.6
+        ((1.2, 0.9, -0.7, 0.3, -2.6, 72.5), 0.0,
+         0.7335154858015067 - 0.6796727389629362j, -4.747577712619396e-49 + 1.776665610720466e-48j),
+    ])
+    def test_amplitudes_are_the_gamma_ratios(self, args, t0, u_f, u_b):
+        # u_f and u_b, phases included, against the Gamma ratios of the test
+        # above, computed once with mpmath (dps 50) from these exact binary
+        # inputs.  The phases are sums of log G in floats, good to ~ulp of the
+        # largest term: over 6,000 draws with eps1 + eps2 in 0.5..196 (m in
+        # 0.3..3, signed q, a1 != 0) |du_f| and |du_b|/|u_b| were at most 28
+        # ulps per unit of max(1, eps1 + eps2); the bar is twice that, and at
+        # most 5e-13
+        params = StepParameters(*args, t0=t0)
+        sol = match_at_t0(build_solution(params), params)
+        eps_sum = 0.5 * params.tau * (sol.modes.e1 + sol.modes.e2)
+        bar = min(5e-13, 1.25e-14 * max(1.0, eps_sum))
+        assert abs(sol.u_f - u_f) <= bar
+        assert abs(sol.u_b - u_b) <= bar * abs(u_b)
+
     @pytest.mark.parametrize("args", [
         (1.0, 1.0, RT3, 0.0, 2 * RT3, 0.3),  # the anchor
         (1e-100, 1.0, -1.0, 0.0, 1.0, 1.0),  # ln cos(theta1/2) = -230.6

@@ -86,6 +86,29 @@ def reference_step(a, b, ph, hg, hw):
     return (a + sa, b + sb, ph + sp, ea5, eb5, ep5, ea3, eb3, ep3)
 
 
+def reference_error(a, b, out, rtol, atol, wp):
+    """dop853.f's blend |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), an rms over a,
+    b and Theta, of the sums in reference_step's output `out` from (a, b):
+    a and b weighed by atol + rtol max(|y|, |y_new|), Theta by 1/sqrt(wp)."""
+    a_new, b_new, _, ea5, eb5, ep5, ea3, eb3, ep3 = out
+
+    def sq(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def weight(y, y_new):
+        sc = atol + rtol * math.sqrt(max(sq(y), sq(y_new)))
+        return 1.0 / (sc * sc)
+
+    wa, wb = weight(a, a_new), weight(b, b_new)
+    err5 = sq(ea5) * wa + sq(eb5) * wb + ep5 * ep5 * wp
+    denom = err5 + 0.01 * (sq(ea3) * wa + sq(eb3) * wb + ep3 * ep3 * wp)
+    return 0.0 if denom == 0.0 else err5 / math.sqrt(3.0 * denom)
+
+
+# the oracle's tolerances, as integrate hands them to the step
+TOLS = (oracle.REL_TOL, oracle.ABS_TOL, 1.0 / (oracle.ABS_TOL + oracle.REL_TOL) ** 2)
+
+
 def toy_profile(u, h):
     # h-scaled coupling and phase slope that differ at every stage
     return ([h * (0.8 + 0.3 * math.sin(3.0 * (u + c * h))) for c in _C],
@@ -119,12 +142,10 @@ class TestStep:
     def assert_matches_reference(a, b, ph, hg, hw):
         # the float step takes the state as (Re a, Im a, Re b, Im b, Theta), the
         # reference complex a and b; both take the h-scaled profile
-        out = dop853.step(a.real, a.imag, b.real, b.imag, ph, hg, hw)
+        out = dop853.step(a.real, a.imag, b.real, b.imag, ph, hg, hw, *TOLS)
         ref = reference_step(a, b, ph, hg, hw)
-        got = (complex(out[0], out[1]), complex(out[2], out[3]), out[4],
-               complex(out[5], out[6]), complex(out[7], out[8]), out[9],
-               complex(out[10], out[11]), complex(out[12], out[13]), out[14])
-        assert got == ref
+        got = (complex(out[0], out[1]), complex(out[2], out[3]), out[4], out[5])
+        assert got == ref[:3] + (reference_error(a, b, ref, *TOLS),)
 
     @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4, 1.7])
     def test_matches_the_tableau_loop_bit_for_bit(self, h):
@@ -139,6 +160,20 @@ class TestStep:
         hg = [x * 1e-310 for x in hg]
         self.assert_matches_reference(0.3 - 0.8j, 1.2 + 0.1j, -4.0, hg, hw)
         self.assert_matches_reference(1.0 + 0.0j, 0.0j, 0.0, hg, hw)
+
+    # a NaN must reach the error, which then fails every comparison, so
+    # that integrate rejects the step and never accepts a NaN state
+    @pytest.mark.parametrize("part", range(5))
+    def test_a_nan_state_gives_a_nan_error(self, part):
+        state = [1.0, 0.0, 0.0, 0.0, -4.0]
+        state[part] = math.nan
+        assert math.isnan(dop853.step(*state, *toy_profile(0.7, 0.05), *TOLS)[5])
+
+    @pytest.mark.parametrize("stage", range(12))
+    def test_a_nan_stage_coupling_gives_a_nan_error(self, stage):
+        hg, hw = toy_profile(0.7, 0.05)
+        hg[stage] = math.nan
+        assert math.isnan(dop853.step(1.0, 0.0, 0.0, 0.0, -4.0, hg, hw, *TOLS)[5])
 
 
 class TestProfile:
@@ -254,16 +289,16 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_nan_state_is_never_returned(self, monkeypatch, bad):
-        # a step that returns a NaN or infinite state with zero error sums: its
-        # error weights are NaN or 0, and its norm drift NaN or inf, and none
-        # of these may pass a comparison with a limit
+        # a step that returns a NaN or infinite state with zero error: its
+        # norm drift is NaN or inf, and neither may pass a comparison with a
+        # limit
         monkeypatch.setattr(dop853, "step",
-                            lambda ar, ai, br, bi, ph, hg, hw: (bad,) * 4 + (ph,) + (0.0,) * 10)
+                            lambda ar, ai, br, bi, ph, *profile_and_tols: (bad,) * 4 + (ph, 0.0))
         with pytest.raises(oracle.OracleError):
             integrate(mk())
 
     def test_a_nan_error_shrinks_the_step_to_a_refusal(self, monkeypatch):
-        # finite amplitudes with NaN error sums: every step is rejected and h
+        # finite amplitudes with a NaN error: every step is rejected and h
         # shrinks by _MIN_FACTOR to the underflow refusal within a few dozen
         # attempts; a rule that read a NaN error as no error would grow h
         # and run to the step budget, 1,600 attempts here
@@ -272,7 +307,7 @@ class TestIntegrate:
 
         def nan_errors(*args):
             calls.append(None)
-            return real_step(*args)[:5] + (math.nan,) * 10
+            return real_step(*args)[:5] + (math.nan,)
 
         monkeypatch.setattr(dop853, "step", nan_errors)
         with pytest.raises(StepLimitError, match="step size underflow"):
