@@ -29,7 +29,7 @@ rounding noise of weights that add to -1.6e-16 in floats: the step counts
 do not move with the last bit of E.  Over the seed-1 inputs of the
 `oracle-validation` benchmark a step costs ~15 us (CPython 3.11.7, one
 core of an Intel Xeon, shared host), and every step costs about the same,
-so the oracle's window sets the cost: those inputs take 16,671 steps in all.
+so the oracle's window sets the cost: those inputs take 9,592 steps in all.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its
