@@ -16,20 +16,20 @@ almost every tableau term is a complex times a real.  The step is straight-line
 code that reads the constants by name, and forms the amplitudes' e3 as
 dop853.f does: the 8th-order sum less the 3rd-order weights' terms.
 
-The step returns its scaled error, dop853.f's blend of the embedded 5th-
-and 3rd-order solutions, |e5|^2 / sqrt(|e5|^2 + |e3|^2 / 100), an rms over
-a, b and Theta taken from squared moduli against squared weights.  a and b
-are weighed by atol + rtol max(|y|, |y_new|), and Theta by 1/sqrt(wp),
-which `oracle` sets to atol + rtol, the scale of a and b where |a| ~ 1: an
-error in Theta is a phase error of the amplitudes, absolute however large
-Theta has grown.  Theta's error sums are taken on the slopes' differences
-from stage 1, exact as each sum's weights add to 0, so on the plateaus,
-where its slope is constant and g ~ 0, they are exactly 0 and not the
-rounding noise of weights that add to -1.6e-16 in floats: the step counts
-do not move with the last bit of E.  Over the seed-1 inputs of the
-`oracle-validation` benchmark a step costs ~15 us (CPython 3.11.7, one
+The step returns its error in units of one absolute tolerance, dop853.f's
+blend of the embedded 5th- and 3rd-order solutions,
+|e5|^2 / (tol sqrt(|e5|^2 + |e3|^2 / 100)), an rms over a, b and Theta
+taken from squared moduli.  Every component is held to the same tol: the
+state is unitary, |a|^2 + |b|^2 = 1, so no component's scale exceeds 1,
+and an error in Theta is a phase error of the amplitudes, absolute however
+large Theta has grown.  Theta's error sums are taken on the slopes'
+differences from stage 1, exact as each sum's weights add to 0, so on the
+plateaus, where its slope is constant and g ~ 0, they are exactly 0 and not
+the rounding noise of weights that add to -1.6e-16 in floats: the step
+counts do not move with the last bit of E.  Over the seed-1 inputs of the
+`oracle-validation` benchmark a step costs ~16 us (CPython 3.11.7, one
 core of an Intel Xeon, shared host), and every step costs about the same,
-so the oracle's window sets the cost: those inputs take 9,592 steps in all.
+so the oracle's window sets the cost: those inputs take 8,684 steps in all.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its
@@ -143,12 +143,12 @@ B3_9 = 0.733846688281611857341361741547
 B3_12 = 0.220588235294117647058823529412e-1
 
 
-def step(ar, ai, br, bi, ph, hg, hw, rtol, atol, wp):
+def step(ar, ai, br, bi, ph, hg, hw, tol):
     """One DOP853 step of (a, b, Theta), a = ar + i ai and b = br + i bi, of
     size h from the h-scaled profile at its twelve stages, hg = h g and
     hw = h e.  Returns the 8th-order state at s + h, (ar, ai, br, bi, Theta),
-    and the step's scaled error: the rms blend of the module docstring, a
-    and b weighed by atol + rtol max(|y|, |y_new|) and Theta by 1/sqrt(wp).
+    and the step's error in units of the absolute tolerance tol: the rms
+    blend of the module docstring.
 
     Each stage's coupling G = h g e^{2i Theta_i} is formed as hg cos 2Theta_i,
     hg sin 2Theta_i, what cmath.rect computes, and the slopes G b_i and
@@ -336,22 +336,12 @@ def step(ar, ai, br, bi, ph, hg, hw, rtol, atol, wp):
            + (kp10 - kp1) * E5_10 + (kp11 - kp1) * E5_11 + (kp12 - kp1) * E5_12)
     e3p = ((kp6 - kp1) * B6 + (kp7 - kp1) * B7 + (kp8 - kp1) * B8 + (kp9 - kp1) * (B9 - B3_9)
            + (kp10 - kp1) * B10 + (kp11 - kp1) * B11 + (kp12 - kp1) * (B12 - B3_12))
-    # the weights 1/sc^2, sc = atol + rtol max(|y|, |y_new|), of a and b from
-    # their squared moduli; the b-sums are kept negated, which squares away
-    sqrt = math.sqrt
-    n0 = ar * ar + ai * ai
     ar, ai = ar + sar, ai + sai
-    n1 = ar * ar + ai * ai
-    sc = atol + rtol * sqrt(n0 if n0 > n1 else n1)
-    wa = 1.0 / (sc * sc)
-    n0 = br * br + bi * bi
     br, bi = br - sbr, bi - sbi
-    n1 = br * br + bi * bi
-    sc = atol + rtol * sqrt(n0 if n0 > n1 else n1)
-    wb = 1.0 / (sc * sc)
-    err5 = (e5ar * e5ar + e5ai * e5ai) * wa + (e5br * e5br + e5bi * e5bi) * wb + e5p * e5p * wp
-    denom = err5 + 0.01 * ((e3ar * e3ar + e3ai * e3ai) * wa
-                           + (e3br * e3br + e3bi * e3bi) * wb + e3p * e3p * wp)
-    # denom = 0: every error sum squares to below the double range, so the
-    # scaled error is below 1e-148; a NaN state or profile gives a NaN error
-    return ar, ai, br, bi, ph + sp, 0.0 if denom == 0.0 else err5 / sqrt(3.0 * denom)
+    # one absolute tolerance on every component (module docstring); the
+    # b-sums are kept negated, which squares away
+    err5 = (e5ar * e5ar + e5ai * e5ai) + (e5br * e5br + e5bi * e5bi) + e5p * e5p
+    denom = err5 + 0.01 * ((e3ar * e3ar + e3ai * e3ai) + (e3br * e3br + e3bi * e3bi) + e3p * e3p)
+    # denom = 0: every error sum squares to below the double range, so each
+    # is below 1e-161; a NaN state or profile gives a NaN error
+    return ar, ai, br, bi, ph + sp, 0.0 if denom == 0.0 else err5 / (tol * math.sqrt(3.0 * denom))

@@ -71,17 +71,19 @@ plateaus' kinematics are finite.
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
 stages per step, taken by `dop853.step`, which returns the step's error
-scaled by ABS_TOL and REL_TOL (its docstring).  Accepted and rejected steps
+in units of TOL, one absolute tolerance on every component of the unitary
+state (its docstring).  Accepted and rejected steps
 take one rule, h times min(5, max(0.2, 0.9 err^(-0.7/8))), 5 where err = 0,
 with no memory of the step before and no cap on h below the window, as
 Hairer's dop853.f runs by default (BETA = 0).  Theta stays in the norm with a
 and b: `compare` reads moduli only, but the phases of u_f and u_b at small
 m, where pi1 < 0, are right only while the step control bounds Theta's
 error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
-3.4e-13 of `analytic.match_at_t0`'s in 67-107 steps; with Theta weighed by
-REL_TOL |Theta|, which grows with tau E times the window, it was off by up
-to 4.1e-12, and without Theta's terms runs took 21-22 steps and left the
-backward amplitude off by up to 9.7 relative.
+3.4e-13 of `analytic.match_at_t0`'s, and u_b within 1e-10 relative, in
+82-124 steps; with Theta's error weighed relative to |Theta|, which grows
+with tau E times the window, u_f was off by up to 4.1e-12, and without
+Theta's terms runs took 21-22 steps and left the backward amplitude off by
+up to 9.7 relative.
 
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
@@ -184,42 +186,43 @@ _EXPONENT = 0.7 / 8.0
 # whose terms fall at least as fast as (2 e^(-2 SPAN_FACTOR))^n: that ratio,
 # not a truncation, sets the value, as the trade of widths stepped against
 # terms summed.  At 2, the ratio 0.037, a tail takes 6-10 terms in ~26 us,
-# under two steps' cost; 2.5 takes 13% more steps, and 1.5 takes 15% fewer
-# but leaves the anchor's u_f at tau = 100 1.2e-12 off the charts': Theta's
-# accumulated rounding, which no tolerance moves
+# under two steps' cost; 2.5 takes 12% more steps, and 1.5 takes 14% fewer.
+# The anchor's u_f at tau = 100 is 6.2e-13 off the charts' at 2, and
+# 2.3e-14 to 1.2e-12 at other windows and tolerances: Theta's accumulated
+# rounding, which follows the step sequence and no tolerance bounds
 SPAN_FACTOR = 2.0
 # a tail's series stops at its first term below _TAIL_TOL, in |alpha_n| +
 # |B_n| and in its share of max(1, |phi|), and is refused beyond _TAIL_TERMS
 # terms, which covers ratios up to ~0.4, SPAN_FACTOR ~0.8
 _TAIL_TOL = 0.5 * sys.float_info.epsilon
 _TAIL_TERMS = 40
-# a and b are weighed by ABS_TOL + REL_TOL max(|y|, |y_new|) and Theta by
-# ABS_TOL + REL_TOL.  On the benchmark's 384 oracle-validation inputs of
-# seeds 1-3 (tools/census.py) these take 28,756 steps with a worst deviation
-# of 1.6e-13 of max(1, f, b); 3e-12 and 3e-14 take 23,889 steps and 6.7e-13
-REL_TOL = 6e-13
-ABS_TOL = 6e-15
-# measured worst norm drift at these tolerances: 9.2e-14 on the acceptance
-# (p, a2) grid for tau 1e-12..30, 1.3e-13 on 400 seeded random points
+# the absolute tolerance on every component of (a, b, Theta): |a|^2 + |b|^2
+# = 1, so no component's scale exceeds 1, and Theta's error is a phase
+# error of both.  On the benchmark's 384 oracle-validation inputs of seeds
+# 1-3 (tools/census.py) 1e-13 takes 26,023 steps with a worst deviation of
+# 8.5e-14 of max(1, f, b); 2e-13 takes 24,104 steps and 1.7e-13
+TOL = 1e-13
+# measured worst norm drift at TOL: 8.4e-14 on the acceptance (p, a2) grid
+# for tau 1e-12..30, 8.5e-14 on 400 seeded random points
 # (m 0.5..2, signed q, a1 != 0, t0 != 0, tau log-uniform from 1e-300 or
 # 1e-2 to 1e3)
 DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2)) steps: the
 # window is a fixed number of tau wide, and the transition's steps grow about
 # linearly in tau E.  Measured over DRIFT_LIMIT's 400 random points: at most
-# 87 steps per unit at REL_TOL and ABS_TOL, 114 at 10x tighter, both at the
-# least taus, where a run takes a fixed number of steps; so a stepper that
-# has lost its order fails in seconds
+# 71 steps per unit at TOL, 93 at 10x tighter, both at the least taus, where
+# a run takes a fixed number of steps; so a stepper that has lost its order
+# fails in seconds
 STEP_BUDGET = 1000
 # integrate refuses tau max(E1, E2) above MAX_TAU_E before its first step.
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
 # a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
-# took 33,753 steps in 0.7 s of CPU and tau E = 1e4 took 138,095 steps in
-# 2.8 s, both with norm drift below 7e-13; the command line accepts tau up
+# took 23,763 steps in 0.4 s of CPU and tau E = 1e4 took 97,132 steps in
+# 1.6 s, both with norm drift below 5e-13; the command line accepts tau up
 # to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
-# the worst measured, over DRIFT_LIMIT's 400 random points, is 3.1e-13
+# the worst measured, over DRIFT_LIMIT's 400 random points, is 2.9e-13
 COMPARE_TOL = 1e-10
 
 
@@ -362,10 +365,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # accepted step hands them on, and a rejected one retries from the same x
     g1, e1 = profile(x, 0.0, 0.0, 0.0)[2:]
 
-    rtol = REL_TOL  # module settings read once per call, not per step
-    atol = ABS_TOL
-    # Theta's error is a phase error, weighed as a and b are where |a| ~ 1
-    wp = 1.0 / (atol + rtol) ** 2
+    tol = TOL  # a module setting, read once per call, not per step
     step = dop853.step
     # tau_e underflows to 0 at the least taus
     h = 0.1 / tau_e if tau_e > 0.4 else 0.25
@@ -383,8 +383,8 @@ def integrate(params: StepParameters) -> OracleOutcome:
         if x + h > target:
             h = target - x
         hg, hw, g_end, e_end = profile(x, h, g1, e1)
-        # the state at x + h, and the step's error scaled by the tolerances
-        ar1, ai1, br1, bi1, ph1, err = step(ar, ai, br, bi, ph, hg, hw, rtol, atol, wp)
+        # the state at x + h, and the step's error in units of tol
+        ar1, ai1, br1, bi1, ph1, err = step(ar, ai, br, bi, ph, hg, hw, tol)
         steps += 1
         if err <= 1.0:
             x += h

@@ -78,8 +78,10 @@ def check_specfun_values(pairs: Sequence[tuple[float, float]]):
 
 def check_gamma_moduli(ys: Sequence[float]):
     """|G(iy)|^2 = pi/(y sinh pi y) and |G(1 + iy)|^2 = pi y/sinh pi y
-    (DLMF 5.4.3, 5.4.4) at each y > 0, the lines `match_at_t0` takes log G
-    on, in log form: absolute in 2 Re ln G, so relative in |G|^2."""
+    (DLMF 5.4.3, 5.4.4) at each y > 0, in log form: absolute in 2 Re ln G,
+    so relative in |G|^2.  No route reads Re ln G (`match_at_t0` takes the
+    moduli from sinh products and only Im ln G, on Re z = 1); this checks
+    log_gamma's real part against closed forms on Re z = 0 and 1."""
     devs = []
     ln_pi = math.log(math.pi)
     for y in ys:

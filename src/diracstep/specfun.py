@@ -8,8 +8,9 @@ so that is the domain; any other z raises DomainError.  a and b are
 generally complex and c needs Re c >= 1, and all three must be finite,
 DomainError elsewhere; in production a and b are purely imaginary and c
 lies on the line 1 + i*R, which the Pfaff forms keep.  log_gamma likewise
-takes Re z >= 0, z != 0: the connection coefficients need it only on the
-lines Re z = 0 and 1.
+takes Re z >= 0, z != 0: the connection coefficients need only its
+imaginary part, their phases, and only on the line Re z = 1
+(`analytic.match_at_t0`); no route reads Re ln G.
 
 Accuracy strategy: 2F1 is summed as one of its two Pfaff forms (DLMF 15.8.1)
 
@@ -96,7 +97,7 @@ def log_gamma(z: complex) -> complex:
     finish it.
 
     Against 30-digit mpmath, on the lines Re z = 0 and 1 (`analytic.match_at_t0`
-    visits Re z = 1 alone), the error is within 9e-15 for
+    reads Im ln G on Re z = 1 alone), the error is within 9e-15 for
     |Im z| <= 10 and within 3.4e-16 |ln G(z)| for 10 < |Im z| <= 400.
     Raises DomainError where not Re z >= 0 (a NaN included) and at the pole
     z = 0.
