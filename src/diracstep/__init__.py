@@ -12,7 +12,6 @@ from .analytic import (
     ScatteringResult,
     asymptotic_amplitudes,
     build_solution,
-    governing_frequency,
     match_at_t0,
     scatter,
     sharp_step,
@@ -43,7 +42,6 @@ __all__ = [
     "asymptotic_modes",
     "build_solution",
     "compare",
-    "governing_frequency",
     "hyp2f1",
     "hyp2f1_derivative",
     "hyp2f1_with_derivative",

@@ -210,8 +210,6 @@ from .model import (
     check_inputs,
     log_half_angles,
     plateau_modes,
-    potential_at,
-    potential_rate,
 )
 # hyp2f1 is not called here but stays bound: benchmarks/test_bench.py checks
 # that tracing restores analytic.hyp2f1
@@ -222,7 +220,6 @@ __all__ = [
     "ChartExpansion",
     "HypergeometricSolution",
     "ScatteringResult",
-    "governing_frequency",
     "build_solution",
     "solve_earlier",
     "solve_later",
@@ -335,13 +332,6 @@ class ScatteringResult(Record):
         self.B = B
         self.F_u = F_u
         self.B_u = B_u
-
-
-def governing_frequency(t: float, params: StepParameters) -> complex:
-    """Squared complex frequency Omega^2(t) = pi(t)^2 + m^2 + i pi'(t)."""
-    piv = params.p - params.q * potential_at(t, params)
-    pidot = -params.q * potential_rate(t, params)
-    return complex(piv * piv + params.m * params.m, pidot)
 
 
 def _connection_arguments(modes: AsymptoticModes, m: float,

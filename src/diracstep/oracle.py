@@ -202,27 +202,26 @@ _TAIL_TERMS = 40
 # 1-3 (tools/census.py) 1e-13 takes 26,023 steps with a worst deviation of
 # 8.5e-14 of max(1, f, b); 2e-13 takes 24,104 steps and 1.7e-13
 TOL = 1e-13
-# measured worst norm drift at TOL: 8.4e-14 on the acceptance (p, a2) grid
-# for tau 1e-12..30, 8.5e-14 on 400 seeded random points
-# (m 0.5..2, signed q, a1 != 0, t0 != 0, tau log-uniform from 1e-300 or
-# 1e-2 to 1e3)
+# the worst norm drift at TOL is 8.55e-14 over the census's 384
+# oracle-validation inputs (tools/census.py, `norm_drift_max`)
 DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2)) steps: the
 # window is a fixed number of tau wide, and the transition's steps grow about
-# linearly in tau E.  Measured over DRIFT_LIMIT's 400 random points: at most
-# 71 steps per unit at TOL, 93 at 10x tighter, both at the least taus, where
-# a run takes a fixed number of steps; so a stepper that has lost its order
+# linearly in tau E.  The census's inputs (tau E 0.06..12) take at most 58
+# steps per unit (`steps_per_unit_max`), at tau E = 0.29, 75 steps, where
+# the window's fixed cost dominates; so a stepper that has lost its order
 # fails in seconds
 STEP_BUDGET = 1000
 # integrate refuses tau max(E1, E2) above MAX_TAU_E before its first step.
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
 # a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
+# (`scatter --tau 1000 --oracle`, a rerun the CI compares byte for byte)
 # took 23,763 steps in 0.4 s of CPU and tau E = 1e4 took 97,132 steps in
 # 1.6 s, both with norm drift below 5e-13; the command line accepts tau up
 # to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
-# the worst measured, over DRIFT_LIMIT's 400 random points, is 2.9e-13
+# the worst over the census's inputs (`worst_deviation`) is 8.48e-14
 COMPARE_TOL = 1e-10
 
 

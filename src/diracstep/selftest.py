@@ -1,10 +1,10 @@
 """Built-in verification battery behind `diracstep selftest`.
 
-The battery covers the special functions, the oscillator-equation residual of
-the constructed solution, the closed-form-vs-integrator agreement, the
-Heaviside and adiabatic limits, the normalization identities, and the
-matched wavefunction's amplitude ratios, phase included, against the
-integrator.
+The battery covers the special functions, the matched wavefunction's own
+identities (continuity at t0, its constant norm and its plane-wave limits),
+the closed-form-vs-integrator agreement, the Heaviside and adiabatic
+limits, the normalization identities, and the matched wavefunction's
+amplitude ratios, phase included, against the integrator.
 
 Each check returns (passed, detail) and compares strictly against a tolerance
 held as a module constant, so a tolerance of 0 fails it; the two bars on the
@@ -28,10 +28,14 @@ from . import analytic, model, oracle, specfun
 ANCHOR = dict(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=2.0 * math.sqrt(3.0))
 
 SPECFUN_TOL = 1e-10
-RESIDUAL_TOL = 1e-7
+# on the matched solution's identities, relative to its norm, which read
+# rounding and |zeta| = e^(-36) at the plane-wave times: 4.5e-16 on the
+# battery's points, 1.4e-14 on acceptance criterion 8's
+WAVEFUNCTION_TOL = 1e-12
 # the smooth step that must reproduce the Heaviside limit: the O(tau^2)
 # physics is ~1e-16 at tau = 1e-8, so SHARP_TOL bounds the arithmetic
-# (measured 1.1e-15 over the acceptance grid and 8.9e-16 at the anchor)
+# (measured 1.1e-15 over the acceptance grid, 9.4e-16 over the battery's
+# six kinematics and 8.9e-16 at the anchor)
 SHARP_TOL = 1e-13
 SHARP_TAU = 1e-8
 ADIABATIC_TOL = 1e-6  # on B_u at the slowest step
@@ -99,37 +103,45 @@ def check_gamma_moduli(ys: Sequence[float]):
     )
 
 
-def check_residual(cases: Sequence[tuple[model.StepParameters, int]], n_points: int):
-    """`residual_max` at n_points sample times for each (params, seed)."""
-    worst = _worst(residual_max(params, n_points=n_points, seed=seed) for params, seed in cases)
-    return worst < RESIDUAL_TOL, (
-        f"worst relative residual {worst:.2e} (tol {RESIDUAL_TOL:g}) "
-        f"over {len(cases)} parameter sets x {n_points} times"
+def check_wavefunction(points: Sequence[model.StepParameters]):
+    """Three identities of each point's matched solution
+    (`analytic.solve_earlier`), each relative to its norm N = e^(log_norm):
+    continuity, the earlier chart at t0 equal to the later chart one double
+    after t0; the norm, |psi(t)| = N at nine times over t0 -+ 2 tau; and the
+    plane waves at u = t - t0 = -+18 tau, where |zeta| = e^(-36): the
+    incident N e^(-i E1 u) (cos theta1/2, sin theta1/2) before t0, and
+    N (u_f e^(-i E2 u) (cos theta2/2, sin theta2/2)
+    + u_b e^(+i E2 u) (sin theta2/2, -cos theta2/2)) after it.  Any mix of
+    the later waves solves the equations, so only continuity ties u_f and
+    u_b, phases included, to the incident branch.  The plane-wave phase
+    E 18 tau carries ~ulp(18 tau E) of rounding, 2.8e-14 at tau E = 10."""
+    continuity, norm, plane = [], [], []
+    for params in points:
+        sol = analytic.match_at_t0(analytic.build_solution(params), params)
+        n, t0, tau = math.exp(sol.log_norm), params.t0, params.tau
+
+        def off(t, upper, lower):
+            psi = analytic.solve_earlier(sol, t, params)
+            return math.hypot(abs(psi.upper - upper), abs(psi.lower - lower)) / n
+
+        at_t0 = analytic.solve_earlier(sol, t0, params)
+        continuity.append(off(math.nextafter(t0, math.inf), at_t0.upper, at_t0.lower))
+        norm += [abs(off(t0 + k * (0.5 * tau), 0.0, 0.0) - 1.0) for k in range(-4, 5)]
+        c1, s1 = math.exp(sol.earlier.log_cos), math.exp(sol.earlier.log_sin)
+        c2, s2 = math.exp(sol.later.log_cos), math.exp(sol.later.log_sin)
+        t = t0 - 18.0 * tau
+        w = n * cmath.exp(-1j * sol.modes.e1 * (t - t0))
+        plane.append(off(t, w * c1, w * s1))
+        t = t0 + 18.0 * tau
+        w = cmath.exp(-1j * sol.modes.e2 * (t - t0))
+        f, b = n * sol.u_f * w, n * sol.u_b * w.conjugate()
+        plane.append(off(t, f * c2 + b * s2, f * s2 - b * c2))
+    parts = [_worst(d) for d in (continuity, norm, plane)]
+    worst = _worst(parts)
+    return worst < WAVEFUNCTION_TOL, (
+        f"worst deviation {worst:.2e} of N (continuity {parts[0]:.2e}, norm {parts[1]:.2e}, "
+        f"plane waves {parts[2]:.2e}; tol {WAVEFUNCTION_TOL:g}) over {len(points)} points"
     )
-
-
-def residual_max(params: model.StepParameters, n_points: int = 20,
-                 seed: int = 7, span: float = 2.0) -> float:
-    """Max relative residual |phi'' + Omega^2 phi| / |Omega^2 phi| on sample times.
-
-    phi'' by central differences of the matched solution, which
-    `solve_earlier` evaluates in the chart native to each side of t0.
-    """
-    sol = analytic.match_at_t0(analytic.build_solution(params), params)
-    rng = random.Random(seed)
-    residuals = []
-    for _ in range(n_points):
-        t = params.t0 + rng.uniform(-span, span) * params.tau
-        omega2 = analytic.governing_frequency(t, params)
-        # fourth-order five-point stencil; h balances its h^4 truncation
-        # against rounding on the local variation scale
-        w_eff = math.sqrt(abs(omega2)) + 2.0 / params.tau
-        h = 1e-2 / w_eff
-        phi = [analytic.solve_earlier(sol, t + k * h, params).upper
-               for k in (-2, -1, 0, 1, 2)]
-        second = (-phi[0] + 16 * phi[1] - 30 * phi[2] + 16 * phi[3] - phi[4]) / (12 * h * h)
-        residuals.append(abs(second + omega2 * phi[2]) / abs(omega2 * phi[2]))
-    return _worst(residuals)
 
 
 def check_vs_oracle(reports: Sequence[oracle.ComparisonReport]):
@@ -224,43 +236,42 @@ def check_normalization(points: Sequence[model.StepParameters]):
     )
 
 
-def _oracle_reports() -> list[oracle.ComparisonReport]:
-    points = [
-        dict(ANCHOR, tau=0.1),
-        dict(ANCHOR, tau=0.3),
-        dict(ANCHOR, tau=1.0),
-        dict(m=1.0, q=1.0, p=0.5, a1=0.0, a2=2.0, tau=0.05),
-        dict(m=1.0, q=1.0, p=2.5, a1=0.0, a2=-1.0, tau=0.5),
-        dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=5.0, tau=0.3),
-    ]
-    return [oracle.compare(model.StepParameters(**kw)) for kw in points]
+_ORACLE_POINTS = [model.StepParameters(**kw) for kw in (
+    dict(ANCHOR, tau=0.1),
+    dict(ANCHOR, tau=0.3),
+    dict(ANCHOR, tau=1.0),
+    dict(m=1.0, q=1.0, p=0.5, a1=0.0, a2=2.0, tau=0.05),
+    dict(m=1.0, q=1.0, p=2.5, a1=0.0, a2=-1.0, tau=0.5),
+    dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=5.0, tau=0.3),
+)]
+# asymmetric kinematics, so that E1 != E2, and a point off the anchor's
+# symmetries: signed q, m != 1, a1 != 0, t0 != 0
+_RATIO_POINTS = [model.StepParameters(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=1.0, tau=0.4),
+                 model.StepParameters(m=0.8, q=-1.3, p=0.9, a1=0.4, a2=-1.6, t0=1.5, tau=0.6)]
 
 
-def _ratio_cases() -> list[tuple[model.StepParameters, oracle.OracleOutcome]]:
-    # asymmetric kinematics, so that E1 != E2, and a point off the anchor's
-    # symmetries: signed q, m != 1, a1 != 0, t0 != 0
-    points = [model.StepParameters(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=1.0, tau=0.4),
-              model.StepParameters(m=0.8, q=-1.3, p=0.9, a1=0.4, a2=-1.6, t0=1.5, tau=0.6)]
-    return [(params, oracle.integrate(params)) for params in points]
+def _sharp_kinematics() -> list[dict]:
+    """The distinct (m, q, p, a1, a2) of the oracle and ratio points, the anchor first."""
+    kinematics = [{k: getattr(params, k) for k in ANCHOR}
+                  for params in _ORACLE_POINTS + _RATIO_POINTS]
+    return [kw for i, kw in enumerate(kinematics) if kw not in kinematics[:i]]
 
 
-def _residual_cases() -> list[tuple[model.StepParameters, int]]:
-    return [(model.StepParameters(m=1, q=1, p=p, a1=0.0, a2=a2, tau=tau), 7)
-            for p, a2, tau in ((math.sqrt(3.0), 2 * math.sqrt(3.0), 0.3), (1.4, -2.0, 0.8))]
-
-
-# each entry builds its points when run, so importing the module costs nothing
+# each entry computes when run, so importing the module costs nothing
 _CHECKS = [
     ("special-function reference values",
      lambda: check_specfun_values([(0.3, 1.1), (2.5, -1.5), (7.0, 6.0)])),
     ("log-gamma moduli on Re z = 0 and 1",
      lambda: check_gamma_moduli([10 ** (k / 40) for k in range(-120, 105, 8)])),
-    ("oscillator-equation residual", lambda: check_residual(_residual_cases(), n_points=8)),
-    ("closed form vs integrator", lambda: check_vs_oracle(_oracle_reports())),
-    ("sharp-step limit", lambda: check_sharp_limit([ANCHOR])),
+    ("matched wavefunction identities", lambda: check_wavefunction(_RATIO_POINTS)),
+    ("closed form vs integrator",
+     lambda: check_vs_oracle([oracle.compare(params) for params in _ORACLE_POINTS])),
+    ("sharp-step limit", lambda: check_sharp_limit(_sharp_kinematics())),
     ("adiabatic suppression", lambda: check_adiabatic((2.0, 4.0, 7.0, 10.0))),
     ("normalization identities", lambda: check_normalization(normalization_points(515, 60))),
-    ("amplitude ratios vs integrator", lambda: check_amplitude_ratios(_ratio_cases())),
+    ("amplitude ratios vs integrator",
+     lambda: check_amplitude_ratios([(params, oracle.integrate(params))
+                                     for params in _RATIO_POINTS])),
 ]
 
 

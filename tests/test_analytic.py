@@ -12,7 +12,6 @@ from diracstep.analytic import (
     ParameterRangeError,
     asymptotic_amplitudes,
     build_solution,
-    governing_frequency,
     match_at_t0,
     scatter,
     sharp_step,
@@ -20,7 +19,7 @@ from diracstep.analytic import (
     solve_later,
 )
 from diracstep.model import StepParameters, asymptotic_modes
-from diracstep.selftest import residual_max
+from diracstep.selftest import check_wavefunction
 
 from conftest import SAUTER_CASES, sauter_case_id, sharp_reference, sinh_reference
 
@@ -69,31 +68,19 @@ def rk4_to_t0(params, n_steps=40_000):
     return y
 
 
-class TestGoverningFrequency:
-    def test_constant_potential_is_energy_squared(self):
-        params = mk(a1=1.0, a2=1.0, p=2.0)
-        modes = asymptotic_modes(params)
-        for t in (-3.0, 0.0, 7.5):
-            om2 = governing_frequency(t, params)
-            assert om2.imag == 0.0
-            assert om2.real == pytest.approx(modes.e1 ** 2, rel=1e-14)
-
-    def test_plateau_tails(self):
-        # compare against pi_i^2 + m^2 assembled the same way the frequency
-        # is, so only the exponential tail (not representation rounding) counts
-        params = mk()
-        modes = asymptotic_modes(params)
-        early = governing_frequency(params.t0 - 30 * params.tau, params)
-        late = governing_frequency(params.t0 + 30 * params.tau, params)
-        assert abs(early - (modes.pi1 ** 2 + params.m ** 2)) < 1e-20
-        assert abs(late - (modes.pi2 ** 2 + params.m ** 2)) < 1e-20
-
-    def test_residual_of_constructed_solution(self):
+class TestMatchedSolution:
+    def test_identities_of_constructed_solution(self):
+        # the selftest's identities of the matched wavefunction; each point's
+        # fourth draw goes unused, so the points stay the three this test
+        # has always checked
         rng = random.Random(99)
+        points = []
         for _ in range(3):
-            params = mk(p=rng.uniform(0.4, 3.0), a2=rng.uniform(-3.0, 3.0),
-                        tau=rng.uniform(0.1, 1.5))
-            assert residual_max(params, n_points=20, seed=rng.randrange(1 << 30)) < 1e-7
+            points.append(mk(p=rng.uniform(0.4, 3.0), a2=rng.uniform(-3.0, 3.0),
+                             tau=rng.uniform(0.1, 1.5)))
+            rng.randrange(1 << 30)
+        ok, detail = check_wavefunction(points)
+        assert ok, detail
 
 
 class TestBuildSolution:
@@ -144,17 +131,15 @@ class TestBuildSolution:
         sol = match_at_t0(build_solution(params), params)
         m = params.m
         for t in (params.t0 - 2 * params.tau, params.t0, params.t0 + 2 * params.tau):
-            om2 = governing_frequency(t, params)
-            w_eff = math.sqrt(abs(om2)) + 2.0 / params.tau
-            h = 1e-2 / w_eff
+            piv = params.p - params.q * model.potential_at(t, params)
+            # h balances the stencil's h^4 truncation against rounding on the
+            # local variation scale
+            h = 1e-2 / (math.hypot(piv, m) + 2.0 / params.tau)
             psi = [solve_earlier(sol, t + k * h, params) for k in (-2, -1, 0, 1, 2)]
             phi = [s.upper for s in psi]
             theta = [s.lower for s in psi]
-            second = (-phi[0] + 16 * phi[1] - 30 * phi[2] + 16 * phi[3] - phi[4]) / (12 * h * h)
-            assert abs(second + om2 * phi[2]) / abs(om2 * phi[2]) < 1e-7
             # both first-order equations, i phi' = pi phi + m theta and
             # i theta' = -pi theta + m phi, by the five-point first derivative
-            piv = params.p - params.q * model.potential_at(t, params)
             dphi, dtheta = ((v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h) for v in (phi, theta))
             scale = (abs(piv) + m) * math.sqrt(psi[2].norm_sq)
             assert abs(1j * dphi - piv * phi[2] - m * theta[2]) / scale < 1e-8

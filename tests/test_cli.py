@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import decimal
 import json
 import math
@@ -903,6 +904,23 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert "[FAIL] amplitude ratios vs integrator" in out
+
+    @pytest.mark.parametrize("factor", [cmath.exp(1e-6j), 1.0 + 1e-5],
+                             ids=["phase", "modulus"])
+    def test_perturbed_forward_amplitude_fails_the_identities(self, capsys, monkeypatch,
+                                                              factor):
+        # u_f turned by 1e-6 or scaled by 1 + 1e-5 still solves the
+        # equations after t0, and the charts' continuity at t0 fails it
+        real = analytic.match_at_t0
+
+        def perturbed(sol, params):
+            sol = real(sol, params)
+            return sol.replace(u_f=factor * sol.u_f)
+
+        monkeypatch.setattr(analytic, "match_at_t0", perturbed)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "[FAIL] matched wavefunction identities" in out
 
     def test_nan_result_fails_its_checks(self, capsys, monkeypatch):
         # a NaN deviation must fail, not drop out of the worst case

@@ -509,11 +509,8 @@ class TestIntegrate:
     def test_small_mass_phases_rest_on_theta_error_control(self, m):
         # pi1 = -1, pi2 = -2: the integrator's u_f and u_b carry the charts'
         # phases only if the step control bounds Theta's error, a phase error,
-        # at the absolute scale a and b are held to where |a| ~ 1.  Weighed by
-        # REL_TOL |Theta|, which grows with tau E times the window, u_f was
-        # off by up to 4.1e-12 here and u_b by up to 2.6e-9 relative; with no
-        # Theta terms at all, ~22 steps left u_b off by up to 9.7 relative,
-        # and `compare`, which reads moduli only, still passed
+        # at the absolute scale a and b are held to where |a| ~ 1.  `compare`
+        # reads moduli only, so it cannot see a phase this loses
         params = mk(m=m, p=-1.0, a2=1.0, tau=1.0)
         sol = analytic.match_at_t0(analytic.build_solution(params), params)
         out = integrate(params)
@@ -583,11 +580,11 @@ class TestIntegrate:
     @pytest.mark.parametrize("tau", [30.0, 100.0])
     def test_slow_forward_amplitude_matches_the_charts(self, tau):
         # tau E = 60 and 200: u_f, phase included, within 1e-12 of the
-        # charts'.  Its error is Theta's rounding, which grows with
-        # |Theta| ~ tau E X and with the steps, not with the tolerances; a
-        # +-6-width window was off by 3.9e-13 and 2.8e-12.  At tau = 100 the
-        # +-2-width run is 8.5e-14 off, but 1.2e-12 at +-1.5 widths: this
-        # case pins a step sequence as much as the window
+        # charts', 2.7e-13 off in 1,107 steps and 6.2e-13 in 3,171.  Against
+        # 50-digit Gamma ratios the charts are 7.3e-14 and 1.3e-13 off, the
+        # integrator 2.0e-13 and 4.9e-13.  Its error is Theta's rounding,
+        # which grows with |Theta| ~ tau E X and with the steps, not with the
+        # tolerances, so this case pins a step sequence as much as the window
         params = mk(tau=tau)
         sol = analytic.match_at_t0(analytic.build_solution(params), params)
         assert abs(integrate(params).u_f - sol.u_f) <= 1e-12

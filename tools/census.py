@@ -8,8 +8,9 @@ benchmarks/workloads.py, which this tool imports and never edits.  It
 prints the number of inputs, how many passed and how many the integrator
 refused (an `OracleError`), the worst deviation of f, b and F_u in units
 of max(1, f, b) (the unit of `oracle.COMPARE_TOL`), the total and median
-attempted steps, and the largest norm drift.  A refused input counts in
-neither the deviation, the steps nor the drift.  `outcomes_sha256` is the
+attempted steps, the most in the unit of `oracle.STEP_BUDGET`,
+steps / (1 + tau max(E1, E2)), and the largest norm drift.  A refused
+input counts in neither the deviation, the steps nor the drift.  `outcomes_sha256` is the
 SHA-256 of the inputs' `OracleOutcome` reprs (a refusal's exception repr),
 one a line in input order, so that an integrator that moves by one bit on
 one input shows.
@@ -80,12 +81,13 @@ def oracle_route() -> dict:
     workload = workloads.OracleValidation()
     inputs = [desc for seed in ORACLE_SEEDS for desc in workload.inputs(random.Random(seed))]
     passed = refused = 0
-    worst = drift = 0.0
+    worst = drift = per_unit = 0.0
     steps = []
     digest = hashlib.sha256()
     for desc in inputs:
+        params = StepParameters(**desc)
         try:
-            report = oracle.compare(StepParameters(**desc))
+            report = oracle.compare(params)
         except oracle.OracleError as exc:
             digest.update(f"{exc!r}\n".encode())
             refused += 1
@@ -96,6 +98,9 @@ def oracle_route() -> dict:
         worst = max(worst, *(report.deviations[k] / scale for k in ("f", "b", "F_u")))
         drift = max(drift, report.outcome.norm_drift)
         steps.append(report.outcome.steps)
+        modes = report.analytic.modes
+        per_unit = max(per_unit, report.outcome.steps
+                       / (1.0 + params.tau * max(modes.e1, modes.e2)))
     return {
         "inputs": len(inputs),
         "passed": passed,
@@ -103,6 +108,7 @@ def oracle_route() -> dict:
         "worst_deviation": worst,
         "steps_total": sum(steps),
         "steps_median": statistics.median(steps),
+        "steps_per_unit_max": per_unit,
         "norm_drift_max": drift,
         "outcomes_sha256": digest.hexdigest(),
     }
