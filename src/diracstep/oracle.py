@@ -428,7 +428,7 @@ def compare(params: StepParameters) -> ComparisonReport:
     is therefore an absolute check on f, b and F_u: it does not vouch for the
     relative accuracy of a tiny B_u.  The integrator resolves B_u only down
     to the square of its absolute error in b; at tau = 10, p = 4,
-    a2 = 1 (m = q = 1) it gives 2.5e-33 where the exact value is 1.2e-86,
+    a2 = 1 (m = q = 1) it gives 8.7e-32 where the exact value is 1.24e-86,
     and the report still passes.
     """
     ana = scatter(params)

@@ -800,9 +800,9 @@ class TestSharedTolerances:
 
     def test_oracle_check_reads_the_compare_bar(self, monkeypatch):
         params = StepParameters(m=1.0, q=1.0, p=1.2, a1=0.0, a2=0.8, tau=0.2)
-        assert selftest.check_vs_oracle([oracle.compare(params)])[0]
+        assert selftest.check_vs_oracle([(params, oracle.compare(params))])[0]
         monkeypatch.setattr(oracle, "COMPARE_TOL", 0.0)
-        assert not selftest.check_vs_oracle([oracle.compare(params)])[0]
+        assert not selftest.check_vs_oracle([(params, oracle.compare(params))])[0]
 
 
 class TestOracleVerdict:
@@ -865,7 +865,7 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--json")
         assert code == 0
         records = json.loads(out)
-        assert len(records) >= 8
+        assert len(records) == 7
         assert all(r["passed"] for r in records)
 
     def test_break_tolerance_fails_with_named_check(self, capsys, monkeypatch):
@@ -903,7 +903,23 @@ class TestSelftest:
         monkeypatch.setattr(analytic, "match_at_t0", early)
         code, out, _ = run(capsys, "selftest")
         assert code == 1
-        assert "[FAIL] amplitude ratios vs integrator" in out
+        assert "[FAIL] closed form vs integrator" in out
+
+    @pytest.mark.parametrize("name", ["u_f", "u_b"])
+    def test_turned_integrator_amplitude_fails_the_integrator_check(self, capsys, monkeypatch,
+                                                                     name):
+        # an integrator amplitude turned by 1e-6, its modulus unchanged, passes
+        # compare's bar on the moduli, and the charts' phase fails it
+        real = oracle.integrate
+
+        def turned(params):
+            out = real(params)
+            return out.replace(**{name: cmath.exp(1e-6j) * getattr(out, name)})
+
+        monkeypatch.setattr(oracle, "integrate", turned)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert "[FAIL] closed form vs integrator" in out
 
     @pytest.mark.parametrize("factor", [cmath.exp(1e-6j), 1.0 + 1e-5],
                              ids=["phase", "modulus"])

@@ -7,10 +7,12 @@ Route `oracle`: `oracle.compare` on the 384 inputs of the benchmark's
 benchmarks/workloads.py, which this tool imports and never edits.  It
 prints the number of inputs, how many passed and how many the integrator
 refused (an `OracleError`), the worst deviation of f, b and F_u in units
-of max(1, f, b) (the unit of `oracle.COMPARE_TOL`), the total and median
+of max(1, f, b) (the unit of `oracle.COMPARE_TOL`), the worst |u_f| or
+|u_b| deviation, phase included, between the integrator's `OracleOutcome`
+and the charts' (`match_at_t0`), absolute as |u| <= 1, the total and median
 attempted steps, the most in the unit of `oracle.STEP_BUDGET`,
 steps / (1 + tau max(E1, E2)), and the largest norm drift.  A refused
-input counts in neither the deviation, the steps nor the drift.  `outcomes_sha256` is the
+input counts in neither the deviations, the steps nor the drift.  `outcomes_sha256` is the
 SHA-256 of the inputs' `OracleOutcome` reprs (a refusal's exception repr),
 one a line in input order, so that an integrator that moves by one bit on
 one input shows.
@@ -81,7 +83,7 @@ def oracle_route() -> dict:
     workload = workloads.OracleValidation()
     inputs = [desc for seed in ORACLE_SEEDS for desc in workload.inputs(random.Random(seed))]
     passed = refused = 0
-    worst = drift = per_unit = 0.0
+    worst = amplitudes = drift = per_unit = 0.0
     steps = []
     digest = hashlib.sha256()
     for desc in inputs:
@@ -96,6 +98,9 @@ def oracle_route() -> dict:
         passed += report.passed
         scale = max(1.0, report.analytic.f, report.analytic.b)
         worst = max(worst, *(report.deviations[k] / scale for k in ("f", "b", "F_u")))
+        sol = analytic.match_at_t0(analytic.build_solution(params), params)
+        amplitudes = max(amplitudes, abs(sol.u_f - report.outcome.u_f),
+                         abs(sol.u_b - report.outcome.u_b))
         drift = max(drift, report.outcome.norm_drift)
         steps.append(report.outcome.steps)
         modes = report.analytic.modes
@@ -106,6 +111,7 @@ def oracle_route() -> dict:
         "passed": passed,
         "refused": refused,
         "worst_deviation": worst,
+        "amplitude_deviation_max": amplitudes,
         "steps_total": sum(steps),
         "steps_median": statistics.median(steps),
         "steps_per_unit_max": per_unit,
