@@ -13,7 +13,7 @@ each already times the step size h: the step takes no h of its own.  The
 state is the five floats (Re a, Im a, Re b, Im b, Theta): CPython 3.11
 runs a float operation at about a third of the cost of a complex one, and
 almost every tableau term is a complex times a real.  The step is straight-line
-code that reads the constants by name, and forms the amplitudes' e3 as
+code that reads the constants by name, and forms each e3 as
 dop853.f does: the 8th-order sum less the 3rd-order weights' terms.
 
 The step returns its error in units of one absolute tolerance, dop853.f's
@@ -22,14 +22,18 @@ blend of the embedded 5th- and 3rd-order solutions,
 taken from squared moduli.  Every component is held to the same tol: the
 state is unitary, |a|^2 + |b|^2 = 1, so no component's scale exceeds 1,
 and an error in Theta is a phase error of the amplitudes, absolute however
-large Theta has grown.  Theta's error sums are taken on the slopes'
-differences from stage 1, exact as each sum's weights add to 0, so on the
-plateaus, where its slope is constant and g ~ 0, they are exactly 0 and not
-the rounding noise of weights that add to -1.6e-16 in floats: the step
-counts do not move with the last bit of E.  Over the seed-1 inputs of the
+large Theta has grown.  `step` returns Theta's increment, for the caller
+to add to its own compensated Theta.  The increment and Theta's error sums
+are taken on the slopes' differences from stage 1, exact as the 8th-order
+weights add to 1 and each error sum's to 0, so on the plateaus, where its
+slope is constant and g ~ 0, the increment is exactly stage 1's h-scaled
+slope and the error sums exactly 0, not the bias and the rounding noise of
+weights that add to 1 + 4.4e-16 and -1.6e-16 in floats: the step counts do
+not move with the last bit of E, and a widened window's long plateau
+steps add no bias to Theta.  Over the seed-1 inputs of the
 `oracle-validation` benchmark a step costs ~16 us (CPython 3.11.7, one
 core of an Intel Xeon, shared host), and every step costs about the same,
-so the oracle's window sets the cost: those inputs take 8,684 steps in all.
+so the oracle's window sets the cost: those inputs take 6,065 steps in all.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its
@@ -146,8 +150,9 @@ B3_12 = 0.220588235294117647058823529412e-1
 def step(ar, ai, br, bi, ph, hg, hw, tol):
     """One DOP853 step of (a, b, Theta), a = ar + i ai and b = br + i bi, of
     size h from the h-scaled profile at its twelve stages, hg = h g and
-    hw = h e.  Returns the 8th-order state at s + h, (ar, ai, br, bi, Theta),
-    and the step's error in units of the absolute tolerance tol: the rms
+    hw = h e.  Returns the 8th-order amplitudes at s + h, (ar, ai, br, bi),
+    Theta's increment over the step, which the caller adds to its own
+    Theta, and the step's error in units of the absolute tolerance tol: the rms
     blend of the module docstring.
 
     Each stage's coupling G = h g e^{2i Theta_i} is formed as hg cos 2Theta_i,
@@ -312,8 +317,6 @@ def step(ar, ai, br, bi, ph, hg, hw, tol):
            + mbr12 * B12)
     sbi = (mbi1 * B1 + mbi6 * B6 + mbi7 * B7 + mbi8 * B8 + mbi9 * B9 + mbi10 * B10 + mbi11 * B11
            + mbi12 * B12)
-    sp = (kp1 * B1 + kp6 * B6 + kp7 * B7 + kp8 * B8 + kp9 * B9 + kp10 * B10 + kp11 * B11
-          + kp12 * B12)
     e5ar = (kar1 * E5_1 + kar6 * E5_6 + kar7 * E5_7 + kar8 * E5_8 + kar9 * E5_9 + kar10 * E5_10
             + kar11 * E5_11 + kar12 * E5_12)
     e5ai = (kai1 * E5_1 + kai6 * E5_6 + kai7 * E5_7 + kai8 * E5_8 + kai9 * E5_9 + kai10 * E5_10
@@ -328,14 +331,19 @@ def step(ar, ai, br, bi, ph, hg, hw, tol):
     e3ai = sai - kai1 * B3_1 - kai9 * B3_9 - kai12 * B3_12
     e3br = sbr - mbr1 * B3_1 - mbr9 * B3_9 - mbr12 * B3_12
     e3bi = sbi - mbi1 * B3_1 - mbi9 * B3_9 - mbi12 * B3_12
-    # Theta's error sums, on the slopes' differences from stage 1: each set
-    # of weights adds to 0, so these are the plain sums in exact arithmetic,
-    # and they are exactly 0 where the slope is constant, as on the plateaus
-    # (the plain sums' float weights add to -1.6e-16, leaving noise there)
-    e5p = ((kp6 - kp1) * E5_6 + (kp7 - kp1) * E5_7 + (kp8 - kp1) * E5_8 + (kp9 - kp1) * E5_9
-           + (kp10 - kp1) * E5_10 + (kp11 - kp1) * E5_11 + (kp12 - kp1) * E5_12)
-    e3p = ((kp6 - kp1) * B6 + (kp7 - kp1) * B7 + (kp8 - kp1) * B8 + (kp9 - kp1) * (B9 - B3_9)
-           + (kp10 - kp1) * B10 + (kp11 - kp1) * B11 + (kp12 - kp1) * (B12 - B3_12))
+    # Theta's sums, on the slopes' differences from stage 1: the 8th-order
+    # weights add to 1 and the error weights to 0, so these are the plain
+    # sums in exact arithmetic, and where the slope is constant, as on the
+    # plateaus, the increment is exactly stage 1's slope and the error sums
+    # exactly 0 (the plain sums' float weights add to 1 + 4.4e-16 and
+    # -1.6e-16, a bias that adds up over a widened window's long steps, and
+    # noise); e3p is the 8th-order sum less the 3rd-order terms, as above
+    d6, d7, d8, d9 = kp6 - kp1, kp7 - kp1, kp8 - kp1, kp9 - kp1
+    d10, d11, d12 = kp10 - kp1, kp11 - kp1, kp12 - kp1
+    sp = d6 * B6 + d7 * B7 + d8 * B8 + d9 * B9 + d10 * B10 + d11 * B11 + d12 * B12
+    e5p = (d6 * E5_6 + d7 * E5_7 + d8 * E5_8 + d9 * E5_9 + d10 * E5_10 + d11 * E5_11
+           + d12 * E5_12)
+    e3p = sp - d9 * B3_9 - d12 * B3_12
     ar, ai = ar + sar, ai + sai
     br, bi = br - sbr, bi - sbi
     # one absolute tolerance on every component (module docstring); the
@@ -344,4 +352,4 @@ def step(ar, ai, br, bi, ph, hg, hw, tol):
     denom = err5 + 0.01 * ((e3ar * e3ar + e3ai * e3ai) + (e3br * e3br + e3bi * e3bi) + e3p * e3p)
     # denom = 0: every error sum squares to below the double range, so each
     # is below 1e-161; a NaN state or profile gives a NaN error
-    return ar, ai, br, bi, ph + sp, 0.0 if denom == 0.0 else err5 / (tol * math.sqrt(3.0 * denom))
+    return ar, ai, br, bi, kp1 + sp, 0.0 if denom == 0.0 else err5 / (tol * math.sqrt(3.0 * denom))

@@ -27,7 +27,7 @@ The integration variable is x = u/tau, the transition's own coordinate.
 pi(x) is taken from the nearer plateau, pi2 + delta w/(1 + w) for x >= 0
 and pi1 - delta w/(1 + w) for x < 0 with w = e^{-2|x|}, so it keeps every
 digit where one plateau's |pi| is far below the other's.  DOP853 runs over
-x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 2.
+x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 1.
 Beyond it `_tail` solves each tail as a power series in
 y = e^{-2(|x| - X)} in (0, 1], summed to rounding.  With sigma = -1 for
 the early tail and +1 for the late one, E_i and pi_i the nearer plateau's,
@@ -37,27 +37,30 @@ te = tau E_i, mu = m/E_i, r = pi_i/E_i, w_X = e^{-2X} and k = delta w_X/E_i,
     c1 = 2 (w_X + sigma r k),   c2 = (w_X + sigma r k)^2 + (mu k)^2,
 
 the coupling per unit x is g = mu k y/Q and E/E_i = sqrt(Q)/(1 + w_X y),
-and as Q is a quadratic the coefficients g_n and eps_n of both are
-recurrences (`_tail_profile`).  With d/dx = -2 sigma y d/dy, the solution
-that tends to the plateau's eigenmode, a = sum alpha_n y^n and
+and as Q is a quadratic the coefficients eps_n of E/E_i are a recurrence
+(`_tail_profile`).  With d/dx = -2 sigma y d/dy, the solution that tends to
+the plateau's eigenmode, a = sum alpha_n y^n and
 B = b e^{2i Theta} = sum B_n y^n with alpha_0 = 1 and B_0 = 0, has for n >= 1
 
-    (-2 sigma n - 2i te) B_n = -sum_{j=1..n} g_j alpha_{n-j}
-                               + 2i te sum_{j=1..n} eps_j B_{n-j},
-    -2 sigma n alpha_n = sum_{j=1..n} g_j B_{n-j},
+    (-2 sigma n - 2i te) B_n = -[g a]_n + 2i te sum_{j=1..n} eps_j B_{n-j},
+    -2 sigma n alpha_n = [g B]_n,
 
-and tau times the integral of E - E_i across the tail is
-phi = te sum_{n>=1} eps_n/(2n).  B is carried, and e^{2i Theta} never
-expanded in y: |2i te/(-2 sigma n - 2i te)| <= 1, so every term stays
-bounded at every tau E up to MAX_TAU_E.  Q's zeros lie at
-|y| >= 1/(w_X + |k|), and 1 + w_X y's at 1/w_X, so the terms fall at
-least as fast as (w_X + |k|)^n.  On a plateau g <= (|delta|/m) sech^2,
-and delta w_X is sign(delta) min(|delta|, m) e^(-2 SPAN_FACTOR), so the
-widening keeps |k| <= e^(-2 SPAN_FACTOR) however small m is against the
-step, and the ratio is at most 2 e^(-2 SPAN_FACTOR) = 0.037: 6-10 terms
-reach rounding.  `_tail` stops at the first term whose |alpha_n| + |B_n|
-and whose share of phi, against max(1, |phi|), are both below half an ulp
-of 1, and refuses with OracleError beyond _TAIL_TERMS terms.  The run
+with [g X]_n the coefficient of y^n in g X.  As Q (g X) = mu k y X, each
+is a three-term recurrence, [g X]_n = mu k X_{n-1} - c1 [g X]_{n-1}
+- c2 [g X]_{n-2}, so only the sum over eps is a convolution; and tau times
+the integral of E - E_i across the tail is phi = te sum_{n>=1} eps_n/(2n).
+B is carried, and e^{2i Theta} never expanded in y:
+|2i te/(-2 sigma n - 2i te)| <= 1, so every term stays bounded at every
+tau E up to MAX_TAU_E.  Q's zeros lie at |y| >= 1/(w_X + |k|), and
+1 + w_X y's at 1/w_X, so the terms fall at least as fast as
+(w_X + |k|)^n.  On a plateau g <= (|delta|/m) sech^2, and delta w_X is
+sign(delta) min(|delta|, m) e^(-2 SPAN_FACTOR), so the widening keeps
+|k| <= e^(-2 SPAN_FACTOR) however small m is against the step, and the
+ratio is at most 2 e^(-2 SPAN_FACTOR) = 0.27: the census's inputs take
+10-22 terms a tail (`tools/census.py`, `tail_terms_max`).  `_tail` stops
+at the first term whose |alpha_n| + |B_n| and whose share of phi, against
+max(1, |phi|), are both below half an ulp of 1, and refuses with
+OracleError beyond _TAIL_TERMS terms.  The run
 starts from the early tail's solution at its edge: a = a(1),
 Theta = phi_1 - tau E1 X and b = B(1) e^{-2i Theta}.  At the end the
 stepped (a, b) is projected onto the late tail's solution
@@ -79,8 +82,8 @@ Hairer's dop853.f runs by default (BETA = 0).  Theta stays in the norm with a
 and b: `compare` reads moduli only, but the phases of u_f and u_b at small
 m, where pi1 < 0, are right only while the step control bounds Theta's
 error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
-3.4e-13 of `analytic.match_at_t0`'s, and u_b within 1e-10 relative, in
-82-124 steps; with Theta's error weighed relative to |Theta|, which grows
+3.1e-14 of `analytic.match_at_t0`'s, and u_b within 8.1e-11 relative, in
+77-124 steps; with Theta's error weighed relative to |Theta|, which grows
 with tau E times the window, u_f was off by up to 4.1e-12, and without
 Theta's terms runs took 21-22 steps and left the backward amplitude off by
 up to 9.7 relative.
@@ -98,6 +101,19 @@ before, or from the rejected attempt at the same point.  The state is
 carried as the floats (Re a, Im a, Re b, Im b, Theta), and `dop853.step`
 runs the stages as straight-line float arithmetic, bit for bit the complex
 step's, at ~0.9 of its cost.
+
+Theta grows to ~tau E X, and no rounding of it is left to accumulate.
+`dop853.step` returns Theta's increment, taken on the slopes' differences
+from stage 1, so on a plateau it is exactly h tau E.  `integrate` adds it
+to the pair Theta = ph + ph_lo by TwoSum (Knuth, TAOCP 2, Sec. 4.2.2;
+Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)), renormalised
+each accepted step; the stages read ph, and the final phase subtracts
+ph_lo.  Each step's h is (x + h) - x after the landing clamp, so x
+advances by exactly the h the step integrated, and Theta - tau E_2 x at
+the end does not carry the drift of a float sum of step lengths.  Against
+50-digit Gamma ratios, over 100 seeded draws (m = q = 1, p 0.5-4,
+a2 0.5-5, tau 10-400), u_f is at most 3.6e-13 off, where one float Theta
+over a drifting x was up to 4.7e-12 off at +-1 widths and 1.0e-11 at +-2.
 Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
 they nor the squares of the error norm overflow at any tau; and scaling
 (m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
@@ -185,30 +201,33 @@ _EXPONENT = 0.7 / 8.0
 # every tau, and `_tail` sums the coupling's tails beyond as power series
 # whose terms fall at least as fast as (2 e^(-2 SPAN_FACTOR))^n: that ratio,
 # not a truncation, sets the value, as the trade of widths stepped against
-# terms summed.  At 2, the ratio 0.037, a tail takes 6-10 terms in ~26 us,
-# under two steps' cost; 2.5 takes 12% more steps, and 1.5 takes 14% fewer.
-# The anchor's u_f at tau = 100 is 6.2e-13 off the charts' at 2, and
-# 2.3e-14 to 1.2e-12 at other windows and tolerances: Theta's accumulated
-# rounding, which follows the step sequence and no tolerance bounds
-SPAN_FACTOR = 2.0
+# terms summed.  At 1, the ratio 0.27, a tail takes 10-22 terms over the
+# census's inputs, ~21 us at the anchor, under two steps' cost; 1.25 and 1.5
+# take 12% and 23% more steps, and 0.75 takes 13% fewer but up to 33 terms
+# a tail, for the same census time.  With Theta carried exactly across
+# steps (module docstring) the window no longer sets the phase: the
+# anchor's u_f at tau = 100 is 2.3e-14 to 1.3e-13 off 50-digit Gamma ratios
+# at 0.75-2 widths
+SPAN_FACTOR = 1.0
 # a tail's series stops at its first term below _TAIL_TOL, in |alpha_n| +
 # |B_n| and in its share of max(1, |phi|), and is refused beyond _TAIL_TERMS
-# terms, which covers ratios up to ~0.4, SPAN_FACTOR ~0.8
+# terms: the census's inputs take at most 22 (`tail_terms_max`), and 33 at
+# SPAN_FACTOR 0.75, the ratio 0.45
 _TAIL_TOL = 0.5 * sys.float_info.epsilon
 _TAIL_TERMS = 40
 # the absolute tolerance on every component of (a, b, Theta): |a|^2 + |b|^2
 # = 1, so no component's scale exceeds 1, and Theta's error is a phase
 # error of both.  On the benchmark's 384 oracle-validation inputs of seeds
-# 1-3 (tools/census.py) 1e-13 takes 26,023 steps with a worst deviation of
-# 8.5e-14 of max(1, f, b); 2e-13 takes 24,104 steps and 1.7e-13
+# 1-3 (tools/census.py) 1e-13 takes 18,178 steps with a worst deviation of
+# 7.5e-14 of max(1, f, b); 2e-13 takes 16,840 steps and 1.5e-13
 TOL = 1e-13
-# the worst norm drift at TOL is 8.55e-14 over the census's 384
+# the worst norm drift at TOL is 7.53e-14 over the census's 384
 # oracle-validation inputs (tools/census.py, `norm_drift_max`)
 DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2)) steps: the
 # window is a fixed number of tau wide, and the transition's steps grow about
-# linearly in tau E.  The census's inputs (tau E 0.06..12) take at most 58
-# steps per unit (`steps_per_unit_max`), at tau E = 0.29, 75 steps, where
+# linearly in tau E.  The census's inputs (tau E 0.06..12) take at most 51
+# steps per unit (`steps_per_unit_max`), at tau E = 0.28, 65 steps, where
 # the window's fixed cost dominates; so a stepper that has lost its order
 # fails in seconds
 STEP_BUDGET = 1000
@@ -216,12 +235,12 @@ STEP_BUDGET = 1000
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
 # a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
 # (`scatter --tau 1000 --oracle`, a rerun the CI compares byte for byte)
-# took 23,763 steps in 0.4 s of CPU and tau E = 1e4 took 97,132 steps in
-# 1.6 s, both with norm drift below 5e-13; the command line accepts tau up
+# took 15,185 steps in 0.27 s of CPU and tau E = 1e4 took 62,068 steps in
+# 1.0 s, both with norm drift below 1e-13; the command line accepts tau up
 # to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
-# the worst over the census's inputs (`worst_deviation`) is 8.48e-14
+# the worst over the census's inputs (`worst_deviation`) is 7.53e-14
 COMPARE_TOL = 1e-10
 
 
@@ -264,22 +283,25 @@ def _stage_profile(params: StepParameters, modes: AsymptoticModes):
 
 
 def _tail_profile(sigma: float, mu: float, r: float, k: float, w: float):
-    """The tail's profile in powers of y = e^{-2(|x| - X)}: yields the
-    coefficients (g_n, eps_n), n = 1, 2, ..., of the coupling per unit x,
-    g = mu k y/Q, and of E/E_i = sqrt(Q)/(1 + w y), where
-    Q = (E/E_i)^2 (1 + w y)^2 = 1 + c1 y + c2 y^2; the arguments are
-    `_tail`'s.  As Q is a quadratic, both are recurrences: g_n = mu k h_{n-1}
-    with h the coefficients of 1/Q, and eps_n = s_n - w eps_{n-1} with s
-    those of sqrt(Q), from Q (sqrt Q)' = Q' sqrt(Q)/2."""
+    """The tail's profile in powers of y = e^{-2(|x| - X)}: returns
+    (mk, c1, c2, eps), with the coupling per unit x g = mk y/Q,
+    Q = (E/E_i)^2 (1 + w y)^2 = 1 + c1 y + c2 y^2, and eps an iterator over
+    the coefficients eps_n, n = 1, 2, ..., of E/E_i = sqrt(Q)/(1 + w y); the
+    arguments are `_tail`'s.  As Q is a quadratic, eps is a recurrence:
+    eps_n = s_n - w eps_{n-1} with s the coefficients of sqrt(Q), from
+    Q (sqrt Q)' = Q' sqrt(Q)/2."""
     c1 = w + sigma * r * k
     c2 = c1 * c1 + (mu * k) ** 2
     c1 *= 2.0
-    h0, h1, s0, s1, e = 0.0, mu * k, 0.0, 1.0, 1.0
-    for n in count(1):
-        s0, s1 = s1, (c1 * (1.5 - n) * s1 + c2 * (3 - n) * s0) / n
-        e = s1 - w * e
-        yield h1, e
-        h0, h1 = h1, -c1 * h1 - c2 * h0
+
+    def eps():
+        s0, s1, e = 0.0, 1.0, 1.0
+        for n in count(1):
+            s0, s1 = s1, (c1 * (1.5 - n) * s1 + c2 * (3 - n) * s0) / n
+            e = s1 - w * e
+            yield e
+
+    return mu * k, c1, c2, eps()
 
 
 def _tail(sigma: float, te: float, mu: float, r: float, k: float, w: float):
@@ -287,31 +309,37 @@ def _tail(sigma: float, te: float, mu: float, r: float, k: float, w: float):
     rounding as a power series in y = e^{-2(|x| - X)} (module docstring):
     sigma = -1 at the start and +1 at the end, te = tau E_i, mu = m/E_i,
     r = pi_i/E_i, k = delta w_X/E_i and w = w_X, with E_i and pi_i the
-    nearer plateau's.  Returns (phi, a, bb): phi is tau times the integral
-    of E - E_i across the tail, and (a, bb) is the solution that tends to
-    the plateau's eigenmode, at the window's edge y = 1, with
-    bb = b e^{2i Theta}.  Raises OracleError, naming the tail, where the
-    series has not fallen to rounding within _TAIL_TERMS terms."""
-    # the coefficients so far: g_1.., eps_1.., alpha_0.. and bb_0..
-    g, eps, alpha, bb = [], [], [1.0], [0j]
+    nearer plateau's.  Returns (phi, a, bb, n): phi is tau times the
+    integral of E - E_i across the tail, (a, bb) is the solution that tends
+    to the plateau's eigenmode, at the window's edge y = 1, with
+    bb = b e^{2i Theta}, and n the terms summed.  Raises OracleError, naming
+    the tail, where the series has not fallen to rounding within
+    _TAIL_TERMS terms."""
+    mk, c1, c2, eps_n = _tail_profile(sigma, mu, r, k, w)
+    # eps_1.. and bb_0..; alpha_{n-1} and the sum of alpha_0..alpha_{n-1}
+    eps, bb = [], [0j]
+    alpha, a = 1.0, 1.0
+    # the coefficients n - 1 and n - 2 of g alpha and g bb, g = mk y/Q: as
+    # Q (g alpha) = mk y alpha, each is mk alpha_{n-1} - c1 (n - 1's)
+    # - c2 (n - 2's), and likewise for bb
+    ga1 = ga2 = gb1 = gb2 = 0.0
     phi = 0.0
-    for n, (g_n, e_n) in zip(range(1, _TAIL_TERMS + 1), _tail_profile(sigma, mu, r, k, w)):
-        g.append(g_n)
+    for n, e_n in zip(range(1, _TAIL_TERMS + 1), eps_n):
         eps.append(e_n)
         # y d/dy = -(sigma/2) d/dx on a' = g bb, bb' = -g a + 2i te (E/E_i) bb
-        # with alpha_0 = 1 and bb_0 = 0, order by order in y: sums over
-        # j = 1..n of g_j alpha_{n-j}, g_j bb_{n-j} and eps_j bb_{n-j}
-        ga = sum(map(mul, g, reversed(alpha)))
-        gb = sum(map(mul, g, reversed(bb)))
+        # with alpha_0 = 1 and bb_0 = 0, order by order in y: the coefficients
+        # n of g alpha and g bb, and the sum over j = 1..n of eps_j bb_{n-j}
+        ga1, ga2 = mk * alpha - c1 * ga1 - c2 * ga2, ga1
+        gb1, gb2 = mk * bb[-1] - c1 * gb1 - c2 * gb2, gb1
         eb = sum(map(mul, eps, reversed(bb)))
-        b_n = (2j * te * eb - ga) / complex(-2.0 * sigma * n, -2.0 * te)
-        a_n = gb / (-2.0 * sigma * n)
+        b_n = (2j * te * eb - ga1) / complex(-2.0 * sigma * n, -2.0 * te)
+        alpha = gb1 / (-2.0 * sigma * n)
         bb.append(b_n)
-        alpha.append(a_n)
+        a += alpha
         d_phi = te * e_n / (2 * n)
         phi += d_phi
-        if abs(a_n) + abs(b_n) <= _TAIL_TOL and abs(d_phi) <= _TAIL_TOL * max(1.0, abs(phi)):
-            return phi, sum(alpha), sum(bb)
+        if abs(alpha) + abs(b_n) <= _TAIL_TOL and abs(d_phi) <= _TAIL_TOL * max(1.0, abs(phi)):
+            return phi, a, sum(bb), n
     raise OracleError(f"the {'early' if sigma < 0.0 else 'late'} tail's series has not "
                       f"fallen to rounding in {_TAIL_TERMS} terms")
 
@@ -354,9 +382,11 @@ def integrate(params: StepParameters) -> OracleOutcome:
     w_x = math.exp(-2.0 * x_end)
     # the early tail's solution at the window's edge, the incident
     # eigenmode at -inf, and Theta = E1 u plus the integral of E - E1 from
-    # -inf; the state is carried as the floats (Re a, Im a, Re b, Im b, Theta)
-    phi, a, bb = _tail(-1.0, te_in, m / e_in, modes.pi1 / e_in, delta_w / e_in, w_x)
+    # -inf; the state is carried as the floats (Re a, Im a, Re b, Im b) and
+    # Theta as ph + ph_lo, ph_lo the roundings of ph's sums (module docstring)
+    phi, a, bb, _ = _tail(-1.0, te_in, m / e_in, modes.pi1 / e_in, delta_w / e_in, w_x)
     ph = phi - te_in * x_end
+    ph_lo = 0.0
     b = bb * cmath.exp(-2j * ph)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     drift_max = 0.0
@@ -381,13 +411,23 @@ def integrate(params: StepParameters) -> OracleOutcome:
         target = 0.0 if x < 0.0 else x_end
         if x + h > target:
             h = target - x
+        # the step x + h - x that x advances by, so that the profile and
+        # Theta's increment are taken over the x actually stepped
+        h = (x + h) - x
         hg, hw, g_end, e_end = profile(x, h, g1, e1)
-        # the state at x + h, and the step's error in units of tol
-        ar1, ai1, br1, bi1, ph1, err = step(ar, ai, br, bi, ph, hg, hw, tol)
+        # the amplitudes at x + h, Theta's increment and the step's error in
+        # units of tol
+        ar1, ai1, br1, bi1, d_ph, err = step(ar, ai, br, bi, ph, hg, hw, tol)
         steps += 1
         if err <= 1.0:
             x += h
-            ar, ai, br, bi, ph = ar1, ai1, br1, bi1, ph1
+            ar, ai, br, bi = ar1, ai1, br1, bi1
+            # TwoSum of ph and d_ph, then ph_lo folded back into ph
+            s = ph + d_ph
+            d_hi = s - ph
+            ph_lo += (ph - (s - d_hi)) + (d_ph - d_hi)
+            ph = s + ph_lo
+            ph_lo -= ph - s
             g1, e1 = g_end, e_end
             drift = abs((ar * ar + ai * ai) + (br * br + bi * bi) - 1.0)
             # written as `not <=` so that a NaN drift is kept, and fails below
@@ -407,14 +447,14 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # conjugate partner (-b_s*, a_s*) tend to the late eigenmodes, so the
     # state's components along them are the plateau amplitudes; and the
     # integral of E - E2 to +inf in the phase
-    phi, a_s, bb = _tail(1.0, te_out, m / e_out, modes.pi2 / e_out, delta_w / e_out, w_x)
+    phi, a_s, bb, _ = _tail(1.0, te_out, m / e_out, modes.pi2 / e_out, delta_w / e_out, w_x)
     b_s = bb * cmath.exp(-2j * ph)
     a, b = complex(ar, ai), complex(br, bi)
     a, b = a_s.conjugate() * a + b_s.conjugate() * b, a_s * b - b_s * a
     # psi = a e^{-i Theta} v+ + b e^{+i Theta} v-, and the conjugate partner
     # of v+ = (cos theta/2, sin theta/2) is -v-; stripping e^{-/+i E2 u}
     # leaves u_f = a e^{i phase} and u_b = -b e^{-i phase}
-    phase = te_out * x - ph - phi
+    phase = te_out * x - ph - ph_lo - phi
     rot = complex(math.cos(phase), math.sin(phase))
     return OracleOutcome(norm_drift=drift_max, u_f=a * rot, u_b=-b * rot.conjugate(),
                          steps=steps)

@@ -11,8 +11,10 @@ of max(1, f, b) (the unit of `oracle.COMPARE_TOL`), the worst |u_f| or
 |u_b| deviation, phase included, between the integrator's `OracleOutcome`
 and the charts' (`match_at_t0`), absolute as |u| <= 1, the total and median
 attempted steps, the most in the unit of `oracle.STEP_BUDGET`,
-steps / (1 + tau max(E1, E2)), and the largest norm drift.  A refused
-input counts in neither the deviations, the steps nor the drift.  `outcomes_sha256` is the
+steps / (1 + tau max(E1, E2)), the most terms one of `oracle._tail`'s
+series took (the unit of `oracle._TAIL_TERMS`), and the largest norm
+drift.  A refused input counts in neither the deviations, the steps, the
+terms nor the drift.  `outcomes_sha256` is the
 SHA-256 of the inputs' `OracleOutcome` reprs (a refusal's exception repr),
 one a line in input order, so that an integrator that moves by one bit on
 one input shows.
@@ -82,30 +84,45 @@ def oracle_route() -> dict:
     """`oracle.compare` over the oracle-validation inputs of ORACLE_SEEDS."""
     workload = workloads.OracleValidation()
     inputs = [desc for seed in ORACLE_SEEDS for desc in workload.inputs(random.Random(seed))]
-    passed = refused = 0
+    passed = refused = terms = 0
     worst = amplitudes = drift = per_unit = 0.0
     steps = []
     digest = hashlib.sha256()
-    for desc in inputs:
-        params = StepParameters(**desc)
-        try:
-            report = oracle.compare(params)
-        except oracle.OracleError as exc:
-            digest.update(f"{exc!r}\n".encode())
-            refused += 1
-            continue
-        digest.update(f"{report.outcome!r}\n".encode())
-        passed += report.passed
-        scale = max(1.0, report.analytic.f, report.analytic.b)
-        worst = max(worst, *(report.deviations[k] / scale for k in ("f", "b", "F_u")))
-        sol = analytic.match_at_t0(analytic.build_solution(params), params)
-        amplitudes = max(amplitudes, abs(sol.u_f - report.outcome.u_f),
-                         abs(sol.u_b - report.outcome.u_b))
-        drift = max(drift, report.outcome.norm_drift)
-        steps.append(report.outcome.steps)
-        modes = report.analytic.modes
-        per_unit = max(per_unit, report.outcome.steps
-                       / (1.0 + params.tau * max(modes.e1, modes.e2)))
+    # the terms each of the current input's tails took, read off `_tail`'s
+    # return by a wrapper that `integrate` calls in its place
+    tail, tail_terms = oracle._tail, []
+
+    def counted_tail(*args):
+        out = tail(*args)
+        tail_terms.append(out[3])
+        return out
+
+    oracle._tail = counted_tail
+    try:
+        for desc in inputs:
+            params = StepParameters(**desc)
+            tail_terms.clear()
+            try:
+                report = oracle.compare(params)
+            except oracle.OracleError as exc:
+                digest.update(f"{exc!r}\n".encode())
+                refused += 1
+                continue
+            digest.update(f"{report.outcome!r}\n".encode())
+            passed += report.passed
+            scale = max(1.0, report.analytic.f, report.analytic.b)
+            worst = max(worst, *(report.deviations[k] / scale for k in ("f", "b", "F_u")))
+            sol = analytic.match_at_t0(analytic.build_solution(params), params)
+            amplitudes = max(amplitudes, abs(sol.u_f - report.outcome.u_f),
+                             abs(sol.u_b - report.outcome.u_b))
+            drift = max(drift, report.outcome.norm_drift)
+            steps.append(report.outcome.steps)
+            terms = max(terms, *tail_terms)
+            modes = report.analytic.modes
+            per_unit = max(per_unit, report.outcome.steps
+                           / (1.0 + params.tau * max(modes.e1, modes.e2)))
+    finally:
+        oracle._tail = tail
     return {
         "inputs": len(inputs),
         "passed": passed,
@@ -115,6 +132,7 @@ def oracle_route() -> dict:
         "steps_total": sum(steps),
         "steps_median": statistics.median(steps),
         "steps_per_unit_max": per_unit,
+        "tail_terms_max": terms,
         "norm_drift_max": drift,
         "outcomes_sha256": digest.hexdigest(),
     }
