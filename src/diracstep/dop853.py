@@ -33,7 +33,7 @@ not move with the last bit of E, and a widened window's long plateau
 steps add no bias to Theta.  Over the seed-1 inputs of the
 `oracle-validation` benchmark a step costs ~16 us (CPython 3.11.7, one
 core of an Intel Xeon, shared host), and every step costs about the same,
-so the oracle's window sets the cost: those inputs take 6,065 steps in all.
+so the oracle's window sets the cost: those inputs take 3,809 steps in all.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its

@@ -27,11 +27,11 @@ The integration variable is x = u/tau, the transition's own coordinate.
 pi(x) is taken from the nearer plateau, pi2 + delta w/(1 + w) for x >= 0
 and pi1 - delta w/(1 + w) for x < 0 with w = e^{-2|x|}, so it keeps every
 digit where one plateau's |pi| is far below the other's.  DOP853 runs over
-x = +-X, X = SPAN_FACTOR + max(0, ln(|delta|/m)/2) with SPAN_FACTOR = 1.
-Beyond it `_tail` solves each tail as a power series in
-y = e^{-2(|x| - X)} in (0, 1], summed to rounding.  With sigma = -1 for
-the early tail and +1 for the late one, E_i and pi_i the nearer plateau's,
-te = tau E_i, mu = m/E_i, r = pi_i/E_i, w_X = e^{-2X} and k = delta w_X/E_i,
+-X1 <= x <= X2, and beyond each edge X_i `_tail` solves the tail as a power
+series in y = e^{-2(|x| - X_i)} in (0, 1], summed to rounding.  With
+sigma = -1 for the early tail and +1 for the late one, E_i and pi_i the
+nearer plateau's, te = tau E_i, mu = m/E_i, r = pi_i/E_i, w_X = e^{-2 X_i}
+and k = delta w_X/E_i,
 
     Q = (E/E_i)^2 (1 + w_X y)^2 = 1 + c1 y + c2 y^2,
     c1 = 2 (w_X + sigma r k),   c2 = (w_X + sigma r k)^2 + (mu k)^2,
@@ -51,25 +51,31 @@ is a three-term recurrence, [g X]_n = mu k X_{n-1} - c1 [g X]_{n-1}
 the integral of E - E_i across the tail is phi = te sum_{n>=1} eps_n/(2n).
 B is carried, and e^{2i Theta} never expanded in y:
 |2i te/(-2 sigma n - 2i te)| <= 1, so every term stays bounded at every
-tau E up to MAX_TAU_E.  Q's zeros lie at |y| >= 1/(w_X + |k|), and
-1 + w_X y's at 1/w_X, so the terms fall at least as fast as
-(w_X + |k|)^n.  On a plateau g <= (|delta|/m) sech^2, and delta w_X is
-sign(delta) min(|delta|, m) e^(-2 SPAN_FACTOR), so the widening keeps
-|k| <= e^(-2 SPAN_FACTOR) however small m is against the step, and the
-ratio is at most 2 e^(-2 SPAN_FACTOR) = 0.27: the census's inputs take
-10-22 terms a tail (`tools/census.py`, `tail_terms_max`).  `_tail` stops
-at the first term whose |alpha_n| + |B_n| and whose share of phi, against
-max(1, |phi|), are both below half an ulp of 1, and refuses with
-OracleError beyond _TAIL_TERMS terms.  The run
-starts from the early tail's solution at its edge: a = a(1),
-Theta = phi_1 - tau E1 X and b = B(1) e^{-2i Theta}.  At the end the
+tau E up to MAX_TAU_E.  Q vanishes where pi = +-im, that is where
+(pi_i -+ im) + (pi_o -+ im) w_X y = 0 with pi_o and E_o the other
+plateau's, at |y| = E_i/(E_o w_X), and 1 + w_X y at 1/w_X, so the terms
+fall as (w_X max(1, E_o/E_i))^n, whatever m is against the step.
+`_window` sets each edge to X_i = SPAN_FACTOR + ln(max(1, E_o/E_i)/2)/2,
+so that ratio is 2 e^(-2 SPAN_FACTOR) = 0.27 in both tails, at
+SPAN_FACTOR = 1: X_i >= 0.65, so the window holds x = 0, and the
+census's inputs take at most 27 terms a tail (`tools/census.py`,
+`tail_terms_max`).  `_tail` stops at the first term whose |alpha_n| +
+|B_n| and whose share of phi, against max(1, |phi|), are both below half
+an ulp of 1, and refuses with OracleError beyond _TAIL_TERMS terms.  The
+run starts from the early tail's solution at its edge: a = a(1),
+Theta = phi_1 - tau E1 X1 and b = B(1) e^{-2i Theta}.  At the end the
 stepped (a, b) is projected onto the late tail's solution
 S = (a_S, b_S) = (a(1), B(1) e^{-2i Theta}) and its conjugate partner
 (-b_S*, a_S*), which tend to the late eigenmodes, so the plateau
 amplitudes are (a_S* a + b_S* b, a_S b - b_S a), and the stripped phase
-gains -phi_2.  Every tail term is formed from the ratios m/E_i,
-delta w_X/E_i and pi_i/E_i, so none overflows or underflows where the
-plateaus' kinematics are finite.
+gains -phi_2.  Every tail term is formed from the ratios m/E_i, k and
+pi_i/E_i, k taken as 2 e^(-2 SPAN_FACTOR) delta/max(E1, E2), which is
+delta w_X/E_i in both tails, and ln(E_o/E_i) as ln E_o - ln E_i where the
+quotient leaves the normal range, so none overflows or underflows where
+the plateaus' kinematics are finite.  Where E_o/E_i is beyond ~1.2e307,
+an edge's e^{-2 X_i} is below the normal range, the stepped profile's
+w = e^{-2|x|} would lose the digits of a coupling still of size m/E
+there, and `integrate` refuses with OracleError before its first step.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of Dormand and Prince
 of order 8 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve
@@ -82,11 +88,12 @@ Hairer's dop853.f runs by default (BETA = 0).  Theta stays in the norm with a
 and b: `compare` reads moduli only, but the phases of u_f and u_b at small
 m, where pi1 < 0, are right only while the step control bounds Theta's
 error.  At p = -1, a2 = 1, tau = 1 and m = 1e-6..1e-300, u_f is within
-3.1e-14 of `analytic.match_at_t0`'s, and u_b within 8.1e-11 relative, in
-77-124 steps; with Theta's error weighed relative to |Theta|, which grows
-with tau E times the window, u_f was off by up to 4.1e-12, and without
-Theta's terms runs took 21-22 steps and left the backward amplitude off by
-up to 9.7 relative.
+4.1e-15 of `analytic.match_at_t0`'s, and u_b within 3.2e-10 relative, in
+17 steps.  On the windows of up to +-346 widths these inputs took when
+both edges were widened by ln(|delta|/m)/2, Theta's error weighed
+relative to |Theta|, which grows with tau E times the window, left u_f off
+by up to 4.1e-12, and without Theta's terms in the error the runs left the
+backward amplitude off by up to 9.7 relative.
 
 Theta' = E(u) does not depend on (a, b), so a step's abscissae fix every
 stage's phase Theta_i and coupling G_i = g e^{2i Theta_i}.
@@ -112,13 +119,16 @@ ph_lo.  Each step's h is (x + h) - x after the landing clamp, so x
 advances by exactly the h the step integrated, and Theta - tau E_2 x at
 the end does not carry the drift of a float sum of step lengths.  Against
 50-digit Gamma ratios, over 100 seeded draws (m = q = 1, p 0.5-4,
-a2 0.5-5, tau 10-400), u_f is at most 3.6e-13 off, where one float Theta
-over a drifting x was up to 4.7e-12 off at +-1 widths and 1.0e-11 at +-2.
+a2 0.5-5, tau 10-400), u_f is at most 2.0e-13 off in 103,688 steps in all
+(3.6e-13 in 200,408 steps with both edges at 1 + ln(|delta|/m)/2 widths),
+where one float Theta over a drifting x was up to 4.7e-12 off at those
+edges and 1.0e-11 one width further out.
 Per unit x the slopes carry no 1/tau, and tau E <= MAX_TAU_E, so neither
 they nor the squares of the error norm overflow at any tau; and scaling
 (m, p, a1, a2, tau) to (l m, l p, l a1, l a2, tau/l), l a power of two,
 leaves every slope, and so every step, bit for bit as it was, wherever no
-intermediate is subnormal and the window is not widened.
+intermediate is subnormal: the window reads only E2/E1, which the scaling
+keeps exact.
 
 The change of basis is unitary, so |a|^2 + |b|^2 = |phi|^2 + |theta|^2 = 1, which
 the true flow conserves exactly (its generator is anti-Hermitian).  The
@@ -197,37 +207,37 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _EXPONENT = 0.7 / 8.0
 
-# DOP853 runs over t0 +- (SPAN_FACTOR + max(0, ln(|delta|/m)/2)) tau at
-# every tau, and `_tail` sums the coupling's tails beyond as power series
-# whose terms fall at least as fast as (2 e^(-2 SPAN_FACTOR))^n: that ratio,
-# not a truncation, sets the value, as the trade of widths stepped against
-# terms summed.  At 1, the ratio 0.27, a tail takes 10-22 terms over the
-# census's inputs, ~21 us at the anchor, under two steps' cost; 1.25 and 1.5
-# take 12% and 23% more steps, and 0.75 takes 13% fewer but up to 33 terms
-# a tail, for the same census time.  With Theta carried exactly across
-# steps (module docstring) the window no longer sets the phase: the
-# anchor's u_f at tau = 100 is 2.3e-14 to 1.3e-13 off 50-digit Gamma ratios
-# at 0.75-2 widths
+# DOP853 runs over [-X1, X2], each edge set by `_window` so that the tail
+# beyond it is a power series whose terms fall as (2 e^(-2 SPAN_FACTOR))^n:
+# that ratio, not a truncation, sets the value, as the trade of widths
+# stepped against terms summed.  At 1, the ratio 0.27, a tail takes at most
+# 27 terms over the census's inputs, ~70 us at the anchor (26 terms), about
+# four steps' cost; 1.25 and 1.5 take 24% and 45% more census steps, and at
+# 0.75, the ratio 0.45, 366 of the census's 384 inputs have a tail that
+# does not reach rounding within _TAIL_TERMS.  With Theta carried exactly
+# across steps (module docstring) the window does not set the phase: the
+# anchor's u_f at tau = 100 is 5.7e-14 to 9.9e-14 off 50-digit Gamma ratios
+# at 1-2
 SPAN_FACTOR = 1.0
 # a tail's series stops at its first term below _TAIL_TOL, in |alpha_n| +
 # |B_n| and in its share of max(1, |phi|), and is refused beyond _TAIL_TERMS
-# terms: the census's inputs take at most 22 (`tail_terms_max`), and 33 at
-# SPAN_FACTOR 0.75, the ratio 0.45
+# terms: the census's inputs take at most 27 (`tail_terms_max`)
 _TAIL_TOL = 0.5 * sys.float_info.epsilon
 _TAIL_TERMS = 40
 # the absolute tolerance on every component of (a, b, Theta): |a|^2 + |b|^2
 # = 1, so no component's scale exceeds 1, and Theta's error is a phase
 # error of both.  On the benchmark's 384 oracle-validation inputs of seeds
-# 1-3 (tools/census.py) 1e-13 takes 18,178 steps with a worst deviation of
-# 7.5e-14 of max(1, f, b); 2e-13 takes 16,840 steps and 1.5e-13
+# 1-3 (tools/census.py) 1e-13 takes 11,440 steps with a worst deviation of
+# 5.8e-14 of max(1, f, b); 2e-13 takes 10,631 steps and 1.2e-13, and
+# 1.5e-13 10,950 steps and 9.1e-14
 TOL = 1e-13
-# the worst norm drift at TOL is 7.53e-14 over the census's 384
+# the worst norm drift at TOL is 5.92e-14 over the census's 384
 # oracle-validation inputs (tools/census.py, `norm_drift_max`)
 DRIFT_LIMIT = 1e-9
 # an integration may take STEP_BUDGET (1 + tau max(E1, E2)) steps: the
 # window is a fixed number of tau wide, and the transition's steps grow about
-# linearly in tau E.  The census's inputs (tau E 0.06..12) take at most 51
-# steps per unit (`steps_per_unit_max`), at tau E = 0.28, 65 steps, where
+# linearly in tau E.  The census's inputs (tau E 0.06..12) take at most 33
+# steps per unit (`steps_per_unit_max`), at tau E = 0.32, 43 steps, where
 # the window's fixed cost dominates; so a stepper that has lost its order
 # fails in seconds
 STEP_BUDGET = 1000
@@ -235,12 +245,12 @@ STEP_BUDGET = 1000
 # Steps grow linearly in tau E: on the anchor (m = q = 1, p = sqrt(3),
 # a2 = 2 sqrt(3)), CPython 3.11.7 on one core of an Intel Xeon, tau E = 2e3
 # (`scatter --tau 1000 --oracle`, a rerun the CI compares byte for byte)
-# took 15,185 steps in 0.27 s of CPU and tau E = 1e4 took 62,068 steps in
-# 1.0 s, both with norm drift below 1e-13; the command line accepts tau up
+# took 5,701 steps in 0.09 s of CPU and tau E = 1e4 took 23,294 steps in
+# 0.37 s, both with norm drift below 1e-13; the command line accepts tau up
 # to the double range
 MAX_TAU_E = 1e4
 # compare's bar on the deviations of f, b and F_u, in units of max(1, f, b);
-# the worst over the census's inputs (`worst_deviation`) is 7.53e-14
+# the worst over the census's inputs (`worst_deviation`) is 5.84e-14
 COMPARE_TOL = 1e-10
 
 
@@ -344,14 +354,43 @@ def _tail(sigma: float, te: float, mu: float, r: float, k: float, w: float):
                       f"fallen to rounding in {_TAIL_TERMS} terms")
 
 
+def _window(modes: AsymptoticModes):
+    """(X1, w1, X2, w2, k): DOP853 runs over [-X1, X2], and each tail beyond
+    takes w_i = e^(-2 X_i) and k = delta w_i/E_i (`_tail`).  Each tail's
+    series in y = e^{-2(|x| - X_i)} falls at the ratio w_i max(1, E_o/E_i),
+    E_o the other plateau's (module docstring), so the edge
+    X_i = SPAN_FACTOR + ln(max(1, E_o/E_i)/2)/2 sets it to
+    2 e^(-2 SPAN_FACTOR) in both tails, and k is then
+    2 e^(-2 SPAN_FACTOR) delta/max(E1, E2) in both: as |delta| <= E1 + E2,
+    it neither overflows nor underflows with w_i.  Raises OracleError where
+    an edge's w_i is below the normal double range."""
+    e1, e2 = modes.e1, modes.e2
+    # ln(E2/E1), as a difference of logarithms where the quotient leaves the
+    # normal range
+    quotient = e2 / e1
+    spread = (math.log(quotient) if sys.float_info.min <= quotient < math.inf
+              else math.log(e2) - math.log(e1))
+    x1 = SPAN_FACTOR + 0.5 * (max(0.0, spread) - math.log(2.0))
+    x2 = SPAN_FACTOR + 0.5 * (max(0.0, -spread) - math.log(2.0))
+    w1, w2 = math.exp(-2.0 * x1), math.exp(-2.0 * x2)
+    # the profile's w = e^(-2|x|) must stay a normal double across the
+    # window: a subnormal w loses the digits of a coupling delta w/E ~ m/E
+    if min(w1, w2) < sys.float_info.min:
+        raise OracleError(
+            f"E2/E1 = e^{spread:.6g}: the window reaches {max(x1, x2):.6g} widths from t0, "
+            f"where e^(-2|x|) is below the normal double range")
+    k = 2.0 * math.exp(-2.0 * SPAN_FACTOR) * (modes.delta / max(e1, e2))
+    return x1, w1, x2, w2, k
+
+
 def integrate(params: StepParameters) -> OracleOutcome:
     """Propagate the incident wave through the step and project the final state.
 
     The incident wave is the unit incident eigenmode, a = 1, b = 0, that is
     phi = cos(theta1/2) e^{-i E1 (t - t0)}, theta = ((E1 - pi1)/m) phi, on
-    the early plateau.  DOP853 runs in x = (t - t0)/tau over
-    x = +-(SPAN_FACTOR + max(0, ln(|delta|/m)/2)), and `_tail` sums the
-    coupling's tails beyond as power series (module docstring).
+    the early plateau.  DOP853 runs in x = (t - t0)/tau over `_window`'s
+    [-X1, X2], and `_tail` sums the coupling's tails beyond as power series
+    (module docstring).
     Reports the amplitudes u_f and u_b of the forward/backward late
     eigenmodes per unit incident eigenmode, with the e^{-/+ i E2 (t - t0)}
     phases stripped (`OracleOutcome`); `compare` turns them into f, b and
@@ -369,23 +408,14 @@ def integrate(params: StepParameters) -> OracleOutcome:
             f"tau max(E1, E2) = {tau_e:.3g} exceeds the integrator's supported "
             f"range {MAX_TAU_E:g}: its steps grow linearly in tau E")
     profile = _stage_profile(params, modes)
-    # on a plateau g <= (|delta|/m) sech^2, so the window widens by
-    # ln(|delta|/m)/2 where |delta| > m, and the tails' series fall by at
-    # least 2 e^(-2 SPAN_FACTOR) a term however small m is against the step
-    widen = 0.5 * (math.log(abs(modes.delta)) - math.log(m)) if modes.delta else 0.0
-    x_end = SPAN_FACTOR + max(0.0, widen)
-    x = -x_end
-    # delta w_X, w_X = e^(-2 x_end), for the tails' series beyond the
-    # window (module docstring): sign(delta) m e^(-2 SPAN_FACTOR) where the
-    # window is widened, which neither overflows nor underflows
-    delta_w = math.copysign(min(abs(modes.delta), m), modes.delta) * math.exp(-2.0 * SPAN_FACTOR)
-    w_x = math.exp(-2.0 * x_end)
+    x_start, w_in, x_end, w_out, k = _window(modes)
+    x = -x_start
     # the early tail's solution at the window's edge, the incident
     # eigenmode at -inf, and Theta = E1 u plus the integral of E - E1 from
     # -inf; the state is carried as the floats (Re a, Im a, Re b, Im b) and
     # Theta as ph + ph_lo, ph_lo the roundings of ph's sums (module docstring)
-    phi, a, bb, _ = _tail(-1.0, te_in, m / e_in, modes.pi1 / e_in, delta_w / e_in, w_x)
-    ph = phi - te_in * x_end
+    phi, a, bb, _ = _tail(-1.0, te_in, m / e_in, modes.pi1 / e_in, k, w_in)
+    ph = phi - te_in * x_start
     ph_lo = 0.0
     b = bb * cmath.exp(-2j * ph)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -400,9 +430,9 @@ def integrate(params: StepParameters) -> OracleOutcome:
     h = 0.1 / tau_e if tau_e > 0.4 else 0.25
     max_steps = STEP_BUDGET * (1.0 + tau_e)
     steps = 0
-    # 16 ulps of x_end: a remaining sliver below it contributes nothing, and
-    # a step size below it is refused as an underflow
-    span_eps = 16.0 * sys.float_info.epsilon * x_end
+    # 16 ulps of the wider edge: a remaining sliver below it contributes
+    # nothing, and a step size below it is refused as an underflow
+    span_eps = 16.0 * sys.float_info.epsilon * max(x_start, x_end)
     while x_end - x > span_eps:
         if steps >= max_steps:
             raise StepLimitError(
@@ -447,7 +477,7 @@ def integrate(params: StepParameters) -> OracleOutcome:
     # conjugate partner (-b_s*, a_s*) tend to the late eigenmodes, so the
     # state's components along them are the plateau amplitudes; and the
     # integral of E - E2 to +inf in the phase
-    phi, a_s, bb, _ = _tail(1.0, te_out, m / e_out, modes.pi2 / e_out, delta_w / e_out, w_x)
+    phi, a_s, bb, _ = _tail(1.0, te_out, m / e_out, modes.pi2 / e_out, k, w_out)
     b_s = bb * cmath.exp(-2j * ph)
     a, b = complex(ar, ai), complex(br, bi)
     a, b = a_s.conjugate() * a + b_s.conjugate() * b, a_s * b - b_s * a
@@ -468,7 +498,7 @@ def compare(params: StepParameters) -> ComparisonReport:
     is therefore an absolute check on f, b and F_u: it does not vouch for the
     relative accuracy of a tiny B_u.  The integrator resolves B_u only down
     to the square of its absolute error in b; at tau = 10, p = 4,
-    a2 = 1 (m = q = 1) it gives 8.7e-32 where the exact value is 1.24e-86,
+    a2 = 1 (m = q = 1) it gives 5.9e-30 where the exact value is 1.24e-86,
     and the report still passes.
     """
     ana = scatter(params)

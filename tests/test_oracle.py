@@ -162,9 +162,9 @@ class TestStep:
         # on a plateau Theta's h-scaled slope is the same at every stage, and
         # the step's increment is exactly that slope.  The plain weighted
         # sum, whose float weights add to 1 + 4.4e-16, is off by ulps at 7,
-        # 692 and 1e5, a bias that a widened window's long plateau steps add
-        # up: 5.0e-13 in u_f at m = 1e-300, p = -1, a2 = 1, tau = 1, where
-        # this gives 5.9e-15
+        # 692 and 1e5, a bias that long plateau steps add up: 5.0e-13 in u_f
+        # over a window of +-346 widths at m = 1e-300, p = -1, a2 = 1,
+        # tau = 1, where this gave 5.9e-15
         hg = [1e-9] * 12
         out = dop853.step(1.0, 0.0, 0.0, 0.0, 3.0, hg, [slope] * 12, oracle.TOL)
         assert out[4] == slope
@@ -250,9 +250,9 @@ class TestTail:
 
     @pytest.mark.parametrize("y", [0.5, 1.0])
     @pytest.mark.parametrize("kw", [
-        # |delta|/m = 1e3: the window is widened by ln(1e3)/2
+        # E2/E1 = 2: the early edge at 1 width, the late at 0.65
         dict(m=1e-3, p=-1.0, a2=1.0),
-        # |delta| = 0.8 m: it is not, and pi2 = 0.1 m
+        # E1/E2 = 1.34: the late edge at 0.80, and pi2 = 0.1 m
         dict(p=0.9, a2=0.8),
     ], ids=("widened", "unwidened"))
     def test_series_sum_to_the_stepped_profile(self, kw, y):
@@ -276,11 +276,50 @@ class TestTail:
             assert g == pytest.approx(g_x, rel=1e-14, abs=0.0), (sigma, y)
             assert e == pytest.approx(te_x / te, rel=0.0, abs=1e-15), (sigma, y)
 
+    def test_real_zeros_of_pi_lie_inside_the_window(self):
+        # where pi1 and pi2 have opposite signs, pi(x) has one real zero x_c,
+        # on the side of the smaller |pi_i|, at e^(-2|x_c|) = |pi_i|/|pi_other|.
+        # Each tail's series falls at w_i max(1, E_other/E_i), its nearest
+        # singularities where pi = +-im, and the edges set that ratio to
+        # 2 e^(-2 SPAN_FACTOR) in both tails; with |pi_i| >= m/2 the zero is
+        # then strictly inside [-X1, X2], and at m << |pi_i| the edge is
+        # |x_c| + SPAN_FACTOR - ln(2)/2
+        rng = random.Random(50)
+        ratio = 2.0 * math.exp(-2.0 * oracle.SPAN_FACTOR)
+        for _ in range(40):
+            m = math.exp(rng.uniform(math.log(1e-9), 0.0))
+            sign = rng.choice((-1.0, 1.0))
+            pi1, pi2 = sign * rng.uniform(0.5, 5.0), -sign * rng.uniform(0.5, 5.0)
+            modes = asymptotic_modes(mk(m=m, p=pi1, a2=pi1 - pi2))
+            x1, w1, x2, w2, _ = oracle._window(modes)
+            e1, e2 = modes.e1, modes.e2
+            assert w1 * max(1.0, e2 / e1) == pytest.approx(ratio, rel=1e-14)
+            assert w2 * max(1.0, e1 / e2) == pytest.approx(ratio, rel=1e-14)
+            small, large = sorted((abs(modes.pi1), abs(modes.pi2)))
+            depth = -0.5 * math.log(small / large)
+            x_c, edge = (-depth, x1) if abs(modes.pi1) < abs(modes.pi2) else (depth, x2)
+            assert -x1 < x_c < x2, (m, pi1, pi2)
+            if m < 1e-6:
+                want = depth + oracle.SPAN_FACTOR - 0.5 * math.log(2.0)
+                assert edge == pytest.approx(want, rel=0.0, abs=1e-11), (m, pi1, pi2)
+
+    def test_an_edge_beyond_the_normal_range_is_refused(self):
+        # E2/E1 = 1e600 is beyond the double range: the early edge is
+        # ln(1e600/2)/2 + 1 = 691 widths out, its w_1 = e^(-2 X1) underflows,
+        # and the stepped profile would lose the coupling where delta w ~ m.
+        # The quotient's logarithm is taken as ln E2 - ln E1, so the edge is
+        # finite (an inf edge ran no step and returned the tails' state), and
+        # the input is refused before the first step
+        params = mk(m=1e-300, p=0.0, a2=-1e300, tau=1e-300)
+        with pytest.raises(oracle.OracleError, match="normal double range"):
+            integrate(params)
+        with pytest.raises(oracle.OracleError):
+            compare(params)
+
     def test_a_tail_short_of_rounding_is_refused(self, monkeypatch):
-        # at 0.25 widths, with the early plateau at pi1 = 0 and |delta| = m,
-        # the early tail's terms fall by only |w_X + i k| = 0.86 a term and
-        # do not reach rounding within the term cap; a tail that stopped
-        # short would be off by its next terms
+        # at SPAN_FACTOR 0.25 the tails' ratio is 2 e^(-1/2) = 1.21, so the
+        # early tail's terms grow and do not reach rounding within the term
+        # cap; a tail that stopped short would be off by its next terms
         monkeypatch.setattr(oracle, "SPAN_FACTOR", 0.25)
         with pytest.raises(oracle.OracleError, match="early tail"):
             integrate(mk(p=0.0, a2=1.0))
@@ -293,8 +332,8 @@ class TestIntegrate:
         assert num.f == pytest.approx(1.0, abs=1e-10)
 
     def test_sharp_limit_equal_amplitudes(self):
-        # at every tau the window is at least 2 tau wide and a step lands on
-        # u = 0, so no step grown on a plateau can jump the transition and
+        # at every tau the window is at least 1.3 tau wide and a step lands
+        # on u = 0, so no step grown on a plateau can jump the transition and
         # report b = 0
         for tau in (1e-12, 1e-4, 1e-3, 3e-3):
             num = compare(mk(tau=tau)).numeric
@@ -317,7 +356,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(oracle, "_stage_profile", afresh)
         assert integrate(mk(tau=3.0)) == handed_on
-        assert handed_on.steps > 90
+        assert handed_on.steps > 38
 
     @pytest.mark.parametrize("lam", [2.0, 0.25])
     @pytest.mark.parametrize("kw", [
@@ -325,16 +364,15 @@ class TestIntegrate:
         dict(m=1.3, q=0.7, p=-1.1, a1=-0.5, a2=1.0, tau=2.0, t0=-0.7),
         dict(m=0.6, q=-0.9, p=2.2, a1=0.4, a2=1.0, tau=0.05, t0=0.25),
         dict(m=1.0, q=1.0, p=0.9, a1=0.0, a2=0.8, tau=1.0, t0=3.0),
+        dict(m=0.15, q=-1.33, p=0.5, a1=0.79, a2=1.1, tau=0.65, t0=-1.08),
     ], ids=lambda kw: f"tau={kw['tau']:g}")
     def test_power_of_two_mass_scaling_is_exact(self, kw, lam):
         # (m, p, a1, a2, tau, t0) -> (l m, l p, l a1, l a2, tau/l, t0/l) leaves
         # every slope per unit x = (t - t0)/tau unchanged, and scaling by a
-        # power of two is exact, so the run is the same bit for bit.  Only
-        # where |delta| <= m: a widened window's ln|delta| - ln m rounds
-        # differently under the scaling, and in 80 seeded scalings the one
-        # that moved (u by ~2e-14) had |delta| > m
+        # power of two is exact, so the run is the same bit for bit.  The
+        # window reads E2/E1 alone, which the scaling keeps exact, so this
+        # holds where |delta| > m too (the last case, |delta| = 2.7 m)
         base = StepParameters(**kw)
-        assert abs(asymptotic_modes(base).delta) <= base.m
         scaled = StepParameters(m=lam * base.m, q=base.q, p=lam * base.p, a1=lam * base.a1,
                                 a2=lam * base.a2, tau=base.tau / lam, t0=base.t0 / lam)
         want, got = integrate(base), integrate(scaled)
@@ -421,8 +459,9 @@ class TestIntegrate:
         # pi2 = 0 and |pi1|/m >= 1: pi near the late plateau is taken from
         # pi2, not as a difference of the plateaus' that cancels to rounding
         # noise (at pi1 = 1e200 that gave a coupling of 4e183 where it is
-        # 4e-184, and the amplitudes overflowed), and the window is widened
-        # by ln(|delta|/m)/2 tau so the coupling's tail is resolved
+        # 4e-184, and the amplitudes overflowed), and the late edge is at
+        # SPAN_FACTOR + ln(E1/(2 E2))/2 so that the late tail's series falls
+        # at 2 e^(-2 SPAN_FACTOR) a term
         report = compare(mk(**kw))
         assert report.passed
         assert max(report.deviations[k] for k in ("f", "b", "F_u")) <= 1e-13
@@ -456,7 +495,7 @@ class TestIntegrate:
         # TOL is one absolute bar on every component of the unitary state, so
         # the amplitudes, phases included, are within a few TOL of the charts'
         # however small |u_b| is (3.8e-8 at m = 1e-6); measured at TOL and
-        # 10 TOL: at most 1.14 TOL (the anchor at tau = 10, at TOL)
+        # 10 TOL: at most 0.58 TOL (the anchor at tau = 10, at 10 TOL)
         monkeypatch.setattr(oracle, "TOL", scale * oracle.TOL)
         params = mk(**kw)
         sol = analytic.match_at_t0(analytic.build_solution(params), params)
@@ -465,23 +504,27 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("kw", [
         dict(tau=0.3), dict(tau=3.0), dict(p=4.0, a2=1.0, tau=10.0),
-        # |delta|/m = 10 widens the window; pi = -1 .. -2 never crosses 0
+        # |delta|/m = 10, E2/E1 = 2; pi = -1 .. -2 never crosses 0
         dict(m=0.1, p=-1.0, a2=1.0, tau=1.0),
         # an early plateau at pi1 = 0 with |delta| = m: the tail's coupling
-        # is at its largest, e^(-2 SPAN_FACTOR), and the series the slowest
+        # is at its largest against E1
         dict(p=0.0, a2=1.0, tau=0.3),
         # pi1 = 0.577 m and tau E1 ~ 1, where the tail's phase and its
         # coupling are of one size
         dict(p=0.577, a2=1.0, tau=1.0),
+        # E2/E1 = 4.98: the edges are -1.46 and 0.65, an asymmetric window
+        dict(p=0.1, a2=5.0, tau=1.0),
     ], ids=lambda kw: ",".join(f"{k}={v:g}" for k, v in kw.items()))
     def test_closed_form_tails_match_the_stepped_tails(self, monkeypatch, kw):
-        # beyond t0 +- SPAN_FACTOR widths the coupling's tails are summed as
+        # beyond the window's edges the coupling's tails are summed as
         # series; stepping 19 more widths on each side gives the same
         # amplitudes to rounding, where a dropped or wrong-signed tail term
         # moves them by more than 1e-12.  The wide run steps at TOL/10: at
-        # TOL its outer plateau steps leave u_b 2.1e-12 off 50-digit Gamma
-        # ratios at tau = 3 (1.2e-14 at TOL/10), where the default run is
-        # 3.6e-15 off; at TOL/10 the runs differ by at most 4.3e-14 here
+        # TOL its outer plateau steps leave u_b 2.4e-13 off 50-digit Gamma
+        # ratios at tau = 3 (2.1e-14 at TOL/10), where the default run is
+        # 7.0e-15 off; at TOL/10 the runs differ by at most 2.2e-13 here, in
+        # u_f at p = 4, tau = 10, where the wide run is the one 2.2e-13 off
+        # the Gamma ratios and the default run 5.9e-15
         tails = integrate(mk(**kw))
         monkeypatch.setattr(oracle, "SPAN_FACTOR", 20.0)
         monkeypatch.setattr(oracle, "TOL", oracle.TOL / 10)
@@ -499,7 +542,7 @@ class TestIntegrate:
         # the free e^{-/+iEt} oscillation is stripped, so the steps follow the
         # sech^2 transition, about linearly in tau; a mis-wired stage that
         # loses order takes many more
-        for tau, want in ((0.3, 52), (3.0, 100), (10.0, 273), (30.0, 709)):
+        for tau, want in ((0.3, 31), (3.0, 42), (10.0, 105), (30.0, 267)):
             steps = integrate(mk(tau=tau)).steps
             assert steps == pytest.approx(want, rel=0.02), f"tau = {tau}: {steps} steps"
 
@@ -537,9 +580,9 @@ class TestIntegrate:
         assert abs(out.u_b - sol.u_b) <= 1e-9 * abs(sol.u_b)
 
     def test_step_cap_enforced(self, monkeypatch):
-        # tau = 30 takes 709 steps, ~11.6 per unit of 1 + tau E; a budget of
-        # 8 per unit allows 488, 31% short
-        monkeypatch.setattr(oracle, "STEP_BUDGET", 8)
+        # tau = 30 takes 267 steps, ~4.4 per unit of 1 + tau E; a budget of
+        # 3 per unit allows 183, 31% short
+        monkeypatch.setattr(oracle, "STEP_BUDGET", 3)
         with pytest.raises(StepLimitError):
             integrate(mk(tau=30.0))
 
@@ -559,8 +602,9 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("tau", [1e-50, 1e-300])
     def test_a_fast_step_takes_a_fixed_number_of_steps(self, tau):
-        # the window is ~2 tau wide at every tau, so the plateaus cost what
-        # they cost at tau ~ 1e-3, not a climb over decades of step size
+        # the window is a fixed number of tau wide at every tau (1.3 at the
+        # anchor), so the plateaus cost what they cost at tau ~ 1e-3, not a
+        # climb over decades of step size
         assert integrate(mk(tau=tau)).steps <= 100
 
     def test_smallest_tau_gives_the_sharp_step(self):
@@ -599,9 +643,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("tau", [30.0, 100.0])
     def test_slow_forward_amplitude_matches_the_charts(self, tau):
         # tau E = 60 and 200: u_f, phase included, within 1e-12 of the
-        # charts', 1.5e-13 and 1.6e-13 off in 709 and 2,027 steps.  Against
+        # charts', 1.3e-13 and 1.7e-13 off in 267 and 763 steps.  Against
         # 50-digit Gamma ratios the charts are 6.9e-14 and 1.1e-13 off, the
-        # integrator 8.5e-14 and 4.9e-14
+        # integrator 6.6e-14 and 5.7e-14
         params = mk(tau=tau)
         sol = analytic.match_at_t0(analytic.build_solution(params), params)
         assert abs(integrate(params).u_f - sol.u_f) <= 1e-12
@@ -625,8 +669,8 @@ class TestIntegrate:
         # range (`build_solution` refuses them): there the integrator alone
         # gives the phase.  Theta ~ tau E X is carried as a compensated pair,
         # and x advances by exactly the h each step integrated, so the phase
-        # keeps no accumulated rounding: 4.9e-14, 1.5e-13 and 2.4e-14 off in
-        # 2,027, 5,297 and 5,059 steps.  One float Theta summed over a
+        # keeps no accumulated rounding: 5.7e-14, 1.3e-13 and 5.8e-14 off in
+        # 763, 1,989 and 3,170 steps.  One float Theta summed over a
         # drifting x at +-2 widths was 5.0e-13, 7.7e-12 and 2.4e-12 off;
         # dropping either the compensation or the exact h leaves the last
         # case 2.6e-12 or 3.7e-12 off
