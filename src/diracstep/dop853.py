@@ -3,13 +3,15 @@
 DOP853 is the explicit Runge-Kutta pair of Dormand and Prince of order 8
 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), twelve stages per
 step.  Its coefficients are those of Hairer's dop853.f, as named module
-constants.  `step` takes one step of the oracle's eigenmode system
+constants.  `step` takes one step of the oracle's system
 
     a' = g e^{2i Theta} b,   b' = -g e^{-2i Theta} a,   Theta' = e,
 
-from the coupling g and the Theta-slope e at the step's twelve stage
-abscissae, which do not depend on (a, b) and so come in as two lists,
-each already times the step size h: the step takes no h of its own.  The
+in either of its pictures (the eigenmode one, and the diabatic one, where
+g = tau m and e = tau pi), from the coupling g and the Theta-slope e at
+the step's twelve stage abscissae, which do not depend on (a, b) and so
+come in as two lists, each already times the step size h: the step takes
+no h of its own.  The
 state is the five floats (Re a, Im a, Re b, Im b, Theta): CPython 3.11
 runs a float operation at about a third of the cost of a complex one, and
 almost every tableau term is a complex times a real.  The step is straight-line
@@ -26,14 +28,14 @@ large Theta has grown.  `step` returns Theta's increment, for the caller
 to add to its own compensated Theta.  The increment and Theta's error sums
 are taken on the slopes' differences from stage 1, exact as the 8th-order
 weights add to 1 and each error sum's to 0, so on the plateaus, where its
-slope is constant and g ~ 0, the increment is exactly stage 1's h-scaled
+slope is constant, the increment is exactly stage 1's h-scaled
 slope and the error sums exactly 0, not the bias and the rounding noise of
 weights that add to 1 + 4.4e-16 and -1.6e-16 in floats: the step counts do
 not move with the last bit of E, and a widened window's long plateau
 steps add no bias to Theta.  Over the seed-1 inputs of the
 `oracle-validation` benchmark a step costs ~16 us (CPython 3.11.7, one
 core of an Intel Xeon, shared host), and every step costs about the same,
-so the oracle's window sets the cost: those inputs take 3,809 steps in all.
+so the oracle's window sets the cost: those inputs take 2,864 steps in all.
 
 The kernel is a module of its own because its straight-line code is long
 and each module is compiled on its own: kept apart from `oracle`, its

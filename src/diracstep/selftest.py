@@ -7,7 +7,7 @@ moduli f, b and F_u against `scatter`, and the amplitudes u_f and u_b,
 phase included, against the charts, on each point at once), the Heaviside
 and adiabatic limits, and the normalization identities.  The wavefunction
 identities, the integrator check and the sharp-step limit read one list of
-eight points.
+nine points.
 
 Each check returns (passed, detail) and compares strictly against a tolerance
 held as a module constant, so a tolerance of 0 fails it; the two bars on the
@@ -33,7 +33,7 @@ ANCHOR = dict(m=1.0, q=1.0, p=math.sqrt(3.0), a1=0.0, a2=2.0 * math.sqrt(3.0))
 SPECFUN_TOL = 1e-10
 # on the matched solution's identities, relative to its norm, which read
 # rounding and |zeta| = e^(-36) at the plane-wave times: 1.4e-15 on the
-# battery's eight points, 1.4e-14 on acceptance criterion 8's
+# battery's nine points, 1.4e-14 on acceptance criterion 8's
 WAVEFUNCTION_TOL = 1e-12
 # the smooth step that must reproduce the Heaviside limit: the O(tau^2)
 # physics is ~1e-16 at tau = 1e-8, so SHARP_TOL bounds the arithmetic
@@ -234,12 +234,15 @@ def check_normalization(points: Sequence[model.StepParameters]):
     )
 
 
-# the anchor (E1 = E2) at three widths, four kinematics with E1 != E2, and
-# a point off the anchor's symmetries: signed q, m != 1, a1 != 0, t0 != 0
+# the anchor (E1 = E2) at four widths, four kinematics with E1 != E2, and
+# a point off the anchor's symmetries: signed q, m != 1, a1 != 0, t0 != 0;
+# the anchor at tau = 3 (tau E = 6) is the one the integrator runs in the
+# eigenmode picture, the others tau E <= 2 in the diabatic one
 _POINTS = [model.StepParameters(**kw) for kw in (
     dict(ANCHOR, tau=0.1),
     dict(ANCHOR, tau=0.3),
     dict(ANCHOR, tau=1.0),
+    dict(ANCHOR, tau=3.0),
     dict(m=1.0, q=1.0, p=0.5, a1=0.0, a2=2.0, tau=0.05),
     dict(m=1.0, q=1.0, p=2.5, a1=0.0, a2=-1.0, tau=0.5),
     dict(m=1.0, q=1.0, p=1.0, a1=0.0, a2=5.0, tau=0.3),

@@ -250,7 +250,8 @@ class TestTail:
 
     @pytest.mark.parametrize("y", [0.5, 1.0])
     @pytest.mark.parametrize("kw", [
-        # E2/E1 = 2: the early edge at 1 width, the late at 0.65
+        # E2/E1 = 2: the early edge at 1 width, the late at 0.65; m = 1e-3
+        # |delta|, the least the eigenmode picture takes
         dict(m=1e-3, p=-1.0, a2=1.0),
         # E1/E2 = 1.34: the late edge at 0.80, and pi2 = 0.1 m
         dict(p=0.9, a2=0.8),
@@ -262,10 +263,13 @@ class TestTail:
         # tau E / (tau E_i) that the stepped profile evaluates directly at
         # that x, in each tail, from the arguments integrate hands the tail
         # (measured: g to 4e-16 relative, E/E_i to 2.2e-16); a wrong mk, c1,
-        # c2 or eps coefficient moves them by far more
-        params = mk(tau=1.0, **kw)
+        # c2 or eps coefficient moves them by far more.  At tau = 3, tau E > 2,
+        # the eigenmode picture runs, and sums its two tails
+        params = mk(tau=3.0, **kw)
         profile = oracle._stage_profile(params, asymptotic_modes(params))
-        for sigma, te, mu, r, k, w in self._tail_arguments(params):
+        calls = self._tail_arguments(params)
+        assert len(calls) == 2
+        for sigma, te, mu, r, k, w in calls:
             g_y, c1, c2, eps = oracle._tail_profile(sigma, mu, r, k, w)
             g = g_y * y / (1.0 + c1 * y + c2 * y * y)
             e = 1.0
@@ -303,26 +307,25 @@ class TestTail:
                 want = depth + oracle.SPAN_FACTOR - 0.5 * math.log(2.0)
                 assert edge == pytest.approx(want, rel=0.0, abs=1e-11), (m, pi1, pi2)
 
-    def test_an_edge_beyond_the_normal_range_is_refused(self):
-        # E2/E1 = 1e600 is beyond the double range: the early edge is
-        # ln(1e600/2)/2 + 1 = 691 widths out, its w_1 = e^(-2 X1) underflows,
-        # and the stepped profile would lose the coupling where delta w ~ m.
-        # The quotient's logarithm is taken as ln E2 - ln E1, so the edge is
-        # finite (an inf edge ran no step and returned the tails' state), and
-        # the input is refused before the first step
-        params = mk(m=1e-300, p=0.0, a2=-1e300, tau=1e-300)
-        with pytest.raises(oracle.OracleError, match="normal double range"):
-            integrate(params)
-        with pytest.raises(oracle.OracleError):
-            compare(params)
+    def test_a_plateau_ratio_beyond_the_double_range_passes(self):
+        # E2/E1 = 1e600 is beyond the double range, and the eigenmode
+        # picture's early edge would be 691 widths out, where e^(-2|x|) is
+        # below the normal range.  tau E2 = 1, so the diabatic picture takes
+        # the input, over its fixed +-0.65 widths, in 13 steps
+        report = compare(mk(m=1e-300, p=0.0, a2=-1e300, tau=1e-300))
+        assert report.passed
+        assert report.outcome.steps <= 20
 
     def test_a_tail_short_of_rounding_is_refused(self, monkeypatch):
-        # at SPAN_FACTOR 0.25 the tails' ratio is 2 e^(-1/2) = 1.21, so the
-        # early tail's terms grow and do not reach rounding within the term
-        # cap; a tail that stopped short would be off by its next terms
+        # at SPAN_FACTOR 0.25 the tails' ratio is 2 e^(-1/2) = 1.21 in both
+        # pictures (tau = 0.3 runs the diabatic one, tau = 3 the eigenmode
+        # one), so the early tail's terms grow and do not reach rounding
+        # within the term cap; a tail that stopped short would be off by its
+        # next terms
         monkeypatch.setattr(oracle, "SPAN_FACTOR", 0.25)
-        with pytest.raises(oracle.OracleError, match="early tail"):
-            integrate(mk(p=0.0, a2=1.0))
+        for tau in (0.3, 3.0):
+            with pytest.raises(oracle.OracleError, match="early tail"):
+                integrate(mk(p=0.0, a2=1.0, tau=tau))
 
 
 class TestIntegrate:
@@ -342,21 +345,24 @@ class TestIntegrate:
     def test_the_first_node_is_handed_on(self, monkeypatch):
         # each step takes stage 1's profile values from the step before, or
         # from the rejected attempt at the same x; evaluating them afresh at
-        # every step gives the same outcome, bit for bit
-        handed_on = integrate(mk(tau=3.0))
-        stage_profile = oracle._stage_profile
+        # every step gives the same outcome, bit for bit, in the eigenmode
+        # picture (tau = 3, 42 steps) and the diabatic one (tau = 0.3, 14)
+        for name, tau in (("_stage_profile", 3.0), ("_diabatic_profile", 0.3)):
+            handed_on = integrate(mk(tau=tau))
+            stage_profile = getattr(oracle, name)
 
-        def afresh(params, modes):
-            profile = stage_profile(params, modes)
+            def afresh(params, modes):
+                profile = stage_profile(params, modes)
 
-            def recomputing(x, h, g1, e1):
-                return profile(x, h, *profile(x, 0.0, 0.0, 0.0)[2:])
+                def recomputing(x, h, g1, e1):
+                    return profile(x, h, *profile(x, 0.0, 0.0, 0.0)[2:])
 
-            return recomputing
+                return recomputing
 
-        monkeypatch.setattr(oracle, "_stage_profile", afresh)
-        assert integrate(mk(tau=3.0)) == handed_on
-        assert handed_on.steps > 38
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, name, afresh)
+                assert integrate(mk(tau=tau)) == handed_on
+            assert handed_on.steps > 12
 
     @pytest.mark.parametrize("lam", [2.0, 0.25])
     @pytest.mark.parametrize("kw", [
@@ -399,8 +405,9 @@ class TestIntegrate:
     def test_a_nan_error_shrinks_the_step_to_a_refusal(self, monkeypatch):
         # finite amplitudes with a NaN error: every step is rejected and h
         # shrinks by _MIN_FACTOR to the underflow refusal within a few dozen
-        # attempts; a rule that read a NaN error as no error would grow h
-        # and run to the step budget, 1,600 attempts here
+        # attempts, in the diabatic picture (tau = 0.3) and the eigenmode
+        # one (tau = 3); a rule that read a NaN error as no error would grow
+        # h and run to the step budget, 1,600 and 7,000 attempts here
         real_step = dop853.step
         calls = []
 
@@ -409,22 +416,34 @@ class TestIntegrate:
             return real_step(*args)[:5] + (math.nan,)
 
         monkeypatch.setattr(dop853, "step", nan_errors)
-        with pytest.raises(StepLimitError, match="step size underflow"):
-            integrate(mk())
-        assert len(calls) <= 40
+        for tau in (0.3, 3.0):
+            calls.clear()
+            with pytest.raises(StepLimitError, match="step size underflow"):
+                integrate(mk(tau=tau))
+            assert len(calls) <= 40
 
     @pytest.mark.parametrize("kw", [
         dict(m=1e200, p=0.0, a2=1e200, tau=1e-300),
         dict(m=1e160, q=1e160, p=0.0, a2=1.0, tau=1e-300),
         dict(m=1e-308, p=0.0, a2=1e-308, tau=1e308),
+        dict(m=1e200, p=0.0, a2=1e200, tau=3e-200),
+        dict(m=1e160, q=1e160, p=0.0, a2=1.0, tau=3e-160),
+        dict(m=1e-308, p=0.0, a2=1e-308, tau=1.7e308),
     ])
     def test_huge_kinematics_do_not_overflow_the_profile(self, kw):
-        # m q (a2 - a1) and pi^2 + m^2 overflow a double; (m/E) (q (a2 - a1)/E)
-        # and E = hypot(pi, m) do not.  At tau = 1e308 the window's 2 tau in t
-        # overflows, but tau E and x do not, so Theta stays finite
+        # m q (a2 - a1) and pi^2 + m^2 overflow a double; tau m, tau pi, and
+        # in the eigenmode picture (the last three, tau E > 2) (m/E)
+        # (q (a2 - a1)/E) and E = hypot(pi, m), do not.  At tau = 1e308 the
+        # window's 2 tau in t overflows, but tau E and x do not, so Theta
+        # stays finite
         report = compare(mk(**kw))
         assert report.passed
-        assert 0.0 < report.outcome.norm_drift <= oracle.DRIFT_LIMIT
+        drift = report.outcome.norm_drift
+        assert drift <= oracle.DRIFT_LIMIT
+        # the stepped coupling moves the state, and its norm by rounding,
+        # save where it is tau m <= 1e-100 (the first two, in the diabatic
+        # picture), which leaves the state as it was, to the bit
+        assert (drift > 0.0) == (kw["m"] * kw["tau"] > 1e-50)
 
     def test_half_angles_keep_the_mixing_angle(self):
         # 2 cos sin = sin theta = m/E and cos^2 - sin^2 = cos theta = pi/E,
@@ -466,12 +485,17 @@ class TestIntegrate:
         assert report.passed
         assert max(report.deviations[k] for k in ("f", "b", "F_u")) <= 1e-13
 
-    def test_a_vanishing_mass_is_refused_as_a_step_limit(self):
-        # m^2 = 1e-400 underflows where pi crosses 0; E = hypot(pi, m) = m
-        # there, the coupling spike is refused as at m = 1e-8, and nothing
-        # divides by zero
+    def test_a_vanishing_mass_crossing_passes_diabatic(self, monkeypatch):
+        # m^2 = 1e-400 underflows where pi crosses 0.  The diabatic picture's
+        # coupling is tau m at every x, so it passes; the eigenmode picture's
+        # coupling is a spike of width ~m/|delta| there, which it refuses as a
+        # step limit, with nothing divided by zero
+        params = mk(m=1e-200, p=1.0, a2=2.0, tau=1.0)
+        assert compare(params).passed
+        monkeypatch.setattr(oracle, "DIABATIC_TAU_E", 0.0)
+        monkeypatch.setattr(oracle, "DIABATIC_MASS", 0.0)
         with pytest.raises(StepLimitError):
-            integrate(mk(m=1e-200, p=1.0, a2=2.0, tau=1.0))
+            integrate(params)
 
     def test_stability_in_span_and_tolerance(self, monkeypatch):
         base = compare(mk()).numeric
@@ -532,6 +556,28 @@ class TestIntegrate:
         assert abs(tails.u_f - stepped.u_f) <= 1e-12
         assert abs(tails.u_b - stepped.u_b) <= 1e-12
 
+    @pytest.mark.parametrize("kw", [
+        dict(tau=0.9), dict(tau=1.1),
+        dict(m=0.5, q=-1.3, p=0.4, a1=0.5, a2=-2.0, tau=0.8),
+        dict(m=0.5, q=-1.3, p=0.4, a1=0.5, a2=-2.0, tau=1.2),
+        # pi crosses 0 at m = 0.003 |delta|
+        dict(m=0.01, p=1.7, a2=3.4, tau=1.0),
+    ], ids=lambda kw: ",".join(f"{k}={v:g}" for k, v in kw.items()))
+    def test_both_pictures_give_the_same_amplitudes(self, monkeypatch, kw):
+        # on both sides of tau max(E1, E2) = DIABATIC_TAU_E = 2, and at a
+        # crossing, the diabatic and eigenmode pictures share nothing but the
+        # step rule and `dop853.step`; their u_f and u_b, phases included,
+        # agree to 1.2e-13 here
+        params = mk(**kw)
+        runs = []
+        for tau_e in (math.inf, 0.0):
+            monkeypatch.setattr(oracle, "DIABATIC_TAU_E", tau_e)
+            monkeypatch.setattr(oracle, "DIABATIC_MASS", 0.0)
+            runs.append(integrate(params))
+        diabatic, eigenmode = runs
+        assert abs(diabatic.u_f - eigenmode.u_f) <= 1e-12
+        assert abs(diabatic.u_b - eigenmode.u_b) <= 1e-12
+
     def test_transition_time_only_shifts_phases(self):
         a = compare(mk(t0=0.0)).numeric
         b = compare(mk(t0=37.5)).numeric
@@ -541,10 +587,12 @@ class TestIntegrate:
     def test_steps_follow_the_transition(self):
         # the free e^{-/+iEt} oscillation is stripped, so the steps follow the
         # sech^2 transition, about linearly in tau; a mis-wired stage that
-        # loses order takes many more
-        for tau, want in ((0.3, 31), (3.0, 42), (10.0, 105), (30.0, 267)):
-            steps = integrate(mk(tau=tau)).steps
-            assert steps == pytest.approx(want, rel=0.02), f"tau = {tau}: {steps} steps"
+        # loses order takes many more.  tau = 0.3 runs the diabatic picture,
+        # and a crossing at m = 1e-8 takes 15 steps there too
+        for kw, want in ((dict(tau=0.3), 14), (dict(m=1e-8, p=1.7, a2=3.4), 15),
+                         (dict(tau=3.0), 42), (dict(tau=10.0), 105), (dict(tau=30.0), 267)):
+            steps = integrate(mk(**kw)).steps
+            assert steps == pytest.approx(want, rel=0.02), f"{kw}: {steps} steps"
 
     def test_step_counts_do_not_follow_rounding(self, monkeypatch):
         # on the plateaus Theta's slope is constant and its error sums are
@@ -552,8 +600,9 @@ class TestIntegrate:
         # floats, so raising E = hypot(pi, m) one ulp at every node moves no
         # step count; with the noise it moved 221 of the 384 inputs of the
         # benchmark's oracle-validation seeds 1-3, by up to 8 steps
-        points = [mk(tau=0.3), mk(tau=3.0), mk(p=0.5, a2=0.5, tau=1.0),
-                  mk(p=2.5, a2=0.5, tau=1.0), mk(p=4.0, a2=5.0, tau=0.1)]
+        # in the eigenmode picture, which forms E; tau E is 3 to 6
+        points = [mk(tau=1.5), mk(tau=3.0), mk(p=0.5, a2=0.5, tau=3.0),
+                  mk(p=2.5, a2=0.5, tau=1.0), mk(p=4.0, a2=5.0, tau=0.6)]
         steps = [integrate(params).steps for params in points]
 
         class HypotOneUlpUp:
@@ -580,11 +629,13 @@ class TestIntegrate:
         assert abs(out.u_b - sol.u_b) <= 1e-9 * abs(sol.u_b)
 
     def test_step_cap_enforced(self, monkeypatch):
-        # tau = 30 takes 267 steps, ~4.4 per unit of 1 + tau E; a budget of
-        # 3 per unit allows 183, 31% short
+        # tau = 30 takes 267 steps, ~4.4 per unit of 1 + tau E, in the
+        # eigenmode picture, and m = 1e-3 (~3e-4 |delta|) 412 steps, ~8.1 per
+        # unit, in the diabatic one; a budget of 3 per unit allows 183 and 156
         monkeypatch.setattr(oracle, "STEP_BUDGET", 3)
-        with pytest.raises(StepLimitError):
-            integrate(mk(tau=30.0))
+        for kw in (dict(), dict(m=1e-3, p=1.7, a2=3.4)):
+            with pytest.raises(StepLimitError, match="step budget"):
+                integrate(mk(tau=30.0, **kw))
 
     def test_a_slow_step_is_refused_before_the_first_step(self):
         # tau max(E1, E2) = 3.2e8: the step budget alone would allow ~3e11 steps
@@ -594,11 +645,14 @@ class TestIntegrate:
         assert time.perf_counter() - start < 1.0
 
     def test_refusal_reads_max_tau_e(self, monkeypatch):
-        # the anchor has max(E1, E2) = 2: tau E = 0.4 runs, 0.6 is refused
-        monkeypatch.setattr(oracle, "MAX_TAU_E", 0.5)
-        assert integrate(mk(tau=0.2)).steps > 0
-        with pytest.raises(StepLimitError):
-            integrate(mk(tau=0.3))
+        # the anchor has max(E1, E2) = 2: at MAX_TAU_E = 0.5 tau E = 0.4 runs,
+        # in the diabatic picture, and 0.6 is refused; at 5, tau E = 4 runs,
+        # in the eigenmode picture, and 6 is refused
+        for limit, tau in ((0.5, 0.2), (5.0, 2.0)):
+            monkeypatch.setattr(oracle, "MAX_TAU_E", limit)
+            assert integrate(mk(tau=tau)).steps > 0
+            with pytest.raises(StepLimitError, match="supported range"):
+                integrate(mk(tau=1.5 * tau))
 
     @pytest.mark.parametrize("tau", [1e-50, 1e-300])
     def test_a_fast_step_takes_a_fixed_number_of_steps(self, tau):
@@ -704,6 +758,16 @@ class TestCompare:
         # rounding only: the integrator's own error at these tolerances
         assert report.deviations["f"] <= 1e-14
         assert report.deviations["F_u"] <= 1e-14
+
+    @pytest.mark.parametrize("m", [1e-2, 1e-6, 3e-7, 1e-7, 1e-8, 1e-100])
+    def test_small_mass_crossings_pass(self, m):
+        # pi = 1.7 -> -1.7 crosses 0 at x = 0, where the eigenmode coupling is
+        # a spike of width ~m/|delta|, which that picture cannot follow at
+        # m <= 1e-7.  tau E = 0.51, and the diabatic picture, whose coupling
+        # is tau m, passes at every m, in 15 steps, with deviations below 1e-15
+        report = compare(mk(m=m, p=1.7, a2=3.4, tau=0.3))
+        assert report.passed
+        assert max(report.deviations[k] for k in ("f", "b", "F_u")) <= 1e-14
 
     def test_trivial_step(self):
         report = compare(mk(a1=0.5, a2=0.5, p=1.4))

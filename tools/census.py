@@ -5,19 +5,29 @@
 Route `oracle`: `oracle.compare` on the 384 inputs of the benchmark's
 `oracle-validation` workload at seeds 1-3, taken from
 benchmarks/workloads.py, which this tool imports and never edits.  It
-prints the number of inputs, how many passed and how many the integrator
+prints the number of inputs, how many the integrator took in its
+diabatic and its eigenmode picture, how many passed and how many it
 refused (an `OracleError`), the worst deviation of f, b and F_u in units
 of max(1, f, b) (the unit of `oracle.COMPARE_TOL`), the worst |u_f| or
 |u_b| deviation, phase included, between the integrator's `OracleOutcome`
 and the charts' (`match_at_t0`), absolute as |u| <= 1, the total and median
 attempted steps, the most in the unit of `oracle.STEP_BUDGET`,
-steps / (1 + tau max(E1, E2)), the most terms one of `oracle._tail`'s
-series took (the unit of `oracle._TAIL_TERMS`), and the largest norm
-drift.  A refused input counts in neither the deviations, the steps, the
-terms nor the drift.  `outcomes_sha256` is the
+steps / (1 + tau max(E1, E2)), the most terms one tail's series took in
+either picture (`oracle._tail` or `oracle._diabatic_tail`, the unit of
+`oracle._TAIL_TERMS`), and the largest norm drift.  A refused input counts
+in neither the pictures, the deviations, the steps, the terms nor the
+drift.  `outcomes_sha256` is the
 SHA-256 of the inputs' `OracleOutcome` reprs (a refusal's exception repr),
 one a line in input order, so that an integrator that moves by one bit on
 one input shows.
+
+Route `oracle_range`: `oracle.compare` on ORACLE_RANGE_DRAWS draws from
+seed ORACLE_RANGE_SEED over the double range: m, |p|, |a1| and |a2|
+log-uniform in 1e-300..1e300 with random signs, |q| log-uniform in
+1e-3..1e3, and tau set so that tau max(E1, E2) is log-uniform in
+1e-3..10.  It prints how many passed and failed `compare`, and the
+refusals (an `OracleError`) counted by cause: the exception's class and
+message, each number in it replaced by #.
 
 Route `chart`: the wavefunction API (`build_solution`, `match_at_t0`,
 `solve_earlier`) on CHART_DRAWS draws from seed CHART_SEED, each of m,
@@ -60,6 +70,7 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import sys
 
@@ -78,6 +89,10 @@ UNITARITY_BAR = 1e-13
 RANGE_SEED = 20261020
 RANGE_DRAWS = 1000
 RELATIVE_BAR = 1e-12
+ORACLE_RANGE_SEED = 777
+ORACLE_RANGE_DRAWS = 300
+# a number in a refusal's message, not a digit within a name such as E2 or t0
+_NUMBER = re.compile(r"(?<![\w.])[-+]?\d[\w.+-]*")
 
 
 def oracle_route() -> dict:
@@ -88,16 +103,20 @@ def oracle_route() -> dict:
     worst = amplitudes = drift = per_unit = 0.0
     steps = []
     digest = hashlib.sha256()
-    # the terms each of the current input's tails took, read off `_tail`'s
-    # return by a wrapper that `integrate` calls in its place
-    tail, tail_terms = oracle._tail, []
+    # the picture and terms each of the current input's tails took, read off
+    # the tails' returns by wrappers that `integrate` calls in their place
+    tails = {"eigenmode": oracle._tail, "diabatic": oracle._diabatic_tail}
+    tail_terms, pictures = [], dict.fromkeys(tails, 0)
 
-    def counted_tail(*args):
-        out = tail(*args)
-        tail_terms.append(out[3])
-        return out
+    def counted(picture, tail):
+        def counted_tail(*args):
+            out = tail(*args)
+            tail_terms.append((picture, out[-1]))
+            return out
+        return counted_tail
 
-    oracle._tail = counted_tail
+    oracle._tail = counted("eigenmode", tails["eigenmode"])
+    oracle._diabatic_tail = counted("diabatic", tails["diabatic"])
     try:
         for desc in inputs:
             params = StepParameters(**desc)
@@ -117,14 +136,17 @@ def oracle_route() -> dict:
                              abs(sol.u_b - report.outcome.u_b))
             drift = max(drift, report.outcome.norm_drift)
             steps.append(report.outcome.steps)
-            terms = max(terms, *tail_terms)
+            terms = max(terms, *(n for _, n in tail_terms))
+            pictures[tail_terms[0][0]] += 1
             modes = report.analytic.modes
             per_unit = max(per_unit, report.outcome.steps
                            / (1.0 + params.tau * max(modes.e1, modes.e2)))
     finally:
-        oracle._tail = tail
+        oracle._tail, oracle._diabatic_tail = tails["eigenmode"], tails["diabatic"]
     return {
         "inputs": len(inputs),
+        "diabatic": pictures["diabatic"],
+        "eigenmode": pictures["eigenmode"],
         "passed": passed,
         "refused": refused,
         "worst_deviation": worst,
@@ -136,6 +158,34 @@ def oracle_route() -> dict:
         "norm_drift_max": drift,
         "outcomes_sha256": digest.hexdigest(),
     }
+
+
+def oracle_range_route() -> dict:
+    """`oracle.compare` over ORACLE_RANGE_DRAWS whole-range draws."""
+    rng = random.Random(ORACLE_RANGE_SEED)
+
+    def signed(lo, hi):
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+
+    passed = failed = 0
+    refused = {}
+    for _ in range(ORACLE_RANGE_DRAWS):
+        m = 10.0 ** rng.uniform(-300.0, 300.0)
+        p, a1, a2 = (signed(-300.0, 300.0) for _ in range(3))
+        q = signed(-3.0, 3.0)
+        modes = model.plateau_modes(m, q, p, a1, a2)
+        tau = 10.0 ** rng.uniform(-3.0, 1.0) / max(modes.e1, modes.e2)
+        try:
+            report = oracle.compare(StepParameters(m, q, p, a1, a2, tau))
+        except oracle.OracleError as exc:
+            # the cause: the exception's class and message, its numbers
+            # replaced by #
+            cause = f"{type(exc).__name__}: {_NUMBER.sub('#', str(exc))}"
+            refused[cause] = refused.get(cause, 0) + 1
+            continue
+        passed += report.passed
+        failed += not report.passed
+    return {"draws": ORACLE_RANGE_DRAWS, "passed": passed, "failed": failed, "refused": refused}
 
 
 def chart_route() -> dict:
@@ -266,7 +316,8 @@ def sharp_step_route() -> dict:
 
 def main() -> int:
     print(json.dumps({"chart": chart_route(), "oracle": oracle_route(),
-                      "scatter": scatter_route(), "sharp_step": sharp_step_route()},
+                      "oracle_range": oracle_range_route(), "scatter": scatter_route(),
+                      "sharp_step": sharp_step_route()},
                      sort_keys=True))
     return 0
 
